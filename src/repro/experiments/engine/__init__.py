@@ -71,8 +71,7 @@ from repro.experiments.engine.core import (EXPERIMENT_MODULES,
                                            CampaignInterrupted,
                                            ExecutorBackend,
                                            LocalPoolBackend, SerialBackend,
-                                           jittered_backoff,
-                                           run_experiment, run_experiments)
+                                           jittered_backoff, run_experiments)
 from repro.experiments.engine.distributed import (DistributedBackend,
                                                   FrameDecoder,
                                                   ProtocolError,
@@ -123,7 +122,6 @@ __all__ = [
     "parse_faults",
     "parse_hostport",
     "replay_journal",
-    "run_experiment",
     "run_experiments",
     "seal_payload",
     "unseal_payload",

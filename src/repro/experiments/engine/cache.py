@@ -521,3 +521,41 @@ class ResultCache:
         if self.quota_bytes is not None:
             state += f", quota={self.quota_bytes}B"
         return f"ResultCache({self.directory}, {state})"
+
+
+def _tiered_cache(directory: Union[str, Path, None], *, enabled: bool = True,
+                  server: Optional[str] = None,
+                  quota_bytes: Optional[int] = None,
+                  worker_token: Optional[str] = None,
+                  faults: Iterable[Any] = ()) -> ResultCache:
+    """The cache stack a CLI's flags describe: the local
+    :class:`ResultCache`, with the shared
+    :class:`~repro.experiments.engine.remote_cache.RemoteCacheTier`
+    attached when ``server`` (a ``HOST:PORT`` string) is given.
+
+    Both the campaign CLI and ``repro.tools.worker`` build their cache
+    here, so this is the one place that decides the remote tier needs a
+    local cache: it reads through and writes behind the local one, and
+    without it there is nothing to adopt a fetched blob into.
+    Remote-cache chaos specs among ``faults`` are threaded into the tier.
+
+    Raises:
+        ValueError: ``server`` with a disabled local cache, or an
+            unparseable ``server`` address. The message names the
+            ``--cache-server`` flag both CLIs spell it with, so callers
+            report it verbatim.
+    """
+    remote = None
+    if server is not None:
+        if not enabled:
+            raise ValueError("--cache-server needs the result cache (the "
+                             "shared tier reads through and writes behind "
+                             "the local one); drop --no-cache")
+        from repro.experiments.engine.remote_cache import RemoteCacheTier
+        try:
+            remote = RemoteCacheTier(server, faults=faults)
+        except ValueError as exc:
+            raise ValueError(f"--cache-server: {exc}") from None
+    return ResultCache(directory=directory, enabled=enabled,
+                       quota_bytes=quota_bytes, worker_token=worker_token,
+                       remote=remote)

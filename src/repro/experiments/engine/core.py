@@ -12,6 +12,10 @@ The execution model:
 5. each experiment's ``merge(units, payloads, scale=..., seed=...)``
    reassembles its :class:`~repro.experiments.result.ExperimentResult`.
 
+:func:`run_experiments` drives these steps as the five phase methods of
+one private campaign object (``_Campaign``): plan → resolve → execute →
+merge → report.
+
 Fault tolerance (campaigns on real fleets lose hosts, and the paper's
 Section 3 results only exist because collection tolerates that):
 
@@ -357,8 +361,9 @@ class BackendContext:
             free-form executor id (``"pid:1234"``, ``"w:worker-0"``).
         on_permanent_failure: Called when a task's budget is exhausted;
             raises ``_CampaignAbort`` on fail-fast campaigns.
-        respawn_counter: Single-cell mutable counter of pool respawns /
-            worker replacements (survives a fail-fast unwind).
+        respawns: Pool respawns / worker replacements so far; the
+            campaign owns the context, so the count survives a fail-fast
+            unwind and lands in the run report.
     """
 
     max_attempts: int
@@ -369,8 +374,7 @@ class BackendContext:
     journal: CampaignJournal
     on_success: Callable[["_Task", Any, float, int, str], None]
     on_permanent_failure: Callable[["_Task"], None]
-    respawn_counter: list[int] = dataclasses.field(
-        default_factory=lambda: [0])
+    respawns: int = 0
 
     def charge_failure(self, task: "_Task", kind: str,
                        detail: str) -> bool:
@@ -479,8 +483,8 @@ class LocalPoolBackend(ExecutorBackend):
     and released back to normal scheduling. Probing serializes a few
     units after a crash, which is the price of never misattributing one.
 
-    Pool respawns are counted into ``context.respawn_counter[0]`` (a
-    mutable cell, so the count survives a fail-fast unwind). On any
+    Pool respawns are counted into ``context.respawns`` (the campaign
+    owns the context, so the count survives a fail-fast unwind). On any
     unwinding exception (fail-fast abort, Ctrl-C) the pool's workers are
     killed first and their spill files swept, so nothing orphaned
     outlives the engine.
@@ -518,7 +522,7 @@ class LocalPoolBackend(ExecutorBackend):
             dead = _kill_pool(pool)
             context.cache.sweep_stale(pids=dead)
             pool = ProcessPoolExecutor(max_workers=workers)
-            context.respawn_counter[0] += 1
+            context.respawns += 1
 
         def charge_failure(task: _Task, kind: str, detail: str) -> None:
             if context.charge_failure(task, kind, detail):
@@ -666,6 +670,401 @@ class LocalPoolBackend(ExecutorBackend):
         pool.shutdown(wait=True)
 
 
+@dataclasses.dataclass(eq=False)
+class _Campaign:
+    """The state of one :func:`run_experiments` call, advanced through
+    five phases: :meth:`plan` → :meth:`resolve` → :meth:`execute` →
+    :meth:`merge` → :meth:`report`.
+
+    Each phase reads what the previous ones left on the object and adds
+    its own, so the hand-offs are named attributes: the per-experiment
+    ``plan_units`` and campaign ``identity`` (plan); ``payloads`` already in
+    hand, the ``pending`` tasks a backend must run, the
+    ``carried_failed`` tasks whose journal-carried charges already
+    exhaust the budget, and the ``shared_waiting`` records owed by a
+    pending unit (resolve); ``failures`` / ``failed_keys`` and the
+    ``completed`` / ``failed`` progress counts (execute);
+    ``failed_experiments`` and ``telemetry_sections`` (merge). The
+    :class:`BackendContext` handed to the backend calls back into
+    :meth:`on_success` / :meth:`on_permanent_failure`.
+
+    The fields are :func:`run_experiments`'s own arguments, already
+    validated and normalized (``modules`` is the registry with
+    ``extra_modules`` layered on, ``tele_params`` the telemetry spec or
+    ``None``).
+    """
+
+    names: list[str]
+    modules: dict
+    scale: float
+    seed: int
+    jobs: int
+    cache: ResultCache
+    backend: Optional["ExecutorBackend"] = None
+    on_unit: Optional[Callable[[UnitReport], None]] = None
+    tele_params: Optional[dict] = None
+    unit_timeout_s: Optional[float] = None
+    retries: int = 0
+    keep_going: bool = False
+    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S
+    faults: tuple[FaultSpec, ...] = ()
+    journal_path: Union[str, Path, None] = None
+    checkpoint_interval_s: Optional[float] = None
+    resume_from: Optional[JournalReplay] = None
+
+    def __post_init__(self) -> None:
+        self.started = time.perf_counter()
+        self.degradation_snapshot = self.cache.degradation_snapshot()
+        journal_path = self.journal_path
+        if journal_path is None and self.resume_from is not None:
+            journal_path = self.resume_from.journal_path
+        self.journal = CampaignJournal(
+            journal_path, checkpoint_interval_s=self.checkpoint_interval_s)
+        # Distributed modes travel to remote worker clients alongside the
+        # classic worker-side modes; execute_unit ignores them locally.
+        self.context = BackendContext(
+            max_attempts=self.retries + 1, backoff_s=self.retry_backoff_s,
+            unit_timeout_s=self.unit_timeout_s,
+            faults=tuple(f for f in self.faults
+                         if f.mode in WORKER_MODES
+                         or f.mode in DISTRIBUTED_MODES),
+            cache=self.cache, journal=self.journal,
+            on_success=self.on_success,
+            on_permanent_failure=self.on_permanent_failure)
+        # -- plan --
+        self.plan_units: dict[str, list[tuple[WorkUnit, str]]] = {}
+        self.identity = ""
+        # -- resolve --
+        self.payloads: dict[str, Any] = {}
+        self.records: list[UnitReport] = []
+        self.pending: list[_Task] = []
+        self.carried_failed: list[_Task] = []
+        # Records whose payload is owed by a *pending* unit of another
+        # experiment: they resolve (or fail) only when that unit does. A
+        # shared record must never be reported done at plan time — the
+        # backing unit may still fail, which would strand merge() on a
+        # missing payload.
+        self.shared_waiting: dict[str, list[UnitReport]] = {}
+        self.primary_record: dict[str, UnitReport] = {}
+        self.completed_carried = 0
+        self.attempts_carried = 0
+        # -- execute --
+        self.failures: list[FailureRecord] = []
+        self.failed_keys: set[str] = set()
+        self.completed = 0
+        self.failed = 0
+        self.signal_fired: dict[int, int] = {}
+        self.disk_fault_units: dict[str, WorkUnit] = {}
+        self.puts_seen: dict[str, int] = {}
+        self.previous_put_fault = self.cache.put_fault
+        # -- merge --
+        self.failed_experiments: list[str] = []
+        self.telemetry_sections: dict[str, dict] = {}
+
+    def _notify(self, record: UnitReport) -> None:
+        """Progress callback: ``record``'s unit just resolved."""
+        if self.on_unit:
+            self.on_unit(record)
+
+    # -- phase 1: plan -------------------------------------------------------
+
+    def plan(self) -> None:
+        """Collect every experiment's units, bind the campaign identity
+        (verified against ``resume_from``) and open the journal leg."""
+        for name in self.names:
+            units = self.modules[name].work_units(self.scale, self.seed)
+            if self.tele_params is not None:
+                units = [dataclasses.replace(
+                    unit, params={**unit.params,
+                                  "telemetry": self.tele_params})
+                    for unit in units]
+            self.plan_units[name] = [(unit, unit.cache_key())
+                                     for unit in units]
+        self.identity = campaign_identity(
+            self.names, self.scale, self.seed,
+            (key for name in self.names
+             for _, key in self.plan_units[name]))
+        resume_from = self.resume_from
+        if resume_from is not None and resume_from.identity != self.identity:
+            raise ResumeMismatchError(
+                f"journal {resume_from.journal_path} was recorded for "
+                f"campaign {resume_from.identity[:12]}…, but the requested "
+                f"plan hashes to {self.identity[:12]}… — same "
+                f"experiments, scale, seed, telemetry and code version are "
+                f"required to resume")
+        self.journal.open_campaign(self.identity, self.names, self.scale,
+                                   self.seed, self.tele_params,
+                                   resumed=resume_from is not None)
+
+    # -- phase 2: resolve ----------------------------------------------------
+
+    def resolve(self) -> None:
+        """Dedup units across experiments by cache key and settle each
+        from the cache or the journal: a cache hit is done now, a key
+        seen before is shared with its first holder, everything else
+        becomes a pending (or carried-failed) task."""
+        resume_from = self.resume_from
+        replay_charged = resume_from.charged if resume_from else {}
+        replay_failed = resume_from.permanent_failed if resume_from else {}
+        replay_completed = resume_from.completed if resume_from else {}
+        journal = self.journal
+        reported: set[tuple[str, str]] = set()
+        for name in self.names:
+            for unit, key in self.plan_units[name]:
+                report_key = (unit.experiment, unit.unit_id)
+                if report_key in reported:
+                    continue  # same experiment listed twice in `names`
+                reported.add(report_key)
+                record = UnitReport(experiment=unit.experiment,
+                                    unit_id=unit.unit_id)
+                self.records.append(record)
+                if key in self.primary_record:
+                    journal.record_planned(key, unit.label, "shared")
+                    if key in self.payloads:  # backed by a cache hit: done
+                        record.source = SOURCE_SHARED
+                        record.worker = "shared"
+                        self._notify(record)
+                    else:  # backed by a pending unit: resolves with it
+                        self.shared_waiting.setdefault(
+                            key, []).append(record)
+                    continue
+                self.primary_record[key] = record
+                cached = self.cache.get(key)
+                if cached is not None:
+                    self.payloads[key] = cached
+                    record.source = SOURCE_CACHE
+                    record.worker = "cache"
+                    if key in replay_completed:
+                        self.completed_carried += 1
+                    journal.record_planned(key, unit.label, "cache")
+                    self._notify(record)
+                    continue
+                # Journal carry-over: charged failed attempts from prior
+                # legs stay charged — resuming never refills a retry
+                # budget. (A journal-completed unit whose cache entry
+                # was lost or corrupted re-runs from scratch instead —
+                # the cache is the payload store, the journal only the
+                # accounting.)
+                carried = int(replay_charged.get(key, 0))
+                task = _Task(unit=unit, key=key, attempts=carried)
+                if carried:
+                    self.attempts_carried += carried
+                    task.last_error = replay_failed.get(key) or (
+                        f"{carried} failed attempt(s) charged on a "
+                        f"previous campaign leg")
+                    task.history.append(
+                        f"{carried} charged attempt(s) carried from "
+                        f"journal {journal.path or ''}".rstrip())
+                journal.record_planned(key, unit.label, "pending",
+                                       attempts_carried=carried)
+                if carried >= self.context.max_attempts:
+                    self.carried_failed.append(task)
+                else:
+                    self.pending.append(task)
+
+    # -- phase 3: execute ----------------------------------------------------
+
+    def execute(self) -> None:
+        """Fail the carried-failed tasks, then drive the pending ones to
+        success or permanent failure on the chosen backend.
+
+        Raises:
+            CampaignError: A permanent failure on a fail-fast campaign
+                (the final ``failed`` checkpoint is already flushed).
+        """
+        if any(f.mode == MODE_DISK_FULL for f in self.faults):
+            self.disk_fault_units = {
+                task.key: task.unit
+                for task in self.pending + self.carried_failed}
+            self.cache.put_fault = self._put_fault
+        try:
+            # Units whose carried charges already exhaust the retry
+            # budget fail permanently without another execution.
+            for task in self.carried_failed:
+                self.on_permanent_failure(task)
+            if self.pending:
+                chosen = self.backend
+                if chosen is None:
+                    # Classic selection: serial in-process when the
+                    # campaign cannot benefit from (or must not use) a
+                    # pool, otherwise fan out locally.
+                    if self.jobs == 1 or (
+                            len(self.pending) == 1
+                            and self.unit_timeout_s is None
+                            and not any(f.mode in WORKER_MODES
+                                        for f in self.faults)):
+                        chosen = SerialBackend()
+                    else:
+                        chosen = LocalPoolBackend(jobs=self.jobs)
+                chosen.execute(self.pending, self.context)
+        except _CampaignAbort as abort:
+            raise CampaignError(
+                f"unit {abort} failed after {self.context.max_attempts} "
+                f"attempt(s); rerun with keep_going/--keep-going "
+                f"for partial results",
+                self.failures, self.report("failed")) from None
+
+    def _put_fault(self, key: str) -> None:
+        """Raise an injected ENOSPC for matching units' cache puts (the
+        ``disk_full`` chaos mode, installed as ``cache.put_fault``)."""
+        unit = self.disk_fault_units.get(key)
+        if unit is None:
+            return
+        nth = self.puts_seen.get(key, 0)
+        self.puts_seen[key] = nth + 1
+        for spec in self.faults:
+            if spec.mode == MODE_DISK_FULL and spec.should_fire(unit, nth):
+                spec.fire(unit, nth)
+
+    def on_success(self, task: _Task, payload: Any, wall_s: float,
+                   events: int, worker: str) -> None:
+        """Backend callback: ``task``'s payload exists. Persist, journal
+        and report it, and release the records that shared its key."""
+        self.payloads[task.key] = payload
+        persisted = self.cache.put(task.key, payload)
+        record = self.primary_record[task.key]
+        record.source = SOURCE_RUN
+        record.wall_s = wall_s
+        record.events = events
+        record.worker = worker
+        record.attempts = task.attempts + 1
+        self.journal.record_completed(task.key, task.unit.label,
+                                      attempts=task.attempts + 1,
+                                      wall_s=wall_s, events=events,
+                                      cached=persisted, worker=worker)
+        self.completed += 1
+        self.journal.maybe_checkpoint(completed=self.completed,
+                                      failed=self.failed)
+        self._notify(record)
+        for dependent in self.shared_waiting.pop(task.key, []):
+            dependent.source = SOURCE_SHARED
+            dependent.worker = "shared"
+            self._notify(dependent)
+        # Deterministic preemption: a matching `signal` fault delivers
+        # its signal the moment this unit's completion is journaled —
+        # "SIGTERM the campaign right after the first unit finishes".
+        for index, spec in enumerate(self.faults):
+            count = self.signal_fired.get(index, 0)
+            if spec.mode == MODE_SIGNAL \
+                    and fnmatchcase(task.unit.label, spec.unit) \
+                    and (spec.times < 0 or count < spec.times):
+                self.signal_fired[index] = count + 1
+                spec.fire(task.unit, count)
+
+    def on_permanent_failure(self, task: _Task) -> None:
+        """Backend callback: ``task``'s retry budget is exhausted. Fails
+        it and every record sharing its key; raises ``_CampaignAbort``
+        unless the campaign is ``keep_going``."""
+        self.failed_keys.add(task.key)
+        record = self.primary_record[task.key]
+        record.source = SOURCE_FAILED
+        record.attempts = task.attempts
+        record.error = _summary_line(task.last_error)
+        self.journal.record_failed(task.key, task.unit.label,
+                                   attempts=task.attempts,
+                                   error=_summary_line(task.last_error))
+        self.failed += 1
+        self._notify(record)
+        dependents = self.shared_waiting.pop(task.key, [])
+        for dependent in dependents:
+            dependent.source = SOURCE_FAILED
+            dependent.error = f"shared unit {record.label} failed"
+            self._notify(dependent)
+        self.failures.append(FailureRecord(
+            experiment=record.experiment, unit_id=record.unit_id,
+            attempts=task.attempts, error=task.last_error,
+            history=list(task.history),
+            shared_with=[dependent.label for dependent in dependents]))
+        if not self.keep_going:
+            raise _CampaignAbort(record.label)
+
+    # -- phase 4: merge ------------------------------------------------------
+
+    def merge(self) -> dict[str, ExperimentResult]:
+        """Reassemble each experiment from its payloads, in plan order.
+
+        A failed unit fails exactly the experiments that merge it (by
+        key, so a ``SOURCE_SHARED`` dependent of a failed unit fails
+        too); everything else merges from complete payload sets.
+        """
+        results: dict[str, ExperimentResult] = {}
+        for name in self.names:
+            planned = self.plan_units[name]
+            if any(key in self.failed_keys for _, key in planned):
+                if name not in self.failed_experiments:
+                    self.failed_experiments.append(name)
+                continue
+            results[name] = self.modules[name].merge(
+                [unit for unit, _ in planned],
+                [self.payloads[key] for _, key in planned],
+                scale=self.scale, seed=self.seed)
+        if self.tele_params is not None:
+            # Duck-typed: any payload carrying a TelemetryCapture
+            # (packet-level incast units) contributes a per-unit section;
+            # fluid-model payloads simply have no `telemetry` attribute.
+            for name in self.names:
+                for unit, key in self.plan_units[name]:
+                    capture = getattr(self.payloads.get(key), "telemetry",
+                                      None)
+                    if capture is not None \
+                            and unit.label not in self.telemetry_sections:
+                        self.telemetry_sections[unit.label] = \
+                            capture.to_dict()
+        return results
+
+    # -- phase 5: report -----------------------------------------------------
+
+    def report(self, status: str, **extra: Any) -> RunReport:
+        """Flush the journal's final ``status`` checkpoint and assemble
+        the run report, including the crash-safety and cache-degradation
+        sections."""
+        self.journal.checkpoint(final=True, status=status,
+                                completed=self.completed,
+                                failed=self.failed, **extra)
+        cache = self.cache
+        report = RunReport(
+            jobs=self.jobs,
+            cache_enabled=cache.enabled,
+            cache_dir=str(cache.directory) if cache.enabled else None,
+            wall_s=time.perf_counter() - self.started,
+            units=self.records,
+            telemetry=self.telemetry_sections,
+            failures=self.failures,
+            failed_experiments=self.failed_experiments,
+            pool_respawns=self.context.respawns,
+        )
+        if self.journal.enabled:
+            report.resume = {
+                "journal": str(self.journal.path),
+                "identity": self.identity,
+                "resumed": self.resume_from is not None,
+            }
+            if self.resume_from is not None:
+                report.resume.update(
+                    completed_carried=self.completed_carried,
+                    attempts_carried=self.attempts_carried,
+                    failed_carried=len(self.carried_failed))
+        report.cache_degraded = cache.degradation_since(
+            self.degradation_snapshot)
+        remote = getattr(cache, "remote", None)
+        if remote is not None:
+            # Always present when a shared tier was configured — an
+            # all-degraded campaign must still report honestly.
+            report.remote_cache = remote.stats_section()
+        return report
+
+    def close(self) -> None:
+        """Release what the campaign holds: the chaos put hook, the
+        journal's file handle (flushed and fsynced) and the context."""
+        self.cache.put_fault = self.previous_put_fault
+        self.journal.close()
+        # The context's callbacks are this object's bound methods: drop it
+        # so the campaign, and every payload it holds, is freed by
+        # refcount when run_experiments returns rather than at some later
+        # gc pass (the cycle measured +2 MB peak RSS on the CLI workloads).
+        self.context = None
+
+
 def run_experiments(
         names: list[str], *, scale: float = 1.0, seed: int = 0,
         jobs: Optional[int] = None, cache: Optional[ResultCache] = None,
@@ -795,352 +1194,35 @@ def run_experiments(
         raise ValueError("unit_timeout_s is not enforceable on the "
                          "serial backend: a hung unit cannot be "
                          "interrupted in-process")
-    faults = tuple(faults)
-    worker_faults = tuple(f for f in faults if f.mode in WORKER_MODES)
-    # Distributed modes travel to remote worker clients alongside the
-    # classic worker-side modes; execute_unit ignores them locally.
-    backend_faults = tuple(f for f in faults
-                           if f.mode in WORKER_MODES
-                           or f.mode in DISTRIBUTED_MODES)
-    signal_faults = [f for f in faults if f.mode == MODE_SIGNAL]
-    disk_faults = [f for f in faults if f.mode == MODE_DISK_FULL]
     cache = cache if cache is not None else ResultCache(enabled=False)
     cache.sweep_stale()
-    degradation_snapshot = cache.degradation_snapshot()
     tele_params = None
     if telemetry:
         tele_params = {"interval_ns": int(telemetry_interval_ns
                                           or DEFAULT_TELEMETRY_INTERVAL_NS)}
-    started = time.perf_counter()
-
-    # --- plan: collect every unit and bind the campaign identity ---------
-    plan: dict[str, list[tuple[WorkUnit, str]]] = {}
-    for name in names:
-        units = modules[name].work_units(scale, seed)
-        if tele_params is not None:
-            units = [dataclasses.replace(
-                unit, params={**unit.params, "telemetry": tele_params})
-                for unit in units]
-        plan[name] = [(unit, unit.cache_key()) for unit in units]
-    identity = campaign_identity(
-        names, scale, seed,
-        (key for name in names for _, key in plan[name]))
-    if resume_from is not None and resume_from.identity != identity:
-        raise ResumeMismatchError(
-            f"journal {resume_from.journal_path} was recorded for campaign "
-            f"{resume_from.identity[:12]}…, but the requested plan hashes "
-            f"to {identity[:12]}… — same experiments, scale, seed, "
-            f"telemetry and code version are required to resume")
-    resolved_journal_path = journal_path if journal_path is not None \
-        else (resume_from.journal_path if resume_from is not None else None)
-    journal = CampaignJournal(resolved_journal_path,
-                              checkpoint_interval_s=checkpoint_interval_s)
-    journal.open_campaign(identity, names, scale, seed, tele_params,
-                          resumed=resume_from is not None)
-
-    replay_charged = resume_from.charged if resume_from else {}
-    replay_failed = resume_from.permanent_failed if resume_from else {}
-    replay_completed = resume_from.completed if resume_from else {}
-    max_attempts = retries + 1
-
-    # --- resolve: dedup across experiments, consult cache/journal --------
-    payloads: dict[str, Any] = {}
-    reports: dict[tuple[str, str], UnitReport] = {}
-    ordered_records: list[UnitReport] = []
-    pending: list[_Task] = []
-    # Records whose payload is owed by a *pending* unit of another
-    # experiment: they resolve (or fail) only when that unit does. A
-    # shared record must never be reported done at plan time — the
-    # backing unit may still fail, which would strand merge() on a
-    # missing payload.
-    shared_waiting: dict[str, list[UnitReport]] = {}
-    primary_record: dict[str, UnitReport] = {}
-    seen: set[str] = set()
-    completed_carried = 0
-    attempts_carried = 0
-    carried_failed: list[_Task] = []
-    for name in names:
-        for unit, key in plan[name]:
-            report_key = (unit.experiment, unit.unit_id)
-            if report_key in reports:
-                continue  # same experiment listed twice in `names`
-            record = UnitReport(experiment=unit.experiment,
-                                unit_id=unit.unit_id)
-            reports[report_key] = record
-            ordered_records.append(record)
-            if key in seen:
-                if key in payloads:  # backed by a cache hit: done now
-                    record.source = SOURCE_SHARED
-                    record.worker = "shared"
-                    journal.record_planned(key, unit.label, "shared")
-                    if on_unit:
-                        on_unit(record)
-                else:  # backed by a pending unit: resolves with it
-                    shared_waiting.setdefault(key, []).append(record)
-                    journal.record_planned(key, unit.label, "shared")
-                continue
-            seen.add(key)
-            primary_record[key] = record
-            cached = cache.get(key)
-            if cached is not None:
-                payloads[key] = cached
-                record.source = SOURCE_CACHE
-                record.worker = "cache"
-                if key in replay_completed:
-                    completed_carried += 1
-                journal.record_planned(key, unit.label, "cache")
-                if on_unit:
-                    on_unit(record)
-            else:
-                # Journal carry-over: charged failed attempts from prior
-                # legs stay charged — resuming never refills a retry
-                # budget. (A journal-completed unit whose cache entry
-                # was lost or corrupted re-runs from scratch instead —
-                # the cache is the payload store, the journal only the
-                # accounting.)
-                carried = int(replay_charged.get(key, 0))
-                task = _Task(unit=unit, key=key, attempts=carried)
-                if carried:
-                    attempts_carried += carried
-                    task.last_error = replay_failed.get(key) or (
-                        f"{carried} failed attempt(s) charged on a "
-                        f"previous campaign leg")
-                    task.history.append(
-                        f"{carried} charged attempt(s) carried from "
-                        f"journal {journal.path or ''}".rstrip())
-                journal.record_planned(key, unit.label, "pending",
-                                       attempts_carried=carried)
-                if carried >= max_attempts:
-                    carried_failed.append(task)
-                else:
-                    pending.append(task)
-
-    # --- execute ---------------------------------------------------------
-    failures: list[FailureRecord] = []
-    failed_keys: set[str] = set()
-    respawn_counter = [0]
-    progress = {"completed": 0, "failed": 0}
-    signal_fired: dict[int, int] = {}
-
-    if disk_faults:
-        unit_by_key = {task.key: task.unit
-                       for task in pending + carried_failed}
-        puts_seen: dict[str, int] = {}
-
-        def put_fault(key: str) -> None:
-            """Raise an injected ENOSPC for matching units' cache puts."""
-            unit = unit_by_key.get(key)
-            if unit is None:
-                return
-            nth = puts_seen.get(key, 0)
-            puts_seen[key] = nth + 1
-            for spec in disk_faults:
-                if spec.should_fire(unit, nth):
-                    spec.fire(unit, nth)
-        previous_put_fault = cache.put_fault
-        cache.put_fault = put_fault
-
-    def on_success(task: _Task, payload: Any, wall_s: float, events: int,
-                   worker: str) -> None:
-        payloads[task.key] = payload
-        persisted = cache.put(task.key, payload)
-        record = primary_record[task.key]
-        record.source = SOURCE_RUN
-        record.wall_s = wall_s
-        record.events = events
-        record.worker = worker
-        record.attempts = task.attempts + 1
-        journal.record_completed(task.key, task.unit.label,
-                                 attempts=task.attempts + 1,
-                                 wall_s=wall_s, events=events,
-                                 cached=persisted, worker=worker)
-        progress["completed"] += 1
-        journal.maybe_checkpoint(**progress)
-        if on_unit:
-            on_unit(record)
-        for dependent in shared_waiting.pop(task.key, []):
-            dependent.source = SOURCE_SHARED
-            dependent.worker = "shared"
-            if on_unit:
-                on_unit(dependent)
-        # Deterministic preemption: a matching `signal` fault delivers
-        # its signal the moment this unit's completion is journaled —
-        # "SIGTERM the campaign right after the first unit finishes".
-        for index, spec in enumerate(signal_faults):
-            count = signal_fired.get(index, 0)
-            if fnmatchcase(task.unit.label, spec.unit) \
-                    and (spec.times < 0 or count < spec.times):
-                signal_fired[index] = count + 1
-                spec.fire(task.unit, count)
-
-    def on_permanent_failure(task: _Task) -> None:
-        failed_keys.add(task.key)
-        record = primary_record[task.key]
-        record.source = SOURCE_FAILED
-        record.attempts = task.attempts
-        record.error = _summary_line(task.last_error)
-        journal.record_failed(task.key, task.unit.label,
-                              attempts=task.attempts,
-                              error=_summary_line(task.last_error))
-        progress["failed"] += 1
-        if on_unit:
-            on_unit(record)
-        dependents = shared_waiting.pop(task.key, [])
-        for dependent in dependents:
-            dependent.source = SOURCE_FAILED
-            dependent.error = f"shared unit {record.label} failed"
-            if on_unit:
-                on_unit(dependent)
-        failures.append(FailureRecord(
-            experiment=record.experiment, unit_id=record.unit_id,
-            attempts=task.attempts, error=task.last_error,
-            history=list(task.history),
-            shared_with=[dependent.label for dependent in dependents]))
-        if not keep_going:
-            raise _CampaignAbort(record.label)
-
-    def attach_sections(report: RunReport) -> RunReport:
-        """Fill the crash-safety and degradation report sections."""
-        if journal.enabled:
-            report.resume = {
-                "journal": str(journal.path),
-                "identity": identity,
-                "resumed": resume_from is not None,
-            }
-            if resume_from is not None:
-                report.resume.update(
-                    completed_carried=completed_carried,
-                    attempts_carried=attempts_carried,
-                    failed_carried=len(carried_failed))
-        report.cache_degraded = cache.degradation_since(
-            degradation_snapshot)
-        remote = getattr(cache, "remote", None)
-        if remote is not None:
-            # Always present when a shared tier was configured — an
-            # all-degraded campaign must still report honestly.
-            report.remote_cache = remote.stats_section()
-        return report
-
-    def finish_report() -> RunReport:
-        return attach_sections(RunReport(
-            jobs=jobs,
-            cache_enabled=cache.enabled,
-            cache_dir=str(cache.directory) if cache.enabled else None,
-            wall_s=time.perf_counter() - started,
-            units=ordered_records,
-            failures=failures,
-            pool_respawns=respawn_counter[0],
-        ))
-
+    campaign = _Campaign(
+        names, modules, scale=scale, seed=seed, jobs=jobs, cache=cache,
+        backend=backend, on_unit=on_unit, tele_params=tele_params,
+        unit_timeout_s=unit_timeout_s, retries=retries,
+        keep_going=keep_going, retry_backoff_s=retry_backoff_s,
+        faults=tuple(faults), journal_path=journal_path,
+        checkpoint_interval_s=checkpoint_interval_s,
+        resume_from=resume_from)
+    campaign.plan()
+    campaign.resolve()
     try:
         with _SignalGuard(handle_signals):
-            try:
-                # Units whose carried charges already exhaust the retry
-                # budget fail permanently without another execution.
-                for task in carried_failed:
-                    on_permanent_failure(task)
-                if pending:
-                    chosen = backend
-                    if chosen is None:
-                        # Classic selection: serial in-process when the
-                        # campaign cannot benefit from (or must not use)
-                        # a pool, otherwise fan out locally.
-                        if jobs == 1 or (len(pending) == 1
-                                         and unit_timeout_s is None
-                                         and not worker_faults):
-                            chosen = SerialBackend()
-                        else:
-                            chosen = LocalPoolBackend(jobs=jobs)
-                    context = BackendContext(
-                        max_attempts=max_attempts,
-                        backoff_s=retry_backoff_s,
-                        unit_timeout_s=unit_timeout_s,
-                        faults=backend_faults, cache=cache,
-                        journal=journal, on_success=on_success,
-                        on_permanent_failure=on_permanent_failure,
-                        respawn_counter=respawn_counter)
-                    chosen.execute(pending, context)
-            except _CampaignAbort as abort:
-                report = finish_report()
-                journal.checkpoint(final=True, status="failed",
-                                   **progress)
-                raise CampaignError(
-                    f"unit {abort} failed after {max_attempts} "
-                    f"attempt(s); rerun with keep_going/--keep-going "
-                    f"for partial results",
-                    failures, report) from None
-
-            # --- merge ---------------------------------------------------
-            # A failed unit fails exactly the experiments that merge it
-            # (by key, so a SOURCE_SHARED dependent of a failed unit
-            # fails too); everything else merges from complete payload
-            # sets.
-            results: dict[str, ExperimentResult] = {}
-            failed_experiments: list[str] = []
-            for name in names:
-                if any(key in failed_keys for _, key in plan[name]):
-                    if name not in failed_experiments:
-                        failed_experiments.append(name)
-                    continue
-                units = [unit for unit, _ in plan[name]]
-                unit_payloads = [payloads[key] for _, key in plan[name]]
-                results[name] = modules[name].merge(
-                    units, unit_payloads, scale=scale, seed=seed)
-
-            # --- telemetry extraction ------------------------------------
-            # Duck-typed: any payload carrying a TelemetryCapture
-            # (packet-level incast units) contributes a per-unit section;
-            # fluid-model payloads simply have no `telemetry` attribute.
-            telemetry_sections: dict[str, dict] = {}
-            if telemetry:
-                for name in names:
-                    for unit, key in plan[name]:
-                        capture = getattr(payloads.get(key), "telemetry",
-                                          None)
-                        if capture is not None and unit.label not in \
-                                telemetry_sections:
-                            telemetry_sections[unit.label] = \
-                                capture.to_dict()
-
-            journal.checkpoint(final=True, status="completed", **progress)
-            report = finish_report()
-            report.telemetry = telemetry_sections
-            report.failed_experiments = failed_experiments
-            return results, report
+            campaign.execute()
+            results = campaign.merge()
+            return results, campaign.report("completed")
     except (CampaignInterrupted, KeyboardInterrupt) as exc:
         # Graceful preemption: by now any pool has been killed and its
         # spill files swept (the executors' unwind paths); flush the
         # final checkpoint so a later --resume sees a consistent tail.
         signum = getattr(exc, "signum", int(signal_module.SIGINT))
-        journal.checkpoint(final=True, status="interrupted",
-                           signum=int(signum), **progress)
+        report = campaign.report("interrupted", signum=int(signum))
         if isinstance(exc, CampaignInterrupted) and exc.report is None:
-            exc.report = finish_report()
+            exc.report = report
         raise
     finally:
-        if disk_faults:
-            cache.put_fault = previous_put_fault
-        journal.close()
-
-
-def run_experiment(
-        name: str, *, scale: float = 1.0, seed: int = 0,
-        jobs: Optional[int] = None, cache: Optional[ResultCache] = None,
-        telemetry: bool = False,
-        telemetry_interval_ns: Optional[int] = None,
-        **fault_tolerance: Any,
-) -> tuple[ExperimentResult, RunReport]:
-    """Single-experiment convenience wrapper around :func:`run_experiments`.
-
-    ``**fault_tolerance`` forwards ``unit_timeout_s`` / ``retries`` /
-    ``keep_going`` / ``retry_backoff_s`` / ``faults``.
-    """
-    results, report = run_experiments(
-        [name], scale=scale, seed=seed, jobs=jobs, cache=cache,
-        telemetry=telemetry, telemetry_interval_ns=telemetry_interval_ns,
-        **fault_tolerance)
-    if name not in results:  # keep_going run whose only experiment failed
-        raise CampaignError(f"experiment {name} failed: "
-                            f"{[f.label for f in report.failures]}",
-                            report.failures, report)
-    return results[name], report
+        campaign.close()

@@ -515,7 +515,7 @@ class DistributedBackend(ExecutorBackend):
             for lease in held:
                 requeue(lease.task, reason, conn.tag)
             if held:
-                context.respawn_counter[0] += 1
+                context.respawns += 1
 
         def resolve(task: _Task) -> None:
             """Mark ``task`` finished (success or permanent failure)."""
@@ -702,7 +702,7 @@ class DistributedBackend(ExecutorBackend):
                 victims = [v.task for v in conn.leases.values()]
                 drop_conn(conn)
                 conn.leases.clear()
-                context.respawn_counter[0] += 1
+                context.respawns += 1
                 still_leased = bool(leases_by_key.get(task.key))
                 if context.charge_failure(
                         task, "timeout",

@@ -58,19 +58,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.export import write_result, write_run_report
-from repro.experiments import (ablations, crossval, fig1, fig2, fig3, fig4,
-                               fig5, fig6, fig7, table1, verdict)
-from repro.experiments.engine import (CampaignError, CampaignInterrupted,
-                                      JournalError, ResultCache,
+from repro.experiments.engine import (EXPERIMENT_MODULES, CampaignError,
+                                      CampaignInterrupted, JournalError,
                                       ResumeMismatchError, faults_from_env,
                                       load_resume_state, run_experiments)
+from repro.experiments.engine.cache import _tiered_cache
 from repro.experiments.engine.distributed import (DistributedBackend,
                                                   parse_hostport)
-from repro.experiments.engine.journal import JournalReplay
-from repro.experiments.result import ExperimentResult
 
 #: Exit code for SIGINT, matching shell convention (128 + SIGINT).
 EXIT_INTERRUPTED = 130
@@ -97,19 +94,10 @@ def parse_size(text: str) -> int:
         raise ValueError(f"size must be positive, got {text!r}")
     return int(value * factor)
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "table1": table1.run,
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "ablations": ablations.run,
-    "crossval": crossval.run,
-    "verdict": verdict.run,
-}
+
+#: The runnable experiments: the engine's registry itself, so the CLI and
+#: the engine can never disagree about what exists.
+EXPERIMENTS = EXPERIMENT_MODULES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Install the engine-execution flags shared by the main experiment
-    runner and the ``sweep run`` subcommand, so both surfaces accept the
-    identical cache/journal/fan-out vocabulary."""
+    runner and the ``sweep run`` / ``verdict`` subcommands, so every
+    surface accepts the identical cache/journal/fan-out vocabulary."""
     parser.add_argument("--scale", type=float, default=None,
                         help="workload scale factor (default 1.0 = paper "
                              "scale; a --resume run defaults to the "
@@ -235,10 +223,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 def _validate_engine_args(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> Optional[int]:
-    """Cross-flag validation shared by both CLI surfaces.
+    """Cross-flag validation shared by every CLI surface.
 
     Returns the parsed ``--cache-quota`` in bytes (``None`` when unset);
-    every violation exits through ``parser.error``.
+    every violation exits through ``parser.error``. (The
+    ``--cache-server`` rules live with the cache stack itself, see
+    :func:`repro.experiments.engine.cache._tiered_cache`.)
     """
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -272,15 +262,6 @@ def _validate_engine_args(parser: argparse.ArgumentParser,
             and Path(args.cache_dir).exists()
             and not Path(args.cache_dir).is_dir()):
         parser.error(f"--cache-dir {args.cache_dir} is not a directory")
-    if args.cache_server is not None:
-        if args.no_cache:
-            parser.error("--cache-server needs the result cache (the "
-                         "shared tier reads through and writes behind "
-                         "the local one); drop --no-cache")
-        try:
-            parse_hostport(args.cache_server)
-        except ValueError as exc:
-            parser.error(f"--cache-server: {exc}")
     if args.resume and args.no_cache:
         parser.error("--resume needs the result cache (it is the durable "
                      "store completed units reload from); drop --no-cache")
@@ -291,6 +272,9 @@ def _validate_engine_args(parser: argparse.ArgumentParser,
         if not args.journal and not args.resume:
             parser.error("--checkpoint-interval requires --journal or "
                          "--resume (there is no journal to batch)")
+    if args.telemetry_interval_us is not None \
+            and args.telemetry_interval_us <= 0:
+        parser.error("--telemetry-interval-us must be positive")
     quota_bytes = None
     if args.cache_quota is not None:
         try:
@@ -318,49 +302,30 @@ def _build_backend(args: argparse.Namespace
         on_listening=announce)
 
 
-def _build_cache(args: argparse.Namespace, quota_bytes: Optional[int],
-                 faults) -> ResultCache:
-    """The result cache the flags ask for, with the shared remote tier
-    attached when ``--cache-server`` was given (remote-cache chaos specs
-    from ``$REPRO_FAULTS`` are threaded into the tier)."""
-    remote = None
-    if args.cache_server is not None:
-        from repro.experiments.engine.remote_cache import RemoteCacheTier
-        remote = RemoteCacheTier(parse_hostport(args.cache_server),
-                                 faults=faults)
-    return ResultCache(
-        directory=Path(args.cache_dir) if args.cache_dir else None,
-        enabled=not args.no_cache, quota_bytes=quota_bytes,
-        remote=remote)
+def _run_campaign(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace, names: list[str],
+                  extra_modules: Optional[dict], resume_hint: str) -> int:
+    """The one campaign spine behind every CLI surface; returns the
+    process exit code.
 
-
-def _parse_faults(parser: argparse.ArgumentParser):
-    """$REPRO_FAULTS chaos specs, or a parser error on a malformed value."""
+    ``main``, ``sweep run`` and ``verdict`` differ only in the plan they
+    hand over: ``names`` plus, for compiled campaigns, the
+    ``extra_modules`` adapters that plan and merge them (``None`` for
+    the registry experiments). Everything else is decided here, once:
+    engine-flag validation, ``$REPRO_FAULTS``, resume-state loading and
+    the defaults a journal supplies, cache and backend construction, the
+    engine call, the exit codes (143/130 preempted, 2 resume mismatch,
+    1 failed units) and the result / run-report printing and
+    ``--json-dir`` writes. ``resume_hint`` is how this surface spells
+    "continue from a journal" (``--resume``, ``sweep run SPEC
+    --resume``, ...), printed when a journaled campaign is preempted.
+    """
+    quota_bytes = _validate_engine_args(parser, args)
     try:
-        return faults_from_env()
+        faults = faults_from_env()
     except ValueError as exc:
         parser.error(f"$REPRO_FAULTS: {exc}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "verdict":
-        return verdict_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    quota_bytes = _validate_engine_args(parser, args)
-    faults = _parse_faults(parser)
-    if args.list:
-        for name in EXPERIMENTS:
-            doc = sys.modules[EXPERIMENTS[name].__module__].__doc__ or ""
-            first_line = doc.strip().splitlines()[0] if doc.strip() else ""
-            print(f"{name:12s} {first_line}")
-        return 0
-
-    resume_state: Optional[JournalReplay] = None
+    resume_state = None
     if args.resume:
         try:
             resume_state = load_resume_state(args.resume)
@@ -371,10 +336,23 @@ def main(argv: list[str] | None = None) -> int:
     # list, scale, seed and telemetry default to the header's values, so
     # `--resume journal.jsonl` alone is a complete invocation. Explicit
     # flags still win (the identity check catches any real drift).
-    names = list(EXPERIMENTS) if args.all else (args.experiment or [])
-    if not names and resume_state is not None:
-        names = list(resume_state.names)
-    if any(name.startswith("sweep:") for name in names):
+    scale, seed = 1.0, 0
+    telemetry = args.telemetry
+    interval_ns = None
+    if resume_state is not None:
+        recorded = list(resume_state.names)
+        if extra_modules is not None and recorded != names:
+            parser.error(f"--resume: journal records campaign {recorded}, "
+                         f"not this {names[0]} campaign; resume a journal "
+                         f"through the surface (and spec file) that "
+                         f"recorded it")
+        names = names or recorded
+        scale, seed = resume_state.scale, resume_state.seed
+        if resume_state.telemetry is not None:
+            telemetry = True
+            interval_ns = resume_state.telemetry.get("interval_ns")
+    if extra_modules is None \
+            and any(name.startswith("sweep:") for name in names):
         parser.error("this journal records a sweep campaign; resume it "
                      "with: python -m repro.experiments sweep run "
                      "SPEC.yaml --resume PATH (the spec file is needed "
@@ -383,21 +361,20 @@ def main(argv: list[str] | None = None) -> int:
         print("nothing to run: pass --experiment NAME, --all, or --list",
               file=sys.stderr)
         return 2
-    scale = args.scale if args.scale is not None else (
-        resume_state.scale if resume_state is not None else 1.0)
-    seed = args.seed if args.seed is not None else (
-        resume_state.seed if resume_state is not None else 0)
-    telemetry = args.telemetry or (resume_state is not None
-                                   and resume_state.telemetry is not None)
-    interval_ns = None
+    if args.scale is not None:
+        scale = args.scale
+    if args.seed is not None:
+        seed = args.seed
     if args.telemetry_interval_us is not None:
-        if args.telemetry_interval_us <= 0:
-            parser.error("--telemetry-interval-us must be positive")
         interval_ns = int(args.telemetry_interval_us * 1000)
-    elif resume_state is not None and resume_state.telemetry:
-        interval_ns = resume_state.telemetry.get("interval_ns")
 
-    cache = _build_cache(args, quota_bytes, faults)
+    try:
+        cache = _tiered_cache(args.cache_dir, enabled=not args.no_cache,
+                              server=args.cache_server,
+                              quota_bytes=quota_bytes, faults=faults)
+    except ValueError as exc:
+        parser.error(str(exc))
+    json_dir = Path(args.json_dir) if args.json_dir is not None else None
     try:
         results, report = run_experiments(
             names, scale=scale, seed=seed, jobs=args.jobs,
@@ -408,15 +385,16 @@ def main(argv: list[str] | None = None) -> int:
             keep_going=args.keep_going, faults=faults,
             journal_path=args.journal,
             checkpoint_interval_s=args.checkpoint_interval,
-            resume_from=resume_state, handle_signals=True)
+            resume_from=resume_state, handle_signals=True,
+            extra_modules=extra_modules)
     except CampaignInterrupted as exc:
         print(f"\ninterrupted: {exc}; worker pool reaped, journal "
               f"checkpoint flushed", file=sys.stderr)
         if exc.report is not None and exc.report.resume:
-            print(f"resume with: --resume "
+            print(f"resume with: {resume_hint} "
                   f"{exc.report.resume['journal']}", file=sys.stderr)
-            if args.json_dir is not None:
-                path = write_run_report(exc.report, Path(args.json_dir))
+            if json_dir is not None:
+                path = write_run_report(exc.report, json_dir)
                 print(f"[wrote {path}]", file=sys.stderr)
         return 128 + int(exc.signum)
     except KeyboardInterrupt:
@@ -428,8 +406,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CampaignError as exc:
         print(exc.report.render())
-        if args.json_dir is not None:
-            path = write_run_report(exc.report, Path(args.json_dir))
+        if json_dir is not None:
+            path = write_run_report(exc.report, json_dir)
             print(f"[wrote {path}]")
         print(f"error: {exc} (see the failures table above)",
               file=sys.stderr)
@@ -441,13 +419,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"below]\n")
             continue
         print(results[name].render())
-        if args.json_dir is not None:
-            path = write_result(results[name], Path(args.json_dir))
+        if json_dir is not None:
+            path = write_result(results[name], json_dir)
             print(f"[wrote {path}]")
         print()
     print(report.render())
-    if args.json_dir is not None:
-        path = write_run_report(report, Path(args.json_dir))
+    if json_dir is not None:
+        path = write_run_report(report, json_dir)
         print(f"[wrote {path}]")
     if report.failures:
         print(f"error: {report.failed} unit(s) failed permanently; "
@@ -455,6 +433,24 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv and argv[0] == "sweep":
+        return sweep_main(argv[1:])
+    if argv and argv[0] == "verdict":
+        return verdict_main(argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.list:
+        for name, module in EXPERIMENTS.items():
+            doc = (module.__doc__ or "").strip()
+            print(f"{name:12s} {doc.splitlines()[0] if doc else ''}")
+        return 0
+    names = list(EXPERIMENTS) if args.all else (args.experiment or [])
+    return _run_campaign(parser, args, names, None, "--resume")
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -506,87 +502,14 @@ def _sweep_list() -> int:
 
 def _sweep_run(parser: argparse.ArgumentParser,
                args: argparse.Namespace) -> int:
-    """Execute ``sweep run``: the engine campaign plus report printing,
-    mirroring the main runner's exit-code conventions."""
+    """Execute ``sweep run``: bind the spec into the engine as a one-name
+    campaign and hand it to the spine."""
     from repro.experiments import sweep as sweep_mod
     spec = _load_spec(parser, args.spec)
-    quota_bytes = _validate_engine_args(parser, args)
-    faults = _parse_faults(parser)
-    resume_state: Optional[JournalReplay] = None
-    if args.resume:
-        try:
-            resume_state = load_resume_state(args.resume)
-        except JournalError as exc:
-            parser.error(f"--resume: {exc}")
-        if list(resume_state.names) != [spec.experiment_name]:
-            parser.error(
-                f"--resume: journal records campaign "
-                f"{list(resume_state.names)}, not this sweep "
-                f"({spec.experiment_name}); pass the matching spec file")
-    scale = args.scale if args.scale is not None else (
-        resume_state.scale if resume_state is not None else 1.0)
-    seed = args.seed if args.seed is not None else (
-        resume_state.seed if resume_state is not None else 0)
-    telemetry = args.telemetry or (resume_state is not None
-                                   and resume_state.telemetry is not None)
-    interval_ns = None
-    if args.telemetry_interval_us is not None:
-        if args.telemetry_interval_us <= 0:
-            parser.error("--telemetry-interval-us must be positive")
-        interval_ns = int(args.telemetry_interval_us * 1000)
-    elif resume_state is not None and resume_state.telemetry:
-        interval_ns = resume_state.telemetry.get("interval_ns")
-
-    cache = _build_cache(args, quota_bytes, faults)
-    try:
-        result, report = sweep_mod.run_sweep(
-            spec, scale=scale, seed=seed, jobs=args.jobs,
-            backend=_build_backend(args),
-            cache=cache, telemetry=telemetry,
-            telemetry_interval_ns=interval_ns,
-            unit_timeout_s=args.unit_timeout, retries=args.retries,
-            keep_going=args.keep_going, faults=faults,
-            journal_path=args.journal,
-            checkpoint_interval_s=args.checkpoint_interval,
-            resume_from=resume_state, handle_signals=True)
-    except CampaignInterrupted as exc:
-        print(f"\ninterrupted: {exc}; worker pool reaped, journal "
-              f"checkpoint flushed", file=sys.stderr)
-        if exc.report is not None and exc.report.resume:
-            print(f"resume with: sweep run {args.spec} --resume "
-                  f"{exc.report.resume['journal']}", file=sys.stderr)
-        return 128 + int(exc.signum)
-    except KeyboardInterrupt:
-        print("\ninterrupted: sweep cancelled, worker pool reaped",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except ResumeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignError as exc:
-        print(exc.report.render())
-        print(f"error: {exc} (see the failures table above)",
-              file=sys.stderr)
-        return 1
-
-    if result is None:  # lost to a failed unit under --keep-going
-        print(f"[{spec.experiment_name}: FAILED — no result; see the "
-              f"failures table below]\n")
-    else:
-        print(result.render())
-        if args.json_dir is not None:
-            path = write_result(result, Path(args.json_dir))
-            print(f"[wrote {path}]")
-        print()
-    print(report.render())
-    if args.json_dir is not None:
-        path = write_run_report(report, Path(args.json_dir))
-        print(f"[wrote {path}]")
-    if report.failures:
-        print(f"error: {report.failed} unit(s) failed permanently",
-              file=sys.stderr)
-        return 1
-    return 0
+    name = spec.experiment_name
+    return _run_campaign(parser, args, [name],
+                         {name: sweep_mod.SweepExperiment(spec)},
+                         f"sweep run {args.spec} --resume")
 
 
 def sweep_main(argv: list[str]) -> int:
@@ -662,18 +585,16 @@ def _verdict_grid(parser: argparse.ArgumentParser,
 
 
 def verdict_main(argv: list[str]) -> int:
-    """Entry point for ``python -m repro.experiments verdict ...``,
-    mirroring the sweep runner's engine plumbing and exit codes."""
+    """Entry point for ``python -m repro.experiments verdict ...``: the
+    (possibly trimmed) grid as a one-name campaign through the spine."""
     from repro.experiments import verdict as verdict_mod
     parser = build_verdict_parser()
     args = parser.parse_args(argv)
     grid = _verdict_grid(parser, args)
-    quota_bytes = _validate_engine_args(parser, args)
-    faults = _parse_faults(parser)
-    scale = args.scale if args.scale is not None else 1.0
-    seed = args.seed if args.seed is not None else 0
     if args.plan:
         import json as json_mod
+        scale = args.scale if args.scale is not None else 1.0
+        seed = args.seed if args.seed is not None else 0
         plan = verdict_mod.grid_units(grid, scale, seed)
         print(json_mod.dumps({
             "experiment": "verdict", "scale": scale, "seed": seed,
@@ -682,84 +603,9 @@ def verdict_main(argv: list[str]) -> int:
                        "params": u.params} for u in plan],
         }, indent=2, sort_keys=True))
         return 0
-
-    resume_state: Optional[JournalReplay] = None
-    if args.resume:
-        try:
-            resume_state = load_resume_state(args.resume)
-        except JournalError as exc:
-            parser.error(f"--resume: {exc}")
-        if list(resume_state.names) != ["verdict"]:
-            parser.error(f"--resume: journal records campaign "
-                         f"{list(resume_state.names)}, not a verdict "
-                         f"campaign")
-        if args.scale is None:
-            scale = resume_state.scale
-        if args.seed is None:
-            seed = resume_state.seed
-    telemetry = args.telemetry or (resume_state is not None
-                                   and resume_state.telemetry is not None)
-    interval_ns = None
-    if args.telemetry_interval_us is not None:
-        if args.telemetry_interval_us <= 0:
-            parser.error("--telemetry-interval-us must be positive")
-        interval_ns = int(args.telemetry_interval_us * 1000)
-    elif resume_state is not None and resume_state.telemetry:
-        interval_ns = resume_state.telemetry.get("interval_ns")
-
-    cache = _build_cache(args, quota_bytes, faults)
-    adapter = verdict_mod.make_experiment(grid)
-    try:
-        results, report = run_experiments(
-            ["verdict"], scale=scale, seed=seed, jobs=args.jobs,
-            backend=_build_backend(args),
-            cache=cache, telemetry=telemetry,
-            telemetry_interval_ns=interval_ns,
-            unit_timeout_s=args.unit_timeout, retries=args.retries,
-            keep_going=args.keep_going, faults=faults,
-            journal_path=args.journal,
-            checkpoint_interval_s=args.checkpoint_interval,
-            resume_from=resume_state, handle_signals=True,
-            extra_modules={"verdict": adapter})
-    except CampaignInterrupted as exc:
-        print(f"\ninterrupted: {exc}; worker pool reaped, journal "
-              f"checkpoint flushed", file=sys.stderr)
-        if exc.report is not None and exc.report.resume:
-            print(f"resume with: verdict --resume "
-                  f"{exc.report.resume['journal']}", file=sys.stderr)
-        return 128 + int(exc.signum)
-    except KeyboardInterrupt:
-        print("\ninterrupted: campaign cancelled, worker pool reaped",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except ResumeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignError as exc:
-        print(exc.report.render())
-        print(f"error: {exc} (see the failures table above)",
-              file=sys.stderr)
-        return 1
-
-    result = results.get("verdict")
-    if result is None:  # lost to a failed unit under --keep-going
-        print("[verdict: FAILED — no result; see the failures table "
-              "below]\n")
-    else:
-        print(result.render())
-        if args.json_dir is not None:
-            path = write_result(result, Path(args.json_dir))
-            print(f"[wrote {path}]")
-        print()
-    print(report.render())
-    if args.json_dir is not None:
-        path = write_run_report(report, Path(args.json_dir))
-        print(f"[wrote {path}]")
-    if report.failures:
-        print(f"error: {report.failed} unit(s) failed permanently",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _run_campaign(parser, args, ["verdict"],
+                         {"verdict": verdict_mod.make_experiment(grid)},
+                         "verdict --resume")
 
 
 if __name__ == "__main__":

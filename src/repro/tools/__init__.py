@@ -7,9 +7,6 @@
 - ``python -m repro.tools.telemetry_view`` — render the in-sim telemetry
   captured by ``--telemetry`` runs (see :mod:`repro.telemetry`).
 - ``python -m repro.tools.golden`` — regenerate the golden test fixtures.
-- ``python -m repro.tools.bench`` — pinned-seed performance benchmarks of
-  the kernel hot path and the figure experiments (writes
-  ``BENCH_kernel.json`` / ``BENCH_experiments.json``).
 - ``python -m repro.tools.docstrings`` — docstring coverage gate for the
   public API (interrogate-style ``--fail-under``).
 - ``python -m repro.tools.worker`` — distributed campaign worker: connects

@@ -85,10 +85,11 @@ def golden_payload(result: ExperimentResult) -> dict:
 
 def _run_through_engine(name: str) -> ExperimentResult:
     """One experiment through the parallel engine path (no cache)."""
-    from repro.experiments.engine import run_experiment
+    from repro.experiments.engine import run_experiments
 
-    result, _report = run_experiment(name, scale=SCALE, seed=SEED, jobs=2)
-    return result
+    results, _report = run_experiments([name], scale=SCALE, seed=SEED,
+                                       jobs=2)
+    return results[name]
 
 
 def golden_sweep_specs() -> dict:

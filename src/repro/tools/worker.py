@@ -48,7 +48,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.engine.cache import ResultCache
+from repro.experiments.engine.cache import ResultCache, _tiered_cache
 from repro.experiments.engine.core import (_describe_exception, execute_unit,
                                            jittered_backoff)
 from repro.experiments.engine.distributed import (MSG_ERROR, MSG_HEARTBEAT,
@@ -421,27 +421,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --reconnect-attempts must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     worker_id = args.worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    remote = None
-    if args.cache_server is not None:
-        if args.no_cache:
-            print("error: --cache-server needs the local result cache "
-                  "(drop --no-cache)", file=sys.stderr)
-            return EXIT_USAGE
-        if not args.cache_dir:
-            print("error: --cache-server requires --cache-dir (the "
-                  "remote tier layers over a local one)", file=sys.stderr)
-            return EXIT_USAGE
-        from repro.experiments.engine.remote_cache import RemoteCacheTier
-        try:
-            remote = RemoteCacheTier(parse_hostport(args.cache_server))
-        except ValueError as exc:
-            print(f"error: --cache-server: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(directory=args.cache_dir,
-                            worker_token=sanitize_worker_token(worker_id),
-                            remote=remote)
+    if args.cache_server is not None and not args.cache_dir:
+        print("error: --cache-server requires --cache-dir (the "
+              "remote tier layers over a local one)", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        # No --cache-dir (or --no-cache) leaves the stack disabled: its
+        # put() is then a no-op and payloads travel only over the wire.
+        cache = _tiered_cache(
+            args.cache_dir,
+            enabled=bool(args.cache_dir) and not args.no_cache,
+            server=args.cache_server,
+            worker_token=sanitize_worker_token(worker_id))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         executed = run_worker(
             address, worker_id=worker_id, cache=cache,

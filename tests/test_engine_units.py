@@ -1,8 +1,9 @@
 """Unit tests for the engine building blocks: WorkUnit, ResultCache,
-RunReport."""
+RunReport, and the campaign's resolve phase."""
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 from pathlib import Path
@@ -11,6 +12,9 @@ import pytest
 
 import repro
 from repro.experiments.engine.cache import ResultCache, default_cache_dir
+from repro.experiments.engine.core import (ExecutorBackend, _Campaign,
+                                           run_experiments)
+from repro.experiments.engine.journal import JournalReplay, campaign_identity
 from repro.experiments.engine.report import (SOURCE_CACHE, SOURCE_FAILED,
                                              SOURCE_RUN, SOURCE_SHARED,
                                              FailureRecord, RunReport,
@@ -254,3 +258,128 @@ class TestRunReport:
         assert payload["failed_experiments"] == ["fig6", "fig4"]
         assert payload["pool_respawns"] == 1
         assert payload["units"][1]["error"] == "FaultInjected: boom"
+
+
+class _FakeExperiment:
+    """Module-shaped stand-in: a fixed unit list, never merged."""
+
+    def __init__(self, *units: WorkUnit):
+        self.units = list(units)
+
+    def work_units(self, scale, seed):
+        return list(self.units)
+
+    def merge(self, units, payloads, *, scale, seed):
+        raise AssertionError("resolve-phase tests never merge")
+
+
+class _NeverExecutes(ExecutorBackend):
+    def execute(self, tasks, context):
+        raise AssertionError(f"backend was handed {tasks}")
+
+
+class TestResolvePhase:
+    """The campaign's resolve phase, driven directly over a fake
+    two-experiment plan: no unit ever executes."""
+
+    SCALE, SEED = 0.1, 3
+
+    def campaign(self, modules, **kwargs) -> _Campaign:
+        kwargs.setdefault("cache", ResultCache(enabled=False))
+        campaign = _Campaign(list(modules), modules, scale=self.SCALE,
+                             seed=self.SEED, jobs=1,
+                             backend=_NeverExecutes(), **kwargs)
+        campaign.plan()
+        campaign.resolve()
+        return campaign
+
+    def replay(self, modules, tmp_path, **state) -> JournalReplay:
+        keys = [u.cache_key() for m in modules.values() for u in m.units]
+        return JournalReplay(
+            identity=campaign_identity(list(modules), self.SCALE,
+                                       self.SEED, keys),
+            names=list(modules), scale=self.SCALE, seed=self.SEED,
+            telemetry=None, journal_path=tmp_path / "j.jsonl", **state)
+
+    def test_key_shared_with_a_pending_unit_resolves_with_it(self):
+        first, second = unit(experiment="a"), unit(experiment="b")
+        assert first.cache_key() == second.cache_key()
+        notified = []
+        campaign = self.campaign({"a": _FakeExperiment(first),
+                                  "b": _FakeExperiment(second)},
+                                 keep_going=True, on_unit=notified.append)
+        # One task owes both records; neither is reported done yet.
+        [task] = campaign.pending
+        assert task.unit is first and notified == []
+        [waiting] = campaign.shared_waiting[task.key]
+        assert waiting.experiment == "b"
+
+        task.last_error = "boom"
+        campaign.on_permanent_failure(task)
+        assert [r.source for r in notified] == [SOURCE_FAILED] * 2
+        assert [r.experiment for r in notified] == ["a", "b"]
+        assert campaign.failures[0].shared_with == [second.label]
+        assert campaign.merge() == {}
+        assert campaign.failed_experiments == ["a", "b"]
+
+    def test_exhausted_carried_budget_never_reaches_a_backend(self,
+                                                              tmp_path):
+        spent, fresh = unit(unit_id="spent"), unit(unit_id="fresh",
+                                                   params={"n_flows": 9})
+        modules = {"a": _FakeExperiment(spent),
+                   "b": _FakeExperiment(fresh)}
+        cache = ResultCache(directory=tmp_path / "cache")
+        cache.put(fresh.cache_key(), {"payload": 1})
+        campaign = self.campaign(
+            modules, cache=cache, retries=1, keep_going=True,
+            resume_from=self.replay(
+                modules, tmp_path, charged={spent.cache_key(): 2},
+                permanent_failed={spent.cache_key(): "boom"}))
+        assert campaign.pending == []
+        [task] = campaign.carried_failed
+        assert (task.unit, task.attempts) == (spent, 2)
+
+        campaign.execute()  # _NeverExecutes would raise if consulted
+        assert campaign.failed_keys == {spent.cache_key()}
+        assert campaign.failures[0].attempts == 2
+        report = campaign.report("completed")
+        campaign.close()
+        assert report.resume["failed_carried"] == 1
+        assert report.resume["attempts_carried"] == 2
+
+    def test_completed_unit_with_a_lost_cache_entry_is_requeued(self,
+                                                                tmp_path):
+        lost, kept = unit(unit_id="lost"), unit(unit_id="kept",
+                                                params={"n_flows": 9})
+        modules = {"a": _FakeExperiment(lost),
+                   "b": _FakeExperiment(kept)}
+        cache = ResultCache(directory=tmp_path / "cache")
+        cache.put(kept.cache_key(), {"payload": 1})
+        campaign = self.campaign(
+            modules, cache=cache, retries=2, resume_from=self.replay(
+                modules, tmp_path,
+                completed={lost.cache_key(): 3, kept.cache_key(): 1},
+                charged={lost.cache_key(): 1}))
+        campaign.close()
+        # Pending again, charged only what the journal charged — not the
+        # three attempts its lost completion took.
+        [task] = campaign.pending
+        assert (task.unit, task.attempts) == (lost, 1)
+        assert campaign.carried_failed == []
+        assert campaign.completed_carried == 1  # `kept`, from the cache
+        assert campaign.attempts_carried == 1
+
+
+class TestCampaignLifetime:
+    def test_campaign_state_is_freed_without_a_gc_pass(self):
+        """The campaign object holds every payload; a reference cycle
+        through it would keep them alive past ``run_experiments`` until
+        the collector happens to run (measurable as peak RSS)."""
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiments(["fig1"], scale=0.05, jobs=1)
+            assert not [obj for obj in gc.get_objects()
+                        if isinstance(obj, _Campaign)]
+        finally:
+            gc.enable()

@@ -150,6 +150,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "REPRO_FAULTS" in capsys.readouterr().err
 
+    def test_list_ignores_a_stale_malformed_faults_env(self, capsys,
+                                                       monkeypatch):
+        # Listing injects no faults, so it must not parse them.
+        monkeypatch.setenv("REPRO_FAULTS", "not json")
+        assert main(["--list"]) == 0
+        assert "fig1" in capsys.readouterr().out
+
     def test_crash_safety_flag_defaults(self):
         args = build_parser().parse_args([])
         assert args.journal is None
@@ -466,3 +473,30 @@ class TestCacheServerFlag:
                             "--cache-server", "127.0.0.1:2"]) \
             == EXIT_USAGE
         assert "--no-cache" in capsys.readouterr().err
+
+
+class TestFailFastRunReport:
+    """Every CLI surface runs the one campaign spine, so a fail-fast
+    abort (``CampaignError``, exit 1) leaves ``run_report.json`` — the
+    failures table — in ``--json-dir`` whichever surface started it."""
+
+    ALWAYS_FAIL = '[{"unit":"*","mode":"error","times":-1}]'
+
+    @pytest.mark.parametrize("surface", ["main", "sweep", "verdict"])
+    def test_failed_campaign_still_writes_run_report(
+            self, surface, tmp_path: Path, capsys, monkeypatch):
+        spec = tmp_path / "tiny.yaml"
+        spec.write_text(TINY_SWEEP, encoding="utf-8")
+        argv = {"main": ["-e", "fig6"],
+                "sweep": ["sweep", "run", str(spec)],
+                "verdict": ["verdict", "--schemes", "dctcp", "--flows",
+                            "40", "--burst-ms", "2", "--no-mix"]}[surface]
+        json_dir = tmp_path / "out"
+        monkeypatch.setenv("REPRO_FAULTS", self.ALWAYS_FAIL)
+        code = main(argv + ["--scale", "0.05", "--retries", "0",
+                            "--jobs", "1", "--no-cache",
+                            "--json-dir", str(json_dir)])
+        assert code == 1
+        assert "see the failures table above" in capsys.readouterr().err
+        report = json.loads((json_dir / "run_report.json").read_text())
+        assert report["failures"]
