@@ -9,6 +9,7 @@ p95 precisely because the action is in the tail).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -18,7 +19,9 @@ class EmpiricalCdf:
     """An empirical CDF over a fixed sample set."""
 
     def __init__(self, samples: Iterable[float], name: str = ""):
-        values = np.asarray(list(samples), dtype=np.float64)
+        if not isinstance(samples, np.ndarray):
+            samples = list(samples)   # generic iterables; arrays go direct
+        values = np.asarray(samples, dtype=np.float64)
         if np.isnan(values).any():
             raise ValueError(
                 f"EmpiricalCdf({name or 'unnamed'}): NaN samples are not "
@@ -51,9 +54,12 @@ class EmpiricalCdf:
         (as :func:`repro.analysis.fct.format_fct_table` and
         :func:`repro.analysis.tables.render_cdf_table` do).
 
-        Uses ``method="inverted_cdf"`` so the answer is always an observed
-        sample and agrees with :meth:`evaluate`: numpy's default linear
-        interpolation invents values between samples, so
+        The answer is always an observed sample and agrees with
+        :meth:`evaluate`: it is the sorted sample at index
+        ``max(0, ceil(n * (p / 100) - 1))`` — numpy's
+        ``method="inverted_cdf"`` rule in the same float64 operations, as
+        O(1) index arithmetic on the array ``__init__`` sorted. Linear
+        interpolation (numpy's default) invents values between samples, so
         ``evaluate(percentile(p))`` could disagree with ``p`` — wrong for
         an *empirical* distribution.
         """
@@ -63,7 +69,8 @@ class EmpiricalCdf:
             raise ValueError(
                 f"EmpiricalCdf({self.name or 'unnamed'}): percentile of an "
                 f"empty sample set is undefined; guard with len(cdf)")
-        return float(np.percentile(self._sorted, p, method="inverted_cdf"))
+        index = max(0, math.ceil(len(self._sorted) * (p / 100.0) - 1))
+        return float(self._sorted[index])
 
     def median(self) -> float:
         """The 50th percentile."""

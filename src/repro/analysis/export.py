@@ -11,6 +11,7 @@ else summarized by type name.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -65,24 +66,33 @@ def result_to_dict(result: ExperimentResult) -> dict:
     }
 
 
+def _write_json(document: Any, path: Path) -> Path:
+    """Serialise ``document`` in memory, then put it at ``path`` whole.
+
+    One ``json.dumps`` and one write to a temp name in the same
+    directory, then ``os.replace``: a crash or an encoding error
+    mid-export leaves the previous file (or none), never a truncated one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(document, indent=2, allow_nan=False,
+                      default=lambda o: f"<{type(o).__name__}>")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
 def write_result(result: ExperimentResult, directory: Path) -> Path:
     """Write one experiment's JSON document; returns the file path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result.name}.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result_to_dict(result), handle, indent=2,
-                  allow_nan=False, default=lambda o: f"<{type(o).__name__}>")
-    return path
+    return _write_json(result_to_dict(result),
+                       Path(directory) / f"{result.name}.json")
 
 
 def write_run_report(report: Any, directory: Path) -> Path:
     """Write an engine :class:`~repro.experiments.engine.report.RunReport`
     (anything with ``to_dict()``) as ``run_report.json``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "run_report.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(jsonable(report.to_dict()), handle, indent=2,
-                  allow_nan=False)
-    return path
+    return _write_json(jsonable(report.to_dict()),
+                       Path(directory) / "run_report.json")

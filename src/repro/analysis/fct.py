@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro import units
 from repro.analysis.cdf import EmpiricalCdf
@@ -79,6 +79,36 @@ class FlowFct:
 
 
 @dataclass(frozen=True)
+class FctDigest:
+    """An :class:`FctSet` split by class and converted to milliseconds
+    once: what a table row and a JSON summary both read.
+
+    Derived on demand (:meth:`FctSet.digest`) and never stored: the
+    sealed cache payloads pickle ``FctSet`` s, which stay as they were.
+
+    Attributes:
+        n_flows: Finished flows of every class.
+        unfinished: Flows the horizon truncated.
+        cdfs: ``{"mice": cdf, "elephants": cdf}`` of FCTs in
+            milliseconds, absent classes excluded.
+    """
+
+    n_flows: int
+    unfinished: int
+    cdfs: dict[str, EmpiricalCdf]
+
+    def summary(self) -> dict:
+        """Scalar digest for JSON export and golden fixtures."""
+        out: dict = {"n_flows": self.n_flows,
+                     "unfinished": self.unfinished,
+                     "n_mice": len(self.cdfs.get("mice", ())),
+                     "n_elephants": len(self.cdfs.get("elephants", ()))}
+        for key, cdf in self.cdfs.items():
+            out[f"{key}_fct_ms"] = cdf.export_dict()
+        return out
+
+
+@dataclass(frozen=True)
 class FctSet:
     """An order-canonical set of finished-flow records plus rejection
     accounting.
@@ -100,35 +130,26 @@ class FctSet:
     def __len__(self) -> int:
         return len(self.records)
 
-    def of_class(self, cls: str) -> list[FlowFct]:
-        """Records of one flow class (:data:`MOUSE` / :data:`ELEPHANT`)."""
-        return [r for r in self.records if r.cls == cls]
-
-    def fct_cdf(self, cls: Optional[str] = None,
-                name: str = "") -> EmpiricalCdf:
-        """CDF of FCTs in milliseconds, optionally restricted to a class."""
-        chosen = self.records if cls is None else self.of_class(cls)
-        return EmpiricalCdf([r.fct_ms for r in chosen],
-                            name=name or (cls or "all"))
-
     def split_cdfs(self) -> dict[str, EmpiricalCdf]:
-        """``{"mice": cdf, "elephants": cdf}`` (absent classes excluded)."""
-        out: dict[str, EmpiricalCdf] = {}
-        if self.of_class(MOUSE):
-            out["mice"] = self.fct_cdf(MOUSE, name="mice")
-        if self.of_class(ELEPHANT):
-            out["elephants"] = self.fct_cdf(ELEPHANT, name="elephants")
-        return out
+        """``{"mice": cdf, "elephants": cdf}`` of FCTs in milliseconds
+        (absent classes excluded), from one pass over the records."""
+        fct_ms: dict[str, list[float]] = {MOUSE: [], ELEPHANT: []}
+        for record in self.records:
+            if record.cls in fct_ms:
+                fct_ms[record.cls].append(record.fct_ms)
+        return {key: EmpiricalCdf(fct_ms[cls], name=key)
+                for key, cls in (("mice", MOUSE), ("elephants", ELEPHANT))
+                if fct_ms[cls]}
+
+    def digest(self) -> FctDigest:
+        """Split and convert once; share the result between every reader
+        of this set (a sweep point feeds a table row and an export)."""
+        return FctDigest(len(self.records), self.unfinished,
+                         self.split_cdfs())
 
     def summary(self) -> dict:
         """Scalar digest for JSON export and golden fixtures."""
-        out: dict = {"n_flows": len(self.records),
-                     "unfinished": self.unfinished,
-                     "n_mice": len(self.of_class(MOUSE)),
-                     "n_elephants": len(self.of_class(ELEPHANT))}
-        for key, cdf in self.split_cdfs().items():
-            out[f"{key}_fct_ms"] = cdf.export_dict()
-        return out
+        return self.digest().summary()
 
     def export_dict(self) -> dict:
         """JSON export hook (:mod:`repro.analysis.export`)."""
@@ -272,27 +293,29 @@ def pool_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     return merge_fct_sets(disjoint)
 
 
-def format_fct_table(rows: Mapping[str, FctSet],
+def format_fct_table(rows: Mapping[str, Union[FctSet, FctDigest]],
                      percentiles: Sequence[float] = (50.0, 90.0, 99.0),
                      title: str = "") -> str:
     """Render one FCT summary row per labelled set (e.g. per grid point).
 
     Columns: flow counts, then mice and elephant FCT percentiles in
     milliseconds — the textual form of an FCT-vs-K comparison figure.
+    A caller that also exports the sets passes their digests, so each
+    (set, class) CDF is built once.
     """
     headers = ["point", "flows", "unfin"]
     for cls in ("mice", "eleph"):
         headers += [f"{cls} p{p:g} (ms)" for p in percentiles]
     table_rows = []
-    for label, fct_set in rows.items():
-        row: list[object] = [label, len(fct_set), fct_set.unfinished]
-        for cls in (MOUSE, ELEPHANT):
-            chosen = fct_set.of_class(cls)
-            if chosen:
-                cdf = fct_set.fct_cdf(cls)
-                row += [round(cdf.percentile(p), 3) for p in percentiles]
-            else:
+    for label, entry in rows.items():
+        digest = entry.digest() if isinstance(entry, FctSet) else entry
+        row: list[object] = [label, digest.n_flows, digest.unfinished]
+        for key in ("mice", "elephants"):
+            cdf = digest.cdfs.get(key)
+            if cdf is None:
                 row += ["-"] * len(percentiles)
+            else:
+                row += [round(cdf.percentile(p), 3) for p in percentiles]
         table_rows.append(row)
     return format_table(headers, table_rows,
                         title=title or "Per-flow FCT summary")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro import units
-from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, FctSet,
+from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, FctDigest, FctSet,
                                 extract_fcts)
 from repro.experiments.backends import BACKENDS
 from repro.experiments.environment import CCA_FACTORIES
@@ -73,8 +73,14 @@ class ScenarioResult:
 
     def export_dict(self) -> dict:
         """Scalar digest for JSON export and golden fixtures."""
+        return self.export_with(self.fcts.digest())
+
+    def export_with(self, fct: FctDigest) -> dict:
+        """:meth:`export_dict` around a digest of ``self.fcts`` the
+        caller already holds (a sweep merge prints the point's table row
+        from the same one, so each CDF is built once)."""
         out = {"scenario": self.scenario, "params": dict(self.params),
-               "fct": self.fcts.summary(),
+               "fct": fct.summary(),
                "bottleneck": dict(self.bottleneck)}
         # Present only for non-default schemes, mirroring the params
         # elision: pre-zoo exports stay byte-identical.

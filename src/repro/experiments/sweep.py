@@ -252,8 +252,11 @@ def merge(spec: SweepSpec, work: list[WorkUnit],
         description=spec.description
         or f"{spec.scenario} grid ({len(work)} points)")
 
+    # One digest (class split, ms conversion, CDFs) per point feeds both
+    # the table row here and the point's export below.
+    digests = {uid: p.fcts.digest() for uid, p in by_point.items()}
     result.add_section(format_fct_table(
-        {uid: p.fcts for uid, p in by_point.items()},
+        digests,
         title=f"Per-flow FCT vs grid point (scale={scale}, seed={seed})"))
 
     queue_rows = [[uid, p.bottleneck["max_len_packets"],
@@ -267,11 +270,10 @@ def merge(spec: SweepSpec, work: list[WorkUnit],
     # Grid points re-simulate the same deterministic flow plan, so their
     # records collide on (flow_id, open_ns) by design — pool (renumber
     # then merge) rather than merge, whose double-count guard would trip.
-    merged = pool_fct_sets([p.fcts for p in payloads])
-    cdfs = merged.split_cdfs()
-    if cdfs:
+    merged = pool_fct_sets([p.fcts for p in payloads]).digest()
+    if merged.cdfs:
         result.add_section(render_cdf_table(
-            cdfs, percentiles=(25.0, 50.0, 75.0, 90.0, 99.0),
+            merged.cdfs, percentiles=(25.0, 50.0, 75.0, 90.0, 99.0),
             value_label="FCT (ms)",
             title="Merged FCT CDFs across the grid (ms)"))
 
@@ -279,7 +281,8 @@ def merge(spec: SweepSpec, work: list[WorkUnit],
         "spec": {"name": spec.name, "scenario": spec.scenario,
                  "axes": {a.name: list(a.values) for a in spec.axes},
                  "fixed": dict(spec.fixed)},
-        "points": {uid: p.export_dict() for uid, p in by_point.items()},
+        "points": {uid: p.export_with(digests[uid])
+                   for uid, p in by_point.items()},
         "merged_fct": merged.summary(),
     }
     return result

@@ -197,8 +197,8 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
     for unit, payload in zip(work, payloads):
         scheme = unit.params.get("scheme", DEFAULT_SCHEME)
         if unit.params.get("kind") == "mix":
-            mix_fcts[scheme] = payload.fcts
-            mix_exports[scheme] = payload.export_dict()
+            mix_fcts[scheme] = payload.fcts.digest()
+            mix_exports[scheme] = payload.export_with(mix_fcts[scheme])
             stats = payload.scheme_stats
         else:
             n_flows = unit.params["n_flows"]

@@ -6,6 +6,10 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.cdf import EmpiricalCdf
 
+# The grid export_dict() queries, the edges, and the paper's p99.9.
+QUERIED = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0,
+           0, 100, 99.9]
+
 
 class TestEvaluate:
     def test_basic(self):
@@ -40,6 +44,27 @@ class TestEvaluate:
         assert cdf.evaluate(lo) <= cdf.evaluate(hi)
 
 
+class TestConstruction:
+    def test_array_input_equals_list_input_and_is_left_alone(self):
+        samples = np.asarray([5.0, 1.0, 3.0, 1.0])
+        before = samples.copy()
+        cdf = EmpiricalCdf(samples)
+        assert cdf.values.tolist() == EmpiricalCdf(samples.tolist()
+                                                   ).values.tolist()
+        assert cdf.values.dtype == np.float64
+        np.testing.assert_array_equal(samples, before)   # sorted a copy
+        assert not np.shares_memory(cdf.values, samples)
+
+    def test_integer_array_and_generator_inputs(self):
+        assert EmpiricalCdf(np.asarray([3, 1, 2])).values.dtype == np.float64
+        assert list(EmpiricalCdf(x * x for x in (3, 1, 2)).values) \
+            == [1.0, 4.0, 9.0]
+
+    def test_nan_in_array_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCdf(np.asarray([1.0, np.nan]))
+
+
 class TestPercentiles:
     def test_median_and_tails(self):
         # inverted_cdf percentiles: always an observed sample, never an
@@ -59,9 +84,32 @@ class TestPercentiles:
         for p in (25, 50, 75, 100):
             assert cdf.evaluate(cdf.percentile(p)) >= p / 100.0
 
+    @given(st.lists(st.integers(0, 40).map(float)       # ties
+                    | st.floats(min_value=-1e6, max_value=1e6),
+                    min_size=1, max_size=500),
+           st.sampled_from(QUERIED) | st.floats(min_value=0, max_value=100),
+           st.integers(0, 500))
+    def test_agrees_with_numpy_inverted_cdf_bit_for_bit(self, samples, p, k):
+        """numpy is the oracle; it is only off the hot path."""
+        cdf = EmpiricalCdf(samples)
+        n = len(samples)
+        # ``p`` as drawn, and the exact boundary 100*k/n where the rule
+        # steps from one sample to the next.
+        for q in (p, 100.0 * min(k, n) / n):
+            got = cdf.percentile(q)
+            assert got == float(np.percentile(
+                np.sort(np.asarray(samples)), q, method="inverted_cdf"))
+            # At a boundary n*(q/100) may land one ulp under k (numpy's
+            # rule shares that), hence the ulp of slack.
+            assert cdf.evaluate(got) >= q / 100.0 - 1e-15
+
     def test_invalid_percentile(self):
         with pytest.raises(ValueError):
             EmpiricalCdf([1]).percentile(101)
+        with pytest.raises(ValueError):
+            EmpiricalCdf([1]).percentile(-0.1)
+        with pytest.raises(ValueError):
+            EmpiricalCdf([1]).percentile(float("nan"))
 
     def test_percentile_of_empty_sample_set_raises(self):
         # A percentile of nothing is undefined; silently returning 0.0

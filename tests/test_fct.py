@@ -8,6 +8,7 @@ path can be hit deliberately.
 
 from __future__ import annotations
 
+import json
 import math
 import pickle
 
@@ -222,3 +223,76 @@ class TestReporting:
     def test_records_pickle_cleanly(self):
         fcts = extract_fcts(lifecycle(0, 0, 100), sizes={0: 10})
         assert pickle.loads(pickle.dumps(fcts)) == fcts
+
+
+#: Four mice (one exactly at the 100 kB cut), two elephants (one a byte
+#: over it), one flow that never closes.
+_MICE = (lifecycle(0, 0, 100_000) + lifecycle(1, 0, 250_000)
+         + lifecycle(2, 10, 400_010) + lifecycle(5, 20, 333_353))
+_ELEPHANTS = lifecycle(3, 0, 2_000_000) + lifecycle(4, 5, 3_500_005)
+_SIZES = {0: 10, 1: 10, 2: 10, 5: 100_000, 3: 500_000, 4: 100_001, 9: 10}
+_MICE_BLOCK = (
+    '{"name": "mice", "n": 4, "mean": 0.27083325, "percentiles": '
+    '{"p1": 0.1, "p5": 0.1, "p10": 0.1, "p25": 0.1, "p50": 0.25, '
+    '"p75": 0.333333, "p90": 0.4, "p95": 0.4, "p99": 0.4}}')
+_ELEPHANTS_BLOCK = (
+    '{"name": "elephants", "n": 2, "mean": 2.75, "percentiles": '
+    '{"p1": 2.0, "p5": 2.0, "p10": 2.0, "p25": 2.0, "p50": 2.0, '
+    '"p75": 3.5, "p90": 3.5, "p95": 3.5, "p99": 3.5}}')
+
+#: name -> (set, its table row's cells, its summary() as JSON text).
+#: The literals are what the commit before the one-digest-per-set change
+#: printed and exported; key order is part of the export's bytes.
+PINNED = {
+    "both": (
+        extract_fcts(_MICE + _ELEPHANTS + [ev(7, "open", 9)], sizes=_SIZES),
+        ["both", "6", "1", "0.25", "0.4", "0.4", "2", "3.50", "3.50"],
+        '{"n_flows": 6, "unfinished": 1, "n_mice": 4, "n_elephants": 2, '
+        f'"mice_fct_ms": {_MICE_BLOCK}, '
+        f'"elephants_fct_ms": {_ELEPHANTS_BLOCK}}}'),
+    "mice": (
+        extract_fcts(_MICE, sizes=_SIZES),
+        ["mice", "4", "0", "0.25", "0.4", "0.4", "-", "-", "-"],
+        '{"n_flows": 4, "unfinished": 0, "n_mice": 4, "n_elephants": 0, '
+        f'"mice_fct_ms": {_MICE_BLOCK}}}'),
+    "elephants": (
+        extract_fcts(_ELEPHANTS, sizes=_SIZES),
+        ["elephants", "2", "0", "-", "-", "-", "2", "3.50", "3.50"],
+        '{"n_flows": 2, "unfinished": 0, "n_mice": 0, "n_elephants": 2, '
+        f'"elephants_fct_ms": {_ELEPHANTS_BLOCK}}}'),
+    "empty": (
+        FctSet(),
+        ["empty", "0", "0", "-", "-", "-", "-", "-", "-"],
+        '{"n_flows": 0, "unfinished": 0, "n_mice": 0, "n_elephants": 0}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+class TestPinnedReporting:
+    """The split-once digest prints and exports what the per-call
+    rescans did, and leaves the (cache-payload) pickle alone."""
+
+    def test_table_row(self, name):
+        fcts, cells, _summary = PINNED[name]
+        row = format_fct_table({name: fcts}).splitlines()[-1]
+        assert row.split() == cells
+        # A digest stands in for its set (how a sweep merge calls it).
+        assert format_fct_table({name: fcts.digest()}) \
+            == format_fct_table({name: fcts})
+
+    def test_summary_blocks(self, name):
+        fcts, _cells, summary = PINNED[name]
+        assert json.dumps(fcts.summary()) == summary
+        assert json.dumps(fcts.export_dict()) == summary
+        assert json.dumps(fcts.digest().summary()) == summary
+
+    def test_pickle_is_untouched_by_reporting(self, name):
+        fcts = PINNED[name][0]
+        before = pickle.dumps(fcts)
+        fcts.summary()
+        fcts.digest()
+        fcts.split_cdfs()
+        format_fct_table({name: fcts})
+        assert pickle.dumps(fcts) == before
+        assert vars(fcts).keys() == {"records", "unfinished",
+                                     "mouse_max_bytes"}

@@ -14,9 +14,12 @@ import json
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.export import result_to_dict
+from repro.experiments import sweep
 from repro.experiments.engine import (CampaignInterrupted, FaultSpec,
                                       ResultCache, replay_journal)
 from repro.experiments.sweep import run_sweep
@@ -92,3 +95,39 @@ class TestExecutionPathIdentity:
         assert report.resume["completed_carried"] == 1
         assert report.cache_hits == 1
         assert report.executed == report.n_units - 1
+
+
+class TestMergeCost:
+    """The merge phase's cost model as counts, which repeat exactly where
+    a timing would not: one CDF per (point, class) plus the two merged
+    ones, shared by the FCT table and the export, and no call back into
+    ``numpy.percentile`` (a percentile is an index into the sorted
+    sample). A second build per point, or numpy on the query path, is
+    what made a fully cached sweep spend 90 % of its time here."""
+
+    def test_one_cdf_per_point_and_class_and_no_numpy_percentile(
+            self, monkeypatch):
+        spec = golden_sweep_specs()["sweep_ecn_k"]    # mice + elephants
+        work = sweep.compile_units(spec, SCALE, SEED)
+        payloads = [sweep.run_unit(unit) for unit in work]
+        assert all(p.fcts.split_cdfs().keys() == {"mice", "elephants"}
+                   for p in payloads)
+
+        counts = {"cdf": 0, "np.percentile": 0}
+        build, percentile = EmpiricalCdf.__init__, np.percentile
+
+        def counting_init(self, *args, **kwargs):
+            counts["cdf"] += 1
+            build(self, *args, **kwargs)
+
+        def counting_percentile(*args, **kwargs):
+            counts["np.percentile"] += 1
+            return percentile(*args, **kwargs)
+
+        monkeypatch.setattr(EmpiricalCdf, "__init__", counting_init)
+        monkeypatch.setattr(np, "percentile", counting_percentile)
+        result = sweep.merge(spec, work, payloads, scale=SCALE, seed=SEED)
+
+        assert counts["np.percentile"] == 0
+        assert 0 < counts["cdf"] <= 2 * len(work) + 2
+        assert set(result.data["points"]) == {u.unit_id for u in work}
