@@ -16,6 +16,10 @@ INCAST_FLOW_THRESHOLD = 25
 """Minimum active flows for a burst to count as an incast (the paper's
 definition)."""
 
+LOW_MODE_CUTOFF_FLOWS = 20
+"""Flow count below which a burst belongs to the low "cliff" mode of a
+bimodal service (Figure 2c)."""
+
 
 def is_incast(burst: Burst,
               flow_threshold: int = INCAST_FLOW_THRESHOLD) -> bool:
@@ -37,7 +41,8 @@ def degree_distribution(bursts: list[Burst]) -> np.ndarray:
     return np.asarray([b.max_active_flows for b in bursts], dtype=np.int64)
 
 
-def low_mode_fraction(bursts: list[Burst], cutoff_flows: int = 20) -> float:
+def low_mode_fraction(bursts: list[Burst],
+                      cutoff_flows: int = LOW_MODE_CUTOFF_FLOWS) -> float:
     """Fraction of bursts below ``cutoff_flows`` — the "cliff" that reveals
     a bimodal workload (storage and aggregator in Figure 2c)."""
     if not bursts:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import units
 from repro.core.bursts import Burst, burst_frequency_hz, detect_bursts
-from repro.core.incast import incast_fraction, low_mode_fraction
+from repro.core.incast import INCAST_FLOW_THRESHOLD, LOW_MODE_CUTOFF_FLOWS
 from repro.measurement.records import HostTrace
 
 
@@ -110,23 +111,60 @@ class TraceSummary:
 
 
 def summarize_trace(trace: HostTrace) -> TraceSummary:
-    """Detect bursts in ``trace`` and aggregate their metrics."""
+    """Detect bursts in ``trace`` and aggregate their metrics.
+
+    Per-trace array work: each per-burst sum and maximum is one ``reduceat``
+    over a trace column at the detected run boundaries, and every value
+    equals what :meth:`BurstMetrics.from_burst` and the per-burst functions
+    of :mod:`repro.core.incast` derive burst by burst.
+    """
     bursts = detect_bursts(trace)
+    n = len(bursts)
+    # Bursts are maximal runs, so [s0, e0, s1, e1, ...] strictly increases:
+    # reduceat's even segments are the bursts, its odd ones the gaps.
+    bounds = np.array([(b.start, b.end) for b in bursts],
+                      dtype=np.intp).ravel()
+    lengths = bounds[1::2] - bounds[::2]
+    if n and bounds[-1] == trace.n_intervals:
+        bounds = bounds[:-1]  # not an index; the last segment runs to the end
+
+    def per_burst(ufunc: np.ufunc, column: np.ndarray) -> np.ndarray:
+        return ufunc.reduceat(column, bounds)[::2]
+
+    def share(selected: np.ndarray) -> float:
+        return int(np.count_nonzero(selected)) / n if n else 0.0
+
+    has_queue = trace.queue_frac is not None and len(trace.queue_frac) > 0
     # High-watermark semantics: every burst in the counter window reports
     # the window's maximum occupancy (the trace sits inside one window).
-    if trace.queue_frac is not None and len(trace.queue_frac):
-        watermark = float(np.max(trace.queue_frac))
-    else:
-        watermark = max((b.peak_queue_frac for b in bursts), default=0.0)
+    watermark = float(trace.queue_frac.max()) if has_queue else 0.0
+    total = per_burst(np.add, trace.ingress_bytes)
+    flows = per_burst(np.maximum, trace.active_flows)
+    # Every interval of a detected burst is above the threshold, so totals
+    # and capacities are positive and Burst's zero guards cannot fire.
+    capacity = lengths * trace.interval_capacity_bytes
+    columns = dict(
+        duration_ms=lengths * trace.interval_ns / units.NS_PER_MS,
+        max_active_flows=flows,
+        mean_utilization=total / capacity,
+        marked_fraction=per_burst(np.add, trace.marked_bytes) / total,
+        retransmit_fraction=per_burst(np.add, trace.retransmit_bytes)
+        / capacity,
+        peak_queue_frac=(per_burst(np.maximum, trace.queue_frac)
+                         if has_queue else np.zeros(n)),
+        total_bytes=total,
+    )
+    rows = zip(*(column.tolist() for column in columns.values()))
     return TraceSummary(
         service=trace.meta.service,
         host_id=trace.meta.host_id,
         snapshot_index=trace.meta.snapshot_index,
-        n_bursts=len(bursts),
+        n_bursts=n,
         burst_frequency_hz=burst_frequency_hz(trace, bursts),
         mean_utilization=trace.mean_utilization(),
-        incast_fraction=incast_fraction(bursts),
-        low_mode_fraction=low_mode_fraction(bursts),
-        bursts=tuple(BurstMetrics.from_burst(b, watermark_frac=watermark)
-                     for b in bursts),
+        incast_fraction=share(flows >= INCAST_FLOW_THRESHOLD),
+        low_mode_fraction=share(flows < LOW_MODE_CUTOFF_FLOWS),
+        bursts=tuple(BurstMetrics(watermark_frac=watermark,
+                                  **dict(zip(columns, row)))
+                     for row in rows),
     )

@@ -142,11 +142,28 @@ class FluidIncast:
 
     def run(self, max_intervals: int = 2000) -> FluidBurstTrace:
         """Run the burst to completion (or ``max_intervals``)."""
+        # The loop runs once per simulated millisecond of every fleet burst:
+        # what is fixed for the burst is computed here, and the send/queue
+        # clamps are comparisons that pick the operand min/max would.
         cfg = self.config
         drain = cfg.drain_bytes_per_interval
         bdp = cfg.bdp_bytes
         thresh = cfg.ecn_threshold_bytes
         eff_cap = self.effective_capacity_bytes
+        room = eff_cap + drain
+        arrival_cap = self.arrival_rate_factor * drain
+        capacity = cfg.capacity_bytes
+        keep_alpha = 1.0 - cfg.dctcp_g
+        growth_per_round = (cfg.aggregate_growth_mss_per_round
+                            * cfg.mss_bytes * self.flow_count)
+        # At 1 ms granularity, unchecked growth would overshoot the marking
+        # point by tens of rounds before the model reacts; real DCTCP is cut
+        # within ~1 RTT of crossing the threshold, so growth-driven windows
+        # are clamped to a bounded overshoot above it. (Carried-over windows
+        # may still start arbitrarily higher.)
+        overshoot = cfg.growth_overshoot_factor * (thresh + bdp)
+        w = self.window_bytes
+        alpha = self.alpha
 
         delivered_l: list[float] = []
         marked_l: list[float] = []
@@ -160,39 +177,41 @@ class FluidIncast:
         retx_frac_of_queue = 0.0
 
         for _ in range(max_intervals):
-            if remaining + retx_pool + queue <= _EPSILON_BYTES:
+            pending = remaining + retx_pool
+            if pending + queue <= _EPSILON_BYTES:
                 break
-            w = self.window_bytes
             rtt_eff_ns = cfg.base_rtt_ns + queue * units.BITS_PER_BYTE \
                 * units.NS_PER_S / cfg.line_rate_bps
-            rounds_capacity = cfg.interval_ns / rtt_eff_ns
             # ACK clocking: senders can refill drained capacity and grow the
             # backlog at most up to W - BDP; they also cannot emit more than
             # one window per round.
-            backlog_room = max(0.0, (w - bdp) - queue)
-            send_limit = min(backlog_room + drain, w * rounds_capacity,
-                             self.arrival_rate_factor * drain)
-            send = min(remaining + retx_pool, max(send_limit, 0.0))
-            retx_sent = min(retx_pool, send)
-            fresh_sent = send - retx_sent
+            backlog_room = (w - bdp) - queue
+            send_limit = (backlog_room if backlog_room > 0.0 else 0.0) + drain
+            per_round = w * (cfg.interval_ns / rtt_eff_ns)
+            if per_round < send_limit:
+                send_limit = per_round
+            if arrival_cap < send_limit:
+                send_limit = arrival_cap
+            if send_limit < 0.0:
+                send_limit = 0.0
+            send = send_limit if send_limit < pending else pending
+            retx_sent = send if send < retx_pool else retx_pool
             retx_pool -= retx_sent
-            remaining -= fresh_sent
+            remaining -= send - retx_sent
 
             q_start = queue
             total = queue + send
-            kept = min(total, eff_cap + drain)
+            kept = room if room < total else total
             dropped = total - kept
-            delivered = min(kept, drain)
+            delivered = drain if drain < kept else kept
             queue = kept - delivered
-            peak = min(eff_cap, max(q_start, queue))
+            lo, hi = (queue, q_start) if queue < q_start else (q_start, queue)
 
             # Track what share of the standing data is retransmitted bytes,
             # so deliveries can be attributed (this is what the host-side
             # sampler reports as retransmit traffic).
             retx_in = retx_frac_of_queue * q_start + retx_sent
-            retx_frac_total = retx_in / total if total > 0 else 0.0
-            retx_delivered = delivered * retx_frac_total
-            retx_frac_of_queue = retx_frac_total
+            retx_frac_of_queue = retx_in / total if total > 0 else 0.0
             # Drops return to the retransmission pool.
             retx_pool += dropped
 
@@ -200,7 +219,6 @@ class FluidIncast:
             # threshold are marked; when the queue crosses the threshold
             # within the interval, the marked share is the fraction of the
             # excursion above it.
-            lo, hi = min(q_start, queue), max(q_start, queue)
             if hi <= thresh:
                 marked = 0.0
             elif lo >= thresh:
@@ -210,35 +228,26 @@ class FluidIncast:
 
             # Aggregate DCTCP reaction over the rounds actually clocked.
             busy_rounds = send / w if w > 0 else 0.0
-            if marked > 0.0 and busy_rounds > 0.0:
-                self.alpha = 1.0 - (1.0 - self.alpha) \
-                    * (1.0 - cfg.dctcp_g) ** busy_rounds
-                self.window_bytes = max(
-                    self.window_floor_bytes,
-                    w * (1.0 - self.alpha / 2.0) ** busy_rounds)
-            elif busy_rounds > 0.0:
-                self.alpha *= (1.0 - cfg.dctcp_g) ** busy_rounds
-                growth = (cfg.aggregate_growth_mss_per_round * cfg.mss_bytes
-                          * self.flow_count * busy_rounds)
-                # At 1 ms granularity, unchecked growth would overshoot the
-                # marking point by tens of rounds before the model reacts;
-                # real DCTCP is cut within ~1 RTT of crossing the threshold,
-                # so growth-driven windows are clamped to a bounded
-                # overshoot above it. (Carried-over windows may still start
-                # arbitrarily higher.)
-                growth_cap = max(w, cfg.growth_overshoot_factor
-                                 * (thresh + bdp))
-                self.window_bytes = min(w + growth, growth_cap,
-                                        cfg.max_window_bytes)
+            if busy_rounds > 0.0:
+                if marked > 0.0:
+                    alpha = 1.0 - (1.0 - alpha) * keep_alpha ** busy_rounds
+                    w = max(self.window_floor_bytes,
+                            w * (1.0 - alpha / 2.0) ** busy_rounds)
+                else:
+                    alpha *= keep_alpha ** busy_rounds
+                    w = min(w + growth_per_round * busy_rounds,
+                            max(w, overshoot), cfg.max_window_bytes)
 
             delivered_l.append(delivered)
             marked_l.append(marked)
-            retx_l.append(retx_delivered)
+            retx_l.append(delivered * retx_frac_of_queue)
             dropped_l.append(dropped)
             # Occupancy is reported against the *configured* capacity (the
             # units of Figure 4a); contention lowers the achievable maximum.
-            queue_l.append(peak / cfg.capacity_bytes)
+            queue_l.append((hi if hi < eff_cap else eff_cap) / capacity)
 
+        self.window_bytes = w
+        self.alpha = alpha
         return FluidBurstTrace(
             delivered_bytes=np.asarray(delivered_l),
             marked_bytes=np.asarray(marked_l),

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from repro.measurement.records import HostTrace, TraceMeta
-from repro.netsim.fluid import FluidConfig, FluidIncast
+from repro.netsim.fluid import FluidBurstTrace, FluidConfig, FluidIncast
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class ServiceProfile:
         median = regime_median if regime_median is not None \
             else self.flow_median
         count = rng.lognormal(np.log(median), self.flow_sigma)
-        return int(np.clip(count, 1, self.flow_cap))
+        return int(min(max(count, 1), self.flow_cap))
 
     def sample_sync_factor(self, rng: np.random.Generator) -> float:
         """Peak arrival rate as a multiple of line rate."""
@@ -94,7 +94,7 @@ class ServiceProfile:
         segments per flow into the next burst, Figure 7)."""
         draw = np.exp(rng.normal(self.carryover_log_mean,
                                  self.carryover_log_sigma))
-        return float(np.clip(draw, 0.1, 3.5))
+        return float(min(max(draw, 0.1), 3.5))
 
     def sample_contention(self, rng: np.random.Generator) -> float:
         """Fraction of the shared buffer consumed by other ports."""
@@ -220,13 +220,23 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
     rate_hz = profile.burst_rate_hz * rate_multiplier
     regime_med = profile.regime_median(regime_index)
 
+    # Bursts never overlap (the next starts >= 1 ms after the previous one
+    # ends), so the loop only draws and runs the fluid model, noting which
+    # intervals each burst covers; the columns are written once, below.
+    covered: list[int] = []
+    bursts: list[FluidBurstTrace] = []
+    active: list[np.ndarray] = []
     t = 0.0
+    end = 0
     while True:
         gap_ms = rng.exponential(1000.0 / max(rate_hz, 1e-6))
         t += max(gap_ms, 1.0)
         start = int(t)
         if start >= n:
             break
+        if start < end:
+            raise RuntimeError(f"burst at {start} ms overlaps the previous "
+                               f"one, which ends at {end} ms")
         duration = profile.sample_duration_ms(rng)
         flow_count = profile.sample_flow_count(rng, regime_med)
         sync = profile.sample_sync_factor(rng)
@@ -240,19 +250,29 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
         burst = FluidIncast(cfg, flow_count, volume, effective_cap,
                             window_start_factor=carryover,
                             arrival_rate_factor=sync).run()
-        span = min(burst.n_intervals, n - start)
-        sl = slice(start, start + span)
-        ingress[sl] += burst.delivered_bytes[:span].astype(np.int64)
-        marked[sl] += np.minimum(burst.marked_bytes[:span],
-                                 burst.delivered_bytes[:span]).astype(np.int64)
-        retx[sl] += burst.retransmit_bytes[:span].astype(np.int64)
-        queue_frac[sl] = np.maximum(queue_frac[sl],
-                                    burst.queue_frac[:span])
-        active = np.maximum(
-            1, rng.normal(flow_count, max(1.0, 0.03 * flow_count),
-                          size=span)).astype(np.int64)
-        flows[sl] = np.maximum(flows[sl], active)
-        t = start + burst.n_intervals
+        t = end = start + burst.n_intervals
+        span = min(end, n) - start
+        covered.extend(range(start, start + span))
+        bursts.append(burst)
+        active.append(rng.normal(flow_count, max(1.0, 0.03 * flow_count),
+                                 size=span))
+
+    if bursts:
+        # Only the last burst can run past the capture: cutting the joined
+        # samples to the covered intervals drops exactly its overhang.
+        at = np.asarray(covered)
+
+        def joined(field: str) -> np.ndarray:
+            return np.concatenate(
+                [getattr(b, field) for b in bursts])[:len(at)]
+
+        delivered = joined("delivered_bytes")
+        ingress[at] = delivered.astype(np.int64)
+        marked[at] = np.minimum(joined("marked_bytes"),
+                                delivered).astype(np.int64)
+        retx[at] = joined("retransmit_bytes").astype(np.int64)
+        queue_frac[at] = joined("queue_frac")
+        flows[at] = np.maximum(1, np.concatenate(active)).astype(np.int64)
 
     _add_background(profile, rng, drain, ingress, flows)
     np.minimum(ingress, int(drain), out=ingress)

@@ -1,13 +1,18 @@
 """Tests for incast classification and trace summarization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.bursts import detect_bursts
-from repro.core.incast import (INCAST_FLOW_THRESHOLD, degree_distribution,
-                               incast_fraction, is_incast,
-                               low_mode_fraction)
-from repro.core.metrics import summarize_trace
+from repro import units
+from repro.core.bursts import burst_frequency_hz, detect_bursts
+from repro.core.incast import (INCAST_FLOW_THRESHOLD, LOW_MODE_CUTOFF_FLOWS,
+                               degree_distribution, incast_fraction,
+                               is_incast, low_mode_fraction)
+from repro.core.metrics import BurstMetrics, summarize_trace
+from repro.measurement.records import HostTrace, TraceMeta
 from tests.conftest import make_trace
 
 
@@ -39,6 +44,11 @@ class TestIncastClassification:
 
     def test_incast_fraction_empty(self):
         assert incast_fraction([]) == 0.0
+
+    def test_low_mode_cutoff_is_20(self):
+        assert LOW_MODE_CUTOFF_FLOWS == 20
+        bursts = detect_bursts(trace_with_flows([19, 20]))
+        assert low_mode_fraction(bursts) == 0.5
 
     def test_low_mode_fraction(self):
         bursts = detect_bursts(trace_with_flows([5, 15, 100, 200]))
@@ -108,3 +118,101 @@ class TestTraceSummary:
         assert s.n_bursts == 0
         assert s.mean_flow_count() == 0.0
         assert s.p99_flow_count() == 0.0
+
+
+def assert_columnar_equals_per_burst(trace):
+    """``summarize_trace`` (one reduceat pass per column) against the
+    single-burst API it must agree with: exact equality, Python types."""
+    summary = summarize_trace(trace)
+    bursts = detect_bursts(trace)
+    has_queue = trace.queue_frac is not None and len(trace.queue_frac)
+    watermark = float(np.max(trace.queue_frac)) if has_queue else 0.0
+    expected = tuple(BurstMetrics.from_burst(b, watermark_frac=watermark)
+                     for b in bursts)
+    assert summary.bursts == expected
+    assert summary.n_bursts == len(bursts)
+    assert summary.burst_frequency_hz == burst_frequency_hz(trace, bursts)
+    assert summary.incast_fraction == incast_fraction(bursts)
+    assert summary.low_mode_fraction == low_mode_fraction(bursts)
+    for value in (summary.incast_fraction, summary.low_mode_fraction,
+                  summary.burst_frequency_hz, summary.mean_utilization):
+        assert type(value) is float
+    for got, want in zip(summary.bursts, expected):
+        for field in dataclasses.fields(BurstMetrics):
+            assert type(getattr(got, field.name)) \
+                is type(getattr(want, field.name)), field.name
+            assert type(getattr(got, field.name)) in (int, float)
+    return summary
+
+
+@st.composite
+def host_traces(draw):
+    """A capture as runs of busy/idle intervals with arbitrary counters."""
+    runs = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=1, max_value=6)),
+        max_size=12))
+    busy = [b for b, length in runs for _ in range(length)]
+    n = len(busy)
+    line_rate = draw(st.sampled_from([10e9, 25e9, 100e9]))
+    interval_ns = draw(st.sampled_from([units.msec(1.0), units.usec(250.0)]))
+    capacity = line_rate * interval_ns / (8 * units.NS_PER_S)
+    util = [draw(st.floats(0.51, 1.0) if b else st.floats(0.0, 0.49))
+            for b in busy]
+    ingress = (np.asarray(util, dtype=np.float64) * capacity
+               ).astype(np.int64)
+    column = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    marked = (np.asarray(draw(column)) * ingress).astype(np.int64)
+    retx = (np.asarray(draw(column)) * ingress).astype(np.int64)
+    flows = draw(st.lists(st.integers(0, 700), min_size=n, max_size=n))
+    queue = draw(st.one_of(st.none(), column))
+    return HostTrace(TraceMeta("svc", 1, 2), line_rate, ingress,
+                     np.asarray(flows, dtype=np.int64), marked, retx,
+                     interval_ns=interval_ns,
+                     queue_frac=None if queue is None else np.asarray(queue))
+
+
+# An empty capture has no mean utilization (numpy warns, as it always has).
+@pytest.mark.filterwarnings("ignore:Mean of empty slice",
+                            "ignore:invalid value encountered")
+class TestColumnarSummaryEqualsPerBurst:
+    @given(trace=host_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_traces(self, trace):
+        assert_columnar_equals_per_burst(trace)
+
+    @pytest.mark.parametrize("utils, n_bursts", [
+        ([], 0),                                  # empty capture
+        ([0.0, 0.2, 0.0], 0),                     # all idle
+        ([1.0, 0.9, 0.8, 1.0], 1),                # all busy
+        ([0.0, 1.0, 1.0], 1),                     # touches the last interval
+        ([1.0], 1),                               # one interval, one burst
+        ([1.0, 0.0, 1.0, 0.0, 1.0], 3),           # 1-interval bursts, and
+        ([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], 3),  # one idle interval apart
+        ([0.5, 0.51, 0.5], 1),                    # threshold is exclusive
+    ])
+    @pytest.mark.parametrize("with_queue", [True, False])
+    def test_named_edges(self, utils, n_bursts, with_queue):
+        n = len(utils)
+        trace = make_trace(
+            utils, flows=[(7 * i) % 60 for i in range(n)],
+            marked_frac=[(i % 3) / 2 for i in range(n)],
+            retx_frac=[(i % 4) / 10 for i in range(n)],
+            queue_frac=[(i % 5) / 5 for i in range(n)] if with_queue
+            else None)
+        summary = assert_columnar_equals_per_burst(trace)
+        assert summary.n_bursts == n_bursts
+
+    def test_watermark_without_queue_ground_truth_is_zero(self):
+        summary = summarize_trace(make_trace([1.0, 0.0, 1.0]))
+        assert list(summary.watermark_fracs) == [0.0, 0.0]
+        assert list(summary.peak_queue_fracs) == [0.0, 0.0]
+
+    def test_fleet_trace(self):
+        """A real generated capture: ~100 bursts, counters in the millions."""
+        from repro.workloads.services import (SERVICE_PROFILES,
+                                              generate_host_trace)
+        trace = generate_host_trace(SERVICE_PROFILES["aggregator"],
+                                    TraceMeta("aggregator", 0),
+                                    np.random.default_rng(5))
+        summary = assert_columnar_equals_per_burst(trace)
+        assert summary.n_bursts > 50

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fluid import (FluidConfig, FluidIncast,
                                 degenerate_point_flows)
+from tests.fluid_reference import reference_run
 
 CFG = FluidConfig()
 DRAIN = CFG.drain_bytes_per_interval
@@ -143,3 +144,92 @@ class TestOverflow:
         lossy = FluidIncast(CFG, 500, demand, 3e5,
                             window_start_factor=3.0).run()
         assert lossy.n_intervals >= clean.n_intervals
+
+
+FIELDS = ("delivered_bytes", "marked_bytes", "retransmit_bytes",
+          "dropped_bytes", "queue_frac")
+
+
+class TestBitIdenticalToReferenceLoop:
+    """``run`` against the loop it replaced (``tests/fluid_reference.py``):
+    same floats per interval, same final congestion state."""
+
+    @staticmethod
+    def both(max_intervals=2000, config=CFG, **kwargs):
+        new, old = FluidIncast(config, **kwargs), FluidIncast(config, **kwargs)
+        got, want = new.run(max_intervals), reference_run(old, max_intervals)
+        for field in FIELDS:
+            assert getattr(got, field).tolist() \
+                == getattr(want, field).tolist(), field
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+        assert (new.alpha, new.window_bytes) == (old.alpha, old.window_bytes)
+        return got
+
+    @given(flow_count=st.integers(min_value=1, max_value=1500),
+           demand_bytes=st.integers(min_value=1, max_value=int(25 * DRAIN)),
+           effective_capacity_bytes=st.one_of(
+               st.floats(min_value=1.0, max_value=5e4),      # drop-heavy
+               st.floats(min_value=5e4, max_value=3e6)),     # incl. > config
+           window_start_factor=st.floats(min_value=0.0, max_value=6.0),
+           initial_alpha=st.floats(min_value=-0.5, max_value=1.5),
+           arrival_rate_factor=st.one_of(
+               st.floats(min_value=0.05, max_value=1.0),
+               st.floats(min_value=1.0, max_value=8.0,
+                         exclude_min=True),
+               st.just(float("inf"))),
+           max_intervals=st.sampled_from([0, 1, 3, 50, 2000]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_burst(self, max_intervals, **kwargs):
+        self.both(max_intervals, **kwargs)
+
+    @given(flow_count=st.integers(min_value=1, max_value=800),
+           duration=st.integers(min_value=1, max_value=20),
+           contention=st.floats(min_value=0.0, max_value=1.0),
+           carryover=st.floats(min_value=0.1, max_value=3.5),
+           sync=st.floats(min_value=0.3, max_value=3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_fleet_shaped_bursts(self, flow_count, duration, contention,
+                                 carryover, sync):
+        """The argument shapes ``generate_host_trace`` produces."""
+        self.both(flow_count=flow_count,
+                  demand_bytes=max(int(DRAIN * duration * min(sync, 1.0)),
+                                   int(0.6 * DRAIN)),
+                  effective_capacity_bytes=max(
+                      CFG.capacity_bytes * (1.0 - contention),
+                      0.25 * CFG.capacity_bytes),
+                  window_start_factor=carryover, arrival_rate_factor=sync)
+
+    def test_other_environments(self):
+        """Non-default configs reach every hoisted constant."""
+        slow = FluidConfig(line_rate_bps=10e9, base_rtt_ns=100_000,
+                           capacity_bytes=500_000, ecn_threshold_frac=0.2,
+                           mss_bytes=9000, dctcp_g=0.25,
+                           aggregate_growth_mss_per_round=2.5,
+                           max_window_bytes=600_000.0,
+                           growth_overshoot_factor=1.1)
+        for flows, capacity, sync in ((4, 4e5, float("inf")),
+                                      (60, 2e4, 1.7), (300, 5e5, 0.8)):
+            self.both(config=slow, flow_count=flows, demand_bytes=6_000_000,
+                      effective_capacity_bytes=capacity,
+                      window_start_factor=2.0, arrival_rate_factor=sync)
+
+    def test_drop_heavy_burst_really_drops(self):
+        """The differential covers the loss path, not only clean bursts."""
+        trace = self.both(flow_count=500, demand_bytes=int(3 * DRAIN),
+                          effective_capacity_bytes=3e5,
+                          window_start_factor=3.0, arrival_rate_factor=2.0)
+        assert trace.dropped_bytes.sum() > 0
+        assert trace.retransmit_bytes.sum() > 0
+        assert trace.marked_bytes.sum() > 0
+
+    def test_run_is_resumable_state(self):
+        """A second ``run`` starts from the first one's alpha and window,
+        as it did when the loop updated the attributes in place."""
+        new = FluidIncast(CFG, 200, int(2 * DRAIN), 1e6,
+                          arrival_rate_factor=1.5)
+        old = FluidIncast(CFG, 200, int(2 * DRAIN), 1e6,
+                          arrival_rate_factor=1.5)
+        new.run(), reference_run(old)
+        assert new.run().delivered_bytes.tolist() \
+            == reference_run(old).delivered_bytes.tolist()
+        assert (new.alpha, new.window_bytes) == (old.alpha, old.window_bytes)

@@ -1,10 +1,14 @@
 """Tests for the synthetic production-service fleet."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.measurement.records import TraceMeta
-from repro.netsim.fluid import FluidConfig
+from repro.netsim.fluid import FluidConfig, FluidIncast
 from repro.workloads.services import (SERVICE_PROFILES, ServiceProfile,
                                       generate_host_trace,
                                       host_rate_multiplier, regime_sequence,
@@ -158,3 +162,163 @@ class TestTraceGeneration:
             TraceMeta(service="messaging", host_id=0), rng(0),
             duration_ms=200, fluid_config=cfg)
         assert trace.line_rate_bps == 10e9
+
+
+def trace_digest(trace):
+    """sha256 over dtype and bytes of the five generated columns."""
+    h = hashlib.sha256()
+    for column in (trace.ingress_bytes, trace.active_flows,
+                   trace.marked_bytes, trace.retransmit_bytes,
+                   trace.queue_frac):
+        h.update(str(column.dtype).encode())
+        h.update(column.tobytes())
+    return h.hexdigest()
+
+
+def rng_state_digest(generator):
+    """sha256 of ``bit_generator.state``: equal digests, equal states."""
+    return hashlib.sha256(json.dumps(generator.bit_generator.state,
+                                     sort_keys=True).encode()).hexdigest()
+
+
+# (service, seed) -> (trace digest, generator state after the call), as the
+# per-burst slice-writing generate_host_trace produced them (commit b6f1606)
+# for a default 2 s capture with regime_index = seed % 2.
+PINNED_CAPTURES = {
+    ("storage", 0): (
+        "bbb9ecaa1b26bf1eb2aa6e376ae4e30ca57c3e7031af6d117595b53d3aed0034",
+        "fc027dc43262f80058f33e21331e0f634b0e5c87d5de7eccf54d4cd7f0c862ee"),
+    ("storage", 7): (
+        "de96002648a05b5fde0e8d3495114feda6d8785aa159cc55e36b8a34e725b8ff",
+        "8953384ca4c1b66906fe5252130b53abb4ca2bfe8e268530642ba542fedd20ef"),
+    ("aggregator", 0): (
+        "252d4ecc1f23096b9695db83bdc7a076e02ce5d99c45a19ffb147861880105f2",
+        "ffac0643fcd4043dd1e61c61c171da5035cc5340e5f637283b0bce9bc9f10f96"),
+    ("aggregator", 7): (
+        "a96e5f08ed136cc14502004f2a37b5df902d73b11a6bf936d4860eb4b0ffadcd",
+        "eb6b5a078edad812ac76ae5ed736291386132da8533ff759ea503fcb8bd5255b"),
+    ("indexer", 0): (
+        "f19f55a27c5f2a946983e68dd1912f68f878b6cbc941eadea52fafae9c96b25a",
+        "0ddd6718d42a23d60eba975748a454c532aec63359f1ed44fef7ec62b4065d69"),
+    ("indexer", 7): (
+        "7bd6172997a72b8365f0df65d8a063e5ff954970e92c1066d8d266dd9f32a00e",
+        "ecf607220182d7727dd88fb05d11c603e30afe7490cdeeb2f0241286ff10a647"),
+    ("messaging", 0): (
+        "70dc78bf9a33846a7605fbffd67f8c068002a77ed6fd92281bf05f175ef79e43",
+        "efee75c9ea72eedf5c4c23b55df49da594f1785911d326e266fe1e8a9d201218"),
+    ("messaging", 7): (
+        "82c3ee1c4238aa2d595980d6269743ceecd56f71f0fbdec42e91231f9b7b5948",
+        "c041cbf32daa4263243c6f6a16a63fdfb17ec7e065b98f26327fa041afaecd66"),
+    ("video", 0): (
+        "6abb199e30a54e43e33a73c1dfe5f8236f92161aa7a3e5c1847bea1d0857ac87",
+        "8917540e164b675f8a3e8cf44a426dd06283d9c8e33624e3bda907684dcbc9d5"),
+    ("video", 7): (
+        "23bebe4cdf3e24a1b013d8a537dea0c7fb9adfc8567c2bfc38960d453222b1d8",
+        "6a27c3e355aaf0bd7771501a7b3ecb3798f4f4e102d8c8bdd5966eb9cff488dc"),
+}
+
+# (service, seed) -> the same pair for a 60 ms capture whose last burst
+# runs past the end of the capture (same commit).
+PINNED_TRUNCATED = {
+    ("aggregator", 0): (
+        "1100a746501e312d3037b5e3143bbf4a5cdb2c71fb454f7efda4821d3c87a116",
+        "fbeea0c9e917dfa0f4163fbf3d8624ba1bd3c5a50058cc295aff536cf6bedff3"),
+    ("video", 2): (
+        "8588021c7bf220280a24cbe9ab31f54fb58cd97ccedddca6631e3b3d65d17118",
+        "2e21f3c1fa5ea623056d0c352597e6be25727577fe3e349407d6d970b1a03a5b"),
+}
+
+
+class TestGeneratedBytesArePinned:
+    """The bulk column write must reproduce the per-burst slice writes bit
+    for bit, and must not move a single RNG draw: every later capture of a
+    campaign reads the same generator."""
+
+    @pytest.mark.parametrize("service, seed", list(PINNED_CAPTURES))
+    def test_two_second_captures(self, service, seed):
+        generator = rng(seed)
+        trace = generate_host_trace(
+            SERVICE_PROFILES[service], TraceMeta(service, 0), generator,
+            regime_index=seed % 2)
+        assert (trace_digest(trace), rng_state_digest(generator)) \
+            == PINNED_CAPTURES[service, seed]
+
+    @pytest.mark.parametrize("service, seed", list(PINNED_TRUNCATED))
+    def test_burst_cut_by_end_of_capture(self, service, seed, monkeypatch):
+        lengths, original = [], FluidIncast.run
+
+        def recording_run(self, *args, **kwargs):
+            burst = original(self, *args, **kwargs)
+            lengths.append(burst.n_intervals)
+            return burst
+
+        monkeypatch.setattr(FluidIncast, "run", recording_run)
+        generator = rng(seed)
+        trace = generate_host_trace(
+            SERVICE_PROFILES[service], TraceMeta(service, 0), generator,
+            duration_ms=60)
+        assert (trace_digest(trace), rng_state_digest(generator)) \
+            == PINNED_TRUNCATED[service, seed]
+        # The case is what it says: the capture ends inside the last burst
+        # (a run of line-rate intervals shorter than the burst it came from).
+        busy = (trace.utilization() > 0.5).tolist()
+        tail = len(busy) - 1 - busy[::-1].index(False)
+        assert busy[-1] and 0 < len(busy) - 1 - tail < lengths[-1]
+
+    def test_capture_without_any_burst(self, monkeypatch):
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("no burst should have been generated")
+
+        monkeypatch.setattr(FluidIncast, "run", no_run)
+        quiet = dataclasses.replace(SERVICE_PROFILES["messaging"],
+                                    burst_rate_hz=1e-9)
+        generator, twin = rng(3), rng(3)
+        trace = generate_host_trace(quiet, TraceMeta("messaging", 0),
+                                    generator, duration_ms=200)
+        assert not trace.marked_bytes.any()
+        assert not trace.retransmit_bytes.any()
+        assert not trace.queue_frac.any()
+        assert (trace.utilization() <= 0.02).all()
+        assert (trace.active_flows <= 8).all()
+        # One arrival gap, then the background fill: nothing else was drawn.
+        twin.exponential(1.0)
+        twin.uniform(size=200)
+        twin.integers(0, 9, size=200)
+        assert generator.bit_generator.state == twin.bit_generator.state
+
+
+class TestScalarClamps:
+    """``sample_flow_count`` / ``sample_carryover`` clamp with comparisons;
+    the values and types ``np.clip`` gave are part of the pinned bytes."""
+
+    @pytest.mark.parametrize("service", list(SERVICE_PROFILES))
+    def test_same_values_as_np_clip(self, service):
+        profile = SERVICE_PROFILES[service]
+        ours, oracle = rng(9), rng(9)
+        for _ in range(500):
+            count = profile.sample_flow_count(ours)
+            if profile.low_mode_weight > 0 \
+                    and oracle.random() < profile.low_mode_weight:
+                lo, hi = profile.low_mode_range
+                want = int(oracle.integers(lo, hi + 1))
+            else:
+                want = int(np.clip(
+                    oracle.lognormal(np.log(profile.flow_median),
+                                     profile.flow_sigma),
+                    1, profile.flow_cap))
+            assert type(count) is int and count == want
+            carry = profile.sample_carryover(ours)
+            want = float(np.clip(
+                np.exp(oracle.normal(profile.carryover_log_mean,
+                                     profile.carryover_log_sigma)),
+                0.1, 3.5))
+            assert type(carry) is float and carry == want
+
+    def test_clamps_bite_at_both_ends(self):
+        wide = dataclasses.replace(SERVICE_PROFILES["indexer"],
+                                   flow_sigma=3.0, carryover_log_sigma=3.0)
+        r = rng(1)
+        counts = {wide.sample_flow_count(r) for _ in range(400)}
+        carries = {wide.sample_carryover(r) for _ in range(400)}
+        assert {1, wide.flow_cap} <= counts
+        assert {0.1, 3.5} <= carries
