@@ -77,7 +77,10 @@ class HostNIC:
         self._compose_port = None
         self._virtual: Optional[bool] = None
         self._vbusy_until = -1
-        self._vrecords: deque[tuple[int, int]] = deque()  # (start, size)
+        # Queued-but-not-yet-started sends, as (start, size): the packet
+        # itself is already booked into the composed port, so the backlog
+        # is counted from these and nothing retains the packet.
+        self._vrecords: deque[tuple[int, int]] = deque()
         # Chain-handoff: chain events stay (their heap order *is* the
         # multi-feeder arrival order at the downstream switch), but each
         # chain hands the packet straight into the composed downstream
@@ -144,7 +147,7 @@ class HostNIC:
         """Packets waiting in the host's egress FIFO."""
         if self._vrecords:
             self._settle_egress()
-        return len(self._egress_fifo)
+        return len(self._egress_fifo) + len(self._vrecords)
 
     def send(self, packet: Packet) -> None:
         """Queue ``packet`` for transmission on the access link."""
@@ -299,7 +302,6 @@ class HostNIC:
             # Busy (>= for the same event-order reason as the switch port's
             # batched path): the packet queues; its foregone chain event is
             # credited now and its bookkeeping settles on observation.
-            self._egress_fifo.append(packet)
             records.append((busy_until, size))
             end = busy_until + tx
             sim.count_batched(1)
@@ -317,13 +319,13 @@ class HostNIC:
         for the same observation-order reason as the switch port settle)."""
         records = self._vrecords
         now = self._sim._now
-        fifo = self._egress_fifo
-        link = self.egress_link
+        sent_bytes = sent = 0
         while records and records[0][0] < now:
-            size = records.popleft()[1]
-            fifo.popleft()
-            link.bytes_sent += size
-            link.packets_sent += 1
+            sent_bytes += records.popleft()[1]
+            sent += 1
+        link = self.egress_link
+        link.bytes_sent += sent_bytes
+        link.packets_sent += sent
 
     def _pump(self) -> None:
         if self.egress_link is None or self.egress_link.busy:

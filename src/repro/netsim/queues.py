@@ -19,12 +19,19 @@ from typing import Callable, Optional
 
 from repro.netsim.buffers import BufferPool
 from repro.netsim.packet import Packet
+from repro.simcore.kernel import Simulator
 
 QueueWatcher = Callable[[str, "DropTailQueue", Packet], None]
 """Observer called as ``watcher(event, queue, packet)`` where ``event`` is
 ``"enqueue"``, ``"drop"`` or ``"dequeue"``. Enqueue watchers see the queue
 *after* the packet was appended (so ``queue.len_packets`` is the depth the
-packet produced), and a CE-marked packet is visible as such."""
+packet produced), and a CE-marked packet is visible as such.
+
+A watcher needs a callback at every exact enqueue and drain instant, so a
+watched queue is served by the switch's legacy per-packet pump (see
+:mod:`repro.netsim.switch`). Mitigation schemes that read packets at the
+bottleneck pay that; per-interval peak occupancy does not need a watcher —
+see :meth:`DropTailQueue.start_interval_peaks`."""
 
 
 class QueueStats:
@@ -85,7 +92,9 @@ class DropTailQueue:
         self.name = name
         self.queue_id = DropTailQueue._next_queue_id
         DropTailQueue._next_queue_id += 1
-        self._fifo: deque[Packet] = deque()
+        # The queued packets — or, when a composed egress port books this
+        # queue's arrivals itself, one ``None`` per queued packet.
+        self._fifo: deque[Optional[Packet]] = deque()
         self._len_bytes = 0
         self._watchers: list[QueueWatcher] = []
         # Installed by a batched egress port (netsim.switch): a callable
@@ -94,6 +103,12 @@ class DropTailQueue:
         # same depth the legacy per-packet drain events would have left.
         self._settle: Optional[Callable[[], None]] = None
         self._stats = QueueStats()
+        # Per-interval peak occupancy, booked at enqueue by whichever
+        # drain implementation serves this queue (see
+        # start_interval_peaks). Interval 0 = not recording.
+        self._peak_interval_ns = 0
+        self._peak_clock: Optional[Simulator] = None
+        self._peaks: dict[int, int] = {}
 
     @property
     def stats(self) -> QueueStats:
@@ -117,8 +132,14 @@ class DropTailQueue:
     # --- observation -----------------------------------------------------
 
     def add_watcher(self, watcher: QueueWatcher) -> QueueWatcher:
-        """Observe every enqueue/drop/dequeue (measurement tap); returns
-        ``watcher`` for later :meth:`remove_watcher`."""
+        """Observe every enqueue/drop/dequeue (per-packet tap); returns
+        ``watcher`` for later :meth:`remove_watcher`.
+
+        A watched queue is drained by the legacy per-packet pump, which is
+        why a watcher must attach before the first packet: once a batched
+        or composed drain has engaged there are no per-dequeue events left
+        to call it from.
+        """
         if self._settle is not None:
             raise RuntimeError(
                 f"{self.name}: cannot attach a watcher after the batched "
@@ -130,6 +151,45 @@ class DropTailQueue:
     def remove_watcher(self, watcher: QueueWatcher) -> None:
         """Stop observing. Raises ValueError if not registered."""
         self._watchers.remove(watcher)
+
+    def start_interval_peaks(self, sim: Simulator,
+                             interval_ns: int) -> None:
+        """Start booking, per ``interval_ns``-long interval of ``sim``'s
+        clock (aligned to t=0), the deepest occupancy any enqueue produced
+        — the depth *after* the packet was appended, what an enqueue
+        watcher would read from ``len_packets``.
+
+        The queue books this itself at enqueue, in every drain
+        implementation, so observing it does not change how the queue is
+        simulated. May be switched on mid-run: enqueues older than now are
+        settled first and stay unrecorded.
+        """
+        if interval_ns <= 0:
+            raise ValueError("interval_ns must be positive")
+        if self._peak_interval_ns:
+            raise RuntimeError(
+                f"{self.name}: interval peaks are already being recorded")
+        if self._settle is not None:
+            self._settle()
+        self._peak_clock = sim
+        self._peak_interval_ns = int(interval_ns)
+
+    def interval_peaks(self) -> dict[int, int]:
+        """Peak occupancy by interval index, settled up to the current
+        virtual time; intervals with no enqueue are absent. This is the
+        live mapping the queue keeps writing: copy it to keep a snapshot."""
+        if self._settle is not None:
+            self._settle()
+        return self._peaks
+
+    def stop_interval_peaks(self) -> dict[int, int]:
+        """Stop recording and return what was recorded (settled up to the
+        current virtual time); the queue keeps no trace of it."""
+        peaks = self.interval_peaks()
+        self._peak_interval_ns = 0
+        self._peak_clock = None
+        self._peaks = {}
+        return peaks
 
     @property
     def len_packets(self) -> int:
@@ -184,10 +244,16 @@ class DropTailQueue:
         self._len_bytes = depth_bytes
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size
-        if len(fifo) > stats.max_len_packets:
-            stats.max_len_packets = len(fifo)
+        depth = len(fifo)
+        if depth > stats.max_len_packets:
+            stats.max_len_packets = depth
         if depth_bytes > stats.max_len_bytes:
             stats.max_len_bytes = depth_bytes
+        interval = self._peak_interval_ns
+        if interval:
+            idx = self._peak_clock._now // interval
+            if depth > self._peaks.get(idx, 0):
+                self._peaks[idx] = depth
         if self._watchers:
             for watcher in tuple(self._watchers):
                 watcher("enqueue", self, packet)

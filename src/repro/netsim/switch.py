@@ -23,7 +23,9 @@ Ports have three drain implementations, chosen per port at first traffic:
   at this port's enqueue time, so the packet's entire switch-fabric
   traversal collapses into a single delivery event at the far endpoint;
   the downstream queue's arrivals, marks, drops, and drains are recorded
-  and settled lazily, in exact virtual-time order.
+  as plain numbers (size, flags, the depth the packet produced — never
+  the packet) and folded into the queue's counters once virtual time has
+  passed them.
 
 Batched drains and composed arrivals are credited through
 :meth:`repro.simcore.kernel.Simulator.count_batched` so event accounting
@@ -33,14 +35,36 @@ The batched/composed paths engage only when behaviour is provably
 identical to the legacy pump: a plain :class:`~repro.netsim.link.Link`
 with a positive propagation delay (so delivery is a separate event, as in
 the legacy path), no shared :class:`~repro.netsim.buffers.BufferPool`
-(admission timing couples queues), and no queue watchers (observers need
-per-dequeue callbacks at exact drain times). Anything else falls back to
-the legacy pump. The settle discipline applies strictly-older bookkeeping
-only (strict ``<`` against virtual now), which reproduces the legacy
-observation order: a drain completing at time T was always the
+(admission timing couples queues), and no queue watchers (a watcher needs
+a callback at every exact enqueue and drain instant, so it still forces
+the legacy pump). Anything else falls back to the legacy pump. Per-interval
+peak occupancy (:meth:`DropTailQueue.start_interval_peaks
+<repro.netsim.queues.DropTailQueue.start_interval_peaks>`) is *not* a
+watcher: all three implementations book it themselves from the depth and
+instant they already know at enqueue, so observing a queue that way does
+not change how it drains.
+
+**Idle-start rule.** A packet that reaches an *idle* transmitter starts
+serializing inside its own arrival event (the legacy pump pops it before
+``enqueue`` returns), so it counts for the high-watermark and the interval
+peak at the depth it produced, but a later arrival at the same instant no
+longer finds it in the queue — it is never part of the occupancy that
+admission, marking, or another packet's depth sees. A packet that arrives
+at the exact instant the previous transmission *ends* is different: the
+legacy completion event for that instant fires after the arrival (it was
+scheduled later), so the transmitter is still busy and the packet queues.
+
+**Settling is fold-as-you-go.** Booked-but-unapplied work is applied
+strictly-older-only (strict ``<`` against virtual now), which reproduces
+the legacy observation order: a drain completing at time T was always the
 last-scheduled event among same-T events — its completion was scheduled
 one serialization time before T, later than any arrival or probe event,
-which travel a propagation delay or more.
+which travel a propagation delay or more. A composed port folds its own
+backlog in amortised batches from the per-packet path, as two independent
+prefix folds (arrivals older than now, drain starts older than now — each
+is a sum, and depth was fixed at admission, so they need no interleaving);
+observers fold whatever is left. The backlog therefore stays proportional
+to the packets in flight, whether or not anybody ever reads the queue.
 """
 
 from __future__ import annotations
@@ -59,6 +83,15 @@ from repro.simcore.kernel import Simulator
 BATCHED_EGRESS_ENABLED = True
 """Global switch for the batched/composed egress paths (tests may disable
 to force every port onto the legacy per-packet pump)."""
+
+# Flag bits of a composed port's arrival record.
+_MARKED = 1
+_DROPPED = 2
+_IDLE_START = 4  # started serializing in its own arrival event
+
+_FOLD_SLACK = 64
+"""A composed port folds its backlog when it exceeds twice what the
+previous fold left behind plus this many records."""
 
 
 class EgressPort:
@@ -95,11 +128,18 @@ class EgressPort:
         self._vcap_by: Optional[int] = None
         self._vthresh: Optional[int] = None
         self._vbusy_until = -1
+        # Occupancy at the latest admitted arrival instant, and the queued
+        # packets that make it up:
         self._vlen_pk = 0
         self._vlen_by = 0
         self._vfuture: deque[tuple[int, int]] = deque()  # (start, size)
-        self._varrivals: deque[tuple] = deque()  # (arr, start, pkt, mark, drop)
-        self._vdrains: deque[tuple[int, int]] = deque()  # (start, size)
+        # Booked but not yet folded into the queue's counters:
+        # (arrival, size, flags, depth_packets, depth_bytes) per arrival,
+        # and the same (start, size) tuples as _vfuture per queued drain
+        # (an idle-start packet's drain folds with its arrival record).
+        self._varrivals: deque[tuple[int, int, int, int, int]] = deque()
+        self._vdrains: deque[tuple[int, int]] = deque()
+        self._vfold_at = _FOLD_SLACK
 
     def compose_route(self, dst: int, downstream: "EgressPort") -> None:
         """Declare that every packet this port delivers toward host ``dst``
@@ -183,6 +223,11 @@ class EgressPort:
             stats.max_len_packets = depth + 1
         if depth_bytes > stats.max_len_bytes:
             stats.max_len_bytes = depth_bytes
+        interval = queue._peak_interval_ns
+        if interval:
+            idx = now // interval
+            if depth + 1 > queue._peaks.get(idx, 0):
+                queue._peaks[idx] = depth + 1
         link = self.link
         tx = link._tx_time_cache.get(size)
         if tx is None:
@@ -280,7 +325,8 @@ class EgressPort:
         occupancy at each arrival instant is then exact: packets whose
         drain starts strictly before the arrival have left (legacy
         drain-completion events at the arrival instant fired *after* the
-        arrival event).
+        arrival event), and a packet that started on an idle transmitter
+        was never queued (module docstring, idle-start rule).
         """
         future = self._vfuture
         vlen_pk = self._vlen_pk
@@ -290,36 +336,56 @@ class EgressPort:
             vlen_pk -= 1
         size = packet.size_bytes
         sim = self._sim
+        arrivals = self._varrivals
+        if len(arrivals) > self._vfold_at:
+            self._settle_composed()
+            self._vfold_at = 2 * len(arrivals) + _FOLD_SLACK
         cap_pk = self._vcap_pk
         cap_by = self._vcap_by
         if ((cap_pk is not None and vlen_pk >= cap_pk)
                 or (cap_by is not None and vlen_by + size > cap_by)):
             self._vlen_pk = vlen_pk
             self._vlen_by = vlen_by
-            self._varrivals.append((arrival, -1, packet, False, True))
+            arrivals.append((arrival, size, _DROPPED, 0, 0))
             # Credit the foregone arrival event; no drain.
             sim._events_processed += 1
             _kernel._total_events_processed += 1
             return
         threshold = self._vthresh
-        marked = (threshold is not None and vlen_pk >= threshold
-                  and packet.ecn != 0)
-        if marked:
+        if (threshold is not None and vlen_pk >= threshold
+                and packet.ecn != 0):
             packet.ecn = 2  # ECN.CE
-        vbusy = self._vbusy_until
-        start = vbusy if vbusy >= arrival else arrival
+            flags = _MARKED
+        else:
+            flags = 0
         link = self.link
         tx = link._tx_time_cache.get(size)
         if tx is None:
             tx = link.tx_time_ns(packet)
+        depth_pk = vlen_pk + 1
+        depth_by = vlen_by + size
+        start = self._vbusy_until
+        if start >= arrival:
+            # Busy (or freeing up at this very instant): the packet queues.
+            drain = (start, size)
+            future.append(drain)
+            self._vdrains.append(drain)
+            self._vlen_pk = depth_pk
+            self._vlen_by = depth_by
+            arrivals.append((arrival, size, flags, depth_pk, depth_by))
+        else:
+            # Idle: the packet produces this depth for the watermark and
+            # starts at once, so later arrivals never see it queued.
+            start = arrival
+            self._vlen_pk = vlen_pk
+            self._vlen_by = vlen_by
+            arrivals.append((arrival, size, flags | _IDLE_START,
+                             depth_pk, depth_by))
         end = start + tx
         self._vbusy_until = end
-        future.append((start, size))
-        self._vlen_pk = vlen_pk + 1
-        self._vlen_by = vlen_by + size
-        self._varrivals.append((arrival, start, packet, marked, False))
         # Credit the two foregone legacy events (arrival delivery + drain
-        # completion) now; their bookkeeping settles lazily on observation.
+        # completion) now; their bookkeeping is folded in once virtual
+        # time has passed them.
         sim._events_processed += 2
         _kernel._total_events_processed += 2
         # Compose recursively when the next hop's queue is also solely fed
@@ -347,65 +413,80 @@ class EgressPort:
         eq._live += 1
 
     def _settle_composed(self) -> None:
-        """Replay this composed queue's arrivals and drains that virtual
-        time has strictly passed, in exact order (arrival before drain on
-        ties — the legacy arrival event carried the smaller sequence
-        number), so every observation of queue depth or stats matches the
-        legacy event interleaving.
+        """Fold into the queue's counters every booked arrival and every
+        booked drain start that virtual time has strictly passed.
+
+        The two folds are independent sums: the depth each arrival
+        produced was fixed at admission (in exact arrival-before-drain
+        order — the legacy arrival event carried the smaller sequence
+        number), so high-watermarks and interval peaks need no replay,
+        and a drain start older than now implies its arrival is too. The
+        queue's FIFO holds one ``None`` per queued packet, which keeps
+        ``len()`` the depth without retaining anything.
         """
-        arrivals = self._varrivals
-        drains = self._vdrains
         now = self._sim._now
-        arr = arrivals[0] if arrivals else None
-        dr = drains[0] if drains else None
-        if ((arr is None or arr[0] >= now)
-                and (dr is None or dr[0] >= now)):
-            return
         queue = self.queue
-        fifo = queue._fifo
         stats = queue._stats
-        link = self.link
-        switch = self._switch
-        while True:
-            if (arr is not None and arr[0] < now
-                    and (dr is None or arr[0] <= dr[0])):
-                arrivals.popleft()
-                arrival, start, packet, marked, dropped = arr
-                size = packet.size_bytes
-                if switch is not None:
-                    switch.forwarded_packets += 1
-                if dropped:
-                    stats.dropped_packets += 1
-                    stats.dropped_bytes += size
-                else:
-                    if marked:
-                        stats.marked_packets += 1
-                        stats.marked_bytes += size
-                    fifo.append(packet)
-                    depth_bytes = queue._len_bytes + size
-                    queue._len_bytes = depth_bytes
-                    stats.enqueued_packets += 1
-                    stats.enqueued_bytes += size
-                    if len(fifo) > stats.max_len_packets:
-                        stats.max_len_packets = len(fifo)
-                    if depth_bytes > stats.max_len_bytes:
-                        stats.max_len_bytes = depth_bytes
-                    drains.append((start, size))
-                    if dr is None:
-                        dr = drains[0]
-                arr = arrivals[0] if arrivals else None
-            elif dr is not None and dr[0] < now:
-                drains.popleft()
-                size = dr[1]
+        deq_pk = deq_by = enq_pk = enq_by = 0
+        arrivals = self._varrivals
+        if arrivals and arrivals[0][0] < now:
+            max_pk = stats.max_len_packets
+            max_by = stats.max_len_bytes
+            interval = queue._peak_interval_ns
+            peaks = queue._peaks
+            seen = drop_pk = drop_by = mark_pk = mark_by = 0
+            while arrivals and arrivals[0][0] < now:
+                arrival, size, flags, depth_pk, depth_by = arrivals.popleft()
+                seen += 1
+                if flags:
+                    if flags & _DROPPED:
+                        drop_pk += 1
+                        drop_by += size
+                        continue
+                    if flags & _MARKED:
+                        mark_pk += 1
+                        mark_by += size
+                    if flags & _IDLE_START:
+                        deq_pk += 1
+                        deq_by += size
+                enq_by += size
+                if depth_pk > max_pk:
+                    max_pk = depth_pk
+                if depth_by > max_by:
+                    max_by = depth_by
+                if interval:
+                    idx = arrival // interval
+                    if depth_pk > peaks.get(idx, 0):
+                        peaks[idx] = depth_pk
+            enq_pk = seen - drop_pk
+            stats.enqueued_packets += enq_pk
+            stats.enqueued_bytes += enq_by
+            stats.dropped_packets += drop_pk
+            stats.dropped_bytes += drop_by
+            stats.marked_packets += mark_pk
+            stats.marked_bytes += mark_by
+            stats.max_len_packets = max_pk
+            stats.max_len_bytes = max_by
+            if self._switch is not None:
+                self._switch.forwarded_packets += seen
+        drains = self._vdrains
+        while drains and drains[0][0] < now:
+            deq_by += drains.popleft()[1]
+            deq_pk += 1
+        if deq_pk:
+            stats.dequeued_packets += deq_pk
+            stats.dequeued_bytes += deq_by
+            link = self.link
+            link.bytes_sent += deq_by
+            link.packets_sent += deq_pk
+        queue._len_bytes += enq_by - deq_by
+        grown = enq_pk - deq_pk
+        if grown > 0:
+            queue._fifo.extend((None,) * grown)
+        elif grown < 0:
+            fifo = queue._fifo
+            for _ in range(-grown):
                 fifo.popleft()
-                queue._len_bytes -= size
-                stats.dequeued_packets += 1
-                stats.dequeued_bytes += size
-                link.bytes_sent += size
-                link.packets_sent += 1
-                dr = drains[0] if drains else None
-            else:
-                break
 
     # --- legacy pump ----------------------------------------------------
 

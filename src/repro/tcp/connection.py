@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.netsim.host import Host
-from repro.netsim.packet import ECN, Packet, ack_packet, data_packet
+from repro.netsim.packet import ECN, Packet
 from repro.simcore.kernel import Simulator, Timer
 from repro.tcp.cca.base import CongestionControl
 from repro.tcp.config import TcpConfig
@@ -88,6 +88,7 @@ class TcpSender:
         self._nic = host.nic
         self._dst = dst_address
         self.flow_id = flow_id
+        self._data_ecn = ECN.ECT if config.ecn_enabled else ECN.NOT_ECT
         host.register_flow(flow_id, self)
 
         self.snd_una = 0
@@ -254,16 +255,18 @@ class TcpSender:
 
     def _emit_segment(self, seq: int, payload: int,
                       is_retransmit: bool) -> None:
-        packet = data_packet(self.flow_id, self._host.address, self._dst,
-                             seq, payload, is_retransmit=is_retransmit,
-                             ecn_capable=self.config.ecn_enabled)
-        now = self._sim.now
-        packet.sent_time_ns = now
-        self.stats.data_packets_sent += 1
-        self.stats.bytes_sent += payload
+        now = self._sim._now
+        # Positional Packet(...): flow, src, dst, seq, payload, is_ack,
+        # ack_seq, ece, ecn, is_retransmit, sent_time_ns.
+        packet = Packet(self.flow_id, self._host.address, self._dst, seq,
+                        payload, False, 0, False, self._data_ecn,
+                        is_retransmit, now)
+        stats = self.stats
+        stats.data_packets_sent += 1
+        stats.bytes_sent += payload
         if is_retransmit:
-            self.stats.retransmitted_packets += 1
-            self.stats.retransmitted_bytes += payload
+            stats.retransmitted_packets += 1
+            stats.retransmitted_bytes += payload
             # Karn: a probe overlapping retransmitted data is ambiguous.
             if (self._rtt_probe is not None
                     and seq < self._rtt_probe[0] <= seq + payload + 1):
@@ -293,7 +296,7 @@ class TcpSender:
 
     def _on_ack(self, ack_seq: int, ece: bool,
                 sack_blocks: tuple = ()) -> None:
-        now = self._sim.now
+        now = self._sim._now
         self.stats.acks_received += 1
         if ece:
             self.stats.ece_acks_received += 1
@@ -302,9 +305,19 @@ class TcpSender:
                 self.sack.add(start, end)
         if ack_seq > self.snd_una:
             self._on_new_ack(ack_seq, ece, now)
+            self._try_send()
+            # A new ACK restarts the RTO clock, and the timer is decided
+            # once, after the window has been refilled: disarming it when
+            # the ACK empties the pipe only for the next segment to re-arm
+            # it in the same event costs a cancel and a push per ACK,
+            # whereas start() on an armed timer is a lazy deadline move.
+            if self.snd_nxt > self.snd_una:
+                self._timer.start(self.current_rto_ns())
+            else:
+                self._timer.stop()
         else:
             self._on_dup_ack(ece, now)
-        self._try_send()
+            self._try_send()
 
     def _on_new_ack(self, ack_seq: int, ece: bool, now: int) -> None:
         bytes_acked = ack_seq - self.snd_una
@@ -335,10 +348,6 @@ class TcpSender:
                     self._emit_segment(self.snd_una, payload,
                                        is_retransmit=True)
         self.cca.on_ack(bytes_acked, ece, self.snd_una, self.snd_nxt, now)
-        if self.inflight_bytes > 0:
-            self._timer.start(self.current_rto_ns())
-        else:
-            self._timer.stop()
         hooks = self._hook_registry
         if hooks.any_active:
             if self._alpha_cca is not None:
@@ -581,6 +590,10 @@ class TcpReceiver:
         ``rcv_nxt`` advanced."""
         if end <= self.rcv_nxt:
             return False
+        if not self._ooo and start <= self.rcv_nxt:
+            # In order with nothing buffered: the range extends rcv_nxt.
+            self.rcv_nxt = end
+            return True
         start = max(start, self.rcv_nxt)
         self._insert_range(start, end)
         before = self.rcv_nxt
@@ -612,9 +625,12 @@ class TcpReceiver:
         blocks: tuple = ()
         if self.config.sack_enabled and self._ooo:
             blocks = tuple(self._ooo[:self.config.max_sack_blocks])
-        ack = ack_packet(self.flow_id, self._host.address, self._peer,
-                         self.rcv_nxt, ece=ece, sack_blocks=blocks,
-                         rwnd_bytes=self.advertised_window_bytes)
+        # Positional Packet(...): flow, src, dst, seq, payload, is_ack,
+        # ack_seq, ece, ecn, is_retransmit, sent_time_ns, sack_blocks,
+        # rwnd_bytes. ACKs are never ECN-capable.
+        ack = Packet(self.flow_id, self._host.address, self._peer, 0, 0,
+                     True, self.rcv_nxt, ece, ECN.NOT_ECT, False, None,
+                     blocks, self.advertised_window_bytes)
         self.stats.acks_sent += 1
         if ece:
             self.stats.ece_acks_sent += 1

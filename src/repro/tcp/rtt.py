@@ -23,7 +23,6 @@ class RttEstimator:
     def __init__(self, initial_rto_ns: int, min_rto_ns: int, max_rto_ns: int):
         if not 0 < min_rto_ns <= max_rto_ns:
             raise ValueError("require 0 < min_rto_ns <= max_rto_ns")
-        self._initial_rto_ns = initial_rto_ns
         self._min_rto_ns = min_rto_ns
         self._max_rto_ns = max_rto_ns
         self._srtt_ns: Optional[float] = None
@@ -31,6 +30,9 @@ class RttEstimator:
         self.samples = 0
         self.min_rtt_ns: Optional[int] = None
         self.last_rtt_ns: Optional[int] = None
+        # The RTO only changes when a sample arrives but is read on every
+        # ACK, so it is derived here and in sample().
+        self._rto_ns = max(min_rto_ns, min(initial_rto_ns, max_rto_ns))
 
     @property
     def srtt_ns(self) -> Optional[float]:
@@ -57,11 +59,9 @@ class RttEstimator:
             self._rttvar_ns = ((1.0 - BETA) * self._rttvar_ns
                                + BETA * abs(self._srtt_ns - rtt_ns))
             self._srtt_ns = (1.0 - ALPHA) * self._srtt_ns + ALPHA * rtt_ns
+        base = int(self._srtt_ns + max(4.0 * self._rttvar_ns, 1.0))
+        self._rto_ns = max(self._min_rto_ns, min(base, self._max_rto_ns))
 
     def rto_ns(self) -> int:
         """Current retransmission timeout, clamped to the configured range."""
-        if self._srtt_ns is None:
-            base = self._initial_rto_ns
-        else:
-            base = int(self._srtt_ns + max(4.0 * self._rttvar_ns, 1.0))
-        return max(self._min_rto_ns, min(base, self._max_rto_ns))
+        return self._rto_ns

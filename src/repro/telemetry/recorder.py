@@ -6,14 +6,18 @@ taps the observation points the substrate exposes:
 - ``sim.hooks`` flow-lifecycle channels (see :data:`FLOW_CHANNELS`),
 - :meth:`HostNIC.add_ingress_hook` / :meth:`HostNIC.add_egress_hook` per
   attached host,
-- :meth:`DropTailQueue.add_watcher` per attached queue.
+- :meth:`DropTailQueue.start_interval_peaks` per attached queue.
 
 Per attached host it accumulates, per fixed interval (default 1 ms, the
 Millisampler granularity), ingress bytes, egress bytes, distinct active
 flows, CE-marked ingress bytes, and retransmitted egress bytes. Per
-attached queue it records the peak occupancy each interval reached. All
-accumulation is sparse (interval-index dicts) during the run and densified
-into numpy arrays at :meth:`TelemetryRecorder.export` time.
+attached queue it reads the peak occupancy each interval reached, which
+the queue books itself at enqueue — no per-packet callback, so an
+observed queue is simulated exactly as an unobserved one (it keeps the
+switch's batched/composed drains). All accumulation is sparse
+(interval-index dicts, plain event tuples) during the run and densified
+into numpy arrays and :class:`FlowEvent` objects at
+:meth:`TelemetryRecorder.export` time.
 
 Every subscription is remembered so :meth:`TelemetryRecorder.detach` can
 restore the simulation to an unobserved state — tests rely on this to show
@@ -59,6 +63,7 @@ class FlowEvent:
     value: float = 0.0
 
     def to_dict(self) -> dict:
+        """JSON-ready form (one flat object per event)."""
         return {"time_ns": self.time_ns, "kind": self.kind,
                 "flow_id": self.flow_id, "host": self.host,
                 "value": self.value}
@@ -87,6 +92,7 @@ class HostSeries:
                "retransmit_bytes")
 
     def to_dict(self) -> dict:
+        """JSON-ready form: each signal as a list plus its total."""
         out: dict = {"address": self.address}
         for signal in self.SIGNALS:
             series = getattr(self, signal)
@@ -104,6 +110,7 @@ class QueueSeries:
     peak_packets: np.ndarray
 
     def to_dict(self) -> dict:
+        """JSON-ready form: the peak series plus its maximum."""
         return {"capacity_packets": self.capacity_packets,
                 "peak_packets": [int(v) for v in self.peak_packets],
                 "max_peak_packets": int(self.peak_packets.max())
@@ -141,23 +148,24 @@ class TelemetryCapture:
         ``flow.open`` event's value (the destination address) is remapped
         like any other address.
         """
-        def remap_event(event: FlowEvent) -> FlowEvent:
-            value = event.value
-            if event.kind == "open":
-                value = float(addr_map.get(int(value), int(value)))
-            return replace(event,
-                           flow_id=flow_map.get(event.flow_id,
-                                                event.flow_id),
-                           host=addr_map.get(event.host, event.host),
-                           value=value)
-
+        remap_addr = addr_map.get
+        remap_flow = flow_map.get
+        # FlowEvent(...) built directly, one expression per event: this
+        # runs for every lifecycle event of a run (dataclasses.replace
+        # costs a dozen calls each).
+        events = [
+            FlowEvent(e.time_ns, e.kind, remap_flow(e.flow_id, e.flow_id),
+                      remap_addr(e.host, e.host),
+                      e.value if e.kind != "open"
+                      else float(remap_addr(int(e.value), int(e.value))))
+            for e in self.events]
         return replace(
             self,
             hosts={name: replace(series,
-                                 address=addr_map.get(series.address,
-                                                      series.address))
+                                 address=remap_addr(series.address,
+                                                    series.address))
                    for name, series in self.hosts.items()},
-            events=[remap_event(e) for e in self.events],
+            events=events,
         )
 
     def to_dict(self, max_events: int = 200) -> dict:
@@ -194,25 +202,29 @@ class _HostAccum:
         self.hooks: list = []  # (unsubscribe-callable,) pairs, see detach
 
     def max_index(self) -> int:
+        """Latest interval any signal touched (``-1`` when none did)."""
         indices = [max(d) for d in (self.ingress, self.egress, self.marked,
                                     self.rtx, self.flows) if d]
         return max(indices) if indices else -1
 
 
 class _QueueAccum:
-    """Sparse per-interval peak occupancy for one queue."""
+    """Sparse per-interval peak occupancy for one queue: read from the
+    queue while it records, kept here once the recorder has detached."""
 
-    __slots__ = ("name", "capacity_packets", "peaks", "watcher", "queue")
+    __slots__ = ("name", "capacity_packets", "queue", "detached_peaks")
 
     def __init__(self, name: str, queue: DropTailQueue) -> None:
         self.name = name
         self.capacity_packets = queue.capacity_packets
-        self.peaks: dict[int, int] = {}
-        self.watcher = None
-        self.queue = queue
+        self.queue: Optional[DropTailQueue] = queue
+        self.detached_peaks: dict[int, int] = {}
 
-    def max_index(self) -> int:
-        return max(self.peaks) if self.peaks else -1
+    def peaks(self) -> dict[int, int]:
+        """Peak occupancy by interval index, as of now."""
+        if self.queue is not None:
+            return self.queue.interval_peaks()
+        return self.detached_peaks
 
 
 class TelemetryRecorder:
@@ -244,7 +256,8 @@ class TelemetryRecorder:
         self.event_cap = event_cap
         self._hosts: dict[str, _HostAccum] = {}
         self._queues: dict[str, _QueueAccum] = {}
-        self._events: list[FlowEvent] = []
+        # (time_ns, kind, flow_id, host, value): FlowEvent's field order.
+        self._events: list[tuple[int, str, int, int, float]] = []
         self._events_dropped = 0
         self._event_counts: dict[str, int] = {}
         self._flow_handlers: dict[str, object] = {}
@@ -257,11 +270,11 @@ class TelemetryRecorder:
         if self._attached:
             raise RuntimeError("recorder already attached")
         handlers = {
-            "flow.open": self._on_flow_open,
-            "flow.first_byte": self._on_flow_simple("first_byte"),
-            "flow.alpha": self._on_flow_valued("alpha"),
-            "flow.rto": self._on_flow_valued("rto"),
-            "flow.close": self._on_flow_simple("close"),
+            "flow.open": self._flow_handler("open"),
+            "flow.first_byte": self._flow_handler("first_byte", valued=False),
+            "flow.alpha": self._flow_handler("alpha"),
+            "flow.rto": self._flow_handler("rto"),
+            "flow.close": self._flow_handler("close", valued=False),
         }
         for channel, handler in handlers.items():
             self._sim.hooks.subscribe(channel, handler)
@@ -275,24 +288,35 @@ class TelemetryRecorder:
         if label in self._hosts:
             raise ValueError(f"host {label!r} already attached")
         accum = _HostAccum(label, host.address)
+        # These run once per packet: everything they touch is a local.
+        interval_ns = self.interval_ns
+        ingress, egress = accum.ingress, accum.egress
+        marked, rtx, flows = accum.marked, accum.rtx, accum.flows
+        ce = ECN.CE
 
         def on_ingress(packet: Packet, now: int) -> None:
-            idx = now // self.interval_ns
+            idx = now // interval_ns
             size = packet.size_bytes
-            accum.ingress[idx] = accum.ingress.get(idx, 0) + size
-            if packet.ecn == ECN.CE:
-                accum.marked[idx] = accum.marked.get(idx, 0) + size
+            ingress[idx] = ingress.get(idx, 0) + size
+            if packet.ecn == ce:
+                marked[idx] = marked.get(idx, 0) + size
             if packet.is_retransmit:
-                accum.rtx[idx] = accum.rtx.get(idx, 0) + size
-            accum.flows.setdefault(idx, set()).add(packet.flow_id)
+                rtx[idx] = rtx.get(idx, 0) + size
+            active = flows.get(idx)
+            if active is None:
+                active = flows[idx] = set()
+            active.add(packet.flow_id)
 
         def on_egress(packet: Packet, now: int) -> None:
-            idx = now // self.interval_ns
+            idx = now // interval_ns
             size = packet.size_bytes
-            accum.egress[idx] = accum.egress.get(idx, 0) + size
+            egress[idx] = egress.get(idx, 0) + size
             if packet.is_retransmit:
-                accum.rtx[idx] = accum.rtx.get(idx, 0) + size
-            accum.flows.setdefault(idx, set()).add(packet.flow_id)
+                rtx[idx] = rtx.get(idx, 0) + size
+            active = flows.get(idx)
+            if active is None:
+                active = flows[idx] = set()
+            active.add(packet.flow_id)
 
         host.nic.add_ingress_hook(on_ingress)
         host.nic.add_egress_hook(on_egress)
@@ -304,24 +328,14 @@ class TelemetryRecorder:
 
     def attach_queue(self, queue: DropTailQueue,
                      name: Optional[str] = None) -> None:
-        """Record per-interval peak occupancy of ``queue``."""
+        """Record per-interval peak occupancy of ``queue`` (the depth each
+        enqueue produced). Allowed at any time, traffic or not: the queue
+        books the peaks itself, whichever way its port drains it."""
         label = name or queue.name
         if label in self._queues:
             raise ValueError(f"queue {label!r} already attached")
-        accum = _QueueAccum(label, queue)
-
-        def on_queue_event(event: str, q: DropTailQueue,
-                           packet: Packet) -> None:
-            if event != "enqueue":
-                return
-            idx = self._sim.now // self.interval_ns
-            depth = q.len_packets
-            if depth > accum.peaks.get(idx, 0):
-                accum.peaks[idx] = depth
-
-        queue.add_watcher(on_queue_event)
-        accum.watcher = on_queue_event
-        self._queues[label] = accum
+        queue.start_interval_peaks(self._sim, self.interval_ns)
+        self._queues[label] = _QueueAccum(label, queue)
 
     def detach(self) -> None:
         """Remove every subscription this recorder installed.
@@ -339,36 +353,31 @@ class TelemetryRecorder:
                 undo()
             accum.hooks = []
         for qaccum in self._queues.values():
-            if qaccum.watcher is not None:
-                qaccum.queue.remove_watcher(qaccum.watcher)
-                qaccum.watcher = None
+            if qaccum.queue is not None:
+                qaccum.detached_peaks = qaccum.queue.stop_interval_peaks()
+                qaccum.queue = None
 
     # --- flow lifecycle handlers -----------------------------------------
 
-    def _record_event(self, event: FlowEvent) -> None:
-        self._event_counts[event.kind] = \
-            self._event_counts.get(event.kind, 0) + 1
-        if len(self._events) < self.event_cap:
-            self._events.append(event)
-        else:
-            self._events_dropped += 1
+    def _flow_handler(self, kind: str, valued: bool = True):
+        """The subscriber for one lifecycle channel. Valued channels emit
+        ``(flow_id, host, value, t_ns)`` (``flow.open``'s value is the
+        destination address), the others ``(flow_id, host, t_ns)``. One
+        call per event: ``flow.alpha`` fires on most ACKs."""
+        counts = self._event_counts
+        events = self._events
 
-    def _on_flow_open(self, flow_id: int, src: int, dst: int,
-                      t_ns: int) -> None:
-        self._record_event(FlowEvent(t_ns, "open", flow_id, src,
-                                     value=float(dst)))
+        def record(flow_id: int, host: int, value: float,
+                   t_ns: int) -> None:
+            counts[kind] = counts.get(kind, 0) + 1
+            if len(events) < self.event_cap:
+                events.append((t_ns, kind, flow_id, host, float(value)))
+            else:
+                self._events_dropped += 1
 
-    def _on_flow_simple(self, kind: str):
-        def handler(flow_id: int, host: int, t_ns: int) -> None:
-            self._record_event(FlowEvent(t_ns, kind, flow_id, host))
-        return handler
-
-    def _on_flow_valued(self, kind: str):
-        def handler(flow_id: int, host: int, value: float,
-                    t_ns: int) -> None:
-            self._record_event(FlowEvent(t_ns, kind, flow_id, host,
-                                         value=float(value)))
-        return handler
+        if valued:
+            return record
+        return lambda flow_id, host, t_ns: record(flow_id, host, 0.0, t_ns)
 
     # --- export -----------------------------------------------------------
 
@@ -379,11 +388,13 @@ class TelemetryRecorder:
         touched, across all hosts and queues), so per-host arrays line up
         index-for-index.
         """
+        queue_peaks = {label: qaccum.peaks()
+                       for label, qaccum in self._queues.items()}
         max_idx = -1
         for accum in self._hosts.values():
             max_idx = max(max_idx, accum.max_index())
-        for qaccum in self._queues.values():
-            max_idx = max(max_idx, qaccum.max_index())
+        for peaks in queue_peaks.values():
+            max_idx = max(max_idx, max(peaks, default=-1))
         n = max_idx + 1
 
         def densify(sparse: dict[int, int]) -> np.ndarray:
@@ -407,7 +418,7 @@ class TelemetryRecorder:
         queues = {
             label: QueueSeries(name=label,
                                capacity_packets=qaccum.capacity_packets,
-                               peak_packets=densify(qaccum.peaks))
+                               peak_packets=densify(queue_peaks[label]))
             for label, qaccum in self._queues.items()
         }
         return TelemetryCapture(
@@ -415,7 +426,7 @@ class TelemetryRecorder:
             n_intervals=n,
             hosts=hosts,
             queues=queues,
-            events=list(self._events),
+            events=[FlowEvent(*event) for event in self._events],
             events_dropped=self._events_dropped,
             event_counts=dict(self._event_counts),
         )

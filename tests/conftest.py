@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import units
 from repro.measurement.records import HostTrace, TraceMeta
@@ -12,6 +13,11 @@ from repro.simcore.kernel import Simulator
 from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import TcpReceiver, TcpSender, open_connection
+
+# A raised example budget for property tests that leave ``max_examples``
+# unset; CI selects it with ``--hypothesis-profile=thorough`` for the
+# egress differential module.
+settings.register_profile("thorough", max_examples=1500, deadline=None)
 
 
 @pytest.fixture

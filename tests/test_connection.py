@@ -135,6 +135,31 @@ class TestRto:
         assert sender.current_rto_ns() == min(4 * base,
                                               sender.config.max_rto_ns)
 
+    def test_timer_decided_once_per_ack_not_churned(self, sim):
+        """Stop-and-wait (a 1-MSS advertised window): every ACK empties the
+        pipe and the next segment leaves in the same event. The timer is
+        decided once, after the window is refilled — a lazy deadline move,
+        not a cancel plus a fresh heap entry per ACK — and it still carries
+        the deadline the last ACK set, and is disarmed at the end."""
+        net = mini_dumbbell(sim, n_senders=1)
+        cfg = TcpConfig(receiver_window_bytes=1460)
+        sender, receiver = open_connection(sim, cfg, Dctcp(cfg),
+                                           net.senders[0], net.receiver)
+        pushes = []
+        schedule = sim.schedule
+        sim.schedule = lambda *args: pushes.append(args) or schedule(*args)
+        sender.send(50 * 1460)
+        sim.run(until_ns=units.usec(400))  # mid-transfer
+        assert 0 < sender.snd_una < 50 * 1460 and sender.inflight_bytes > 0
+        assert sender._timer.armed
+        assert sender._timer.expiry_ns > sim.now + sender.current_rto_ns() \
+            - units.usec(100)
+        sim.run(until_ns=units.msec(100))
+        assert receiver.delivered_bytes == 50 * 1460
+        assert sender.stats.acks_received == 50
+        assert not sender._timer.armed and sim.pending_events == 0
+        assert len(pushes) == 1  # the first arm; was one per ACK
+
 
 class TestIdleRestart:
     def test_cwnd_reset_after_idle_when_enabled(self, sim):

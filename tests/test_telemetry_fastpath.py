@@ -1,0 +1,198 @@
+"""Telemetry rides the fast path: observing a queue's per-interval peaks
+must not change how the queue is simulated, and must read the same
+numbers whichever drain implementation serves it."""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+from pathlib import Path
+
+import pytest
+
+from repro import units
+from repro.experiments.environment import IncastSimConfig, run_incast_sim
+from repro.netsim import switch as switch_module
+from repro.netsim.packet import Packet, data_packet
+from repro.netsim.queues import DropTailQueue
+from repro.netsim.topology import DumbbellConfig
+from repro.simcore.kernel import Simulator
+from repro.telemetry import TelemetryRecorder
+
+from tests.conftest import mini_dumbbell
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def all_ports(net):
+    return net.tor_senders.ports + net.tor_receiver.ports
+
+
+class TestCaptureIdentity:
+    @pytest.mark.parametrize("n_flows", [100, 1000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_capture_equal_on_fast_path_and_legacy_pump(self, monkeypatch,
+                                                        n_flows, seed):
+        cfg = IncastSimConfig(n_flows=n_flows, n_bursts=1, seed=seed,
+                              telemetry=True)
+        fast = run_incast_sim(cfg)
+        # A telemetered run keeps every port on the closed-form drains.
+        assert all(port._composed for port in all_ports(fast.network))
+        monkeypatch.setattr(switch_module, "BATCHED_EGRESS_ENABLED", False)
+        legacy = run_incast_sim(cfg)
+        assert not any(port._composed or port._batched
+                       for port in all_ports(legacy.network))
+        assert (fast.telemetry.to_dict(max_events=10**9)
+                == legacy.telemetry.to_dict(max_events=10**9))
+        assert fast.burst_results == legacy.burst_results
+
+    def test_telemetry_leaves_burst_results_unchanged(self):
+        cfg = IncastSimConfig(n_flows=100, n_bursts=1, seed=0)
+        plain = run_incast_sim(cfg)
+        observed = run_incast_sim(dataclasses.replace(cfg, telemetry=True))
+        assert observed.burst_results == plain.burst_results
+        assert (observed.network.sim.events_processed
+                == plain.network.sim.events_processed)
+
+
+class TestLegacyPortsStillRecordPeaks:
+    """A port that is legitimately on the per-packet pump books its peaks
+    in ``DropTailQueue.offer``."""
+
+    SMALL = dict(n_flows=30, burst_duration_ns=units.msec(2.0), n_bursts=2,
+                 inter_burst_gap_ns=units.msec(1.0), seed=5, telemetry=True)
+
+    def check(self, result, on_legacy_pump: bool) -> None:
+        port = result.network.tor_receiver.ports[-1]
+        assert port.queue is result.network.bottleneck_queue
+        if on_legacy_pump:
+            assert port._batched is False and not port._composed
+        peaks = result.telemetry.queues["torB->receiver"].peak_packets
+        # The workload resets the watermark at each burst start and every
+        # enqueue falls inside a burst, so the two views must agree.
+        assert int(peaks.max()) == max(b.peak_queue_packets
+                                       for b in result.burst_results) > 0
+
+    def test_queue_with_a_buffer_pool(self):
+        self.check(run_incast_sim(IncastSimConfig(
+            dumbbell=DumbbellConfig(shared_buffer_bytes=2_000_000),
+            **self.SMALL)), on_legacy_pump=True)
+
+    @pytest.mark.parametrize("scheme", ["pulser", "detect"])
+    def test_scheme_with_telemetry(self, scheme):
+        # pulser's degree estimator is a watcher on the bottleneck queue.
+        self.check(run_incast_sim(IncastSimConfig(scheme=scheme,
+                                                  **self.SMALL)),
+                   on_legacy_pump=scheme == "pulser")
+
+
+class TestAttachDetach:
+    def send_one(self, net, seq: int) -> None:
+        sender = net.senders[0]
+        sender.nic.send(data_packet(0, sender.address, net.receiver.address,
+                                    seq, 1000))
+
+    def test_attach_after_first_traffic(self):
+        sim = Simulator()
+        net = mini_dumbbell(sim, n_senders=1)
+        self.send_one(net, 0)
+        sim.run(until_ns=units.msec(2.0))
+        assert net.bottleneck_queue.stats.enqueued_packets == 1
+        recorder = TelemetryRecorder(sim)
+        recorder.attach_queue(net.bottleneck_queue)  # used to raise
+        self.send_one(net, 1000)
+        sim.run(until_ns=units.msec(4.0))
+        peaks = recorder.export().queues["torB->receiver"].peak_packets
+        # Only the packet sent after attaching is recorded (interval 2).
+        assert [int(v) for v in peaks] == [0, 0, 1]
+
+    def test_detach_leaves_no_residue_and_stops_recording(self):
+        sim = Simulator()
+        net = mini_dumbbell(sim, n_senders=1)
+        queue, nic = net.bottleneck_queue, net.receiver.nic
+        recorder = TelemetryRecorder(sim)
+        recorder.attach()
+        recorder.attach_host(net.receiver)
+        recorder.attach_queue(queue)
+        self.send_one(net, 0)
+        sim.run(until_ns=units.msec(1.0))
+        recorder.detach()
+        assert sim.hooks.n_subscriptions == 0
+        assert not nic._ingress_hooks and not nic._egress_hooks
+        assert not queue._watchers and not queue._peak_interval_ns
+        assert queue._peaks == {} and queue._peak_clock is None
+        before = recorder.export().to_dict()
+        self.send_one(net, 1000)
+        sim.run(until_ns=units.msec(2.0))
+        assert queue.stats.enqueued_packets == 2
+        assert queue.interval_peaks() == {}
+        assert recorder.export().to_dict() == before
+        assert before["queues"]["torB->receiver"]["peak_packets"] == [1]
+        # The queue can be observed again afterwards.
+        TelemetryRecorder(sim).attach_queue(queue)
+
+    def test_one_interval_at_a_time(self):
+        sim = Simulator()
+        queue = mini_dumbbell(sim, n_senders=1).bottleneck_queue
+        queue.start_interval_peaks(sim, units.msec(1.0))
+        with pytest.raises(RuntimeError):
+            queue.start_interval_peaks(sim, units.usec(1.0))
+        with pytest.raises(ValueError):
+            DropTailQueue().start_interval_peaks(sim, 0)
+
+
+class TestRetention:
+    """Composed ports and the virtual NIC fold their bookkeeping as they
+    go: what they hold is proportional to the packets in flight, not to
+    the packets ever sent, and never a ``Packet``."""
+
+    @staticmethod
+    def backlogs(net) -> list:
+        held = []
+        for port in all_ports(net):
+            held += [port._varrivals, port._vdrains, port._vfuture,
+                     port._drains, port.queue._fifo]
+        for host in net.senders + [net.receiver]:
+            held += [host.nic._vrecords, host.nic._egress_fifo]
+        return held
+
+    def test_pending_records_do_not_grow_with_bursts(self):
+        pending = {}
+        for n_bursts in (1, 3):
+            net = run_incast_sim(IncastSimConfig(
+                n_flows=100, n_bursts=n_bursts, seed=0)).network
+            held = self.backlogs(net)
+            pending[n_bursts] = sum(len(backlog) for backlog in held)
+            for backlog in held:
+                for record in backlog:
+                    fields = record if isinstance(record, tuple) \
+                        else (record,)
+                    assert not any(isinstance(f, Packet) for f in fields)
+        # At the parent commit: 38,837 after one burst, 116,203 after
+        # three. Now a per-port fold slack, whatever the run length.
+        assert pending[1] < 10_000
+        assert pending[3] < 1.5 * pending[1] + 1_000
+
+
+class TestCaptureCompatibility:
+    def test_capture_pickled_at_parent_commit_unpickles_equal(self):
+        """``telemetry_capture_80ac27c.pkl`` is ``pickle.dumps(capture,
+        protocol=4)`` of this configuration's capture, written by commit
+        80ac27c (recorder with a queue watcher, ``dataclasses.replace``
+        per event): captures sit in result caches, so class, field set
+        and pickle layout must not move."""
+        blob = (FIXTURES / "telemetry_capture_80ac27c.pkl").read_bytes()
+        old = pickle.loads(blob)
+        new = run_incast_sim(IncastSimConfig(
+            n_flows=8, burst_duration_ns=units.msec(2.0), n_bursts=2,
+            inter_burst_gap_ns=units.msec(1.0), seed=3,
+            telemetry=True)).telemetry
+        assert type(old) is type(new)
+        assert old.events == new.events and len(new.events) == 376
+        assert (old.to_dict(max_events=10**9)
+                == new.to_dict(max_events=10**9))
+        assert [f.name for f in dataclasses.fields(old.events[0])] == \
+            ["time_ns", "kind", "flow_id", "host", "value"]
+        # Re-pickling the old capture with today's numpy and pickling the
+        # new one give the same bytes: same classes, fields, sharing.
+        assert pickle.dumps(old, protocol=4) == pickle.dumps(new, protocol=4)
