@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro import units
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
@@ -91,11 +93,14 @@ class FctDigest:
         unfinished: Flows the horizon truncated.
         cdfs: ``{"mice": cdf, "elephants": cdf}`` of FCTs in
             milliseconds, absent classes excluded.
+        mouse_max_bytes: The classification threshold behind the split
+            (carried so pooling can refuse to mix thresholds).
     """
 
     n_flows: int
     unfinished: int
     cdfs: dict[str, EmpiricalCdf]
+    mouse_max_bytes: int = DEFAULT_MOUSE_MAX_BYTES
 
     def summary(self) -> dict:
         """Scalar digest for JSON export and golden fixtures."""
@@ -145,7 +150,7 @@ class FctSet:
         """Split and convert once; share the result between every reader
         of this set (a sweep point feeds a table row and an export)."""
         return FctDigest(len(self.records), self.unfinished,
-                         self.split_cdfs())
+                         self.split_cdfs(), self.mouse_max_bytes)
 
     def summary(self) -> dict:
         """Scalar digest for JSON export and golden fixtures."""
@@ -223,6 +228,16 @@ def extract_fcts(events: Iterable, *,
                   mouse_max_bytes=mouse_max_bytes)
 
 
+def _common_threshold(entries: Sequence[Union[FctSet, FctDigest]]) -> int:
+    """The one mouse threshold every entry was classified with; mixing
+    thresholds would pool different populations under one class name."""
+    thresholds = {entry.mouse_max_bytes for entry in entries}
+    if len(thresholds) > 1:
+        raise ValueError(f"cannot merge FCT sets classified with different "
+                         f"mouse thresholds: {sorted(thresholds)}")
+    return thresholds.pop()
+
+
 def merge_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     """Combine per-unit FCT sets into one (associative, order-canonical).
 
@@ -242,10 +257,7 @@ def merge_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     """
     if not sets:
         return FctSet()
-    thresholds = {s.mouse_max_bytes for s in sets}
-    if len(thresholds) > 1:
-        raise ValueError(f"cannot merge FCT sets classified with different "
-                         f"mouse thresholds: {sorted(thresholds)}")
+    threshold = _common_threshold(sets)
     merged = [record for s in sets for record in s.records]
     seen: set[tuple[int, int]] = set()
     for record in merged:
@@ -261,7 +273,7 @@ def merge_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     merged.sort(key=lambda r: (r.open_ns, r.flow_id))
     return FctSet(records=tuple(merged),
                   unfinished=sum(s.unfinished for s in sets),
-                  mouse_max_bytes=thresholds.pop())
+                  mouse_max_bytes=threshold)
 
 
 def pool_fct_sets(sets: Sequence[FctSet]) -> FctSet:
@@ -291,6 +303,28 @@ def pool_fct_sets(sets: Sequence[FctSet]) -> FctSet:
         disjoint.append(FctSet(records=records, unfinished=s.unfinished,
                                mouse_max_bytes=s.mouse_max_bytes))
     return merge_fct_sets(disjoint)
+
+
+def pool_fct_digests(digests: Sequence[FctDigest]) -> FctDigest:
+    """``pool_fct_sets(sets).digest()`` from the sets' digests alone.
+
+    A pooled CDF reads FCTs, never flow identities, so pooling needs no
+    records: per class the digests' sorted samples concatenate into one
+    :class:`EmpiricalCdf`, which sorts them and takes its mean over the
+    sorted array — the same array, hence the same percentiles and mean to
+    the bit, as re-materialising and renumbering every flow record would
+    give. Counts add.
+    """
+    if not digests:
+        return FctDigest(0, 0, {})
+    threshold = _common_threshold(digests)
+    cdfs = {}
+    for key in ("mice", "elephants"):
+        samples = [d.cdfs[key].values for d in digests if key in d.cdfs]
+        if samples:
+            cdfs[key] = EmpiricalCdf(np.concatenate(samples), name=key)
+    return FctDigest(sum(d.n_flows for d in digests),
+                     sum(d.unfinished for d in digests), cdfs, threshold)
 
 
 def format_fct_table(rows: Mapping[str, Union[FctSet, FctDigest]],

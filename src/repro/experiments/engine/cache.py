@@ -400,24 +400,24 @@ class ResultCache:
             if not self._evict_for(len(blob)):
                 return False
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            try:
+                with open(tmp, "wb") as handle:
+                    handle.write(blob)
+                os.replace(tmp, path)
+            except BaseException:
+                # The temp name is still ours only when the replace did
+                # not happen. Single unlink, racing cleanly with a
+                # concurrent sweep_stale() from another run: the file
+                # being gone already is success, not an error.
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
+                raise
             return True
         except OSError as exc:
             self._note_put_failure(exc)
             return False
-        finally:
-            # Single unlink, racing cleanly with a concurrent
-            # sweep_stale() from another run: the file being gone already
-            # is success, not an error (the old exists()-then-unlink()
-            # pair could trip on exactly that race).
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                pass
-            except OSError:
-                pass
 
     def put(self, key: str, payload: Any) -> bool:
         """Store ``payload`` under ``key``; returns whether it persisted

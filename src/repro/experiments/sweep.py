@@ -41,7 +41,7 @@ from typing import Union
 
 import yaml
 
-from repro.analysis.fct import format_fct_table, pool_fct_sets
+from repro.analysis.fct import format_fct_table, pool_fct_digests
 from repro.analysis.tables import format_table, render_cdf_table
 from repro.experiments.engine import run_experiments
 from repro.experiments.engine.spec import WorkUnit
@@ -267,10 +267,10 @@ def merge(spec: SweepSpec, work: list[WorkUnit],
         ["point", "max qlen (pkts)", "marked", "dropped"], queue_rows,
         title="Bottleneck (receiver downlink) queue occupancy"))
 
-    # Grid points re-simulate the same deterministic flow plan, so their
-    # records collide on (flow_id, open_ns) by design — pool (renumber
-    # then merge) rather than merge, whose double-count guard would trip.
-    merged = pool_fct_sets([p.fcts for p in payloads]).digest()
+    # Grid points re-simulate the same deterministic flow plan: they are
+    # independent samples to pool, and the per-point digests already hold
+    # every sample sorted, so no flow record is touched again.
+    merged = pool_fct_digests(list(digests.values()))
     if merged.cdfs:
         result.add_section(render_cdf_table(
             merged.cdfs, percentiles=(25.0, 50.0, 75.0, 90.0, 99.0),

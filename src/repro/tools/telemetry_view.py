@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.analysis.ascii_plot import line_plot, sparkline
+from repro.analysis.export import write_json
 
 HOST_SIGNALS = ("ingress_bytes", "egress_bytes", "flow_count",
                 "marked_bytes", "retransmit_bytes")
@@ -132,8 +133,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         telemetry = {args.unit: telemetry[args.unit]}
 
     if args.dump_json is not None:
-        with open(args.dump_json, "w", encoding="utf-8") as handle:
-            json.dump(telemetry, handle, indent=2)
+        write_json(telemetry, Path(args.dump_json))
         print(f"[wrote {args.dump_json}]")
     if args.dump_csv is not None:
         rows = dump_csv(telemetry, Path(args.dump_csv))

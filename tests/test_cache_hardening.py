@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.engine import FaultSpec, ResultCache, run_experiments
+from repro.experiments.engine import cache as cache_module
 from repro.experiments.engine.cache import _FOOTER_LEN
 
 SCALE = 0.05
@@ -190,6 +191,46 @@ class TestSpillFileCleanup:
         monkeypatch.setattr(os, "replace", replace_then_sweep)
         assert cache.put(KEY, {"x": 1}) is True
         assert cache.get(KEY) == {"x": 1}
+
+    @pytest.fixture
+    def unlinks(self, monkeypatch) -> list:
+        """Every ``Path.unlink`` call, recorded and passed through."""
+        calls: list = []
+        real_unlink = Path.unlink
+
+        def counting_unlink(self, *args, **kwargs):
+            calls.append(self.name)
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", counting_unlink)
+        return calls
+
+    def test_a_stored_unit_costs_no_unlink(self, tmp_path: Path, unlinks):
+        """After a successful ``os.replace`` the temp name no longer
+        exists; unlinking it anyway was one doomed syscall and one
+        swallowed ``FileNotFoundError`` per stored unit."""
+        cache = make_cache(tmp_path)
+        assert cache.put(KEY, {"x": 1}) is True
+        assert unlinks == []
+
+    @pytest.mark.parametrize("failing", ["open", "replace"])
+    def test_a_failed_put_still_removes_its_temp(
+            self, failing, tmp_path: Path, monkeypatch, unlinks):
+        def full_disk(*_args, **_kwargs):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        cache = make_cache(tmp_path)
+        if failing == "open":      # shadow the builtin in that module only
+            monkeypatch.setattr(cache_module, "open", full_disk,
+                                raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.warns(RuntimeWarning, match="cache degraded"):
+            assert cache.put(KEY, {"x": 1}) is False
+        assert cache.put_errors == 1
+        assert len(unlinks) == 1 and unlinks[0].endswith(".tmp")
+        assert not list((tmp_path / "cache").rglob(".*.tmp"))
+        assert cache.get(KEY) is None
 
 
 class TestQuota:

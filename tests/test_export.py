@@ -1,5 +1,6 @@
 """Tests for JSON export of experiment results."""
 
+import enum
 import io
 import json
 import os
@@ -7,9 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.analysis import export
-from repro.analysis.export import (jsonable, result_to_dict, write_result,
+from repro.analysis.export import (jsonable, pretty_json, result_to_dict,
+                                   write_json, write_result,
                                    write_run_report)
 from repro.experiments.result import ExperimentResult
 
@@ -31,6 +35,10 @@ class TestJsonable:
 
     def test_small_array(self):
         assert jsonable(np.asarray([1, 2, 3])) == [1, 2, 3]
+
+    def test_zero_dimensional_array_is_its_scalar(self):
+        assert jsonable(np.asarray(2.5)) == 2.5
+        assert jsonable(np.asarray(float("nan"))) is None
 
     def test_float_array_with_nan(self):
         out = jsonable(np.asarray([1.0, float("nan")]))
@@ -80,6 +88,22 @@ class TestWriteResult:
         assert set(doc) == {"name", "description", "sections", "data"}
 
 
+class Colour(enum.IntEnum):
+    """``jsonable`` hands an int subclass back as it is."""
+    RED = 1
+
+
+class Exportable:
+    """Anything with ``export_dict()`` exports that, normalised."""
+
+    def export_dict(self):
+        return {"mean": np.float64(1.5), 3: (np.int64(1), float("nan"))}
+
+
+class Opaque:
+    """No JSON form at all: exports as ``"<Opaque>"``."""
+
+
 def streamed_bytes(result) -> bytes:
     """The export as it was written before it was built in memory first:
     ``json.dump`` streaming chunk by chunk into the open file."""
@@ -93,7 +117,9 @@ def awkward_result() -> ExperimentResult:
     """Everything the export has to sanitise, in one result."""
     result = ExperimentResult("awkward", "naïve — 突发 µs")
     result.add_section("table ✓")
-    result.sections.append(object())            # reaches json's default=
+    # The header is encoded as it stands, never normalised: an opaque
+    # object and a numpy int print placeholders, np.float64 is a float.
+    result.sections += [object(), np.int64(3), np.float64(1.5), ("a", 1)]
     result.data = {
         "nan": float("nan"), "np_nan": np.float64("nan"),
         "np_scalars": [np.int64(3), np.float32(0.5), np.bool_(False)],
@@ -102,6 +128,9 @@ def awkward_result() -> ExperimentResult:
         "nested": ((1, (2.0, "x")), [(), {"k": (None,)}]),
         "opaque": object(),
         7: "non-string key",
+        "enum": Colour.RED, "cdf": Exportable(),
+        "inner": ExperimentResult("inner", "nested", [object()],
+                                  {"x": np.float32(0.25), 2: (1,)}),
     }
     return result
 
@@ -123,9 +152,152 @@ class TestExportBytes:
     def test_unsanitised_nan_still_raises(self, tmp_path):
         result = ExperimentResult("bad", "")
         result.sections.append(float("nan"))    # bypasses jsonable()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"nan at sections\[0\]"):
             write_result(result, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_the_literal_text_of_a_small_document(self):
+        """The rules with no oracle in between: bool before int, tuples
+        as lists, ``str(key)`` keys, ``ensure_ascii`` escapes, ``{}`` and
+        ``[]`` for empties, NaN as null."""
+        document = {"flag": True, "n": 1, True: (1.5, None), None: {},
+                    "text": "\u00fc\u2028\x01\"\\", "empty": [[], ()],
+                    "nan": float("nan")}
+        assert pretty_json(document) == """{
+  "flag": true,
+  "n": 1,
+  "True": [
+    1.5,
+    null
+  ],
+  "None": {},
+  "text": "\\u00fc\\u2028\\u0001\\"\\\\",
+  "empty": [
+    [],
+    []
+  ],
+  "nan": null
+}"""
+
+    def test_keys_that_collide_as_text_keep_the_last_value(self):
+        document = {"a": 0, 1: "int", "1": "str", "z": {2.0: 1, "2.0": 2}}
+        assert pretty_json(document) \
+            == json.dumps(jsonable(document), indent=2)
+        assert json.loads(pretty_json(document))["1"] == "str"
+
+    def test_an_int_enum_does_not_recurse_forever(self):
+        assert pretty_json([Colour.RED, {"k": Colour.RED}]) \
+            == json.dumps([1, {"k": 1}], indent=2)
+
+
+class TestNonFiniteValuesNameTheirLocation:
+    """JSON has no infinity, and a NaN outside ``data`` is a rendering
+    bug: both stay ``ValueError`` s that leave no file, and the message
+    says where in the document the value sits."""
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       np.float64("inf"), np.float32("-inf")])
+    def test_infinity_in_data_raises_with_its_path(self, value, tmp_path):
+        result = ExperimentResult("grid", "")
+        result.data = {"points": {
+            "ecn_threshold_packets=8,n_mice=16": {
+                "fct": {"mice_fct_ms": {"mean": value}}}}}
+        with pytest.raises(ValueError) as excinfo:
+            write_result(result, tmp_path)
+        assert ('data.points["ecn_threshold_packets=8,n_mice=16"]'
+                '.fct.mice_fct_ms.mean') in str(excinfo.value)
+        assert "inf" in str(excinfo.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_list_indices_and_nested_results_are_part_of_the_path(self):
+        inner = ExperimentResult(
+            "inner", "", [], {"rows": [[1.0], (2.0, float("inf"))]})
+        with pytest.raises(
+                ValueError,
+                match=r"at \[1\]\.inner\.data\.rows\[1\]\[1\]$"):
+            pretty_json([0, {"inner": inner}])
+
+    def test_a_bare_infinity_is_at_the_document_root(self):
+        with pytest.raises(ValueError, match="document root"):
+            pretty_json(float("inf"))
+
+    def test_run_report_and_plain_documents_too(self, tmp_path):
+        class Report:
+            def to_dict(self):
+                return {"units": [{"wall_s": float("-inf")}]}
+        with pytest.raises(ValueError, match=r"-inf at units\[0\]\.wall_s"):
+            write_run_report(Report(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+# --- the writer against the two-step path it replaced -----------------------
+
+BIG_ARRAY = np.zeros(export._MAX_ARRAY_EXPORT + 1)
+
+json_floats = (st.floats(allow_nan=True, allow_infinity=False)
+               | st.sampled_from([-0.0, 1e16, 1e-7, 5e-324,
+                                  2.2250738585072014e-308, float("nan")]))
+json_text = st.text() | st.sampled_from(
+    ["", "na\u00efve \u7a81\u53d1 \u00b5s", "\"quoted\" \\ back",
+     "\x00\x1f\x7f\u2028\u2029", "\U0001f600"])
+plain_leaves = (st.none() | st.booleans() | json_floats | json_text
+                | st.integers(-2**70, 2**70))
+numpy_leaves = st.sampled_from([
+    np.int64(-3), np.uint8(7), np.float32(0.5), np.float64(2.5),
+    np.float64("nan"), np.bool_(True), np.asarray(7.0), np.asarray(3),
+    np.asarray([1.0, float("nan"), -0.0]), np.arange(6).reshape(2, 3),
+    np.asarray([], dtype=np.float64), np.asarray([True, False]), BIG_ARRAY])
+object_leaves = st.sampled_from([
+    Colour.RED, Exportable(), Opaque(), object(),
+    ExperimentResult("inner", "nested", ["a table"],
+                     {"x": np.float32(0.25), 2: (1,), "deep": Exportable()})])
+json_keys = json_text | st.integers(-5, 5) | st.booleans() | st.none() \
+    | st.sampled_from([1.5, Colour.RED])
+
+
+def containers(children):
+    """Lists, tuples and dicts (empty ones included) of ``children``."""
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(json_keys, children, max_size=4))
+
+
+documents = st.recursive(plain_leaves | numpy_leaves | object_leaves,
+                         containers, max_leaves=25)
+
+
+def nest(leaf, depth):
+    """``leaf`` under ``depth`` alternating dict/list/tuple levels."""
+    for level in range(depth):
+        leaf = [{"k": leaf}, [leaf, {}], (leaf, [])][level % 3]
+    return leaf
+
+
+class TestWriterMatchesNormaliseThenDump:
+    """The single-walk writer is an optimisation, not a format: for any
+    document it must print what ``jsonable()`` followed by the stdlib's
+    ``json.dumps(indent=2, allow_nan=False)`` printed, byte for byte."""
+
+    @given(documents)
+    @example(nest(np.float64("nan"), 6))
+    @example(nest({}, 6))
+    @example(nest(Exportable(), 7))
+    @example({0: "int", "0": "str", False: [], None: ()})
+    def test_any_document(self, document):
+        assert pretty_json(document) == json.dumps(
+            jsonable(document), indent=2, allow_nan=False)
+
+    @given(data=st.dictionaries(json_keys, documents, max_size=4),
+           description=json_text,
+           sections=st.lists(json_text | st.sampled_from(
+               [object(), np.int64(3), np.float64(1.5), 2.5, 7, None,
+                ("cell", 1), ["row"], Colour.RED]), max_size=4))
+    def test_any_result_matches_the_streamed_export(
+            self, data, description, sections, tmp_path_factory):
+        result = ExperimentResult("drawn", description, sections, data)
+        directory = tmp_path_factory.mktemp("drawn")
+        assert write_result(result, directory).read_bytes() \
+            == streamed_bytes(result)
 
 
 class _Report:
@@ -133,23 +305,41 @@ class _Report:
         return {"n_units": 2, "wall_s": np.float64(0.5)}
 
 
+def dump_telemetry(directory):
+    """``telemetry_view --dump-json`` into ``directory`` (its input, a
+    run report with a telemetry section, lives beside the directory)."""
+    from repro.tools.telemetry_view import main
+    source = directory.with_name(directory.name + "-run_report.json")
+    source.write_text(json.dumps({"telemetry": TELEMETRY}))
+    return main([str(source), "--dump-json",
+                 str(directory / "telemetry.json")])
+
+
+TELEMETRY = {"fig5/panel:mode1": {
+    "interval_ns": 1_000_000, "hosts": {"receiver": {
+        "ingress_bytes": [0, 1500, 125000], "flow_count": []}},
+    "queues": {"torB->receiver": {"peak_packets": [0.0, 12.5]}},
+    "label": "\u00b5s \u2014 burst"}}
+
+
 class TestExportIsAllOrNothing:
     """A crash mid-export must not leave a truncated, unparseable JSON
     where a reader (or a resumed campaign) expects a whole one."""
 
     @pytest.fixture
-    def failing_dumps(self, monkeypatch):
+    def failing_encoder(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("killed mid-export")
-        # Swap the module's own reference, not the process-wide json.
-        monkeypatch.setattr(export, "json", SimpleNamespace(dumps=boom))
+        # write_json's one serialiser, looked up in its module at call time.
+        monkeypatch.setattr(export, "pretty_json", boom)
 
     @pytest.mark.parametrize("write, name", [
         (lambda d: write_result(ExperimentResult("fig_x", ""), d),
          "fig_x.json"),
-        (lambda d: write_run_report(_Report(), d), "run_report.json")])
+        (lambda d: write_run_report(_Report(), d), "run_report.json"),
+        (dump_telemetry, "telemetry.json")])
     def test_failed_export_leaves_nothing_and_clobbers_nothing(
-            self, write, name, tmp_path, failing_dumps):
+            self, write, name, tmp_path, failing_encoder):
         with pytest.raises(RuntimeError):
             write(tmp_path)
         assert list(tmp_path.iterdir()) == []    # no file, no temp file
@@ -168,6 +358,22 @@ class TestExportIsAllOrNothing:
         with pytest.raises(OSError):
             write_result(ExperimentResult("fig_x", ""), tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_telemetry_dump_bytes_are_the_stdlib_streams(self, tmp_path):
+        """What ``json.dump(telemetry, handle, indent=2)`` wrote."""
+        assert dump_telemetry(tmp_path) == 0
+        assert (tmp_path / "telemetry.json").read_text(encoding="utf-8") \
+            == json.dumps(TELEMETRY, indent=2)
+
+    def test_a_successful_export_never_unlinks(self, tmp_path, monkeypatch):
+        """After ``os.replace`` the temp name is gone; unlinking it anyway
+        was a doomed syscall and a swallowed ``FileNotFoundError``."""
+        calls = []
+        monkeypatch.setattr(export.Path, "unlink",
+                            lambda self, **kwargs: calls.append(self))
+        write_json({"k": 1}, tmp_path / "doc.json")
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
     def test_successful_export_replaces_and_leaves_no_temp(self, tmp_path):
         (tmp_path / "run_report.json").write_text("previous export")

@@ -13,11 +13,14 @@ import math
 import pickle
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, ELEPHANT, MOUSE,
-                                FctSet, FlowFct, extract_fcts,
+                                FctDigest, FctSet, FlowFct, extract_fcts,
                                 format_fct_table, merge_fct_sets,
-                                pool_fct_sets)
+                                pool_fct_digests, pool_fct_sets)
+from repro.analysis.tables import render_cdf_table
 from repro.telemetry.recorder import FlowEvent
 
 
@@ -201,6 +204,69 @@ class TestPooling:
 
     def test_pool_of_nothing_is_the_empty_set(self):
         assert pool_fct_sets([]) == FctSet()
+
+
+def fct_sets(classes=(MOUSE, ELEPHANT)):
+    """An :class:`FctSet` over a small id/time range, so that sets drawn
+    together collide on ``(flow_id, open_ns)`` as grid points do."""
+    flows = st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 3),
+                  st.integers(0, 5_000_000), st.sampled_from(classes)),
+        max_size=6, unique_by=lambda flow: flow[0])
+    return st.builds(
+        lambda drawn, unfinished: FctSet(
+            records=tuple(sorted(
+                (FlowFct(flow_id=fid, src=0, open_ns=opened,
+                         close_ns=opened + fct_ns, cls=cls)
+                 for fid, opened, fct_ns, cls in drawn),
+                key=lambda r: (r.open_ns, r.flow_id))),
+            unfinished=unfinished),
+        flows, st.integers(0, 3))
+
+
+class TestDigestPooling:
+    """``pool_fct_digests`` is ``pool_fct_sets(...).digest()`` without the
+    records: same counts, same CDFs to the bit, hence the same export and
+    the same rendered table."""
+
+    @staticmethod
+    def assert_same(pooled: FctDigest, oracle: FctDigest) -> None:
+        assert json.dumps(pooled.summary()) == json.dumps(oracle.summary())
+        assert (pooled.n_flows, pooled.unfinished) \
+            == (oracle.n_flows, oracle.unfinished)
+        assert list(pooled.cdfs) == list(oracle.cdfs)
+        for key, cdf in oracle.cdfs.items():
+            assert len(pooled.cdfs[key]) == len(cdf)
+            assert pooled.cdfs[key].values.tobytes() == cdf.values.tobytes()
+        if oracle.cdfs:
+            table = dict(percentiles=(25.0, 50.0, 75.0, 90.0, 99.0),
+                         value_label="FCT (ms)")     # as sweep.merge asks
+            assert render_cdf_table(pooled.cdfs, **table) \
+                == render_cdf_table(oracle.cdfs, **table)
+
+    @given(st.lists(fct_sets() | fct_sets((MOUSE,)) | fct_sets((ELEPHANT,)),
+                    max_size=5))
+    @example([])
+    @example([FctSet()])
+    @example([FctSet(unfinished=2), FctSet(unfinished=1)])
+    def test_matches_pooling_the_records(self, sets):
+        self.assert_same(pool_fct_digests([s.digest() for s in sets]),
+                         pool_fct_sets(sets).digest())
+
+    def test_a_set_pooled_with_itself_collides_on_every_identity(self):
+        a = extract_fcts(lifecycle(0, 0, 100) + lifecycle(1, 50, 60)
+                         + [ev(10, "open", 9)],
+                         sizes={0: 10, 1: 500_000, 9: 10})
+        self.assert_same(pool_fct_digests([a.digest()] * 3),
+                         pool_fct_sets([a, a, a]).digest())
+
+    def test_mixed_thresholds_are_refused_like_the_record_pool(self):
+        a = FctSet(mouse_max_bytes=100_000)
+        b = FctSet(mouse_max_bytes=50_000)
+        with pytest.raises(ValueError, match="different mouse thresholds"):
+            pool_fct_sets([a, b])
+        with pytest.raises(ValueError, match="different mouse thresholds"):
+            pool_fct_digests([a.digest(), b.digest()])
 
 
 class TestReporting:

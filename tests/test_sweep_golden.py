@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import export, fct
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.export import result_to_dict
 from repro.experiments import sweep
@@ -103,18 +104,22 @@ class TestMergeCost:
     ones, shared by the FCT table and the export, and no call back into
     ``numpy.percentile`` (a percentile is an index into the sorted
     sample). A second build per point, or numpy on the query path, is
-    what made a fully cached sweep spend 90 % of its time here."""
+    what made a fully cached sweep spend 90 % of its time here. The
+    merged CDFs pool the per-point digests, so no flow record is rebuilt,
+    and the export walks a document that is already plain JSON types, so
+    the normaliser is never entered."""
 
     def test_one_cdf_per_point_and_class_and_no_numpy_percentile(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         spec = golden_sweep_specs()["sweep_ecn_k"]    # mice + elephants
         work = sweep.compile_units(spec, SCALE, SEED)
         payloads = [sweep.run_unit(unit) for unit in work]
         assert all(p.fcts.split_cdfs().keys() == {"mice", "elephants"}
                    for p in payloads)
 
-        counts = {"cdf": 0, "np.percentile": 0}
+        counts = {"cdf": 0, "np.percentile": 0, "flow": 0, "jsonable": 0}
         build, percentile = EmpiricalCdf.__init__, np.percentile
+        flow_checks, normalise = fct.FlowFct.__post_init__, export.jsonable
 
         def counting_init(self, *args, **kwargs):
             counts["cdf"] += 1
@@ -124,10 +129,26 @@ class TestMergeCost:
             counts["np.percentile"] += 1
             return percentile(*args, **kwargs)
 
+        def counting_flow(self):
+            counts["flow"] += 1
+            flow_checks(self)
+
+        def counting_jsonable(value):
+            counts["jsonable"] += 1
+            return normalise(value)
+
         monkeypatch.setattr(EmpiricalCdf, "__init__", counting_init)
         monkeypatch.setattr(np, "percentile", counting_percentile)
+        monkeypatch.setattr(fct.FlowFct, "__post_init__", counting_flow)
+        monkeypatch.setattr(export, "jsonable", counting_jsonable)
         result = sweep.merge(spec, work, payloads, scale=SCALE, seed=SEED)
 
         assert counts["np.percentile"] == 0
         assert 0 < counts["cdf"] <= 2 * len(work) + 2
+        assert counts["flow"] == 0
         assert set(result.data["points"]) == {u.unit_id for u in work}
+
+        path = export.write_result(result, tmp_path)
+        assert counts["jsonable"] == 0
+        assert json.loads(path.read_text())["data"]["merged_fct"] \
+            == result.data["merged_fct"]
