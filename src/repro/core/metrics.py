@@ -8,7 +8,7 @@ incast fractions used in the prose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,9 +54,10 @@ class BurstMetrics:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceSummary:
-    """One capture's burst-level summary."""
+    """One capture's burst-level summary: trace-level scalars and one
+    column per burst metric (``n_bursts`` long, in burst order)."""
 
     service: str
     host_id: int
@@ -66,38 +67,48 @@ class TraceSummary:
     mean_utilization: float
     incast_fraction: float
     low_mode_fraction: float
-    bursts: tuple[BurstMetrics, ...]
+    #: Per-burst durations in milliseconds.
+    durations_ms: np.ndarray
+    #: Per-burst peak flow counts.
+    flow_counts: np.ndarray
+    #: Per-burst mean link utilizations.
+    mean_utilizations: np.ndarray
+    #: Per-burst ECN-marked byte fractions.
+    marked_fractions: np.ndarray
+    #: Per-burst retransmitted fractions of line rate.
+    retransmit_fractions: np.ndarray
+    #: Per-burst peak queue occupancy fractions (ground truth).
+    peak_queue_fracs: np.ndarray
+    #: Per-burst ingress bytes.
+    total_bytes: np.ndarray
+    #: The capture's high-watermark queue occupancy, which every one of its
+    #: bursts reports (see :class:`BurstMetrics`).
+    watermark_frac: float
 
-    @property
-    def flow_counts(self) -> np.ndarray:
-        """Per-burst peak flow counts."""
-        return np.asarray([b.max_active_flows for b in self.bursts])
-
-    @property
-    def durations_ms(self) -> np.ndarray:
-        """Per-burst durations in milliseconds."""
-        return np.asarray([b.duration_ms for b in self.bursts])
-
-    @property
-    def marked_fractions(self) -> np.ndarray:
-        """Per-burst ECN-marked byte fractions."""
-        return np.asarray([b.marked_fraction for b in self.bursts])
-
-    @property
-    def retransmit_fractions(self) -> np.ndarray:
-        """Per-burst retransmitted fractions of line rate."""
-        return np.asarray([b.retransmit_fraction for b in self.bursts])
-
-    @property
-    def peak_queue_fracs(self) -> np.ndarray:
-        """Per-burst peak queue occupancy fractions (ground truth)."""
-        return np.asarray([b.peak_queue_frac for b in self.bursts])
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceSummary):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name),
+                                  getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def watermark_fracs(self) -> np.ndarray:
         """Per-burst queue occupancy as a high-watermark counter reports it
         (Figure 4a's semantics)."""
-        return np.asarray([b.watermark_frac for b in self.bursts])
+        return np.full(self.n_bursts, self.watermark_frac)
+
+    @property
+    def bursts(self) -> tuple[BurstMetrics, ...]:
+        """The columns as one :class:`BurstMetrics` row per burst (plain
+        Python ``int`` / ``float`` fields), built on each read."""
+        rows = zip(*(column.tolist() for column in (
+            self.durations_ms, self.flow_counts, self.mean_utilizations,
+            self.marked_fractions, self.retransmit_fractions,
+            self.peak_queue_fracs, self.total_bytes)))
+        # BurstMetrics' field order, the shared watermark before the bytes.
+        return tuple(BurstMetrics(*row[:-1], self.watermark_frac, row[-1])
+                     for row in rows)
 
     def mean_flow_count(self) -> float:
         """Mean per-burst flow count (Figure 3's y-axis)."""
@@ -135,26 +146,11 @@ def summarize_trace(trace: HostTrace) -> TraceSummary:
         return int(np.count_nonzero(selected)) / n if n else 0.0
 
     has_queue = trace.queue_frac is not None and len(trace.queue_frac) > 0
-    # High-watermark semantics: every burst in the counter window reports
-    # the window's maximum occupancy (the trace sits inside one window).
-    watermark = float(trace.queue_frac.max()) if has_queue else 0.0
     total = per_burst(np.add, trace.ingress_bytes)
     flows = per_burst(np.maximum, trace.active_flows)
     # Every interval of a detected burst is above the threshold, so totals
     # and capacities are positive and Burst's zero guards cannot fire.
     capacity = lengths * trace.interval_capacity_bytes
-    columns = dict(
-        duration_ms=lengths * trace.interval_ns / units.NS_PER_MS,
-        max_active_flows=flows,
-        mean_utilization=total / capacity,
-        marked_fraction=per_burst(np.add, trace.marked_bytes) / total,
-        retransmit_fraction=per_burst(np.add, trace.retransmit_bytes)
-        / capacity,
-        peak_queue_frac=(per_burst(np.maximum, trace.queue_frac)
-                         if has_queue else np.zeros(n)),
-        total_bytes=total,
-    )
-    rows = zip(*(column.tolist() for column in columns.values()))
     return TraceSummary(
         service=trace.meta.service,
         host_id=trace.meta.host_id,
@@ -164,7 +160,17 @@ def summarize_trace(trace: HostTrace) -> TraceSummary:
         mean_utilization=trace.mean_utilization(),
         incast_fraction=share(flows >= INCAST_FLOW_THRESHOLD),
         low_mode_fraction=share(flows < LOW_MODE_CUTOFF_FLOWS),
-        bursts=tuple(BurstMetrics(watermark_frac=watermark,
-                                  **dict(zip(columns, row)))
-                     for row in rows),
+        durations_ms=lengths * trace.interval_ns / units.NS_PER_MS,
+        flow_counts=flows,
+        mean_utilizations=total / capacity,
+        marked_fractions=per_burst(np.add, trace.marked_bytes) / total,
+        retransmit_fractions=per_burst(np.add, trace.retransmit_bytes)
+        / capacity,
+        peak_queue_fracs=(per_burst(np.maximum, trace.queue_frac)
+                          if has_queue else np.zeros(n)),
+        total_bytes=total,
+        # High-watermark semantics: every burst in the counter window
+        # reports the window's maximum occupancy (the trace sits inside
+        # one window).
+        watermark_frac=float(trace.queue_frac.max()) if has_queue else 0.0,
     )

@@ -74,7 +74,7 @@ def _grouped_flow_stats(summaries: list[TraceSummary],
                         key_fn, label: str) -> StabilityReport:
     grouped: dict[int, list[int]] = defaultdict(list)
     for summary in summaries:
-        grouped[key_fn(summary)].extend(int(f) for f in summary.flow_counts)
+        grouped[key_fn(summary)].extend(summary.flow_counts.tolist())
     keys = sorted(grouped)
     means, p99s = [], []
     for key in keys:

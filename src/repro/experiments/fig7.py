@@ -37,6 +37,7 @@ def run_unit(unit: WorkUnit) -> ExperimentResult:
 
 def merge(work: list[WorkUnit], payloads: list[ExperimentResult], *,
           scale: float, seed: int) -> ExperimentResult:
+    """The single unit's payload is already the finished figure."""
     return payloads[0]
 
 

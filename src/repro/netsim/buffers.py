@@ -48,10 +48,12 @@ class StaticBufferPool(BufferPool):
 
     def try_reserve(self, queue_id: int, current_bytes: int,
                     size_bytes: int) -> bool:
+        """Always admits: only the queue's own capacity limits it."""
         self.used_bytes += size_bytes
         return True
 
     def release(self, queue_id: int, size_bytes: int) -> None:
+        """Return ``size_bytes`` to the usage total."""
         self.used_bytes -= size_bytes
         if self.used_bytes < 0:
             raise RuntimeError("buffer pool released more than reserved")
@@ -92,6 +94,9 @@ class SharedBufferPool(BufferPool):
 
     def try_reserve(self, queue_id: int, current_bytes: int,
                     size_bytes: int) -> bool:
+        """Admit ``size_bytes`` if the shared memory has room for them and
+        the queue would stay under the dynamic threshold; a refusal is
+        counted in ``rejections``."""
         if self.used_bytes + size_bytes > self.total_bytes:
             self.rejections += 1
             return False
@@ -102,6 +107,7 @@ class SharedBufferPool(BufferPool):
         return True
 
     def release(self, queue_id: int, size_bytes: int) -> None:
+        """Return ``size_bytes`` to the shared memory."""
         self.used_bytes -= size_bytes
         if self.used_bytes < 0:
             raise RuntimeError("buffer pool released more than reserved")

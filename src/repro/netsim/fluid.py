@@ -25,6 +25,7 @@ per step follows from the backlog-inflated RTT, as in the real system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +95,188 @@ class FluidBurstTrace:
         return float(self.queue_frac.max()) if len(self.queue_frac) else 0.0
 
 
+class FluidConstants(NamedTuple):
+    """What the interval recursion reads of a :class:`FluidConfig`, worked
+    out once per config instead of once per burst."""
+
+    drain: float
+    bdp: float
+    thresh: float
+    capacity: int
+    keep_alpha: float
+    growth_per_flow_round: float
+    overshoot: float
+    max_window: float
+    mss_bytes: int
+    base_rtt_ns: int
+    line_rate_bps: float
+    interval_ns: int
+
+    @classmethod
+    def of(cls, config: FluidConfig) -> "FluidConstants":
+        """The constants of ``config``."""
+        bdp = config.bdp_bytes
+        thresh = config.ecn_threshold_bytes
+        # Positional, in field order: this runs once per FluidIncast.run.
+        return cls(
+            config.drain_bytes_per_interval, bdp, thresh,
+            config.capacity_bytes, 1.0 - config.dctcp_g,
+            config.aggregate_growth_mss_per_round * config.mss_bytes,
+            # At 1 ms granularity, unchecked growth would overshoot the
+            # marking point by tens of rounds before the model reacts; real
+            # DCTCP is cut within ~1 RTT of crossing the threshold, so
+            # growth-driven windows are clamped to a bounded overshoot above
+            # it. (Carried-over windows may still start arbitrarily higher.)
+            config.growth_overshoot_factor * (thresh + bdp),
+            config.max_window_bytes, config.mss_bytes, config.base_rtt_ns,
+            config.line_rate_bps, config.interval_ns)
+
+
+class FluidColumns(NamedTuple):
+    """The five per-interval columns :func:`run_burst` appends to. One set
+    takes any number of bursts, one after the other."""
+
+    delivered_bytes: list[float]
+    marked_bytes: list[float]
+    retransmit_bytes: list[float]
+    dropped_bytes: list[float]
+    queue_frac: list[float]
+
+
+def burst_start(config: FluidConfig, flow_count: int, demand_bytes: int,
+                effective_capacity_bytes: float,
+                window_start_factor: float = 1.0,
+                initial_alpha: float = 0.5,
+                arrival_rate_factor: float = float("inf")
+                ) -> tuple[float, float, float]:
+    """Check one burst's inputs (:class:`FluidIncast` says what they mean)
+    and clamp them into the state :func:`run_burst` starts from.
+
+    Returns ``(effective capacity, aggregate window, alpha)``.
+    """
+    if arrival_rate_factor <= 0:
+        raise ValueError("arrival_rate_factor must be positive")
+    if flow_count <= 0:
+        raise ValueError("flow_count must be positive")
+    if demand_bytes <= 0:
+        raise ValueError("demand_bytes must be positive")
+    if effective_capacity_bytes <= 0:
+        raise ValueError("effective capacity must be positive")
+    return (min(effective_capacity_bytes, float(config.capacity_bytes)),
+            min(max(window_start_factor, 0.05)
+                * float(flow_count * config.mss_bytes),
+                config.max_window_bytes),
+            min(max(initial_alpha, 0.0), 1.0))
+
+
+def run_burst(constants: FluidConstants, flow_count: int, demand_bytes: int,
+              effective_capacity_bytes: float, window_bytes: float,
+              alpha: float, arrival_rate_factor: float,
+              columns: FluidColumns,
+              max_intervals: int = 2000) -> tuple[int, float, float]:
+    """Run one burst to completion (or ``max_intervals``) from the state
+    :func:`burst_start` returned, appending one value per interval to each
+    of ``columns``.
+
+    Returns ``(intervals appended, final aggregate window, final alpha)``.
+    """
+    # The loop runs once per simulated millisecond of every fleet burst:
+    # what is fixed for the burst is computed here, and the send/queue
+    # clamps are comparisons that pick the operand min/max would.
+    (drain, bdp, thresh, capacity, keep_alpha, growth_per_flow_round,
+     overshoot, max_window, mss_bytes, base_rtt_ns, line_rate_bps,
+     interval_ns) = constants
+    bits_per_byte, ns_per_s = units.BITS_PER_BYTE, units.NS_PER_S
+    eff_cap = effective_capacity_bytes
+    room = eff_cap + drain
+    arrival_cap = arrival_rate_factor * drain
+    growth_per_round = growth_per_flow_round * flow_count
+    window_floor = float(flow_count * mss_bytes)
+    w = window_bytes
+    delivered_l, marked_l, retx_l, dropped_l, queue_l = columns
+    add_delivered, add_marked = delivered_l.append, marked_l.append
+    add_retx, add_dropped = retx_l.append, dropped_l.append
+    add_queue = queue_l.append
+    already = len(delivered_l)
+
+    remaining = float(demand_bytes)
+    retx_pool = 0.0
+    queue = 0.0
+    retx_frac_of_queue = 0.0
+
+    for _ in range(max_intervals):
+        pending = remaining + retx_pool
+        if pending + queue <= _EPSILON_BYTES:
+            break
+        rtt_eff_ns = base_rtt_ns + queue * bits_per_byte \
+            * ns_per_s / line_rate_bps
+        # ACK clocking: senders can refill drained capacity and grow the
+        # backlog at most up to W - BDP; they also cannot emit more than
+        # one window per round.
+        backlog_room = (w - bdp) - queue
+        send_limit = (backlog_room if backlog_room > 0.0 else 0.0) + drain
+        per_round = w * (interval_ns / rtt_eff_ns)
+        if per_round < send_limit:
+            send_limit = per_round
+        if arrival_cap < send_limit:
+            send_limit = arrival_cap
+        if send_limit < 0.0:
+            send_limit = 0.0
+        send = send_limit if send_limit < pending else pending
+        retx_sent = send if send < retx_pool else retx_pool
+        retx_pool -= retx_sent
+        remaining -= send - retx_sent
+
+        q_start = queue
+        total = queue + send
+        kept = room if room < total else total
+        dropped = total - kept
+        delivered = drain if drain < kept else kept
+        queue = kept - delivered
+        lo, hi = (queue, q_start) if queue < q_start else (q_start, queue)
+
+        # Track what share of the standing data is retransmitted bytes,
+        # so deliveries can be attributed (this is what the host-side
+        # sampler reports as retransmit traffic).
+        retx_in = retx_frac_of_queue * q_start + retx_sent
+        retx_frac_of_queue = retx_in / total if total > 0 else 0.0
+        # Drops return to the retransmission pool.
+        retx_pool += dropped
+
+        # ECN marking: all arrivals while the queue sits above the
+        # threshold are marked; when the queue crosses the threshold
+        # within the interval, the marked share is the fraction of the
+        # excursion above it.
+        if hi <= thresh:
+            marked = 0.0
+        elif lo >= thresh:
+            marked = send
+        else:
+            marked = send * (hi - thresh) / max(hi - lo, 1.0)
+
+        # Aggregate DCTCP reaction over the rounds actually clocked.
+        busy_rounds = send / w if w > 0 else 0.0
+        if busy_rounds > 0.0:
+            if marked > 0.0:
+                alpha = 1.0 - (1.0 - alpha) * keep_alpha ** busy_rounds
+                w = max(window_floor,
+                        w * (1.0 - alpha / 2.0) ** busy_rounds)
+            else:
+                alpha *= keep_alpha ** busy_rounds
+                w = min(w + growth_per_round * busy_rounds,
+                        max(w, overshoot), max_window)
+
+        add_delivered(delivered)
+        add_marked(marked)
+        add_retx(delivered * retx_frac_of_queue)
+        add_dropped(dropped)
+        # Occupancy is reported against the *configured* capacity (the
+        # units of Figure 4a); contention lowers the achievable maximum.
+        add_queue((hi if hi < eff_cap else eff_cap) / capacity)
+
+    return len(delivered_l) - already, w, alpha
+
+
 class FluidIncast:
     """Runs one incast burst through the fluid bottleneck.
 
@@ -120,141 +303,26 @@ class FluidIncast:
                  window_start_factor: float = 1.0,
                  initial_alpha: float = 0.5,
                  arrival_rate_factor: float = float("inf")):
-        if arrival_rate_factor <= 0:
-            raise ValueError("arrival_rate_factor must be positive")
-        if flow_count <= 0:
-            raise ValueError("flow_count must be positive")
-        if demand_bytes <= 0:
-            raise ValueError("demand_bytes must be positive")
-        if effective_capacity_bytes <= 0:
-            raise ValueError("effective capacity must be positive")
+        self.effective_capacity_bytes, self.window_bytes, self.alpha = \
+            burst_start(config, flow_count, demand_bytes,
+                        effective_capacity_bytes, window_start_factor,
+                        initial_alpha, arrival_rate_factor)
         self.config = config
         self.flow_count = flow_count
         self.demand_bytes = demand_bytes
-        self.effective_capacity_bytes = min(effective_capacity_bytes,
-                                            float(config.capacity_bytes))
         self.window_floor_bytes = float(flow_count * config.mss_bytes)
-        self.window_bytes = min(
-            max(window_start_factor, 0.05) * self.window_floor_bytes,
-            config.max_window_bytes)
-        self.alpha = min(max(initial_alpha, 0.0), 1.0)
         self.arrival_rate_factor = arrival_rate_factor
 
     def run(self, max_intervals: int = 2000) -> FluidBurstTrace:
-        """Run the burst to completion (or ``max_intervals``)."""
-        # The loop runs once per simulated millisecond of every fleet burst:
-        # what is fixed for the burst is computed here, and the send/queue
-        # clamps are comparisons that pick the operand min/max would.
-        cfg = self.config
-        drain = cfg.drain_bytes_per_interval
-        bdp = cfg.bdp_bytes
-        thresh = cfg.ecn_threshold_bytes
-        eff_cap = self.effective_capacity_bytes
-        room = eff_cap + drain
-        arrival_cap = self.arrival_rate_factor * drain
-        capacity = cfg.capacity_bytes
-        keep_alpha = 1.0 - cfg.dctcp_g
-        growth_per_round = (cfg.aggregate_growth_mss_per_round
-                            * cfg.mss_bytes * self.flow_count)
-        # At 1 ms granularity, unchecked growth would overshoot the marking
-        # point by tens of rounds before the model reacts; real DCTCP is cut
-        # within ~1 RTT of crossing the threshold, so growth-driven windows
-        # are clamped to a bounded overshoot above it. (Carried-over windows
-        # may still start arbitrarily higher.)
-        overshoot = cfg.growth_overshoot_factor * (thresh + bdp)
-        w = self.window_bytes
-        alpha = self.alpha
-
-        delivered_l: list[float] = []
-        marked_l: list[float] = []
-        retx_l: list[float] = []
-        dropped_l: list[float] = []
-        queue_l: list[float] = []
-
-        remaining = float(self.demand_bytes)
-        retx_pool = 0.0
-        queue = 0.0
-        retx_frac_of_queue = 0.0
-
-        for _ in range(max_intervals):
-            pending = remaining + retx_pool
-            if pending + queue <= _EPSILON_BYTES:
-                break
-            rtt_eff_ns = cfg.base_rtt_ns + queue * units.BITS_PER_BYTE \
-                * units.NS_PER_S / cfg.line_rate_bps
-            # ACK clocking: senders can refill drained capacity and grow the
-            # backlog at most up to W - BDP; they also cannot emit more than
-            # one window per round.
-            backlog_room = (w - bdp) - queue
-            send_limit = (backlog_room if backlog_room > 0.0 else 0.0) + drain
-            per_round = w * (cfg.interval_ns / rtt_eff_ns)
-            if per_round < send_limit:
-                send_limit = per_round
-            if arrival_cap < send_limit:
-                send_limit = arrival_cap
-            if send_limit < 0.0:
-                send_limit = 0.0
-            send = send_limit if send_limit < pending else pending
-            retx_sent = send if send < retx_pool else retx_pool
-            retx_pool -= retx_sent
-            remaining -= send - retx_sent
-
-            q_start = queue
-            total = queue + send
-            kept = room if room < total else total
-            dropped = total - kept
-            delivered = drain if drain < kept else kept
-            queue = kept - delivered
-            lo, hi = (queue, q_start) if queue < q_start else (q_start, queue)
-
-            # Track what share of the standing data is retransmitted bytes,
-            # so deliveries can be attributed (this is what the host-side
-            # sampler reports as retransmit traffic).
-            retx_in = retx_frac_of_queue * q_start + retx_sent
-            retx_frac_of_queue = retx_in / total if total > 0 else 0.0
-            # Drops return to the retransmission pool.
-            retx_pool += dropped
-
-            # ECN marking: all arrivals while the queue sits above the
-            # threshold are marked; when the queue crosses the threshold
-            # within the interval, the marked share is the fraction of the
-            # excursion above it.
-            if hi <= thresh:
-                marked = 0.0
-            elif lo >= thresh:
-                marked = send
-            else:
-                marked = send * (hi - thresh) / max(hi - lo, 1.0)
-
-            # Aggregate DCTCP reaction over the rounds actually clocked.
-            busy_rounds = send / w if w > 0 else 0.0
-            if busy_rounds > 0.0:
-                if marked > 0.0:
-                    alpha = 1.0 - (1.0 - alpha) * keep_alpha ** busy_rounds
-                    w = max(self.window_floor_bytes,
-                            w * (1.0 - alpha / 2.0) ** busy_rounds)
-                else:
-                    alpha *= keep_alpha ** busy_rounds
-                    w = min(w + growth_per_round * busy_rounds,
-                            max(w, overshoot), cfg.max_window_bytes)
-
-            delivered_l.append(delivered)
-            marked_l.append(marked)
-            retx_l.append(delivered * retx_frac_of_queue)
-            dropped_l.append(dropped)
-            # Occupancy is reported against the *configured* capacity (the
-            # units of Figure 4a); contention lowers the achievable maximum.
-            queue_l.append((hi if hi < eff_cap else eff_cap) / capacity)
-
-        self.window_bytes = w
-        self.alpha = alpha
-        return FluidBurstTrace(
-            delivered_bytes=np.asarray(delivered_l),
-            marked_bytes=np.asarray(marked_l),
-            retransmit_bytes=np.asarray(retx_l),
-            dropped_bytes=np.asarray(dropped_l),
-            queue_frac=np.asarray(queue_l),
-        )
+        """Run the burst to completion (or ``max_intervals``); a second
+        call starts from the window and alpha the first one ended with."""
+        columns = FluidColumns([], [], [], [], [])
+        _, self.window_bytes, self.alpha = run_burst(
+            FluidConstants.of(self.config), self.flow_count,
+            self.demand_bytes, self.effective_capacity_bytes,
+            self.window_bytes, self.alpha, self.arrival_rate_factor,
+            columns, max_intervals)
+        return FluidBurstTrace(*map(np.asarray, columns))
 
 
 def degenerate_point_flows(config: FluidConfig) -> int:

@@ -38,7 +38,8 @@ from typing import Optional
 import numpy as np
 
 from repro.measurement.records import HostTrace, TraceMeta
-from repro.netsim.fluid import FluidBurstTrace, FluidConfig, FluidIncast
+from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
+                                burst_start, run_burst)
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,8 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
     marks, retransmissions, and queue occupancy are written into the trace.
     """
     cfg = fluid_config or FluidConfig()
-    drain = cfg.drain_bytes_per_interval
+    constants = FluidConstants.of(cfg)
+    drain = constants.drain
     n = duration_ms
     ingress = np.zeros(n, dtype=np.int64)
     flows = np.zeros(n, dtype=np.int64)
@@ -221,10 +223,11 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
     regime_med = profile.regime_median(regime_index)
 
     # Bursts never overlap (the next starts >= 1 ms after the previous one
-    # ends), so the loop only draws and runs the fluid model, noting which
-    # intervals each burst covers; the columns are written once, below.
+    # ends), so the loop only draws and runs the fluid model, which appends
+    # every burst to the same columns, and notes which intervals each burst
+    # covers; the trace is written once, below.
     covered: list[int] = []
-    bursts: list[FluidBurstTrace] = []
+    fluid = FluidColumns([], [], [], [], [])
     active: list[np.ndarray] = []
     t = 0.0
     end = 0
@@ -247,31 +250,32 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
         volume = max(int(drain * duration * min(sync, 1.0)
                          * rng.normal(0.97, 0.04)),
                      int(0.6 * drain))
-        burst = FluidIncast(cfg, flow_count, volume, effective_cap,
-                            window_start_factor=carryover,
-                            arrival_rate_factor=sync).run()
-        t = end = start + burst.n_intervals
+        effective_cap, window, alpha = burst_start(
+            cfg, flow_count, volume, effective_cap,
+            window_start_factor=carryover, arrival_rate_factor=sync)
+        n_intervals, _, _ = run_burst(constants, flow_count, volume,
+                                      effective_cap, window, alpha, sync,
+                                      fluid)
+        t = end = start + n_intervals
         span = min(end, n) - start
         covered.extend(range(start, start + span))
-        bursts.append(burst)
         active.append(rng.normal(flow_count, max(1.0, 0.03 * flow_count),
                                  size=span))
 
-    if bursts:
-        # Only the last burst can run past the capture: cutting the joined
-        # samples to the covered intervals drops exactly its overhang.
+    if covered:
+        # Only the last burst can run past the capture: cutting the columns
+        # to the covered intervals drops exactly its overhang.
         at = np.asarray(covered)
 
-        def joined(field: str) -> np.ndarray:
-            return np.concatenate(
-                [getattr(b, field) for b in bursts])[:len(at)]
+        def cut(column: list[float]) -> np.ndarray:
+            return np.asarray(column)[:len(at)]
 
-        delivered = joined("delivered_bytes")
+        delivered = cut(fluid.delivered_bytes)
         ingress[at] = delivered.astype(np.int64)
-        marked[at] = np.minimum(joined("marked_bytes"),
+        marked[at] = np.minimum(cut(fluid.marked_bytes),
                                 delivered).astype(np.int64)
-        retx[at] = joined("retransmit_bytes").astype(np.int64)
-        queue_frac[at] = joined("queue_frac")
+        retx[at] = cut(fluid.retransmit_bytes).astype(np.int64)
+        queue_frac[at] = cut(fluid.queue_frac)
         flows[at] = np.maximum(1, np.concatenate(active)).astype(np.int64)
 
     _add_background(profile, rng, drain, ingress, flows)

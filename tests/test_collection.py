@@ -80,3 +80,59 @@ class TestRun:
             trace_duration_ms=50, seed=123))
         pooled = campaign.pooled("messaging", "flow_counts")
         assert isinstance(pooled, np.ndarray)
+
+    def test_pooled_service_without_bursts(self):
+        campaign = run_campaign(CampaignConfig(
+            services=("messaging",), hosts_per_service=2, n_snapshots=1,
+            trace_duration_ms=5, seed=1))
+        assert [s.n_bursts for s in campaign.summaries["messaging"]] \
+            == [0, 0]
+        for attribute in ("flow_counts", "durations_ms", "watermark_fracs"):
+            pooled = campaign.pooled("messaging", attribute)
+            assert pooled.shape == (0,) and pooled.dtype == np.float64
+
+
+class TestNoPerBurstObjects:
+    """Generate -> summarize works on trace-level columns: no fluid-model
+    or metric object per burst, no array per burst."""
+
+    def test_construction_counts(self, monkeypatch):
+        from repro.core.metrics import BurstMetrics
+        from repro.measurement.collection import run_service_campaign
+        from repro.netsim.fluid import FluidBurstTrace, FluidIncast
+
+        built = {cls.__name__: 0
+                 for cls in (FluidIncast, FluidBurstTrace, BurstMetrics)}
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+
+        for cls in (FluidIncast, FluidBurstTrace, BurstMetrics):
+            counting(cls)
+        conversions = []
+        asarray = np.asarray
+        monkeypatch.setattr(
+            np, "asarray",
+            lambda *args, **kwargs: (conversions.append(1),
+                                     asarray(*args, **kwargs))[1])
+
+        cfg = CampaignConfig(services=("aggregator",), hosts_per_service=2,
+                             n_snapshots=2, seed=4)
+        summaries, _, _ = run_service_campaign(cfg, "aggregator")
+        monkeypatch.undo()
+
+        n_traces, n_bursts = len(summaries), sum(s.n_bursts
+                                                 for s in summaries)
+        assert n_traces == 4 and n_bursts > 200
+        assert built == {"FluidIncast": 0, "FluidBurstTrace": 0,
+                         "BurstMetrics": 0}
+        # A fixed few dozen per capture (columns, RNG streams, the trace
+        # record), where one array per burst and column would be 5 x 292.
+        assert len(conversions) < n_bursts
+        # Rows are still there for whoever asks.
+        assert len(summaries[0].bursts) == summaries[0].n_bursts

@@ -118,6 +118,43 @@ class TestTraceSummary:
         assert s.n_bursts == 0
         assert s.mean_flow_count() == 0.0
         assert s.p99_flow_count() == 0.0
+        assert s.bursts == ()
+
+    @pytest.mark.parametrize("utils", [[0.0, 0.0], [1.0, 0.0, 1.0]])
+    @pytest.mark.parametrize("with_queue", [True, False])
+    def test_column_dtypes(self, utils, with_queue):
+        """Pinned with and without bursts: consumers pool these columns
+        with ``np.concatenate`` and must not see an object or float column
+        where counts are expected."""
+        s = summarize_trace(make_trace(
+            utils, queue_frac=[0.3] * len(utils) if with_queue else None))
+        n = s.n_bursts
+        for name in ("flow_counts", "total_bytes"):
+            assert getattr(s, name).dtype == np.int64, name
+            assert getattr(s, name).shape == (n,), name
+        for name in ("durations_ms", "mean_utilizations", "marked_fractions",
+                     "retransmit_fractions", "peak_queue_fracs",
+                     "watermark_fracs"):
+            assert getattr(s, name).dtype == np.float64, name
+            assert getattr(s, name).shape == (n,), name
+        assert type(s.watermark_frac) is float
+
+    def test_equality_compares_columns(self):
+        a, b = self.summary(), self.summary()
+        assert a == b and not a != b
+        changed = dataclasses.replace(
+            a, marked_fractions=a.marked_fractions + 0.25)
+        assert a != changed
+        assert a != dataclasses.replace(a, host_id=8)
+        assert a != dataclasses.replace(a, flow_counts=a.flow_counts[:1])
+        assert a != "svc"
+
+    def test_pickle_round_trip(self):
+        import pickle
+        a = self.summary()
+        b = pickle.loads(pickle.dumps(a))
+        assert a == b and a.bursts == b.bursts
+        assert b.flow_counts.dtype == np.int64
 
 
 def assert_columnar_equals_per_burst(trace):

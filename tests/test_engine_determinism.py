@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.export import result_to_dict
-from repro.experiments import fig6
+from repro.experiments import fig6, table1
 from repro.experiments.engine import (EXPERIMENT_MODULES, ResultCache,
                                       run_experiments)
 from repro.experiments.engine.report import (SOURCE_CACHE, SOURCE_RUN,
@@ -97,6 +98,55 @@ class TestCacheEquivalence:
                                          seed=SEED, jobs=1, cache=cache)
         assert other_seed.cache_hits == 0
         assert other_scale.cache_hits == 0
+
+
+def _refuse_unpickle():
+    raise AssertionError("a payload sealed under another version was "
+                         "unpickled")
+
+
+class SealedUnderAnotherVersion:
+    """Stands in for a payload whose classes have since changed shape:
+    storing it is fine, loading it is the bug."""
+
+    def __reduce__(self):
+        return _refuse_unpickle, ()
+
+
+class TestVersionBumpRetiresFleetPayloads:
+    """1.2.1 changed the shape of ``TraceSummary`` inside every fleet
+    unit's payload; what 1.2.0 left in a cache directory must be a miss
+    that recomputes, never an unpickle into the new class."""
+
+    def test_entry_sealed_under_1_2_0_is_a_miss(self, tmp_path: Path,
+                                                monkeypatch):
+        assert repro.__version__ != "1.2.0"
+        cache = ResultCache(directory=tmp_path / "cache")
+        with monkeypatch.context() as old:
+            old.setattr(repro, "__version__", "1.2.0")
+            old_keys = {unit.cache_key()
+                        for unit in table1.work_units(SCALE, SEED)}
+            for key in old_keys:
+                assert cache.put(key, SealedUnderAnotherVersion())
+            old_dir = cache.version_dir
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 5
+
+        units = table1.work_units(SCALE, SEED)
+        assert all(unit.fn.startswith("repro.experiments.engine.fleet:")
+                   for unit in units)
+        assert not {unit.cache_key() for unit in units} & old_keys
+        assert cache.version_dir != old_dir
+        fresh, _ = run_experiments(["table1"], scale=SCALE, seed=SEED,
+                                   jobs=1)
+        served, report = run_experiments(["table1"], scale=SCALE, seed=SEED,
+                                         jobs=1, cache=cache)
+        assert (report.cache_hits, report.executed) == (0, len(units))
+        assert doc(served["table1"]) == doc(fresh["table1"])
+        # The old entries were left alone, not read.
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys)
+        _, warm = run_experiments(["table1"], scale=SCALE, seed=SEED,
+                                  jobs=1, cache=cache)
+        assert (warm.cache_hits, warm.executed) == (len(units), 0)
 
 
 class TestEngineValidation:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim.fluid import (FluidConfig, FluidIncast,
-                                degenerate_point_flows)
+from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
+                                FluidIncast, burst_start,
+                                degenerate_point_flows, run_burst)
 from tests.fluid_reference import reference_run
 
 CFG = FluidConfig()
@@ -150,6 +151,18 @@ FIELDS = ("delivered_bytes", "marked_bytes", "retransmit_bytes",
           "dropped_bytes", "queue_frac")
 
 
+def fleet_burst(flow_count, duration, contention, carryover, sync):
+    """``FluidIncast`` arguments as ``generate_host_trace`` derives them
+    from its per-burst draws."""
+    return dict(flow_count=flow_count,
+                demand_bytes=max(int(DRAIN * duration * min(sync, 1.0)),
+                                 int(0.6 * DRAIN)),
+                effective_capacity_bytes=max(
+                    CFG.capacity_bytes * (1.0 - contention),
+                    0.25 * CFG.capacity_bytes),
+                window_start_factor=carryover, arrival_rate_factor=sync)
+
+
 class TestBitIdenticalToReferenceLoop:
     """``run`` against the loop it replaced (``tests/fluid_reference.py``):
     same floats per interval, same final congestion state."""
@@ -191,13 +204,8 @@ class TestBitIdenticalToReferenceLoop:
     def test_fleet_shaped_bursts(self, flow_count, duration, contention,
                                  carryover, sync):
         """The argument shapes ``generate_host_trace`` produces."""
-        self.both(flow_count=flow_count,
-                  demand_bytes=max(int(DRAIN * duration * min(sync, 1.0)),
-                                   int(0.6 * DRAIN)),
-                  effective_capacity_bytes=max(
-                      CFG.capacity_bytes * (1.0 - contention),
-                      0.25 * CFG.capacity_bytes),
-                  window_start_factor=carryover, arrival_rate_factor=sync)
+        self.both(**fleet_burst(flow_count, duration, contention, carryover,
+                                sync))
 
     def test_other_environments(self):
         """Non-default configs reach every hoisted constant."""
@@ -233,3 +241,115 @@ class TestBitIdenticalToReferenceLoop:
         assert new.run().delivered_bytes.tolist() \
             == reference_run(old).delivered_bytes.tolist()
         assert (new.alpha, new.window_bytes) == (old.alpha, old.window_bytes)
+
+
+# Draws for fleet_burst: (K, duration ms, contention, carry-over, arrival
+# factor).
+fleet_bursts = st.tuples(st.integers(min_value=1, max_value=800),
+                         st.integers(min_value=1, max_value=20),
+                         st.floats(min_value=0.0, max_value=1.0),
+                         st.floats(min_value=0.1, max_value=3.5),
+                         st.floats(min_value=0.3, max_value=3.0))
+
+
+class TestKernelAgainstReferenceLoop:
+    """``run_burst`` itself, as ``generate_host_trace`` drives it: several
+    bursts appended to one set of columns, each against ``reference_run``
+    on a fresh ``FluidIncast``."""
+
+    @staticmethod
+    def reference(max_intervals, **kwargs):
+        old = FluidIncast(CFG, **kwargs)
+        trace = reference_run(old, max_intervals)
+        return trace, old.window_bytes, old.alpha
+
+    @given(bursts=st.lists(fleet_bursts, min_size=2, max_size=6),
+           max_intervals=st.sampled_from([1, 2, 4, 2000]))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_columns_across_bursts(self, bursts, max_intervals):
+        constants = FluidConstants.of(CFG)
+        # Not empty to begin with: the kernel may only ever append.
+        columns = FluidColumns([-1.0], [-2.0], [-3.0], [-4.0], [-5.0])
+        expected = [[-1.0], [-2.0], [-3.0], [-4.0], [-5.0]]
+        for burst in bursts:
+            kwargs = fleet_burst(*burst)
+            want, want_window, want_alpha = self.reference(max_intervals,
+                                                           **kwargs)
+            capacity, window, alpha = burst_start(CFG, **kwargs)
+            got = run_burst(constants, kwargs["flow_count"],
+                            kwargs["demand_bytes"], capacity, window, alpha,
+                            kwargs["arrival_rate_factor"], columns,
+                            max_intervals)
+            assert got == (want.n_intervals, want_window, want_alpha)
+            for column, field in zip(expected, FIELDS):
+                column.extend(getattr(want, field).tolist())
+            assert [list(column) for column in columns] == expected
+
+    def test_max_intervals_exhaustion(self):
+        """A burst that needs 6 intervals, stopped after 4 and after 0."""
+        kwargs = dict(flow_count=300, demand_bytes=int(5 * DRAIN),
+                      effective_capacity_bytes=2e6,
+                      window_start_factor=3.0)
+        assert self.reference(2000, **kwargs)[0].n_intervals == 6
+        capacity, window, alpha = burst_start(CFG, **kwargs)
+        for max_intervals in (4, 0):
+            want, want_window, want_alpha = self.reference(max_intervals,
+                                                           **kwargs)
+            columns = FluidColumns([], [], [], [], [])
+            got = run_burst(FluidConstants.of(CFG), 300, int(5 * DRAIN),
+                            capacity, window, alpha, float("inf"), columns,
+                            max_intervals)
+            assert got == (max_intervals, want_window, want_alpha)
+            assert columns.delivered_bytes \
+                == want.delivered_bytes.tolist()
+            assert sum(columns.delivered_bytes) < int(5 * DRAIN) - 2
+
+    def test_burst_start_is_the_constructors_clamp(self):
+        fluid = FluidIncast(CFG, 10, 1000, 5e6, window_start_factor=0.0,
+                            initial_alpha=1.5)
+        assert burst_start(CFG, 10, 1000, 5e6, 0.0, 1.5) \
+            == (fluid.effective_capacity_bytes, fluid.window_bytes,
+                fluid.alpha) == (2e6, 0.05 * 15000.0, 1.0)
+
+
+class TestConservationInvariants:
+    """Bookkeeping every burst must respect, stated from the model's
+    description and not from its code: bytes are delivered exactly once,
+    the link never runs above line rate, and a burst arriving at or below
+    line rate never queues."""
+
+    @given(flow_count=st.integers(min_value=1, max_value=1500),
+           demand_bytes=st.integers(min_value=1, max_value=int(25 * DRAIN)),
+           effective_capacity_bytes=st.floats(min_value=1.0, max_value=3e6),
+           window_start_factor=st.floats(min_value=0.0, max_value=6.0),
+           arrival_rate_factor=st.one_of(
+               st.floats(min_value=0.05, max_value=1.0),
+               st.floats(min_value=1.0, max_value=8.0),
+               st.just(float("inf"))))
+    @settings(max_examples=400, deadline=None)
+    def test_any_burst(self, flow_count, demand_bytes,
+                       effective_capacity_bytes, window_start_factor,
+                       arrival_rate_factor):
+        max_intervals = 2000
+        trace = FluidIncast(
+            CFG, flow_count, demand_bytes, effective_capacity_bytes,
+            window_start_factor=window_start_factor,
+            arrival_rate_factor=arrival_rate_factor).run(max_intervals)
+        slack = 1e-6
+        if trace.n_intervals < max_intervals:
+            assert abs(trace.delivered_bytes.sum() - demand_bytes) <= 1.0
+        else:
+            assert trace.delivered_bytes.sum() <= demand_bytes + 1.0
+        assert (trace.delivered_bytes >= 0.0).all()
+        assert (trace.delivered_bytes <= DRAIN + slack).all()
+        assert (trace.retransmit_bytes >= 0.0).all()
+        assert (trace.retransmit_bytes
+                <= trace.delivered_bytes + slack).all()
+        assert (trace.queue_frac >= 0.0).all()
+        assert (trace.queue_frac <= min(effective_capacity_bytes,
+                                        CFG.capacity_bytes)
+                / CFG.capacity_bytes + 1e-12).all()
+        if arrival_rate_factor <= 1.0:
+            assert not trace.marked_bytes.any()
+            assert not trace.dropped_bytes.any()
+            assert not trace.queue_frac.any()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.measurement.records import TraceMeta
 from repro.netsim.fluid import FluidConfig, FluidIncast
+from repro.workloads import services
 from repro.workloads.services import (SERVICE_PROFILES, ServiceProfile,
                                       generate_host_trace,
                                       host_rate_multiplier, regime_sequence,
@@ -164,6 +165,123 @@ class TestTraceGeneration:
         assert trace.line_rate_bps == 10e9
 
 
+def record_run_burst(monkeypatch):
+    """Hook the fluid kernel where ``generate_host_trace`` calls it; the
+    returned list fills with one ``(args, result)`` per burst."""
+    calls, original = [], services.run_burst
+
+    def recording_run_burst(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(services, "run_burst", recording_run_burst)
+    return calls
+
+
+class TestGeneratorKeepsTheFluidInputChecks:
+    """``generate_host_trace`` calls the fluid kernel without building a
+    ``FluidIncast``; a profile or environment that yields a non-positive
+    input must still be refused, with the constructor's own message."""
+
+    @staticmethod
+    def constructor_message(**bad):
+        kwargs = dict(flow_count=10, demand_bytes=1000,
+                      effective_capacity_bytes=1e6, arrival_rate_factor=1.0)
+        with pytest.raises(ValueError) as raised:
+            FluidIncast(FluidConfig(), **{**kwargs, **bad})
+        return str(raised.value)
+
+    @pytest.mark.parametrize("profile_changes, config_changes, bad", [
+        ({"flow_cap": 0}, {}, {"flow_count": 0}),
+        ({}, {"line_rate_bps": 0.0}, {"demand_bytes": 0}),
+        ({}, {"capacity_bytes": 0}, {"effective_capacity_bytes": 0.0}),
+        ({"sync_log_mean": -np.inf}, {}, {"arrival_rate_factor": 0.0}),
+    ])
+    def test_non_positive_inputs(self, profile_changes, config_changes, bad):
+        profile = dataclasses.replace(SERVICE_PROFILES["indexer"],
+                                      **profile_changes)
+        with pytest.raises(ValueError) as raised:
+            generate_host_trace(profile, TraceMeta("indexer", 0), rng(0),
+                                fluid_config=FluidConfig(**config_changes))
+        assert str(raised.value) == self.constructor_message(**bad)
+
+    def test_capacity_and_window_clamps(self, monkeypatch):
+        """What reaches the kernel is what ``FluidIncast.__init__`` would
+        have stored: capacity no larger than configured, window no larger
+        than ``max_window_bytes``."""
+        cfg = FluidConfig(max_window_bytes=20_000.0)
+        calls = record_run_burst(monkeypatch)
+        generate_host_trace(SERVICE_PROFILES["video"], TraceMeta("video", 0),
+                            rng(0), duration_ms=300, fluid_config=cfg)
+        # (constants, K, demand, capacity, window, alpha, arrival factor, ...)
+        seen = [args[3:6] for args, _ in calls]
+        assert len(seen) > 5
+        assert all(0.25 * cfg.capacity_bytes <= capacity
+                   <= cfg.capacity_bytes for capacity, _, _ in seen)
+        assert {window for _, window, _ in seen} == {20_000.0}
+        assert {alpha for _, _, alpha in seen} == {0.5}
+
+
+class RecordingGenerator:
+    """A ``numpy`` generator that remembers its ``exponential`` draws (the
+    burst arrival gaps); every other draw passes straight through."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.gaps = []
+
+    def exponential(self, scale):
+        gap = self._generator.exponential(scale)
+        self.gaps.append(gap)
+        return gap
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+
+class TestGeneratorAgainstDetector:
+    """What the burst detector finds in a generated capture, against what
+    the generator put there."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("service", list(SERVICE_PROFILES))
+    def test_detected_runs_sit_inside_generated_bursts(self, service, seed,
+                                                       monkeypatch):
+        from repro.core.bursts import detect_bursts
+        from repro.core.metrics import BurstMetrics, summarize_trace
+
+        calls = record_run_burst(monkeypatch)
+        generator = RecordingGenerator(rng(seed))
+        trace = generate_host_trace(SERVICE_PROFILES[service],
+                                    TraceMeta(service, 0), generator,
+                                    regime_index=seed % 2)
+        # The arrival process, replayed: a gap of at least 1 ms, a burst,
+        # and the clock moves to the burst's end.
+        lengths = [result[0] for _, result in calls]
+        spans, t = [], 0.0
+        for gap, n_intervals in zip(generator.gaps, lengths):
+            start = int(t + max(gap, 1.0))
+            t = start + n_intervals
+            spans.append((start, min(start + n_intervals,
+                                     trace.n_intervals)))
+        assert len(spans) == len(lengths) == len(generator.gaps) - 1
+
+        detected = detect_bursts(trace)
+        assert detected
+        for burst in detected:
+            holders = [span for span in spans
+                       if span[0] <= burst.start and burst.end <= span[1]]
+            assert len(holders) == 1, (burst.start, burst.end)
+
+        summary = summarize_trace(trace)
+        rows = [BurstMetrics.from_burst(b) for b in detected]
+        assert summary.durations_ms.tolist() \
+            == [row.duration_ms for row in rows]
+        assert summary.flow_counts.tolist() \
+            == [row.max_active_flows for row in rows]
+
+
 def trace_digest(trace):
     """sha256 over dtype and bytes of the five generated columns."""
     h = hashlib.sha256()
@@ -245,14 +363,7 @@ class TestGeneratedBytesArePinned:
 
     @pytest.mark.parametrize("service, seed", list(PINNED_TRUNCATED))
     def test_burst_cut_by_end_of_capture(self, service, seed, monkeypatch):
-        lengths, original = [], FluidIncast.run
-
-        def recording_run(self, *args, **kwargs):
-            burst = original(self, *args, **kwargs)
-            lengths.append(burst.n_intervals)
-            return burst
-
-        monkeypatch.setattr(FluidIncast, "run", recording_run)
+        calls = record_run_burst(monkeypatch)
         generator = rng(seed)
         trace = generate_host_trace(
             SERVICE_PROFILES[service], TraceMeta(service, 0), generator,
@@ -263,13 +374,14 @@ class TestGeneratedBytesArePinned:
         # (a run of line-rate intervals shorter than the burst it came from).
         busy = (trace.utilization() > 0.5).tolist()
         tail = len(busy) - 1 - busy[::-1].index(False)
-        assert busy[-1] and 0 < len(busy) - 1 - tail < lengths[-1]
+        last_burst_intervals = calls[-1][1][0]
+        assert busy[-1] and 0 < len(busy) - 1 - tail < last_burst_intervals
 
     def test_capture_without_any_burst(self, monkeypatch):
-        def no_run(self, *args, **kwargs):
+        def no_run_burst(*args, **kwargs):
             raise AssertionError("no burst should have been generated")
 
-        monkeypatch.setattr(FluidIncast, "run", no_run)
+        monkeypatch.setattr(services, "run_burst", no_run_burst)
         quiet = dataclasses.replace(SERVICE_PROFILES["messaging"],
                                     burst_rate_hz=1e-9)
         generator, twin = rng(3), rng(3)
