@@ -299,9 +299,11 @@ class HostNIC:
             tx = link.tx_time_ns(packet)
         busy_until = self._vbusy_until
         if records or busy_until >= now:
-            # Busy (>= for the same event-order reason as the switch port's
-            # batched path): the packet queues; its foregone chain event is
-            # credited now and its bookkeeping settles on observation.
+            # Busy (>=, as in EgressPort._virtual_enqueue: the legacy event
+            # that ends a transmission at this very instant was scheduled
+            # later than the send that got us here, so it fires after it):
+            # the packet queues; its foregone chain event is credited now
+            # and its bookkeeping settles on observation.
             records.append((busy_until, size))
             end = busy_until + tx
             sim.count_batched(1)

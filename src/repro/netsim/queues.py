@@ -97,14 +97,14 @@ class DropTailQueue:
         self._fifo: deque[Optional[Packet]] = deque()
         self._len_bytes = 0
         self._watchers: list[QueueWatcher] = []
-        # Installed by a batched egress port (netsim.switch): a callable
-        # that applies any queue drains whose serialization has already
-        # finished in virtual time, so every observation below sees the
-        # same depth the legacy per-packet drain events would have left.
+        # Installed by a composed egress port (netsim.switch): a callable
+        # that folds in every arrival and drain it has booked that virtual
+        # time has passed, so every observation below sees the same state
+        # the legacy per-packet events would have left.
         self._settle: Optional[Callable[[], None]] = None
         self._stats = QueueStats()
-        # Per-interval peak occupancy, booked at enqueue by whichever
-        # drain implementation serves this queue (see
+        # Per-interval peak occupancy, booked at enqueue by whichever of
+        # the two drain implementations serves this queue (see
         # start_interval_peaks). Interval 0 = not recording.
         self._peak_interval_ns = 0
         self._peak_clock: Optional[Simulator] = None
@@ -114,8 +114,8 @@ class DropTailQueue:
     def stats(self) -> QueueStats:
         """Lifetime counters, settled up to the current virtual time.
 
-        Reading through this property first applies any drains the batched
-        egress path has computed but not yet booked, so mid-run samplers
+        Reading through this property first folds in whatever a composed
+        egress port has booked but not yet applied, so mid-run samplers
         (e.g. the occupancy watermark probe) see exactly the counters the
         legacy per-packet drain events would have produced. Internal fast
         paths use ``_stats`` directly after settling themselves.
@@ -136,13 +136,13 @@ class DropTailQueue:
         ``watcher`` for later :meth:`remove_watcher`.
 
         A watched queue is drained by the legacy per-packet pump, which is
-        why a watcher must attach before the first packet: once a batched
-        or composed drain has engaged there are no per-dequeue events left
-        to call it from.
+        why a watcher must attach before the first packet: once the
+        composed drain has engaged there are no per-packet events left to
+        call it from.
         """
         if self._settle is not None:
             raise RuntimeError(
-                f"{self.name}: cannot attach a watcher after the batched "
+                f"{self.name}: cannot attach a watcher after the composed "
                 f"egress path has engaged; attach watchers before the "
                 f"first packet is enqueued")
         self._watchers.append(watcher)
@@ -159,10 +159,10 @@ class DropTailQueue:
         — the depth *after* the packet was appended, what an enqueue
         watcher would read from ``len_packets``.
 
-        The queue books this itself at enqueue, in every drain
-        implementation, so observing it does not change how the queue is
-        simulated. May be switched on mid-run: enqueues older than now are
-        settled first and stay unrecorded.
+        The queue books this itself at enqueue, on the legacy pump and
+        on the composed path alike, so observing it does not change how
+        the queue is simulated. May be switched on mid-run: enqueues older
+        than now are settled first and stay unrecorded.
         """
         if interval_ns <= 0:
             raise ValueError("interval_ns must be positive")

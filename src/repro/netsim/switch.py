@@ -6,43 +6,40 @@ tree topology the experiments use). An arriving packet is looked up and
 offered to the egress port's queue; the port drains the queue onto its link
 one packet at a time.
 
-Ports have three drain implementations, chosen per port at first traffic:
+Ports have two drain implementations, chosen per port at first traffic:
 
-- the **legacy per-packet pump**: pop one packet, ``Link.transmit`` it, and
-  be called back at end-of-serialization — two kernel events per packet;
-- the **batched closed-form path**: a FIFO queue in front of a
-  work-conserving link has a schedule that is fully determined at enqueue
-  time (``start = max(now, busy_until)``, ``end = start + tx``,
-  ``delivery = end + prop``), so the port schedules *only* the delivery
-  event and records the drain times, settling queue bookkeeping for every
-  drain that virtual time has passed in one tight loop the next time
-  anything observes the queue — one kernel event per packet;
-- the **composed path**: when the topology builder promises (via
-  :meth:`EgressPort.compose_route`) that a downstream port's queue is fed
-  *only* by this port, the downstream drain schedule is itself closed-form
-  at this port's enqueue time, so the packet's entire switch-fabric
-  traversal collapses into a single delivery event at the far endpoint;
-  the downstream queue's arrivals, marks, drops, and drains are recorded
-  as plain numbers (size, flags, the depth the packet produced — never
-  the packet) and folded into the queue's counters once virtual time has
+- the **legacy per-packet pump**: ``DropTailQueue.offer`` the packet, pop
+  one, ``Link.transmit`` it, and be called back at end-of-serialization —
+  two kernel events per packet. It is the reference the composed path must
+  reproduce, and the live path wherever that one cannot engage;
+- the **composed path**: a FIFO queue in front of a work-conserving link
+  has a drain schedule that is closed-form once arrivals are known in
+  order (``start = max(arrival, busy_until)``, ``end = start + tx``,
+  ``delivery = end + prop``). When the topology builder promises who feeds
+  a port's queue — one upstream port (:meth:`EgressPort.compose_route`),
+  one NIC (``HostNIC.compose_into``) or equal-delay NIC chain events
+  (``HostNIC.compose_chain_into``) — the feeder hands each packet over
+  with its arrival time and the whole switch-fabric traversal collapses
+  into a single delivery event at the far endpoint; the queue's arrivals,
+  marks, drops, and drains are recorded as plain numbers (size, flags, the
+  depth the packet produced — never the packet), credited to the
+  simulator's event count at once so accounting matches the legacy path
+  one-for-one, and folded into the queue's counters once virtual time has
   passed them.
 
-Batched drains and composed arrivals are credited through
-:meth:`repro.simcore.kernel.Simulator.count_batched` so event accounting
-matches the legacy path one-for-one.
-
-The batched/composed paths engage only when behaviour is provably
-identical to the legacy pump: a plain :class:`~repro.netsim.link.Link`
+The composed path engages only when behaviour is provably identical to the
+legacy pump: a feeder promise, a plain :class:`~repro.netsim.link.Link`
 with a positive propagation delay (so delivery is a separate event, as in
 the legacy path), no shared :class:`~repro.netsim.buffers.BufferPool`
-(admission timing couples queues), and no queue watchers (a watcher needs
-a callback at every exact enqueue and drain instant, so it still forces
-the legacy pump). Anything else falls back to the legacy pump. Per-interval
-peak occupancy (:meth:`DropTailQueue.start_interval_peaks
-<repro.netsim.queues.DropTailQueue.start_interval_peaks>`) is *not* a
-watcher: all three implementations book it themselves from the depth and
-instant they already know at enqueue, so observing a queue that way does
-not change how it drains.
+(admission timing couples queues), no queue watchers (a watcher needs a
+callback at every exact enqueue and drain instant), and no real
+:meth:`EgressPort.enqueue` taken yet. Per-interval peak occupancy
+(``DropTailQueue.start_interval_peaks``) is *not* a watcher: both
+implementations book it from the depth and instant they already know at
+enqueue. The admission rule (drop, CE mark, watermark, interval peak)
+thus lives in two places, ``DropTailQueue.offer`` and
+:meth:`EgressPort._virtual_enqueue`, the first the reference for the
+second (``tests/test_egress_differential.py``).
 
 **Idle-start rule.** A packet that reaches an *idle* transmitter starts
 serializing inside its own arrival event (the legacy pump pops it before
@@ -70,9 +67,8 @@ to the packets in flight, whether or not anybody ever reads the queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
-
 from heapq import heappush
+from typing import Optional
 
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
@@ -81,8 +77,8 @@ from repro.simcore import kernel as _kernel
 from repro.simcore.kernel import Simulator
 
 BATCHED_EGRESS_ENABLED = True
-"""Global switch for the batched/composed egress paths (tests may disable
-to force every port onto the legacy per-packet pump)."""
+"""Test switch: ``False`` forces every port onto the legacy per-packet
+pump, the reference run (the name predates the batched drain's removal)."""
 
 # Flag bits of a composed port's arrival record.
 _MARKED = 1
@@ -99,9 +95,8 @@ class EgressPort:
 
     The port pumps the queue whenever the link transmitter is idle; the link
     calls back at end-of-serialization so the next packet starts immediately,
-    keeping the output link work-conserving. Eligible ports (see module
-    docstring) instead compute the whole drain schedule at enqueue time and
-    batch the bookkeeping.
+    keeping the output link work-conserving. A composed port (see module
+    docstring) is handed arrival times and drains in closed form instead.
     """
 
     def __init__(self, sim: Simulator, link: Link, queue: DropTailQueue,
@@ -110,9 +105,7 @@ class EgressPort:
         self.link = link
         self.queue = queue
         self.name = name
-        self._batched: Optional[bool] = None  # decided on first enqueue
-        self._drains: deque[int] = deque()    # drain-start times, FIFO order
-        self._busy_until = -1                 # when the transmitter frees up
+        self._pumped = False  # has taken a real enqueue (legacy pump)
         self._sink = None
         # Composition (this port as the upstream feeder):
         self._compose_routes: dict[int, "EgressPort"] = {}
@@ -149,7 +142,8 @@ class EgressPort:
         is the sole feeder of the receiver-downlink queue). It licenses the
         composed path; if traffic ever reaches the downstream port from
         anywhere else while composed, the downstream port raises rather
-        than silently diverge.
+        than silently diverge. Only a composed upstream acts on it: a
+        pumped port delivers through its link as if nothing was declared.
         """
         self._compose_routes[dst] = downstream
 
@@ -159,133 +153,11 @@ class EgressPort:
             raise RuntimeError(
                 f"{self.name}: real enqueue on a composed port — the "
                 f"topology builder's sole-feeder promise was violated")
-        batched = self._batched
-        if batched is None:
-            batched = self._decide_mode()
-        if batched:
-            return self._enqueue_batched(packet)
+        self._pumped = True
         accepted = self.queue.offer(packet)
         if accepted:
             self._pump()
         return accepted
-
-    def _decide_mode(self) -> bool:
-        """Pick the drain implementation once, at first traffic."""
-        link = self.link
-        queue = self.queue
-        batched = (BATCHED_EGRESS_ENABLED
-                   and type(link) is Link and link.prop_delay_ns > 0
-                   and link.sink is not None
-                   and queue.pool is None and not queue._watchers)
-        self._batched = batched
-        if batched:
-            self._sink = link.sink
-            queue._settle = self._settle
-            # Skip the mode dispatch on every later call (a batched port
-            # can never become composed: engagement requires an undecided
-            # mode, so this shadow is permanent and safe).
-            self.enqueue = self._enqueue_batched
-        return batched
-
-    def _enqueue_batched(self, packet: Packet) -> bool:
-        # This inlines DropTailQueue.offer for the eligible case (no pool,
-        # no watchers — guaranteed by _decide_mode), settling first so
-        # capacity and ECN marking see exactly the depth the legacy drain
-        # events would have left.
-        sim = self._sim
-        now = sim._now
-        drains = self._drains
-        if drains and drains[0] < now:
-            self._settle()
-        queue = self.queue
-        fifo = queue._fifo
-        stats = queue._stats
-        size = packet.size_bytes
-        depth = len(fifo)
-        cap = queue.capacity_packets
-        cap_bytes = queue.capacity_bytes
-        depth_bytes = queue._len_bytes + size
-        if ((cap is not None and depth >= cap)
-                or (cap_bytes is not None and depth_bytes > cap_bytes)):
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
-            return False
-        threshold = queue.ecn_threshold_packets
-        if threshold is not None and depth >= threshold and packet.ecn != 0:
-            packet.ecn = 2  # ECN.CE
-            stats.marked_packets += 1
-            stats.marked_bytes += size
-        fifo.append(packet)
-        queue._len_bytes = depth_bytes
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
-        if depth + 1 > stats.max_len_packets:
-            stats.max_len_packets = depth + 1
-        if depth_bytes > stats.max_len_bytes:
-            stats.max_len_bytes = depth_bytes
-        interval = queue._peak_interval_ns
-        if interval:
-            idx = now // interval
-            if depth + 1 > queue._peaks.get(idx, 0):
-                queue._peaks[idx] = depth + 1
-        link = self.link
-        tx = link._tx_time_cache.get(size)
-        if tx is None:
-            tx = link.tx_time_ns(packet)
-        busy_until = self._busy_until
-        if drains or busy_until >= now:
-            # Transmitter busy (>= matches the legacy pump: the completion
-            # event for a transmission ending exactly now always carries a
-            # later sequence number than the arrival that got us here, so
-            # the legacy port would still have seen busy=True). The drain
-            # is credited now (its legacy completion event is foregone);
-            # its bookkeeping settles lazily on observation.
-            drains.append(busy_until)
-            end = busy_until + tx
-            sim.count_batched(1)
-        else:
-            # Idle transmitter: the legacy pump pops and starts transmitting
-            # within the enqueue event itself; mirror that inline.
-            fifo.popleft()
-            queue._len_bytes = depth_bytes - size
-            stats.dequeued_packets += 1
-            stats.dequeued_bytes += size
-            link.bytes_sent += size
-            link.packets_sent += 1
-            end = now + tx
-            sim.count_batched(1)
-        self._busy_until = end
-        arrival = end + link.prop_delay_ns
-        downstream = self._compose_routes.get(packet.dst)
-        if downstream is not None and downstream._engage_composed():
-            downstream._virtual_enqueue(packet, arrival)
-        else:
-            sim._queue.push_fire(arrival, self._sink.receive, (packet,))
-        return True
-
-    def _settle(self) -> None:
-        """Apply every pending drain that virtual time has strictly passed
-        (see the module docstring for why strict ``<`` is exact)."""
-        drains = self._drains
-        if not drains:
-            return
-        now = self._sim._now
-        if drains[0] >= now:
-            return
-        queue = self.queue
-        fifo = queue._fifo
-        stats = queue._stats
-        link = self.link
-        len_bytes = queue._len_bytes
-        while drains and drains[0] < now:
-            drains.popleft()
-            size = fifo.popleft().size_bytes
-            len_bytes -= size
-            stats.dequeued_packets += 1
-            stats.dequeued_bytes += size
-            link.bytes_sent += size
-            link.packets_sent += 1
-        queue._len_bytes = len_bytes
 
     # --- composed downstream -------------------------------------------
 
@@ -299,10 +171,9 @@ class EgressPort:
                         and type(link) is Link and link.prop_delay_ns > 0
                         and link.sink is not None
                         and queue.pool is None and not queue._watchers
-                        and self._batched is None and not queue._fifo)
+                        and not self._pumped)
             self._composed = composed
             if composed:
-                self._batched = False  # real-enqueue path must not engage
                 self._sink = link.sink
                 queue._settle = self._settle_composed
                 # Admission parameters are construction-time constants
@@ -468,7 +339,7 @@ class EgressPort:
             stats.max_len_packets = max_pk
             stats.max_len_bytes = max_by
             if self._switch is not None:
-                self._switch.forwarded_packets += seen
+                self._switch._forwarded += seen
         drains = self._vdrains
         while drains and drains[0][0] < now:
             deq_by += drains.popleft()[1]
@@ -514,7 +385,16 @@ class Switch:
         self._ports: list[EgressPort] = []
         self._routes: dict[int, EgressPort] = {}
         self._default_port: Optional[EgressPort] = None
-        self.forwarded_packets = 0
+        self._forwarded = 0
+
+    @property
+    def forwarded_packets(self) -> int:
+        """Packets forwarded so far. Composed ports count theirs when they
+        fold, so the read folds first, as ``DropTailQueue.stats`` does."""
+        for port in self._ports:
+            if port._composed:
+                port._settle_composed()
+        return self._forwarded
 
     @property
     def ports(self) -> list[EgressPort]:
@@ -548,7 +428,7 @@ class Switch:
         if port is None:
             raise RuntimeError(
                 f"{self.name}: no route for destination {packet.dst}")
-        self.forwarded_packets += 1
+        self._forwarded += 1
         port.enqueue(packet)
 
     def __repr__(self) -> str:

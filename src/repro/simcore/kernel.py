@@ -132,15 +132,15 @@ class Simulator:
             self._queue.cancel(event)
 
     def count_batched(self, n: int) -> None:
-        """Credit ``n`` logical events retired by a batched fast path.
+        """Credit ``n`` logical events retired by a closed-form fast path.
 
-        The batched egress path (see :mod:`repro.netsim.switch`) collapses
-        per-packet queue-drain events into closed-form arithmetic: the
-        drains still *happen* in simulation terms, they just never touch
-        the heap. Crediting them here keeps ``events_processed`` meaning
-        "per-packet simulation operations performed" whichever path ran,
-        so engine reports and bench events/sec stay comparable across
-        batched and legacy runs.
+        The NIC's virtual egress (see :mod:`repro.netsim.nic`) collapses
+        per-packet serialization events into closed-form arithmetic: the
+        transmissions still *happen* in simulation terms, they just never
+        touch the heap. Crediting them here keeps ``events_processed``
+        meaning "per-packet simulation operations performed" whichever
+        path ran, so engine reports and bench events/sec stay comparable
+        across fast-path and legacy runs.
         """
         global _total_events_processed
         self._events_processed += n

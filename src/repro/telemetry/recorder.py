@@ -14,7 +14,7 @@ flows, CE-marked ingress bytes, and retransmitted egress bytes. Per
 attached queue it reads the peak occupancy each interval reached, which
 the queue books itself at enqueue — no per-packet callback, so an
 observed queue is simulated exactly as an unobserved one (it keeps the
-switch's batched/composed drains). All accumulation is sparse
+switch's composed drain). All accumulation is sparse
 (interval-index dicts, plain event tuples) during the run and densified
 into numpy arrays and :class:`FlowEvent` objects at
 :meth:`TelemetryRecorder.export` time.

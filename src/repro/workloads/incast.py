@@ -31,7 +31,6 @@ import numpy as np
 from repro import units
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.kernel import Simulator
-from repro.simcore.trace import TimeSeries
 from repro.tcp.connection import TcpReceiver, TcpSender
 
 
@@ -220,7 +219,6 @@ class IncastWorkload:
         self.results: list[BurstResult] = []
         self.burst_starts_ns: list[int] = []
         self._done_callbacks: list = []
-        self.queue_series = TimeSeries("bottleneck_queue_packets")
         self._burst_index = -1
         self._completing_index = 0
         self._done = False

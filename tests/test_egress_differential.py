@@ -1,20 +1,27 @@
-"""Differential test: batched/composed egress against the legacy pump.
+"""Differential test: composed egress against the legacy pump.
 
 ``netsim.switch.BATCHED_EGRESS_ENABLED = False`` forces every port onto the
 per-packet pump — two kernel events per packet, no closed forms, nothing
-credited — which makes it the reference the fast paths must reproduce.
-Golden fixtures pin only what the experiments happened to record; here
-Hypothesis draws small dumbbell scenarios aimed at the places the closed
-forms can go wrong (same-instant arrivals, arrivals at the exact instant a
-transmission ends, marking thresholds and capacities of a few packets,
-observers reading mid-run) and everything observable is compared:
+credited — which makes it the reference the fast paths (composed switch
+ports, chain-handoff and fully-virtual NICs) must reproduce. Golden
+fixtures pin only what the experiments happened to record; here Hypothesis
+draws small dumbbell scenarios aimed at the places the closed forms can go
+wrong (same-instant arrivals, arrivals at the exact instant a transmission
+ends, marking thresholds and capacities of a few packets, observers
+reading mid-run) and everything observable is compared:
 
 - every packet delivery ``(time_ns, flow, seq, ecn)`` at every NIC,
-- every port's full :class:`QueueStats`, link byte/packet counters and
-  ``Switch.forwarded_packets``,
+- ``Switch.forwarded_packets`` (read *first*: nothing else has settled
+  the ports yet), every port's full :class:`QueueStats` and link
+  byte/packet counters,
 - per-interval peak occupancy at 1 us and 1 ms,
 - ``len_packets`` / ``len_bytes`` / ``stats`` read (and the watermark
   reset) at drawn instants during the run.
+
+The rack and the leaf-spine fabric mix the two drains differently (rack:
+composed trunks feeding pumped downlinks; leaf-spine: the NIC fast path
+only, see ``tests/test_egress_paths.py``), so each gets one fixed TCP
+incast compared the same way, plus ``events_processed``.
 
 CI runs this module a second time with ``--hypothesis-seed=0
 --hypothesis-profile=thorough`` (see ``conftest.py``).
@@ -25,16 +32,20 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import units
 from repro.netsim import switch as switch_module
-from repro.netsim.link import Link
+from repro.netsim.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.netsim.packet import data_packet
 from repro.netsim.queues import DropTailQueue, QueueStats
-from repro.netsim.switch import Switch
-from repro.netsim.topology import DumbbellConfig, build_dumbbell
+from repro.netsim.topology import (DumbbellConfig, RackConfig,
+                                   build_dumbbell, build_rack)
 from repro.simcore.kernel import Simulator
+from repro.tcp.cca.dctcp import Dctcp
+from repro.tcp.config import TcpConfig
+from repro.tcp.connection import open_connection
 
 PAYLOADS = (0, 1000, 1460)  # 0 = an ACK-sized 40-byte packet
 # 1 ns, and the serialization times of the three packet sizes on the 10 G
@@ -106,6 +117,17 @@ def look(sim: Simulator, queue: DropTailQueue, reset: bool,
         queue.stats.reset_watermark()
 
 
+def tap_deliveries(hosts) -> dict[str, list]:
+    """Log every delivery as ``(time_ns, flow, seq, ecn)``, per host name."""
+    deliveries: dict[str, list] = {}
+    for host in hosts:
+        log = deliveries[host.name] = []
+        host.nic.add_ingress_hook(
+            lambda pkt, now, log=log: log.append(
+                (now, pkt.flow_id, pkt.seq, int(pkt.ecn))))
+    return deliveries
+
+
 def run_dumbbell(sc: Scenario, fast: bool) -> dict:
     with egress_mode(fast):
         sim = Simulator()
@@ -118,12 +140,7 @@ def run_dumbbell(sc: Scenario, fast: bool) -> dict:
         ports = [port for switch in switches for port in switch.ports]
         for port in ports:
             port.queue.start_interval_peaks(sim, sc.interval_ns)
-        deliveries: dict[str, list] = {}
-        for host in hosts:
-            log = deliveries[host.name] = []
-            host.nic.add_ingress_hook(
-                lambda pkt, now, log=log: log.append(
-                    (now, pkt.flow_id, pkt.seq, int(pkt.ecn))))
+        deliveries = tap_deliveries(hosts)
         # Looks are scheduled before any traffic, as a probe armed at set-up
         # is: at an exact tie they fire before the packet events.
         looks: list = []
@@ -143,6 +160,9 @@ def run_dumbbell(sc: Scenario, fast: bool) -> dict:
         sim.run(until_ns=HORIZON_NS)
         assert sim.pending_events == 0
         return {
+            # Read before anything below settles a port: a composed port
+            # counts its arrivals when it folds them.
+            "forwarded": [switch.forwarded_packets for switch in switches],
             "deliveries": deliveries,
             "looks": looks,
             "ports": {port.name: (stats_tuple(port.queue.stats),
@@ -158,7 +178,6 @@ def run_dumbbell(sc: Scenario, fast: bool) -> dict:
                                       host.nic.egress_link.bytes_sent,
                                       host.nic.egress_link.packets_sent)
                           for host in hosts},
-            "forwarded": [switch.forwarded_packets for switch in switches],
         }
 
 
@@ -203,58 +222,75 @@ class TestDumbbellDifferential:
             assert stats["max_len_packets"] == 1, fast
             ecns = [ecn for *_, ecn in out["deliveries"]["receiver"]]
             assert ecns == [1, 1], fast  # both still ECT
+            # Read before any queue's stats were: the read itself must
+            # settle the composed ports.
+            assert out["forwarded"] == [2, 2], fast
 
 
-def run_single_port(arrivals, ecn_threshold, capacity, interval_ns,
-                    looks, fast: bool) -> dict:
-    """One switch port on a 10 G link, fed directly (the batched path:
-    nothing promises a sole feeder, so it cannot compose)."""
+def run_incast(build, fast: bool) -> dict:
+    """A TCP incast on the fabric ``build(sim)`` returns as ``(switches,
+    hosts, [(sender host, receiver host), ...])``: 30 kB per flow, all
+    started at t=0, into 12-packet queues marking at 3."""
     with egress_mode(fast):
         sim = Simulator()
-        switch = Switch(sim, name="sw")
-        link = Link(sim, units.gbps(10.0), units.usec(5.0))
-        delivered: list = []
-
-        class Sink:
-            def receive(self, pkt) -> None:
-                delivered.append((sim.now, pkt.seq, int(pkt.ecn)))
-
-        link.connect(Sink())
-        queue = DropTailQueue(capacity_packets=capacity,
-                              ecn_threshold_packets=ecn_threshold,
-                              name="q")
-        port = switch.attach_port(link, queue)
-        switch.set_default_route(port)
-        queue.start_interval_peaks(sim, interval_ns)
-        seen: list = []
-        for time_ns, _, reset in looks:
-            sim.schedule_at(time_ns, look, (sim, queue, reset, seen))
-        for i, (offset, payload) in enumerate(arrivals):
-            sim.schedule_at(offset, switch.receive,
-                            (data_packet(0, 0, 1, i, payload),))
-        sim.run(until_ns=HORIZON_NS)
-        return {"delivered": delivered, "looks": seen,
-                "stats": stats_tuple(queue.stats),
-                "len": (queue.len_packets, queue.len_bytes),
-                "link": (link.bytes_sent, link.packets_sent),
-                "peaks": dict(queue.interval_peaks()),
-                "forwarded": switch.forwarded_packets}
+        switches, hosts, pairs = build(sim)
+        ports = [port for switch in switches for port in switch.ports]
+        for port in ports:
+            port.queue.start_interval_peaks(sim, units.usec(10.0))
+        deliveries = tap_deliveries(hosts)
+        tcp = TcpConfig()
+        conns = [open_connection(sim, tcp, Dctcp(tcp), src, dst, flow_id=i)
+                 for i, (src, dst) in enumerate(pairs)]
+        for sender, _ in conns:
+            sender.send(30_000)
+        sim.run(until_ns=units.sec(1.0))
+        assert all(r.delivered_bytes == 30_000 for _, r in conns)
+        return {
+            "forwarded": [switch.forwarded_packets for switch in switches],
+            "deliveries": deliveries,
+            "ports": {port.name: (stats_tuple(port.queue.stats),
+                                  dict(port.queue.interval_peaks()),
+                                  port.link.bytes_sent,
+                                  port.link.packets_sent)
+                      for port in ports},
+            "events": sim.events_processed,
+        }
 
 
-class TestBatchedPortDifferential:
-    @given(arrivals=st.lists(st.tuples(offsets,
-                                       st.sampled_from(PAYLOADS)),
-                             min_size=1, max_size=40),
-           ecn_threshold=st.sampled_from((1, 2, 3, 65)),
-           capacity=st.sampled_from((2, 4, 1333)),
-           interval_ns=st.sampled_from((units.usec(1.0), units.msec(1.0))),
-           looks=st.lists(st.tuples(
-               st.one_of(offsets, st.integers(min_value=0,
-                                              max_value=40_000)),
-               st.just(0), st.booleans()), max_size=6))
-    @settings(deadline=None)
-    def test_batched_port_equals_legacy_pump(self, arrivals, ecn_threshold,
-                                             capacity, interval_ns, looks):
-        args = (arrivals, ecn_threshold, capacity, interval_ns, looks)
-        assert_same(run_single_port(*args, fast=True),
-                    run_single_port(*args, fast=False))
+def rack_incast(sim: Simulator):
+    rack = build_rack(sim, RackConfig(
+        n_receivers=2, senders_per_receiver=6, shared_buffer_bytes=None,
+        queue_capacity_packets=12, ecn_threshold_packets=3))
+    hosts = [h for group in rack.sender_groups for h in group]
+    pairs = [(host, receiver)
+             for group, receiver in zip(rack.sender_groups, rack.receivers)
+             for host in group]
+    # One sender of each group also reaches the other group's receiver.
+    pairs += [(rack.sender_groups[0][0], rack.receivers[1]),
+              (rack.sender_groups[1][0], rack.receivers[0])]
+    return ((rack.tor_senders, rack.tor_receivers),
+            hosts + rack.receivers, pairs)
+
+
+def leaf_spine_incast(sim: Simulator):
+    fab = build_leaf_spine(sim, LeafSpineConfig(
+        n_racks=3, hosts_per_rack=4, n_spines=2,
+        queue_capacity_packets=12, ecn_threshold_packets=3))
+    receiver = fab.racks[0][0]
+    # Cross-rack senders through both spines, plus two rack-local ones.
+    senders = fab.racks[1] + fab.racks[2] + fab.racks[0][1:3]
+    return (fab.leaves + fab.spines, fab.hosts,
+            [(host, receiver) for host in senders])
+
+
+class TestFabricDifferential:
+    @pytest.mark.parametrize("build", [rack_incast, leaf_spine_incast])
+    def test_fixed_incast_equals_legacy_pump(self, build):
+        fast = run_incast(build, fast=True)
+        legacy = run_incast(build, fast=False)
+        assert_same(fast, legacy)
+        # The scenario reaches the rules worth diffing: marks and drops.
+        stats = [dict(zip(QueueStats.__slots__, port[0]))
+                 for port in legacy["ports"].values()]
+        assert sum(s["marked_packets"] for s in stats) > 0
+        assert sum(s["dropped_packets"] for s in stats) > 0

@@ -40,8 +40,7 @@ class TestCaptureIdentity:
         assert all(port._composed for port in all_ports(fast.network))
         monkeypatch.setattr(switch_module, "BATCHED_EGRESS_ENABLED", False)
         legacy = run_incast_sim(cfg)
-        assert not any(port._composed or port._batched
-                       for port in all_ports(legacy.network))
+        assert not any(port._composed for port in all_ports(legacy.network))
         assert (fast.telemetry.to_dict(max_events=10**9)
                 == legacy.telemetry.to_dict(max_events=10**9))
         assert fast.burst_results == legacy.burst_results
@@ -66,7 +65,7 @@ class TestLegacyPortsStillRecordPeaks:
         port = result.network.tor_receiver.ports[-1]
         assert port.queue is result.network.bottleneck_queue
         if on_legacy_pump:
-            assert port._batched is False and not port._composed
+            assert port._pumped and not port._composed
         peaks = result.telemetry.queues["torB->receiver"].peak_packets
         # The workload resets the watermark at each burst start and every
         # enqueue falls inside a burst, so the two views must agree.
@@ -151,7 +150,7 @@ class TestRetention:
         held = []
         for port in all_ports(net):
             held += [port._varrivals, port._vdrains, port._vfuture,
-                     port._drains, port.queue._fifo]
+                     port.queue._fifo]
         for host in net.senders + [net.receiver]:
             held += [host.nic._vrecords, host.nic._egress_fifo]
         return held
