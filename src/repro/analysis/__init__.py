@@ -1,16 +1,10 @@
 """Analysis utilities: empirical CDFs, percentile series, and the ASCII
 table/figure rendering the experiment runners print."""
 
-from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.series import percentile_bands, resample_mean
-from repro.analysis.tables import (format_figure_series, format_table,
-                                   render_cdf_table)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EmpiricalCdf",
-    "percentile_bands",
-    "resample_mean",
-    "format_table",
-    "format_figure_series",
-    "render_cdf_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cdf": ("EmpiricalCdf",),
+    "series": ("percentile_bands", "resample_mean"),
+    "tables": ("format_table", "format_figure_series", "render_cdf_table"),
+})

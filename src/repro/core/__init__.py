@@ -17,48 +17,21 @@ congestion-control diagnosis.
   and guardrail recommendation (Sections 3.3 and 5.1).
 """
 
-from repro.core.bursts import Burst, burst_frequency_hz, detect_bursts
-from repro.core.incast import (INCAST_FLOW_THRESHOLD, incast_fraction,
-                               is_incast)
-from repro.core.metrics import BurstMetrics, TraceSummary, summarize_trace
-from repro.core.modes import (DctcpMode, ModeModel, classify_queue_trace,
-                              degenerate_flow_count)
-from repro.core.divergence import (DivergenceReport, analyze_divergence,
-                                   jains_index)
-from repro.core.predictor import (GuardrailAdvisor, IncastDegreePredictor,
-                                  QuantileTracker)
-from repro.core.stability import (StabilityReport, cross_host_stability,
-                                  temporal_stability)
-from repro.core.trains import (TrainStats, analyze_trains,
-                               burstiness_coefficient, group_trains,
-                               inter_burst_gaps_ms)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Burst",
-    "detect_bursts",
-    "burst_frequency_hz",
-    "INCAST_FLOW_THRESHOLD",
-    "is_incast",
-    "incast_fraction",
-    "BurstMetrics",
-    "TraceSummary",
-    "summarize_trace",
-    "DctcpMode",
-    "ModeModel",
-    "classify_queue_trace",
-    "degenerate_flow_count",
-    "DivergenceReport",
-    "analyze_divergence",
-    "jains_index",
-    "GuardrailAdvisor",
-    "IncastDegreePredictor",
-    "QuantileTracker",
-    "StabilityReport",
-    "temporal_stability",
-    "cross_host_stability",
-    "TrainStats",
-    "analyze_trains",
-    "burstiness_coefficient",
-    "group_trains",
-    "inter_burst_gaps_ms",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bursts": ("Burst", "detect_bursts", "burst_frequency_hz"),
+    "incast": ("INCAST_FLOW_THRESHOLD", "is_incast", "incast_fraction"),
+    "metrics": ("BurstMetrics", "TraceSummary", "summarize_trace"),
+    "modes": (
+        "DctcpMode", "ModeModel", "classify_queue_trace",
+        "degenerate_flow_count"),
+    "divergence": ("DivergenceReport", "analyze_divergence", "jains_index"),
+    "predictor": (
+        "GuardrailAdvisor", "IncastDegreePredictor", "QuantileTracker"),
+    "stability": (
+        "StabilityReport", "temporal_stability", "cross_host_stability"),
+    "trains": (
+        "TrainStats", "analyze_trains", "burstiness_coefficient",
+        "group_trains", "inter_burst_gaps_ms"),
+})

@@ -10,15 +10,11 @@ the whole suite stays runnable in CI; ``scale=1.0`` reproduces the paper's
 configuration.
 """
 
-from repro.experiments.environment import (IncastSimConfig, IncastSimResult,
-                                           production_fluid_config,
-                                           run_incast_sim)
-from repro.experiments.result import ExperimentResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "IncastSimConfig",
-    "IncastSimResult",
-    "run_incast_sim",
-    "production_fluid_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "result": ("ExperimentResult",),
+    "environment": (
+        "IncastSimConfig", "IncastSimResult", "run_incast_sim",
+        "production_fluid_config"),
+})

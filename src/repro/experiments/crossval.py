@@ -211,7 +211,8 @@ def _report(packet: list[tuple[float, float]],
 
 def _main() -> int:
     import argparse
-    import json
+
+    from repro.analysis.export import pretty_json
 
     parser = argparse.ArgumentParser(
         description="Substrate cross-validation sweeps")
@@ -223,7 +224,7 @@ def _main() -> int:
     args = parser.parse_args()
     if args.hybrid:
         report = hybrid_agreement(scale=args.scale, seed=args.seed)
-        print(json.dumps(report, indent=2))
+        print(pretty_json(report))
         ok = (report["mark_rank_correlation"] >= 0.99
               and report["queue_rank_correlation"] >= 0.99)
         return 0 if ok else 1

@@ -63,67 +63,26 @@ remote-cache modes (slow/error/corrupt/down) — off by default and
 invisible to cache keys.
 """
 
-from repro.experiments.engine.cache import (CorruptPayloadError, ResultCache,
-                                            seal_payload, unseal_payload,
-                                            verify_sealed)
-from repro.experiments.engine.core import (EXPERIMENT_MODULES,
-                                           BackendContext, CampaignError,
-                                           CampaignInterrupted,
-                                           ExecutorBackend,
-                                           LocalPoolBackend, SerialBackend,
-                                           jittered_backoff, run_experiments)
-from repro.experiments.engine.distributed import (DistributedBackend,
-                                                  FrameDecoder,
-                                                  ProtocolError,
-                                                  encode_frame,
-                                                  parse_hostport)
-from repro.experiments.engine.faults import (FaultInjected, FaultSpec,
-                                             faults_from_env, parse_faults)
-from repro.experiments.engine.journal import (CampaignJournal, JournalError,
-                                              JournalReplay,
-                                              ResumeMismatchError,
-                                              campaign_identity,
-                                              load_resume_state,
-                                              replay_journal)
-from repro.experiments.engine.remote_cache import RemoteCacheTier
-from repro.experiments.engine.report import (FailureRecord, RunReport,
-                                             UnitReport)
-from repro.experiments.engine.spec import WorkUnit
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENT_MODULES",
-    "BackendContext",
-    "CampaignError",
-    "CampaignInterrupted",
-    "CampaignJournal",
-    "CorruptPayloadError",
-    "DistributedBackend",
-    "ExecutorBackend",
-    "FailureRecord",
-    "FaultInjected",
-    "FaultSpec",
-    "FrameDecoder",
-    "JournalError",
-    "JournalReplay",
-    "LocalPoolBackend",
-    "ProtocolError",
-    "RemoteCacheTier",
-    "ResultCache",
-    "ResumeMismatchError",
-    "RunReport",
-    "SerialBackend",
-    "UnitReport",
-    "WorkUnit",
-    "campaign_identity",
-    "encode_frame",
-    "faults_from_env",
-    "jittered_backoff",
-    "load_resume_state",
-    "parse_faults",
-    "parse_hostport",
-    "replay_journal",
-    "run_experiments",
-    "seal_payload",
-    "unseal_payload",
-    "verify_sealed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CorruptPayloadError", "ResultCache", "parse_hostport",
+        "seal_payload", "unseal_payload", "verify_sealed"),
+    "core": (
+        "EXPERIMENT_MODULES", "BackendContext", "CampaignError",
+        "CampaignInterrupted", "ExecutorBackend", "LocalPoolBackend",
+        "SerialBackend", "jittered_backoff", "run_experiments"),
+    "distributed": (
+        "DistributedBackend", "FrameDecoder", "ProtocolError",
+        "encode_frame"),
+    "faults": (
+        "FaultInjected", "FaultSpec", "faults_from_env", "parse_faults"),
+    "journal": (
+        "CampaignJournal", "JournalError", "JournalReplay",
+        "ResumeMismatchError", "campaign_identity", "load_resume_state",
+        "replay_journal"),
+    "remote_cache": ("RemoteCacheTier",),
+    "report": ("FailureRecord", "RunReport", "UnitReport"),
+    "spec": ("WorkUnit",),
+})

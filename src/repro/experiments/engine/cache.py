@@ -523,6 +523,47 @@ class ResultCache:
         return f"ResultCache({self.directory}, {state})"
 
 
+_SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
+
+
+def parse_size(text: str) -> int:
+    """Parse a byte size like ``512M``, ``2G``, ``1048576`` (binary
+    units; an optional trailing ``B`` is tolerated)."""
+    raw = text.strip().lower()
+    if raw.endswith("b"):
+        raw = raw[:-1]
+    factor = 1
+    if raw and raw[-1] in _SIZE_SUFFIXES:
+        factor = _SIZE_SUFFIXES[raw[-1]]
+        raw = raw[:-1]
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"unparseable size {text!r} "
+                         f"(use e.g. 512M, 2G, 1048576)") from None
+    if value <= 0:
+        raise ValueError(f"size must be positive, got {text!r}")
+    return int(value * factor)
+
+
+def parse_hostport(text: str,
+                   default_host: str = "127.0.0.1") -> tuple[str, int]:
+    """Parse ``host:port`` / ``:port`` / bare ``port`` CLI notation."""
+    text = text.strip()
+    host, sep, port_text = text.rpartition(":")
+    if not sep:
+        host, port_text = default_host, text
+    elif not host:
+        host = default_host
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError(f"invalid port in address {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port out of range in address {text!r}")
+    return host, port
+
+
 def _tiered_cache(directory: Union[str, Path, None], *, enabled: bool = True,
                   server: Optional[str] = None,
                   quota_bytes: Optional[int] = None,

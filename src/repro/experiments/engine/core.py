@@ -71,15 +71,15 @@ import signal as signal_module
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import ChainMap
+from collections.abc import Iterator, Mapping
 from fnmatch import fnmatchcase
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from types import ModuleType
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Optional,
+                    Sequence, Union)
 
-from repro.experiments import (ablations, crossval, fig1, fig2, fig3, fig4,
-                               fig5, fig6, fig7, table1, verdict)
 from repro.experiments.engine.cache import ResultCache
 from repro.experiments.engine.faults import (DISTRIBUTED_MODES,
                                              MODE_DISK_FULL, MODE_SIGNAL,
@@ -96,21 +96,39 @@ from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
 from repro.simcore import kernel
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+
+class _ExperimentRegistry(Mapping):
+    """Read-only name → module map that imports
+    ``repro.experiments.<name>`` when a name is looked up, so a campaign
+    loads the experiments it runs and nothing else does (membership and
+    iteration are by name and import nothing)."""
+
+    def __init__(self, names: Sequence[str]):
+        self._names = tuple(names)
+
+    def __getitem__(self, name: str) -> ModuleType:
+        if name not in self._names:
+            raise KeyError(name)
+        return import_module(f"repro.experiments.{name}")
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 #: Registry of experiment modules, in canonical display/run order. Each
 #: module exposes ``run()``, ``work_units()`` and ``merge()``.
-EXPERIMENT_MODULES = {
-    "table1": table1,
-    "fig1": fig1,
-    "fig2": fig2,
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "ablations": ablations,
-    "crossval": crossval,
-    "verdict": verdict,
-}
+EXPERIMENT_MODULES = _ExperimentRegistry((
+    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+    "ablations", "crossval", "verdict"))
 
 DEFAULT_TELEMETRY_INTERVAL_NS = 1_000_000
 """Millisampler's 1 ms sampling interval."""
@@ -505,6 +523,12 @@ class LocalPoolBackend(ExecutorBackend):
     def execute(self, tasks: list["_Task"],
                 context: BackendContext) -> None:
         """Drive the submit/wait/blame loop until the batch resolves."""
+        # The pool (and multiprocessing behind it) loads with the first
+        # batch that fans out; a serial campaign never asks for it.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+        from concurrent.futures import wait as futures_wait
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.jobs, len(tasks)) or 1
         unit_timeout_s = context.unit_timeout_s
         # Longest-expected-first: a dominant unit submitted late would
@@ -695,7 +719,7 @@ class _Campaign:
     """
 
     names: list[str]
-    modules: dict
+    modules: Mapping
     scale: float
     seed: int
     jobs: int
@@ -1176,7 +1200,7 @@ def run_experiments(
         ResumeMismatchError: ``resume_from`` belongs to a different
             campaign (names, params, scale, seed or code version drift).
     """
-    modules = {**EXPERIMENT_MODULES, **(extra_modules or {})}
+    modules = ChainMap(extra_modules or {}, EXPERIMENT_MODULES)
     unknown = [name for name in names if name not in modules]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}; "

@@ -69,7 +69,8 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import repro
 from repro.experiments.engine.cache import (CorruptPayloadError,
-                                            seal_payload, unseal_payload)
+                                            parse_hostport, seal_payload,
+                                            unseal_payload)
 from repro.experiments.engine.core import (BackendContext, ExecutorBackend,
                                            _Task)
 from repro.experiments.engine.faults import FAULTS_ENV_VAR, FaultSpec
@@ -280,24 +281,6 @@ def faults_from_wire(docs: Sequence[dict]) -> tuple[FaultSpec, ...]:
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"invalid fault spec: {exc}") from exc
     return tuple(specs)
-
-
-def parse_hostport(text: str,
-                   default_host: str = "127.0.0.1") -> tuple[str, int]:
-    """Parse ``host:port`` / ``:port`` / bare ``port`` CLI notation."""
-    text = text.strip()
-    host, sep, port_text = text.rpartition(":")
-    if not sep:
-        host, port_text = default_host, text
-    elif not host:
-        host = default_host
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"invalid port in address {text!r}") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port out of range in address {text!r}")
-    return host, port
 
 
 @dataclasses.dataclass(eq=False)

@@ -59,7 +59,7 @@ from typing import Iterable, Optional, Union
 
 import repro
 from repro.experiments.engine.cache import (CorruptPayloadError,
-                                            verify_sealed)
+                                            parse_hostport, verify_sealed)
 from repro.experiments.engine.faults import (MODE_CACHE_CORRUPT,
                                              MODE_CACHE_DOWN,
                                              MODE_CACHE_ERROR,
@@ -128,7 +128,6 @@ class RemoteCacheTier:
                  probe_interval_s: float = 5.0,
                  faults: Iterable[FaultSpec] = ()):
         if isinstance(address, str):
-            from repro.experiments.engine.distributed import parse_hostport
             address = parse_hostport(address)
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")

@@ -6,8 +6,9 @@ CCA) connections, drives the cyclic incast workload, probes the bottleneck
 queue, and returns per-burst results plus burst-aligned averaged queue
 traces (the paper averages the final 10 of 11 bursts).
 
-:func:`production_fluid_config` is the Section 3 environment shared by the
-fleet experiments.
+:func:`~repro.netsim.fluid.production_fluid_config`, the Section 3
+environment shared by the fleet experiments, is defined beside the fluid
+model it configures and stays importable from here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro import units
 from repro.analysis.series import align_and_average
 from repro.core.modes import DctcpMode, ModeModel, classify_queue_trace
 from repro.experiments.backends import BACKENDS
-from repro.netsim.fluid import FluidConfig
+from repro.netsim.fluid import production_fluid_config  # re-exported
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.netsim.topology import Dumbbell, DumbbellConfig, build_dumbbell
 from repro.simcore.kernel import Simulator
@@ -368,9 +369,3 @@ def _finish_telemetry(recorder: Optional[TelemetryRecorder], net: Dumbbell,
     flow_map = {sender.flow_id: i
                 for i, (sender, _) in enumerate(connections)}
     return capture.renumbered(addr_map, flow_map)
-
-
-def production_fluid_config() -> FluidConfig:
-    """The Section 3 production environment (25 Gbps NICs, 2 MB shared ToR
-    queues, ECN at 6.7% of capacity)."""
-    return FluidConfig()

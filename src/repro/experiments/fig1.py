@@ -16,9 +16,9 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.core.bursts import burst_frequency_hz, detect_bursts
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import production_fluid_config
 from repro.experiments.result import ExperimentResult
 from repro.measurement.records import TraceMeta
+from repro.netsim.fluid import production_fluid_config
 from repro.simcore.random import RngHub
 from repro.workloads.services import SERVICE_PROFILES, generate_host_trace
 

@@ -58,42 +58,24 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.export import write_result, write_run_report
-from repro.experiments.engine import (EXPERIMENT_MODULES, CampaignError,
-                                      CampaignInterrupted, JournalError,
-                                      ResumeMismatchError, faults_from_env,
-                                      load_resume_state, run_experiments)
-from repro.experiments.engine.cache import _tiered_cache
-from repro.experiments.engine.distributed import (DistributedBackend,
-                                                  parse_hostport)
+from repro.experiments.engine.cache import (_tiered_cache, parse_hostport,
+                                            parse_size)
+from repro.experiments.engine.core import (EXPERIMENT_MODULES, CampaignError,
+                                           CampaignInterrupted,
+                                           run_experiments)
+from repro.experiments.engine.faults import faults_from_env
+from repro.experiments.engine.journal import (JournalError,
+                                              ResumeMismatchError,
+                                              load_resume_state)
+
+if TYPE_CHECKING:
+    from repro.experiments.engine.distributed import DistributedBackend
 
 #: Exit code for SIGINT, matching shell convention (128 + SIGINT).
 EXIT_INTERRUPTED = 130
-
-_SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-
-
-def parse_size(text: str) -> int:
-    """Parse a byte size like ``512M``, ``2G``, ``1048576`` (binary
-    units; an optional trailing ``B`` is tolerated)."""
-    raw = text.strip().lower()
-    if raw.endswith("b"):
-        raw = raw[:-1]
-    factor = 1
-    if raw and raw[-1] in _SIZE_SUFFIXES:
-        factor = _SIZE_SUFFIXES[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"unparseable size {text!r} "
-                         f"(use e.g. 512M, 2G, 1048576)") from None
-    if value <= 0:
-        raise ValueError(f"size must be positive, got {text!r}")
-    return int(value * factor)
-
 
 #: The runnable experiments: the engine's registry itself, so the CLI and
 #: the engine can never disagree about what exists.
@@ -291,6 +273,9 @@ def _build_backend(args: argparse.Namespace
     on stderr so external workers know where to connect."""
     if args.backend != "distributed":
         return None
+    # The coordinator (sockets, selectors, subprocess) loads for the
+    # campaigns that asked for one.
+    from repro.experiments.engine.distributed import DistributedBackend
 
     def announce(host: str, port: int) -> None:
         print(f"coordinator listening on {host}:{port}", file=sys.stderr)

@@ -33,22 +33,20 @@ grid axis and the engine cache keys the choice like any other parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import units
 from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, FctDigest, FctSet,
                                 extract_fcts)
 from repro.experiments.backends import BACKENDS
-from repro.experiments.environment import CCA_FACTORIES
-from repro.netsim.leafspine import LeafSpineConfig, build_leaf_spine
-from repro.simcore.kernel import Simulator
 from repro.simcore.random import RngHub
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import open_connection
-from repro.tcp.schemes import DEFAULT_SCHEME, SchemeContext, get_scheme
-from repro.telemetry.recorder import TelemetryCapture, TelemetryRecorder
+from repro.tcp.cca import CCA_NAMES
+from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme
 from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowSpec,
                                  flow_sizes, plan_elephant_mice)
+
+if TYPE_CHECKING:
+    from repro.telemetry.recorder import TelemetryCapture
 
 
 @dataclass
@@ -147,9 +145,9 @@ class CrossRackIncastConfig:
             raise ValueError("cross-rack incast needs at least two racks")
         if self.n_senders <= 0 or self.flow_bytes <= 0:
             raise ValueError("sender count and flow size must be positive")
-        if self.cca not in CCA_FACTORIES:
+        if self.cca not in CCA_NAMES:
             raise ValueError(f"unknown CCA {self.cca!r}; "
-                             f"choose from {sorted(CCA_FACTORIES)}")
+                             f"choose from {sorted(CCA_NAMES)}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"choose from {sorted(BACKENDS)}")
@@ -197,9 +195,9 @@ class ElephantMiceGridConfig:
     scheme: str = DEFAULT_SCHEME
 
     def __post_init__(self) -> None:
-        if self.cca not in CCA_FACTORIES:
+        if self.cca not in CCA_NAMES:
             raise ValueError(f"unknown CCA {self.cca!r}; "
-                             f"choose from {sorted(CCA_FACTORIES)}")
+                             f"choose from {sorted(CCA_NAMES)}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"choose from {sorted(BACKENDS)}")
@@ -229,6 +227,17 @@ def _execute_plan(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
     rather than about scenario setup. Explicit sim-local flow ids keep
     the capture independent of the process-global connection counter.
     """
+    # The packet substrate loads here, where a run chooses it: a fluid
+    # grid must not pay for (or depend on) the TCP stack, the switch
+    # model or the recorder.
+    from repro.experiments.environment import CCA_FACTORIES
+    from repro.netsim.leafspine import LeafSpineConfig, build_leaf_spine
+    from repro.simcore.kernel import Simulator
+    from repro.tcp.config import TcpConfig
+    from repro.tcp.connection import open_connection
+    from repro.tcp.schemes import SchemeContext
+    from repro.telemetry.recorder import TelemetryRecorder
+
     sim = Simulator()
     fab = build_leaf_spine(sim, LeafSpineConfig(
         n_racks=cfg.n_racks, hosts_per_rack=cfg.hosts_per_rack,
@@ -317,8 +326,8 @@ def _run_backend(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
     """Dispatch one planned run to the configured simulation substrate."""
     if cfg.backend == "packet":
         return _execute_plan(name, cfg, flows)
-    # Imported lazily: the packet path must not pay for (or depend on)
-    # the fluid machinery.
+    # The mirror image of _execute_plan's imports: the packet path must
+    # not pay for (or depend on) the fluid machinery.
     from repro.experiments.backends import run_fluid_plan, run_hybrid_plan
     if cfg.backend == "fluid":
         return run_fluid_plan(name, cfg, flows)

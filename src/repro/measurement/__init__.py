@@ -14,17 +14,13 @@ Models the paper's production measurement apparatus:
   (services x hosts x snapshots), the shape of the paper's 18-hour study.
 """
 
-from repro.measurement.records import HostTrace, TraceMeta
-from repro.measurement.millisampler import Millisampler
-from repro.measurement.watermark import WatermarkSampler
+from repro._lazy import lazy_exports
 
-# NOTE: repro.measurement.collection is intentionally not imported here —
-# it depends on repro.core (burst summarization), which itself consumes the
-# record types above; import it as `repro.measurement.collection`.
-
-__all__ = [
-    "HostTrace",
-    "TraceMeta",
-    "Millisampler",
-    "WatermarkSampler",
-]
+# repro.measurement.collection contributes no name here: it sits above
+# repro.core (burst summarization), which consumes the record types
+# below; import it as `repro.measurement.collection`.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "records": ("HostTrace", "TraceMeta"),
+    "millisampler": ("Millisampler",),
+    "watermark": ("WatermarkSampler",),
+})

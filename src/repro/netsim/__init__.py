@@ -13,46 +13,22 @@ queueing physics (queue ~= aggregate window - BDP, all-or-nothing ECN
 marking, overflow drops) at a coarser timescale.
 """
 
-from repro.netsim.fluid import (FluidBurstTrace, FluidConfig, FluidIncast,
-                                degenerate_point_flows)
-from repro.netsim.packet import ECN, Packet
-from repro.netsim.link import Link
-from repro.netsim.queues import DropTailQueue, QueueStats
-from repro.netsim.buffers import BufferPool, SharedBufferPool, StaticBufferPool
-from repro.netsim.switch import EgressPort, Switch
-from repro.netsim.nic import HostNIC
-from repro.netsim.host import Host
-from repro.netsim.impair import Impairment
-from repro.netsim.leafspine import (LeafSpine, LeafSpineConfig,
-                                    build_leaf_spine)
-from repro.netsim.topology import (Dumbbell, DumbbellConfig, Rack,
-                                   RackConfig, build_dumbbell, build_rack)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FluidBurstTrace",
-    "FluidConfig",
-    "FluidIncast",
-    "degenerate_point_flows",
-    "ECN",
-    "Packet",
-    "Link",
-    "DropTailQueue",
-    "QueueStats",
-    "BufferPool",
-    "SharedBufferPool",
-    "StaticBufferPool",
-    "EgressPort",
-    "Switch",
-    "HostNIC",
-    "Host",
-    "Impairment",
-    "Dumbbell",
-    "DumbbellConfig",
-    "LeafSpine",
-    "LeafSpineConfig",
-    "build_leaf_spine",
-    "Rack",
-    "RackConfig",
-    "build_dumbbell",
-    "build_rack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fluid": (
+        "FluidBurstTrace", "FluidConfig", "FluidIncast",
+        "degenerate_point_flows"),
+    "packet": ("ECN", "Packet"),
+    "link": ("Link",),
+    "queues": ("DropTailQueue", "QueueStats"),
+    "buffers": ("BufferPool", "SharedBufferPool", "StaticBufferPool"),
+    "switch": ("EgressPort", "Switch"),
+    "nic": ("HostNIC",),
+    "host": ("Host",),
+    "impair": ("Impairment",),
+    "topology": (
+        "Dumbbell", "DumbbellConfig", "Rack", "RackConfig", "build_dumbbell",
+        "build_rack"),
+    "leafspine": ("LeafSpine", "LeafSpineConfig", "build_leaf_spine"),
+})

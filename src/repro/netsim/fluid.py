@@ -69,6 +69,12 @@ class FluidConfig:
         return self.ecn_threshold_frac * self.capacity_bytes
 
 
+def production_fluid_config() -> FluidConfig:
+    """The Section 3 production environment (25 Gbps NICs, 2 MB shared ToR
+    queues, ECN at 6.7% of capacity)."""
+    return FluidConfig()
+
+
 @dataclass
 class FluidBurstTrace:
     """Per-interval outputs of one fluid burst."""

@@ -27,16 +27,17 @@ which :func:`cross_rack_incast_queue` exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import units
-from repro.netsim.buffers import BufferPool, SharedBufferPool
-from repro.netsim.host import Host
-from repro.netsim.link import Link
-from repro.netsim.queues import DropTailQueue
-from repro.netsim.switch import Switch
-from repro.simcore.kernel import Simulator
 from repro.simcore.random import RngHub
+
+if TYPE_CHECKING:
+    from repro.netsim.buffers import BufferPool
+    from repro.netsim.host import Host
+    from repro.netsim.queues import DropTailQueue
+    from repro.netsim.switch import Switch
+    from repro.simcore.kernel import Simulator
 
 
 @dataclass
@@ -106,6 +107,14 @@ class LeafSpine:
 def build_leaf_spine(sim: Simulator,
                      config: Optional[LeafSpineConfig] = None) -> LeafSpine:
     """Build the fabric and install deterministic destination routing."""
+    # The fabric's parts load with the first fabric built: the fluid
+    # backend reads LeafSpineConfig's rates and never builds one.
+    from repro.netsim.buffers import SharedBufferPool
+    from repro.netsim.host import Host
+    from repro.netsim.link import Link
+    from repro.netsim.queues import DropTailQueue
+    from repro.netsim.switch import Switch
+
     cfg = config or LeafSpineConfig()
 
     def make_queue(pool: Optional[BufferPool], name: str) -> DropTailQueue:

@@ -16,21 +16,12 @@ This package is the substrate on which the packet-level network model
 - :mod:`repro.simcore.trace` — lightweight time-series probes and counters.
 """
 
-from repro.simcore.event import Event, EventQueue
-from repro.simcore.hooks import HookRegistry
-from repro.simcore.kernel import Simulator, StopReason, Timer
-from repro.simcore.random import RngHub
-from repro.simcore.trace import Counter, PeriodicProbe, TimeSeries
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "HookRegistry",
-    "Simulator",
-    "StopReason",
-    "Timer",
-    "RngHub",
-    "Counter",
-    "PeriodicProbe",
-    "TimeSeries",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "event": ("Event", "EventQueue"),
+    "hooks": ("HookRegistry",),
+    "kernel": ("Simulator", "StopReason", "Timer"),
+    "random": ("RngHub",),
+    "trace": ("Counter", "PeriodicProbe", "TimeSeries"),
+})

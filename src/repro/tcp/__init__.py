@@ -14,29 +14,17 @@ the Section 5.2 alternative). :mod:`repro.tcp.guardrail` adds the Section 5.1
 "guardrail" CWND cap driven by predicted incast degree.
 """
 
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import TcpReceiver, TcpSender, open_connection
-from repro.tcp.rtt import RttEstimator
-from repro.tcp.cca.base import CongestionControl
-from repro.tcp.cca.dctcp import Dctcp
-from repro.tcp.cca.reno import Reno
-from repro.tcp.cca.swiftlike import SwiftLike
-from repro.tcp.guardrail import CwndGuardrail, guardrail_cap_bytes
-from repro.tcp.ictcp import ReceiverWindowThrottle
-from repro.tcp.sack import SackScoreboard
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TcpConfig",
-    "TcpSender",
-    "TcpReceiver",
-    "open_connection",
-    "RttEstimator",
-    "CongestionControl",
-    "Reno",
-    "Dctcp",
-    "SwiftLike",
-    "CwndGuardrail",
-    "guardrail_cap_bytes",
-    "ReceiverWindowThrottle",
-    "SackScoreboard",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("TcpConfig",),
+    "connection": ("TcpSender", "TcpReceiver", "open_connection"),
+    "rtt": ("RttEstimator",),
+    "cca.base": ("CongestionControl",),
+    "cca.reno": ("Reno",),
+    "cca.dctcp": ("Dctcp",),
+    "cca.swiftlike": ("SwiftLike",),
+    "guardrail": ("CwndGuardrail", "guardrail_cap_bytes"),
+    "ictcp": ("ReceiverWindowThrottle",),
+    "sack": ("SackScoreboard",),
+})

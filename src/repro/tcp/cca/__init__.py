@@ -5,9 +5,15 @@ owns reliability (retransmits, timers); the CCA owns only the congestion
 window and its reaction to ACKs, ECN echoes, losses, and timeouts.
 """
 
-from repro.tcp.cca.base import CongestionControl
-from repro.tcp.cca.dctcp import Dctcp
-from repro.tcp.cca.reno import Reno
-from repro.tcp.cca.swiftlike import SwiftLike
+from repro._lazy import lazy_exports
 
-__all__ = ["CongestionControl", "Reno", "Dctcp", "SwiftLike"]
+CCA_NAMES = ("dctcp", "reno", "swiftlike")
+"""The values a config's ``cca`` field may name, kept apart from the
+classes so a fluid run can validate the axis without loading them."""
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("CongestionControl",),
+    "reno": ("Reno",),
+    "dctcp": ("Dctcp",),
+    "swiftlike": ("SwiftLike",),
+})

@@ -6,7 +6,7 @@ live simulation by the experiment environments. The registry enforces the
 contract ``docs/MITIGATIONS.md`` documents — unique names, declared
 knobs, the :class:`~repro.tcp.schemes.base.MitigationScheme` lifecycle.
 
-Built-in zoo (registered on import):
+Built-in zoo (each instantiated by its first :func:`get_scheme`):
 
 - ``dctcp`` — the baseline, no extra mechanism (default; elided from
   cache keys and exports so pre-zoo artifacts stay byte-identical);
@@ -24,15 +24,22 @@ Third-party schemes register through :func:`register_scheme`; see the
 
 from __future__ import annotations
 
-from repro.tcp.schemes.base import (BaselineScheme, MitigationScheme,
-                                    SchemeContext, SchemeRuntime)
-from repro.tcp.schemes.detect import DetectScheme
-from repro.tcp.schemes.fec import FecScheme
-from repro.tcp.schemes.ictcp import IctcpScheme
-from repro.tcp.schemes.pulser import PulserScheme
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.tcp.schemes.base import MitigationScheme
 
 DEFAULT_SCHEME = "dctcp"
 """The scheme every config defaults to; never cache-key-visible."""
+
+#: The built-in zoo, name → class exported below. Validating a config's
+#: ``scheme`` axis needs the names; only a run that installs a scheme
+#: needs its module (and the packet stack behind it).
+_BUILTIN = {"dctcp": "BaselineScheme", "ictcp": "IctcpScheme",
+            "pulser": "PulserScheme", "fec": "FecScheme",
+            "detect": "DetectScheme"}
 
 _REGISTRY: dict[str, MitigationScheme] = {}
 
@@ -47,9 +54,9 @@ def register_scheme(scheme: MitigationScheme, *,
     """
     if not scheme.name:
         raise ValueError(f"{type(scheme).__name__} declares no name")
-    if scheme.name in _REGISTRY and not replace:
+    if scheme.name in scheme_names() and not replace:
         raise ValueError(f"scheme {scheme.name!r} is already registered "
-                         f"(by {type(_REGISTRY[scheme.name]).__name__}); "
+                         f"(by {type(get_scheme(scheme.name)).__name__}); "
                          f"pass replace=True to override")
     _REGISTRY[scheme.name] = scheme
     return scheme
@@ -57,23 +64,27 @@ def register_scheme(scheme: MitigationScheme, *,
 
 def get_scheme(name: str) -> MitigationScheme:
     """Look up a registered scheme; ``ValueError`` lists the choices."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown scheme {name!r}; "
-                         f"choose from {scheme_names()}") from None
+    if name not in _REGISTRY:
+        if name not in _BUILTIN:
+            raise ValueError(f"unknown scheme {name!r}; "
+                             f"choose from {scheme_names()}")
+        _REGISTRY[name] = __getattr__(_BUILTIN[name])()
+    return _REGISTRY[name]
 
 
 def scheme_names() -> list[str]:
     """Sorted names of every registered scheme."""
-    return sorted(_REGISTRY)
+    return sorted({*_BUILTIN, *_REGISTRY})
 
 
-for _builtin in (BaselineScheme(), IctcpScheme(), PulserScheme(),
-                 FecScheme(), DetectScheme()):
-    register_scheme(_builtin)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("MitigationScheme", "SchemeContext", "SchemeRuntime",
+             "BaselineScheme"),
+    "ictcp": ("IctcpScheme",),
+    "pulser": ("PulserScheme",),
+    "fec": ("FecScheme",),
+    "detect": ("DetectScheme",),
+})
 
-__all__ = ["DEFAULT_SCHEME", "MitigationScheme", "SchemeContext",
-           "SchemeRuntime", "register_scheme", "get_scheme",
-           "scheme_names", "BaselineScheme", "IctcpScheme",
-           "PulserScheme", "FecScheme", "DetectScheme"]
+__all__ += ["DEFAULT_SCHEME", "register_scheme", "get_scheme",
+            "scheme_names"]

@@ -31,14 +31,18 @@ only implements what it actually needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.netsim.host import Host
-from repro.netsim.queues import DropTailQueue
-from repro.simcore.kernel import Simulator
-from repro.tcp.cca.base import CongestionControl
-from repro.tcp.config import TcpConfig
-from repro.tcp.connection import TcpReceiver, TcpSender
+if TYPE_CHECKING:
+    # Annotations only: the contract names the packet stack's types, it
+    # runs none of their code, and the registry loads this module to
+    # validate a scheme name on runs that never build a connection.
+    from repro.netsim.host import Host
+    from repro.netsim.queues import DropTailQueue
+    from repro.simcore.kernel import Simulator
+    from repro.tcp.cca.base import CongestionControl
+    from repro.tcp.config import TcpConfig
+    from repro.tcp.connection import TcpReceiver, TcpSender
 
 
 @dataclass

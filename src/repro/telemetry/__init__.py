@@ -40,15 +40,10 @@ one dict lookup or one empty-list check and results are bit-identical to
 an uninstrumented build.
 """
 
-from repro.telemetry.recorder import (FLOW_CHANNELS, FlowEvent, HostSeries,
-                                      QueueSeries, TelemetryCapture,
-                                      TelemetryRecorder)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FLOW_CHANNELS",
-    "FlowEvent",
-    "HostSeries",
-    "QueueSeries",
-    "TelemetryCapture",
-    "TelemetryRecorder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "recorder": (
+        "FLOW_CHANNELS", "FlowEvent", "HostSeries", "QueueSeries",
+        "TelemetryCapture", "TelemetryRecorder"),
+})

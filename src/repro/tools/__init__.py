@@ -13,4 +13,8 @@
   to a ``--backend distributed`` coordinator, pulls work units and streams
   back checksummed result payloads (see
   :mod:`repro.experiments.engine.distributed`).
+- ``python -m repro.tools.cacheserver`` — shared result-cache server: a
+  content-addressed HTTP blob store that campaigns and workers read
+  through and write behind with ``--cache-server HOST:PORT`` (see
+  :mod:`repro.experiments.engine.remote_cache`).
 """

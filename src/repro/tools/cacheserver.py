@@ -56,6 +56,7 @@ from typing import Optional, Sequence, Union
 
 import repro
 from repro.experiments.engine.cache import (CorruptPayloadError, ResultCache,
+                                            parse_hostport, parse_size,
                                             verify_sealed)
 
 #: Exit codes for the CLI.
@@ -293,8 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: serve until SIGINT/SIGTERM, then exit cleanly."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.experiments.engine.distributed import parse_hostport
-    from repro.experiments.runner import parse_size
     try:
         address = parse_hostport(args.listen)
         quota = parse_size(args.quota) if args.quota else None

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.analysis.export import result_to_dict
+from repro.analysis.export import result_to_dict, write_json
 from repro.experiments.result import ExperimentResult
 
 #: All golden cases share one small scale and one fixed seed.
@@ -74,12 +74,15 @@ def scalar_leaves(value: Any, prefix: str = "data") -> dict[str, Any]:
 
 
 def golden_payload(result: ExperimentResult) -> dict:
-    """The stored form of one case: scale/seed plus metric leaves."""
+    """The stored form of one case: scale/seed plus metric leaves, every
+    key in sorted order (the order the fixture files are committed in;
+    the writer does not sort)."""
+    metrics = scalar_leaves(result_to_dict(result)["data"])
     return {
+        "metrics": dict(sorted(metrics.items())),
+        "n_sections": len(result.sections),
         "scale": SCALE,
         "seed": SEED,
-        "n_sections": len(result.sections),
-        "metrics": scalar_leaves(result_to_dict(result)["data"]),
     }
 
 
@@ -241,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"    {problem}")
             failures += bool(problems)
         else:
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True),
-                            encoding="utf-8")
+            write_json(payload, path)
             print(f"wrote {path} ({len(payload['metrics'])} metrics)")
     return 1 if failures else 0
 

@@ -10,36 +10,18 @@
   the leaf-spine sweep scenarios.
 """
 
-from repro.workloads.incast import (BurstResult, BurstScheduling,
-                                    FlowStateSampler, IncastConfig,
-                                    IncastWorkload, demand_per_flow_bytes)
-from repro.workloads.mix import (ElephantMiceConfig, FlowSpec, flow_sizes,
-                                 plan_elephant_mice, remote_ranks)
-from repro.workloads.partition_aggregate import (PartitionAggregateConfig,
-                                                 PartitionAggregateWorkload,
-                                                 QueryResult)
-from repro.workloads.scheduler import IncastScheduler, SchedulerConfig
-from repro.workloads.services import (SERVICE_PROFILES, ServiceProfile,
-                                      service_names)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BurstResult",
-    "BurstScheduling",
-    "FlowStateSampler",
-    "IncastConfig",
-    "IncastWorkload",
-    "demand_per_flow_bytes",
-    "ElephantMiceConfig",
-    "FlowSpec",
-    "flow_sizes",
-    "plan_elephant_mice",
-    "remote_ranks",
-    "PartitionAggregateConfig",
-    "PartitionAggregateWorkload",
-    "QueryResult",
-    "IncastScheduler",
-    "SchedulerConfig",
-    "SERVICE_PROFILES",
-    "ServiceProfile",
-    "service_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "incast": (
+        "BurstResult", "BurstScheduling", "FlowStateSampler", "IncastConfig",
+        "IncastWorkload", "demand_per_flow_bytes"),
+    "mix": (
+        "ElephantMiceConfig", "FlowSpec", "flow_sizes", "plan_elephant_mice",
+        "remote_ranks"),
+    "partition_aggregate": (
+        "PartitionAggregateConfig", "PartitionAggregateWorkload",
+        "QueryResult"),
+    "scheduler": ("IncastScheduler", "SchedulerConfig"),
+    "services": ("SERVICE_PROFILES", "ServiceProfile", "service_names"),
+})

@@ -32,7 +32,10 @@ class TestIncastSimConfig:
         assert model.degenerate_point == 90
 
     def test_cca_registry(self):
+        from repro.tcp.cca import CCA_NAMES
         assert set(CCA_FACTORIES) == {"dctcp", "reno", "swiftlike"}
+        # The names a fluid config validates against, without the classes.
+        assert set(CCA_NAMES) == set(CCA_FACTORIES)
 
     def test_guardrail_wrapping(self):
         from repro.tcp.guardrail import CwndGuardrail
