@@ -81,16 +81,23 @@ class EmpiricalCdf:
         percentile grid (consumed by :mod:`repro.analysis.export`).
 
         An empty set exports ``mean: None`` and no percentile entries —
-        visibly absent rather than a fabricated zero."""
-        if len(self._sorted) == 0:
+        visibly absent rather than a fabricated zero. The grid is one
+        gather at :meth:`percentile`'s own indices and one ``tolist()``."""
+        n = len(self._sorted)
+        if n == 0:
             return {"name": self.name, "n": 0, "mean": None,
                     "percentiles": {}}
-        grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]
+        indices = [max(0, math.ceil(n * (p / 100.0) - 1))
+                   for p in (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0,
+                             99.0)]
         return {
             "name": self.name,
-            "n": len(self._sorted),
+            "n": n,
             "mean": self.mean(),
-            "percentiles": {f"p{p:g}": self.percentile(p) for p in grid},
+            "percentiles": dict(zip(
+                ("p1", "p5", "p10", "p25", "p50", "p75", "p90", "p95",
+                 "p99"),
+                self._sorted[indices].tolist())),
         }
 
     def mean(self) -> float:

@@ -20,15 +20,22 @@ The contract:
   against a threshold (mice: ``size <= mouse_max_bytes``), matching the
   deliberate elephant-over-incast-mice overlap of the grid scenarios;
 - merging :class:`FctSet` s from different work units is associative and
-  order-independent (records re-sort by ``(open_ns, flow_id)``), so a
+  order-independent (rows re-sort by ``(open_ns, flow_id)``), so a
   sweep merged from cached, parallel, or resumed units is byte-identical
   to a serial one.
+
+An :class:`FctSet` holds its flows as columns — one tuple per field —
+because that is what every consumer reads (a CDF wants the FCTs of one
+class, a merge wants the identities) and what a sealed cache payload
+pickles cheaply; :class:`FlowFct` is the one-flow row view, built on
+demand by :attr:`FctSet.records`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter, lt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -85,8 +92,8 @@ class FctDigest:
     """An :class:`FctSet` split by class and converted to milliseconds
     once: what a table row and a JSON summary both read.
 
-    Derived on demand (:meth:`FctSet.digest`) and never stored: the
-    sealed cache payloads pickle ``FctSet`` s, which stay as they were.
+    Derived on demand (:meth:`FctSet.digest`) and never stored: a sealed
+    cache payload pickles the set's columns, not their digest.
 
     Attributes:
         n_flows: Finished flows of every class.
@@ -115,33 +122,71 @@ class FctDigest:
 
 @dataclass(frozen=True)
 class FctSet:
-    """An order-canonical set of finished-flow records plus rejection
-    accounting.
+    """An order-canonical set of finished flows, held as columns, plus
+    rejection accounting.
+
+    Entry ``i`` of every column tuple describes the same finished flow,
+    and the flows are sorted by ``(open_ns, flow_id)`` — the canonical
+    order that makes :func:`merge_fct_sets` associative.
 
     Attributes:
-        records: Finished flows, sorted by ``(open_ns, flow_id)`` — the
-            canonical order that makes :func:`merge_fct_sets`
-            associative.
+        flow_ids: Sim-local flow id per finished flow.
+        srcs: Sending host rank per flow.
+        open_ns: Open instant per flow.
+        close_ns: First close instant per flow (never before its open).
+        sizes: Demand in bytes per flow (``None`` where unknown).
+        first_byte_ns: First delivered byte per flow (``None`` where the
+            substrate does not observe it).
+        classes: :data:`MOUSE` or :data:`ELEPHANT` per flow.
         unfinished: Flows that opened but never closed (horizon
             truncation); never part of a CDF.
-        mouse_max_bytes: The classification threshold the records were
-            built with.
+        mouse_max_bytes: The classification threshold the flows were
+            classed with.
     """
 
-    records: tuple[FlowFct, ...] = ()
+    flow_ids: tuple[int, ...] = ()
+    srcs: tuple[int, ...] = ()
+    open_ns: tuple[int, ...] = ()
+    close_ns: tuple[int, ...] = ()
+    sizes: tuple[Optional[int], ...] = ()
+    first_byte_ns: tuple[Optional[int], ...] = ()
+    classes: tuple[str, ...] = ()
     unfinished: int = 0
     mouse_max_bytes: int = DEFAULT_MOUSE_MAX_BYTES
 
+    def __post_init__(self) -> None:
+        columns = (self.flow_ids, self.srcs, self.open_ns, self.close_ns,
+                   self.sizes, self.first_byte_ns, self.classes)
+        if any(len(column) != len(self.flow_ids) for column in columns):
+            raise ValueError(f"FctSet columns need one entry per flow; got "
+                             f"lengths {[len(c) for c in columns]}")
+        if any(map(lt, self.close_ns, self.open_ns)):
+            for flow_id, open_ns, close_ns in zip(
+                    self.flow_ids, self.open_ns, self.close_ns):
+                if close_ns < open_ns:
+                    raise ValueError(
+                        f"flow {flow_id}: close at {close_ns} precedes "
+                        f"open at {open_ns}")
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.flow_ids)
+
+    @property
+    def records(self) -> tuple[FlowFct, ...]:
+        """The flows as :class:`FlowFct` rows, in canonical order (built
+        on each access; nothing on a sweep's path reads them)."""
+        return tuple(map(FlowFct, self.flow_ids, self.srcs, self.open_ns,
+                         self.close_ns, self.sizes, self.first_byte_ns,
+                         self.classes))
 
     def split_cdfs(self) -> dict[str, EmpiricalCdf]:
         """``{"mice": cdf, "elephants": cdf}`` of FCTs in milliseconds
-        (absent classes excluded), from one pass over the records."""
+        (absent classes excluded), from one pass over the columns."""
         fct_ms: dict[str, list[float]] = {MOUSE: [], ELEPHANT: []}
-        for record in self.records:
-            if record.cls in fct_ms:
-                fct_ms[record.cls].append(record.fct_ms)
+        for cls, open_ns, close_ns in zip(self.classes, self.open_ns,
+                                          self.close_ns):
+            if cls in fct_ms:
+                fct_ms[cls].append((close_ns - open_ns) / units.NS_PER_MS)
         return {key: EmpiricalCdf(fct_ms[cls], name=key)
                 for key, cls in (("mice", MOUSE), ("elephants", ELEPHANT))
                 if fct_ms[cls]}
@@ -149,7 +194,7 @@ class FctSet:
     def digest(self) -> FctDigest:
         """Split and convert once; share the result between every reader
         of this set (a sweep point feeds a table row and an export)."""
-        return FctDigest(len(self.records), self.unfinished,
+        return FctDigest(len(self.flow_ids), self.unfinished,
                          self.split_cdfs(), self.mouse_max_bytes)
 
     def summary(self) -> dict:
@@ -161,15 +206,38 @@ class FctSet:
         return self.summary()
 
 
+def _rows(fcts: FctSet) -> Iterable[tuple]:
+    """``fcts``' flows as ``(open_ns, flow_id, src, close_ns, size,
+    first_byte_ns, cls)`` tuples: the canonical sort key leads."""
+    return zip(fcts.open_ns, fcts.flow_ids, fcts.srcs, fcts.close_ns,
+               fcts.sizes, fcts.first_byte_ns, fcts.classes)
+
+
+def _from_rows(rows: list[tuple], unfinished: int,
+               mouse_max_bytes: int) -> FctSet:
+    """The :class:`FctSet` of :func:`_rows`-shaped tuples, which this
+    sorts into canonical order (their ``(open_ns, flow_id)`` are
+    distinct)."""
+    rows.sort(key=itemgetter(0, 1))
+    if not rows:
+        return FctSet(unfinished=unfinished, mouse_max_bytes=mouse_max_bytes)
+    open_ns, flow_ids, srcs, close_ns, sizes, first_bytes, classes = \
+        zip(*rows)
+    return FctSet(flow_ids, srcs, open_ns, close_ns, sizes, first_bytes,
+                  classes, unfinished, mouse_max_bytes)
+
+
 def extract_fcts(events: Iterable, *,
                  sizes: Optional[Mapping[int, int]] = None,
                  mouse_max_bytes: int = DEFAULT_MOUSE_MAX_BYTES) -> FctSet:
-    """Reduce a flow-lifecycle event log to per-flow FCT records.
+    """Reduce a flow-lifecycle event log to per-flow FCT columns.
 
     Args:
         events: ``FlowEvent``-shaped objects (``time_ns`` / ``kind`` /
             ``flow_id`` / ``host`` attributes) in any order; only the
-            ``open`` / ``first_byte`` / ``close`` kinds are consumed.
+            ``open`` / ``first_byte`` / ``close`` kinds are consumed, and
+            at one instant a flow's open counts before its first byte
+            and its first byte before its close.
         sizes: Per-flow demand in bytes, used for mouse/elephant
             classification. Flows without an entry classify by the
             threshold as mice only when ``sizes`` is omitted entirely;
@@ -188,7 +256,9 @@ def extract_fcts(events: Iterable, *,
     opens: dict[int, tuple[int, int]] = {}     # flow -> (open_ns, src)
     first_bytes: dict[int, int] = {}
     closes: dict[int, int] = {}                # first close only
-    ordered = sorted(events, key=lambda e: (e.time_ns, e.flow_id))
+    rank = {"open": 0, "first_byte": 1, "close": 2}.get
+    ordered = sorted(events,
+                     key=lambda e: (e.time_ns, e.flow_id, rank(e.kind, 3)))
     for event in ordered:
         if event.kind == "open":
             opens.setdefault(event.flow_id, (event.time_ns, event.host))
@@ -201,7 +271,7 @@ def extract_fcts(events: Iterable, *,
                     f"without an open event — corrupt lifecycle log")
             closes.setdefault(event.flow_id, event.time_ns)
 
-    records = []
+    rows = []
     for flow_id, (open_ns, src) in opens.items():
         if flow_id not in closes:
             continue  # unfinished; counted below
@@ -218,14 +288,9 @@ def extract_fcts(events: Iterable, *,
             size = int(raw)
         cls = MOUSE if size is None or size <= mouse_max_bytes \
             else ELEPHANT
-        records.append(FlowFct(
-            flow_id=flow_id, src=src, open_ns=open_ns,
-            close_ns=closes[flow_id], size_bytes=size,
-            first_byte_ns=first_bytes.get(flow_id), cls=cls))
-    records.sort(key=lambda r: (r.open_ns, r.flow_id))
-    return FctSet(records=tuple(records),
-                  unfinished=len(opens) - len(records),
-                  mouse_max_bytes=mouse_max_bytes)
+        rows.append((open_ns, flow_id, src, closes[flow_id], size,
+                     first_bytes.get(flow_id), cls))
+    return _from_rows(rows, len(opens) - len(rows), mouse_max_bytes)
 
 
 def _common_threshold(entries: Sequence[Union[FctSet, FctDigest]]) -> int:
@@ -241,13 +306,13 @@ def _common_threshold(entries: Sequence[Union[FctSet, FctDigest]]) -> int:
 def merge_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     """Combine per-unit FCT sets into one (associative, order-canonical).
 
-    Records re-sort into the canonical ``(open_ns, flow_id)`` order and
+    Flows re-sort into the canonical ``(open_ns, flow_id)`` order and
     unfinished counts add, so ``merge([merge([a, b]), c])`` equals
     ``merge([a, merge([b, c])])`` and equals ``merge([a, b, c])`` — the
     property that lets a sweep merge cached, fresh, and resumed unit
     payloads interchangeably.
 
-    The inputs must describe *disjoint* flows: two records sharing a
+    The inputs must describe *disjoint* flows: two flows sharing a
     ``(flow_id, open_ns)`` identity mean the same flow arrived twice
     (e.g. one unit payload merged with itself after a resume or cache
     bug), which would silently double-count it in every CDF — that is an
@@ -258,29 +323,26 @@ def merge_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     if not sets:
         return FctSet()
     threshold = _common_threshold(sets)
-    merged = [record for s in sets for record in s.records]
+    rows = [row for s in sets for row in _rows(s)]
     seen: set[tuple[int, int]] = set()
-    for record in merged:
-        key = (record.flow_id, record.open_ns)
-        if key in seen:
+    for row in rows:
+        identity = row[:2]
+        if identity in seen:
             raise ValueError(
-                f"duplicate flow in merge: flow_id={record.flow_id} "
-                f"opened at {record.open_ns} ns appears in more than one "
-                f"input set — merging would double-count it (same unit "
-                f"payload merged twice?); use pool_fct_sets for records "
-                f"from distinct simulations")
-        seen.add(key)
-    merged.sort(key=lambda r: (r.open_ns, r.flow_id))
-    return FctSet(records=tuple(merged),
-                  unfinished=sum(s.unfinished for s in sets),
-                  mouse_max_bytes=threshold)
+                f"duplicate flow in merge: flow_id={row[1]} opened at "
+                f"{row[0]} ns appears in more than one input set — "
+                f"merging would double-count it (same unit payload merged "
+                f"twice?); use pool_fct_sets for records from distinct "
+                f"simulations")
+        seen.add(identity)
+    return _from_rows(rows, sum(s.unfinished for s in sets), threshold)
 
 
 def pool_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     """Pool FCT sets from *distinct simulations* into one sample set.
 
     A sweep's grid points simulate the same deterministic flow plan under
-    different parameters, so their records legitimately collide on
+    different parameters, so their flows legitimately collide on
     ``(flow_id, open_ns)`` — they are independent measurements, not the
     same flow twice. Pooling renumbers each input set's flows into a
     disjoint id range (set index stacked above the widest id) and then
@@ -290,19 +352,12 @@ def pool_fct_sets(sets: Sequence[FctSet]) -> FctSet:
     """
     if not sets:
         return FctSet()
-    width = max((r.flow_id for s in sets for r in s.records),
+    width = max((flow_id for s in sets for flow_id in s.flow_ids),
                 default=0) + 1
-    disjoint = []
-    for index, s in enumerate(sets):
-        records = tuple(
-            FlowFct(flow_id=index * width + r.flow_id, src=r.src,
-                    open_ns=r.open_ns, close_ns=r.close_ns,
-                    size_bytes=r.size_bytes,
-                    first_byte_ns=r.first_byte_ns, cls=r.cls)
-            for r in s.records)
-        disjoint.append(FctSet(records=records, unfinished=s.unfinished,
-                               mouse_max_bytes=s.mouse_max_bytes))
-    return merge_fct_sets(disjoint)
+    return merge_fct_sets([
+        replace(s, flow_ids=tuple(index * width + flow_id
+                                  for flow_id in s.flow_ids))
+        for index, s in enumerate(sets)])
 
 
 def pool_fct_digests(digests: Sequence[FctDigest]) -> FctDigest:

@@ -5,13 +5,15 @@ Every experiment and sweep config carries a ``backend`` field drawn from
 
 - ``packet`` — the discrete-event packet core, unchanged. The default;
   every golden fixture is pinned against it.
-- ``fluid`` — the whole run approximated on the
-  :class:`~repro.netsim.fluid.FluidIncast` bottleneck model with matched
-  parameters. Flows are grouped into *waves* (start times quantized to
-  the fluid interval); each wave runs as one aggregate fluid burst and
-  per-flow completions come from interval-granular processor sharing of
-  the wave's delivered bytes. Waves do not interact — exactly the
-  fidelity loss ``hybrid`` repairs and ``crossval`` quantifies.
+- ``fluid`` — the whole run approximated on the :mod:`repro.netsim.fluid`
+  bottleneck model with matched parameters. Flows are grouped into
+  *waves* (start times quantized to the fluid interval); each wave runs
+  as one aggregate fluid burst and per-flow completions come from
+  interval-granular processor sharing of the wave's delivered bytes,
+  written straight into the :class:`~repro.analysis.fct.FctSet` columns
+  (:func:`_fluid_wave`, shared with ``hybrid``'s steady window). Waves do
+  not interact — exactly the fidelity loss ``hybrid`` repairs and
+  ``crossval`` quantifies.
 - ``hybrid`` — fluid for the *steady-state windows*, the packet core for
   the *burst windows*. For the leaf-spine mix scenario the steady-state
   window is the elephant warmup (long flows at DCTCP steady state,
@@ -35,16 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro import units
-from repro.analysis.fct import ELEPHANT, MOUSE, FlowFct, FctSet, \
-    merge_fct_sets
+from repro.analysis.fct import ELEPHANT, MOUSE, FctSet, merge_fct_sets
 from repro.analysis.series import align_and_average
 from repro.core.modes import classify_queue_trace
-from repro.netsim.fluid import FluidConfig, FluidIncast
+from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
+                                FluidIncast, burst_start, run_burst)
 from repro.netsim.leafspine import LeafSpineConfig
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.workloads.mix import KIND_MOUSE, FlowSpec
@@ -86,43 +88,43 @@ def _min_fct_ns(wire_bytes: int, cfg: FluidConfig) -> int:
     return cfg.base_rtt_ns + int(serial)
 
 
-def _processor_sharing(specs: list[FlowSpec], ref_ns: int,
-                       delivered_bytes: np.ndarray, interval_ns: int,
-                       mss_bytes: int) -> dict[int, int]:
+def _processor_sharing(specs: list[FlowSpec], wires: list[int],
+                       delivered_bytes: list[float],
+                       interval_ns: int) -> list[Optional[int]]:
     """Per-flow completion times from a wave's aggregate fluid deliveries.
 
     Equal-share processor sharing at interval granularity: every active
     flow receives an equal slice of the interval's delivered bytes, a
     flow finishing mid-interval frees its slice for redistribution, and
-    completion instants interpolate linearly within the interval. Returns
-    ``{flow_id: close_ns}``; flows absent from the result did not finish
-    within the trace (unfinished, horizon-truncated).
+    completion instants interpolate linearly within the interval — the
+    flows finishing in one round in order of what they had left, so a
+    smaller flow is never credited after a larger one that entered with
+    it. Returns each spec's close instant, ``None`` where the flow did
+    not finish within the trace (unfinished, horizon-truncated).
     """
-    remaining = {s.flow_id: float(_wire_bytes(s.size_bytes, mss_bytes))
-                 for s in specs}
-    entry = {s.flow_id: max(0, (s.start_ns - ref_ns) // interval_ns)
-             for s in specs}
-    close: dict[int, int] = {}
-    for i, delivered in enumerate(delivered_bytes):
-        total = float(delivered)
+    ref_ns = min(s.start_ns for s in specs)
+    remaining = [float(wire) for wire in wires]
+    entry = [max(0, (s.start_ns - ref_ns) // interval_ns) for s in specs]
+    close: list[Optional[int]] = [None] * len(specs)
+    for i, total in enumerate(delivered_bytes):
         budget = total
-        active = [fid for fid in remaining
-                  if entry[fid] <= i and fid not in close]
+        active = [k for k, first in enumerate(entry)
+                  if first <= i and close[k] is None]
         while budget > 1e-9 and active:
             share = budget / len(active)
-            finishing = [fid for fid in active
-                         if remaining[fid] <= share + 1e-9]
+            limit = share + 1e-9
+            finishing = [k for k in active if remaining[k] <= limit]
             if not finishing:
-                for fid in active:
-                    remaining[fid] -= share
+                for k in active:
+                    remaining[k] -= share
                 break
-            for fid in finishing:
-                budget -= remaining[fid]
-                remaining[fid] = 0.0
+            finishing.sort(key=remaining.__getitem__)
+            for k in finishing:
+                budget -= remaining[k]
+                remaining[k] = 0.0
                 frac = (total - budget) / total if total > 0 else 1.0
-                close[fid] = ref_ns + int((i + min(frac, 1.0))
-                                          * interval_ns)
-                active.remove(fid)
+                close[k] = ref_ns + int((i + min(frac, 1.0)) * interval_ns)
+            active = [k for k in active if close[k] is None]
     return close
 
 
@@ -136,34 +138,64 @@ def _wave_groups(flows: list[FlowSpec],
     return [groups[key] for key in sorted(groups)]
 
 
-def _wave_records(specs: list[FlowSpec], trace, fluid_cfg: FluidConfig,
-                  mss_bytes: int,
-                  mouse_max_bytes: int) -> tuple[list[FlowFct], int]:
-    """FCT records (plus unfinished count) for one fluid wave."""
-    ref_ns = min(s.start_ns for s in specs)
-    close = _processor_sharing(specs, ref_ns, trace.delivered_bytes,
-                               fluid_cfg.interval_ns, mss_bytes)
-    records = []
-    for spec in specs:
-        if spec.flow_id not in close:
-            continue
-        wire = _wire_bytes(spec.size_bytes, mss_bytes)
-        floor_ns = spec.start_ns + _min_fct_ns(wire, fluid_cfg)
-        records.append(FlowFct(
-            flow_id=spec.flow_id, src=spec.src_rank,
-            open_ns=spec.start_ns,
-            close_ns=max(close[spec.flow_id], floor_ns),
-            size_bytes=spec.size_bytes, first_byte_ns=None,
-            cls=MOUSE if spec.size_bytes <= mouse_max_bytes
-            else ELEPHANT))
-    return records, len(specs) - len(records)
+def _fluid_wave(specs: list[FlowSpec], fluid_cfg: FluidConfig,
+                constants: FluidConstants, mss_bytes: int,
+                mouse_max_bytes: int, columns: tuple[list, ...]
+                ) -> tuple[int, list[float], float, float, float]:
+    """Run one wave of flows as one aggregate fluid burst and append its
+    finished flows, in ``specs`` order, to ``columns`` — seven lists in
+    :class:`~repro.analysis.fct.FctSet` field order.
+
+    The one wave kernel of the fluid and hybrid leaf-spine backends:
+    :func:`~repro.netsim.fluid.burst_start` and
+    :func:`~repro.netsim.fluid.run_burst` fill plain per-interval lists,
+    and a flow's close is the later of its processor-sharing completion
+    and its :func:`_min_fct_ns` floor.
+
+    Returns:
+        ``(unfinished, queue_frac, delivered, marked, dropped)``: the
+        wave's flows that did not finish, its per-interval queue
+        occupancy (fraction of capacity) and its byte totals.
+    """
+    # A wave holds one or two flow sizes: work out each size's wire bytes
+    # and FCT floor once.
+    wire_of = {size: _wire_bytes(size, mss_bytes)
+               for size in {s.size_bytes for s in specs}}
+    floor_of = {size: _min_fct_ns(wire, fluid_cfg)
+                for size, wire in wire_of.items()}
+    wires = [wire_of[s.size_bytes] for s in specs]
+    demand = sum(wires)
+    trace = FluidColumns([], [], [], [], [])
+    capacity, window, alpha = burst_start(fluid_cfg, len(specs), demand,
+                                          fluid_cfg.capacity_bytes)
+    run_burst(constants, len(specs), demand, capacity, window, alpha,
+              float("inf"), trace)
+    done = [(spec, closed) for spec, closed in zip(
+        specs, _processor_sharing(specs, wires, trace.delivered_bytes,
+                                  fluid_cfg.interval_ns))
+        if closed is not None]
+    flow_ids, srcs, open_ns, close_ns, sizes, first_bytes, classes = columns
+    flow_ids.extend([spec.flow_id for spec, _ in done])
+    srcs.extend([spec.src_rank for spec, _ in done])
+    open_ns.extend([spec.start_ns for spec, _ in done])
+    close_ns.extend([max(closed, spec.start_ns + floor_of[spec.size_bytes])
+                     for spec, closed in done])
+    sizes.extend([spec.size_bytes for spec, _ in done])
+    first_bytes.extend([None] * len(done))
+    classes.extend([MOUSE if spec.size_bytes <= mouse_max_bytes else ELEPHANT
+                    for spec, _ in done])
+    delivered, marked, dropped = np.array(
+        (trace.delivered_bytes, trace.marked_bytes, trace.dropped_bytes)
+    ).sum(axis=1).tolist()
+    return len(specs) - len(done), trace.queue_frac, delivered, marked, \
+        dropped
 
 
 # --------------------------------------------------------------------------
 # Leaf-spine scenario backends
 # --------------------------------------------------------------------------
 
-def _leafspine_fluid_config(cfg) -> FluidConfig:
+def _leafspine_fluid_config(cfg, mss_bytes: int) -> FluidConfig:
     """Fluid bottleneck matched to the scenario's receiver downlink.
 
     Rates and propagation delays come from the fabric defaults the
@@ -174,7 +206,7 @@ def _leafspine_fluid_config(cfg) -> FluidConfig:
     fabric = LeafSpineConfig(n_racks=cfg.n_racks,
                              hosts_per_rack=cfg.hosts_per_rack,
                              n_spines=cfg.n_spines)
-    wire = _tcp_mss_bytes() + TCP_IP_HEADER_BYTES
+    wire = mss_bytes + TCP_IP_HEADER_BYTES
     return FluidConfig(
         line_rate_bps=fabric.host_rate_bps,
         base_rtt_ns=8 * fabric.link_prop_delay_ns,
@@ -185,40 +217,34 @@ def _leafspine_fluid_config(cfg) -> FluidConfig:
         dctcp_g=cfg.dctcp_g)
 
 
-def _wave_demand_bytes(specs: list[FlowSpec], mss_bytes: int) -> int:
-    return sum(_wire_bytes(s.size_bytes, mss_bytes) for s in specs)
-
-
 def run_fluid_plan(name: str, cfg, flows: list[FlowSpec]):
     """Execute one scenario grid point entirely on the fluid substrate."""
     from repro.experiments.scenarios import ScenarioResult, _config_params
 
-    fluid_cfg = _leafspine_fluid_config(cfg)
     mss = _tcp_mss_bytes()
+    fluid_cfg = _leafspine_fluid_config(cfg, mss)
+    constants = FluidConstants.of(fluid_cfg)
     wire = fluid_cfg.mss_bytes
-    records: list[FlowFct] = []
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
     unfinished = 0
     max_len = 0
     marked = dropped = enqueued = 0.0
+    # Waves run in start order and emit in spec order, so the columns
+    # come out in the canonical (open_ns, flow_id) order as they fill.
     for specs in _wave_groups(flows, fluid_cfg.interval_ns):
-        trace = FluidIncast(fluid_cfg, len(specs),
-                            _wave_demand_bytes(specs, mss),
-                            fluid_cfg.capacity_bytes).run()
-        wave_records, wave_unfinished = _wave_records(
-            specs, trace, fluid_cfg, mss, cfg.mouse_max_bytes)
-        records.extend(wave_records)
+        wave_unfinished, queue_frac, wave_delivered, wave_marked, \
+            wave_dropped = _fluid_wave(specs, fluid_cfg, constants, mss,
+                                       cfg.mouse_max_bytes, columns)
         unfinished += wave_unfinished
-        max_len = max(max_len, int(round(trace.peak_queue_frac
+        max_len = max(max_len, int(round(max(queue_frac, default=0.0)
                                          * cfg.queue_capacity_packets)))
-        marked += float(trace.marked_bytes.sum())
-        dropped += float(trace.dropped_bytes.sum())
-        enqueued += float(trace.delivered_bytes.sum()
-                          + trace.dropped_bytes.sum())
-    records.sort(key=lambda r: (r.open_ns, r.flow_id))
+        marked += wave_marked
+        dropped += wave_dropped
+        enqueued += wave_delivered + wave_dropped
     return ScenarioResult(
         scenario=name,
         params=_config_params(cfg),
-        fcts=FctSet(records=tuple(records), unfinished=unfinished,
+        fcts=FctSet(*map(tuple, columns), unfinished=unfinished,
                     mouse_max_bytes=cfg.mouse_max_bytes),
         bottleneck={
             "max_len_packets": max_len,
@@ -253,21 +279,19 @@ def run_hybrid_plan(name: str, cfg, flows: list[FlowSpec],
         result.params = _config_params(cfg)
         return result
 
-    fluid_cfg = _leafspine_fluid_config(cfg)
     mss = _tcp_mss_bytes()
+    fluid_cfg = _leafspine_fluid_config(cfg, mss)
     wire = fluid_cfg.mss_bytes
-    trace = FluidIncast(fluid_cfg, len(steady),
-                        _wave_demand_bytes(steady, mss),
-                        fluid_cfg.capacity_bytes).run()
-    steady_records, steady_unfinished = _wave_records(
-        steady, trace, fluid_cfg, mss, cfg.mouse_max_bytes)
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    steady_unfinished, queue_frac, delivered, marked, dropped = _fluid_wave(
+        steady, fluid_cfg, FluidConstants.of(fluid_cfg), mss,
+        cfg.mouse_max_bytes, columns)
 
     # Standing queue the fluid model predicts at the instant the burst
     # window opens (zero if the steady flows drained first).
     burst_open_ns = min(f.start_ns for f in burst)
     index = burst_open_ns // fluid_cfg.interval_ns
-    standing_frac = (float(trace.queue_frac[index])
-                     if index < trace.n_intervals else 0.0)
+    standing_frac = queue_frac[index] if index < len(queue_frac) else 0.0
     standing = int(round(standing_frac * cfg.queue_capacity_packets))
 
     # The burst window sees the leftover headroom: capacity and marking
@@ -283,21 +307,16 @@ def run_hybrid_plan(name: str, cfg, flows: list[FlowSpec],
     result.params = _config_params(cfg)
     result.fcts = merge_fct_sets([
         result.fcts,
-        FctSet(records=tuple(sorted(steady_records,
-                                    key=lambda r: (r.open_ns, r.flow_id))),
-               unfinished=steady_unfinished,
+        FctSet(*map(tuple, columns), unfinished=steady_unfinished,
                mouse_max_bytes=cfg.mouse_max_bytes),
     ])
     bottleneck = dict(result.bottleneck)
     bottleneck["max_len_packets"] = (bottleneck["max_len_packets"]
                                      + standing)
-    bottleneck["marked_packets"] += int(round(
-        float(trace.marked_bytes.sum()) / wire))
-    bottleneck["dropped_packets"] += int(round(
-        float(trace.dropped_bytes.sum()) / wire))
-    bottleneck["enqueued_packets"] += int(round(
-        float(trace.delivered_bytes.sum()
-              + trace.dropped_bytes.sum()) / wire))
+    bottleneck["marked_packets"] += int(round(marked / wire))
+    bottleneck["dropped_packets"] += int(round(dropped / wire))
+    bottleneck["enqueued_packets"] += int(round((delivered + dropped)
+                                                / wire))
     result.bottleneck = bottleneck
     return result
 

@@ -116,14 +116,17 @@ def plan_elephant_mice(cfg: ElephantMiceConfig, rng_hub: RngHub
             start_ns=0))
     mouse_hosts = ranks[cfg.n_elephants:] or ranks
     jitter_rng = rng_hub.stream("mix/mouse_jitter")
-    for j in range(cfg.n_mice):
-        jitter = (int(jitter_rng.uniform(0, cfg.mouse_jitter_ns))
-                  if cfg.mouse_jitter_ns > 0 else 0)
+    # One draw of n_mice doubles: PCG64 spends one double per element, so
+    # this is bit for bit the n scalar draws, generator state included.
+    jitters = (jitter_rng.uniform(0, cfg.mouse_jitter_ns,
+                                  size=cfg.n_mice).tolist()
+               if cfg.mouse_jitter_ns > 0 else [0] * cfg.n_mice)
+    for j, jitter in enumerate(jitters):
         flows.append(FlowSpec(
             flow_id=cfg.n_elephants + j, kind=KIND_MOUSE,
             src_rank=mouse_hosts[j % len(mouse_hosts)],
             dst_rank=cfg.receiver_rank, size_bytes=cfg.mouse_bytes,
-            start_ns=cfg.warmup_ns + jitter))
+            start_ns=cfg.warmup_ns + int(jitter)))
     return flows
 
 

@@ -131,6 +131,21 @@ class TestPercentiles:
         assert out["mean"] is None
         assert out["percentiles"] == {}
 
+    def test_export_grid_is_percentile_bit_for_bit(self):
+        """The export's one gather reads what nine ``percentile`` calls
+        read, at every sample size up to 1000 (every index step of the
+        grid's boundaries)."""
+        rng = np.random.default_rng(0)
+        for n in range(1, 1001):
+            cdf = EmpiricalCdf(rng.lognormal(size=n))
+            grid = cdf.export_dict()["percentiles"]
+            assert list(grid) == [f"p{p:g}" for p in QUERIED[:9]]
+            for p in QUERIED[:9]:
+                value = grid[f"p{p:g}"]
+                assert type(value) is float
+                assert np.float64(value).tobytes() \
+                    == np.float64(cdf.percentile(p)).tobytes()
+
     def test_tail_summary_default_points(self):
         summary = EmpiricalCdf(range(1000)).tail_summary()
         assert set(summary) == {50.0, 90.0, 95.0, 99.0, 99.9, 100.0}

@@ -19,6 +19,8 @@ from repro.experiments.engine import (EXPERIMENT_MODULES, ResultCache,
                                       run_experiments)
 from repro.experiments.engine.report import (SOURCE_CACHE, SOURCE_RUN,
                                              SOURCE_SHARED)
+from repro.experiments.sweep import compile_units, run_sweep
+from repro.tools.golden import golden_sweep_specs
 
 SCALE = 0.05
 SEED = 11
@@ -146,6 +148,41 @@ class TestVersionBumpRetiresFleetPayloads:
         assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys)
         _, warm = run_experiments(["table1"], scale=SCALE, seed=SEED,
                                   jobs=1, cache=cache)
+        assert (warm.cache_hits, warm.executed) == (len(units), 0)
+
+
+class TestVersionBumpRetiresSweepPayloads:
+    """1.2.2 changed the shape of ``FctSet`` inside every sweep unit's
+    payload (per-flow columns, not ``FlowFct`` rows); what 1.2.1 left in
+    a cache directory must be a miss that recomputes, never an unpickle
+    into the new class."""
+
+    def test_entry_sealed_under_1_2_1_is_a_miss(self, tmp_path: Path,
+                                                monkeypatch):
+        spec = golden_sweep_specs()["sweep_backends"]  # fluid + hybrid
+        assert repro.__version__ != "1.2.1"
+        cache = ResultCache(directory=tmp_path / "cache")
+        with monkeypatch.context() as old:
+            old.setattr(repro, "__version__", "1.2.1")
+            old_keys = {unit.cache_key()
+                        for unit in compile_units(spec, SCALE, SEED)}
+            for key in old_keys:
+                assert cache.put(key, SealedUnderAnotherVersion())
+            old_dir = cache.version_dir
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 4
+
+        units = compile_units(spec, SCALE, SEED)
+        assert not {unit.cache_key() for unit in units} & old_keys
+        assert cache.version_dir != old_dir
+        fresh, _ = run_sweep(spec, scale=SCALE, seed=SEED, jobs=1)
+        served, report = run_sweep(spec, scale=SCALE, seed=SEED, jobs=1,
+                                   cache=cache)
+        assert (report.cache_hits, report.executed) == (0, len(units))
+        assert doc(served) == doc(fresh)
+        # The old entries were left alone, not read.
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys)
+        _, warm = run_sweep(spec, scale=SCALE, seed=SEED, jobs=1,
+                            cache=cache)
         assert (warm.cache_hits, warm.executed) == (len(units), 0)
 
 

@@ -77,6 +77,16 @@ class TestExactExtraction:
         fcts = extract_fcts(lifecycle(0, 100, 100))
         assert fcts.records[0].fct_ns == 0
 
+    def test_zero_duration_flow_in_reverse_emission_order(self):
+        # At one instant a close sorts after its open whatever the input
+        # order: this log is valid, not "closed without an open".
+        events = [ev(100, "open", 0), ev(100, "first_byte", 0),
+                  ev(100, "close", 0)]
+        fcts = extract_fcts(list(reversed(events)))
+        assert fcts == extract_fcts(events)
+        assert fcts.records == (FlowFct(flow_id=0, src=0, open_ns=100,
+                                        close_ns=100, first_byte_ns=100),)
+
 
 class TestClassification:
     def test_split_boundary_is_inclusive_for_mice(self):
@@ -132,6 +142,39 @@ class TestRejection:
     def test_close_before_open_raises(self):
         with pytest.raises(ValueError, match="precedes"):
             FlowFct(flow_id=0, src=0, open_ns=100, close_ns=50)
+
+    def test_set_checks_close_after_open_like_a_row(self):
+        with pytest.raises(ValueError) as row:
+            FlowFct(flow_id=4, src=0, open_ns=100, close_ns=50)
+        with pytest.raises(ValueError) as column:
+            FctSet(flow_ids=(3, 4), srcs=(0, 0), open_ns=(10, 100),
+                   close_ns=(20, 50), sizes=(None, None),
+                   first_byte_ns=(None, None), classes=(MOUSE, MOUSE))
+        assert str(column.value) == str(row.value)
+
+    def test_set_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="one entry per flow"):
+            FctSet(flow_ids=(0, 1), srcs=(0,), open_ns=(0, 0),
+                   close_ns=(5, 5), sizes=(None, None),
+                   first_byte_ns=(None, None), classes=(MOUSE, MOUSE))
+
+
+class TestColumns:
+    def test_records_are_the_rows_of_the_columns(self):
+        fcts = extract_fcts(lifecycle(5, 100, 900, host=2)
+                            + lifecycle(2, 50, 800, first_byte_ns=60),
+                            sizes={5: 10, 2: 500_000})
+        assert fcts.records == (
+            FlowFct(flow_id=2, src=0, open_ns=50, close_ns=800,
+                    size_bytes=500_000, first_byte_ns=60, cls=ELEPHANT),
+            FlowFct(flow_id=5, src=2, open_ns=100, close_ns=900,
+                    size_bytes=10, cls=MOUSE))
+        assert (fcts.flow_ids, fcts.classes) == ((2, 5), (ELEPHANT, MOUSE))
+
+    def test_empty_set_has_empty_columns(self):
+        assert len(FctSet()) == 0
+        assert FctSet().records == ()
+        assert FctSet(unfinished=2).summary()["unfinished"] == 2
 
 
 class TestMergeAlgebra:
@@ -213,15 +256,22 @@ def fct_sets(classes=(MOUSE, ELEPHANT)):
         st.tuples(st.integers(0, 6), st.integers(0, 3),
                   st.integers(0, 5_000_000), st.sampled_from(classes)),
         max_size=6, unique_by=lambda flow: flow[0])
-    return st.builds(
-        lambda drawn, unfinished: FctSet(
-            records=tuple(sorted(
-                (FlowFct(flow_id=fid, src=0, open_ns=opened,
-                         close_ns=opened + fct_ns, cls=cls)
-                 for fid, opened, fct_ns, cls in drawn),
-                key=lambda r: (r.open_ns, r.flow_id))),
-            unfinished=unfinished),
-        flows, st.integers(0, 3))
+    return st.builds(columns_of, flows, st.integers(0, 3))
+
+
+def columns_of(drawn: list[tuple[int, int, int, str]],
+               unfinished: int = 0) -> FctSet:
+    """The canonical :class:`FctSet` of ``(flow_id, open_ns, fct_ns,
+    cls)`` rows (any order; sender 0, sizes unknown)."""
+    rows = sorted(drawn, key=lambda flow: (flow[1], flow[0]))
+    n = len(rows)
+    return FctSet(flow_ids=tuple(fid for fid, _, _, _ in rows),
+                  srcs=(0,) * n,
+                  open_ns=tuple(opened for _, opened, _, _ in rows),
+                  close_ns=tuple(opened + fct for _, opened, fct, _ in rows),
+                  sizes=(None,) * n, first_byte_ns=(None,) * n,
+                  classes=tuple(cls for _, _, _, cls in rows),
+                  unfinished=unfinished)
 
 
 class TestDigestPooling:
@@ -360,5 +410,7 @@ class TestPinnedReporting:
         fcts.split_cdfs()
         format_fct_table({name: fcts})
         assert pickle.dumps(fcts) == before
-        assert vars(fcts).keys() == {"records", "unfinished",
+        assert vars(fcts).keys() == {"flow_ids", "srcs", "open_ns",
+                                     "close_ns", "sizes", "first_byte_ns",
+                                     "classes", "unfinished",
                                      "mouse_max_bytes"}

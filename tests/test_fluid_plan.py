@@ -1,0 +1,236 @@
+"""A fluid grid point, end to end: flow plan → fluid waves → FCT columns.
+
+Four kinds of check:
+
+- **pins** — sha256s of every unit's export and FCT rows for the
+  benchmark's 392-point grid (``bench/specs/engine_grid.yaml``), recorded
+  at the commit before the per-flow columns, so the columnar path is held
+  to the row-object path's bytes;
+- **oracles** that share no arithmetic with the wave kernel (Hypothesis
+  where the input is drawn): every FCT clears its physical floor, a
+  wave's flows are all accounted for and never credited more bytes than
+  the fluid delivered, and flows that start together finish in size
+  order;
+- the flow plan's one jitter draw is the scalar draws it replaced;
+- **cost** as counts: a fluid unit builds no per-flow or per-wave object.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import units
+from repro.analysis import fct
+from repro.experiments import backends, sweep
+from repro.experiments.engine import seal_payload, unseal_payload
+from repro.experiments.scenarios import (ElephantMiceGridConfig,
+                                         run_elephant_mice)
+from repro.netsim import fluid
+from repro.netsim.fluid import FluidConstants
+from repro.netsim.leafspine import LeafSpineConfig
+from repro.netsim.packet import TCP_IP_HEADER_BYTES
+from repro.simcore.random import RngHub
+from repro.tcp.config import TcpConfig
+from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowSpec,
+                                 plan_elephant_mice)
+
+GRID = Path(__file__).resolve().parents[1] / "bench" / "specs" \
+    / "engine_grid.yaml"
+
+#: (seed, scale) -> (sha256 of the units' ``export_dict()`` JSON, sha256
+#: of their ``repr(fcts.records)``), each over the 392 units in compile
+#: order. Recorded with ``FctSet`` still a tuple of ``FlowFct`` rows.
+PINS = {
+    (0, 1.0): (
+        "f861fe9dc61d86c3d4bb1d8fd02af0448e13b47b4a107f13ed40c75c12223bbf",
+        "50933a0a8498e53264e0eca045aecd077b6b9ab7c453fedf3127784e20569ae3"),
+    (0, 0.25): (
+        "a1800814f3d22c354bb1c821df3d3e0fec9237b01d40d4c6dc6d3112b12865eb",
+        "238cce0790c59cc6fc030716be4009ef98340a67560a074514efbf7b050e245e"),
+    (5, 1.0): (
+        "dbe6ac1fcd87b26d9a2b6f093ac219116b35790edbdd00e0960955beecc207e0",
+        "cac3bfdc4a945aa87a585295c6d70205d4ca0ee53e53d8ba6c0572aeeba9be61"),
+    (5, 0.25): (
+        "ec01d84f5eccb3ef19726e27dd946891b041fca25d1f4193d933de28f08ea074",
+        "11f7f004748802e0c802eaaf20b5330002de1f7af04cdc48904d95f34876973e"),
+}
+
+
+@pytest.mark.parametrize("seed, scale", sorted(PINS))
+def test_engine_grid_units_match_the_row_object_path(seed, scale):
+    exports, records = hashlib.sha256(), hashlib.sha256()
+    for unit in sweep.compile_units(sweep.load_sweep_file(GRID), scale,
+                                    seed):
+        payload = sweep.run_unit(unit)
+        exports.update(json.dumps(payload.export_dict()).encode())
+        records.update(repr(payload.fcts.records).encode())
+    assert (exports.hexdigest(), records.hexdigest()) == PINS[seed, scale]
+
+
+# --------------------------------------------------------------------------
+# Oracles
+# --------------------------------------------------------------------------
+
+MSS = TcpConfig().mss_bytes
+FABRIC = LeafSpineConfig()
+
+
+def wire_bytes(size: int) -> int:
+    """On-the-wire bytes: one TCP/IP header per MSS-sized segment."""
+    return size + max(1, -(-size // MSS)) * TCP_IP_HEADER_BYTES
+
+
+def floor_ns(size: int) -> float:
+    """One base RTT across the fabric (eight propagation legs) plus the
+    flow's own serialization at the host line rate."""
+    return (8 * FABRIC.link_prop_delay_ns
+            + wire_bytes(size) * 8e9 / FABRIC.host_rate_bps)
+
+
+@st.composite
+def waves(draw):
+    """One fluid wave: flows starting within one fluid interval (some at
+    the same instant), of mixed sizes, on a drawn ECN threshold."""
+    interval = fluid.FluidConfig().interval_ns
+    base = draw(st.integers(0, 5)) * interval
+    offsets = st.sampled_from((0, 1, 40_000, 500_000, interval - 1))
+    n = draw(st.integers(1, 12))
+    specs = [FlowSpec(flow_id=i, kind=KIND_MOUSE, src_rank=8 + i,
+                      dst_rank=0,
+                      size_bytes=draw(st.integers(1, 400_000)),
+                      start_ns=base + draw(offsets))
+             for i in range(n)]
+    specs.sort(key=lambda f: (f.start_ns, f.flow_id))
+    cfg = ElephantMiceGridConfig(
+        ecn_threshold_packets=draw(st.integers(1, 200)), backend="fluid")
+    return specs, cfg
+
+
+def run_wave(specs, cfg):
+    """The wave kernel's columns and return values for one wave."""
+    fluid_cfg = backends._leafspine_fluid_config(cfg, MSS)
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    out = backends._fluid_wave(specs, fluid_cfg,
+                               FluidConstants.of(fluid_cfg), MSS,
+                               cfg.mouse_max_bytes, columns)
+    return fct.FctSet(*map(tuple, columns), unfinished=out[0]), out
+
+
+class TestWaveOracles:
+    @settings(deadline=None, max_examples=200)
+    @given(waves())
+    def test_every_fct_clears_its_physical_floor(self, wave):
+        specs, cfg = wave
+        fcts, _ = run_wave(specs, cfg)
+        size = {s.flow_id: s.size_bytes for s in specs}
+        for flow_id, opened, closed in zip(fcts.flow_ids, fcts.open_ns,
+                                           fcts.close_ns):
+            # int() truncates the serialization term: 1 ns of slack.
+            assert closed - opened >= floor_ns(size[flow_id]) - 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(waves())
+    def test_flows_are_accounted_and_bytes_conserved(self, wave):
+        specs, cfg = wave
+        fcts, (unfinished, _queue, delivered, _marked, _dropped) = \
+            run_wave(specs, cfg)
+        assert len(fcts) + unfinished == len(specs)
+        size = {s.flow_id: s.size_bytes for s in specs}
+        credited = sum(wire_bytes(size[f]) for f in fcts.flow_ids)
+        assert credited <= delivered + 1
+        # Rows come out in the canonical order, as the plan had them.
+        assert list(fcts.flow_ids) == [s.flow_id for s in specs
+                                       if s.flow_id in fcts.flow_ids]
+
+    @settings(deadline=None, max_examples=200)
+    @given(waves())
+    def test_flows_starting_together_finish_in_size_order(self, wave):
+        specs, cfg = wave
+        fcts, _ = run_wave(specs, cfg)
+        close = dict(zip(fcts.flow_ids, fcts.close_ns))
+        for small in specs:
+            for large in specs:
+                if (small.start_ns != large.start_ns
+                        or small.size_bytes >= large.size_bytes
+                        or large.flow_id not in close):
+                    continue
+                assert small.flow_id in close
+                assert close[small.flow_id] <= close[large.flow_id]
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 10_000), n_mice=st.integers(1, 24),
+           k=st.integers(1, 200), mouse_bytes=st.integers(2_000, 60_000))
+    def test_whole_grid_points_clear_the_floor(self, seed, n_mice, k,
+                                               mouse_bytes):
+        cfg = ElephantMiceGridConfig(seed=seed, n_mice=n_mice,
+                                     ecn_threshold_packets=k,
+                                     mouse_bytes=mouse_bytes,
+                                     backend="fluid")
+        result = run_elephant_mice(cfg)
+        size = {f.flow_id: f.size_bytes for f in cfg.plan(RngHub(seed))}
+        assert len(result.fcts) + result.fcts.unfinished == len(size)
+        for record in result.fcts.records:
+            assert record.fct_ns >= floor_ns(size[record.flow_id]) - 1
+
+
+# --------------------------------------------------------------------------
+# The flow plan's jitter draw
+# --------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 64),
+       high=st.integers(1, units.msec(5.0)))
+def test_one_vector_draw_is_the_scalar_draws(seed, n, high):
+    vector, scalar = RngHub(seed).stream("s"), RngHub(seed).stream("s")
+    drawn = vector.uniform(0, high, size=n).tolist()
+    assert drawn == [scalar.uniform(0, high) for _ in range(n)]
+    assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+def test_plan_keeps_the_jitter_streams_position():
+    cfg = ElephantMiceConfig(n_mice=16)
+    hub = RngHub(3)
+    plan = plan_elephant_mice(cfg, hub)
+    replay = RngHub(3).stream("mix/mouse_jitter")
+    starts = [cfg.warmup_ns + int(replay.uniform(0, cfg.mouse_jitter_ns))
+              for _ in range(cfg.n_mice)]
+    assert [f.start_ns for f in plan if f.kind == KIND_MOUSE] == starts
+    assert hub.stream("mix/mouse_jitter").bit_generator.state \
+        == replay.bit_generator.state
+
+
+# --------------------------------------------------------------------------
+# Cost
+# --------------------------------------------------------------------------
+
+def test_a_fluid_unit_builds_no_per_flow_or_per_wave_object(monkeypatch):
+    """Flow rows, fluid bursts and their traces are what a grid point
+    used to be made of; the columns path constructs none of them, from
+    the plan through the sealed payload to its export."""
+    counts = {"FlowFct": 0, "FluidIncast": 0, "FluidBurstTrace": 0}
+
+    def counting(name, init):
+        def wrapped(self, *args, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fct.FlowFct, "__init__",
+                        counting("FlowFct", fct.FlowFct.__init__))
+    monkeypatch.setattr(fluid.FluidIncast, "__init__",
+                        counting("FluidIncast", fluid.FluidIncast.__init__))
+    monkeypatch.setattr(
+        fluid.FluidBurstTrace, "__init__",
+        counting("FluidBurstTrace", fluid.FluidBurstTrace.__init__))
+    units_ = sweep.compile_units(sweep.load_sweep_file(GRID), 1.0, 3)[::37]
+    for unit in units_:
+        payload = unseal_payload(seal_payload(sweep.run_unit(unit)))
+        assert len(payload.fcts) > 0
+        payload.export_dict()
+    assert counts == {"FlowFct": 0, "FluidIncast": 0, "FluidBurstTrace": 0}
