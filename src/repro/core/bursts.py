@@ -9,6 +9,7 @@ retransmission CDFs of Figure 4 — is computed per detected burst.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,9 @@ class Burst:
     @property
     def peak_queue_frac(self) -> float:
         """Peak bottleneck queue occupancy during the burst, as a fraction
-        of effective capacity (Figure 4a). Zero when the trace carries no
-        queue ground truth."""
+        of the *configured* capacity (Figure 4a): under buffer contention
+        it tops out at the effective capacity's share, below 1. Zero when
+        the trace carries no queue ground truth."""
         if self.trace.queue_frac is None:
             return 0.0
         return float(self.trace.queue_frac[self.start:self.end].max())
@@ -116,29 +118,39 @@ class Burst:
                 f"util={self.mean_utilization:.0%})")
 
 
-def detect_bursts(trace: HostTrace,
-                  threshold_frac: float = BURST_UTILIZATION_THRESHOLD
-                  ) -> list[Burst]:
-    """Find all bursts in ``trace``.
+def burst_bounds(trace: HostTrace,
+                 threshold_frac: float = BURST_UTILIZATION_THRESHOLD
+                 ) -> np.ndarray:
+    """The bursts of ``trace`` as run bounds ``[s0, e0, s1, e1, ...]``.
 
-    Returns maximal runs of consecutive intervals whose utilization exceeds
-    ``threshold_frac`` of line rate, in time order.
+    Burst ``i`` is the maximal run ``[s_i, e_i)`` of consecutive intervals
+    whose utilization exceeds ``threshold_frac`` of line rate; runs are in
+    time order, so the bounds strictly increase.
     """
     if not 0.0 < threshold_frac < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold_frac}")
     above = trace.utilization() > threshold_frac
-    if not above.any():
-        return []
     # Run-length encode the boolean mask.
     padded = np.concatenate(([False], above, [False]))
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = changes[0::2], changes[1::2]
-    return [Burst(trace, int(s), int(e)) for s, e in zip(starts, ends)]
+    return np.flatnonzero(padded[1:] != padded[:-1])
+
+
+def detect_bursts(trace: HostTrace,
+                  threshold_frac: float = BURST_UTILIZATION_THRESHOLD
+                  ) -> list[Burst]:
+    """Find all bursts in ``trace``: one :class:`Burst` per run of
+    :func:`burst_bounds`, in time order."""
+    bounds = burst_bounds(trace, threshold_frac).tolist()
+    return [Burst(trace, s, e) for s, e in zip(bounds[::2], bounds[1::2])]
 
 
 def burst_frequency_hz(trace: HostTrace,
-                       bursts: list[Burst] | None = None) -> float:
-    """Bursts per second observed in ``trace`` (Figure 2a's x-axis)."""
+                       bursts: Sized | None = None) -> float:
+    """Bursts per second observed in ``trace`` (Figure 2a's x-axis).
+
+    ``bursts`` is the trace's bursts, or anything with one entry per burst
+    (defaults to :func:`detect_bursts`).
+    """
     if bursts is None:
         bursts = detect_bursts(trace)
     duration_s = trace.duration_ns / units.NS_PER_S

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro import units
-from repro.core.bursts import Burst, burst_frequency_hz, detect_bursts
+from repro.core.bursts import Burst, burst_bounds, burst_frequency_hz
 from repro.core.incast import INCAST_FLOW_THRESHOLD, LOW_MODE_CUTOFF_FLOWS
 from repro.measurement.records import HostTrace
 
@@ -124,18 +124,17 @@ class TraceSummary:
 def summarize_trace(trace: HostTrace) -> TraceSummary:
     """Detect bursts in ``trace`` and aggregate their metrics.
 
-    Per-trace array work: each per-burst sum and maximum is one ``reduceat``
-    over a trace column at the detected run boundaries, and every value
-    equals what :meth:`BurstMetrics.from_burst` and the per-burst functions
-    of :mod:`repro.core.incast` derive burst by burst.
+    Per-trace array work on the run bounds, with no :class:`Burst` object:
+    each per-burst sum and maximum is one ``reduceat`` over a trace column
+    at the bounds, and every value equals what
+    :meth:`BurstMetrics.from_burst` and the per-burst functions of
+    :mod:`repro.core.incast` derive burst by burst.
     """
-    bursts = detect_bursts(trace)
-    n = len(bursts)
-    # Bursts are maximal runs, so [s0, e0, s1, e1, ...] strictly increases:
-    # reduceat's even segments are the bursts, its odd ones the gaps.
-    bounds = np.array([(b.start, b.end) for b in bursts],
-                      dtype=np.intp).ravel()
+    # [s0, e0, s1, e1, ...] strictly increases: reduceat's even segments
+    # are the bursts, its odd ones the gaps.
+    bounds = burst_bounds(trace)
     lengths = bounds[1::2] - bounds[::2]
+    n = len(lengths)
     if n and bounds[-1] == trace.n_intervals:
         bounds = bounds[:-1]  # not an index; the last segment runs to the end
 
@@ -156,7 +155,7 @@ def summarize_trace(trace: HostTrace) -> TraceSummary:
         host_id=trace.meta.host_id,
         snapshot_index=trace.meta.snapshot_index,
         n_bursts=n,
-        burst_frequency_hz=burst_frequency_hz(trace, bursts),
+        burst_frequency_hz=burst_frequency_hz(trace, lengths),
         mean_utilization=trace.mean_utilization(),
         incast_fraction=share(flows >= INCAST_FLOW_THRESHOLD),
         low_mode_fraction=share(flows < LOW_MODE_CUTOFF_FLOWS),

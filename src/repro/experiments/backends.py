@@ -1,7 +1,7 @@
 """Simulation substrates behind the ``backend`` config axis.
 
 Every experiment and sweep config carries a ``backend`` field drawn from
-:data:`BACKENDS`:
+:data:`~repro.experiments.backend_names.BACKENDS`:
 
 - ``packet`` — the discrete-event packet core, unchanged. The default;
   every golden fixture is pinned against it.
@@ -50,9 +50,6 @@ from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
 from repro.netsim.leafspine import LeafSpineConfig
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.workloads.mix import KIND_MOUSE, FlowSpec
-
-BACKENDS = ("packet", "fluid", "hybrid")
-"""The simulation substrates a config's ``backend`` field may name."""
 
 #: Aggregate-window carryover applied to steady (non-first) fluid bursts,
 #: modelling CWND state carried over from the previous burst — the same

@@ -21,7 +21,7 @@ import numpy as np
 from repro import units
 from repro.analysis.series import align_and_average
 from repro.core.modes import DctcpMode, ModeModel, classify_queue_trace
-from repro.experiments.backends import BACKENDS
+from repro.experiments.backend_names import BACKENDS
 from repro.netsim.fluid import production_fluid_config  # re-exported
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.netsim.topology import Dumbbell, DumbbellConfig, build_dumbbell

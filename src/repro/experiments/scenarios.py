@@ -23,7 +23,7 @@ start), run, then renumber the telemetry capture to fabric-local ranks and
 sim-local flow ids so output is independent of process history.
 
 Every config also carries a ``backend`` axis (``packet`` / ``fluid`` /
-``hybrid``, :data:`repro.experiments.backends.BACKENDS`): because it is
+``hybrid``, :data:`repro.experiments.backend_names.BACKENDS`): because it is
 an ordinary config field, a sweep can put the simulation substrate on a
 grid axis and the engine cache keys the choice like any other parameter.
 ``packet`` is the default and runs the executors below unchanged;
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Optional
 from repro import units
 from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, FctDigest, FctSet,
                                 extract_fcts)
-from repro.experiments.backends import BACKENDS
+from repro.experiments.backend_names import BACKENDS
 from repro.simcore.random import RngHub
 from repro.tcp.cca import CCA_NAMES
 from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme

@@ -45,7 +45,9 @@ class HostTrace:
         marked_bytes: Per-interval bytes arriving with ECN CE set.
         retransmit_bytes: Per-interval bytes identified as retransmissions.
         queue_frac: Optional per-interval bottleneck queue occupancy as a
-            fraction of effective capacity (synthetic traces only).
+            fraction of the *configured* capacity, so it tops out at the
+            effective capacity's share under buffer contention (synthetic
+            traces only).
     """
 
     def __init__(self, meta: TraceMeta, line_rate_bps: float,

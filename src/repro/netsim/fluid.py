@@ -187,12 +187,16 @@ def run_burst(constants: FluidConstants, flow_count: int, demand_bytes: int,
     Returns ``(intervals appended, final aggregate window, final alpha)``.
     """
     # The loop runs once per simulated millisecond of every fleet burst:
-    # what is fixed for the burst is computed here, and the send/queue
-    # clamps are comparisons that pick the operand min/max would.
+    # what is fixed for the burst is computed here, and every clamp is a
+    # comparison that picks the operand min/max would.
     (drain, bdp, thresh, capacity, keep_alpha, growth_per_flow_round,
      overshoot, max_window, mss_bytes, base_rtt_ns, line_rate_bps,
      interval_ns) = constants
-    bits_per_byte, ns_per_s = units.BITS_PER_BYTE, units.NS_PER_S
+    # The queueing-delay term of the RTT is +0.0 on an empty queue, so the
+    # rounds per interval are then this ratio; x * 8 is exact, so
+    # x * 8e9 is the same float as x * 8 * 1e9.
+    rounds_when_empty = interval_ns / (base_rtt_ns + 0.0)
+    bit_ns_per_byte = float(units.BITS_PER_BYTE * units.NS_PER_S)
     eff_cap = effective_capacity_bytes
     room = eff_cap + drain
     arrival_cap = arrival_rate_factor * drain
@@ -214,14 +218,16 @@ def run_burst(constants: FluidConstants, flow_count: int, demand_bytes: int,
         pending = remaining + retx_pool
         if pending + queue <= _EPSILON_BYTES:
             break
-        rtt_eff_ns = base_rtt_ns + queue * bits_per_byte \
-            * ns_per_s / line_rate_bps
         # ACK clocking: senders can refill drained capacity and grow the
         # backlog at most up to W - BDP; they also cannot emit more than
         # one window per round.
         backlog_room = (w - bdp) - queue
         send_limit = (backlog_room if backlog_room > 0.0 else 0.0) + drain
-        per_round = w * (interval_ns / rtt_eff_ns)
+        if queue == 0.0:
+            per_round = w * rounds_when_empty
+        else:
+            per_round = w * (interval_ns / (
+                base_rtt_ns + queue * bit_ns_per_byte / line_rate_bps))
         if per_round < send_limit:
             send_limit = per_round
         if arrival_cap < send_limit:
@@ -239,7 +245,10 @@ def run_burst(constants: FluidConstants, flow_count: int, demand_bytes: int,
         dropped = total - kept
         delivered = drain if drain < kept else kept
         queue = kept - delivered
-        lo, hi = (queue, q_start) if queue < q_start else (q_start, queue)
+        if queue < q_start:
+            lo, hi = queue, q_start
+        else:
+            lo, hi = q_start, queue
 
         # Track what share of the standing data is retransmitted bytes,
         # so deliveries can be attributed (this is what the host-side
@@ -258,19 +267,25 @@ def run_burst(constants: FluidConstants, flow_count: int, demand_bytes: int,
         elif lo >= thresh:
             marked = send
         else:
-            marked = send * (hi - thresh) / max(hi - lo, 1.0)
+            excursion = hi - lo
+            marked = send * (hi - thresh) / (
+                1.0 if excursion < 1.0 else excursion)
 
         # Aggregate DCTCP reaction over the rounds actually clocked.
         busy_rounds = send / w if w > 0 else 0.0
         if busy_rounds > 0.0:
             if marked > 0.0:
                 alpha = 1.0 - (1.0 - alpha) * keep_alpha ** busy_rounds
-                w = max(window_floor,
-                        w * (1.0 - alpha / 2.0) ** busy_rounds)
+                cut = w * (1.0 - alpha / 2.0) ** busy_rounds
+                w = cut if cut > window_floor else window_floor
             else:
                 alpha *= keep_alpha ** busy_rounds
-                w = min(w + growth_per_round * busy_rounds,
-                        max(w, overshoot), max_window)
+                growth_cap = overshoot if overshoot > w else w
+                w += growth_per_round * busy_rounds
+                if growth_cap < w:
+                    w = growth_cap
+                if max_window < w:
+                    w = max_window
 
         add_delivered(delivered)
         add_marked(marked)

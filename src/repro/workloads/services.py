@@ -68,39 +68,53 @@ class ServiceProfile:
 
     # --- per-burst draws ---------------------------------------------------
 
-    def sample_duration_ms(self, rng: np.random.Generator) -> int:
-        """Nominal burst duration in milliseconds (truncated geometric)."""
-        d = int(rng.geometric(self.duration_geom_p))
-        return min(max(d, 1), self.max_duration_ms)
+    def draw_burst(self, rng: np.random.Generator, log_median: float
+                   ) -> tuple[int, int, float, float, float, float]:
+        """One burst's six draws, in the order the generator's stream
+        depends on: ``(duration_ms, flow_count, sync_factor, carryover,
+        contention, volume_noise)``.
 
-    def sample_flow_count(self, rng: np.random.Generator,
-                          regime_median: Optional[float] = None) -> int:
-        """Incast degree for one burst."""
+        - duration: nominal length in ms, truncated geometric in
+          ``[1, max_duration_ms]``;
+        - flow count: the incast degree — the low "cliff" mode with
+          probability ``low_mode_weight``, else lognormal around
+          ``exp(log_median)``, clamped to ``[1, flow_cap]``;
+        - sync factor: peak arrival rate as a multiple of line rate;
+        - carryover: initial aggregate window in multiples of the K*MSS
+          floor, clamped to ``[0.1, 3.5]`` (persistent connections rarely
+          carry more than a few segments per flow into the next burst,
+          Figure 7);
+        - contention: fraction of the shared buffer other ports consume;
+        - volume noise: multiplier on the burst's nominal volume.
+
+        Clamps are comparisons that pick the value ``min``/``max`` would.
+        """
+        duration = int(rng.geometric(self.duration_geom_p))
+        if duration < 1:
+            duration = 1
+        if self.max_duration_ms < duration:
+            duration = self.max_duration_ms
         if self.low_mode_weight > 0 and rng.random() < self.low_mode_weight:
             lo, hi = self.low_mode_range
-            return int(rng.integers(lo, hi + 1))
-        median = regime_median if regime_median is not None \
-            else self.flow_median
-        count = rng.lognormal(np.log(median), self.flow_sigma)
-        return int(min(max(count, 1), self.flow_cap))
-
-    def sample_sync_factor(self, rng: np.random.Generator) -> float:
-        """Peak arrival rate as a multiple of line rate."""
-        return float(np.exp(rng.normal(self.sync_log_mean,
+            flow_count = int(rng.integers(lo, hi + 1))
+        else:
+            count = rng.lognormal(log_median, self.flow_sigma)
+            if count < 1:
+                count = 1
+            if self.flow_cap < count:
+                count = self.flow_cap
+            flow_count = int(count)
+        sync = float(np.exp(rng.normal(self.sync_log_mean,
                                        self.sync_log_sigma)))
-
-    def sample_carryover(self, rng: np.random.Generator) -> float:
-        """Initial aggregate window in multiples of the K*MSS floor,
-        capped at 3.5 (persistent connections rarely carry more than a few
-        segments per flow into the next burst, Figure 7)."""
-        draw = np.exp(rng.normal(self.carryover_log_mean,
-                                 self.carryover_log_sigma))
-        return float(min(max(draw, 0.1), 3.5))
-
-    def sample_contention(self, rng: np.random.Generator) -> float:
-        """Fraction of the shared buffer consumed by other ports."""
-        a, b = self.contention_beta
-        return float(rng.beta(a, b))
+        carryover = float(np.exp(rng.normal(self.carryover_log_mean,
+                                            self.carryover_log_sigma)))
+        if carryover < 0.1:
+            carryover = 0.1
+        if 3.5 < carryover:
+            carryover = 3.5
+        contention = rng.beta(*self.contention_beta)
+        return (duration, flow_count, sync, carryover, contention,
+                rng.normal(0.97, 0.04))
 
     def regime_median(self, regime_index: int) -> Optional[float]:
         """Flow-count median of operating regime ``regime_index``."""
@@ -221,35 +235,44 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
 
     rate_hz = profile.burst_rate_hz * rate_multiplier
     regime_med = profile.regime_median(regime_index)
+    # What every burst of the capture shares, worked out once.
+    log_median = np.log(regime_med if regime_med is not None
+                        else profile.flow_median)
+    gap_mean_ms = 1000.0 / max(rate_hz, 1e-6)
+    capacity = cfg.capacity_bytes
+    capacity_floor = 0.25 * capacity
+    min_volume = int(0.6 * drain)
+    draw_burst = profile.draw_burst
+    exponential, normal = rng.exponential, rng.normal
 
     # Bursts never overlap (the next starts >= 1 ms after the previous one
     # ends), so the loop only draws and runs the fluid model, which appends
     # every burst to the same columns, and notes which intervals each burst
-    # covers; the trace is written once, below.
+    # covers; the trace is written once, below. Clamps are comparisons that
+    # pick the operand min/max would.
     covered: list[int] = []
     fluid = FluidColumns([], [], [], [], [])
     active: list[np.ndarray] = []
     t = 0.0
     end = 0
     while True:
-        gap_ms = rng.exponential(1000.0 / max(rate_hz, 1e-6))
-        t += max(gap_ms, 1.0)
+        gap_ms = exponential(gap_mean_ms)
+        t += 1.0 if gap_ms < 1.0 else gap_ms
         start = int(t)
         if start >= n:
             break
         if start < end:
             raise RuntimeError(f"burst at {start} ms overlaps the previous "
                                f"one, which ends at {end} ms")
-        duration = profile.sample_duration_ms(rng)
-        flow_count = profile.sample_flow_count(rng, regime_med)
-        sync = profile.sample_sync_factor(rng)
-        carryover = profile.sample_carryover(rng)
-        contention = profile.sample_contention(rng)
-        effective_cap = max(cfg.capacity_bytes * (1.0 - contention),
-                            0.25 * cfg.capacity_bytes)
-        volume = max(int(drain * duration * min(sync, 1.0)
-                         * rng.normal(0.97, 0.04)),
-                     int(0.6 * drain))
+        duration, flow_count, sync, carryover, contention, noise = \
+            draw_burst(rng, log_median)
+        effective_cap = capacity * (1.0 - contention)
+        if capacity_floor > effective_cap:
+            effective_cap = capacity_floor
+        volume = int(drain * duration * (1.0 if 1.0 < sync else sync)
+                     * noise)
+        if min_volume > volume:
+            volume = min_volume
         effective_cap, window, alpha = burst_start(
             cfg, flow_count, volume, effective_cap,
             window_start_factor=carryover, arrival_rate_factor=sync)
@@ -257,10 +280,11 @@ def generate_host_trace(profile: ServiceProfile, meta: TraceMeta,
                                       effective_cap, window, alpha, sync,
                                       fluid)
         t = end = start + n_intervals
-        span = min(end, n) - start
+        span = (end if end < n else n) - start
         covered.extend(range(start, start + span))
-        active.append(rng.normal(flow_count, max(1.0, 0.03 * flow_count),
-                                 size=span))
+        spread = 0.03 * flow_count
+        active.append(normal(flow_count, spread if spread > 1.0 else 1.0,
+                             size=span))
 
     if covered:
         # Only the last burst can run past the capture: cutting the columns

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import result_to_dict
-from repro.experiments.backends import BACKENDS
+from repro.experiments.backend_names import BACKENDS
 from repro.experiments.engine import (CampaignInterrupted, FaultSpec,
                                       ResultCache, replay_journal)
 from repro.experiments.environment import IncastSimConfig

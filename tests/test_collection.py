@@ -93,27 +93,30 @@ class TestRun:
 
 
 class TestNoPerBurstObjects:
-    """Generate -> summarize works on trace-level columns: no fluid-model
-    or metric object per burst, no array per burst."""
+    """Generate -> summarize works on trace-level columns: no fluid-model,
+    detection or metric object per burst, no array per burst."""
 
     def test_construction_counts(self, monkeypatch):
+        from repro.core.bursts import Burst
         from repro.core.metrics import BurstMetrics
         from repro.measurement.collection import run_service_campaign
         from repro.netsim.fluid import FluidBurstTrace, FluidIncast
 
-        built = {cls.__name__: 0
-                 for cls in (FluidIncast, FluidBurstTrace, BurstMetrics)}
+        built = {cls.__name__: 0 for cls in (
+            FluidIncast, FluidBurstTrace, BurstMetrics, Burst)}
 
-        def counting(cls):
-            original = cls.__init__
+        def counting(cls, method):
+            original = getattr(cls, method)
 
-            def init(self, *args, **kwargs):
+            def counted(self, *args, **kwargs):
                 built[cls.__name__] += 1
                 original(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", init)
+            monkeypatch.setattr(cls, method, counted)
 
         for cls in (FluidIncast, FluidBurstTrace, BurstMetrics):
-            counting(cls)
+            counting(cls, "__init__")
+        # A frozen dataclass's generated __init__ calls __post_init__.
+        counting(Burst, "__post_init__")
         conversions = []
         asarray = np.asarray
         monkeypatch.setattr(
@@ -130,7 +133,7 @@ class TestNoPerBurstObjects:
                                                  for s in summaries)
         assert n_traces == 4 and n_bursts > 200
         assert built == {"FluidIncast": 0, "FluidBurstTrace": 0,
-                         "BurstMetrics": 0}
+                         "BurstMetrics": 0, "Burst": 0}
         # A fixed few dozen per capture (columns, RNG streams, the trace
         # record), where one array per burst and column would be 5 x 292.
         assert len(conversions) < n_bursts

@@ -137,6 +137,9 @@ class TestOverflow:
                             window_start_factor=2.0).run()
         assert full.dropped_bytes.sum() == 0
         assert tight.dropped_bytes.sum() > 0
+        # Occupancy is a share of the *configured* buffer (Figure 4a's
+        # units), so a contended queue tops out at its effective share.
+        assert tight.peak_queue_frac == 3e5 / CFG.capacity_bytes
 
     def test_recovery_extends_burst(self):
         demand = int(2 * DRAIN)

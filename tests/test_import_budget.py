@@ -111,6 +111,24 @@ def test_the_section_3_experiments(tmp_path):
                             "repro.experiments.fig5"))
 
 
+#: What only the fluid / hybrid substrates and the FCT sweeps use.
+FLUID_SUBSTRATE = (
+    "repro.experiments.backends", "repro.analysis.fct",
+    "repro.analysis.cdf", "repro.analysis.tables",
+    "repro.netsim.leafspine", "repro.workloads.mix")
+
+
+def test_a_packet_level_incast():
+    """The Section 4 entry point checks ``backend`` against the names
+    alone, without loading the substrates behind them."""
+    modules = modules_after(
+        "from repro.experiments.environment import (IncastSimConfig,\n"
+        "                                           run_incast_sim)\n"
+        "run_incast_sim(IncastSimConfig(n_flows=8, n_bursts=1))\n")
+    assert_absent(modules, FLUID_SUBSTRATE)
+    assert len(repro_modules(modules)) <= 45, repro_modules(modules)
+
+
 def test_importing_the_cache_server():
     modules = modules_after("import repro.tools.cacheserver")
     assert_absent(modules, ("numpy",))

@@ -20,6 +20,22 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+# Positions in ServiceProfile.draw_burst's tuple.
+DURATION, FLOWS, SYNC, CARRYOVER, CONTENTION, NOISE = range(6)
+
+
+def draws(profile, generator, n, median=None):
+    """``n`` bursts' draws from one generator (around ``median``, else the
+    profile's own flow-count median)."""
+    log_median = np.log(median if median is not None
+                        else profile.flow_median)
+    return [profile.draw_burst(generator, log_median) for _ in range(n)]
+
+
+def column(rows, position):
+    return np.asarray([row[position] for row in rows])
+
+
 class TestProfiles:
     def test_table1_services_present(self):
         assert service_names() == ["storage", "aggregator", "indexer",
@@ -33,51 +49,42 @@ class TestProfiles:
 
     def test_duration_within_bounds(self):
         profile = SERVICE_PROFILES["aggregator"]
-        durations = [profile.sample_duration_ms(rng(i)) for i in range(500)]
+        durations = [draws(profile, rng(i), 1)[0][DURATION]
+                     for i in range(500)]
         assert all(1 <= d <= 20 for d in durations)
 
     def test_duration_mostly_short(self):
         profile = SERVICE_PROFILES["storage"]
-        r = rng(1)
-        durations = [profile.sample_duration_ms(r) for _ in range(2000)]
-        assert np.mean(np.asarray(durations) <= 2) > 0.5
+        durations = column(draws(profile, rng(1), 2000), DURATION)
+        assert np.mean(durations <= 2) > 0.5
 
     def test_flow_count_capped(self):
         profile = SERVICE_PROFILES["video"]
-        r = rng(2)
-        flows = [profile.sample_flow_count(r) for _ in range(2000)]
-        assert max(flows) <= profile.flow_cap
-        assert min(flows) >= 1
+        flows = column(draws(profile, rng(2), 2000), FLOWS)
+        assert flows.max() <= profile.flow_cap
+        assert flows.min() >= 1
 
     def test_storage_bimodal(self):
         profile = SERVICE_PROFILES["storage"]
-        r = rng(3)
-        flows = np.asarray([profile.sample_flow_count(r)
-                            for _ in range(4000)])
+        flows = column(draws(profile, rng(3), 4000), FLOWS)
         low_frac = np.mean(flows < 21)
         assert 0.3 < low_frac < 0.6  # the paper's 10-45% cliff, upper end
 
     def test_regime_median_shifts_flow_count(self):
         profile = SERVICE_PROFILES["video"]
-        r = rng(4)
-        low = np.mean([profile.sample_flow_count(r, regime_median=225.0)
-                       for _ in range(2000)])
-        r = rng(4)
-        high = np.mean([profile.sample_flow_count(r, regime_median=275.0)
-                        for _ in range(2000)])
-        assert high > low
+        low = column(draws(profile, rng(4), 2000, median=225.0), FLOWS)
+        high = column(draws(profile, rng(4), 2000, median=275.0), FLOWS)
+        assert high.mean() > low.mean()
 
     def test_carryover_capped(self):
         profile = SERVICE_PROFILES["aggregator"]
-        r = rng(5)
-        assert all(0.1 <= profile.sample_carryover(r) <= 3.5
-                   for _ in range(1000))
+        carries = column(draws(profile, rng(5), 1000), CARRYOVER)
+        assert ((0.1 <= carries) & (carries <= 3.5)).all()
 
     def test_contention_in_unit_interval(self):
         profile = SERVICE_PROFILES["storage"]
-        r = rng(6)
-        assert all(0.0 <= profile.sample_contention(r) < 1.0
-                   for _ in range(1000))
+        contention = column(draws(profile, rng(6), 1000), CONTENTION)
+        assert ((0.0 <= contention) & (contention < 1.0)).all()
 
 
 class TestRegimes:
@@ -399,38 +406,73 @@ class TestGeneratedBytesArePinned:
         assert generator.bit_generator.state == twin.bit_generator.state
 
 
+def reference_draws(profile, generator, branches=None):
+    """The oracle for ``draw_burst``: one burst's six draws made one numpy
+    call at a time, in stream order, clamped with ``np.clip``. Adds the
+    flow-count branch it took to ``branches``."""
+    duration = int(np.clip(generator.geometric(profile.duration_geom_p),
+                           1, profile.max_duration_ms))
+    if profile.low_mode_weight > 0 \
+            and generator.random() < profile.low_mode_weight:
+        lo, hi = profile.low_mode_range
+        count, branch = int(generator.integers(lo, hi + 1)), "low mode"
+    else:
+        count, branch = int(np.clip(
+            generator.lognormal(np.log(profile.flow_median),
+                                profile.flow_sigma),
+            1, profile.flow_cap)), "lognormal"
+    if branches is not None:
+        branches.add(branch)
+    sync = float(np.exp(generator.normal(profile.sync_log_mean,
+                                         profile.sync_log_sigma)))
+    carryover = float(np.clip(
+        np.exp(generator.normal(profile.carryover_log_mean,
+                                profile.carryover_log_sigma)),
+        0.1, 3.5))
+    a, b = profile.contention_beta
+    contention = float(generator.beta(a, b))
+    return (duration, count, sync, carryover, contention,
+            generator.normal(0.97, 0.04))
+
+
 class TestScalarClamps:
-    """``sample_flow_count`` / ``sample_carryover`` clamp with comparisons;
-    the values and types ``np.clip`` gave are part of the pinned bytes."""
+    """``draw_burst`` clamps with comparisons; the values and types
+    ``np.clip`` gave are part of the pinned bytes."""
 
     @pytest.mark.parametrize("service", list(SERVICE_PROFILES))
     def test_same_values_as_np_clip(self, service):
         profile = SERVICE_PROFILES[service]
         ours, oracle = rng(9), rng(9)
-        for _ in range(500):
-            count = profile.sample_flow_count(ours)
-            if profile.low_mode_weight > 0 \
-                    and oracle.random() < profile.low_mode_weight:
-                lo, hi = profile.low_mode_range
-                want = int(oracle.integers(lo, hi + 1))
-            else:
-                want = int(np.clip(
-                    oracle.lognormal(np.log(profile.flow_median),
-                                     profile.flow_sigma),
-                    1, profile.flow_cap))
-            assert type(count) is int and count == want
-            carry = profile.sample_carryover(ours)
-            want = float(np.clip(
-                np.exp(oracle.normal(profile.carryover_log_mean,
-                                     profile.carryover_log_sigma)),
-                0.1, 3.5))
-            assert type(carry) is float and carry == want
+        for got in draws(profile, ours, 500):
+            assert got == reference_draws(profile, oracle)
+            assert [type(value) for value in got] \
+                == [int, int, float, float, float, float]
 
     def test_clamps_bite_at_both_ends(self):
         wide = dataclasses.replace(SERVICE_PROFILES["indexer"],
-                                   flow_sigma=3.0, carryover_log_sigma=3.0)
-        r = rng(1)
-        counts = {wide.sample_flow_count(r) for _ in range(400)}
-        carries = {wide.sample_carryover(r) for _ in range(400)}
-        assert {1, wide.flow_cap} <= counts
-        assert {0.1, 3.5} <= carries
+                                   duration_geom_p=0.02, flow_sigma=3.0,
+                                   carryover_log_sigma=3.0)
+        rows = draws(wide, rng(1), 400)
+        # A geometric draw is at least 1, so only the upper clamp can bite.
+        assert wide.max_duration_ms in set(column(rows, DURATION).tolist())
+        assert {1, wide.flow_cap} <= set(column(rows, FLOWS).tolist())
+        assert {0.1, 3.5} <= set(column(rows, CARRYOVER).tolist())
+
+
+class TestDrawOrder:
+    """One burst takes six draws from the capture's one generator, in a
+    fixed order; a reordered draw moves every later value of the stream."""
+
+    @pytest.mark.parametrize("service", ["storage", "indexer"])
+    def test_twin_generator(self, service):
+        profile = SERVICE_PROFILES[service]
+        ours, twin = rng(12), rng(12)
+        branches = set()
+        for _ in range(300):
+            got = draws(profile, ours, 1)[0]
+            assert got == reference_draws(profile, twin, branches)
+            assert ours.bit_generator.state == twin.bit_generator.state
+        # Storage draws from both flow-count branches; indexer has no low
+        # mode, so it makes no random() call to choose one.
+        assert branches == ({"low mode", "lognormal"}
+                            if profile.low_mode_weight else {"lognormal"})
