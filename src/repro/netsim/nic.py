@@ -6,6 +6,12 @@ Ingress: demultiplexes packets to registered connections by flow id, and
 feeds observer hooks — this is where the Millisampler model taps the packet
 stream, exactly as the production tool observes a host's ingress traffic.
 
+Like Millisampler's eBPF filter, the NIC can also book per-interval
+counters itself (:meth:`HostNIC.start_interval_counts`): bytes in and
+out, CE-marked bytes in, retransmitted bytes either way and the flows
+seen, with no callback per packet. Booking and hooks sit behind one flag
+per direction, so an unobserved NIC pays one check per packet.
+
 Egress runs as a *chain event* when the access link is a plain
 :class:`~repro.netsim.link.Link`: instead of the per-packet
 ``transmit``/serialization-complete/pump callback dance, the NIC schedules
@@ -25,7 +31,7 @@ from heapq import heappush
 from typing import Callable, Optional, Protocol
 
 from repro.netsim.link import Link
-from repro.netsim.packet import Packet
+from repro.netsim.packet import ECN, Packet
 from repro.simcore.kernel import Simulator
 
 IngressHook = Callable[[Packet, int], None]
@@ -34,6 +40,31 @@ IngressHook = Callable[[Packet, int], None]
 EgressHook = Callable[[Packet, int], None]
 """Observer called as ``hook(packet, now_ns)`` for every packet the host
 hands to its NIC for transmission."""
+
+_CE = ECN.CE
+
+
+class IntervalCounts:
+    """What a NIC booked in one interval.
+
+    Attributes:
+        ingress_bytes: Bytes delivered to the host.
+        egress_bytes: Bytes the host handed to its NIC.
+        marked_bytes: CE-marked ingress bytes (the direction ECN marks
+            are observable from a host).
+        retransmit_bytes: Retransmitted-segment bytes in either direction.
+        flows: Ids of the flows any of those packets belonged to.
+    """
+
+    __slots__ = ("ingress_bytes", "egress_bytes", "marked_bytes",
+                 "retransmit_bytes", "flows")
+
+    def __init__(self) -> None:
+        self.ingress_bytes = 0
+        self.egress_bytes = 0
+        self.marked_bytes = 0
+        self.retransmit_bytes = 0
+        self.flows: set[int] = set()
 
 
 class PacketHandler(Protocol):
@@ -59,8 +90,15 @@ class HostNIC:
         self.egress_link: Optional[Link] = None
         self._egress_fifo: deque[Packet] = deque()
         self._handlers: dict[int, PacketHandler] = {}
-        self._ingress_hooks: list[IngressHook] = []
-        self._egress_hooks: list[EgressHook] = []
+        # Observation (see start_interval_counts and add_*_hook): hooks
+        # are copy-on-write tuples; the two flags are what the hot paths
+        # check. Interval 0 = not counting.
+        self._ingress_hooks: tuple[IngressHook, ...] = ()
+        self._egress_hooks: tuple[EgressHook, ...] = ()
+        self._count_interval_ns = 0
+        self._counts: dict[int, IntervalCounts] = {}
+        self._ingress_observed = False
+        self._egress_observed = False
         self.bytes_received = 0
         self.packets_received = 0
         self.bytes_sent = 0
@@ -122,23 +160,78 @@ class HostNIC:
             raise ValueError(f"{self.name}: flow {flow_id} already registered")
         self._handlers[flow_id] = handler
 
+    # --- observation -------------------------------------------------------
+
     def add_ingress_hook(self, hook: IngressHook) -> IngressHook:
         """Observe every delivered packet (measurement tap)."""
-        self._ingress_hooks.append(hook)
+        self._ingress_hooks += (hook,)
+        self._reobserve()
         return hook
 
     def remove_ingress_hook(self, hook: IngressHook) -> None:
         """Stop observing ingress. Raises ValueError if not registered."""
-        self._ingress_hooks.remove(hook)
+        i = self._ingress_hooks.index(hook)
+        self._ingress_hooks = (self._ingress_hooks[:i]
+                               + self._ingress_hooks[i + 1:])
+        self._reobserve()
 
     def add_egress_hook(self, hook: EgressHook) -> EgressHook:
         """Observe every packet queued for transmission (measurement tap)."""
-        self._egress_hooks.append(hook)
+        self._egress_hooks += (hook,)
+        self._reobserve()
         return hook
 
     def remove_egress_hook(self, hook: EgressHook) -> None:
         """Stop observing egress. Raises ValueError if not registered."""
-        self._egress_hooks.remove(hook)
+        i = self._egress_hooks.index(hook)
+        self._egress_hooks = (self._egress_hooks[:i]
+                              + self._egress_hooks[i + 1:])
+        self._reobserve()
+
+    def start_interval_counts(self, interval_ns: int) -> None:
+        """Start booking, per ``interval_ns``-long interval of the
+        simulator clock (aligned to t=0), the :class:`IntervalCounts` of
+        every packet delivered to or sent by this host — at the instant
+        an ingress or egress hook would see it, without calling one."""
+        if interval_ns <= 0:
+            raise ValueError("interval_ns must be positive")
+        if self._count_interval_ns:
+            raise RuntimeError(
+                f"{self.name}: interval counts are already being recorded")
+        self._count_interval_ns = int(interval_ns)
+        self._reobserve()
+
+    def interval_counts(self) -> dict[int, IntervalCounts]:
+        """Counts by interval index; intervals without a packet are
+        absent. This is the live mapping the NIC keeps writing."""
+        return self._counts
+
+    def stop_interval_counts(self) -> dict[int, IntervalCounts]:
+        """Stop booking and return what was booked; the NIC keeps no
+        trace of it."""
+        counts = self._counts
+        self._count_interval_ns = 0
+        self._counts = {}
+        self._reobserve()
+        return counts
+
+    def _reobserve(self) -> None:
+        counting = bool(self._count_interval_ns)
+        self._ingress_observed = counting or bool(self._ingress_hooks)
+        self._egress_observed = counting or bool(self._egress_hooks)
+
+    def _book(self, packet: Packet, now: int) -> IntervalCounts:
+        """The interval record ``packet`` falls in, with its flow and
+        retransmitted bytes booked (direction-specific bytes are the
+        caller's)."""
+        idx = now // self._count_interval_ns
+        counts = self._counts.get(idx)
+        if counts is None:
+            counts = self._counts[idx] = IntervalCounts()
+        if packet.is_retransmit:
+            counts.retransmit_bytes += packet.size_bytes
+        counts.flows.add(packet.flow_id)
+        return counts
 
     # --- egress ----------------------------------------------------------
 
@@ -155,9 +248,11 @@ class HostNIC:
         if link is None:
             raise RuntimeError(f"{self.name}: send before connect()")
         self.bytes_sent += packet.size_bytes
-        if self._egress_hooks:
-            now = self._sim.now
-            for hook in tuple(self._egress_hooks):
+        if self._egress_observed:
+            now = self._sim._now
+            if self._count_interval_ns:
+                self._book(packet, now).egress_bytes += packet.size_bytes
+            for hook in self._egress_hooks:
                 hook(packet, now)
         if self._virtual or (self._virtual is None and self._decide_virtual()):
             self._send_virtual(packet, link)
@@ -342,8 +437,13 @@ class HostNIC:
         """Accept a delivered packet (PacketSink API)."""
         self.bytes_received += packet.size_bytes
         self.packets_received += 1
-        if self._ingress_hooks:
-            now = self._sim.now
+        if self._ingress_observed:
+            now = self._sim._now
+            if self._count_interval_ns:
+                counts = self._book(packet, now)
+                counts.ingress_bytes += packet.size_bytes
+                if packet.ecn == _CE:
+                    counts.marked_bytes += packet.size_bytes
             for hook in self._ingress_hooks:
                 hook(packet, now)
         handler = self._handlers.get(packet.flow_id)

@@ -11,6 +11,10 @@ uninstrumented runs.
 Channel names are plain strings, dotted by convention (``"flow.rto"``).
 The canonical channels emitted by the TCP layer are documented in
 :mod:`repro.telemetry`.
+
+Subscriber lists are copy-on-write tuples: (un)subscribing builds a new
+tuple, so an emit iterates the one it looked up — a snapshot — without
+copying it on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class HookRegistry:
     __slots__ = ("_channels",)
 
     def __init__(self) -> None:
-        self._channels: dict[str, list[Hook]] = {}
+        self._channels: dict[str, tuple[Hook, ...]] = {}
 
     def subscribe(self, channel: str, fn: Hook) -> Hook:
         """Register ``fn`` to be called on every emit to ``channel``.
@@ -35,7 +39,7 @@ class HookRegistry:
         :meth:`unsubscribe`. The same callable may subscribe to several
         channels; subscribing it twice to one channel calls it twice.
         """
-        self._channels.setdefault(channel, []).append(fn)
+        self._channels[channel] = self._channels.get(channel, ()) + (fn,)
         return fn
 
     def unsubscribe(self, channel: str, fn: Hook) -> None:
@@ -48,8 +52,11 @@ class HookRegistry:
         subs = self._channels.get(channel)
         if subs is None:
             raise KeyError(f"no subscribers on channel {channel!r}")
-        subs.remove(fn)  # ValueError if absent
-        if not subs:
+        i = subs.index(fn)  # ValueError if absent
+        subs = subs[:i] + subs[i + 1:]
+        if subs:
+            self._channels[channel] = subs
+        else:
             del self._channels[channel]
 
     def active(self, channel: str) -> bool:
@@ -78,13 +85,10 @@ class HookRegistry:
         """Call every subscriber of ``channel`` with ``*args``.
 
         No-op (one dict lookup) when nobody is listening. Subscribers run
-        in subscription order; the list is snapshotted so a subscriber may
-        unsubscribe itself mid-emit.
+        in subscription order, over the tuple current when the emit
+        began, so a subscriber may unsubscribe itself mid-emit.
         """
-        subs = self._channels.get(channel)
-        if not subs:
-            return
-        for fn in tuple(subs):
+        for fn in self._channels.get(channel, ()):
             fn(*args)
 
     def clear(self) -> None:

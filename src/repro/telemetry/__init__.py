@@ -1,43 +1,47 @@
 """In-simulation Millisampler-style observability layer.
 
 The paper's measurement half (Section 3) rests on Millisampler, a host-side
-eBPF sampler recording per-1 ms interval statistics. This package brings the
-same lens *inside* the simulator: a :class:`TelemetryRecorder` subscribes to
-the hook points the substrate exposes — the simulator's
-:class:`~repro.simcore.hooks.HookRegistry`, queue watchers on
-:class:`~repro.netsim.queues.DropTailQueue`, and NIC ingress/egress taps —
-and records, per interval (default 1 ms) and per attached host:
+eBPF sampler keeping per-1 ms counters in the kernel and exporting them
+once. This package brings the same lens *inside* the simulator, in the
+same way: the producers book their own interval records and a
+:class:`TelemetryRecorder` switches them on, reads them at export and
+switches them off. Per interval (default 1 ms) and per attached host,
+:class:`~repro.netsim.nic.HostNIC` books
 
 - ingress and egress bytes,
 - live (distinct) flow count,
 - ECN CE-marked bytes,
 - retransmitted bytes,
 
-plus per-attached-queue peak occupancy — exactly the signal set the
-production tool captures — and a per-flow lifecycle event log.
+and each attached :class:`~repro.netsim.queues.DropTailQueue` books its
+peak occupancy — exactly the signal set the production tool captures —
+with no per-packet callback. The recorder's only subscriptions are the
+flow lifecycle channels of the simulator's
+:class:`~repro.simcore.hooks.HookRegistry`, kept as a per-flow event log.
 
 Flow lifecycle channels emitted by :mod:`repro.tcp.connection`:
 
-===================  =========================================  ==========================
-channel              arguments                                  fires
-===================  =========================================  ==========================
-``flow.open``        ``(flow_id, src_addr, dst_addr, t_ns)``    sender construction
-``flow.first_byte``  ``(flow_id, host_addr, t_ns)``             first in-order delivery
-``flow.alpha``       ``(flow_id, src_addr, alpha, t_ns)``       DCTCP alpha EWMA update
-``flow.rto``         ``(flow_id, src_addr, backoff, t_ns)``     retransmission timeout
-``flow.close``       ``(flow_id, src_addr, t_ns)``              all current demand ACKed
-===================  =========================================  ==========================
+===================  ==========================================  ==========================
+channel              arguments                                   fires
+===================  ==========================================  ==========================
+``flow.open``        ``(flow_id, src_addr, dst_addr, t_ns)``     sender construction
+``flow.first_byte``  ``(flow_id, host_addr, t_ns)``              first in-order delivery
+``flow.alpha``       ``(flow_id, src_addr, alpha, t_ns)``        DCTCP alpha EWMA update
+``flow.rto``         ``(flow_id, src_addr, multiplier, t_ns)``   retransmission timeout
+``flow.close``       ``(flow_id, src_addr, t_ns)``               all current demand ACKed
+===================  ==========================================  ==========================
 
-(`flow.close` fires each time a persistent connection drains its demand,
-i.e. once per burst it participates in.)
+(`flow.rto`'s multiplier is the factor the timeout was just backed off
+to: 2, 4, …, 64. `flow.close` fires each time a persistent connection
+drains its demand, i.e. once per burst it participates in.)
 
-Captures are plain picklable records (:class:`TelemetryCapture`) that work
-units carry back through the experiment engine; with ``--telemetry`` the
-engine folds their JSON form into ``run_report.json`` and
-``python -m repro.tools.telemetry_view`` renders them. Everything is
-observer-gated: with the recorder absent, the instrumented code paths cost
-one dict lookup or one empty-list check and results are bit-identical to
-an uninstrumented build.
+Captures are plain picklable records (:class:`TelemetryCapture`, the event
+log held as columns) that work units carry back through the experiment
+engine; with ``--telemetry`` the engine folds their JSON form into
+``run_report.json`` and ``python -m repro.tools.telemetry_view`` renders
+them. Everything is observer-gated: with the recorder absent, the
+instrumented code paths cost one dict lookup or one flag check and
+results are bit-identical to an uninstrumented build.
 """
 
 from repro._lazy import lazy_exports

@@ -1,39 +1,41 @@
 """Millisampler-style in-simulation recorder.
 
-A :class:`TelemetryRecorder` is created alongside a :class:`Simulator` and
-taps the observation points the substrate exposes:
+A :class:`TelemetryRecorder` is created alongside a :class:`Simulator`.
+The producers book their own interval records, as Millisampler's eBPF
+filter keeps its per-1 ms counters in the kernel and exports them once:
 
-- ``sim.hooks`` flow-lifecycle channels (see :data:`FLOW_CHANNELS`),
-- :meth:`HostNIC.add_ingress_hook` / :meth:`HostNIC.add_egress_hook` per
-  attached host,
-- :meth:`DropTailQueue.start_interval_peaks` per attached queue.
+- :meth:`HostNIC.start_interval_counts` per attached host: per fixed
+  interval (default 1 ms, the Millisampler granularity) ingress bytes,
+  egress bytes, distinct active flows, CE-marked ingress bytes and
+  retransmitted bytes;
+- :meth:`DropTailQueue.start_interval_peaks` per attached queue: the peak
+  occupancy each interval reached, booked at enqueue, so an observed
+  queue is simulated exactly as an unobserved one (it keeps the switch's
+  composed drain).
 
-Per attached host it accumulates, per fixed interval (default 1 ms, the
-Millisampler granularity), ingress bytes, egress bytes, distinct active
-flows, CE-marked ingress bytes, and retransmitted egress bytes. Per
-attached queue it reads the peak occupancy each interval reached, which
-the queue books itself at enqueue — no per-packet callback, so an
-observed queue is simulated exactly as an unobserved one (it keeps the
-switch's composed drain). All accumulation is sparse
-(interval-index dicts, plain event tuples) during the run and densified
-into numpy arrays and :class:`FlowEvent` objects at
-:meth:`TelemetryRecorder.export` time.
+Neither installs a per-packet callback. The recorder itself subscribes
+only to the ``sim.hooks`` flow-lifecycle channels (see
+:data:`FLOW_CHANNELS`), appending one plain tuple per event. At
+:meth:`TelemetryRecorder.export` the books are densified into numpy
+arrays and the event rows transposed, once, into the columns a
+:class:`TelemetryCapture` holds; :class:`FlowEvent` objects are built
+only when :attr:`TelemetryCapture.events` is read.
 
-Every subscription is remembered so :meth:`TelemetryRecorder.detach` can
-restore the simulation to an unobserved state — tests rely on this to show
-that attach/detach round-trips leave no residue.
+:meth:`TelemetryRecorder.detach` stops every producer and unsubscribes
+every channel, restoring the simulation to an unobserved state — tests
+rely on this to show that attach/detach round-trips leave no residue.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro import units
 from repro.netsim.host import Host
-from repro.netsim.packet import ECN, Packet
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.kernel import Simulator
 
@@ -51,9 +53,11 @@ instead of appending (keeps worst-case memory bounded)."""
 class FlowEvent:
     """One flow lifecycle event.
 
-    ``value`` carries the channel's extra datum: the destination address for
-    ``flow.open``, the new alpha for ``flow.alpha``, the RTO backoff
-    exponent for ``flow.rto``, and ``0.0`` otherwise.
+    ``value`` carries the channel's extra datum, always as a float: the
+    destination address for ``flow.open``, the new alpha for
+    ``flow.alpha``, the RTO backoff multiplier (2, 4, …, 64: the factor
+    the timeout was just scaled by) for ``flow.rto``, and ``0.0``
+    otherwise.
     """
 
     time_ns: int
@@ -124,15 +128,35 @@ class TelemetryCapture:
     This is what rides back from a worker process inside a work-unit
     payload, lands in the result cache, and (as :meth:`to_dict`) in
     ``run_report.json``.
+
+    The lifecycle log is held as five columns, one tuple per
+    :class:`FlowEvent` field: entry ``i`` of each describes event ``i``,
+    in emission order. That is what export, renumbering and pickling
+    touch; :attr:`events` builds the rows when read.
     """
 
     interval_ns: int
     n_intervals: int
     hosts: dict[str, HostSeries] = field(default_factory=dict)
     queues: dict[str, QueueSeries] = field(default_factory=dict)
-    events: list[FlowEvent] = field(default_factory=list)
+    event_time_ns: tuple[int, ...] = ()
+    event_kind: tuple[str, ...] = ()
+    event_flow_id: tuple[int, ...] = ()
+    event_host: tuple[int, ...] = ()
+    event_value: tuple[float, ...] = ()
     events_dropped: int = 0
     event_counts: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def events(self) -> list[FlowEvent]:
+        """The kept lifecycle log as :class:`FlowEvent` rows (built on
+        each access)."""
+        return self._rows(len(self.event_kind))
+
+    def _rows(self, stop: int) -> list[FlowEvent]:
+        return list(map(FlowEvent, self.event_time_ns[:stop],
+                        self.event_kind[:stop], self.event_flow_id[:stop],
+                        self.event_host[:stop], self.event_value[:stop]))
 
     def renumbered(self, addr_map: dict[int, int],
                    flow_map: dict[int, int]) -> "TelemetryCapture":
@@ -150,22 +174,20 @@ class TelemetryCapture:
         """
         remap_addr = addr_map.get
         remap_flow = flow_map.get
-        # FlowEvent(...) built directly, one expression per event: this
-        # runs for every lifecycle event of a run (dataclasses.replace
-        # costs a dozen calls each).
-        events = [
-            FlowEvent(e.time_ns, e.kind, remap_flow(e.flow_id, e.flow_id),
-                      remap_addr(e.host, e.host),
-                      e.value if e.kind != "open"
-                      else float(remap_addr(int(e.value), int(e.value))))
-            for e in self.events]
         return replace(
             self,
             hosts={name: replace(series,
                                  address=remap_addr(series.address,
                                                     series.address))
                    for name, series in self.hosts.items()},
-            events=events,
+            event_flow_id=tuple(map(remap_flow, self.event_flow_id,
+                                    self.event_flow_id)),
+            event_host=tuple(map(remap_addr, self.event_host,
+                                 self.event_host)),
+            event_value=tuple([
+                value if kind != "open"
+                else float(remap_addr(int(value), int(value)))
+                for kind, value in zip(self.event_kind, self.event_value)]),
         )
 
     def to_dict(self, max_events: int = 200) -> dict:
@@ -179,52 +201,32 @@ class TelemetryCapture:
             "queues": {name: series.to_dict()
                        for name, series in self.queues.items()},
             "event_counts": dict(self.event_counts),
-            "n_events": len(self.events) + self.events_dropped,
+            "n_events": len(self.event_kind) + self.events_dropped,
             "events_dropped": self.events_dropped,
-            "events": [e.to_dict() for e in self.events[:max_events]],
+            "events": [e.to_dict() for e in self._rows(max_events)],
         }
 
 
-class _HostAccum:
-    """Sparse per-interval accumulators for one host."""
+class _Book:
+    """One producer's sparse per-interval book: read from the producer
+    while the recorder is attached, kept here once it has detached."""
 
-    __slots__ = ("name", "address", "ingress", "egress", "marked", "rtx",
-                 "flows", "hooks")
+    __slots__ = ("_read", "_stop", "_kept")
 
-    def __init__(self, name: str, address: int) -> None:
-        self.name = name
-        self.address = address
-        self.ingress: dict[int, int] = {}
-        self.egress: dict[int, int] = {}
-        self.marked: dict[int, int] = {}
-        self.rtx: dict[int, int] = {}
-        self.flows: dict[int, set[int]] = {}
-        self.hooks: list = []  # (unsubscribe-callable,) pairs, see detach
+    def __init__(self, read: Callable[[], dict],
+                 stop: Callable[[], dict]) -> None:
+        self._read = read
+        self._stop = stop
+        self._kept: Optional[dict] = None
 
-    def max_index(self) -> int:
-        """Latest interval any signal touched (``-1`` when none did)."""
-        indices = [max(d) for d in (self.ingress, self.egress, self.marked,
-                                    self.rtx, self.flows) if d]
-        return max(indices) if indices else -1
+    def read(self) -> dict:
+        """The book by interval index, as of now."""
+        return self._read() if self._kept is None else self._kept
 
-
-class _QueueAccum:
-    """Sparse per-interval peak occupancy for one queue: read from the
-    queue while it records, kept here once the recorder has detached."""
-
-    __slots__ = ("name", "capacity_packets", "queue", "detached_peaks")
-
-    def __init__(self, name: str, queue: DropTailQueue) -> None:
-        self.name = name
-        self.capacity_packets = queue.capacity_packets
-        self.queue: Optional[DropTailQueue] = queue
-        self.detached_peaks: dict[int, int] = {}
-
-    def peaks(self) -> dict[int, int]:
-        """Peak occupancy by interval index, as of now."""
-        if self.queue is not None:
-            return self.queue.interval_peaks()
-        return self.detached_peaks
+    def close(self) -> None:
+        """Stop the producer, keeping what it booked."""
+        if self._kept is None:
+            self._kept = self._stop()
 
 
 class TelemetryRecorder:
@@ -254,19 +256,23 @@ class TelemetryRecorder:
         self._sim = sim
         self.interval_ns = int(interval_ns)
         self.event_cap = event_cap
-        self._hosts: dict[str, _HostAccum] = {}
-        self._queues: dict[str, _QueueAccum] = {}
+        # label -> (address, book of IntervalCounts)
+        self._hosts: dict[str, tuple[int, _Book]] = {}
+        # label -> (capacity_packets, book of peaks)
+        self._queues: dict[str, tuple[Optional[int], _Book]] = {}
         # (time_ns, kind, flow_id, host, value): FlowEvent's field order.
         self._events: list[tuple[int, str, int, int, float]] = []
-        self._events_dropped = 0
-        self._event_counts: dict[str, int] = {}
+        # Events past the cap, by kind in first-drop order; kept events
+        # are counted from the log itself at export.
+        self._dropped: dict[str, int] = {}
         self._flow_handlers: dict[str, object] = {}
         self._attached = False
 
     # --- wiring -----------------------------------------------------------
 
     def attach(self) -> None:
-        """Subscribe to the flow lifecycle channels on ``sim.hooks``."""
+        """Subscribe to the flow lifecycle channels on ``sim.hooks``
+        (``event_cap`` is read here)."""
         if self._attached:
             raise RuntimeError("recorder already attached")
         handlers = {
@@ -283,48 +289,14 @@ class TelemetryRecorder:
 
     def attach_host(self, host: Host, name: Optional[str] = None) -> None:
         """Record per-interval ingress/egress/flow/mark/retransmit series
-        for ``host``."""
+        for ``host``: its NIC books them itself."""
         label = name or host.name
         if label in self._hosts:
             raise ValueError(f"host {label!r} already attached")
-        accum = _HostAccum(label, host.address)
-        # These run once per packet: everything they touch is a local.
-        interval_ns = self.interval_ns
-        ingress, egress = accum.ingress, accum.egress
-        marked, rtx, flows = accum.marked, accum.rtx, accum.flows
-        ce = ECN.CE
-
-        def on_ingress(packet: Packet, now: int) -> None:
-            idx = now // interval_ns
-            size = packet.size_bytes
-            ingress[idx] = ingress.get(idx, 0) + size
-            if packet.ecn == ce:
-                marked[idx] = marked.get(idx, 0) + size
-            if packet.is_retransmit:
-                rtx[idx] = rtx.get(idx, 0) + size
-            active = flows.get(idx)
-            if active is None:
-                active = flows[idx] = set()
-            active.add(packet.flow_id)
-
-        def on_egress(packet: Packet, now: int) -> None:
-            idx = now // interval_ns
-            size = packet.size_bytes
-            egress[idx] = egress.get(idx, 0) + size
-            if packet.is_retransmit:
-                rtx[idx] = rtx.get(idx, 0) + size
-            active = flows.get(idx)
-            if active is None:
-                active = flows[idx] = set()
-            active.add(packet.flow_id)
-
-        host.nic.add_ingress_hook(on_ingress)
-        host.nic.add_egress_hook(on_egress)
-        accum.hooks = [
-            lambda: host.nic.remove_ingress_hook(on_ingress),
-            lambda: host.nic.remove_egress_hook(on_egress),
-        ]
-        self._hosts[label] = accum
+        nic = host.nic
+        nic.start_interval_counts(self.interval_ns)
+        self._hosts[label] = (host.address, _Book(nic.interval_counts,
+                                                  nic.stop_interval_counts))
 
     def attach_queue(self, queue: DropTailQueue,
                      name: Optional[str] = None) -> None:
@@ -335,7 +307,9 @@ class TelemetryRecorder:
         if label in self._queues:
             raise ValueError(f"queue {label!r} already attached")
         queue.start_interval_peaks(self._sim, self.interval_ns)
-        self._queues[label] = _QueueAccum(label, queue)
+        self._queues[label] = (queue.capacity_packets,
+                               _Book(queue.interval_peaks,
+                                     queue.stop_interval_peaks))
 
     def detach(self) -> None:
         """Remove every subscription this recorder installed.
@@ -348,14 +322,8 @@ class TelemetryRecorder:
                 self._sim.hooks.unsubscribe(channel, handler)
             self._flow_handlers = {}
             self._attached = False
-        for accum in self._hosts.values():
-            for undo in accum.hooks:
-                undo()
-            accum.hooks = []
-        for qaccum in self._queues.values():
-            if qaccum.queue is not None:
-                qaccum.detached_peaks = qaccum.queue.stop_interval_peaks()
-                qaccum.queue = None
+        for _, book in (*self._hosts.values(), *self._queues.values()):
+            book.close()
 
     # --- flow lifecycle handlers -----------------------------------------
 
@@ -364,16 +332,17 @@ class TelemetryRecorder:
         ``(flow_id, host, value, t_ns)`` (``flow.open``'s value is the
         destination address), the others ``(flow_id, host, t_ns)``. One
         call per event: ``flow.alpha`` fires on most ACKs."""
-        counts = self._event_counts
         events = self._events
+        append = events.append
+        cap = self.event_cap
+        dropped = self._dropped
 
         def record(flow_id: int, host: int, value: float,
                    t_ns: int) -> None:
-            counts[kind] = counts.get(kind, 0) + 1
-            if len(events) < self.event_cap:
-                events.append((t_ns, kind, flow_id, host, float(value)))
+            if len(events) < cap:
+                append((t_ns, kind, flow_id, host, float(value)))
             else:
-                self._events_dropped += 1
+                dropped[kind] = dropped.get(kind, 0) + 1
 
         if valued:
             return record
@@ -382,20 +351,20 @@ class TelemetryRecorder:
     # --- export -----------------------------------------------------------
 
     def export(self) -> TelemetryCapture:
-        """Densify accumulators into a :class:`TelemetryCapture`.
+        """Densify the books and transpose the event log into a
+        :class:`TelemetryCapture`.
 
         Series share one global length (the latest interval any signal
         touched, across all hosts and queues), so per-host arrays line up
         index-for-index.
         """
-        queue_peaks = {label: qaccum.peaks()
-                       for label, qaccum in self._queues.items()}
-        max_idx = -1
-        for accum in self._hosts.values():
-            max_idx = max(max_idx, accum.max_index())
-        for peaks in queue_peaks.values():
-            max_idx = max(max_idx, max(peaks, default=-1))
-        n = max_idx + 1
+        host_counts = {label: book.read()
+                       for label, (_, book) in self._hosts.items()}
+        queue_peaks = {label: book.read()
+                       for label, (_, book) in self._queues.items()}
+        n = 1 + max((max(book, default=-1) for book in
+                     (*host_counts.values(), *queue_peaks.values())),
+                    default=-1)
 
         def densify(sparse: dict[int, int]) -> np.ndarray:
             dense = np.zeros(n, dtype=np.int64)
@@ -404,29 +373,37 @@ class TelemetryRecorder:
             return dense
 
         hosts = {}
-        for label, accum in self._hosts.items():
+        for label, (address, _) in self._hosts.items():
+            counts = host_counts[label].items()
+            series = {signal: densify({idx: getattr(c, signal)
+                                       for idx, c in counts})
+                      for signal in ("ingress_bytes", "egress_bytes",
+                                     "marked_bytes", "retransmit_bytes")}
             hosts[label] = HostSeries(
-                name=label,
-                address=accum.address,
-                ingress_bytes=densify(accum.ingress),
-                egress_bytes=densify(accum.egress),
-                flow_count=densify(
-                    {idx: len(s) for idx, s in accum.flows.items()}),
-                marked_bytes=densify(accum.marked),
-                retransmit_bytes=densify(accum.rtx),
-            )
+                name=label, address=address,
+                flow_count=densify({idx: len(c.flows) for idx, c in counts}),
+                **series)
         queues = {
-            label: QueueSeries(name=label,
-                               capacity_packets=qaccum.capacity_packets,
+            label: QueueSeries(name=label, capacity_packets=capacity,
                                peak_packets=densify(queue_peaks[label]))
-            for label, qaccum in self._queues.items()
+            for label, (capacity, _) in self._queues.items()
         }
+        columns = tuple(zip(*self._events)) or ((),) * 5
+        # First-emission order: kinds in the kept log, then kinds first
+        # emitted past the cap, in the order they were dropped.
+        event_counts = Counter(columns[1])
+        for kind, n_dropped in self._dropped.items():
+            event_counts[kind] += n_dropped
         return TelemetryCapture(
             interval_ns=self.interval_ns,
             n_intervals=n,
             hosts=hosts,
             queues=queues,
-            events=[FlowEvent(*event) for event in self._events],
-            events_dropped=self._events_dropped,
-            event_counts=dict(self._event_counts),
+            event_time_ns=columns[0],
+            event_kind=columns[1],
+            event_flow_id=columns[2],
+            event_host=columns[3],
+            event_value=columns[4],
+            events_dropped=sum(self._dropped.values()),
+            event_counts=dict(event_counts),
         )

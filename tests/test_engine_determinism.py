@@ -7,6 +7,7 @@ documents) must be identical along every path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,9 +15,10 @@ import pytest
 
 import repro
 from repro.analysis.export import result_to_dict
-from repro.experiments import fig6, table1
+from repro.experiments import fig5, fig6, table1
 from repro.experiments.engine import (EXPERIMENT_MODULES, ResultCache,
                                       run_experiments)
+from repro.experiments.engine.core import DEFAULT_TELEMETRY_INTERVAL_NS
 from repro.experiments.engine.report import (SOURCE_CACHE, SOURCE_RUN,
                                              SOURCE_SHARED)
 from repro.experiments.sweep import compile_units, run_sweep
@@ -184,6 +186,53 @@ class TestVersionBumpRetiresSweepPayloads:
         _, warm = run_sweep(spec, scale=SCALE, seed=SEED, jobs=1,
                             cache=cache)
         assert (warm.cache_hits, warm.executed) == (len(units), 0)
+
+
+class TestVersionBumpRetiresTelemetryPayloads:
+    """1.2.3 changed the shape of ``TelemetryCapture`` inside every
+    ``--telemetry`` unit's payload (event columns, not ``FlowEvent``
+    rows); what 1.2.2 left in a cache directory must be a miss that
+    recomputes, never an unpickle into the new class."""
+
+    @staticmethod
+    def telemetry_units():
+        # What the engine plans under --telemetry (default interval).
+        tele = {"interval_ns": DEFAULT_TELEMETRY_INTERVAL_NS}
+        return [dataclasses.replace(unit,
+                                    params={**unit.params, "telemetry": tele})
+                for unit in fig5.work_units(SCALE, SEED)]
+
+    def test_entry_sealed_under_1_2_2_is_a_miss(self, tmp_path: Path,
+                                                monkeypatch):
+        assert repro.__version__ != "1.2.2"
+        cache = ResultCache(directory=tmp_path / "cache")
+        with monkeypatch.context() as old:
+            old.setattr(repro, "__version__", "1.2.2")
+            old_keys = {unit.cache_key() for unit in self.telemetry_units()}
+            for key in old_keys:
+                assert cache.put(key, SealedUnderAnotherVersion())
+            old_dir = cache.version_dir
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 3
+
+        units = self.telemetry_units()
+        assert not {unit.cache_key() for unit in units} & old_keys
+        _, fresh = run_experiments(["fig5"], scale=SCALE, seed=SEED, jobs=1,
+                                   telemetry=True)
+        _, served = run_experiments(["fig5"], scale=SCALE, seed=SEED,
+                                    jobs=1, cache=cache, telemetry=True)
+        assert (served.cache_hits, served.executed) == (0, len(units))
+        # The planned keys are the ones the engine used, so the poisoned
+        # entries sit exactly where a 1.2.2 engine would have read them.
+        assert all(cache.path_for(unit.cache_key()).exists()
+                   for unit in units)
+        assert served.telemetry == fresh.telemetry and fresh.telemetry
+        # The old entries were left alone, not read.
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys)
+        # The new layout round-trips through the cache.
+        _, warm = run_experiments(["fig5"], scale=SCALE, seed=SEED, jobs=1,
+                                  cache=cache, telemetry=True)
+        assert (warm.cache_hits, warm.executed) == (len(units), 0)
+        assert warm.telemetry == fresh.telemetry
 
 
 class TestEngineValidation:

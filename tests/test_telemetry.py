@@ -52,6 +52,25 @@ class TestHookRegistry:
         with pytest.raises(ValueError):
             hooks.unsubscribe("flow.close", lambda *a: None)
 
+    def test_emit_iterates_the_subscribers_current_when_it_began(self):
+        hooks = HookRegistry()
+        seen = []
+
+        def once(*args):
+            seen.append("once")
+            hooks.unsubscribe("c", once)
+            hooks.subscribe("c", late)
+
+        def late(*args):
+            seen.append("late")
+
+        hooks.subscribe("c", once)
+        hooks.subscribe("c", lambda *args: seen.append("after"))
+        hooks.emit("c")
+        assert seen == ["once", "after"]
+        hooks.emit("c")
+        assert seen == ["once", "after", "after", "late"]
+
     def test_clear(self):
         hooks = HookRegistry()
         hooks.subscribe("a", lambda: None)
@@ -78,6 +97,27 @@ class TestObserverTaps:
         assert len(seen) == 1
         with pytest.raises(ValueError):
             net.receiver.nic.remove_ingress_hook(hook)
+
+    @pytest.mark.parametrize("direction", ["ingress", "egress"])
+    def test_nic_hook_may_remove_itself_mid_packet(self, sim, direction):
+        net = mini_dumbbell(sim, n_senders=1)
+        nic = net.receiver.nic if direction == "ingress" \
+            else net.senders[0].nic
+        add = getattr(nic, f"add_{direction}_hook")
+        remove = getattr(nic, f"remove_{direction}_hook")
+        seen = []
+
+        def once(pkt, now):
+            seen.append("once")
+            remove(once)
+
+        add(once)
+        add(lambda pkt, now: seen.append("after"))
+        packet = data_packet(0, net.senders[0].address,
+                             net.receiver.address, 0, 100)
+        for _ in range(2):
+            (nic.receive if direction == "ingress" else nic.send)(packet)
+        assert seen == ["once", "after", "after"]
 
     def test_queue_watcher_sees_all_three_events(self):
         queue = DropTailQueue(capacity_packets=1)

@@ -5,23 +5,23 @@ numbers whichever drain implementation serves it."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import pickle
-from pathlib import Path
 
 import pytest
 
 from repro import units
 from repro.experiments.environment import IncastSimConfig, run_incast_sim
 from repro.netsim import switch as switch_module
+from repro.netsim.nic import HostNIC
 from repro.netsim.packet import Packet, data_packet
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.topology import DumbbellConfig
 from repro.simcore.kernel import Simulator
-from repro.telemetry import TelemetryRecorder
+from repro.telemetry import FlowEvent, TelemetryRecorder
 
 from tests.conftest import mini_dumbbell
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def all_ports(net):
@@ -118,6 +118,8 @@ class TestAttachDetach:
         recorder.detach()
         assert sim.hooks.n_subscriptions == 0
         assert not nic._ingress_hooks and not nic._egress_hooks
+        assert not nic._ingress_observed and not nic._egress_observed
+        assert nic.interval_counts() == {}
         assert not queue._watchers and not queue._peak_interval_ns
         assert queue._peaks == {} and queue._peak_clock is None
         before = recorder.export().to_dict()
@@ -173,25 +175,82 @@ class TestRetention:
         assert pending[3] < 1.5 * pending[1] + 1_000
 
 
+def digests(capture) -> tuple[str, str]:
+    """sha256 of the capture's full JSON form and of its event rows."""
+    document = json.dumps(capture.to_dict(max_events=10**9), sort_keys=True)
+    rows = repr([dataclasses.astuple(e) for e in capture.events])
+    return (hashlib.sha256(document.encode()).hexdigest(),
+            hashlib.sha256(rows.encode()).hexdigest())
+
+
+# Recorded with the row-list capture (commit b8af933), before the
+# lifecycle log went columnar and host counters moved into the NIC:
+# config, to_dict sha256, event-row sha256, events.
+PINNED = {
+    "fixture8": (
+        dict(n_flows=8, burst_duration_ns=units.msec(2.0), n_bursts=2,
+             inter_burst_gap_ns=units.msec(1.0), seed=3),
+        "59c5517a4f3b69b4aebd4670e5850449b240771e4101a7c57151942ba5639dc3",
+        "8ea835e382b828f1eb4f031498c5537616dddd2d9d35879ff6aad2e96c717c2f",
+        376),
+    "incast_telemetry_seed0": (
+        dict(n_flows=100, n_bursts=1, seed=0),
+        "469456ce9b600b2649c9762ad4221e83d6f69f0776fdb1339a3efdc307a12624",
+        "d145d45f7dedad88022e0818f21bfa7ccc5d620b5e736465387974053a31d2ce",
+        11_652),
+    "incast_telemetry_seed3": (
+        dict(n_flows=100, n_bursts=1, seed=3),
+        "95e2e7fd969f48f50b3de804c063e2633805e1d794e707f14b43e237969ce08a",
+        "6d99193d09fd213fd6810916aa874182c8d3cca815b458d95064cf01109bd8fb",
+        11_639),
+    "lossy1000": (
+        dict(n_flows=1000, n_bursts=1, seed=0),
+        "20a8ac5ba343970a0a9a347b6bfdeda06af5ef15008c958d4292507df10a5647",
+        "04e83c6e2eb30418f2a82591f4a43169bd1bdcae4693ec7c2ac7f04f0cdae3a2",
+        14_846),
+}
+
+
 class TestCaptureCompatibility:
-    def test_capture_pickled_at_parent_commit_unpickles_equal(self):
-        """``telemetry_capture_80ac27c.pkl`` is ``pickle.dumps(capture,
-        protocol=4)`` of this configuration's capture, written by commit
-        80ac27c (recorder with a queue watcher, ``dataclasses.replace``
-        per event): captures sit in result caches, so class, field set
-        and pickle layout must not move."""
-        blob = (FIXTURES / "telemetry_capture_80ac27c.pkl").read_bytes()
-        old = pickle.loads(blob)
-        new = run_incast_sim(IncastSimConfig(
-            n_flows=8, burst_duration_ns=units.msec(2.0), n_bursts=2,
-            inter_burst_gap_ns=units.msec(1.0), seed=3,
-            telemetry=True)).telemetry
-        assert type(old) is type(new)
-        assert old.events == new.events and len(new.events) == 376
-        assert (old.to_dict(max_events=10**9)
-                == new.to_dict(max_events=10**9))
-        assert [f.name for f in dataclasses.fields(old.events[0])] == \
+    """Captures land in run reports and, via payloads, in result caches:
+    what they say must not move. Their pickle layout may — the version
+    bump retires older cache entries (``test_engine_determinism``)."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_values_pinned_at_parent(self, name):
+        config, document_sha, rows_sha, n_events = PINNED[name]
+        capture = run_incast_sim(IncastSimConfig(telemetry=True,
+                                                 **config)).telemetry
+        assert len(capture.events) == n_events
+        assert digests(capture) == (document_sha, rows_sha)
+        assert [f.name for f in dataclasses.fields(capture.events[0])] == \
             ["time_ns", "kind", "flow_id", "host", "value"]
-        # Re-pickling the old capture with today's numpy and pickling the
-        # new one give the same bytes: same classes, fields, sharing.
-        assert pickle.dumps(old, protocol=4) == pickle.dumps(new, protocol=4)
+        assert digests(pickle.loads(pickle.dumps(capture))) == \
+            (document_sha, rows_sha)
+
+
+class TestCaptureCost:
+    def test_a_run_and_its_report_build_only_the_reported_rows(
+            self, monkeypatch):
+        """Export, renumbering and ``to_dict()`` build no ``FlowEvent``
+        beyond the ``max_events`` rows reported (the row-list capture
+        built 2 x 11,652 here: one row per event in export, another in
+        renumbering), and no host is observed through a NIC hook."""
+        built = []
+        init = FlowEvent.__init__
+        monkeypatch.setattr(FlowEvent, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        hooks = []
+        for attr in ("add_ingress_hook", "add_egress_hook"):
+            add = getattr(HostNIC, attr)
+            monkeypatch.setattr(HostNIC, attr, lambda self, hook, add=add:
+                                hooks.append(hook) or add(self, hook))
+        config, _, rows_sha, _ = PINNED["incast_telemetry_seed0"]
+        capture = run_incast_sim(IncastSimConfig(telemetry=True,
+                                                 **config)).telemetry
+        report = capture.to_dict()
+        assert len(report["events"]) == 200 and report["n_events"] == 11_652
+        assert len(built) <= 200
+        assert hooks == []
+        rows = repr([dataclasses.astuple(e) for e in capture.events])
+        assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha
