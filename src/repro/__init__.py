@@ -11,8 +11,8 @@ The package is organized bottom-up:
   (the paper's subject), a Swift-like paced CCA, and the guardrail wrapper.
 - :mod:`repro.workloads` — the Section 4 cyclic incast application, the
   Section 3 five-service synthetic fleet, and the sub-incast scheduler.
-- :mod:`repro.measurement` — Millisampler, switch watermarks, and fleet
-  campaign orchestration.
+- :mod:`repro.measurement` — the Millisampler record, the switch
+  watermark channel, and fleet campaign orchestration.
 - :mod:`repro.core` — the paper's analyses: burst detection, incast
   classification, stability, DCTCP operating modes, straggler divergence,
   and the incast-degree predictor.

@@ -43,10 +43,8 @@ import numpy as np
 
 from repro import units
 from repro.analysis.fct import ELEPHANT, MOUSE, FctSet, merge_fct_sets
-from repro.analysis.series import align_and_average
-from repro.core.modes import classify_queue_trace
 from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
-                                FluidIncast, burst_start, run_burst)
+                                burst_start, run_burst)
 from repro.netsim.leafspine import LeafSpineConfig
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.workloads.mix import KIND_MOUSE, FlowSpec
@@ -346,30 +344,37 @@ def _fluid_cyclic_bursts(cfg, fluid_cfg: FluidConfig, first_index: int,
     completion (the workload's AFTER_COMPLETION scheduling)."""
     from repro.workloads.incast import BurstResult
 
+    constants = FluidConstants.of(fluid_cfg)
     wire = fluid_cfg.mss_bytes
     cap_pk = cfg.dumbbell.queue_capacity_packets
-    per_flow_wire = _wire_bytes(cfg.demand_bytes_per_flow,
-                                cfg.tcp.mss_bytes)
+    demand = _wire_bytes(cfg.demand_bytes_per_flow,
+                         cfg.tcp.mss_bytes) * cfg.n_flows
     for index in range(first_index, cfg.n_bursts):
         factor = 1.0 if index == 0 else STEADY_WINDOW_START_FACTOR
-        trace = FluidIncast(fluid_cfg, cfg.n_flows,
-                            per_flow_wire * cfg.n_flows,
-                            fluid_cfg.capacity_bytes,
-                            window_start_factor=factor).run()
+        trace = FluidColumns([], [], [], [], [])
+        capacity, window, alpha = burst_start(
+            fluid_cfg, cfg.n_flows, demand, fluid_cfg.capacity_bytes,
+            window_start_factor=factor)
+        n_intervals = run_burst(constants, cfg.n_flows, demand, capacity,
+                                window, alpha, float("inf"), trace)[0]
         for j, frac in enumerate(trace.queue_frac):
             times.append(start_ns + j * fluid_cfg.interval_ns)
-            values.append(float(frac) * cap_pk)
-        complete = start_ns + trace.n_intervals * fluid_cfg.interval_ns
+            values.append(frac * cap_pk)
+        # numpy's pairwise sums: the packet counts are pinned.
+        drops, marked, retransmitted = (
+            float(np.asarray(column).sum()) for column in (
+                trace.dropped_bytes, trace.marked_bytes,
+                trace.retransmit_bytes))
+        complete = start_ns + n_intervals * fluid_cfg.interval_ns
         burst_results.append(BurstResult(
             index=index, start_ns=start_ns, complete_ns=complete,
             demand_bytes_per_flow=cfg.demand_bytes_per_flow,
             n_flows=cfg.n_flows,
-            peak_queue_packets=int(round(trace.peak_queue_frac * cap_pk)),
-            drops=int(round(float(trace.dropped_bytes.sum()) / wire)),
-            marked_packets=int(round(float(trace.marked_bytes.sum())
-                                     / wire)),
-            retransmitted_packets=int(round(
-                float(trace.retransmit_bytes.sum()) / wire)),
+            peak_queue_packets=int(round(max(trace.queue_frac, default=0.0)
+                                         * cap_pk)),
+            drops=int(round(drops / wire)),
+            marked_packets=int(round(marked / wire)),
+            retransmitted_packets=int(round(retransmitted / wire)),
             rto_events=0, fast_retransmits=0))
         start_ns = complete + cfg.inter_burst_gap_ns
 
@@ -377,37 +382,12 @@ def _fluid_cyclic_bursts(cfg, fluid_cfg: FluidConfig, first_index: int,
 def _assemble_cyclic_result(cfg, burst_results: list, times: list[int],
                             values: list[float]):
     """Build an :class:`IncastSimResult` from synthesized burst results
-    and a queue-occupancy trace, mirroring the packet path's analysis
-    (steady selection, burst-aligned averaging, mode classification)."""
-    from repro.experiments.environment import IncastSimResult
+    and a queue-occupancy trace, through the packet path's own steady
+    analysis (:func:`~repro.experiments.environment.steady_analysis`)."""
+    from repro.experiments.environment import IncastSimResult, steady_analysis
 
     steady = (burst_results[1:] if len(burst_results) > 1
               else list(burst_results))
-    times_arr = np.asarray(times, dtype=np.int64)
-    values_arr = np.asarray(values, dtype=np.float64)
-
-    span_ns = cfg.burst_duration_ns + cfg.inter_burst_gap_ns
-    segments = []
-    raw_samples = []
-    for result in steady:
-        mask = ((times_arr >= result.start_ns)
-                & (times_arr < result.start_ns + span_ns))
-        segments.append((times_arr[mask] - result.start_ns,
-                         values_arr[mask]))
-        burst_mask = ((times_arr >= result.start_ns)
-                      & (times_arr < result.start_ns
-                         + cfg.burst_duration_ns))
-        raw_samples.append(values_arr[burst_mask])
-    offsets, averaged = align_and_average(
-        segments, bin_ns=cfg.queue_probe_period_ns, span_ns=span_ns)
-
-    steady_drops = sum(r.drops for r in steady)
-    burst_portion = (np.concatenate(raw_samples) if raw_samples
-                     else np.zeros(1))
-    mode = classify_queue_trace(
-        burst_portion if burst_portion.size else np.zeros(1),
-        cfg.mode_model(), drops=steady_drops)
-
     mean_bct = (float(np.mean([r.bct_ms for r in steady]))
                 if steady else 0.0)
     return IncastSimResult(
@@ -415,19 +395,12 @@ def _assemble_cyclic_result(cfg, burst_results: list, times: list[int],
         burst_results=list(burst_results),
         steady_results=steady,
         mean_bct_ms=mean_bct,
-        queue_times_ns=times_arr,
-        queue_packets=values_arr,
         burst_starts_ns=[r.start_ns for r in burst_results],
-        aligned_offsets_ns=offsets,
-        aligned_queue_packets=averaged,
-        steady_drops=steady_drops,
-        steady_rtos=sum(r.rto_events for r in steady),
-        steady_marked_packets=sum(r.marked_packets for r in steady),
-        steady_retransmits=sum(r.retransmitted_packets for r in steady),
-        mode=mode,
         flow_sampler=None,
         network=None,
         telemetry=None,
+        **steady_analysis(cfg, steady, np.asarray(times, dtype=np.int64),
+                          np.asarray(values, dtype=np.float64)),
     )
 
 

@@ -8,8 +8,8 @@ bottleneck parameters —
 
 - packet side: the Figure 5 protocol (persistent DCTCP connections, the
   first slow-start burst discarded, steady bursts measured);
-- fluid side: one :class:`~repro.netsim.fluid.FluidIncast` per degree with
-  a steady-state carryover window.
+- fluid side: one burst of the :mod:`repro.netsim.fluid` kernel per
+  degree with a steady-state carryover window.
 
 and compares the steady ECN-marked fraction and peak queue occupancy as
 functions of flow count. The claim is *agreement in shape*: both
@@ -26,7 +26,8 @@ from repro import units
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.netsim.fluid import FluidConfig, FluidIncast
+from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
+                                burst_start, run_burst)
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 
 
@@ -112,16 +113,22 @@ def run_fluid_side(flow_sweep: list[int],
         ecn_threshold_frac=65.0 / 1333.0,
         mss_bytes=wire,
     )
+    constants = FluidConstants.of(fluid_cfg)
     volume = units.bytes_in_interval(units.gbps(10.0), burst_ns)
     results = []
     for flows in flow_sweep:
-        trace = FluidIncast(fluid_cfg, flows, volume,
-                            fluid_cfg.capacity_bytes,
-                            window_start_factor=1.5).run()
-        delivered = trace.total_delivered
-        marked_frac = (float(trace.marked_bytes.sum()) / delivered
-                       if delivered else 0.0)
-        results.append((min(marked_frac, 1.0), trace.peak_queue_frac))
+        trace = FluidColumns([], [], [], [], [])
+        capacity, window, alpha = burst_start(
+            fluid_cfg, flows, volume, fluid_cfg.capacity_bytes,
+            window_start_factor=1.5)
+        run_burst(constants, flows, volume, capacity, window, alpha,
+                  float("inf"), trace)
+        # numpy's pairwise sums: the published fractions are pinned.
+        delivered = int(np.asarray(trace.delivered_bytes).sum())
+        marked_frac = (float(np.asarray(trace.marked_bytes).sum())
+                       / delivered if delivered else 0.0)
+        results.append((min(marked_frac, 1.0),
+                        max(trace.queue_frac, default=0.0)))
     return results
 
 

@@ -299,9 +299,31 @@ def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
         sampler.stop()
 
     steady = workload.steady_results()
-    times = probe.series.times_ns
-    values = probe.series.values
+    analysis = steady_analysis(cfg, steady, probe.series.times_ns,
+                               probe.series.values)
+    return IncastSimResult(
+        config=cfg,
+        burst_results=workload.results,
+        steady_results=steady,
+        mean_bct_ms=workload.mean_bct_ms(),
+        burst_starts_ns=workload.burst_starts_ns,
+        flow_sampler=sampler,
+        network=net,
+        telemetry=_finish_telemetry(recorder, net, connections),
+        scheme_stats=(runtime.finish(
+            burst_starts_ns=workload.burst_starts_ns,
+            burst_duration_ns=cfg.burst_duration_ns)
+            if runtime is not None else None),
+        **analysis,
+    )
 
+
+def steady_analysis(cfg: IncastSimConfig, steady: list[BurstResult],
+                    times: np.ndarray, values: np.ndarray) -> dict:
+    """The :class:`IncastSimResult` fields every substrate derives alike
+    from its steady bursts and its bottleneck queue trace (``times`` in
+    ns, ``values`` in packets): the trace itself, its burst-aligned
+    average, the steady totals and the operating mode."""
     # Align each steady burst's queue trace to its own start and average,
     # as the paper does across the final 10 bursts.
     span_ns = cfg.burst_duration_ns + cfg.inter_burst_gap_ns
@@ -328,30 +350,16 @@ def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
     mode = classify_queue_trace(
         burst_portion if burst_portion.size else np.zeros(1),
         cfg.mode_model(), drops=steady_drops)
-
-    return IncastSimResult(
-        config=cfg,
-        burst_results=workload.results,
-        steady_results=steady,
-        mean_bct_ms=workload.mean_bct_ms(),
+    return dict(
         queue_times_ns=times,
         queue_packets=values,
-        burst_starts_ns=workload.burst_starts_ns,
         aligned_offsets_ns=offsets,
         aligned_queue_packets=averaged,
         steady_drops=steady_drops,
         steady_rtos=sum(r.rto_events for r in steady),
         steady_marked_packets=sum(r.marked_packets for r in steady),
         steady_retransmits=sum(r.retransmitted_packets for r in steady),
-        mode=mode,
-        flow_sampler=sampler,
-        network=net,
-        telemetry=_finish_telemetry(recorder, net, connections),
-        scheme_stats=(runtime.finish(
-            burst_starts_ns=workload.burst_starts_ns,
-            burst_duration_ns=cfg.burst_duration_ns)
-            if runtime is not None else None),
-    )
+        mode=mode)
 
 
 def _finish_telemetry(recorder: Optional[TelemetryRecorder], net: Dumbbell,

@@ -1,19 +1,18 @@
-"""Switch queue high-watermark sampling (Section 3.4).
+"""Switch queue occupancy for in-sim consumers (Section 3.4).
 
 To keep measurement overheads low, the paper's ToR switches expose queue
 occupancy as a *high watermark*: the maximum occupancy reached over the
-last window (one minute in production). This sampler reproduces those
-semantics over a simulated :class:`~repro.netsim.queues.DropTailQueue`:
-every ``window_ns`` it records the peak occupancy since the previous read
-and resets the counter.
+last window (one minute in production). A simulated
+:class:`~repro.netsim.queues.DropTailQueue` books that record itself, per
+interval (:meth:`~repro.netsim.queues.DropTailQueue.start_interval_peaks`).
 
-:class:`WatermarkChannelProbe` is the online variant: instead of keeping a
-private series, it publishes instantaneous occupancy samples onto the
-``queue.watermark`` hook channel (:data:`WATERMARK_CHANNEL`), so in-sim
-consumers — the burst detector of the ``detect`` mitigation scheme, or
-any recorder — can subscribe without touching the queue itself. It reads
-``len_packets`` directly rather than the watermark register, so it never
-perturbs the per-burst peak accounting the incast workload relies on.
+:class:`WatermarkChannelProbe` is the online view: it publishes
+instantaneous occupancy samples onto the ``queue.watermark`` hook channel
+(:data:`WATERMARK_CHANNEL`), so in-sim consumers — the burst detector of
+the ``detect`` mitigation scheme, or any recorder — can subscribe without
+touching the queue itself. It reads ``len_packets`` directly rather than
+the watermark register, so it never perturbs the per-burst peak
+accounting the incast workload relies on.
 """
 
 from __future__ import annotations
@@ -21,69 +20,9 @@ from __future__ import annotations
 from repro import units
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.kernel import Simulator
-from repro.simcore.trace import TimeSeries
 
 WATERMARK_CHANNEL = "queue.watermark"
 """Hook channel carrying ``(queue_name, depth_packets, t_ns)`` samples."""
-
-
-class WatermarkSampler:
-    """Periodic high-watermark reader for one queue.
-
-    Attributes:
-        series: ``(time_ns, watermark_packets)`` samples; each value is the
-            peak queue length over the preceding window.
-    """
-
-    def __init__(self, sim: Simulator, queue: DropTailQueue,
-                 window_ns: int = units.sec(60.0),
-                 capacity_packets: int | None = None):
-        if window_ns <= 0:
-            raise ValueError("window must be positive")
-        self._sim = sim
-        self._queue = queue
-        self.window_ns = window_ns
-        self.capacity_packets = (capacity_packets
-                                 if capacity_packets is not None
-                                 else queue.capacity_packets)
-        self.series = TimeSeries(f"{queue.name}.watermark")
-        self._running = False
-
-    def start(self) -> None:
-        """Begin sampling: resets the watermark now, reads every window."""
-        if self._running:
-            return
-        self._running = True
-        self._queue.stats.reset_watermark()
-        self._sim.schedule(self.window_ns, self._tick)
-
-    def stop(self) -> None:
-        """Stop sampling after the current window."""
-        self._running = False
-
-    def read_now(self) -> int:
-        """Read and reset the watermark immediately (out-of-band poll).
-
-        The reading can never be below the queue's *current* occupancy — a
-        standing backlog is a watermark even if nothing was enqueued during
-        the window."""
-        value = max(self._queue.stats.max_len_packets,
-                    self._queue.len_packets)
-        self._queue.stats.reset_watermark()
-        return value
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self.series.record(self._sim.now, float(self.read_now()))
-        self._sim.schedule(self.window_ns, self._tick)
-
-    def watermark_fractions(self) -> list[float]:
-        """Recorded watermarks as fractions of queue capacity (the units of
-        Figure 4a)."""
-        if not self.capacity_packets:
-            return []
-        return [v / self.capacity_packets for v in self.series.values]
 
 
 class WatermarkChannelProbe:

@@ -16,9 +16,7 @@ marking, overflow drops) at a coarser timescale.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "fluid": (
-        "FluidBurstTrace", "FluidConfig", "FluidIncast",
-        "degenerate_point_flows"),
+    "fluid": ("FluidConfig", "degenerate_point_flows"),
     "packet": ("ECN", "Packet"),
     "link": ("Link",),
     "queues": ("DropTailQueue", "QueueStats"),

@@ -75,32 +75,6 @@ def production_fluid_config() -> FluidConfig:
     return FluidConfig()
 
 
-@dataclass
-class FluidBurstTrace:
-    """Per-interval outputs of one fluid burst."""
-
-    delivered_bytes: np.ndarray
-    marked_bytes: np.ndarray
-    retransmit_bytes: np.ndarray
-    dropped_bytes: np.ndarray
-    queue_frac: np.ndarray
-
-    @property
-    def n_intervals(self) -> int:
-        """How many intervals the burst spanned (including loss recovery)."""
-        return len(self.delivered_bytes)
-
-    @property
-    def total_delivered(self) -> int:
-        """Total bytes delivered to the receiver."""
-        return int(self.delivered_bytes.sum())
-
-    @property
-    def peak_queue_frac(self) -> float:
-        """Peak queue occupancy as a fraction of configured capacity."""
-        return float(self.queue_frac.max()) if len(self.queue_frac) else 0.0
-
-
 class FluidConstants(NamedTuple):
     """What the interval recursion reads of a :class:`FluidConfig`, worked
     out once per config instead of once per burst."""
@@ -123,7 +97,7 @@ class FluidConstants(NamedTuple):
         """The constants of ``config``."""
         bdp = config.bdp_bytes
         thresh = config.ecn_threshold_bytes
-        # Positional, in field order: this runs once per FluidIncast.run.
+        # Positional, in field order.
         return cls(
             config.drain_bytes_per_interval, bdp, thresh,
             config.capacity_bytes, 1.0 - config.dctcp_g,
@@ -155,8 +129,25 @@ def burst_start(config: FluidConfig, flow_count: int, demand_bytes: int,
                 initial_alpha: float = 0.5,
                 arrival_rate_factor: float = float("inf")
                 ) -> tuple[float, float, float]:
-    """Check one burst's inputs (:class:`FluidIncast` says what they mean)
-    and clamp them into the state :func:`run_burst` starts from.
+    """Check one incast burst's inputs and clamp them into the state
+    :func:`run_burst` starts from.
+
+    Args:
+        config: The fluid environment.
+        flow_count: K, the incast degree.
+        demand_bytes: Aggregate bytes the K workers must deliver.
+        effective_capacity_bytes: Queue capacity actually available (shared
+            buffering may make this less than the configured capacity).
+        window_start_factor: Initial aggregate window, in multiples of the
+            degenerate floor ``K * MSS``. Values above 1 model CWND state
+            carried over from previous bursts (straggler ramp-up,
+            Section 4.3).
+        initial_alpha: Starting DCTCP alpha estimate of the aggregate.
+        arrival_rate_factor: Peak aggregate arrival rate as a multiple of
+            the line rate. Values <= 1 model loosely synchronized worker
+            responses that saturate the link without queueing (the ~50% of
+            production bursts that never mark, Figure 4b); values > 1 model
+            tightly synchronized responses that build queues.
 
     Returns ``(effective capacity, aggregate window, alpha)``.
     """
@@ -296,54 +287,6 @@ def run_burst(constants: FluidConstants, flow_count: int, demand_bytes: int,
         add_queue((hi if hi < eff_cap else eff_cap) / capacity)
 
     return len(delivered_l) - already, w, alpha
-
-
-class FluidIncast:
-    """Runs one incast burst through the fluid bottleneck.
-
-    Args:
-        config: The fluid environment.
-        flow_count: K, the incast degree.
-        demand_bytes: Aggregate bytes the K workers must deliver.
-        effective_capacity_bytes: Queue capacity actually available (shared
-            buffering may make this less than the configured capacity).
-        window_start_factor: Initial aggregate window, in multiples of the
-            degenerate floor ``K * MSS``. Values above 1 model CWND state
-            carried over from previous bursts (straggler ramp-up,
-            Section 4.3).
-        initial_alpha: Starting DCTCP alpha estimate of the aggregate.
-        arrival_rate_factor: Peak aggregate arrival rate as a multiple of
-            the line rate. Values <= 1 model loosely synchronized worker
-            responses that saturate the link without queueing (the ~50% of
-            production bursts that never mark, Figure 4b); values > 1 model
-            tightly synchronized responses that build queues.
-    """
-
-    def __init__(self, config: FluidConfig, flow_count: int,
-                 demand_bytes: int, effective_capacity_bytes: float,
-                 window_start_factor: float = 1.0,
-                 initial_alpha: float = 0.5,
-                 arrival_rate_factor: float = float("inf")):
-        self.effective_capacity_bytes, self.window_bytes, self.alpha = \
-            burst_start(config, flow_count, demand_bytes,
-                        effective_capacity_bytes, window_start_factor,
-                        initial_alpha, arrival_rate_factor)
-        self.config = config
-        self.flow_count = flow_count
-        self.demand_bytes = demand_bytes
-        self.window_floor_bytes = float(flow_count * config.mss_bytes)
-        self.arrival_rate_factor = arrival_rate_factor
-
-    def run(self, max_intervals: int = 2000) -> FluidBurstTrace:
-        """Run the burst to completion (or ``max_intervals``); a second
-        call starts from the window and alpha the first one ended with."""
-        columns = FluidColumns([], [], [], [], [])
-        _, self.window_bytes, self.alpha = run_burst(
-            FluidConstants.of(self.config), self.flow_count,
-            self.demand_bytes, self.effective_capacity_bytes,
-            self.window_bytes, self.alpha, self.arrival_rate_factor,
-            columns, max_intervals)
-        return FluidBurstTrace(*map(np.asarray, columns))
 
 
 def degenerate_point_flows(config: FluidConfig) -> int:

@@ -3,14 +3,14 @@
 Egress: an unbounded FIFO in front of the host's access link (the host never
 drops its own packets; TCP's window bounds how much it can have outstanding).
 Ingress: demultiplexes packets to registered connections by flow id, and
-feeds observer hooks — this is where the Millisampler model taps the packet
-stream, exactly as the production tool observes a host's ingress traffic.
+feeds observer hooks (per-packet taps, e.g. the ``pulser`` scheme's).
 
-Like Millisampler's eBPF filter, the NIC can also book per-interval
-counters itself (:meth:`HostNIC.start_interval_counts`): bytes in and
-out, CE-marked bytes in, retransmitted bytes either way and the flows
-seen, with no callback per packet. Booking and hooks sit behind one flag
-per direction, so an unobserved NIC pays one check per packet.
+Like Millisampler's eBPF filter, the NIC books the host's interval record
+itself (:meth:`HostNIC.start_interval_counts`): bytes in and out,
+CE-marked bytes in, retransmitted bytes either way and the flows seen,
+with no callback per packet. It is the packet substrate's one producer
+of that record. Booking and hooks sit behind one flag per direction, so
+an unobserved NIC pays one check per packet.
 
 Egress runs as a *chain event* when the access link is a plain
 :class:`~repro.netsim.link.Link`: instead of the per-packet

@@ -13,7 +13,7 @@ This package is the substrate on which the packet-level network model
 - :class:`~repro.simcore.hooks.HookRegistry` — named observer channels;
   every :class:`Simulator` carries one as ``sim.hooks`` for the telemetry
   layer and other observers.
-- :mod:`repro.simcore.trace` — lightweight time-series probes and counters.
+- :mod:`repro.simcore.trace` — lightweight time-series probes.
 """
 
 from repro._lazy import lazy_exports
@@ -23,5 +23,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "hooks": ("HookRegistry",),
     "kernel": ("Simulator", "StopReason", "Timer"),
     "random": ("RngHub",),
-    "trace": ("Counter", "PeriodicProbe", "TimeSeries"),
+    "trace": ("PeriodicProbe", "TimeSeries"),
 })

@@ -1,18 +1,17 @@
 """Time-series recording for simulations.
 
-Three primitives cover everything the experiments need:
-
 - :class:`TimeSeries` — append-only ``(time_ns, value)`` samples with
-  numpy export and interval aggregation (the backbone of every figure).
-- :class:`Counter` — monotonically increasing totals (bytes sent, drops, ...)
-  with snapshot/delta support.
+  numpy export.
 - :class:`PeriodicProbe` — samples a callable at a fixed period on the
-  simulator clock (e.g. queue length every 10 µs for Figure 5).
+  simulator clock (e.g. queue length every 50 µs for Figure 5).
+
+Per-interval records are booked by their producers, not binned from
+samples here: a host NIC its 1 ms counters, a queue its peaks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +32,8 @@ class TimeSeries:
     def record(self, time_ns: int, value: float) -> None:
         """Append one sample. Times must be non-decreasing.
 
-        This is called once per packet on instrumented paths, so it works
-        on local references and does only the ordering comparison.
+        This is called once per probe tick, so it works on local
+        references and does only the ordering comparison.
         """
         times = self._times
         if times and time_ns < times[-1]:
@@ -52,79 +51,6 @@ class TimeSeries:
     def values(self) -> np.ndarray:
         """Sample values as a float64 array."""
         return np.asarray(self._values, dtype=np.float64)
-
-    def window(self, start_ns: int, end_ns: int) -> "TimeSeries":
-        """Samples with ``start_ns <= t < end_ns``, as a new series."""
-        out = TimeSeries(self.name)
-        times = out._times
-        values = out._values
-        # Samples are already time-ordered; append directly instead of
-        # re-validating through record().
-        for t, v in zip(self._times, self._values):
-            if start_ns <= t < end_ns:
-                times.append(t)
-                values.append(v)
-        return out
-
-    def max(self) -> float:
-        """Maximum value, or 0.0 when empty."""
-        return float(np.max(self._values)) if self._values else 0.0
-
-    def mean(self) -> float:
-        """Mean value, or 0.0 when empty."""
-        return float(np.mean(self._values)) if self._values else 0.0
-
-    def per_interval_sum(self, interval_ns: int,
-                         end_ns: Optional[int] = None) -> np.ndarray:
-        """Sum of sample values in consecutive bins of ``interval_ns``.
-
-        Useful for turning per-packet byte records into per-millisecond
-        throughput. Bins start at t=0; the result covers ``[0, end_ns)``
-        where ``end_ns`` defaults to just past the last sample.
-        """
-        if interval_ns <= 0:
-            raise ValueError("interval must be positive")
-        if not self._times:
-            return np.zeros(0)
-        last = self._times[-1] if end_ns is None else end_ns - 1
-        n_bins = last // interval_ns + 1
-        bins = np.zeros(n_bins)
-        idx = self.times_ns // interval_ns
-        mask = idx < n_bins
-        # np.add.at is an unbuffered, in-order accumulate: it reproduces
-        # the reference python loop bit for bit even for repeated bins.
-        np.add.at(bins, idx[mask], self.values[mask])
-        return bins
-
-
-class Counter:
-    """A monotonically non-decreasing accumulator with named snapshots."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._total = 0
-        self._marks: dict[str, int] = {}
-
-    @property
-    def total(self) -> int:
-        """Current accumulated total."""
-        return self._total
-
-    def add(self, amount: int) -> None:
-        """Accumulate ``amount`` (must be non-negative)."""
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self._total += amount
-
-    def mark(self, label: str) -> None:
-        """Record the current total under ``label`` for later deltas."""
-        self._marks[label] = self._total
-
-    def since(self, label: str) -> int:
-        """Total accumulated since :meth:`mark` was called with ``label``."""
-        if label not in self._marks:
-            raise KeyError(f"no mark named {label!r}")
-        return self._total - self._marks[label]
 
 
 class PeriodicProbe:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from repro import units
 from repro.netsim.host import Host
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.kernel import Simulator
+
+if TYPE_CHECKING:
+    from repro.measurement.records import HostTrace, TraceMeta
 
 FLOW_CHANNELS = ("flow.open", "flow.first_byte", "flow.alpha", "flow.rto",
                  "flow.close")
@@ -78,10 +81,13 @@ class HostSeries:
     """Dense per-interval series for one host (Millisampler's record).
 
     ``marked_bytes`` counts CE-marked *ingress* bytes (the direction ECN
-    marks are observable from a host); ``retransmit_bytes`` counts
-    retransmitted-segment bytes crossing the host in either direction, so
-    the series is populated both at senders (which emit retransmissions)
-    and at the incast receiver (which absorbs them).
+    marks are observable from a host). ``retransmit_bytes`` and
+    ``flow_count`` count packets crossing the host in either direction, so
+    they are populated both at senders (which emit retransmissions) and at
+    the incast receiver (which absorbs them). At an incast receiver without
+    delayed ACKs the flows are exactly Millisampler's ingress-only set: the
+    receiver sends nothing of its own, and it acknowledges each segment in
+    the interval the segment arrived.
     """
 
     name: str
@@ -152,6 +158,20 @@ class TelemetryCapture:
         """The kept lifecycle log as :class:`FlowEvent` rows (built on
         each access)."""
         return self._rows(len(self.event_kind))
+
+    def host_trace(self, name: str, line_rate_bps: float,
+                   meta: "TraceMeta") -> "HostTrace":
+        """Host ``name``'s series as the Section 3 record, a
+        :class:`~repro.measurement.records.HostTrace` at this capture's
+        interval: ``flow_count`` becomes ``active_flows`` and egress
+        bytes are left out, so the burst analyses run on a packet
+        simulation's host exactly as on a fleet capture."""
+        from repro.measurement.records import HostTrace
+        series = self.hosts[name]
+        return HostTrace(meta, line_rate_bps, series.ingress_bytes,
+                         series.flow_count, series.marked_bytes,
+                         series.retransmit_bytes,
+                         interval_ns=self.interval_ns)
 
     def _rows(self, stop: int) -> list[FlowEvent]:
         return list(map(FlowEvent, self.event_time_ns[:stop],

@@ -1,23 +1,49 @@
-"""The fluid recursion as first written: the oracle for ``FluidIncast.run``.
+"""The fluid recursion as first written: the oracle for ``run_burst``.
 
-``reference_run`` is the body of ``FluidIncast.run`` from before its
-config-derived constants were hoisted and its ``min``/``max`` chains became
-comparisons, kept verbatim (``self`` is the ``FluidIncast``) so that
-``tests/test_fluid.py`` can require the tightened loop to produce the same
-floats, interval for interval. Do not optimise this file.
+``reference_run`` is the loop of the first fluid burst class's ``run``,
+from before its config-derived constants were hoisted and its
+``min``/``max`` chains became comparisons. Its body is kept verbatim; the
+burst's inputs arrive as arguments and are gathered into the ``self``
+that body reads, so that ``tests/test_fluid.py`` can require the kernel
+to produce the same floats, interval for interval, and the same final
+window and alpha. Do not optimise this file.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from typing import NamedTuple
+
 import numpy as np
 
 from repro import units
-from repro.netsim.fluid import _EPSILON_BYTES, FluidBurstTrace, FluidIncast
+from repro.netsim.fluid import _EPSILON_BYTES, FluidConfig
 
 
-def reference_run(self: FluidIncast,
-                  max_intervals: int = 2000) -> FluidBurstTrace:
-    """``FluidIncast.run`` as it was before the loop was tightened."""
+class ReferenceTrace(NamedTuple):
+    """Per-interval outputs of one reference burst, as arrays."""
+
+    delivered_bytes: np.ndarray
+    marked_bytes: np.ndarray
+    retransmit_bytes: np.ndarray
+    dropped_bytes: np.ndarray
+    queue_frac: np.ndarray
+
+
+def reference_run(config: FluidConfig, flow_count: int, demand_bytes: int,
+                  effective_capacity_bytes: float, window_bytes: float,
+                  alpha: float, arrival_rate_factor: float,
+                  max_intervals: int = 2000
+                  ) -> tuple[ReferenceTrace, float, float]:
+    """One burst from the state ``burst_start`` returns, as the loop ran
+    before it was tightened; returns ``(trace, final window, final
+    alpha)``."""
+    self = SimpleNamespace(
+        config=config, flow_count=flow_count, demand_bytes=demand_bytes,
+        effective_capacity_bytes=effective_capacity_bytes,
+        window_bytes=window_bytes, alpha=alpha,
+        arrival_rate_factor=arrival_rate_factor,
+        window_floor_bytes=float(flow_count * config.mss_bytes))
     cfg = self.config
     drain = cfg.drain_bytes_per_interval
     bdp = cfg.bdp_bytes
@@ -115,10 +141,10 @@ def reference_run(self: FluidIncast,
         # units of Figure 4a); contention lowers the achievable maximum.
         queue_l.append(peak / cfg.capacity_bytes)
 
-    return FluidBurstTrace(
+    return ReferenceTrace(
         delivered_bytes=np.asarray(delivered_l),
         marked_bytes=np.asarray(marked_l),
         retransmit_bytes=np.asarray(retx_l),
         dropped_bytes=np.asarray(dropped_l),
         queue_frac=np.asarray(queue_l),
-    )
+    ), self.window_bytes, self.alpha

@@ -18,6 +18,8 @@ The load-bearing claims, per DESIGN.md's backend-selection section:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import signal
 from pathlib import Path
@@ -30,7 +32,7 @@ from repro.analysis.export import result_to_dict
 from repro.experiments.backend_names import BACKENDS
 from repro.experiments.engine import (CampaignInterrupted, FaultSpec,
                                       ResultCache, replay_journal)
-from repro.experiments.environment import IncastSimConfig
+from repro.experiments.environment import IncastSimConfig, run_incast_sim
 from repro.experiments.scenarios import (CrossRackIncastConfig,
                                          ElephantMiceGridConfig,
                                          run_cross_rack_incast,
@@ -115,6 +117,37 @@ class TestDispatchAndValidation:
         reported = {r.flow_id for r in result.fcts.records}
         assert reported <= planned
         assert len(reported) + result.fcts.unfinished == len(planned)
+
+
+#: sha256 of each cyclic-dumbbell run below, recorded when the fluid side
+#: still went through a burst object and the steady-burst analysis had a
+#: copy in each substrate.
+CYCLIC_PINS = {
+    ("fluid", 100):
+        "12996391c528b74decca6a8b69aa8517c589a7f153abe625af9e6a8772c7657e",
+    ("fluid", 500):
+        "a0f0fd6468cdf8c8dac0ac5fb4c4b88e62fc06c0aa050d775314c659682650d5",
+    ("hybrid", 100):
+        "0d84cc1c290bfc2b2d88c1e5670983458c58a4b5c0cf8514b710d261c34b18ea",
+    ("hybrid", 500):
+        "e4d05d3f1f2510f66a06303cbc9f0dc2c0a8f4dfa5c8b00c4a48a09dc57ed779",
+}
+
+
+@pytest.mark.parametrize("backend, n_flows", sorted(CYCLIC_PINS))
+def test_cyclic_dumbbell_bytes_are_pinned(backend, n_flows):
+    """The fluid and hybrid cyclic incasts (4 bursts, seed 0): export
+    summary, raw and burst-aligned queue traces and every burst result."""
+    result = run_incast_sim(IncastSimConfig(n_flows=n_flows, n_bursts=4,
+                                            seed=0, backend=backend))
+    digest = hashlib.sha256()
+    digest.update(json.dumps(result.export_dict(), sort_keys=True).encode())
+    for array in (result.queue_times_ns, result.queue_packets,
+                  result.aligned_offsets_ns, result.aligned_queue_packets):
+        digest.update(array.tobytes())
+    digest.update(repr([dataclasses.asdict(r)
+                        for r in result.burst_results]).encode())
+    assert digest.hexdigest() == CYCLIC_PINS[backend, n_flows]
 
 
 class TestOpenTimeInvariant:

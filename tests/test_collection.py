@@ -100,10 +100,8 @@ class TestNoPerBurstObjects:
         from repro.core.bursts import Burst
         from repro.core.metrics import BurstMetrics
         from repro.measurement.collection import run_service_campaign
-        from repro.netsim.fluid import FluidBurstTrace, FluidIncast
 
-        built = {cls.__name__: 0 for cls in (
-            FluidIncast, FluidBurstTrace, BurstMetrics, Burst)}
+        built = {cls.__name__: 0 for cls in (BurstMetrics, Burst)}
 
         def counting(cls, method):
             original = getattr(cls, method)
@@ -113,8 +111,7 @@ class TestNoPerBurstObjects:
                 original(self, *args, **kwargs)
             monkeypatch.setattr(cls, method, counted)
 
-        for cls in (FluidIncast, FluidBurstTrace, BurstMetrics):
-            counting(cls, "__init__")
+        counting(BurstMetrics, "__init__")
         # A frozen dataclass's generated __init__ calls __post_init__.
         counting(Burst, "__post_init__")
         conversions = []
@@ -132,8 +129,7 @@ class TestNoPerBurstObjects:
         n_traces, n_bursts = len(summaries), sum(s.n_bursts
                                                  for s in summaries)
         assert n_traces == 4 and n_bursts > 200
-        assert built == {"FluidIncast": 0, "FluidBurstTrace": 0,
-                         "BurstMetrics": 0, "Burst": 0}
+        assert built == {"BurstMetrics": 0, "Burst": 0}
         # A fixed few dozen per capture (columns, RNG streams, the trace
         # record), where one array per burst and column would be 5 x 292.
         assert len(conversions) < n_bursts

@@ -5,12 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
-                                FluidIncast, burst_start,
-                                degenerate_point_flows, run_burst)
+                                burst_start, degenerate_point_flows,
+                                run_burst)
 from tests.fluid_reference import reference_run
 
 CFG = FluidConfig()
 DRAIN = CFG.drain_bytes_per_interval
+
+
+def fluid_burst(flow_count, demand_bytes, effective_capacity_bytes, *,
+                config=CFG, max_intervals=2000, **start):
+    """One burst through the kernel: ``burst_start`` with ``start``'s
+    keywords, then ``run_burst`` on fresh columns. Returns the columns as
+    arrays, the final aggregate window and the final alpha."""
+    state = burst_start(config, flow_count, demand_bytes,
+                        effective_capacity_bytes, **start)
+    columns = FluidColumns([], [], [], [], [])
+    _, window, alpha = run_burst(
+        FluidConstants.of(config), flow_count, demand_bytes, *state,
+        start.get("arrival_rate_factor", float("inf")), columns,
+        max_intervals)
+    return FluidColumns(*map(np.asarray, columns)), window, alpha
 
 
 class TestConfig:
@@ -35,42 +50,40 @@ class TestConfig:
 class TestValidation:
     def test_rejects_bad_flow_count(self):
         with pytest.raises(ValueError):
-            FluidIncast(CFG, 0, 1000, 1e6)
+            burst_start(CFG, 0, 1000, 1e6)
 
     def test_rejects_bad_demand(self):
         with pytest.raises(ValueError):
-            FluidIncast(CFG, 10, 0, 1e6)
+            burst_start(CFG, 10, 0, 1e6)
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            FluidIncast(CFG, 10, 1000, 0)
+            burst_start(CFG, 10, 1000, 0)
 
     def test_rejects_bad_arrival_factor(self):
         with pytest.raises(ValueError):
-            FluidIncast(CFG, 10, 1000, 1e6, arrival_rate_factor=0)
+            burst_start(CFG, 10, 1000, 1e6, arrival_rate_factor=0)
 
 
 class TestConservation:
     def test_everything_eventually_delivered(self):
         demand = int(2 * DRAIN)
-        trace = FluidIncast(CFG, 100, demand, 2e6,
-                            window_start_factor=2.0).run()
-        assert trace.total_delivered == pytest.approx(demand, abs=2)
+        trace = fluid_burst(100, demand, 2e6,
+                            window_start_factor=2.0)[0]
+        assert trace.delivered_bytes.sum() == pytest.approx(demand, abs=2)
 
     def test_delivery_never_exceeds_line_rate(self):
-        trace = FluidIncast(CFG, 300, int(5 * DRAIN), 2e6,
-                            window_start_factor=3.0).run()
+        trace = fluid_burst(300, int(5 * DRAIN), 2e6,
+                            window_start_factor=3.0)[0]
         assert (trace.delivered_bytes <= DRAIN + 1).all()
 
     def test_dropped_bytes_are_retransmitted_and_delivered(self):
         demand = int(3 * DRAIN)
-        fluid = FluidIncast(CFG, 400, demand, 4e5,
-                            window_start_factor=3.0,
-                            arrival_rate_factor=2.0)
-        trace = fluid.run()
+        trace, _, _ = fluid_burst(400, demand, 4e5, window_start_factor=3.0,
+                                  arrival_rate_factor=2.0)
         assert trace.dropped_bytes.sum() > 0
         assert trace.retransmit_bytes.sum() > 0
-        assert trace.total_delivered == pytest.approx(demand, abs=2)
+        assert trace.delivered_bytes.sum() == pytest.approx(demand, abs=2)
         # Retransmitted deliveries roughly match what was dropped.
         assert trace.retransmit_bytes.sum() == pytest.approx(
             trace.dropped_bytes.sum(), rel=0.25)
@@ -82,10 +95,10 @@ class TestConservation:
     @settings(max_examples=40, deadline=None)
     def test_invariants_hold_for_any_burst(self, flows, duration, wf, sync):
         demand = int(DRAIN * duration * min(sync, 1.0))
-        trace = FluidIncast(CFG, flows, max(demand, 1000), 1.5e6,
+        trace = fluid_burst(flows, max(demand, 1000), 1.5e6,
                             window_start_factor=wf,
-                            arrival_rate_factor=sync).run()
-        assert trace.total_delivered == pytest.approx(
+                            arrival_rate_factor=sync)[0]
+        assert trace.delivered_bytes.sum() == pytest.approx(
             max(demand, 1000), abs=2)
         assert (trace.delivered_bytes >= -1e-9).all()
         assert (trace.queue_frac >= 0).all()
@@ -96,58 +109,58 @@ class TestConservation:
 class TestMarking:
     def test_no_marking_when_undersynchronized(self):
         """Arrivals below line rate never build a queue, hence no marks."""
-        trace = FluidIncast(CFG, 200, int(2 * DRAIN), 2e6,
+        trace = fluid_burst(200, int(2 * DRAIN), 2e6,
                             window_start_factor=1.0,
-                            arrival_rate_factor=0.9).run()
+                            arrival_rate_factor=0.9)[0]
         assert trace.marked_bytes.sum() == 0
-        assert trace.peak_queue_frac == 0.0
+        assert trace.queue_frac.max() == 0.0
 
     def test_marking_when_oversynchronized(self):
-        trace = FluidIncast(CFG, 200, int(2 * DRAIN), 2e6,
+        trace = fluid_burst(200, int(2 * DRAIN), 2e6,
                             window_start_factor=1.0,
-                            arrival_rate_factor=1.5).run()
+                            arrival_rate_factor=1.5)[0]
         assert trace.marked_bytes.sum() > 0
-        assert trace.peak_queue_frac > CFG.ecn_threshold_frac / 2
+        assert trace.queue_frac.max() > CFG.ecn_threshold_frac / 2
 
     def test_degenerate_flows_mark_persistently(self):
         """Beyond K*, the standing queue exceeds the threshold for the whole
         burst (paper Mode 2)."""
         k = degenerate_point_flows(CFG) * 3
-        trace = FluidIncast(CFG, k, int(5 * DRAIN), 2e6,
-                            window_start_factor=1.0).run()
-        marked_frac = trace.marked_bytes.sum() / trace.total_delivered
+        trace = fluid_burst(k, int(5 * DRAIN), 2e6,
+                            window_start_factor=1.0)[0]
+        marked_frac = trace.marked_bytes.sum() / trace.delivered_bytes.sum()
         assert marked_frac > 0.8
 
     def test_window_dump_spikes_queue(self):
         """Carried-over windows create the burst-start spike."""
-        low = FluidIncast(CFG, 300, int(2 * DRAIN), 2e6,
-                          window_start_factor=1.0).run()
-        high = FluidIncast(CFG, 300, int(2 * DRAIN), 2e6,
-                           window_start_factor=3.0).run()
-        assert high.peak_queue_frac > low.peak_queue_frac
+        low = fluid_burst(300, int(2 * DRAIN), 2e6,
+                          window_start_factor=1.0)[0]
+        high = fluid_burst(300, int(2 * DRAIN), 2e6,
+                           window_start_factor=3.0)[0]
+        assert high.queue_frac.max() > low.queue_frac.max()
 
 
 class TestOverflow:
     def test_contention_induces_drops(self):
         """The same burst that fits a full buffer drops under contention."""
         demand = int(2 * DRAIN)
-        full = FluidIncast(CFG, 500, demand, 2e6,
-                           window_start_factor=2.0).run()
-        tight = FluidIncast(CFG, 500, demand, 3e5,
-                            window_start_factor=2.0).run()
+        full = fluid_burst(500, demand, 2e6,
+                           window_start_factor=2.0)[0]
+        tight = fluid_burst(500, demand, 3e5,
+                            window_start_factor=2.0)[0]
         assert full.dropped_bytes.sum() == 0
         assert tight.dropped_bytes.sum() > 0
         # Occupancy is a share of the *configured* buffer (Figure 4a's
         # units), so a contended queue tops out at its effective share.
-        assert tight.peak_queue_frac == 3e5 / CFG.capacity_bytes
+        assert tight.queue_frac.max() == 3e5 / CFG.capacity_bytes
 
     def test_recovery_extends_burst(self):
         demand = int(2 * DRAIN)
-        clean = FluidIncast(CFG, 500, demand, 2e6,
-                            window_start_factor=3.0).run()
-        lossy = FluidIncast(CFG, 500, demand, 3e5,
-                            window_start_factor=3.0).run()
-        assert lossy.n_intervals >= clean.n_intervals
+        clean = fluid_burst(500, demand, 2e6,
+                            window_start_factor=3.0)[0]
+        lossy = fluid_burst(500, demand, 3e5,
+                            window_start_factor=3.0)[0]
+        assert len(lossy.delivered_bytes) >= len(clean.delivered_bytes)
 
 
 FIELDS = ("delivered_bytes", "marked_bytes", "retransmit_bytes",
@@ -155,7 +168,7 @@ FIELDS = ("delivered_bytes", "marked_bytes", "retransmit_bytes",
 
 
 def fleet_burst(flow_count, duration, contention, carryover, sync):
-    """``FluidIncast`` arguments as ``generate_host_trace`` derives them
+    """``burst_start`` arguments as ``generate_host_trace`` derives them
     from its per-burst draws."""
     return dict(flow_count=flow_count,
                 demand_bytes=max(int(DRAIN * duration * min(sync, 1.0)),
@@ -166,19 +179,30 @@ def fleet_burst(flow_count, duration, contention, carryover, sync):
                 window_start_factor=carryover, arrival_rate_factor=sync)
 
 
+def reference(max_intervals=2000, config=CFG, **kwargs):
+    """``reference_run`` from the state ``burst_start`` clamps
+    ``kwargs`` into."""
+    return reference_run(config, kwargs["flow_count"], kwargs["demand_bytes"],
+                         *burst_start(config, **kwargs),
+                         kwargs.get("arrival_rate_factor", float("inf")),
+                         max_intervals)
+
+
 class TestBitIdenticalToReferenceLoop:
-    """``run`` against the loop it replaced (``tests/fluid_reference.py``):
-    same floats per interval, same final congestion state."""
+    """The kernel against the loop it replaced
+    (``tests/fluid_reference.py``): same floats per interval, same final
+    congestion state."""
 
     @staticmethod
     def both(max_intervals=2000, config=CFG, **kwargs):
-        new, old = FluidIncast(config, **kwargs), FluidIncast(config, **kwargs)
-        got, want = new.run(max_intervals), reference_run(old, max_intervals)
+        got, *got_state = fluid_burst(config=config,
+                                      max_intervals=max_intervals, **kwargs)
+        want, *want_state = reference(max_intervals, config, **kwargs)
         for field in FIELDS:
             assert getattr(got, field).tolist() \
                 == getattr(want, field).tolist(), field
             assert getattr(got, field).dtype == getattr(want, field).dtype
-        assert (new.alpha, new.window_bytes) == (old.alpha, old.window_bytes)
+        assert got_state == want_state
         return got
 
     @given(flow_count=st.integers(min_value=1, max_value=1500),
@@ -234,16 +258,22 @@ class TestBitIdenticalToReferenceLoop:
         assert trace.marked_bytes.sum() > 0
 
     def test_run_is_resumable_state(self):
-        """A second ``run`` starts from the first one's alpha and window,
-        as it did when the loop updated the attributes in place."""
-        new = FluidIncast(CFG, 200, int(2 * DRAIN), 1e6,
-                          arrival_rate_factor=1.5)
-        old = FluidIncast(CFG, 200, int(2 * DRAIN), 1e6,
-                          arrival_rate_factor=1.5)
-        new.run(), reference_run(old)
-        assert new.run().delivered_bytes.tolist() \
-            == reference_run(old).delivered_bytes.tolist()
-        assert (new.alpha, new.window_bytes) == (old.alpha, old.window_bytes)
+        """A second burst started from the window and alpha the first
+        returned continues as the reference loop does when it is handed
+        its own final state."""
+        demand = int(2 * DRAIN)
+        constants = FluidConstants.of(CFG)
+        capacity, window, alpha = burst_start(CFG, 200, demand, 1e6,
+                                              arrival_rate_factor=1.5)
+        state = ref_state = (window, alpha)
+        for _ in range(2):
+            columns = FluidColumns([], [], [], [], [])
+            _, *state = run_burst(constants, 200, demand, capacity, *state,
+                                  1.5, columns)
+            want, *ref_state = reference_run(CFG, 200, demand, capacity,
+                                             *ref_state, 1.5)
+            assert columns.delivered_bytes == want.delivered_bytes.tolist()
+            assert state == ref_state
 
 
 # Draws for fleet_burst: (K, duration ms, contention, carry-over, arrival
@@ -258,13 +288,7 @@ fleet_bursts = st.tuples(st.integers(min_value=1, max_value=800),
 class TestKernelAgainstReferenceLoop:
     """``run_burst`` itself, as ``generate_host_trace`` drives it: several
     bursts appended to one set of columns, each against ``reference_run``
-    on a fresh ``FluidIncast``."""
-
-    @staticmethod
-    def reference(max_intervals, **kwargs):
-        old = FluidIncast(CFG, **kwargs)
-        trace = reference_run(old, max_intervals)
-        return trace, old.window_bytes, old.alpha
+    from a fresh start."""
 
     @given(bursts=st.lists(fleet_bursts, min_size=2, max_size=6),
            max_intervals=st.sampled_from([1, 2, 4, 2000]))
@@ -276,14 +300,15 @@ class TestKernelAgainstReferenceLoop:
         expected = [[-1.0], [-2.0], [-3.0], [-4.0], [-5.0]]
         for burst in bursts:
             kwargs = fleet_burst(*burst)
-            want, want_window, want_alpha = self.reference(max_intervals,
+            want, want_window, want_alpha = reference(max_intervals,
                                                            **kwargs)
             capacity, window, alpha = burst_start(CFG, **kwargs)
             got = run_burst(constants, kwargs["flow_count"],
                             kwargs["demand_bytes"], capacity, window, alpha,
                             kwargs["arrival_rate_factor"], columns,
                             max_intervals)
-            assert got == (want.n_intervals, want_window, want_alpha)
+            assert got == (len(want.delivered_bytes), want_window,
+                           want_alpha)
             for column, field in zip(expected, FIELDS):
                 column.extend(getattr(want, field).tolist())
             assert [list(column) for column in columns] == expected
@@ -293,10 +318,10 @@ class TestKernelAgainstReferenceLoop:
         kwargs = dict(flow_count=300, demand_bytes=int(5 * DRAIN),
                       effective_capacity_bytes=2e6,
                       window_start_factor=3.0)
-        assert self.reference(2000, **kwargs)[0].n_intervals == 6
+        assert len(reference(**kwargs)[0].delivered_bytes) == 6
         capacity, window, alpha = burst_start(CFG, **kwargs)
         for max_intervals in (4, 0):
-            want, want_window, want_alpha = self.reference(max_intervals,
+            want, want_window, want_alpha = reference(max_intervals,
                                                            **kwargs)
             columns = FluidColumns([], [], [], [], [])
             got = run_burst(FluidConstants.of(CFG), 300, int(5 * DRAIN),
@@ -308,11 +333,12 @@ class TestKernelAgainstReferenceLoop:
             assert sum(columns.delivered_bytes) < int(5 * DRAIN) - 2
 
     def test_burst_start_is_the_constructors_clamp(self):
-        fluid = FluidIncast(CFG, 10, 1000, 5e6, window_start_factor=0.0,
-                            initial_alpha=1.5)
-        assert burst_start(CFG, 10, 1000, 5e6, 0.0, 1.5) \
-            == (fluid.effective_capacity_bytes, fluid.window_bytes,
-                fluid.alpha) == (2e6, 0.05 * 15000.0, 1.0)
+        """Capacity at most the configured one, window at least 5 % of
+        ``K * MSS``, alpha inside [0, 1]."""
+        assert burst_start(CFG, 10, 1000, 5e6, window_start_factor=0.0,
+                           initial_alpha=1.5) == (2e6, 0.05 * 15000.0, 1.0)
+        assert burst_start(CFG, 10, 1000, 5e5, window_start_factor=2.0,
+                           initial_alpha=-1.0) == (5e5, 30000.0, 0.0)
 
 
 class TestConservationInvariants:
@@ -334,12 +360,13 @@ class TestConservationInvariants:
                        effective_capacity_bytes, window_start_factor,
                        arrival_rate_factor):
         max_intervals = 2000
-        trace = FluidIncast(
-            CFG, flow_count, demand_bytes, effective_capacity_bytes,
+        trace, _, _ = fluid_burst(
+            flow_count, demand_bytes, effective_capacity_bytes,
+            max_intervals=max_intervals,
             window_start_factor=window_start_factor,
-            arrival_rate_factor=arrival_rate_factor).run(max_intervals)
+            arrival_rate_factor=arrival_rate_factor)
         slack = 1e-6
-        if trace.n_intervals < max_intervals:
+        if len(trace.delivered_bytes) < max_intervals:
             assert abs(trace.delivered_bytes.sum() - demand_bytes) <= 1.0
         else:
             assert trace.delivered_bytes.sum() <= demand_bytes + 1.0

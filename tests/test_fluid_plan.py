@@ -210,10 +210,10 @@ def test_plan_keeps_the_jitter_streams_position():
 # --------------------------------------------------------------------------
 
 def test_a_fluid_unit_builds_no_per_flow_or_per_wave_object(monkeypatch):
-    """Flow rows, fluid bursts and their traces are what a grid point
-    used to be made of; the columns path constructs none of them, from
-    the plan through the sealed payload to its export."""
-    counts = {"FlowFct": 0, "FluidIncast": 0, "FluidBurstTrace": 0}
+    """Flow rows are what a grid point used to be made of; the columns
+    path constructs none, from the plan through the sealed payload to its
+    export."""
+    counts = {"FlowFct": 0}
 
     def counting(name, init):
         def wrapped(self, *args, **kwargs):
@@ -223,14 +223,9 @@ def test_a_fluid_unit_builds_no_per_flow_or_per_wave_object(monkeypatch):
 
     monkeypatch.setattr(fct.FlowFct, "__init__",
                         counting("FlowFct", fct.FlowFct.__init__))
-    monkeypatch.setattr(fluid.FluidIncast, "__init__",
-                        counting("FluidIncast", fluid.FluidIncast.__init__))
-    monkeypatch.setattr(
-        fluid.FluidBurstTrace, "__init__",
-        counting("FluidBurstTrace", fluid.FluidBurstTrace.__init__))
     units_ = sweep.compile_units(sweep.load_sweep_file(GRID), 1.0, 3)[::37]
     for unit in units_:
         payload = unseal_payload(seal_payload(sweep.run_unit(unit)))
         assert len(payload.fcts) > 0
         payload.export_dict()
-    assert counts == {"FlowFct": 0, "FluidIncast": 0, "FluidBurstTrace": 0}
+    assert counts == {"FlowFct": 0}

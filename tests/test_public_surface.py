@@ -9,6 +9,12 @@ pickled to the same bytes (``PARENT_PICKLES``, taken at the same
 commit) — and every module importable on its own, which eager
 ``__init__``s never checked because they imported the whole subtree in
 one fixed order first.
+
+Deliberate diffs since: the second interval producers (``Millisampler``,
+``WatermarkSampler``, ``Counter``) and the fluid burst object pair
+(``FluidIncast``, ``FluidBurstTrace``) were deleted, so they left
+``PARENT_ALL``, and the ``repro.simcore`` pickle pin moved from a
+``Counter`` to a ``TimeSeries`` (its bytes taken before the deletion).
 """
 
 from __future__ import annotations
@@ -55,20 +61,18 @@ PARENT_ALL = {
         "parse_faults", "parse_hostport", "replay_journal",
         "run_experiments", "seal_payload", "unseal_payload",
         "verify_sealed"),
-    "repro.measurement": (
-        "HostTrace", "Millisampler", "TraceMeta", "WatermarkSampler"),
+    "repro.measurement": ("HostTrace", "TraceMeta"),
     "repro.netsim": (
         "BufferPool", "DropTailQueue", "Dumbbell", "DumbbellConfig",
-        "ECN", "EgressPort", "FluidBurstTrace", "FluidConfig",
-        "FluidIncast", "Host", "HostNIC", "Impairment", "LeafSpine",
+        "ECN", "EgressPort", "FluidConfig", "Host", "HostNIC",
+        "Impairment", "LeafSpine",
         "LeafSpineConfig", "Link", "Packet", "QueueStats", "Rack",
         "RackConfig", "SharedBufferPool", "StaticBufferPool",
         "Switch", "build_dumbbell", "build_leaf_spine", "build_rack",
         "degenerate_point_flows"),
     "repro.simcore": (
-        "Counter", "Event", "EventQueue", "HookRegistry",
-        "PeriodicProbe", "RngHub", "Simulator", "StopReason",
-        "TimeSeries", "Timer"),
+        "Event", "EventQueue", "HookRegistry", "PeriodicProbe",
+        "RngHub", "Simulator", "StopReason", "TimeSeries", "Timer"),
     "repro.tcp": (
         "CongestionControl", "CwndGuardrail", "Dctcp",
         "ReceiverWindowThrottle", "Reno", "RttEstimator",
@@ -141,10 +145,10 @@ PARENT_PICKLES = {
         "62797465739447415e8480000000008c1767726f7774685f6f76657273686f6f"
         "745f666163746f729447400000000000000075622e"),
     "repro.simcore": (
-        'Counter("drops")',
-        "80049550000000000000008c13726570726f2e73696d636f72652e7472616365"
-        "948c07436f756e7465729493942981947d94288c046e616d65948c0564726f70"
-        "73948c065f746f74616c944b008c065f6d61726b73947d9475622e"),
+        'TimeSeries("queue")',
+        "80049554000000000000008c13726570726f2e73696d636f72652e7472616365"
+        "948c0a54696d655365726965739493942981947d94288c046e616d65948c0571"
+        "75657565948c065f74696d6573945d948c075f76616c756573945d9475622e"),
     "repro.tcp": (
         'TcpConfig()',
         "80049562010000000000008c10726570726f2e7463702e636f6e666967948c09"

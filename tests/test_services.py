@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.measurement.records import TraceMeta
-from repro.netsim.fluid import FluidConfig, FluidIncast
+from repro.netsim.fluid import FluidConfig, burst_start
 from repro.workloads import services
 from repro.workloads.services import (SERVICE_PROFILES, ServiceProfile,
                                       generate_host_trace,
@@ -187,16 +187,16 @@ def record_run_burst(monkeypatch):
 
 
 class TestGeneratorKeepsTheFluidInputChecks:
-    """``generate_host_trace`` calls the fluid kernel without building a
-    ``FluidIncast``; a profile or environment that yields a non-positive
-    input must still be refused, with the constructor's own message."""
+    """``generate_host_trace`` hoists the fluid constants out of its burst
+    loop; a profile or environment that yields a non-positive input must
+    still be refused, with ``burst_start``'s own message."""
 
     @staticmethod
     def constructor_message(**bad):
         kwargs = dict(flow_count=10, demand_bytes=1000,
                       effective_capacity_bytes=1e6, arrival_rate_factor=1.0)
         with pytest.raises(ValueError) as raised:
-            FluidIncast(FluidConfig(), **{**kwargs, **bad})
+            burst_start(FluidConfig(), **{**kwargs, **bad})
         return str(raised.value)
 
     @pytest.mark.parametrize("profile_changes, config_changes, bad", [
@@ -214,9 +214,9 @@ class TestGeneratorKeepsTheFluidInputChecks:
         assert str(raised.value) == self.constructor_message(**bad)
 
     def test_capacity_and_window_clamps(self, monkeypatch):
-        """What reaches the kernel is what ``FluidIncast.__init__`` would
-        have stored: capacity no larger than configured, window no larger
-        than ``max_window_bytes``."""
+        """What reaches the kernel is ``burst_start``'s clamp: capacity
+        no larger than configured, window no larger than
+        ``max_window_bytes``."""
         cfg = FluidConfig(max_window_bytes=20_000.0)
         calls = record_run_burst(monkeypatch)
         generate_host_trace(SERVICE_PROFILES["video"], TraceMeta("video", 0),

@@ -1,9 +1,8 @@
 """Tests for time-series recording primitives."""
 
-import numpy as np
 import pytest
 
-from repro.simcore.trace import Counter, PeriodicProbe, TimeSeries
+from repro.simcore.trace import PeriodicProbe, TimeSeries
 
 
 class TestTimeSeries:
@@ -26,71 +25,6 @@ class TestTimeSeries:
         ts.record(10, 1.0)
         ts.record(10, 2.0)
         assert len(ts) == 2
-
-    def test_window(self):
-        ts = TimeSeries()
-        for t in range(5):
-            ts.record(t * 10, float(t))
-        windowed = ts.window(10, 30)
-        assert list(windowed.times_ns) == [10, 20]
-
-    def test_max_mean_empty(self):
-        ts = TimeSeries()
-        assert ts.max() == 0.0
-        assert ts.mean() == 0.0
-
-    def test_max_mean(self):
-        ts = TimeSeries()
-        ts.record(0, 1.0)
-        ts.record(1, 3.0)
-        assert ts.max() == 3.0
-        assert ts.mean() == 2.0
-
-    def test_per_interval_sum(self):
-        ts = TimeSeries()
-        ts.record(0, 5.0)
-        ts.record(500, 5.0)
-        ts.record(1000, 7.0)
-        bins = ts.per_interval_sum(1000)
-        assert list(bins) == [10.0, 7.0]
-
-    def test_per_interval_sum_with_end(self):
-        ts = TimeSeries()
-        ts.record(0, 1.0)
-        bins = ts.per_interval_sum(100, end_ns=500)
-        assert len(bins) == 5
-        assert bins[0] == 1.0
-        assert bins[1:].sum() == 0.0
-
-    def test_per_interval_sum_empty(self):
-        assert len(TimeSeries().per_interval_sum(10)) == 0
-
-    def test_per_interval_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            TimeSeries().per_interval_sum(0)
-
-
-class TestCounter:
-    def test_accumulates(self):
-        c = Counter()
-        c.add(5)
-        c.add(7)
-        assert c.total == 12
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().add(-1)
-
-    def test_marks_and_deltas(self):
-        c = Counter()
-        c.add(10)
-        c.mark("start")
-        c.add(7)
-        assert c.since("start") == 7
-
-    def test_unknown_mark(self):
-        with pytest.raises(KeyError):
-            Counter().since("nope")
 
 
 class TestPeriodicProbe:

@@ -1,8 +1,8 @@
-"""Tests for switch high-watermark sampling."""
+"""Switch high-watermark records: a queue's own per-interval peaks
+(:meth:`~repro.netsim.queues.DropTailQueue.start_interval_peaks`)."""
 
 import pytest
 
-from repro.measurement.watermark import WatermarkSampler
 from repro.netsim.packet import data_packet
 from repro.netsim.queues import DropTailQueue
 
@@ -11,58 +11,43 @@ def pkt():
     return data_packet(1, 0, 9, seq=0, payload_bytes=1460)
 
 
+def offer_and_pop(queue, offers, pops):
+    for _ in range(offers):
+        queue.offer(pkt())
+    for _ in range(pops):
+        queue.pop()
+
+
 class TestWatermark:
     def test_records_peak_per_window(self, sim):
         queue = DropTailQueue(capacity_packets=100)
-        sampler = WatermarkSampler(sim, queue, window_ns=1000)
-        sampler.start()
-        # Fill to 3, drain to 1 within the first window.
-        for _ in range(3):
-            queue.offer(pkt())
-        queue.pop()
-        queue.pop()
+        queue.start_interval_peaks(sim, 1000)
+        # Fill to 3, drain to 1 within the first window; the second
+        # window's one enqueue lands on the standing packet.
+        offer_and_pop(queue, 3, 2)
+        sim.schedule(1500, offer_and_pop, (queue, 1, 0))
         sim.run(until_ns=2500)
-        # Window 1 peak was 3; window 2 peak is the standing 1.
-        assert list(sampler.series.values) == [3.0, 1.0]
+        assert queue.stop_interval_peaks() == {0: 3, 1: 2}
 
     def test_reset_between_windows(self, sim):
         queue = DropTailQueue(capacity_packets=100)
-        sampler = WatermarkSampler(sim, queue, window_ns=1000)
-        sampler.start()
-        queue.offer(pkt())
-        queue.pop()
+        queue.start_interval_peaks(sim, 1000)
+        offer_and_pop(queue, 1, 1)
         sim.run(until_ns=1500)
-        queue.offer(pkt())
-        queue.pop()
+        offer_and_pop(queue, 1, 1)
         sim.run(until_ns=2500)
-        assert list(sampler.series.values) == [1.0, 1.0]
-
-    def test_read_now(self, sim):
-        queue = DropTailQueue(capacity_packets=100)
-        sampler = WatermarkSampler(sim, queue, window_ns=1000)
-        queue.offer(pkt())
-        queue.pop()
-        assert sampler.read_now() == 1
-        assert sampler.read_now() == 0  # reset happened
+        assert queue.stop_interval_peaks() == {0: 1, 1: 1}
 
     def test_stop(self, sim):
         queue = DropTailQueue(capacity_packets=100)
-        sampler = WatermarkSampler(sim, queue, window_ns=1000)
-        sampler.start()
+        queue.start_interval_peaks(sim, 1000)
+        offer_and_pop(queue, 1, 1)
         sim.run(until_ns=1000)
-        sampler.stop()
+        assert queue.stop_interval_peaks() == {0: 1}
+        offer_and_pop(queue, 2, 0)
         sim.run(until_ns=5000)
-        assert len(sampler.series) == 1
-
-    def test_fractions(self, sim):
-        queue = DropTailQueue(capacity_packets=10)
-        sampler = WatermarkSampler(sim, queue, window_ns=1000)
-        sampler.start()
-        for _ in range(5):
-            queue.offer(pkt())
-        sim.run(until_ns=1000)
-        assert sampler.watermark_fractions() == [0.5]
+        assert queue.interval_peaks() == {}
 
     def test_rejects_bad_window(self, sim):
         with pytest.raises(ValueError):
-            WatermarkSampler(sim, DropTailQueue(), window_ns=0)
+            DropTailQueue().start_interval_peaks(sim, 0)
