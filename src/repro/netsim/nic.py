@@ -278,8 +278,22 @@ class HostNIC:
         tx = link._tx_time_cache.get(size)
         if tx is None:
             tx = link.tx_time_ns(packet)
+        # Inline EventQueue.push_fire, as in _chain.
         sim = self._sim
-        sim._queue.push_fire(sim._now + tx, self._chain, (packet,))
+        eq = sim._queue
+        seq = eq._next_seq
+        free = eq._free
+        if free:
+            entry = free.pop()
+            entry[0] = sim._now + tx
+            entry[1] = seq
+            entry[2] = self._chain
+            entry[3] = (packet,)
+        else:
+            entry = [sim._now + tx, seq, self._chain, (packet,)]
+        eq._next_seq = seq + 1
+        heappush(eq._heap, entry)
+        eq._live += 1
 
     def _chain(self, packet: Packet) -> None:
         """End-of-serialization for ``packet``: deliver it after propagation
@@ -401,13 +415,12 @@ class HostNIC:
             # and its bookkeeping settles on observation.
             records.append((busy_until, size))
             end = busy_until + tx
-            sim.count_batched(1)
         else:
             # Idle: the legacy path starts serializing within send().
             link.bytes_sent += size
             link.packets_sent += 1
             end = now + tx
-            sim.count_batched(1)
+        sim.count_batched(1)
         self._vbusy_until = end
         port._virtual_enqueue(packet, end + link.prop_delay_ns)
 

@@ -59,15 +59,18 @@ one serialization time before T, later than any arrival or probe event,
 which travel a propagation delay or more. A composed port folds its own
 backlog in amortised batches from the per-packet path, as two independent
 prefix folds (arrivals older than now, drain starts older than now — each
-is a sum, and depth was fixed at admission, so they need no interleaving);
-observers fold whatever is left. The backlog therefore stays proportional
-to the packets in flight, whether or not anybody ever reads the queue.
+is a sum, and depth was fixed at admission, so they need no interleaving,
+only a bisection and column sums); observers fold whatever is left. The
+backlog therefore stays proportional to the packets in flight, whether or
+not anybody ever reads the queue.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import sys
+from bisect import bisect_left
 from heapq import heappush
+from operator import itemgetter
 from typing import Optional
 
 from repro.netsim.link import Link
@@ -80,14 +83,19 @@ BATCHED_EGRESS_ENABLED = True
 """Test switch: ``False`` forces every port onto the legacy per-packet
 pump, the reference run (the name predates the batched drain's removal)."""
 
-# Flag bits of a composed port's arrival record.
-_MARKED = 1
-_DROPPED = 2
-_IDLE_START = 4  # started serializing in its own arrival event
-
 _FOLD_SLACK = 64
 """A composed port folds its backlog when it exceeds twice what the
 previous fold left behind plus this many records."""
+
+_UNBOUNDED = sys.maxsize
+"""A composed port's stand-in for an absent queue limit or threshold."""
+
+
+def _unbounded(limit: Optional[int]) -> int:
+    return _UNBOUNDED if limit is None else limit
+
+
+_SIZE = itemgetter(1)  # of a (start, size) drain record
 
 
 class EgressPort:
@@ -116,22 +124,24 @@ class EgressPort:
         # HostNIC.compose_chain_into): equal delays are what make
         # chain-firing order equal arrival order across feeders.
         self._vfeeder_prop: Optional[int] = None
-        # Admission constants, cached by _engage_composed:
-        self._vcap_pk: Optional[int] = None
-        self._vcap_by: Optional[int] = None
-        self._vthresh: Optional[int] = None
+        # Admission and link constants, cached by _engage_composed:
+        self._vcap_pk = self._vcap_by = self._vthresh = _UNBOUNDED
+        self._vtx: dict[int, int] = {}
+        self._vprop = 0
         self._vbusy_until = -1
-        # Occupancy at the latest admitted arrival instant, and the queued
-        # packets that make it up:
+        # Occupancy at the latest admitted arrival (or fold) instant:
         self._vlen_pk = 0
         self._vlen_by = 0
-        self._vfuture: deque[tuple[int, int]] = deque()  # (start, size)
-        # Booked but not yet folded into the queue's counters:
-        # (arrival, size, flags, depth_packets, depth_bytes) per arrival,
-        # and the same (start, size) tuples as _vfuture per queued drain
-        # (an idle-start packet's drain folds with its arrival record).
-        self._varrivals: deque[tuple[int, int, int, int, int]] = deque()
-        self._vdrains: deque[tuple[int, int]] = deque()
+        # Booked but not yet folded into the queue's counters, in time
+        # order. One (start, size) record per packet that queued (an
+        # idle-start packet's drain folds with its arrival record); those
+        # from _vhead on had not started by the latest arrival, and make
+        # up _vlen_*. One record per arrival: (arrival, size, marked
+        # bytes, idle-start bytes, depth packets, depth bytes, dropped
+        # bytes), 0 where a field does not apply, sizes 0 for a drop.
+        self._vdrains: list[tuple[int, int]] = []
+        self._vhead = 0
+        self._varrivals: list[tuple[int, ...]] = []
         self._vfold_at = _FOLD_SLACK
 
     def compose_route(self, dst: int, downstream: "EgressPort") -> None:
@@ -176,17 +186,22 @@ class EgressPort:
             if composed:
                 self._sink = link.sink
                 queue._settle = self._settle_composed
-                # Admission parameters are construction-time constants
-                # (nothing in the repository mutates them mid-run); cache
-                # them so the per-packet path skips the queue derefs.
-                self._vcap_pk = queue.capacity_packets
-                self._vcap_by = queue.capacity_bytes
-                self._vthresh = queue.ecn_threshold_packets
+                # Admission parameters and the link's timing are
+                # construction-time constants (nothing in the repository
+                # mutates them mid-run); cache them, an absent limit as an
+                # unreachable one, so the per-packet path skips the derefs
+                # and the None checks.
+                self._vcap_pk = _unbounded(queue.capacity_packets)
+                self._vcap_by = _unbounded(queue.capacity_bytes)
+                self._vthresh = _unbounded(queue.ecn_threshold_packets)
+                self._vtx = link._tx_time_cache
+                self._vprop = link.prop_delay_ns
         return composed
 
     def _virtual_enqueue(self, packet: Packet, arrival: int) -> None:
         """Admit ``packet`` into this port's *future* queue state at time
-        ``arrival``, scheduling only the final delivery event.
+        ``arrival``, and into every composed port after it on the packet's
+        route, scheduling only the final delivery event.
 
         The caller guarantees non-decreasing ``arrival`` order — either a
         single upstream FIFO feeder (sole-feeder composition), or several
@@ -198,87 +213,101 @@ class EgressPort:
         drain-completion events at the arrival instant fired *after* the
         arrival event), and a packet that started on an idle transmitter
         was never queued (module docstring, idle-start rule).
+
+        A hop whose port solely feeds the next hop's queue (see
+        :meth:`compose_route`) hands the packet on at its delivery time
+        in this same call, so the whole multi-hop traversal costs one
+        call and a single delivery event at the final endpoint.
         """
-        future = self._vfuture
-        vlen_pk = self._vlen_pk
-        vlen_by = self._vlen_by
-        while future and future[0][0] < arrival:
-            vlen_by -= future.popleft()[1]
-            vlen_pk -= 1
         size = packet.size_bytes
+        dst = packet.dst
         sim = self._sim
-        arrivals = self._varrivals
-        if len(arrivals) > self._vfold_at:
-            self._settle_composed()
-            self._vfold_at = 2 * len(arrivals) + _FOLD_SLACK
-        cap_pk = self._vcap_pk
-        cap_by = self._vcap_by
-        if ((cap_pk is not None and vlen_pk >= cap_pk)
-                or (cap_by is not None and vlen_by + size > cap_by)):
-            self._vlen_pk = vlen_pk
-            self._vlen_by = vlen_by
-            arrivals.append((arrival, size, _DROPPED, 0, 0))
-            # Credit the foregone arrival event; no drain.
-            sim._events_processed += 1
-            _kernel._total_events_processed += 1
-            return
-        threshold = self._vthresh
-        if (threshold is not None and vlen_pk >= threshold
-                and packet.ecn != 0):
-            packet.ecn = 2  # ECN.CE
-            flags = _MARKED
-        else:
-            flags = 0
-        link = self.link
-        tx = link._tx_time_cache.get(size)
-        if tx is None:
-            tx = link.tx_time_ns(packet)
-        depth_pk = vlen_pk + 1
-        depth_by = vlen_by + size
-        start = self._vbusy_until
-        if start >= arrival:
-            # Busy (or freeing up at this very instant): the packet queues.
-            drain = (start, size)
-            future.append(drain)
-            self._vdrains.append(drain)
-            self._vlen_pk = depth_pk
-            self._vlen_by = depth_by
-            arrivals.append((arrival, size, flags, depth_pk, depth_by))
-        else:
-            # Idle: the packet produces this depth for the watermark and
-            # starts at once, so later arrivals never see it queued.
-            start = arrival
-            self._vlen_pk = vlen_pk
-            self._vlen_by = vlen_by
-            arrivals.append((arrival, size, flags | _IDLE_START,
-                             depth_pk, depth_by))
-        end = start + tx
-        self._vbusy_until = end
-        # Credit the two foregone legacy events (arrival delivery + drain
-        # completion) now; their bookkeeping is folded in once virtual
-        # time has passed them.
-        sim._events_processed += 2
-        _kernel._total_events_processed += 2
-        # Compose recursively when the next hop's queue is also solely fed
-        # by this port: the whole multi-hop traversal then costs a single
-        # delivery event at the final endpoint.
-        downstream = self._compose_routes.get(packet.dst)
-        if downstream is not None and downstream._engage_composed():
-            downstream._virtual_enqueue(packet, end + link.prop_delay_ns)
-            return
+        credited = 0
+        port = self
+        while True:
+            arrivals = port._varrivals
+            if len(arrivals) > port._vfold_at:
+                port._settle_composed()
+                port._vfold_at = 2 * len(arrivals) + _FOLD_SLACK
+            start = port._vbusy_until
+            if start < arrival:
+                # Idle transmitter: every booked drain has started, so
+                # nothing is queued at this instant.
+                vlen_pk = vlen_by = 0
+                port._vhead = len(port._vdrains)
+            else:
+                drains = port._vdrains
+                head = port._vhead
+                n = len(drains)
+                vlen_pk = port._vlen_pk
+                vlen_by = port._vlen_by
+                while head < n and drains[head][0] < arrival:
+                    vlen_by -= drains[head][1]
+                    vlen_pk -= 1
+                    head += 1
+                port._vhead = head
+            if vlen_pk >= port._vcap_pk or vlen_by + size > port._vcap_by:
+                port._vlen_pk = vlen_pk
+                port._vlen_by = vlen_by
+                arrivals.append((arrival, 0, 0, 0, 0, 0, size))
+                # Credit the foregone arrival event; no drain.
+                credited += 1
+                sim._events_processed += credited
+                _kernel._total_events_processed += credited
+                return
+            if vlen_pk >= port._vthresh and packet.ecn != 0:
+                packet.ecn = 2  # ECN.CE
+                marked = size
+            else:
+                marked = 0
+            tx = port._vtx.get(size)
+            if tx is None:
+                tx = port.link.tx_time_ns(packet)
+            if start < arrival:
+                # The packet produces depth 1 for the watermark and starts
+                # at once, so later arrivals never see it queued.
+                start = arrival
+                port._vlen_pk = port._vlen_by = 0
+                arrivals.append((arrival, size, marked, size, 1, size, 0))
+            else:
+                # Busy (or freeing up at this very instant): it queues.
+                vlen_pk += 1
+                vlen_by += size
+                drains.append((start, size))
+                port._vlen_pk = vlen_pk
+                port._vlen_by = vlen_by
+                arrivals.append((arrival, size, marked, 0,
+                                 vlen_pk, vlen_by, 0))
+            end = start + tx
+            port._vbusy_until = end
+            # The two foregone legacy events (arrival delivery + drain
+            # completion) are credited at once; their bookkeeping is
+            # folded in once virtual time has passed them.
+            credited += 2
+            arrival = end + port._vprop
+            downstream = port._compose_routes.get(dst)
+            if downstream is None:
+                break
+            composed = downstream._composed
+            if composed is None:
+                composed = downstream._engage_composed()
+            if not composed:
+                break
+            port = downstream
+        sim._events_processed += credited
+        _kernel._total_events_processed += credited
         # Inline EventQueue.push_fire (delivery time is always positive).
         eq = sim._queue
         seq = eq._next_seq
         free = eq._free
         if free:
             entry = free.pop()
-            entry[0] = end + link.prop_delay_ns
+            entry[0] = arrival
             entry[1] = seq
-            entry[2] = self._sink.receive
+            entry[2] = port._sink.receive
             entry[3] = (packet,)
         else:
-            entry = [end + link.prop_delay_ns, seq,
-                     self._sink.receive, (packet,)]
+            entry = [arrival, seq, port._sink.receive, (packet,)]
         eq._next_seq = seq + 1
         heappush(eq._heap, entry)
         eq._live += 1
@@ -291,8 +320,9 @@ class EgressPort:
         produced was fixed at admission (in exact arrival-before-drain
         order — the legacy arrival event carried the smaller sequence
         number), so high-watermarks and interval peaks need no replay,
-        and a drain start older than now implies its arrival is too. The
-        queue's FIFO holds one ``None`` per queued packet, which keeps
+        and a drain start older than now implies its arrival is too. Each
+        fold is one bisection and column sums over the passed records.
+        The queue's FIFO holds one ``None`` per queued packet, which keeps
         ``len()`` the depth without retaining anything.
         """
         now = self._sim._now
@@ -300,50 +330,56 @@ class EgressPort:
         stats = queue._stats
         deq_pk = deq_by = enq_pk = enq_by = 0
         arrivals = self._varrivals
-        if arrivals and arrivals[0][0] < now:
-            max_pk = stats.max_len_packets
-            max_by = stats.max_len_bytes
-            interval = queue._peak_interval_ns
-            peaks = queue._peaks
-            seen = drop_pk = drop_by = mark_pk = mark_by = 0
-            while arrivals and arrivals[0][0] < now:
-                arrival, size, flags, depth_pk, depth_by = arrivals.popleft()
-                seen += 1
-                if flags:
-                    if flags & _DROPPED:
-                        drop_pk += 1
-                        drop_by += size
-                        continue
-                    if flags & _MARKED:
-                        mark_pk += 1
-                        mark_by += size
-                    if flags & _IDLE_START:
-                        deq_pk += 1
-                        deq_by += size
-                enq_by += size
-                if depth_pk > max_pk:
-                    max_pk = depth_pk
-                if depth_by > max_by:
-                    max_by = depth_by
-                if interval:
-                    idx = arrival // interval
-                    if depth_pk > peaks.get(idx, 0):
-                        peaks[idx] = depth_pk
-            enq_pk = seen - drop_pk
+        passed = bisect_left(arrivals, (now,))
+        if passed:
+            (times, sizes, marks, idles, depths_pk, depths_by,
+             drops) = zip(*arrivals[:passed])
+            del arrivals[:passed]
+            enq_pk = drops.count(0)
+            enq_by = sum(sizes)
+            deq_pk = passed - idles.count(0)
+            deq_by = sum(idles)
             stats.enqueued_packets += enq_pk
             stats.enqueued_bytes += enq_by
-            stats.dropped_packets += drop_pk
-            stats.dropped_bytes += drop_by
-            stats.marked_packets += mark_pk
-            stats.marked_bytes += mark_by
-            stats.max_len_packets = max_pk
-            stats.max_len_bytes = max_by
+            stats.dropped_packets += passed - enq_pk
+            stats.dropped_bytes += sum(drops)
+            stats.marked_packets += passed - marks.count(0)
+            stats.marked_bytes += sum(marks)
+            deepest = max(depths_pk)
+            if deepest > stats.max_len_packets:
+                stats.max_len_packets = deepest
+            deepest = max(depths_by)
+            if deepest > stats.max_len_bytes:
+                stats.max_len_bytes = deepest
+            interval = queue._peak_interval_ns
+            if interval:
+                # One max per interval the passed arrivals fall in (they
+                # are in time order, so each interval is one slice).
+                peaks = queue._peaks
+                lo = 0
+                while lo < passed:
+                    idx = times[lo] // interval
+                    hi = bisect_left(times, (idx + 1) * interval, lo)
+                    deepest = max(depths_pk[lo:hi])
+                    if deepest > peaks.get(idx, 0):
+                        peaks[idx] = deepest
+                    lo = hi
             if self._switch is not None:
-                self._switch._forwarded += seen
+                self._switch._forwarded += passed
         drains = self._vdrains
-        while drains and drains[0][0] < now:
-            deq_by += drains.popleft()[1]
-            deq_pk += 1
+        passed = bisect_left(drains, (now,))
+        if passed:
+            head = self._vhead
+            if head < passed:
+                # Started before now, so before any arrival still to
+                # come: they have left the future queue too.
+                self._vlen_pk -= passed - head
+                self._vlen_by -= sum(map(_SIZE, drains[head:passed]))
+                head = passed
+            self._vhead = head - passed
+            deq_pk += passed
+            deq_by += sum(map(_SIZE, drains[:passed]))
+            del drains[:passed]
         if deq_pk:
             stats.dequeued_packets += deq_pk
             stats.dequeued_bytes += deq_by

@@ -14,7 +14,9 @@ The canonical channels emitted by the TCP layer are documented in
 
 Subscriber lists are copy-on-write tuples: (un)subscribing builds a new
 tuple, so an emit iterates the one it looked up — a snapshot — without
-copying it on every call.
+copying it on every call. The channel map itself is never rebound, so a
+per-packet path may hold it and test it for truth instead of calling
+:attr:`HookRegistry.any_active` (the TCP sender does).
 """
 
 from __future__ import annotations

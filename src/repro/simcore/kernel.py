@@ -19,6 +19,10 @@ from repro.simcore.hooks import HookRegistry
 
 _total_events_processed = 0
 
+_NEVER = 1 << 63
+"""Stands in for an absent ``until_ns`` / ``max_events`` in the run loop
+(an int: comparing ints to a float is slower)."""
+
 
 def total_events_processed() -> int:
     """Events fired by *every* :class:`Simulator` in this process so far.
@@ -181,8 +185,8 @@ class Simulator:
         last fired event — advancing it would move those events into the
         past.
 
-        The loop body inlines :meth:`step` and the queue's peek/pop (this
-        is the hottest loop in the repository); behaviour is identical,
+        The loop body inlines :meth:`step` and the queue's pop (this is
+        the hottest loop in the repository); behaviour is identical,
         including FIFO tie-breaking and the counters. Callbacks may
         schedule, cancel, and thereby trigger in-place heap compaction
         freely: the loop re-reads the (identity-stable) heap each
@@ -196,27 +200,33 @@ class Simulator:
         heap = queue._heap
         free = queue._free
         heappop = heapq.heappop
+        # An absent limit is an unreachable one: the loop tests no None.
+        last_ns = until_ns if until_ns is not None else _NEVER
+        budget = max_events if max_events is not None else _NEVER
         fired = 0
         try:
             while True:
-                # Inline peek: discard dead entries, find the next live one.
-                while heap and heap[0][FN] is None:
-                    heappop(heap)
+                # Pop first, discarding dead entries; an entry that must
+                # stay queued goes back (the (time, seq) order is strict,
+                # so the heap's layout cannot change what pops next).
                 if not heap:
                     reason = StopReason.DRAINED
                     break
-                entry = heap[0]
+                entry = heappop(heap)
+                fn = entry[FN]
+                if fn is None:
+                    continue
                 time_ns = entry[TIME]
-                if until_ns is not None and time_ns > until_ns:
+                if time_ns > last_ns:
+                    heapq.heappush(heap, entry)
                     reason = StopReason.UNTIL
                     break
-                if max_events is not None and fired >= max_events:
+                if fired >= budget:
+                    heapq.heappush(heap, entry)
                     reason = StopReason.MAX_EVENTS
                     break
-                heappop(heap)
                 queue._live -= 1
                 self._now = time_ns
-                fn = entry[FN]
                 args = entry[ARGS]
                 entry[FN] = None  # mark consumed (handles stay inert)
                 entry[ARGS] = ()
@@ -249,6 +259,8 @@ class Timer:
     *earlier* still cancels eagerly, so the callback can never fire late.
     """
 
+    __slots__ = ("_sim", "_fn", "_event", "_deadline")
+
     def __init__(self, sim: Simulator, fn: Callable[[], Any]):
         self._sim = sim
         self._fn = fn
@@ -271,10 +283,11 @@ class Timer:
         if delay_ns < 0:
             raise SimulationError(
                 f"cannot arm a timer into the past (delay {delay_ns} ns)")
-        deadline = self._sim.now + delay_ns
+        deadline = self._sim._now + delay_ns
         event = self._event
         if event is not None:
-            if not event.cancelled and event.time_ns <= deadline:
+            # Raw heap-entry fields: this runs on every ACK (RTO rearm).
+            if event[FN] is not None and event[TIME] <= deadline:
                 # Deadline moved later (or stayed): keep the scheduled
                 # event; _fire will chase the recorded deadline.
                 self._deadline = deadline
@@ -295,7 +308,7 @@ class Timer:
         deadline = self._deadline
         if deadline is None:  # stopped and re-fired stale; nothing to do
             return
-        if deadline > self._sim.now:
+        if deadline > self._sim._now:
             # Stale: the deadline was lazily pushed later. Chase it.
             self._event = self._sim.schedule_at(deadline, self._fire)
             return

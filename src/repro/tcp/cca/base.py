@@ -51,9 +51,10 @@ class CongestionControl(ABC):
         """The window the sender enforces: floored at one MSS (senders
         cannot back off below a single segment in window mode) and capped
         by any configured maximum."""
-        cwnd = max(self.cwnd_bytes, float(self.mss))
-        if self.config.max_cwnd_bytes is not None:
-            cwnd = min(cwnd, float(self.config.max_cwnd_bytes))
+        config = self.config  # read on every ACK: no property calls
+        cwnd = max(self.cwnd_bytes, float(config.mss_bytes))
+        if config.max_cwnd_bytes is not None:
+            cwnd = min(cwnd, float(config.max_cwnd_bytes))
         return cwnd
 
     def pacing_interval_ns(self, srtt_ns: Optional[float]) -> Optional[int]:
@@ -94,13 +95,15 @@ class CongestionControl(ABC):
     def _grow_reno(self, bytes_acked: int) -> None:
         """Standard Reno growth: exponential in slow start, ~1 MSS per RTT
         in congestion avoidance."""
-        if self.in_slow_start:
+        config = self.config
+        if self.cwnd_bytes < self.ssthresh_bytes:  # in_slow_start
             self.cwnd_bytes += bytes_acked
         else:
-            self.cwnd_bytes += self.mss * bytes_acked / self.cwnd_bytes
-        if self.config.max_cwnd_bytes is not None:
+            self.cwnd_bytes += (config.mss_bytes * bytes_acked
+                                / self.cwnd_bytes)
+        if config.max_cwnd_bytes is not None:
             self.cwnd_bytes = min(self.cwnd_bytes,
-                                  float(self.config.max_cwnd_bytes))
+                                  float(config.max_cwnd_bytes))
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(cwnd={self.cwnd_bytes:.0f}B, "

@@ -61,31 +61,31 @@ class Dctcp(CongestionControl):
     def on_ack(self, bytes_acked: int, ece: bool, snd_una: int, snd_nxt: int,
                now_ns: int) -> None:
         """Track marks, apply at most one proportional cut per window,
-        grow Reno-style on unmarked ACKs, and close alpha windows."""
+        grow Reno-style on unmarked ACKs, and close alpha windows.
+
+        Runs on every ACK, so the proportional cut and the window close
+        are written out here rather than called."""
         self._acked_bytes_win += bytes_acked
         if ece:
             self._marked_bytes_win += bytes_acked
             if snd_una > self._cwr_end_seq:
-                self._proportional_decrease()
+                # Proportional decrease: cwnd <- cwnd * (1 - alpha / 2).
+                self.cwnd_bytes = max(
+                    float(self.config.mss_bytes),
+                    self.cwnd_bytes * (1.0 - self.alpha / 2.0))
+                self.ssthresh_bytes = self.cwnd_bytes
                 self._cwr_end_seq = snd_nxt
         elif bytes_acked > 0 and snd_una > self._cwr_end_seq:
             self._grow_reno(bytes_acked)
         if snd_una >= self._window_end_seq:
-            self._end_window(snd_nxt)
-
-    def _proportional_decrease(self) -> None:
-        self.cwnd_bytes = max(float(self.mss),
-                              self.cwnd_bytes * (1.0 - self.alpha / 2.0))
-        self.ssthresh_bytes = self.cwnd_bytes
-
-    def _end_window(self, snd_nxt: int) -> None:
-        if self._acked_bytes_win > 0:
-            fraction = self._marked_bytes_win / self._acked_bytes_win
-            self.alpha = (1.0 - self.g) * self.alpha + self.g * fraction
-            self.windows_completed += 1
-        self._acked_bytes_win = 0
-        self._marked_bytes_win = 0
-        self._window_end_seq = snd_nxt
+            # End of an alpha window: fold its marked fraction into alpha.
+            if self._acked_bytes_win > 0:
+                fraction = self._marked_bytes_win / self._acked_bytes_win
+                self.alpha = (1.0 - self.g) * self.alpha + self.g * fraction
+                self.windows_completed += 1
+            self._acked_bytes_win = 0
+            self._marked_bytes_win = 0
+            self._window_end_seq = snd_nxt
 
     def on_loss(self, now_ns: int) -> None:
         """Halve the window (standard TCP loss response)."""

@@ -42,6 +42,8 @@ DeliveryHook = Callable[[int], None]
 
 _MAX_RTO_BACKOFF = 64
 
+_CE = ECN.CE
+
 
 class SenderStats:
     """Counters a sender accumulates over its lifetime."""
@@ -80,10 +82,20 @@ class TcpSender:
                  flow_id: int):
         self._sim = sim
         # Hoisted observer-gate: the hook registry is consulted on every
-        # ACK, so skip the sim attribute chain in the per-packet path.
+        # ACK, so skip the sim attribute chain in the per-packet path;
+        # its channel map (never rebound) is non-empty iff anyone listens.
         self._hook_registry = sim.hooks
+        self._hook_channels = sim.hooks._channels
         self.config = config
         self.cca = cca
+        # Decided once per connection, not per ACK: whether the CCA paces
+        # or consumes RTT samples at all (the base class does neither, so
+        # a CCA that does not override them cannot).
+        cca_type = type(cca)
+        self._paces = (cca_type.pacing_interval_ns
+                       is not CongestionControl.pacing_interval_ns)
+        self._samples_rtt = (cca_type.on_rtt_sample
+                             is not CongestionControl.on_rtt_sample)
         self._host = host
         self._nic = host.nic
         self._dst = dst_address
@@ -113,6 +125,9 @@ class TcpSender:
 
         self.rtt = RttEstimator(config.initial_rto_ns, config.min_rto_ns,
                                 config.max_rto_ns)
+        # current_rto_ns(), kept current where its inputs change (an RTT
+        # sample, a backoff step) rather than derived on every ACK.
+        self._rto_ns = self.current_rto_ns()
         self._timer = Timer(sim, self._on_rto)
         self.stats = SenderStats()
 
@@ -209,11 +224,11 @@ class TcpSender:
         return cwnd
 
     def _try_send(self) -> None:
-        pacing = self.cca.pacing_interval_ns(self.rtt.srtt_ns)
-        if pacing is not None:
-            self._try_send_paced(pacing)
-            return
-        cwnd = self._send_window_bytes()
+        if self._paces:
+            pacing = self.cca.pacing_interval_ns(self.rtt.srtt_ns)
+            if pacing is not None:
+                self._try_send_paced(pacing)
+                return
         # Window-filling loop with the invariant quantities hoisted out:
         # nothing inside _emit_segment can re-enter this sender (packet
         # hand-off to the NIC only schedules events), so snd_una, the SACK
@@ -224,6 +239,11 @@ class TcpSender:
         if nxt >= demand_end:
             return
         mss = self.config.mss_bytes
+        # _send_window_bytes(), inlined (the window is pure state).
+        cwnd = self.cca.effective_cwnd_bytes()
+        rwnd = self.peer_rwnd_bytes
+        if rwnd is not None:
+            cwnd = min(cwnd, float(max(rwnd, mss)))
         sacked = self.sack.sacked_bytes() if self.sack is not None else 0
         pipe = nxt - self.snd_una - sacked
         while nxt < demand_end and (pipe if pipe > 0 else 0) < cwnd:
@@ -279,29 +299,30 @@ class TcpSender:
         self._nic.send(packet)
         if self.fec is not None and not is_retransmit:
             self.fec.on_segment_sent(seq, payload, now)
-        if not self._timer.armed:
-            self._timer.start(self.current_rto_ns())
+        timer = self._timer
+        if timer._deadline is None:  # not timer.armed
+            timer.start(self._rto_ns)
 
     # --- packet input --------------------------------------------------------
 
     def handle_packet(self, packet: Packet) -> None:
         """Process an arriving packet for this flow (ACKs only)."""
-        if packet.is_ack:
-            if packet.rwnd_bytes is not None:
-                self.peer_rwnd_bytes = packet.rwnd_bytes
-            if (packet.incast_degree is not None
-                    and self._incast_signal is not None):
-                self._incast_signal(packet.incast_degree, self._sim.now)
-            self._on_ack(packet.ack_seq, packet.ece, packet.sack_blocks)
-
-    def _on_ack(self, ack_seq: int, ece: bool,
-                sack_blocks: tuple = ()) -> None:
+        if not packet.is_ack:
+            return
+        if packet.rwnd_bytes is not None:
+            self.peer_rwnd_bytes = packet.rwnd_bytes
         now = self._sim._now
-        self.stats.acks_received += 1
+        if (packet.incast_degree is not None
+                and self._incast_signal is not None):
+            self._incast_signal(packet.incast_degree, now)
+        ack_seq = packet.ack_seq
+        ece = packet.ece
+        stats = self.stats
+        stats.acks_received += 1
         if ece:
-            self.stats.ece_acks_received += 1
+            stats.ece_acks_received += 1
         if self.sack is not None:
-            for start, end in sack_blocks:
+            for start, end in packet.sack_blocks:
                 self.sack.add(start, end)
         if ack_seq > self.snd_una:
             self._on_new_ack(ack_seq, ece, now)
@@ -312,7 +333,7 @@ class TcpSender:
             # it in the same event costs a cancel and a push per ACK,
             # whereas start() on an armed timer is a lazy deadline move.
             if self.snd_nxt > self.snd_una:
-                self._timer.start(self.current_rto_ns())
+                self._timer.start(self._rto_ns)
             else:
                 self._timer.stop()
         else:
@@ -325,13 +346,17 @@ class TcpSender:
         if self.snd_nxt < self.snd_una:
             self.snd_nxt = self.snd_una
         self._dupacks = 0
-        self._rto_backoff = 1
+        if self._rto_backoff != 1:
+            self._rto_backoff = 1
+            self._rto_ns = self.current_rto_ns()
         if self._rtt_probe is not None and ack_seq >= self._rtt_probe[0]:
             rtt_sample = now - self._rtt_probe[1]
             self._rtt_probe = None
             if rtt_sample > 0:
-                self.rtt.sample(rtt_sample)
-                self.cca.on_rtt_sample(rtt_sample, now)
+                # The new RTO is current_rto_ns(): the backoff is 1 here.
+                self._rto_ns = self.rtt.sample(rtt_sample)
+                if self._samples_rtt:
+                    self.cca.on_rtt_sample(rtt_sample, now)
         if self.sack is not None:
             self.sack.advance(ack_seq)
         if self._in_recovery:
@@ -348,8 +373,8 @@ class TcpSender:
                     self._emit_segment(self.snd_una, payload,
                                        is_retransmit=True)
         self.cca.on_ack(bytes_acked, ece, self.snd_una, self.snd_nxt, now)
-        hooks = self._hook_registry
-        if hooks.any_active:
+        if self._hook_channels:  # hooks.any_active
+            hooks = self._hook_registry
             if self._alpha_cca is not None:
                 windows = self._alpha_cca.windows_completed
                 if windows != self._alpha_windows_seen:
@@ -429,10 +454,11 @@ class TcpSender:
         # Go-back-N: rewind and resend from the last cumulative ACK.
         self.snd_nxt = self.snd_una
         self._rto_backoff = min(self._rto_backoff * 2, _MAX_RTO_BACKOFF)
+        self._rto_ns = self.current_rto_ns()
         self._hook_registry.emit("flow.rto", self.flow_id,
                                  self._host.address, self._rto_backoff,
                                  self._sim.now)
-        self._timer.start(self.current_rto_ns())
+        self._timer.start(self._rto_ns)
         self._retransmit_after_rto()
 
     def _retransmit_after_rto(self) -> None:
@@ -514,20 +540,34 @@ class TcpReceiver:
 
     def handle_packet(self, packet: Packet) -> None:
         """Process an arriving packet for this flow (data only)."""
-        if packet.is_ack or packet.payload_bytes == 0:
+        payload = packet.payload_bytes
+        if packet.is_ack or payload == 0:
             return
         if packet.fec_block is not None:
             if self.fec is not None:
                 self.fec.on_repair(packet)
             return
-        self.stats.data_packets += 1
-        self.stats.bytes_received += packet.payload_bytes
-        ce = packet.ecn == ECN.CE
+        stats = self.stats
+        stats.data_packets += 1
+        stats.bytes_received += payload
+        ce = packet.ecn == _CE
         if ce:
-            self.stats.ce_packets += 1
-        advanced = self._accept(packet.seq, packet.end_seq)
-        if not advanced and packet.end_seq <= self.rcv_nxt:
-            self.stats.duplicate_packets += 1
+            stats.ce_packets += 1
+        start = packet.seq
+        end = start + payload
+        rcv_nxt = self.rcv_nxt
+        if end <= rcv_nxt:
+            advanced = False
+            stats.duplicate_packets += 1
+        elif start <= rcv_nxt and not self._ooo:
+            # In order with nothing buffered: the segment extends rcv_nxt
+            # (what _accept would do, without the call).
+            self.rcv_nxt = end
+            advanced = True
+        else:
+            # Out of order, or filling a hole. ``end`` is above rcv_nxt,
+            # and stays so unless rcv_nxt advances: never a duplicate.
+            advanced = self._accept(start, end)
         if self.config.delayed_ack:
             self._delayed_ack(ce)
         else:

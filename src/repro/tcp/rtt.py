@@ -44,8 +44,9 @@ class RttEstimator:
         """RTT variance estimate."""
         return self._rttvar_ns
 
-    def sample(self, rtt_ns: int) -> None:
-        """Fold one RTT measurement into the estimator."""
+    def sample(self, rtt_ns: int) -> int:
+        """Fold one RTT measurement into the estimator; returns the new
+        :meth:`rto_ns`."""
         if rtt_ns <= 0:
             raise ValueError(f"RTT sample must be positive, got {rtt_ns}")
         self.samples += 1
@@ -61,6 +62,7 @@ class RttEstimator:
             self._srtt_ns = (1.0 - ALPHA) * self._srtt_ns + ALPHA * rtt_ns
         base = int(self._srtt_ns + max(4.0 * self._rttvar_ns, 1.0))
         self._rto_ns = max(self._min_rto_ns, min(base, self._max_rto_ns))
+        return self._rto_ns
 
     def rto_ns(self) -> int:
         """Current retransmission timeout, clamped to the configured range."""

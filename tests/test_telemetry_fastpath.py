@@ -151,8 +151,7 @@ class TestRetention:
     def backlogs(net) -> list:
         held = []
         for port in all_ports(net):
-            held += [port._varrivals, port._vdrains, port._vfuture,
-                     port.queue._fifo]
+            held += [port._varrivals, port._vdrains, port.queue._fifo]
         for host in net.senders + [net.receiver]:
             held += [host.nic._vrecords, host.nic._egress_fifo]
         return held
