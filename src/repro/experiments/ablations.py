@@ -63,51 +63,34 @@ future directions its text calls out:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from repro import units
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import IncastSimConfig, run_incast_sim
+from repro.experiments.environment import (SUMMARY_COLUMNS, run_incast_sim,
+                                           scaled_incast_config)
 from repro.experiments.result import ExperimentResult
-from repro.netsim.topology import DumbbellConfig
+from repro.netsim.topology import DumbbellConfig, build_dumbbell
 from repro.simcore.random import RngHub
 from repro.tcp.config import TcpConfig
 from repro.tcp.guardrail import guardrail_cap_bytes
 from repro.workloads.incast import demand_per_flow_bytes
 from repro.workloads.scheduler import IncastScheduler, SchedulerConfig
 from repro.simcore.kernel import Simulator
-from repro.netsim.topology import build_dumbbell
 from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.connection import open_connection
 
 
-def _sim_summary(cfg: IncastSimConfig) -> list:
-    res = run_incast_sim(cfg)
-    finite = res.aligned_queue_packets[np.isfinite(res.aligned_queue_packets)]
-    return [
-        round(res.mean_bct_ms, 2),
-        round(float(finite.max()), 0) if finite.size else 0,
-        round(float(finite.mean()), 0) if finite.size else 0,
-        res.steady_drops,
-        res.steady_rtos,
-        res.mode.name,
-    ]
-
-
-_SUMMARY_COLS = ["BCT (ms)", "peak queue", "mean queue", "drops", "RTOs",
-                 "mode"]
-
-
-def _base_config(n_flows: int, scale: float, seed: int,
-                 **overrides) -> IncastSimConfig:
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
-    return IncastSimConfig(n_flows=n_flows, burst_duration_ns=burst_ns,
-                           n_bursts=n_bursts, seed=seed,
-                           max_sim_time_ns=units.sec(120.0), **overrides)
+def _summary(scale: float, seed: int, overrides: dict) -> list:
+    """One ablation row's dumbbell incast (the scale rule's burst shape,
+    a 120 s horizon, ``overrides`` with dotted keys allowed), run and
+    summarised under :data:`SUMMARY_COLUMNS`."""
+    return run_incast_sim(scaled_incast_config(
+        {"seed": seed, "max_sim_time_ns": units.sec(120.0), **overrides},
+        scale)).summary_row()
 
 
 def run_buffer_sharing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
@@ -120,25 +103,22 @@ def run_buffer_sharing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     rows = []
     for n_flows in (500, 1000):
         for shared in (None, 2_000_000):
-            cfg = _base_config(
-                n_flows, scale, seed,
-                dumbbell=DumbbellConfig(shared_buffer_bytes=shared))
             label = "shared 2MB" if shared else "private 1333p"
-            rows.append([n_flows, label] + _sim_summary(cfg))
+            rows.append([n_flows, label] + _summary(scale, seed, {
+                "n_flows": n_flows,
+                "dumbbell.shared_buffer_bytes": shared}))
     result.data["sharing_rows"] = rows
     result.add_section(format_table(
-        ["flows", "buffer"] + _SUMMARY_COLS, rows,
+        ["flows", "buffer"] + SUMMARY_COLUMNS, rows,
         title="Ablation A1: buffer sharing at fixed flow count"))
 
-    sweep_rows = []
-    for n_flows in (1000, 1200, 1400):
-        cfg = _base_config(n_flows, scale, seed)
-        sweep_rows.append([n_flows] + _sim_summary(cfg))
-    model = _base_config(100, scale, seed).mode_model()
+    sweep_rows = [[n_flows] + _summary(scale, seed, {"n_flows": n_flows})
+                  for n_flows in (1000, 1200, 1400)]
+    model = scaled_incast_config({}, scale).mode_model()
     result.data["sweep_rows"] = sweep_rows
     result.data["overflow_point"] = model.overflow_point
     result.add_section(format_table(
-        ["flows"] + _SUMMARY_COLS, sweep_rows,
+        ["flows"] + SUMMARY_COLUMNS, sweep_rows,
         title=f"Ablation A2: private-buffer overflow sweep (analytic "
               f"boundary K > capacity + BDP = {model.overflow_point})"))
     return result
@@ -152,18 +132,17 @@ def run_guardrail(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
                     "removes the burst-start spike (Section 5.1)",
     )
     rows = []
+    net, tcp = DumbbellConfig(), TcpConfig()
     for n_flows in (100, 150):
-        base = _base_config(n_flows, scale, seed)
-        cap = guardrail_cap_bytes(
-            n_flows, base.dumbbell.ecn_threshold_packets or 0,
-            base.dumbbell.bdp_bytes, base.tcp.mss_bytes)
-        capped = _base_config(n_flows, scale, seed,
-                              guardrail_cap_bytes=cap)
-        rows.append([n_flows, "dctcp"] + _sim_summary(base))
-        rows.append([n_flows, f"dctcp+cap {cap}B"] + _sim_summary(capped))
+        cap = guardrail_cap_bytes(n_flows, net.ecn_threshold_packets or 0,
+                                  net.bdp_bytes, tcp.mss_bytes)
+        rows.append([n_flows, "dctcp"]
+                    + _summary(scale, seed, {"n_flows": n_flows}))
+        rows.append([n_flows, f"dctcp+cap {cap}B"] + _summary(
+            scale, seed, {"n_flows": n_flows, "guardrail_cap_bytes": cap}))
     result.data["rows"] = rows
     result.add_section(format_table(
-        ["flows", "sender"] + _SUMMARY_COLS, rows,
+        ["flows", "sender"] + SUMMARY_COLUMNS, rows,
         title="Ablation B: guardrail on/off"))
     return result
 
@@ -176,11 +155,9 @@ def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
                     "group in the healthy regime (Section 5.2)",
     )
     n_flows = 500
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
-
-    mono = _base_config(n_flows, scale, seed)
-    mono_row = ["monolithic x500"] + _sim_summary(mono)
+    shape = scaled_incast_config({}, scale)
+    mono_row = ["monolithic x500"] + _summary(scale, seed,
+                                              {"n_flows": n_flows})
 
     # Scheduled variant: same demand, groups of 100 admitted sequentially.
     sim = Simulator()
@@ -188,11 +165,11 @@ def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     tcp_cfg = TcpConfig()
     conns = [open_connection(sim, tcp_cfg, Dctcp(tcp_cfg), host,
                              net.receiver) for host in net.senders]
-    demand = demand_per_flow_bytes(net.config.host_rate_bps, burst_ns,
-                                   n_flows)
+    demand = demand_per_flow_bytes(net.config.host_rate_bps,
+                                   shape.burst_duration_ns, n_flows)
     scheduler = IncastScheduler(
         sim, conns,
-        SchedulerConfig(group_size=100, n_bursts=n_bursts),
+        SchedulerConfig(group_size=100, n_bursts=shape.n_bursts),
         RngHub(seed).stream("jitter"), net.bottleneck_queue, demand)
     scheduler.start()
     sim.run(until_ns=units.sec(120.0))
@@ -212,27 +189,9 @@ def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     result.data["rows"] = rows
     result.data["monolithic_mean_queue"] = mono_row[3]
     result.add_section(format_table(
-        ["variant"] + _SUMMARY_COLS, rows,
+        ["variant"] + SUMMARY_COLUMNS, rows,
         title="Ablation C: 500 flows, monolithic vs scheduled admission "
               "(healthy queue at the cost of serialized groups)"))
-    return result
-
-
-def run_g_sweep(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation D: DCTCP's g parameter is a brittle knob."""
-    result = ExperimentResult(
-        name="ablation_g",
-        description="DCTCP g sweep at 100 flows (Section 5.1: tuning g is "
-                    "brittle and does not address the root cause)",
-    )
-    rows = []
-    for g in (1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0):
-        cfg = _base_config(100, scale, seed, dctcp_g=g)
-        rows.append([f"1/{round(1 / g)}" if g < 1 else "1"]
-                    + _sim_summary(cfg))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["g"] + _SUMMARY_COLS, rows, title="Ablation D: DCTCP gain sweep"))
     return result
 
 
@@ -244,50 +203,21 @@ def run_pacing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
                     "(Section 5.2), at the cost of slower bursts",
     )
     rows = []
-    base_burst = max(units.msec(2.0), int(units.msec(15.0) * scale))
+    base_burst = scaled_incast_config({}, scale).burst_duration_ns
     for duration_label, burst_ns in (("short", base_burst),
                                      ("long 4x", 4 * base_burst)):
         for cca in ("dctcp", "swiftlike"):
-            cfg = _base_config(500, scale, seed, cca=cca)
-            cfg = replace(cfg, burst_duration_ns=burst_ns)
             rows.append([duration_label,
                          round(units.ns_to_ms(burst_ns), 1), cca]
-                        + _sim_summary(cfg))
+                        + _summary(scale, seed, {
+                            "n_flows": 500, "cca": cca,
+                            "burst_duration_ns": burst_ns}))
     result.data["rows"] = rows
     result.add_section(format_table(
-        ["burst", "dur (ms)", "CCA"] + _SUMMARY_COLS, rows,
+        ["burst", "dur (ms)", "CCA"] + SUMMARY_COLUMNS, rows,
         title="Ablation E: window floor vs fractional pacing at 500 flows "
               "(paper Section 5.2: pacing suits long incasts; short bursts "
               "defeat it)"))
-    return result
-
-
-def run_window_validation(scale: float = 1.0,
-                          seed: int = 0) -> ExperimentResult:
-    """Ablation F: resetting CWND after idle removes straggler carryover."""
-    result = ExperimentResult(
-        name="ablation_idle_restart",
-        description="CWND restart after idle (RFC 2861) vs persistent "
-                    "windows: restart is a no-op during incast because "
-                    "converged windows sit below the initial window "
-                    "(min(init, cwnd) semantics) — motivating guardrails "
-                    "over forgetting (Section 5.1)",
-    )
-    rows = []
-    for restart in (False, True):
-        # The ablation's restart threshold (1 ms) is below the inter-burst
-        # gap, so validation fires at every burst boundary; the RFC 2861
-        # default threshold (one RTO = 200 ms) would never trigger here.
-        tcp = TcpConfig(cwnd_restart_after_idle=restart,
-                        idle_restart_threshold_ns=units.msec(1.0))
-        cfg = _base_config(100, scale, seed, tcp=tcp,
-                           inter_burst_gap_ns=units.msec(5.0))
-        label = "restart after idle" if restart else "persistent (default)"
-        rows.append([label] + _sim_summary(cfg))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["idle policy"] + _SUMMARY_COLS, rows,
-        title="Ablation F: window validation vs burst-boundary divergence"))
     return result
 
 
@@ -347,77 +277,87 @@ def run_predictability(scale: float = 1.0, seed: int = 0
     return result
 
 
-def run_delayed_ack(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation H: delayed ACKs on/off (the paper disables them)."""
-    result = ExperimentResult(
-        name="ablation_delayed_ack",
-        description="Delayed ACKs exacerbate burstiness and mask DCTCP's "
-                    "control (the paper's reason for disabling them)",
-    )
-    rows = []
-    for delayed in (False, True):
-        tcp = TcpConfig(delayed_ack=delayed)
-        cfg = _base_config(100, scale, seed, tcp=tcp)
-        label = "delayed ACKs" if delayed else "per-packet ACKs (paper)"
-        rows.append([label] + _sim_summary(cfg))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["receiver"] + _SUMMARY_COLS, rows,
-        title="Ablation H: ACK aggregation at 100 flows"))
+#: Ablations D, F, H, I and J: one dumbbell incast per table row. Name
+#: -> (result name, description, label headers, table title, rows of
+#: ``(label cells, overrides)``); :func:`run_table` runs one.
+TABLES = {
+    "g": (
+        "ablation_g",
+        "DCTCP g sweep at 100 flows (Section 5.1: tuning g is brittle and "
+        "does not address the root cause)",
+        ["g"], "Ablation D: DCTCP gain sweep",
+        [([label], {"n_flows": 100, "dctcp_g": g}) for label, g in
+         (("1/64", 1.0 / 64.0), ("1/16", 1.0 / 16.0), ("1/4", 1.0 / 4.0),
+          ("1", 1.0))]),
+    "idle": (
+        "ablation_idle_restart",
+        "CWND restart after idle (RFC 2861) vs persistent windows: restart "
+        "is a no-op during incast because converged windows sit below the "
+        "initial window (min(init, cwnd) semantics) — motivating "
+        "guardrails over forgetting (Section 5.1)",
+        ["idle policy"],
+        "Ablation F: window validation vs burst-boundary divergence",
+        # The restart threshold (1 ms) is below the inter-burst gap, so
+        # validation fires at every burst boundary; the RFC 2861 default
+        # threshold (one RTO = 200 ms) would never trigger here.
+        [([label], {"n_flows": 100, "inter_burst_gap_ns": units.msec(5.0),
+                    "tcp.cwnd_restart_after_idle": restart,
+                    "tcp.idle_restart_threshold_ns": units.msec(1.0)})
+         for label, restart in (("persistent (default)", False),
+                                ("restart after idle", True))]),
+    "delayed_ack": (
+        "ablation_delayed_ack",
+        "Delayed ACKs exacerbate burstiness and mask DCTCP's control (the "
+        "paper's reason for disabling them)",
+        ["receiver"], "Ablation H: ACK aggregation at 100 flows",
+        [([label], {"n_flows": 100, "tcp.delayed_ack": delayed})
+         for label, delayed in (("per-packet ACKs (paper)", False),
+                                ("delayed ACKs", True))]),
+    "ecn_threshold": (
+        "ablation_ecn_threshold",
+        "ECN threshold trades queueing delay against feedback timeliness "
+        "(the paper's production threshold sits above the DCTCP "
+        "recommendation)",
+        ["ECN threshold (pkts)"],
+        "Ablation I: marking threshold sweep at 100 flows",
+        [([k], {"n_flows": 100, "dumbbell.ecn_threshold_packets": k})
+         for k in (20, 65, 200, 600)]),
+    "sack": (
+        "ablation_sack",
+        "SACK recovery helps at moderate windows but cannot rescue Mode 3: "
+        "1-MSS windows generate no SACK blocks",
+        ["case", "recovery"],
+        "Ablation J: SACK vs NewReno recovery under incast",
+        # Mode 3: 1000 flows on a shared buffer (the Figure 5c panel);
+        # the Figure 6 spike regime: 500 flows, 2 ms bursts, private.
+        [([case, "sack" if sack else "newreno"],
+          {**overrides, "tcp.sack_enabled": sack})
+         for case, overrides in (
+             ("mode3 1000 flows",
+              {"n_flows": 1000, "dumbbell.shared_buffer_bytes": 2_000_000}),
+             ("spike 500 flows/2ms",
+              {"n_flows": 500, "burst_duration_ns": units.msec(2.0)}))
+         for sack in (False, True)]),
+}
+
+
+def run_table(name: str, scale: float = 1.0,
+              seed: int = 0) -> ExperimentResult:
+    """Run one :data:`TABLES` ablation: each row's incast, summarised."""
+    result_name, description, headers, title, rows = TABLES[name]
+    result = ExperimentResult(name=result_name, description=description)
+    result.data["rows"] = [cells + _summary(scale, seed, overrides)
+                           for cells, overrides in rows]
+    result.add_section(format_table(headers + SUMMARY_COLUMNS,
+                                    result.data["rows"], title=title))
     return result
 
 
-def run_ecn_threshold(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation I: ECN marking threshold sweep at fixed flow count."""
-    result = ExperimentResult(
-        name="ablation_ecn_threshold",
-        description="ECN threshold trades queueing delay against feedback "
-                    "timeliness (the paper's production threshold sits "
-                    "above the DCTCP recommendation)",
-    )
-    rows = []
-    for threshold in (20, 65, 200, 600):
-        cfg = _base_config(
-            100, scale, seed,
-            dumbbell=DumbbellConfig(ecn_threshold_packets=threshold))
-        rows.append([threshold] + _sim_summary(cfg))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["ECN threshold (pkts)"] + _SUMMARY_COLS, rows,
-        title="Ablation I: marking threshold sweep at 100 flows"))
-    return result
-
-
-def run_sack(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation J: does SACK-based loss recovery rescue incast?"""
-    result = ExperimentResult(
-        name="ablation_sack",
-        description="SACK recovery helps at moderate windows but cannot "
-                    "rescue Mode 3: 1-MSS windows generate no SACK blocks",
-    )
-    rows = []
-    cases = [
-        # Mode 3: 1000 flows on a shared buffer (the Figure 5c panel).
-        ("mode3 1000 flows", 1000,
-         dict(dumbbell=DumbbellConfig(shared_buffer_bytes=2_000_000))),
-        # Figure 6 spike regime: 500 flows, short bursts, private buffer.
-        ("spike 500 flows/2ms", 500,
-         dict(burst_duration_override=units.msec(2.0))),
-    ]
-    for label, n_flows, extras in cases:
-        duration = extras.pop("burst_duration_override", None)
-        for sack in (False, True):
-            cfg = _base_config(n_flows, scale, seed,
-                               tcp=TcpConfig(sack_enabled=sack), **extras)
-            if duration is not None:
-                cfg = replace(cfg, burst_duration_ns=duration)
-            rows.append([label, "sack" if sack else "newreno"]
-                        + _sim_summary(cfg))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["case", "recovery"] + _SUMMARY_COLS, rows,
-        title="Ablation J: SACK vs NewReno recovery under incast"))
-    return result
+run_g_sweep = partial(run_table, "g")
+run_window_validation = partial(run_table, "idle")
+run_delayed_ack = partial(run_table, "delayed_ack")
+run_ecn_threshold = partial(run_table, "ecn_threshold")
+run_sack = partial(run_table, "sack")
 
 
 def run_rack_contention(scale: float = 1.0, seed: int = 0
@@ -432,8 +372,8 @@ def run_rack_contention(scale: float = 1.0, seed: int = 0
                     "shared switch memory and induces victim losses "
                     "(Section 3.4)",
     )
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
+    shape = scaled_incast_config({}, scale)
+    burst_ns, n_bursts = shape.burst_duration_ns, shape.n_bursts
     n_flows = 700  # per receiver: fits a private 1333-pkt queue alone
     rows = []
     for shared in (None, 2_000_000):
@@ -540,8 +480,8 @@ def _throttle_case_row(n_flows: int, throttled: bool, scale: float,
     from repro.tcp.ictcp import ReceiverWindowThrottle
     from repro.workloads.incast import IncastConfig, IncastWorkload
 
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
+    shape = scaled_incast_config({}, scale)
+    burst_ns, n_bursts = shape.burst_duration_ns, shape.n_bursts
     sim = Simulator()
     net = build_dumbbell(sim, DumbbellConfig(n_senders=n_flows))
     tcp_cfg = TcpConfig()
@@ -626,15 +566,13 @@ def run_topology_validation(scale: float = 1.0, seed: int = 0
                     "on a leaf-spine fabric bottlenecks identically at the "
                     "destination downlink",
     )
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
+    shape = scaled_incast_config({}, scale)
+    burst_ns, n_bursts = shape.burst_duration_ns, shape.n_bursts
     n_flows = 96
     rows = []
 
     # Dumbbell run.
-    dumbbell_cfg = _base_config(n_flows, scale, seed)
-    dumbbell_cfg = replace(dumbbell_cfg, burst_duration_ns=burst_ns)
-    rows.append(["dumbbell"] + _sim_summary(dumbbell_cfg))
+    rows.append(["dumbbell"] + _summary(scale, seed, {"n_flows": n_flows}))
 
     # Leaf-spine run: the same flow count spread over three source racks.
     sim = Simulator()
@@ -669,7 +607,7 @@ def run_topology_validation(scale: float = 1.0, seed: int = 0
     ])
     result.data["rows"] = rows
     result.add_section(format_table(
-        ["topology"] + _SUMMARY_COLS, rows,
+        ["topology"] + SUMMARY_COLUMNS, rows,
         title=f"Ablation N: {n_flows}-flow incast, dumbbell vs leaf-spine"))
     return result
 
@@ -689,7 +627,7 @@ def run_service_latency(scale: float = 1.0, seed: int = 0
                     "query-completion tail via shared-buffer pressure",
     )
     n_queries = max(12, int(round(24 * scale)))
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
+    burst_ns = scaled_incast_config({}, scale).burst_duration_ns
     rows = []
     for neighbour_active in (False, True):
         sim = Simulator()

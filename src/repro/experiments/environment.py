@@ -21,7 +21,7 @@ import numpy as np
 from repro import units
 from repro.analysis.series import align_and_average
 from repro.core.modes import DctcpMode, ModeModel, classify_queue_trace
-from repro.experiments.backend_names import BACKENDS
+from repro.experiments.backend_names import check_backend
 from repro.netsim.fluid import production_fluid_config  # re-exported
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.netsim.topology import Dumbbell, DumbbellConfig, build_dumbbell
@@ -78,20 +78,11 @@ class IncastSimConfig:
                              f"choose from {sorted(CCA_FACTORIES)}")
         if self.n_flows <= 0:
             raise ValueError("n_flows must be positive")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"choose from {sorted(BACKENDS)}")
-        if self.backend == "fluid" and (self.telemetry or self.sample_flows):
-            # Per-packet vantage points have no fluid counterpart; hybrid
-            # at least covers its packet window, fluid covers nothing.
-            raise ValueError("telemetry and flow sampling require a "
-                             "backend with a packet window "
-                             "(packet or hybrid), not fluid")
         # Fails fast on an unknown scheme or a knob it does not declare.
         get_scheme(self.scheme).validate_params(self.scheme_params or {})
-        if self.backend != "packet" and self.scheme != DEFAULT_SCHEME:
-            raise ValueError("mitigation schemes wire into per-packet "
-                             "state; they require the packet backend")
+        check_backend(self.backend,
+                      packet_window=self.telemetry or self.sample_flows,
+                      packet_state=self.scheme != DEFAULT_SCHEME)
         self.dumbbell = replace(self.dumbbell, n_senders=self.n_flows)
 
     @property
@@ -108,6 +99,31 @@ class IncastSimConfig:
             queue_capacity_packets=self.dumbbell.queue_capacity_packets,
             bdp_packets=self.dumbbell.bdp_bytes / wire_packet,
         )
+
+
+def scaled_incast_config(overrides: dict, scale: float) -> IncastSimConfig:
+    """The dumbbell incast at engine ``scale``: the one scale rule of every
+    Section 4 dumbbell run. Unless ``overrides`` sets them,
+    ``burst_duration_ns`` is max(2 ms, 15 ms x scale) and ``n_bursts`` is
+    max(3, round(11 x scale)); a value ``overrides`` sets is used as set.
+    A dotted key (``tcp.delayed_ack``) sets one nested config field."""
+    flat = {"burst_duration_ns": max(units.msec(2.0),
+                                     int(units.msec(15.0) * scale)),
+            "n_bursts": max(3, int(round(11 * scale)))}
+    nested: dict = {"dumbbell": {}, "tcp": {}}
+    for key, value in overrides.items():
+        head, dot, leaf = key.partition(".")
+        if dot:
+            nested[head][leaf] = value
+        else:
+            flat[key] = value
+    return IncastSimConfig(dumbbell=DumbbellConfig(**nested["dumbbell"]),
+                           tcp=TcpConfig(**nested["tcp"]), **flat)
+
+
+SUMMARY_COLUMNS = ["BCT (ms)", "peak queue", "mean queue", "drops", "RTOs",
+                   "mode"]
+"""Headers of :meth:`IncastSimResult.summary_row`."""
 
 
 @dataclass
@@ -143,6 +159,21 @@ class IncastSimResult:
         """Mean steady BCT over the optimal BCT."""
         return self.mean_bct_ms / self.optimal_bct_ms \
             if self.optimal_bct_ms else 0.0
+
+    def summary_row(self) -> list:
+        """The run as one table row under :data:`SUMMARY_COLUMNS`: mean
+        steady BCT, peak and mean of the burst-aligned queue, steady
+        drops and RTOs, and the observed mode."""
+        finite = self.aligned_queue_packets[
+            np.isfinite(self.aligned_queue_packets)]
+        return [
+            round(self.mean_bct_ms, 2),
+            round(float(finite.max()), 0) if finite.size else 0,
+            round(float(finite.mean()), 0) if finite.size else 0,
+            self.steady_drops,
+            self.steady_rtos,
+            self.mode.name,
+        ]
 
     def __getstate__(self) -> dict:
         # Results cross process boundaries (and land in the on-disk cache)

@@ -33,11 +33,10 @@ from repro import units
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.tables import format_figure_series, format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (IncastSimConfig, IncastSimResult,
-                                           run_incast_sim,
+from repro.experiments.environment import (IncastSimResult, run_incast_sim,
+                                           scaled_incast_config,
                                            telemetry_from_params)
 from repro.experiments.result import ExperimentResult
-from repro.netsim.topology import DumbbellConfig
 
 PANELS: list[tuple[str, int, Optional[int]]] = [
     ("mode1_healthy", 100, None),
@@ -61,9 +60,10 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 def run_unit(unit: WorkUnit) -> IncastSimResult:
     """Simulate one panel."""
-    cfg = panel_config(unit.params["n_flows"],
-                       unit.params["shared_buffer_bytes"],
-                       unit.scale, unit.seed)
+    cfg = scaled_incast_config({
+        "n_flows": unit.params["n_flows"], "seed": unit.seed,
+        "dumbbell.shared_buffer_bytes": unit.params["shared_buffer_bytes"],
+        "max_sim_time_ns": units.sec(60.0)}, unit.scale)
     return run_incast_sim(telemetry_from_params(cfg, unit.params))
 
 
@@ -115,21 +115,6 @@ def merge(work: list[WorkUnit], payloads: list[IncastSimResult], *,
         title="Figure 5 summary (paper: Mode 1 oscillates near the 65-pkt "
               "threshold; Mode 2 pinned at ~K-BDP; Mode 3 BCT ~200 ms)"))
     return result
-
-
-def panel_config(n_flows: int, shared_buffer_bytes: Optional[int],
-                 scale: float, seed: int) -> IncastSimConfig:
-    """Build one panel's simulation config at the requested scale."""
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
-    return IncastSimConfig(
-        n_flows=n_flows,
-        burst_duration_ns=burst_ns,
-        n_bursts=n_bursts,
-        seed=seed,
-        dumbbell=DumbbellConfig(shared_buffer_bytes=shared_buffer_bytes),
-        max_sim_time_ns=units.sec(60.0),
-    )
 
 
 def series_rows(result: IncastSimResult,

@@ -14,8 +14,8 @@ from repro import units
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.tables import format_figure_series, format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (IncastSimConfig, IncastSimResult,
-                                           run_incast_sim,
+from repro.experiments.environment import (IncastSimResult, run_incast_sim,
+                                           scaled_incast_config,
                                            telemetry_from_params)
 from repro.experiments.fig5 import series_rows
 from repro.experiments.result import ExperimentResult
@@ -35,13 +35,10 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 def run_unit(unit: WorkUnit) -> IncastSimResult:
     """Simulate 2 ms bursts at one incast degree."""
-    cfg = IncastSimConfig(
-        n_flows=unit.params["n_flows"],
-        burst_duration_ns=units.msec(2.0),
-        n_bursts=max(3, int(round(11 * unit.scale))),
-        seed=unit.seed,
-        max_sim_time_ns=units.sec(60.0),
-    )
+    cfg = scaled_incast_config({
+        "n_flows": unit.params["n_flows"], "seed": unit.seed,
+        "burst_duration_ns": units.msec(2.0),
+        "max_sim_time_ns": units.sec(60.0)}, unit.scale)
     return run_incast_sim(telemetry_from_params(cfg, unit.params))
 
 

@@ -16,7 +16,8 @@ from repro import units
 from repro.analysis.tables import format_table
 from repro.core.divergence import analyze_divergence
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import IncastSimConfig, run_incast_sim
+from repro.experiments.environment import (run_incast_sim,
+                                           scaled_incast_config)
 from repro.experiments.result import ExperimentResult
 
 N_FLOWS = 100
@@ -43,17 +44,9 @@ def merge(work: list[WorkUnit], payloads: list[ExperimentResult], *,
 
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     """Reproduce Figure 7 (100-flow Mode 1 incast, per-flow in-flight)."""
-    burst_ns = max(units.msec(2.0), int(units.msec(15.0) * scale))
-    n_bursts = max(3, int(round(11 * scale)))
-    cfg = IncastSimConfig(
-        n_flows=N_FLOWS,
-        burst_duration_ns=burst_ns,
-        n_bursts=n_bursts,
-        seed=seed,
-        sample_flows=True,
-        max_sim_time_ns=units.sec(60.0),
-    )
-    sim_result = run_incast_sim(cfg)
+    sim_result = run_incast_sim(scaled_incast_config(
+        {"n_flows": N_FLOWS, "seed": seed, "sample_flows": True,
+         "max_sim_time_ns": units.sec(60.0)}, scale))
     sampler = sim_result.flow_sampler
     assert sampler is not None
 

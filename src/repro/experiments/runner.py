@@ -477,7 +477,7 @@ def _sweep_list() -> int:
     """Print each sweepable scenario with its overridable fields."""
     from repro.experiments import sweep as sweep_mod
     for name in sorted(sweep_mod.SCENARIOS):
-        config_cls, executor = sweep_mod.SCENARIOS[name]
+        _, executor = sweep_mod.load_scenario(name)
         doc = (executor.__doc__ or "").strip().splitlines()
         print(f"{name:18s} {doc[0] if doc else ''}")
         print(f"{'':18s} fields: "

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Optional
 from repro import units
 from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, FctDigest, FctSet,
                                 extract_fcts)
-from repro.experiments.backend_names import BACKENDS
+from repro.experiments.backend_names import check_backend
 from repro.simcore.random import RngHub
 from repro.tcp.cca import CCA_NAMES
 from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme
@@ -103,13 +103,16 @@ def _config_params(cfg) -> dict:
     return params
 
 
-def _check_scheme(scheme: str, backend: str) -> None:
-    """Validate a config's mitigation-scheme axis (registry lookup plus
-    the packet-backend requirement)."""
-    get_scheme(scheme)
-    if backend != "packet" and scheme != DEFAULT_SCHEME:
-        raise ValueError("mitigation schemes wire into per-packet state; "
-                         "they require the packet backend")
+def _check_config(cfg) -> None:
+    """Validate a leaf-spine config's CCA, scheme and backend axes. The
+    backend rules are the dumbbell config's own (one helper), so a fluid
+    run refuses telemetry here as it does there."""
+    if cfg.cca not in CCA_NAMES:
+        raise ValueError(f"unknown CCA {cfg.cca!r}; "
+                         f"choose from {sorted(CCA_NAMES)}")
+    get_scheme(cfg.scheme)
+    check_backend(cfg.backend, packet_window=cfg.telemetry,
+                  packet_state=cfg.scheme != DEFAULT_SCHEME)
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,7 @@ class CrossRackIncastConfig:
             raise ValueError("cross-rack incast needs at least two racks")
         if self.n_senders <= 0 or self.flow_bytes <= 0:
             raise ValueError("sender count and flow size must be positive")
-        if self.cca not in CCA_NAMES:
-            raise ValueError(f"unknown CCA {self.cca!r}; "
-                             f"choose from {sorted(CCA_NAMES)}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"choose from {sorted(BACKENDS)}")
-        _check_scheme(self.scheme, self.backend)
+        _check_config(self)
 
     def plan(self, hub: RngHub) -> list[FlowSpec]:
         """The deterministic flow plan: one mouse-class flow per sender,
@@ -195,13 +192,7 @@ class ElephantMiceGridConfig:
     scheme: str = DEFAULT_SCHEME
 
     def __post_init__(self) -> None:
-        if self.cca not in CCA_NAMES:
-            raise ValueError(f"unknown CCA {self.cca!r}; "
-                             f"choose from {sorted(CCA_NAMES)}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"choose from {sorted(BACKENDS)}")
-        _check_scheme(self.scheme, self.backend)
+        _check_config(self)
         self.workload()  # validate the mix shape eagerly
 
     def workload(self) -> ElephantMiceConfig:

@@ -29,13 +29,19 @@ Specs are writable in YAML (:func:`load_sweep_file`)::
       hosts_per_rack: 4
 
 and run with ``python -m repro.experiments sweep run <spec.yaml>``.
+
+A key may be a dotted path into a nested config (``dumbbell_incast``'s
+``dumbbell.ecn_threshold_packets``, ``tcp.delayed_ack``); it validates,
+sorts and serialises exactly like a flat one.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from importlib import import_module
 from pathlib import Path
 from typing import Union
 
@@ -46,21 +52,24 @@ from repro.analysis.tables import format_table, render_cdf_table
 from repro.experiments.engine import run_experiments
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.experiments.scenarios import (CrossRackIncastConfig,
-                                         ElephantMiceGridConfig,
-                                         ScenarioResult,
-                                         run_cross_rack_incast,
-                                         run_elephant_mice)
 
 SCENARIOS = {
-    "leafspine_incast": (CrossRackIncastConfig, run_cross_rack_incast),
-    "leafspine_mix": (ElephantMiceGridConfig, run_elephant_mice),
+    "dumbbell_incast": ("repro.experiments.environment:IncastSimConfig",
+                        "repro.experiments.environment:run_incast_sim"),
+    "leafspine_incast": ("repro.experiments.scenarios:CrossRackIncastConfig",
+                         "repro.experiments.scenarios:run_cross_rack_incast"),
+    "leafspine_mix": ("repro.experiments.scenarios:ElephantMiceGridConfig",
+                      "repro.experiments.scenarios:run_elephant_mice"),
 }
-"""Sweepable scenarios: name → (flat config dataclass, executor)."""
+"""Sweepable scenarios: name → (config dataclass, executor), each a
+``module:name`` path imported on first use, so validating or running a
+spec loads only the substrate its scenario names."""
 
-RESERVED_FIELDS = frozenset({"telemetry", "telemetry_interval_ns"})
-"""Config fields the engine owns (injected per-run); specs may not set
-them, or a telemetry-on run could collide with a spec-pinned value."""
+RESERVED_FIELDS = frozenset({"telemetry", "telemetry_interval_ns",
+                             "dumbbell.n_senders"})
+"""Config fields no spec may set: the engine injects telemetry per run
+(a spec-pinned value could collide with a telemetry-on run), and the
+dumbbell config derives its sender count from ``n_flows``."""
 
 SCALED_BYTE_FIELDS = ("flow_bytes", "elephant_bytes", "mouse_bytes",
                       "mouse_max_bytes")
@@ -73,11 +82,26 @@ MIN_SCALED_BYTES = 2_000
 still exercises the transport rather than degenerating to one segment)."""
 
 
+@cache
+def load_scenario(scenario: str) -> tuple:
+    """``(config dataclass, executor)`` of ``scenario``, imported on the
+    first call (every grid point asks)."""
+    return tuple(getattr(import_module(module), name) for module, _, name
+                 in (path.partition(":") for path in SCENARIOS[scenario]))
+
+
 def scenario_fields(scenario: str) -> list[str]:
-    """Field names a spec may sweep or fix for ``scenario``."""
-    config_cls, _ = SCENARIOS[scenario]
-    return sorted(f.name for f in fields(config_cls)
-                  if f.name not in RESERVED_FIELDS)
+    """Field names a spec may sweep or fix for ``scenario``: each scalar
+    field of its config, and ``outer.leaf`` for each field of a nested
+    config dataclass (which is not itself a value a spec can write)."""
+    names = []
+    for outer in fields(load_scenario(scenario)[0]):
+        if is_dataclass(outer.default_factory):
+            names += [f"{outer.name}.{leaf.name}"
+                      for leaf in fields(outer.default_factory)]
+        else:
+            names.append(outer.name)
+    return sorted(n for n in names if n not in RESERVED_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -209,11 +233,9 @@ def plan_document(spec: SweepSpec, scale: float = 1.0,
 
 
 def scaled_config(cfg, scale: float):
-    """Apply the engine scale factor: per-flow demands shrink linearly
-    (floored at :data:`MIN_SCALED_BYTES`); topology and thresholds are
-    identity-defining and never scale. Shared with the verdict campaign
-    (:mod:`repro.experiments.verdict`), which scales its mix scenario by
-    the same rule."""
+    """Apply the engine scale factor to a leaf-spine config: per-flow
+    demands shrink linearly (floored at :data:`MIN_SCALED_BYTES`);
+    topology and thresholds are identity-defining and never scale."""
     if scale == 1.0:
         return cfg
     changes = {}
@@ -224,12 +246,22 @@ def scaled_config(cfg, scale: float):
     return replace(cfg, **changes)
 
 
-def run_unit(unit: WorkUnit) -> ScenarioResult:
-    """Execute one grid point (the ``fn`` every compiled unit names)."""
-    config_cls, executor = SCENARIOS[unit.params["scenario"]]
+def run_unit(unit: WorkUnit):
+    """Execute one grid point (the ``fn`` every compiled unit names).
+
+    The engine ``scale`` applies by the scenario's rule: the dumbbell's
+    burst shape (``environment.scaled_incast_config``) or the leaf-spine
+    per-flow bytes (:func:`scaled_config`).
+    """
+    scenario = unit.params["scenario"]
+    config_cls, executor = load_scenario(scenario)
     overrides = dict(unit.params.get("overrides", {}))
     overrides.setdefault("seed", unit.seed)
-    cfg = scaled_config(config_cls(**overrides), unit.scale)
+    if scenario == "dumbbell_incast":
+        from repro.experiments.environment import scaled_incast_config
+        cfg = scaled_incast_config(overrides, unit.scale)
+    else:
+        cfg = scaled_config(config_cls(**overrides), unit.scale)
     tele = unit.params.get("telemetry")
     if tele:
         cfg = replace(cfg, telemetry=True,
@@ -237,21 +269,59 @@ def run_unit(unit: WorkUnit) -> ScenarioResult:
     return executor(cfg)
 
 
-def merge(spec: SweepSpec, work: list[WorkUnit],
-          payloads: list[ScenarioResult], *, scale: float,
-          seed: int) -> ExperimentResult:
+def merge(spec: SweepSpec, work: list[WorkUnit], payloads: list, *,
+          scale: float, seed: int) -> ExperimentResult:
     """Assemble per-point payloads into the sweep's report.
 
-    Sections: the FCT-vs-point comparison table (the textual FCT-vs-K
-    figure), the bottleneck-queue occupancy table, and the merged
-    mice/elephant FCT CDFs across every grid point.
+    A ``dumbbell_incast`` grid reports one operating-mode row per point
+    (:func:`_report_modes`); a leaf-spine grid reports flow completion
+    times (:func:`_report_fcts`).
     """
     by_point = {u.unit_id: p for u, p in zip(work, payloads)}
     result = ExperimentResult(
         name=spec.experiment_name,
         description=spec.description
         or f"{spec.scenario} grid ({len(work)} points)")
+    report = (_report_modes if spec.scenario == "dumbbell_incast"
+              else _report_fcts)
+    result.data = {
+        "spec": {"name": spec.name, "scenario": spec.scenario,
+                 "axes": {a.name: list(a.values) for a in spec.axes},
+                 "fixed": dict(spec.fixed)},
+        **report(result, by_point, scale, seed),
+    }
+    return result
 
+
+def _report_modes(result: ExperimentResult, by_point: dict, scale: float,
+                  seed: int) -> dict:
+    """One row per dumbbell point: its id, the analytic mode its
+    incast degree predicts, then the run's summary columns; the title
+    names the analytic boundaries K* and the overflow point. Returns
+    the points' exports."""
+    from repro.experiments.environment import SUMMARY_COLUMNS
+    models = {uid: p.config.mode_model() for uid, p in by_point.items()}
+    rows = [[uid, models[uid].predict(p.config.n_flows).name,
+             *p.summary_row()] for uid, p in by_point.items()]
+
+    def points(attr: str) -> str:
+        return "/".join(str(v) for v in
+                        sorted({getattr(m, attr) for m in models.values()}))
+
+    result.add_section(format_table(
+        ["point", "predicted"] + SUMMARY_COLUMNS, rows,
+        title=f"Operating mode vs grid point (scale={scale}, seed={seed}; "
+              f"K* = {points('degenerate_point')}, overflow at "
+              f"{points('overflow_point')})"))
+    return {"points": {uid: p.export_dict() for uid, p in by_point.items()}}
+
+
+def _report_fcts(result: ExperimentResult, by_point: dict, scale: float,
+                 seed: int) -> dict:
+    """The FCT-vs-point comparison table (the textual FCT-vs-K figure),
+    the bottleneck-queue occupancy table, and the merged mice/elephant
+    FCT CDFs across every grid point. Returns the points' exports and
+    the merged FCT summary."""
     # One digest (class split, ms conversion, CDFs) per point feeds both
     # the table row here and the point's export below.
     digests = {uid: p.fcts.digest() for uid, p in by_point.items()}
@@ -276,16 +346,9 @@ def merge(spec: SweepSpec, work: list[WorkUnit],
             merged.cdfs, percentiles=(25.0, 50.0, 75.0, 90.0, 99.0),
             value_label="FCT (ms)",
             title="Merged FCT CDFs across the grid (ms)"))
-
-    result.data = {
-        "spec": {"name": spec.name, "scenario": spec.scenario,
-                 "axes": {a.name: list(a.values) for a in spec.axes},
-                 "fixed": dict(spec.fixed)},
-        "points": {uid: p.export_with(digests[uid])
-                   for uid, p in by_point.items()},
-        "merged_fct": merged.summary(),
-    }
-    return result
+    return {"points": {uid: p.export_with(digests[uid])
+                       for uid, p in by_point.items()},
+            "merged_fct": merged.summary()}
 
 
 @dataclass
@@ -304,8 +367,8 @@ class SweepExperiment:
         """Compile the spec's grid (the registry protocol's plan hook)."""
         return compile_units(self.spec, scale, seed)
 
-    def merge(self, work: list[WorkUnit], payloads: list[ScenarioResult],
-              *, scale: float, seed: int) -> ExperimentResult:
+    def merge(self, work: list[WorkUnit], payloads: list, *, scale: float,
+              seed: int) -> ExperimentResult:
         """Assemble the sweep report (the registry protocol's merge
         hook)."""
         return merge(self.spec, work, payloads, scale=scale, seed=seed)

@@ -17,7 +17,9 @@ what cost. This campaign runs the grid that answers it in one report:
   detected, ...) that explain *why* a boundary moved.
 
 The campaign is an ordinary engine experiment — ``work_units`` /
-``run_unit`` / ``merge`` — so it is cacheable, resumable, journaled,
+``merge`` — whose units are sweep grid points
+(:func:`repro.experiments.sweep.run_unit` on the ``dumbbell_incast`` and
+``leafspine_mix`` scenarios), so it is cacheable, resumable, journaled,
 fault-tolerant and byte-identical under ``--jobs N`` for free, and a
 trimmed grid (:class:`VerdictGrid` + :func:`make_experiment`) drives the
 ``verdict`` CLI subcommand::
@@ -30,18 +32,13 @@ trimmed grid (:class:`VerdictGrid` + :func:`make_experiment`) drives the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import units
 from repro.analysis.fct import format_fct_table
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (IncastSimConfig,
-                                           run_incast_sim,
-                                           telemetry_from_params)
 from repro.experiments.result import ExperimentResult
-from repro.experiments.scenarios import (ElephantMiceGridConfig,
-                                         run_elephant_mice)
 from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme
 
 SCHEMES = ("dctcp", "ictcp", "pulser", "fec", "detect")
@@ -100,71 +97,49 @@ DEFAULT_GRID = VerdictGrid()
 
 
 def _scheme_params(scheme: str) -> dict:
-    """Cache-key params for the scheme axis — the default scheme is
-    elided so the axis is invisible until actually exercised, the same
-    rule every config export follows."""
+    """Overrides for the scheme axis — the default scheme is elided so
+    the axis is invisible until actually exercised, the same rule every
+    config export follows."""
     return {} if scheme == DEFAULT_SCHEME else {"scheme": scheme}
+
+
+def _point(unit_id: str, scenario: str, overrides: dict, scale: float,
+           seed: int) -> WorkUnit:
+    """One campaign unit, shaped like a compiled sweep grid point."""
+    return WorkUnit(experiment="verdict", unit_id=unit_id,
+                    fn="repro.experiments.sweep:run_unit",
+                    params={"scenario": scenario,
+                            "overrides": {k: overrides[k]
+                                          for k in sorted(overrides)}},
+                    scale=scale, seed=seed)
 
 
 def grid_units(grid: VerdictGrid, scale: float, seed: int
                ) -> list[WorkUnit]:
     """Compile a grid into engine work units, one per simulation.
 
-    Incast units carry ``{n_flows, burst_ms}``; mix units carry
-    ``{kind: "mix"}``; both add ``scheme`` only when it is not the
-    default, so a baseline unit's cache key is scheme-blind.
+    Incast units are ``dumbbell_incast`` points (the burst count follows
+    the dumbbell scale rule, like fig5/fig6); mix units are one small
+    ``leafspine_mix`` point per scheme. Both add ``scheme`` only when it
+    is not the default, so a baseline unit's cache key is scheme-blind.
     """
     work = []
     for scheme in grid.schemes:
         for burst in grid.burst_ms:
             for n_flows in grid.flow_counts:
-                work.append(WorkUnit(
-                    experiment="verdict",
-                    unit_id=f"{scheme}/flows:{n_flows}/burst:{burst:g}ms",
-                    fn="repro.experiments.verdict:run_unit",
-                    params={"n_flows": n_flows, "burst_ms": burst,
-                            **_scheme_params(scheme)},
-                    scale=scale, seed=seed))
+                work.append(_point(
+                    f"{scheme}/flows:{n_flows}/burst:{burst:g}ms",
+                    "dumbbell_incast",
+                    {"n_flows": n_flows,
+                     "burst_duration_ns": units.msec(burst),
+                     "max_sim_time_ns": units.sec(60.0),
+                     **_scheme_params(scheme)}, scale, seed))
         if grid.mix:
-            work.append(WorkUnit(
-                experiment="verdict", unit_id=f"{scheme}/mix",
-                fn="repro.experiments.verdict:run_unit",
-                params={"kind": "mix", **_scheme_params(scheme)},
-                scale=scale, seed=seed))
+            work.append(_point(
+                f"{scheme}/mix", "leafspine_mix",
+                {"n_racks": 2, "hosts_per_rack": 4, "n_elephants": 2,
+                 "n_mice": 12, **_scheme_params(scheme)}, scale, seed))
     return work
-
-
-def run_unit(unit: WorkUnit):
-    """Execute one campaign point (the ``fn`` every unit names).
-
-    Mix units run the leaf-spine elephant/mice scenario; everything else
-    is a dumbbell incast at one (scheme, degree, burst length) point,
-    with the burst count scaling like fig5/fig6.
-    """
-    params = unit.params
-    scheme = params.get("scheme", DEFAULT_SCHEME)
-    if params.get("kind") == "mix":
-        # Deferred import: the engine registry imports this module, and
-        # the sweep module imports the engine.
-        from repro.experiments.sweep import scaled_config
-        cfg = scaled_config(ElephantMiceGridConfig(
-            n_racks=2, hosts_per_rack=4, n_elephants=2, n_mice=12,
-            seed=unit.seed, scheme=scheme,
-            max_sim_time_ns=units.sec(2.0)), unit.scale)
-        tele = params.get("telemetry")
-        if tele:
-            cfg = replace(cfg, telemetry=True,
-                          telemetry_interval_ns=int(tele["interval_ns"]))
-        return run_elephant_mice(cfg)
-    cfg = IncastSimConfig(
-        n_flows=params["n_flows"],
-        burst_duration_ns=units.msec(params["burst_ms"]),
-        n_bursts=max(3, int(round(11 * unit.scale))),
-        seed=unit.seed,
-        scheme=scheme,
-        max_sim_time_ns=units.sec(60.0),
-    )
-    return run_incast_sim(telemetry_from_params(cfg, unit.params))
 
 
 def _first_reaching(rows: list, floor: int):
@@ -195,14 +170,15 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
     grid_exports: dict = {}
     stats_rows = []
     for unit, payload in zip(work, payloads):
-        scheme = unit.params.get("scheme", DEFAULT_SCHEME)
-        if unit.params.get("kind") == "mix":
+        overrides = unit.params["overrides"]
+        scheme = overrides.get("scheme", DEFAULT_SCHEME)
+        if unit.params["scenario"] == "leafspine_mix":
             mix_fcts[scheme] = payload.fcts.digest()
             mix_exports[scheme] = payload.export_with(mix_fcts[scheme])
             stats = payload.scheme_stats
         else:
-            n_flows = unit.params["n_flows"]
-            burst = unit.params["burst_ms"]
+            n_flows = overrides["n_flows"]
+            burst = units.ns_to_ms(overrides["burst_duration_ns"])
             grid_exports[unit.unit_id] = payload.export_dict()
             observed.setdefault((scheme, burst), []).append(
                 (n_flows, int(payload.mode)))
@@ -305,5 +281,6 @@ def make_experiment(grid: VerdictGrid) -> VerdictExperiment:
 
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     """Run the default verdict campaign serially in-process."""
+    from repro.experiments.sweep import run_unit
     plan = work_units(scale, seed)
     return merge(plan, [run_unit(u) for u in plan], scale=scale, seed=seed)

@@ -2,8 +2,6 @@
 
 - ``python -m repro.tools.trace_view`` — render a synthetic Millisampler
   capture as Figure 1-style terminal panels.
-- ``python -m repro.tools.mode_sweep`` — sweep incast degree and print the
-  analytic and simulated operating mode per flow count.
 - ``python -m repro.tools.telemetry_view`` — render the in-sim telemetry
   captured by ``--telemetry`` runs (see :mod:`repro.telemetry`).
 - ``python -m repro.tools.golden`` — regenerate the golden test fixtures.

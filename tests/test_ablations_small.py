@@ -1,6 +1,7 @@
 """Integration tests for selected ablation runners at tiny scale.
 
-The full ablation suite runs through the benchmark harness; these tests
+The full ablation suite runs in CI's engine smoke run (``--all --scale
+0.05``), which checks that it completes, not what it claims; these tests
 pin the cheap, load-bearing ones so regressions in their claims surface in
 the unit suite.
 """

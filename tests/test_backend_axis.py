@@ -33,6 +33,7 @@ from repro.experiments.backend_names import BACKENDS
 from repro.experiments.engine import (CampaignInterrupted, FaultSpec,
                                       ResultCache, replay_journal)
 from repro.experiments.environment import IncastSimConfig, run_incast_sim
+from repro.experiments.runner import main as runner_main
 from repro.experiments.scenarios import (CrossRackIncastConfig,
                                          ElephantMiceGridConfig,
                                          run_cross_rack_incast,
@@ -95,6 +96,25 @@ class TestDispatchAndValidation:
     def test_fluid_backend_refuses_packet_vantage_points(self):
         with pytest.raises(ValueError, match="packet window"):
             IncastSimConfig(backend="fluid", telemetry=True)
+
+    @pytest.mark.parametrize("config_cls", [
+        CrossRackIncastConfig, ElephantMiceGridConfig])
+    def test_fluid_leafspine_refuses_telemetry_too(self, config_cls):
+        with pytest.raises(ValueError, match="packet window"):
+            config_cls(backend="fluid", telemetry=True)
+
+    def test_fluid_sweep_with_telemetry_fails_loudly(self, tmp_path,
+                                                     capsys):
+        """``--telemetry`` on a fluid grid has nothing to capture: the
+        run must fail, not exit 0 with no captures."""
+        spec = tmp_path / "fluid.yaml"
+        spec.write_text("name: fluid-telemetry\nscenario: leafspine_mix\n"
+                        "fixed: {backend: fluid, n_mice: 4}\n",
+                        encoding="utf-8")
+        code = runner_main(["sweep", "run", str(spec), "--telemetry",
+                            "--jobs", "1", "--no-cache"])
+        assert code != 0
+        assert "packet window" in capsys.readouterr().out
 
     def test_pure_burst_hybrid_agrees_with_packet_record_for_record(self):
         """No steady-state flows → the hybrid's burst window is the whole

@@ -6,7 +6,8 @@ fault-recovered retry is indistinguishable from a fault-free execution all
 reduce to "equal inputs ⇒ equal key, different inputs ⇒ different key".
 Hypothesis pins the three properties the engine leans on: invariance under
 params-dict insertion order, disjointness across ``seed`` / ``scale`` /
-``telemetry``, and stability of the key for a fixed unit across processes.
+``telemetry`` and across sweep grid points (dotted config paths
+included), and stability of the key for a fixed unit across processes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.engine.spec import WorkUnit
+from repro.experiments.sweep import SweepSpec, compile_units
 
 #: JSON-able parameter values (no NaN: WorkUnit params must round-trip).
 param_values = st.one_of(
@@ -32,6 +34,23 @@ param_values = st.one_of(
 
 param_dicts = st.dictionaries(st.text(min_size=1, max_size=12),
                               param_values, max_size=6)
+
+#: ``dumbbell_incast`` grid points, flat and dotted keys mixed.
+dumbbell_points = st.fixed_dictionaries({}, optional={
+    "n_flows": st.integers(1, 2_000),
+    "n_bursts": st.integers(1, 20),
+    "dumbbell.ecn_threshold_packets": st.integers(1, 1000),
+    "dumbbell.shared_buffer_bytes": st.one_of(
+        st.none(), st.integers(100_000, 4_000_000)),
+    "tcp.delayed_ack": st.booleans(),
+    "tcp.init_cwnd_segments": st.integers(1, 20),
+})
+
+
+def point_key(point: dict) -> str:
+    """Cache key of ``point`` as a one-unit ``dumbbell_incast`` sweep."""
+    spec = SweepSpec(name="p", scenario="dumbbell_incast", fixed=point)
+    return compile_units(spec, scale=0.1, seed=3)[0].cache_key()
 
 
 def unit(**overrides) -> WorkUnit:
@@ -93,6 +112,18 @@ class TestDisjointness:
         assert base.cache_key() == relabeled.cache_key()
         assert set(base.identity()) == {"fn", "params", "scale", "seed",
                                         "version"}
+
+
+class TestDottedSweepPoints:
+    @given(a=dumbbell_points, b=dumbbell_points)
+    def test_distinct_points_never_collide(self, a, b):
+        assert (point_key(a) == point_key(b)) == (a == b)
+
+    @given(point=dumbbell_points, order=st.randoms(use_true_random=False))
+    def test_key_ignores_dotted_insertion_order(self, point, order):
+        items = list(point.items())
+        order.shuffle(items)
+        assert point_key(dict(items)) == point_key(point)
 
 
 class TestCrossProcessStability:

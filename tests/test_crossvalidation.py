@@ -10,8 +10,6 @@ burst pipeline, checking that the two halves of the repository agree —
 and pinning where they do not, with the mechanism behind it.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import units
@@ -19,7 +17,8 @@ from repro.core.bursts import detect_bursts
 from repro.core.incast import is_incast
 from repro.core.metrics import summarize_trace
 from repro.experiments import fig5
-from repro.experiments.environment import IncastSimConfig, run_incast_sim
+from repro.experiments.environment import (IncastSimConfig, run_incast_sim,
+                                           scaled_incast_config)
 from repro.measurement.records import TraceMeta
 
 
@@ -28,8 +27,10 @@ def panels():
     """Each Figure 5 panel's run and its receiver's interval record."""
     out = {}
     for name, n_flows, shared in fig5.PANELS:
-        run = run_incast_sim(replace(
-            fig5.panel_config(n_flows, shared, 0.05, 0), telemetry=True))
+        run = run_incast_sim(scaled_incast_config(
+            {"n_flows": n_flows, "seed": 0, "telemetry": True,
+             "dumbbell.shared_buffer_bytes": shared,
+             "max_sim_time_ns": units.sec(60.0)}, 0.05))
         out[name] = run, run.telemetry.host_trace(
             "receiver", run.config.dumbbell.host_rate_bps,
             TraceMeta(service=f"fig5-{name}", host_id=n_flows))

@@ -9,9 +9,11 @@ from repro import units
 from repro.core.modes import DctcpMode
 from repro.experiments.environment import (CCA_FACTORIES, IncastSimConfig,
                                            production_fluid_config,
-                                           run_incast_sim)
-from repro.experiments.fig5 import panel_config, series_rows
+                                           run_incast_sim,
+                                           scaled_incast_config)
+from repro.experiments.fig5 import series_rows
 from repro.experiments.runner import main as runner_main
+from repro.tcp.config import TcpConfig
 
 
 class TestIncastSimConfig:
@@ -83,18 +85,39 @@ class TestRunIncastSim:
         assert cfg.ecn_threshold_frac == pytest.approx(0.067)
 
 
-class TestFig5Helpers:
-    def test_panel_config_scaling(self):
-        cfg = panel_config(100, None, scale=0.5, seed=1)
+class TestScaleRule:
+    def test_scaling(self):
+        cfg = scaled_incast_config({"n_flows": 100, "seed": 1}, scale=0.5)
         assert cfg.burst_duration_ns == units.msec(7.5)
         assert cfg.n_bursts == 6
         assert cfg.dumbbell.shared_buffer_bytes is None
 
-    def test_panel_config_minimums(self):
-        cfg = panel_config(100, 2_000_000, scale=0.01, seed=1)
+    def test_minimums(self):
+        cfg = scaled_incast_config(
+            {"n_flows": 100, "seed": 1,
+             "dumbbell.shared_buffer_bytes": 2_000_000}, scale=0.01)
         assert cfg.burst_duration_ns == units.msec(2.0)
         assert cfg.n_bursts == 3
         assert cfg.dumbbell.shared_buffer_bytes == 2_000_000
+
+    def test_values_set_are_used_as_set(self):
+        cfg = scaled_incast_config(
+            {"burst_duration_ns": units.msec(2.0), "n_bursts": 7}, scale=1.0)
+        assert cfg.burst_duration_ns == units.msec(2.0)
+        assert cfg.n_bursts == 7
+
+    def test_dotted_keys_set_one_nested_field(self):
+        cfg = scaled_incast_config(
+            {"n_flows": 37, "tcp.delayed_ack": True,
+             "dumbbell.ecn_threshold_packets": 20}, scale=1.0)
+        assert cfg.tcp == TcpConfig(delayed_ack=True)
+        assert cfg.dumbbell.ecn_threshold_packets == 20
+        assert cfg.dumbbell.n_senders == 37  # still derived
+        assert (cfg.burst_duration_ns, cfg.n_bursts) == (
+            IncastSimConfig().burst_duration_ns, IncastSimConfig().n_bursts)
+
+
+class TestFig5Helpers:
 
     def test_series_rows_downsamples(self):
         result = run_incast_sim(IncastSimConfig(

@@ -98,6 +98,8 @@ def test_a_complete_fluid_sweep(tmp_path):
         "--json-dir", str(tmp_path / "json")]))
     assert (tmp_path / "json" / "sweep:budget-grid.json").exists()
     assert_absent(modules, NEVER_FOR_A_SERIAL_RUN + PACKET_SUBSTRATE)
+    # The dumbbell scenario's registry entry loads only when named.
+    assert_absent(modules, ("repro.experiments.environment",))
     assert len(repro_modules(modules)) <= 45, repro_modules(modules)
 
 

@@ -10,8 +10,10 @@ validation error paths.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -39,29 +41,56 @@ SAFE_FIXED = {
 }
 
 
+#: The same for ``dumbbell_incast``, whose switch and TCP knobs are
+#: dotted paths into its nested configs.
+DUMBBELL_AXES = {
+    "n_flows": st.integers(1, 2_000),
+    "burst_duration_ns": st.integers(1_000_000, 20_000_000),
+    "dumbbell.ecn_threshold_packets": st.integers(1, 1000),
+    "dumbbell.shared_buffer_bytes": st.one_of(
+        st.none(), st.integers(100_000, 4_000_000)),
+    "tcp.sack_enabled": st.booleans(),
+}
+
+DUMBBELL_FIXED = {
+    "dctcp_g": st.sampled_from([1.0 / 64.0, 1.0 / 16.0, 1.0]),
+    "tcp.delayed_ack": st.booleans(),
+    "tcp.min_rto_ns": st.integers(1_000_000, 200_000_000),
+    "dumbbell.queue_capacity_packets": st.integers(100, 5_000),
+}
+
+
 @st.composite
-def axes_sets(draw) -> list[SweepAxis]:
+def axes_sets(draw, table=SAFE_AXES) -> list[SweepAxis]:
     """1-3 axes over distinct safe fields, each with 1-4 unique values."""
-    names = draw(st.lists(st.sampled_from(sorted(SAFE_AXES)), min_size=1,
+    names = draw(st.lists(st.sampled_from(sorted(table)), min_size=1,
                           max_size=3, unique=True))
     axes = []
     for name in names:
-        values = draw(st.lists(SAFE_AXES[name], min_size=1, max_size=4,
+        values = draw(st.lists(table[name], min_size=1, max_size=4,
                                unique=True))
         axes.append(SweepAxis(name=name, values=tuple(values)))
     return axes
 
 
 @st.composite
-def specs(draw) -> SweepSpec:
-    axes = draw(axes_sets())
+def scenario_specs(draw, scenario, axis_table, fixed_table) -> SweepSpec:
+    axes = draw(axes_sets(axis_table))
     taken = {a.name for a in axes}
     fixed_names = draw(st.lists(
-        st.sampled_from(sorted(SAFE_FIXED)), max_size=2, unique=True))
-    fixed = {name: draw(SAFE_FIXED[name]) for name in fixed_names
+        st.sampled_from(sorted(fixed_table)), max_size=2, unique=True))
+    fixed = {name: draw(fixed_table[name]) for name in fixed_names
              if name not in taken}
-    return SweepSpec(name="prop", scenario="leafspine_mix",
+    return SweepSpec(name="prop", scenario=scenario,
                      axes=tuple(axes), fixed=fixed)
+
+
+def specs():
+    """Flat ``leafspine_mix`` specs and dotted-path ``dumbbell_incast``
+    specs: every property below holds for both."""
+    return st.one_of(
+        scenario_specs("leafspine_mix", SAFE_AXES, SAFE_FIXED),
+        scenario_specs("dumbbell_incast", DUMBBELL_AXES, DUMBBELL_FIXED))
 
 
 class TestGridIdentity:
@@ -171,6 +200,33 @@ class TestValidation:
             SweepSpec(name="x", scenario="leafspine_mix",
                       axes=(SweepAxis("bogus_field", (1,)),))
 
+    @pytest.mark.parametrize("key", [
+        "dumbbell",            # a nested config is not a value
+        "tcp",
+        "dumbbell.n_senders",  # derived from n_flows
+        "dumbbell.nope",
+        "n_flows.x",           # a path into a scalar field
+        "telemetry",           # engine-owned
+    ])
+    def test_dumbbell_keys_rejected(self, key):
+        with pytest.raises(ValueError, match="not a sweepable field"):
+            SweepSpec(name="x", scenario="dumbbell_incast",
+                      fixed={key: 1})
+        with pytest.raises(ValueError, match="not a sweepable field"):
+            SweepSpec(name="x", scenario="dumbbell_incast",
+                      axes=(SweepAxis(key, (1, 2)),))
+
+    def test_dotted_keys_serialise_like_flat_ones(self):
+        spec = SweepSpec(name="x", scenario="dumbbell_incast",
+                         axes=(SweepAxis("tcp.delayed_ack", (False, True)),),
+                         fixed={"n_flows": 100,
+                                "dumbbell.ecn_threshold_packets": 20})
+        units = compile_units(spec)
+        assert [u.unit_id for u in units] == ["tcp.delayed_ack=false",
+                                              "tcp.delayed_ack=true"]
+        assert list(units[0].params["overrides"]) == [
+            "dumbbell.ecn_threshold_packets", "n_flows", "tcp.delayed_ack"]
+
     def test_reserved_telemetry_field_rejected(self):
         with pytest.raises(ValueError, match="not a sweepable field"):
             SweepSpec(name="x", scenario="leafspine_mix",
@@ -220,3 +276,24 @@ class TestValidation:
             parse_sweep_mapping({"name": "x",
                                  "scenario": "leafspine_mix",
                                  "axes": {"n_mice": 4}})
+
+
+#: sha256 of ``plan_document(spec, 1.0, 0)`` for the shipped leaf-spine
+#: specs, recorded before the scenario registry took dotted paths and
+#: the dumbbell scenario: their unit ids and cache keys must not move.
+PLAN_PINS = {
+    "bench/specs/engine_grid.yaml":
+        "a3ae851079ccd481b4a06b9261d5661f87224dd9d178d5f02817b5b2351e29be",
+    "examples/sweeps/ecn_k.yaml":
+        "560b49749a9c1553148580d4018a7a888304012b0529f6cf11dc27d726b3e3c0",
+    "examples/sweeps/cross_rack_incast.yaml":
+        "e97a8cd83fc2c12b9cc10b07a480d3cf180c1b300aa23a8386e511101eab304a",
+}
+
+
+@pytest.mark.parametrize("path", sorted(PLAN_PINS))
+def test_leafspine_plans_are_pinned(path):
+    spec = load_sweep_file(Path(__file__).resolve().parents[1] / path)
+    digest = hashlib.sha256(
+        plan_document(spec, 1.0, 0).encode("utf-8")).hexdigest()
+    assert digest == PLAN_PINS[path]

@@ -54,16 +54,32 @@ class TestPlanShape:
         assert len({u.cache_key() for u in work}) == len(work)
 
     def test_baseline_units_are_scheme_blind(self):
-        """A dctcp unit's params carry no ``scheme`` key, so its cache
-        key equals a pre-zoo-shaped unit's — the axis is invisible until
-        exercised."""
+        """A dctcp unit's overrides carry no ``scheme`` key, so its cache
+        key equals a sweep point's that never named the axis — the axis
+        is invisible until exercised."""
         work = grid_units(VerdictGrid(schemes=("dctcp", "fec")),
                           scale=1.0, seed=0)
+        assert all(u.fn == "repro.experiments.sweep:run_unit"
+                   for u in work)
         baseline = [u for u in work if u.unit_id.startswith("dctcp/")]
-        assert baseline and all("scheme" not in u.params
+        assert baseline and all("scheme" not in u.params["overrides"]
                                 for u in baseline)
         others = [u for u in work if not u.unit_id.startswith("dctcp/")]
-        assert others and all(u.params["scheme"] == "fec" for u in others)
+        assert others and all(u.params["overrides"]["scheme"] == "fec"
+                              for u in others)
+
+    def test_units_are_sweep_points(self):
+        """A verdict incast unit and a ``dumbbell_incast`` sweep point
+        over the same overrides are one computation: one cache key."""
+        from repro.experiments.sweep import SweepSpec, compile_units
+        unit, = grid_units(VerdictGrid(schemes=("dctcp",), flow_counts=(40,),
+                                       burst_ms=(2.0,), mix=False),
+                           scale=0.05, seed=3)
+        point, = compile_units(SweepSpec(
+            name="v", scenario="dumbbell_incast",
+            fixed=unit.params["overrides"]), scale=0.05, seed=3)
+        assert unit.unit_id == "dctcp/flows:40/burst:2ms"
+        assert point.cache_key() == unit.cache_key()
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"schemes": ("dctcp", "bogus")}, "unknown scheme"),
