@@ -101,8 +101,13 @@ class EmpiricalCdf:
         }
 
     def mean(self) -> float:
-        """Sample mean. Zero for an empty sample set."""
-        return float(self._sorted.mean()) if len(self._sorted) else 0.0
+        """Sample mean. Zero for an empty sample set.
+
+        ``np.mean``'s own arithmetic (one pairwise ``np.add.reduce``, then
+        one division by ``n``) without its Python-level wrapper, so the
+        result is bit-identical to ``float(np.mean(values))``."""
+        n = len(self._sorted)
+        return float(np.add.reduce(self._sorted)) / n if n else 0.0
 
     def fraction_at_or_below(self, x: float) -> float:
         """Alias of :meth:`evaluate`, reading like the figure captions

@@ -3,8 +3,13 @@
 Layout: ``<root>/v<repro.__version__>/<key[:2]>/<key>.pkl`` where ``key`` is
 :meth:`WorkUnit.cache_key` (which itself folds the version in, so entries
 from different releases can never collide even if the directory fan-out is
-bypassed). Writes are atomic (temp file + rename) so concurrent experiment
-runs sharing a cache directory cannot observe torn entries.
+bypassed). Writes are atomic: a writer fills a *spill file*
+``<root>/v<repro.__version__>/.spill/.<key>.pkl.<writer>.tmp`` and renames
+it onto the entry, so concurrent experiment runs sharing a cache directory
+cannot observe torn entries. The spill directory sits next to the shards on
+the same filesystem (the rename stays atomic), and a writer killed
+mid-write leaves its garbage there and nowhere else, so the startup sweep
+lists one small directory however many entries the cache holds.
 
 The cache is also the engine's *durable payload store* for crash-safe
 campaigns (``--resume`` replays the journal and loads completed payloads
@@ -36,8 +41,6 @@ from typing import Any, Callable, Iterable, Optional, Union
 
 import repro
 
-_SENTINEL = object()
-
 #: Entry format marker; the 40-byte footer is ``magic + sha256(payload)``.
 _FOOTER_MAGIC = b"RPRCSUM1"
 _FOOTER_LEN = len(_FOOTER_MAGIC) + 32
@@ -48,6 +51,11 @@ _FOOTER_LEN = len(_FOOTER_MAGIC) + 32
 #: write for a dead local process's garbage.
 _WORKER_TOKEN_PREFIX = "w-"
 _WORKER_TOKEN_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*\Z")
+
+#: Per-version directory every spill file is written to.
+_SPILL_DIR = ".spill"
+
+_READ_CHUNK = 1 << 16
 
 
 class CorruptPayloadError(ValueError):
@@ -99,6 +107,26 @@ def unseal_payload(blob: bytes) -> Any:
     except Exception as exc:
         raise CorruptPayloadError(
             f"checksum-valid payload failed to unpickle: {exc}") from exc
+
+
+def _read_file(path: str) -> Optional[bytes]:
+    """The bytes at ``path``, or ``None`` when it cannot be read.
+
+    Reads the descriptor to end of file with bare ``os.read`` calls: a
+    file object costs more than the read of a typical entry."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
 
 
 def _writer_token(tmp_name: str) -> Optional[str]:
@@ -153,6 +181,12 @@ class ResultCache:
     Degradation counters (``put_errors``, ``corrupt_dropped``,
     ``evictions``, ``quota_skips``) accumulate per instance; the engine
     snapshots them around a run to report per-campaign deltas.
+
+    Entries live at :meth:`path_for`; writes go through the version's
+    :attr:`spill_dir` (``v<version>/.spill/``), the only place a killed
+    writer can leave a temp file and the only directory
+    :meth:`sweep_stale` lists. Shard and spill directories are made the
+    first time a write finds them missing, not checked on every write.
 
     Args:
         directory: Cache root; default :func:`default_cache_dir`.
@@ -220,9 +254,23 @@ class ResultCache:
         """Subdirectory holding entries for the current repro version."""
         return self.directory / f"v{repro.__version__}"
 
+    @property
+    def spill_dir(self) -> Path:
+        """Where this version's writers stage their spill files."""
+        return self.version_dir / _SPILL_DIR
+
     def path_for(self, key: str) -> Path:
         """Where ``key``'s payload lives (whether or not it exists yet)."""
-        return self.version_dir / key[:2] / f"{key}.pkl"
+        return Path(self._entry(key))
+
+    def _version_root(self) -> str:
+        """:attr:`version_dir` as a string, read per call: tests switch
+        ``repro.__version__`` under a live instance."""
+        return f"{self.directory}{os.sep}v{repro.__version__}"
+
+    def _entry(self, key: str) -> str:
+        """:meth:`path_for` as a string, without building a ``Path``."""
+        return f"{self._version_root()}{os.sep}{key[:2]}{os.sep}{key}.pkl"
 
     def degradation_snapshot(self) -> tuple[int, int, int, int]:
         """Current counter values, for per-campaign delta reporting."""
@@ -246,12 +294,12 @@ class ResultCache:
             section["first_put_error"] = self.first_put_error
         return section
 
-    def _drop_corrupt(self, path: Path) -> None:
+    def _drop_corrupt(self, path: str) -> None:
         """Delete a failed entry and count it (missing file is fine —
         a concurrent reader may have dropped it first)."""
         self.corrupt_dropped += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
@@ -274,14 +322,8 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        path = self.path_for(key)
-        blob: Optional[bytes]
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            blob = None
-        except OSError:
-            blob = None
+        path = self._entry(key)
+        blob = _read_file(path)
         if blob is not None:
             try:
                 payload = unseal_payload(blob)
@@ -365,10 +407,9 @@ class ResultCache:
         payload types. Does not consult the remote tier."""
         if not self.enabled:
             return None
-        path = self.path_for(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
+        path = self._entry(key)
+        blob = _read_file(path)
+        if blob is None:
             return None
         try:
             verify_sealed(blob)
@@ -392,25 +433,36 @@ class ResultCache:
         """
         if not self.enabled:
             return False
-        path = self.path_for(key)
+        path = self._entry(key)
         writer = (f"{_WORKER_TOKEN_PREFIX}{self.worker_token}"
-                  if self.worker_token is not None else str(os.getpid()))
-        tmp = path.with_name(f".{path.name}.{writer}.tmp")
+                  if self.worker_token is not None else os.getpid())
+        tmp = (f"{self._version_root()}{os.sep}{_SPILL_DIR}{os.sep}"
+               f".{key}.pkl.{writer}.tmp")
         try:
             if not self._evict_for(len(blob)):
                 return False
-            path.parent.mkdir(parents=True, exist_ok=True)
             try:
-                with open(tmp, "wb") as handle:
+                # A missing directory shows as FileNotFoundError from the
+                # call that needs it: make it then, once per directory.
+                try:
+                    handle = open(tmp, "wb")
+                except FileNotFoundError:
+                    os.makedirs(os.path.dirname(tmp), exist_ok=True)
+                    handle = open(tmp, "wb")
+                with handle:
                     handle.write(blob)
-                os.replace(tmp, path)
+                try:
+                    os.replace(tmp, path)
+                except FileNotFoundError:
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    os.replace(tmp, path)
             except BaseException:
                 # The temp name is still ours only when the replace did
                 # not happen. Single unlink, racing cleanly with a
                 # concurrent sweep_stale() from another run: the file
                 # being gone already is success, not an error.
                 try:
-                    tmp.unlink()
+                    os.unlink(tmp)
                 except OSError:
                     pass
                 raise
@@ -469,7 +521,8 @@ class ResultCache:
 
     def sweep_stale(self, pids: Optional[Iterable[int]] = None,
                     tokens: Optional[Iterable[str]] = None) -> int:
-        """Remove leftover ``.<key>.pkl.<writer>.tmp`` spill files.
+        """Remove leftover ``.<key>.pkl.<writer>.tmp`` spill files from
+        :attr:`spill_dir`.
 
         A worker killed mid-:meth:`put` (before ``os.replace``) leaks its
         temp file; nothing ever reads those, so any that exist are garbage.
@@ -491,26 +544,36 @@ class ResultCache:
         - Names that follow neither convention are garbage and swept
           unconditionally.
 
+        Only :attr:`spill_dir` is listed, so the sweep costs the same on
+        an empty cache and on one with many thousands of entries.
+
         Returns the number of files removed; no-op when disabled or the
-        cache directory does not exist yet.
+        spill directory does not exist yet.
         """
-        if not self.enabled or not self.directory.exists():
+        if not self.enabled:
+            return 0
+        spill = os.fspath(self.spill_dir)
+        try:
+            names = sorted(os.listdir(spill))
+        except OSError:
             return 0
         known_dead = frozenset(pids or ())
         dead_tokens = frozenset(tokens or ())
         removed = 0
-        for entry in sorted(self.directory.rglob(".*.tmp")):
-            token = _writer_token(entry.name)
+        for name in names:
+            if not (name.startswith(".") and name.endswith(".tmp")):
+                continue
+            token = _writer_token(name)
             if token is not None and token.startswith(_WORKER_TOKEN_PREFIX):
                 if token[len(_WORKER_TOKEN_PREFIX):] not in dead_tokens:
                     continue  # remote worker: presumed alive unless named
             else:
-                pid = _writer_pid(entry.name)
+                pid = _writer_pid(name)
                 if (pid is not None and pid not in known_dead
                         and _pid_alive(pid)):
                     continue
             try:
-                entry.unlink()
+                os.unlink(f"{spill}{os.sep}{name}")
                 removed += 1
             except OSError:
                 pass

@@ -1219,7 +1219,7 @@ def run_experiments(
                          "serial backend: a hung unit cannot be "
                          "interrupted in-process")
     cache = cache if cache is not None else ResultCache(enabled=False)
-    cache.sweep_stale()
+    cache.sweep_stale()  # lists the spill directory, never the entries
     tele_params = None
     if telemetry:
         tele_params = {"interval_ns": int(telemetry_interval_ns

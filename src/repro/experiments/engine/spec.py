@@ -17,6 +17,10 @@ from typing import Any, Callable
 
 import repro
 
+#: The canonical JSON a cache key hashes: ``json.dumps(x, sort_keys=True,
+#: separators=(",", ":"))`` without building an encoder per call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class WorkUnit:
@@ -83,8 +87,7 @@ class WorkUnit:
         ``hash()`` randomization), and a version bump invalidates every
         prior entry.
         """
-        token = json.dumps(self.identity(), sort_keys=True,
-                           separators=(",", ":"))
+        token = _CANONICAL_JSON.encode(self.identity())
         return hashlib.sha256(token.encode("utf-8")).hexdigest()
 
     @property

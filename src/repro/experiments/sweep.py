@@ -77,6 +77,9 @@ SCALED_BYTE_FIELDS = ("flow_bytes", "elephant_bytes", "mouse_bytes",
 mice/elephant classification threshold scales with the demands — a scaled-
 down elephant must still classify as an elephant."""
 
+_VALUE_JSON = json.JSONEncoder(sort_keys=True)
+"""``json.dumps(v, sort_keys=True)`` for point ids, built once."""
+
 MIN_SCALED_BYTES = 2_000
 """Scaling never shrinks a flow below this demand (>1 MSS, so every flow
 still exercises the transport rather than degenerating to one segment)."""
@@ -115,7 +118,7 @@ class SweepAxis:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError(f"axis {self.name!r} has no values")
-        seen = [json.dumps(v, sort_keys=True) for v in self.values]
+        seen = [_VALUE_JSON.encode(v) for v in self.values]
         if len(set(seen)) != len(seen):
             raise ValueError(f"axis {self.name!r} repeats a value; each "
                              f"grid point must be distinct")
@@ -185,7 +188,7 @@ class SweepSpec:
         values), e.g. ``"ecn_threshold_packets=8,n_mice=16"``."""
         if not point:
             return "point:base"
-        return ",".join(f"{k}={json.dumps(point[k], sort_keys=True)}"
+        return ",".join(f"{k}={_VALUE_JSON.encode(point[k])}"
                         for k in sorted(point))
 
 

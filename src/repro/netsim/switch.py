@@ -448,13 +448,13 @@ class Switch:
 
     def add_route(self, dst: int, port: EgressPort) -> None:
         """Forward packets destined to host address ``dst`` via ``port``."""
-        if port not in self._ports:
+        if port._switch is not self:
             raise ValueError(f"{self.name}: route to unattached port")
         self._routes[dst] = port
 
     def set_default_route(self, port: EgressPort) -> None:
         """Port used for any destination without an explicit route."""
-        if port not in self._ports:
+        if port._switch is not self:
             raise ValueError(f"{self.name}: default route to unattached port")
         self._default_port = port
 

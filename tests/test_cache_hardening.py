@@ -194,15 +194,16 @@ class TestSpillFileCleanup:
 
     @pytest.fixture
     def unlinks(self, monkeypatch) -> list:
-        """Every ``Path.unlink`` call, recorded and passed through."""
+        """Every ``os.unlink`` call (``Path.unlink`` goes through it too),
+        recorded by file name and passed through."""
         calls: list = []
-        real_unlink = Path.unlink
+        real_unlink = os.unlink
 
-        def counting_unlink(self, *args, **kwargs):
-            calls.append(self.name)
-            return real_unlink(self, *args, **kwargs)
+        def counting_unlink(path, *args, **kwargs):
+            calls.append(os.path.basename(os.fspath(path)))
+            return real_unlink(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "unlink", counting_unlink)
+        monkeypatch.setattr(os, "unlink", counting_unlink)
         return calls
 
     def test_a_stored_unit_costs_no_unlink(self, tmp_path: Path, unlinks):
@@ -316,7 +317,7 @@ class TestWorkerTokenSpills:
         PIDs may touch a remote worker's file — its liveness is simply
         unknowable from here."""
         cache = make_cache(tmp_path)
-        spill = cache.version_dir / f".{KEY}.pkl.w-nodeB-3.tmp"
+        spill = cache.spill_dir / f".{KEY}.pkl.w-nodeB-3.tmp"
         spill.parent.mkdir(parents=True, exist_ok=True)
         spill.write_bytes(b"partial")
         assert cache.sweep_stale() == 0
@@ -325,8 +326,8 @@ class TestWorkerTokenSpills:
 
     def test_named_dead_token_is_swept(self, tmp_path):
         cache = make_cache(tmp_path)
-        dead = cache.version_dir / f".{KEY}.pkl.w-spawn0-42.tmp"
-        live = cache.version_dir / f".{KEY}.pkl.w-spawn1-42.tmp"
+        dead = cache.spill_dir / f".{KEY}.pkl.w-spawn0-42.tmp"
+        live = cache.spill_dir / f".{KEY}.pkl.w-spawn1-42.tmp"
         dead.parent.mkdir(parents=True, exist_ok=True)
         dead.write_bytes(b"partial")
         live.write_bytes(b"partial")
@@ -337,15 +338,17 @@ class TestWorkerTokenSpills:
         """Adding the token convention must not weaken the old rules:
         dead-PID spills and nonconforming names still go."""
         cache = make_cache(tmp_path)
-        base = cache.version_dir
+        base = cache.spill_dir
         base.mkdir(parents=True, exist_ok=True)
         dead_pid = base / f".{KEY}.pkl.999999999.tmp"
         garbage = base / ".what-even-is-this.tmp"
         mine = base / f".{KEY}.pkl.{os.getpid()}.tmp"
-        for f in (dead_pid, garbage, mine):
+        remote = base / f".{KEY}.pkl.w-nodeC-1.tmp"
+        for f in (dead_pid, garbage, mine, remote):
             f.write_bytes(b"partial")
         assert cache.sweep_stale() == 2
         assert mine.exists()  # this process is demonstrably alive
+        assert remote.exists()  # a token nobody named dead
 
     def test_worker_token_is_validated(self, tmp_path):
         for bad in ("has.dots", "a/b", "", "-leading", "sp ace"):
@@ -357,7 +360,7 @@ class TestWorkerTokenSpills:
         """Naming some tokens dead says nothing about the others: a
         spill whose token is not on the list must be left untouched."""
         cache = make_cache(tmp_path)
-        unknown = cache.version_dir / f".{KEY}.pkl.w-mystery-9.tmp"
+        unknown = cache.spill_dir / f".{KEY}.pkl.w-mystery-9.tmp"
         unknown.parent.mkdir(parents=True, exist_ok=True)
         unknown.write_bytes(b"partial")
         assert cache.sweep_stale(tokens=["someone-else"]) == 0
@@ -436,3 +439,81 @@ class TestGetUtimeHardening:
         monkeypatch.setattr(os, "utime", broken_utime)
         assert cache.get(KEY) == {"v": 2}
         assert cache.get_blob(KEY) is not None
+
+
+class TestSpillDirectory:
+    """Writers stage in ``v<version>/.spill/`` and nowhere else, so the
+    startup sweep lists that one directory whatever the cache holds."""
+
+    def test_put_stages_in_the_spill_dir_and_renames_onto_the_entry(
+            self, tmp_path, monkeypatch):
+        cache = make_cache(tmp_path)
+        moves = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            moves.append((Path(src), Path(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        assert cache.put(KEY, {"x": 1}) is True
+        # Two tries on a fresh cache: the first finds no shard directory.
+        [(src, dst)] = set(moves)
+        assert src.parent == cache.spill_dir
+        assert src.name == f".{KEY}.pkl.{os.getpid()}.tmp"
+        assert dst == cache.path_for(KEY)
+        assert os.listdir(cache.spill_dir) == []
+
+    def test_sweep_never_lists_the_entries(self, tmp_path, monkeypatch):
+        """On a 2,000-entry cache the sweep lists the spill directory
+        and no shard directory: an ``rglob`` over the cache lists all of
+        them, and startup would grow with the cache."""
+        cache = make_cache(tmp_path)
+        blob = cache_module.seal_payload({"x": 1})
+        for i in range(2_000):
+            assert cache.put_blob(f"{i:064x}"[::-1], blob)
+        assert len(list(cache.version_dir.glob("*/*.pkl"))) == 2_000
+        spill = cache.spill_dir / f".{KEY}.pkl.999999999.tmp"
+        spill.write_bytes(b"partial")
+        listed = []
+        real_listdir, real_scandir = os.listdir, os.scandir
+
+        def listdir(path="."):
+            listed.append(Path(path))
+            return real_listdir(path)
+
+        def scandir(path="."):
+            listed.append(Path(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        monkeypatch.setattr(os, "scandir", scandir)
+        assert cache.sweep_stale() == 1
+        assert listed == [cache.spill_dir]
+        assert not spill.exists()
+
+    def test_a_sealed_entry_placed_by_hand_is_a_hit(self, tmp_path):
+        """Entries are files at ``path_for(key)`` in the sealed format
+        and nothing more: no index, no in-memory state, so a cache
+        filled by another build (or copied in) is served as is."""
+        payload = {"rows": [[1, "x", 2.5]]}
+        blob = cache_module.seal_payload(payload)
+        cache = make_cache(tmp_path)
+        path = cache.path_for(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.get(KEY) == payload
+        assert make_cache(tmp_path).get_blob(KEY) == blob
+
+    def test_directories_removed_under_a_live_cache_are_made_again(
+            self, tmp_path):
+        """Shard and spill directories are made when a write finds them
+        missing, so deleting the whole tree between two writes of one
+        instance costs nothing but the remake."""
+        import shutil
+        cache = make_cache(tmp_path)
+        assert cache.put(KEY, {"x": 1})
+        shutil.rmtree(cache.directory)
+        assert cache.put(KEY, {"x": 2})
+        assert cache.get(KEY) == {"x": 2}
+        assert cache.put_errors == 0

@@ -12,6 +12,8 @@ included), and stability of the key for a fixed unit across processes.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,19 @@ param_values = st.one_of(
 
 param_dicts = st.dictionaries(st.text(min_size=1, max_size=12),
                               param_values, max_size=6)
+
+#: Keys as specs write them: free text and dotted config paths.
+param_keys = st.one_of(
+    st.text(min_size=1, max_size=12),
+    st.from_regex(r"[a-z_]{1,8}\.[a-z_]{1,8}", fullmatch=True))
+
+#: Params with nested dicts and lists, keys plain or dotted.
+nested_param_dicts = st.dictionaries(
+    param_keys,
+    st.recursive(param_values, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(param_keys, inner, max_size=4)), max_leaves=10),
+    max_size=6)
 
 #: ``dumbbell_incast`` grid points, flat and dotted keys mixed.
 dumbbell_points = st.fixed_dictionaries({}, optional={
@@ -75,6 +90,28 @@ class TestInsertionOrderInvariance:
     def test_key_is_deterministic_within_a_process(self, params):
         assert unit(params=params).cache_key() \
             == unit(params=params).cache_key()
+
+
+class TestCanonicalEncoding:
+    @given(params=nested_param_dicts)
+    def test_key_is_sha256_of_the_canonical_json_dump(self, params):
+        """The module-level encoder is the same canonical JSON a fresh
+        ``json.dumps`` call would write, byte for byte, so keys (and the
+        cache entries filed under them) carry over unchanged."""
+        probe = unit(params=params)
+        token = json.dumps(probe.identity(), sort_keys=True,
+                           separators=(",", ":"))
+        assert probe.cache_key() \
+            == hashlib.sha256(token.encode("utf-8")).hexdigest()
+
+    @given(params=nested_param_dicts)
+    def test_key_follows_a_mutated_params_dict(self, params):
+        """``params`` is a mutable dict, so no key may be remembered on
+        the instance: a mutation shows in the next key."""
+        probe = unit(params=dict(params))
+        before = probe.cache_key()
+        probe.params["__mutated__"] = True
+        assert probe.cache_key() != before
 
 
 class TestDisjointness:

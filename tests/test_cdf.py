@@ -155,6 +155,33 @@ class TestPercentiles:
         assert EmpiricalCdf([1, 2, 3]).mean() == 2.0
 
 
+def same_float(a: float, b: float) -> bool:
+    """Bit-identity, NaN included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestMeanIsNumpysMean:
+    """``mean`` is ``np.mean``'s arithmetic without its wrapper: the
+    same pairwise ``np.add.reduce`` and the same division, so every
+    export keeps its bytes."""
+
+    def test_every_n_up_to_1000(self):
+        """n < 8 sums left to right; from n = 8 numpy sums pairwise in
+        unrolled blocks, where the order of the additions changes."""
+        rng = np.random.default_rng(0)
+        for n in range(1, 1001):
+            cdf = EmpiricalCdf(rng.lognormal(sigma=3.0, size=n))
+            assert type(cdf.mean()) is float
+            assert same_float(cdf.mean(), float(np.mean(cdf.values)))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=300))
+    def test_any_float_sample(self, samples):
+        cdf = EmpiricalCdf(samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.mean(cdf.values))
+            assert same_float(cdf.mean(), expected)
+
+
 class TestCurve:
     def test_small_sample_full_resolution(self):
         x, y = EmpiricalCdf([3, 1, 2]).curve()

@@ -127,9 +127,8 @@ class TestResultCache:
                          pid: int = 999_999_999) -> Path:
         # The spill-file name put() would use, from a writer PID that is
         # guaranteed dead (beyond any real pid_max).
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{pid}.tmp")
+        cache.spill_dir.mkdir(parents=True, exist_ok=True)
+        tmp = cache.spill_dir / f".{key}.pkl.{pid}.tmp"
         tmp.write_bytes(b"interrupted write")
         return tmp
 

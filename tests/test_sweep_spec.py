@@ -148,6 +148,39 @@ class TestGridIdentity:
             assert varied.isdisjoint(base)
 
 
+def old_point_id(point: dict) -> str:
+    """The point id as one ``json.dumps`` per value wrote it."""
+    if not point:
+        return "point:base"
+    return ",".join(f"{k}={json.dumps(point[k], sort_keys=True)}"
+                    for k in sorted(point))
+
+
+#: JSON values a point may carry, nested dicts with unsorted keys too.
+point_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+class TestPointIds:
+    @settings(deadline=None, max_examples=50)
+    @given(specs())
+    def test_compiled_ids_are_the_per_value_json_join(self, spec):
+        units = compile_units(spec, scale=0.25, seed=7)
+        assert [u.unit_id for u in units] \
+            == [old_point_id(p) for p in spec.grid_points()]
+
+    @given(st.dictionaries(st.text(min_size=1, max_size=12), point_values,
+                           max_size=5))
+    def test_point_id_matches_for_any_json_point(self, point):
+        spec = SweepSpec(name="ids", scenario="leafspine_mix")
+        assert spec.point_id(point) == old_point_id(point)
+
+
 class TestYamlRoundTrip:
     @settings(deadline=None, max_examples=30)
     @given(specs())

@@ -62,6 +62,23 @@ class TestForwarding:
             sw_b.set_default_route(port)
 
 
+    def test_foreign_port_error_names_the_switch(self, sim):
+        """Ownership is the port's ``_switch`` back-reference (one
+        comparison, not a scan of the port list): another switch's port
+        still raises, with the message naming the refusing switch."""
+        sw_a = Switch(sim, "torA")
+        sw_b = Switch(sim, "torB")
+        port, _ = attach(sim, sw_a)
+        with pytest.raises(ValueError,
+                           match=r"^torB: route to unattached port$"):
+            sw_b.add_route(1, port)
+        with pytest.raises(ValueError,
+                           match=r"^torB: default route to unattached port$"):
+            sw_b.set_default_route(port)
+        sw_a.add_route(1, port)
+        sw_a.set_default_route(port)
+
+
 class TestPortPumping:
     def test_drains_queue_work_conserving(self, sim):
         sw = Switch(sim)
