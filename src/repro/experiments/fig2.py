@@ -18,20 +18,10 @@ from repro.core.incast import INCAST_FLOW_THRESHOLD
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import (CampaignConfig, FleetCampaign,
-                                          run_campaign)
+from repro.measurement.collection import (FleetCampaign,
+                                          daily_campaign_config, run_campaign)
 
 PERCENTILES = [10.0, 25.0, 50.0, 75.0, 90.0, 99.0]
-
-
-def daily_campaign_config(scale: float, seed: int) -> CampaignConfig:
-    """The paper's daily campaign shape (20 hosts x 9 snapshots at
-    scale=1), shared verbatim by fig4 so both decompose into the same
-    work units."""
-    hosts = max(2, int(round(20 * scale)))
-    snapshots = max(1, int(round(9 * scale)))
-    return CampaignConfig(hosts_per_service=hosts, n_snapshots=snapshots,
-                          seed=seed)
 
 
 def campaign_for_scale(scale: float, seed: int) -> FleetCampaign:
@@ -41,14 +31,15 @@ def campaign_for_scale(scale: float, seed: int) -> FleetCampaign:
 
 
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per service of the daily campaign."""
+    """The daily campaign's tiles per service: the sampling campaign's
+    tile plus what the daily box adds to it."""
     return fleet.campaign_units(
         "fig2", daily_campaign_config(scale, seed), scale, seed)
 
 
 def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
           seed: int) -> ExperimentResult:
-    """Reassemble the campaign from service slices and analyze."""
+    """Reassemble the campaign from its tiles and analyze."""
     campaign = fleet.assemble_campaign(
         daily_campaign_config(scale, seed), units, payloads)
     return run(scale=scale, seed=seed, campaign=campaign)

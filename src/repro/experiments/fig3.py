@@ -19,30 +19,22 @@ from repro.core.stability import (cross_host_stability, regime_separation,
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import (CampaignConfig, FleetCampaign,
-                                          run_campaign)
+from repro.measurement.collection import (FleetCampaign, run_campaign,
+                                          stability_campaign_config)
 
 HOST_DETAIL_SERVICE = "aggregator"
 
 
-def stability_campaign_config(scale: float, seed: int) -> CampaignConfig:
-    """The 18-hour stability campaign shape (20 hosts, 108 snapshots at
-    scale=1)."""
-    hosts = max(3, int(round(20 * scale)))
-    snapshots = max(4, int(round(108 * scale)))
-    return CampaignConfig.stability(
-        hosts_per_service=hosts, n_snapshots=snapshots, seed=seed)
-
-
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per service of the stability campaign."""
+    """The stability campaign's tiles per service: the daily campaign's
+    tiles plus what the stability box adds to them."""
     return fleet.campaign_units(
         "fig3", stability_campaign_config(scale, seed), scale, seed)
 
 
 def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
           seed: int) -> ExperimentResult:
-    """Reassemble the campaign from service slices and analyze."""
+    """Reassemble the campaign from its tiles and analyze."""
     campaign = fleet.assemble_campaign(
         stability_campaign_config(scale, seed), units, payloads)
     return run(scale=scale, seed=seed, campaign=campaign)

@@ -18,9 +18,9 @@ from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table, render_cdf_table
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.fig2 import campaign_for_scale, daily_campaign_config
+from repro.experiments.fig2 import campaign_for_scale
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import FleetCampaign
+from repro.measurement.collection import FleetCampaign, daily_campaign_config
 
 QUEUE_PERCENTILES = [10.0, 25.0, 50.0, 75.0, 90.0]
 MARK_PERCENTILES = [50.0, 75.0, 90.0, 95.0, 99.0]
@@ -28,10 +28,11 @@ RETX_PERCENTILES = [95.0, 99.0, 99.9, 100.0]
 
 
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per service of the daily campaign.
+    """The daily campaign's tiles per service.
 
-    Parameters match fig2's units exactly, so when both figures run in one
-    engine invocation the campaign is generated once and shared.
+    They are fig2's units exactly, and their first tile per service is
+    table1's (fig3's tiles extend the same cut), so when these figures run
+    in one engine invocation each capture is generated once and shared.
     """
     return fleet.campaign_units(
         "fig4", daily_campaign_config(scale, seed), scale, seed)
@@ -39,7 +40,7 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
           seed: int) -> ExperimentResult:
-    """Reassemble the campaign from service slices and analyze."""
+    """Reassemble the campaign from its tiles and analyze."""
     campaign = fleet.assemble_campaign(
         daily_campaign_config(scale, seed), units, payloads)
     return run(scale=scale, seed=seed, campaign=campaign)

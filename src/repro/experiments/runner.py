@@ -56,6 +56,7 @@ fsyncs, and ``--cache-quota`` bounds the result cache with LRU eviction.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -99,11 +100,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def scale_arg(text: str) -> float:
+    """``--scale`` value type: a finite positive float.
+
+    Rejected at parse time (argparse names the flag): NaN and ±inf would
+    fail every unit after its retries, and zero or a negative scale
+    would silently run each experiment's floor shapes.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number, got {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Install the engine-execution flags shared by the main experiment
     runner and the ``sweep run`` / ``verdict`` subcommands, so every
     surface accepts the identical cache/journal/fan-out vocabulary."""
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=scale_arg, default=None,
                         help="workload scale factor (default 1.0 = paper "
                              "scale; a --resume run defaults to the "
                              "journal's recorded scale)")
@@ -450,7 +469,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     plan = commands.add_parser(
         "plan", help="print the compiled unit plan without running")
     plan.add_argument("spec", help="YAML sweep spec file")
-    plan.add_argument("--scale", type=float, default=1.0,
+    plan.add_argument("--scale", type=scale_arg, default=1.0,
                       help="workload scale factor (default 1.0)")
     plan.add_argument("--seed", type=int, default=0,
                       help="root random seed (default 0)")

@@ -14,28 +14,21 @@ from repro.analysis.tables import format_table
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import (CampaignConfig, FleetCampaign,
-                                          run_campaign)
+from repro.measurement.collection import (FleetCampaign, run_campaign,
+                                          sampling_campaign_config)
 from repro.workloads.services import SERVICE_PROFILES
 
 
-def sampling_campaign_config(scale: float, seed: int) -> CampaignConfig:
-    """The small sampling campaign behind the measured columns."""
-    hosts = max(2, int(round(8 * scale)))
-    snapshots = max(1, int(round(3 * scale)))
-    return CampaignConfig(hosts_per_service=hosts, n_snapshots=snapshots,
-                          seed=seed)
-
-
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per service of the sampling campaign."""
+    """The sampling campaign's tiles: one per service at every scale,
+    since its box is the smallest of the nested campaign shapes."""
     return fleet.campaign_units(
         "table1", sampling_campaign_config(scale, seed), scale, seed)
 
 
 def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
           seed: int) -> ExperimentResult:
-    """Reassemble the campaign from service slices and tabulate."""
+    """Reassemble the campaign from its tiles and tabulate."""
     campaign = fleet.assemble_campaign(
         sampling_campaign_config(scale, seed), units, payloads)
     return run(scale=scale, seed=seed, campaign=campaign)

@@ -7,7 +7,20 @@ The paper collects two campaigns:
 - the *18-hour* campaign: 2-second traces every 10 minutes for 18 hours
   (Figure 3a's temporal-stability series — 108 snapshots).
 
-:func:`run_campaign` generates either shape from the synthetic fleet and
+The experiments run three shapes at a workload scale, each the box of
+hosts x snapshots its scale rule gives: Table 1's small *sampling*
+campaign, the daily campaign (Figures 2 and 4) and the stability campaign
+(Figure 3). :data:`CAMPAIGN_SHAPES` lists the rules smallest first; the
+boxes nest at every finite positive scale.
+
+Every capture is named by ``(seed, service, host, snapshot)``: its RNG
+streams derive from that name alone, and a service's regime sequence is a
+Markov chain drawn one snapshot at a time, so the first ``n`` regimes do
+not depend on how many follow. A capture is therefore the same bytes in
+whichever campaign — and whichever tile of it (:func:`run_capture_tile`)
+— produces it.
+
+:func:`run_campaign` generates any shape from the synthetic fleet and
 returns per-trace burst summaries, keeping memory bounded by discarding the
 raw traces unless asked to retain them.
 """
@@ -44,6 +57,10 @@ class CampaignConfig:
             raise ValueError("hosts_per_service must be positive")
         if self.n_snapshots <= 0:
             raise ValueError("n_snapshots must be positive")
+        if self.snapshot_spacing_s < 0:
+            raise ValueError("snapshot_spacing_s must not be negative")
+        if self.trace_duration_ms <= 0:
+            raise ValueError("trace_duration_ms must be positive")
         unknown = set(self.services) - set(SERVICE_PROFILES)
         if unknown:
             raise ValueError(f"unknown services: {sorted(unknown)}")
@@ -91,29 +108,66 @@ class FleetCampaign:
                            for s in self.summaries[service]])
 
 
-def run_service_campaign(
-        cfg: CampaignConfig, service: str,
+def sampling_campaign_config(scale: float, seed: int) -> CampaignConfig:
+    """Table 1's small sampling campaign (8 hosts x 3 snapshots at
+    scale=1), behind its measured columns."""
+    hosts = max(2, int(round(8 * scale)))
+    snapshots = max(1, int(round(3 * scale)))
+    return CampaignConfig(hosts_per_service=hosts, n_snapshots=snapshots,
+                          seed=seed)
+
+
+def daily_campaign_config(scale: float, seed: int) -> CampaignConfig:
+    """The paper's daily campaign shape (20 hosts x 9 snapshots at
+    scale=1), shared verbatim by Figures 2 and 4."""
+    hosts = max(2, int(round(20 * scale)))
+    snapshots = max(1, int(round(9 * scale)))
+    return CampaignConfig(hosts_per_service=hosts, n_snapshots=snapshots,
+                          seed=seed)
+
+
+def stability_campaign_config(scale: float, seed: int) -> CampaignConfig:
+    """The 18-hour stability campaign shape (20 hosts, 108 snapshots at
+    scale=1)."""
+    hosts = max(3, int(round(20 * scale)))
+    snapshots = max(4, int(round(108 * scale)))
+    return CampaignConfig.stability(
+        hosts_per_service=hosts, n_snapshots=snapshots, seed=seed)
+
+
+#: The experiments' campaign shapes, smallest first. Every coefficient
+#: and floor is at least the previous shape's, so at any finite positive
+#: scale each box of hosts x snapshots contains the one before it.
+CAMPAIGN_SHAPES = (sampling_campaign_config, daily_campaign_config,
+                   stability_campaign_config)
+
+
+def run_capture_tile(
+        cfg: CampaignConfig, service: str, hosts: range, snapshots: range,
         fluid_config: Optional[FluidConfig] = None
 ) -> tuple[list[TraceSummary], list[int], list[HostTrace]]:
-    """Generate and summarize one service's slice of a campaign.
+    """Generate and summarize the captures ``hosts x snapshots`` of one
+    service, host-major.
 
-    Every RNG stream is derived from ``(cfg.seed, service, host, snapshot)``
-    names, so services are independent of each other and of execution order —
-    this is the unit of work the parallel experiment engine fans out.
-    Returns ``(summaries, regimes, kept_traces)``; ``kept_traces`` is empty
-    unless ``cfg.keep_traces`` is set.
+    Reads ``cfg``'s seed, snapshot spacing, trace duration and
+    ``keep_traces``, not its host or snapshot counts: a capture depends on
+    its ``(seed, service, host, snapshot)`` name only, so any rectangle of
+    a campaign is generated here on its own. Returns ``(summaries,
+    regimes, kept_traces)``, where ``regimes`` covers snapshots ``[0,
+    snapshots.stop)`` and ``kept_traces`` is empty unless
+    ``cfg.keep_traces`` is set.
     """
     fluid = fluid_config or FluidConfig()
     hub = RngHub(cfg.seed)
     profile = SERVICE_PROFILES[service]
     regime_rng = hub.fresh(f"{service}/regimes")
-    regimes = regime_sequence(profile, cfg.n_snapshots, regime_rng)
+    regimes = regime_sequence(profile, snapshots.stop, regime_rng)
     summaries: list[TraceSummary] = []
     kept: list[HostTrace] = []
-    for host_id in range(cfg.hosts_per_service):
+    for host_id in hosts:
         host_rng = hub.fresh(f"{service}/host{host_id}")
         rate_mult = host_rate_multiplier(profile, host_rng)
-        for snapshot in range(cfg.n_snapshots):
+        for snapshot in snapshots:
             trace_rng = hub.fresh(
                 f"{service}/host{host_id}/snap{snapshot}")
             meta = TraceMeta(
@@ -130,6 +184,17 @@ def run_service_campaign(
             if cfg.keep_traces:
                 kept.append(trace)
     return summaries, regimes, kept
+
+
+def run_service_campaign(
+        cfg: CampaignConfig, service: str,
+        fluid_config: Optional[FluidConfig] = None
+) -> tuple[list[TraceSummary], list[int], list[HostTrace]]:
+    """Generate and summarize one service's slice of a campaign: the
+    whole ``hosts_per_service x n_snapshots`` tile (see
+    :func:`run_capture_tile`)."""
+    return run_capture_tile(cfg, service, range(cfg.hosts_per_service),
+                            range(cfg.n_snapshots), fluid_config)
 
 
 def run_campaign(config: Optional[CampaignConfig] = None,

@@ -31,6 +31,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             CampaignConfig(n_snapshots=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("trace_duration_ms", 0), ("trace_duration_ms", -5),
+        ("snapshot_spacing_s", -1.0)])
+    def test_rejects_bad_timing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**{field: value})
+
+    def test_zero_spacing_is_allowed(self):
+        # Every snapshot at t=0 is a degenerate but well-defined campaign.
+        assert CampaignConfig(snapshot_spacing_s=0.0).snapshot_spacing_s \
+            == 0.0
+
 
 class TestRun:
     @pytest.fixture(scope="class")
@@ -148,13 +160,14 @@ class TestSamplingIsADailyPrefix:
     streams are named by (seed, service, host, snapshot), the regime
     sequence is a Markov chain drawn one snapshot at a time, so every
     sampling capture is the daily capture at the same (host, snapshot).
-    ``fleet_study`` therefore computes 40 of its 240 captures twice.
-    Pinned here for a plan that shares them; nothing shares them yet."""
+    The fleet unit plan relies on this: the sampling box is the daily
+    campaign's first tile per service, so ``fleet_study`` generates those
+    40 captures once (``tests/test_fleet_tiles.py``)."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_every_sampling_capture_is_the_daily_capture(self, seed):
-        from repro.experiments.fig2 import daily_campaign_config
-        from repro.experiments.table1 import sampling_campaign_config
+        from repro.measurement.collection import (daily_campaign_config,
+                                                  sampling_campaign_config)
         sampling = sampling_campaign_config(0.5, seed)
         daily = daily_campaign_config(0.5, seed)
         assert (sampling.hosts_per_service, sampling.n_snapshots) == (4, 2)

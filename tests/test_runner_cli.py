@@ -3,7 +3,8 @@
 ``--list``, unknown-experiment rejection, the ``--jobs``/cache flags,
 the ``--json-dir`` round trip (results plus the engine run report), and
 the crash-safety surface: ``--journal``/``--resume``/
-``--checkpoint-interval`` validation and ``--cache-quota`` parsing.
+``--checkpoint-interval`` validation, ``--cache-quota`` parsing and the
+``--scale`` type every surface shares.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import (EXPERIMENTS, build_parser, main,
-                                      parse_size)
+                                      parse_size, scale_arg)
 
 
 class TestParser:
@@ -216,6 +217,35 @@ class TestParseSize:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_size(text)
+
+
+class TestScaleFlag:
+    """``--scale`` must be finite and positive, checked at parse time on
+    every surface that takes it."""
+
+    BAD = ["nan", "NaN", "inf", "-inf", "0", "-0.0", "-1", "half"]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("prefix", [
+        ["-e", "fig1"], ["sweep", "run", "spec.yaml"],
+        ["sweep", "plan", "spec.yaml"], ["verdict"]])
+    def test_rejected_naming_the_flag(self, prefix, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*prefix, f"--scale={bad}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale" in err and repr(bad) in err
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0.05", 0.05), ("1", 1.0), ("2.5", 2.5), ("1e-3", 1e-3)])
+    def test_accepts_finite_positive(self, text, expected):
+        assert scale_arg(text) == expected
+        assert build_parser().parse_args(
+            ["--scale", text]).scale == expected
+
+    def test_omitted_scale_stays_unset_for_resume(self):
+        # None lets a --resume run take the journal's recorded scale.
+        assert build_parser().parse_args([]).scale is None
 
 
 class TestMain:
