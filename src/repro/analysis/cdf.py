@@ -9,10 +9,50 @@ p95 precisely because the action is in the tail).
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+EXPORT_PERCENTILES = (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
+"""The percentile grid every CDF export carries."""
+
+_EXPORT_KEYS = tuple(f"p{p:g}" for p in EXPORT_PERCENTILES)
+
+
+def inverted_cdf_indices(n, percentiles) -> np.ndarray:
+    """Sorted-sample index of each of ``percentiles`` (0-100) in a sample
+    set of ``n``: ``max(0, ceil(n * (p / 100) - 1))``, numpy's
+    ``method="inverted_cdf"`` rule.
+
+    ``n`` may be an int or an array of set sizes and ``percentiles`` a
+    scalar or a sequence; the result has shape ``shape(n) +
+    shape(percentiles)``. Every percentile of the package is an index
+    from here, so a single query and a grid-wide gather pick the same
+    sample to the bit."""
+    fractions = np.asarray(percentiles, dtype=np.float64) / 100.0
+    return np.maximum(np.ceil(np.multiply.outer(n, fractions) - 1.0),
+                      0.0).astype(np.intp)
+
+
+def sample_mean(values: np.ndarray) -> float:
+    """Mean of a non-empty float64 array: ``np.mean``'s own arithmetic
+    (one pairwise ``np.add.reduce``, then one division by ``n``) without
+    its Python-level wrapper, so the result is bit-identical to
+    ``float(np.mean(values))``."""
+    return float(np.add.reduce(values)) / len(values)
+
+
+def export_summary(name: str, n: int, mean: Optional[float],
+                   percentiles: Sequence[float]) -> dict:
+    """The JSON layout of one distribution: ``{name, n, mean,
+    percentiles}`` with ``percentiles`` the values at
+    :data:`EXPORT_PERCENTILES`, in order. An empty set exports ``mean:
+    None`` and no percentile entries — visibly absent rather than a
+    fabricated zero."""
+    if not n:
+        return {"name": name, "n": 0, "mean": None, "percentiles": {}}
+    return {"name": name, "n": n, "mean": mean,
+            "percentiles": dict(zip(_EXPORT_KEYS, percentiles))}
 
 
 class EmpiricalCdf:
@@ -55,10 +95,10 @@ class EmpiricalCdf:
         :func:`repro.analysis.tables.render_cdf_table` do).
 
         The answer is always an observed sample and agrees with
-        :meth:`evaluate`: it is the sorted sample at index
-        ``max(0, ceil(n * (p / 100) - 1))`` — numpy's
-        ``method="inverted_cdf"`` rule in the same float64 operations, as
-        O(1) index arithmetic on the array ``__init__`` sorted. Linear
+        :meth:`evaluate`: it is the sorted sample at
+        :func:`inverted_cdf_indices` — numpy's ``method="inverted_cdf"``
+        rule in the same float64 operations, as O(1) index arithmetic on
+        the array ``__init__`` sorted. Linear
         interpolation (numpy's default) invents values between samples, so
         ``evaluate(percentile(p))`` could disagree with ``p`` — wrong for
         an *empirical* distribution.
@@ -69,45 +109,30 @@ class EmpiricalCdf:
             raise ValueError(
                 f"EmpiricalCdf({self.name or 'unnamed'}): percentile of an "
                 f"empty sample set is undefined; guard with len(cdf)")
-        index = max(0, math.ceil(len(self._sorted) * (p / 100.0) - 1))
-        return float(self._sorted[index])
+        return float(self._sorted[inverted_cdf_indices(len(self._sorted),
+                                                       p)])
 
     def median(self) -> float:
         """The 50th percentile."""
         return self.percentile(50.0)
 
     def export_dict(self) -> dict:
-        """JSON-export summary: sample count, mean, and a fixed
-        percentile grid (consumed by :mod:`repro.analysis.export`).
-
-        An empty set exports ``mean: None`` and no percentile entries —
-        visibly absent rather than a fabricated zero. The grid is one
-        gather at :meth:`percentile`'s own indices and one ``tolist()``."""
+        """JSON-export summary (:func:`export_summary`'s layout, consumed
+        by :mod:`repro.analysis.export`): sample count, mean, and the
+        :data:`EXPORT_PERCENTILES` grid, one gather at :meth:`percentile`'s
+        own indices and one ``tolist()``."""
         n = len(self._sorted)
         if n == 0:
-            return {"name": self.name, "n": 0, "mean": None,
-                    "percentiles": {}}
-        indices = [max(0, math.ceil(n * (p / 100.0) - 1))
-                   for p in (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0,
-                             99.0)]
-        return {
-            "name": self.name,
-            "n": n,
-            "mean": self.mean(),
-            "percentiles": dict(zip(
-                ("p1", "p5", "p10", "p25", "p50", "p75", "p90", "p95",
-                 "p99"),
-                self._sorted[indices].tolist())),
-        }
+            return export_summary(self.name, 0, None, ())
+        return export_summary(
+            self.name, n, self.mean(),
+            self._sorted[inverted_cdf_indices(n, EXPORT_PERCENTILES)
+                         ].tolist())
 
     def mean(self) -> float:
-        """Sample mean. Zero for an empty sample set.
-
-        ``np.mean``'s own arithmetic (one pairwise ``np.add.reduce``, then
-        one division by ``n``) without its Python-level wrapper, so the
-        result is bit-identical to ``float(np.mean(values))``."""
-        n = len(self._sorted)
-        return float(np.add.reduce(self._sorted)) / n if n else 0.0
+        """Sample mean (:func:`sample_mean`). Zero for an empty sample
+        set."""
+        return sample_mean(self._sorted) if len(self._sorted) else 0.0
 
     def fraction_at_or_below(self, x: float) -> float:
         """Alias of :meth:`evaluate`, reading like the figure captions

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json.encoder
 import os
+from itertools import chain, repeat
 from math import isfinite
 from pathlib import Path
 from typing import Any
@@ -98,6 +99,15 @@ class _NonFiniteFloat(ValueError):
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+_KEY_TOKEN_SHAPES = 4096
+"""Dict shapes whose key tokens :data:`_key_tokens` holds at once; a
+full table starts over."""
+
+_key_tokens: dict[tuple, tuple[str, ...]] = {}
+"""``(indent, *keys)`` of a plain-``str``-keyed dict → the text before
+each of its values (``{`` or ``,``, newline and indent, the encoded key,
+``": "``): a document repeats a few dict shapes many times."""
+
 
 def _emit(value: Any, out: list, nl: str, normalise: bool) -> None:
     """Append the tokens of ``value`` to ``out``, pretty-printed exactly
@@ -131,36 +141,58 @@ def _emit(value: Any, out: list, nl: str, normalise: bool) -> None:
             out.append("{}")
             return
         inner = nl + "  "
-        lead = "{" + inner
+        shape = (nl, *value)
+        tokens = _key_tokens.get(shape)
+        if tokens is None:
+            if any(type(key) is not str for key in value):
+                _emit_text_keyed(value, out, nl, normalise)
+                return
+            tokens = tuple(f"{lead}{inner}{_encode_str(key)}: " for lead, key
+                           in zip(chain("{", repeat(",")), value))
+            if len(_key_tokens) >= _KEY_TOKEN_SHAPES:
+                _key_tokens.clear()
+            _key_tokens[shape] = tokens
         start = len(out)
         try:
-            for key, item in value.items():
+            for token, (key, item) in zip(tokens, value.items()):
                 if type(key) is not str:
-                    # jsonable()'s key rule, collisions included (two
-                    # keys with one str() keep the last value): rebuild
-                    # with text keys and start this dict over.
-                    del out[start:]
-                    _emit({str(k): v for k, v in value.items()}, out, nl,
-                          normalise)
-                    return
-                out.append(f"{lead}{_encode_str(key)}: ")
-                _emit(item, out, inner, normalise)
-                lead = "," + inner
+                    break    # a str subclass equal to a cached plain key
+                out.append(token)
+                item_type = type(item)
+                if item_type is str:
+                    out.append(_encode_str(item))
+                elif item_type is int \
+                        or item_type is float and isfinite(item):
+                    out.append(repr(item))
+                else:
+                    _emit(item, out, inner, normalise)
+            else:
+                out.append(nl + "}")
+                return
         except _NonFiniteFloat as exc:
             exc.keys.append(key)
             raise
-        out.append(nl + "}")
+        del out[start:]
+        _emit_text_keyed(value, out, nl, normalise)
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = nl + "  "
         lead = "[" + inner
+        sep = "," + inner
         try:
             for index, item in enumerate(value):
                 out.append(lead)
-                _emit(item, out, inner, normalise)
-                lead = "," + inner
+                lead = sep
+                item_type = type(item)
+                if item_type is str:
+                    out.append(_encode_str(item))
+                elif item_type is int \
+                        or item_type is float and isfinite(item):
+                    out.append(repr(item))
+                else:
+                    _emit(item, out, inner, normalise)
         except _NonFiniteFloat as exc:
             exc.keys.append(index)
             raise
@@ -185,6 +217,15 @@ def _emit(value: Any, out: list, nl: str, normalise: bool) -> None:
         _emit(dict(value), out, nl, False)
     else:
         out.append(_encode_str(f"<{type(value).__name__}>"))
+
+
+def _emit_text_keyed(value: dict, out: list, nl: str,
+                     normalise: bool) -> None:
+    """A dict with a key that is not a plain ``str``, under
+    :func:`jsonable`'s key rule: rebuilt with ``str(key)`` keys
+    (collisions keep the last value), then emitted."""
+    _emit({str(key): item for key, item in value.items()}, out, nl,
+          normalise)
 
 
 def _emit_result(result: ExperimentResult, out: list, nl: str) -> None:

@@ -35,13 +35,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from operator import itemgetter, lt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import units
-from repro.analysis.cdf import EmpiricalCdf
+from repro.analysis.cdf import (EXPORT_PERCENTILES, EmpiricalCdf,
+                                export_summary, inverted_cdf_indices,
+                                sample_mean)
 from repro.analysis.tables import format_table
 
 MOUSE = "mouse"
@@ -89,19 +92,19 @@ class FlowFct:
 
 @dataclass(frozen=True)
 class FctDigest:
-    """An :class:`FctSet` split by class and converted to milliseconds
-    once: what a table row and a JSON summary both read.
+    """Pooled FCT samples split by class, in milliseconds: what a merged
+    CDF table and a merged JSON summary both read.
 
-    Derived on demand (:meth:`FctSet.digest`) and never stored: a sealed
-    cache payload pickles the set's columns, not their digest.
+    Derived on demand (:meth:`FctGrid.pooled`, :meth:`FctSet.digest`) and
+    never stored: a sealed cache payload pickles the sets' columns, not
+    their digest.
 
     Attributes:
         n_flows: Finished flows of every class.
         unfinished: Flows the horizon truncated.
         cdfs: ``{"mice": cdf, "elephants": cdf}`` of FCTs in
             milliseconds, absent classes excluded.
-        mouse_max_bytes: The classification threshold behind the split
-            (carried so pooling can refuse to mix thresholds).
+        mouse_max_bytes: The classification threshold behind the split.
     """
 
     n_flows: int
@@ -179,27 +182,14 @@ class FctSet:
                          self.close_ns, self.sizes, self.first_byte_ns,
                          self.classes))
 
-    def split_cdfs(self) -> dict[str, EmpiricalCdf]:
-        """``{"mice": cdf, "elephants": cdf}`` of FCTs in milliseconds
-        (absent classes excluded), from one pass over the columns."""
-        fct_ms: dict[str, list[float]] = {MOUSE: [], ELEPHANT: []}
-        for cls, open_ns, close_ns in zip(self.classes, self.open_ns,
-                                          self.close_ns):
-            if cls in fct_ms:
-                fct_ms[cls].append((close_ns - open_ns) / units.NS_PER_MS)
-        return {key: EmpiricalCdf(fct_ms[cls], name=key)
-                for key, cls in (("mice", MOUSE), ("elephants", ELEPHANT))
-                if fct_ms[cls]}
-
     def digest(self) -> FctDigest:
-        """Split and convert once; share the result between every reader
-        of this set (a sweep point feeds a table row and an export)."""
-        return FctDigest(len(self.flow_ids), self.unfinished,
-                         self.split_cdfs(), self.mouse_max_bytes)
+        """This set's per-class CDFs (the one-set :meth:`FctGrid.pooled`)."""
+        return FctGrid({"": self}).pooled()
 
     def summary(self) -> dict:
-        """Scalar digest for JSON export and golden fixtures."""
-        return self.digest().summary()
+        """Scalar digest for JSON export and golden fixtures (the one-set
+        :meth:`FctGrid.summaries`)."""
+        return FctGrid({"": self}).summaries()[""]
 
     def export_dict(self) -> dict:
         """JSON export hook (:mod:`repro.analysis.export`)."""
@@ -293,7 +283,7 @@ def extract_fcts(events: Iterable, *,
     return _from_rows(rows, len(opens) - len(rows), mouse_max_bytes)
 
 
-def _common_threshold(entries: Sequence[Union[FctSet, FctDigest]]) -> int:
+def _common_threshold(entries: Sequence[FctSet]) -> int:
     """The one mouse threshold every entry was classified with; mixing
     thresholds would pool different populations under one class name."""
     thresholds = {entry.mouse_max_bytes for entry in entries}
@@ -360,51 +350,151 @@ def pool_fct_sets(sets: Sequence[FctSet]) -> FctSet:
         for index, s in enumerate(sets)])
 
 
-def pool_fct_digests(digests: Sequence[FctDigest]) -> FctDigest:
-    """``pool_fct_sets(sets).digest()`` from the sets' digests alone.
+_SLOTS = ("mice", "elephants")
+"""A digest's class keys, in export order: slot 0 holds :data:`MOUSE`
+flows, slot 1 :data:`ELEPHANT` flows."""
 
-    A pooled CDF reads FCTs, never flow identities, so pooling needs no
-    records: per class the digests' sorted samples concatenate into one
-    :class:`EmpiricalCdf`, which sorts them and takes its mean over the
-    sorted array — the same array, hence the same percentiles and mean to
-    the bit, as re-materialising and renumbering every flow record would
-    give. Counts add.
+_SLOT_OF = {MOUSE: 0, ELEPHANT: 1}.get
+
+_EXACT_NS = 1 << 53
+"""Below this an integer nanosecond difference is an exact float64, so
+numpy's division rounds it as Python's ``int / int`` does."""
+
+
+class FctGrid:
+    """The FCT digests of many labelled sets, computed as one set of
+    columns.
+
+    A sweep reports, per grid point, an FCT summary and a table row, and
+    across the grid the pooled CDFs. Rather than one
+    :class:`EmpiricalCdf` per (set, class), every finished flow's FCT in
+    milliseconds lands in one float64 array with one segment per (set,
+    class) — segment ``2 i`` holds set ``i``'s mice, ``2 i + 1`` its
+    elephants; flows of any other class belong to no segment — sorted
+    within segments by one ``np.lexsort``. A percentile is then a gather
+    at :func:`~repro.analysis.cdf.inverted_cdf_indices` offset by the
+    segment's start, and a mean is :func:`~repro.analysis.cdf.sample_mean`
+    of the segment's view, so every number is the one an
+    :class:`EmpiricalCdf` of that segment gives, bit for bit:
+
+    - the FCT is ``(close - open) / NS_PER_MS`` on int64 columns, exact
+      below 2**53 ns (past that it falls back to Python's division);
+    - a segment view holds the same sorted values as that CDF's array;
+    - a table cell is Python's ``round(x, 3)``, never ``np.round``.
+
+    Args:
+        rows: The sets by label (a grid point id, a scheme name);
+            :attr:`labels` keeps their order.
     """
-    if not digests:
-        return FctDigest(0, 0, {})
-    threshold = _common_threshold(digests)
-    cdfs = {}
-    for key in ("mice", "elephants"):
-        samples = [d.cdfs[key].values for d in digests if key in d.cdfs]
-        if samples:
-            cdfs[key] = EmpiricalCdf(np.concatenate(samples), name=key)
-    return FctDigest(sum(d.n_flows for d in digests),
-                     sum(d.unfinished for d in digests), cdfs, threshold)
+
+    def __init__(self, rows: Mapping[str, FctSet]):
+        self.labels = tuple(rows)
+        self._sets = list(rows.values())
+        self._n_flows = [len(s) for s in self._sets]
+        total = sum(self._n_flows)
+
+        def column(name: str) -> Iterable:
+            return chain.from_iterable(getattr(s, name) for s in self._sets)
+
+        slot = np.fromiter(map(_SLOT_OF, column("classes"), repeat(2)),
+                           np.intp, total)
+        delta = (np.fromiter(column("close_ns"), np.int64, total)
+                 - np.fromiter(column("open_ns"), np.int64, total))
+        segment = np.repeat(np.arange(0, 2 * len(self._sets), 2),
+                            self._n_flows) + slot
+        if total and slot.max() > 1:
+            keep = slot < 2
+            segment, delta = segment[keep], delta[keep]
+        if len(delta) and int(delta.max()) >= _EXACT_NS:
+            fct_ms = np.array([d / units.NS_PER_MS for d in delta.tolist()])
+        else:
+            fct_ms = delta / units.NS_PER_MS
+        order = np.lexsort((fct_ms, segment))
+        self._values = fct_ms[order]
+        self._segment = segment[order]
+        self._sizes = np.bincount(segment, minlength=2 * len(self._sets))
+        self._starts = np.cumsum(self._sizes) - self._sizes
+
+    def _gather(self, percentiles: Sequence[float]) -> list[list[float]]:
+        """The values at ``percentiles`` of every non-empty segment, in
+        segment order: one index computation and one gather."""
+        present = np.flatnonzero(self._sizes)
+        index = (inverted_cdf_indices(self._sizes[present], percentiles)
+                 + self._starts[present, None])
+        return self._values[index].tolist()
+
+    def summaries(self) -> dict[str, dict]:
+        """Each set's :meth:`FctSet.summary` by label: flow counts, then
+        an :func:`~repro.analysis.cdf.export_summary` block per class
+        present."""
+        sizes = self._sizes.tolist()
+        starts = self._starts.tolist()
+        blocks = iter(zip(
+            self._gather(EXPORT_PERCENTILES),
+            [sample_mean(self._values[a:a + n])
+             for a, n in zip(starts, sizes) if n]))
+        out = {}
+        for i, label in enumerate(self.labels):
+            summary = {"n_flows": self._n_flows[i],
+                       "unfinished": self._sets[i].unfinished,
+                       "n_mice": sizes[2 * i],
+                       "n_elephants": sizes[2 * i + 1]}
+            for key, n in zip(_SLOTS, sizes[2 * i:2 * i + 2]):
+                if n:
+                    percentiles, mean = next(blocks)
+                    summary[f"{key}_fct_ms"] = export_summary(
+                        key, n, mean, percentiles)
+            out[label] = summary
+        return out
+
+    def table_rows(self, percentiles: Sequence[float]) -> list[list]:
+        """One :func:`format_fct_table` row per set: label, flow counts,
+        then each class's FCT at ``percentiles`` in milliseconds rounded
+        to three decimals (``"-"`` for an absent class)."""
+        sizes = self._sizes.tolist()
+        cells = iter(self._gather(percentiles))
+        rows = []
+        for i, label in enumerate(self.labels):
+            row: list = [label, self._n_flows[i], self._sets[i].unfinished]
+            for n in sizes[2 * i:2 * i + 2]:
+                row += ([round(value, 3) for value in next(cells)] if n
+                        else ["-"] * len(percentiles))
+            rows.append(row)
+        return rows
+
+    def pooled(self) -> FctDigest:
+        """Every set's flows pooled into one digest (counts add).
+
+        A pooled CDF reads FCTs, never flow identities: per class it is
+        the sets' sorted segments in set order, concatenated into one
+        :class:`EmpiricalCdf` — the array, hence the percentiles and mean
+        to the bit, that renumbering and merging the records
+        (:func:`pool_fct_sets`) would give. Refuses sets classified with
+        different thresholds, as that pool does."""
+        if not self._sets:
+            return FctDigest(0, 0, {})
+        threshold = _common_threshold(self._sets)
+        slot = self._segment & 1
+        cdfs = {key: EmpiricalCdf(self._values[slot == i], name=key)
+                for i, key in enumerate(_SLOTS) if self._sizes[i::2].any()}
+        return FctDigest(sum(self._n_flows),
+                         sum(s.unfinished for s in self._sets), cdfs,
+                         threshold)
 
 
-def format_fct_table(rows: Mapping[str, Union[FctSet, FctDigest]],
+def format_fct_table(rows: Union[Mapping[str, FctSet], FctGrid],
                      percentiles: Sequence[float] = (50.0, 90.0, 99.0),
                      title: str = "") -> str:
     """Render one FCT summary row per labelled set (e.g. per grid point).
 
     Columns: flow counts, then mice and elephant FCT percentiles in
     milliseconds — the textual form of an FCT-vs-K comparison figure.
-    A caller that also exports the sets passes their digests, so each
-    (set, class) CDF is built once.
+    A caller that also exports the sets passes their :class:`FctGrid`,
+    so the sets are digested once.
     """
+    grid = rows if isinstance(rows, FctGrid) else FctGrid(rows)
     headers = ["point", "flows", "unfin"]
     for cls in ("mice", "eleph"):
         headers += [f"{cls} p{p:g} (ms)" for p in percentiles]
-    table_rows = []
-    for label, entry in rows.items():
-        digest = entry.digest() if isinstance(entry, FctSet) else entry
-        row: list[object] = [label, digest.n_flows, digest.unfinished]
-        for key in ("mice", "elephants"):
-            cdf = digest.cdfs.get(key)
-            if cdf is None:
-                row += ["-"] * len(percentiles)
-            else:
-                row += [round(cdf.percentile(p), 3) for p in percentiles]
-        table_rows.append(row)
-    return format_table(headers, table_rows,
+    return format_table(headers, grid.table_rows(percentiles),
                         title=title or "Per-flow FCT summary")

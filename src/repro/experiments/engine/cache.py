@@ -35,7 +35,9 @@ import hashlib
 import os
 import pickle
 import re
+import time
 import warnings
+from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Union
 
@@ -248,6 +250,11 @@ class ResultCache:
         #: error would.
         self.put_fault: Optional[Callable[[str], None]] = None
         self._warned_put = False
+        #: Bytes of ``*.pkl`` under :attr:`directory` as of the last
+        #: listing, plus this writer's puts since (``None``: not listed).
+        self._quota_total: Optional[int] = None
+        #: The spill directory's mtime as this writer last stamped it.
+        self._spill_stamp: Optional[int] = None
 
     @property
     def version_dir(self) -> Path:
@@ -356,12 +363,23 @@ class ResultCache:
         refresh mtime). Returns ``False`` when the payload can never fit
         — larger than the whole quota — in which case the write is
         skipped.
+
+        The cache's size is a running total: one listing seeds it and
+        each put adds to it, so a campaign of puts that fit lists the
+        directory once. It is listed again before any eviction, and
+        whenever another writer has put since this one's last put
+        (:meth:`_spill_moved`), so a decision to evict, or not to, counts
+        every writer's bytes.
         """
         if self.quota_bytes is None:
             return True
         if incoming > self.quota_bytes:
             self.quota_skips += 1
             return False
+        if (self._quota_total is not None
+                and self._quota_total + incoming <= self.quota_bytes
+                and not self._spill_moved()):
+            return True
         entries = []
         total = 0
         for entry in self.directory.rglob("*.pkl"):
@@ -383,7 +401,37 @@ class ResultCache:
                 continue
             self.evictions += 1
             total -= size
+        self._quota_total = total
         return True
+
+    def _spill_moved(self) -> bool:
+        """Whether the spill directory changed since this writer stamped
+        it (:meth:`_stamp_spill`): every put stages a file there, so a
+        changed directory means another writer may have put."""
+        try:
+            return os.stat(self._spill_path()).st_mtime_ns \
+                != self._spill_stamp
+        except OSError:
+            return True
+
+    def _stamp_spill(self) -> None:
+        """After a put, set the spill directory's mtime to this instant
+        and remember the stored value. The kernel stamps a directory
+        change with a clock tick, never with this nanosecond, so another
+        writer's later put shows as a different mtime even within one
+        tick. A put racing this one's own can still go unseen until the
+        next listing, which any eviction forces."""
+        spill = self._spill_path()
+        now = time.time_ns()
+        try:
+            os.utime(spill, ns=(now, now))
+            self._spill_stamp = os.stat(spill).st_mtime_ns
+        except OSError:
+            self._spill_stamp = None
+
+    def _spill_path(self) -> str:
+        """:attr:`spill_dir` as a string."""
+        return f"{self._version_root()}{os.sep}{_SPILL_DIR}"
 
     def _note_put_failure(self, exc: Exception) -> None:
         """Count a persist failure and warn once (shared by the payload
@@ -436,8 +484,7 @@ class ResultCache:
         path = self._entry(key)
         writer = (f"{_WORKER_TOKEN_PREFIX}{self.worker_token}"
                   if self.worker_token is not None else os.getpid())
-        tmp = (f"{self._version_root()}{os.sep}{_SPILL_DIR}{os.sep}"
-               f".{key}.pkl.{writer}.tmp")
+        tmp = f"{self._spill_path()}{os.sep}.{key}.pkl.{writer}.tmp"
         try:
             if not self._evict_for(len(blob)):
                 return False
@@ -466,6 +513,9 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
+            if self.quota_bytes is not None:
+                self._quota_total += len(blob)
+                self._stamp_spill()
             return True
         except OSError as exc:
             self._note_put_failure(exc)
@@ -591,7 +641,11 @@ _SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
 
 def parse_size(text: str) -> int:
     """Parse a byte size like ``512M``, ``2G``, ``1048576`` (binary
-    units; an optional trailing ``B`` is tolerated)."""
+    units; an optional trailing ``B`` is tolerated).
+
+    Raises :class:`ValueError` naming ``text`` for anything that is not
+    a finite size of at least one byte (``inf``, ``nan``, ``1e400``,
+    ``0.4``)."""
     raw = text.strip().lower()
     if raw.endswith("b"):
         raw = raw[:-1]
@@ -604,9 +658,13 @@ def parse_size(text: str) -> int:
     except ValueError:
         raise ValueError(f"unparseable size {text!r} "
                          f"(use e.g. 512M, 2G, 1048576)") from None
-    if value <= 0:
-        raise ValueError(f"size must be positive, got {text!r}")
-    return int(value * factor)
+    size = value * factor
+    if not isfinite(size):
+        raise ValueError(f"size must be finite, got {text!r}")
+    if not size >= 1:
+        raise ValueError(f"size must be positive (at least one byte), "
+                         f"got {text!r}")
+    return int(size)
 
 
 def parse_hostport(text: str,

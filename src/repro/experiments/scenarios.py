@@ -36,8 +36,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 from repro import units
-from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, FctDigest, FctSet,
-                                extract_fcts)
+from repro.analysis.fct import DEFAULT_MOUSE_MAX_BYTES, FctSet, extract_fcts
 from repro.experiments.backend_names import check_backend
 from repro.simcore.random import RngHub
 from repro.tcp.cca import CCA_NAMES
@@ -71,14 +70,14 @@ class ScenarioResult:
 
     def export_dict(self) -> dict:
         """Scalar digest for JSON export and golden fixtures."""
-        return self.export_with(self.fcts.digest())
+        return self.export_with(self.fcts.summary())
 
-    def export_with(self, fct: FctDigest) -> dict:
-        """:meth:`export_dict` around a digest of ``self.fcts`` the
-        caller already holds (a sweep merge prints the point's table row
-        from the same one, so each CDF is built once)."""
+    def export_with(self, fct_summary: dict) -> dict:
+        """:meth:`export_dict` around the ``self.fcts.summary()`` the
+        caller already holds (a sweep merge digests every point's flows
+        at once, :class:`~repro.analysis.fct.FctGrid`)."""
         out = {"scenario": self.scenario, "params": dict(self.params),
-               "fct": fct.summary(),
+               "fct": fct_summary,
                "bottleneck": dict(self.bottleneck)}
         # Present only for non-default schemes, mirroring the params
         # elision: pre-zoo exports stay byte-identical.

@@ -47,7 +47,7 @@ from typing import Union
 
 import yaml
 
-from repro.analysis.fct import format_fct_table, pool_fct_digests
+from repro.analysis.fct import FctGrid, format_fct_table
 from repro.analysis.tables import format_table, render_cdf_table
 from repro.experiments.engine import run_experiments
 from repro.experiments.engine.spec import WorkUnit
@@ -76,6 +76,10 @@ SCALED_BYTE_FIELDS = ("flow_bytes", "elephant_bytes", "mouse_bytes",
 """Per-flow demand fields the engine ``scale`` factor multiplies. The
 mice/elephant classification threshold scales with the demands — a scaled-
 down elephant must still classify as an elephant."""
+
+_SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+"""``yaml.safe_load``'s loader, on libyaml when ``yaml`` was built with
+it (a spec then parses several times faster)."""
 
 _VALUE_JSON = json.JSONEncoder(sort_keys=True)
 """``json.dumps(v, sort_keys=True)`` for point ids, built once."""
@@ -325,11 +329,11 @@ def _report_fcts(result: ExperimentResult, by_point: dict, scale: float,
     the bottleneck-queue occupancy table, and the merged mice/elephant
     FCT CDFs across every grid point. Returns the points' exports and
     the merged FCT summary."""
-    # One digest (class split, ms conversion, CDFs) per point feeds both
-    # the table row here and the point's export below.
-    digests = {uid: p.fcts.digest() for uid, p in by_point.items()}
+    # One columnar digest of every point's flows feeds the table rows
+    # here, the points' exports and the CDFs pooled across the grid.
+    grid = FctGrid({uid: p.fcts for uid, p in by_point.items()})
     result.add_section(format_fct_table(
-        digests,
+        grid,
         title=f"Per-flow FCT vs grid point (scale={scale}, seed={seed})"))
 
     queue_rows = [[uid, p.bottleneck["max_len_packets"],
@@ -341,15 +345,15 @@ def _report_fcts(result: ExperimentResult, by_point: dict, scale: float,
         title="Bottleneck (receiver downlink) queue occupancy"))
 
     # Grid points re-simulate the same deterministic flow plan: they are
-    # independent samples to pool, and the per-point digests already hold
-    # every sample sorted, so no flow record is touched again.
-    merged = pool_fct_digests(list(digests.values()))
+    # independent samples to pool.
+    merged = grid.pooled()
     if merged.cdfs:
         result.add_section(render_cdf_table(
             merged.cdfs, percentiles=(25.0, 50.0, 75.0, 90.0, 99.0),
             value_label="FCT (ms)",
             title="Merged FCT CDFs across the grid (ms)"))
-    return {"points": {uid: p.export_with(digests[uid])
+    summaries = grid.summaries()
+    return {"points": {uid: p.export_with(summaries[uid])
                        for uid, p in by_point.items()},
             "merged_fct": merged.summary()}
 
@@ -434,5 +438,5 @@ def parse_sweep_mapping(doc: dict, *, source: str = "<sweep>") -> SweepSpec:
 def load_sweep_file(path: Union[str, Path]) -> SweepSpec:
     """Load and validate a YAML sweep spec from disk."""
     path = Path(path)
-    doc = yaml.safe_load(path.read_text())
+    doc = yaml.load(path.read_text(), Loader=_SPEC_LOADER)
     return parse_sweep_mapping(doc, source=str(path))

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 
 from repro import units
-from repro.analysis.fct import format_fct_table
+from repro.analysis.fct import FctGrid, format_fct_table
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
@@ -165,16 +165,14 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
     grid_rows = []
     observed: dict = {}      # (scheme, burst) -> [(n_flows, mode)]
     analytic = None          # shared dumbbell: one model for all units
-    mix_fcts: dict = {}
-    mix_exports: dict = {}
+    mix_payloads: dict = {}
     grid_exports: dict = {}
     stats_rows = []
     for unit, payload in zip(work, payloads):
         overrides = unit.params["overrides"]
         scheme = overrides.get("scheme", DEFAULT_SCHEME)
         if unit.params["scenario"] == "leafspine_mix":
-            mix_fcts[scheme] = payload.fcts.digest()
-            mix_exports[scheme] = payload.export_with(mix_fcts[scheme])
+            mix_payloads[scheme] = payload
             stats = payload.scheme_stats
         else:
             n_flows = overrides["n_flows"]
@@ -224,9 +222,11 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
               "reaching each mode ('-' = never, i.e. the boundary moved "
               "past the grid) vs the no-mitigation analytic points"))
 
-    if mix_fcts:
+    mix = FctGrid({scheme: payload.fcts
+                   for scheme, payload in mix_payloads.items()})
+    if mix_payloads:
         result.add_section(format_fct_table(
-            mix_fcts, percentiles=(50.0, 90.0, 99.0),
+            mix, percentiles=(50.0, 90.0, 99.0),
             title="Mitigation cost on the leaf-spine elephant/mice mix: "
                   "per-scheme FCT percentiles"))
     if stats_rows:
@@ -234,13 +234,15 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
             ["unit", "scheme stats"], stats_rows,
             title="Mechanism counters (why a boundary moved)"))
 
+    mix_summaries = mix.summaries()
     result.data = {
         "grid": grid_exports,
         "boundaries": boundaries,
         "analytic": ({"degenerate_point": analytic.degenerate_point,
                       "overflow_point": analytic.overflow_point}
                      if analytic else {}),
-        "mix": mix_exports,
+        "mix": {scheme: payload.export_with(mix_summaries[scheme])
+                for scheme, payload in mix_payloads.items()},
     }
     return result
 

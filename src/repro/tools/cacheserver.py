@@ -296,9 +296,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         address = parse_hostport(args.listen)
+    except ValueError as exc:
+        parser.error(f"--listen: {exc}")
+    try:
         quota = parse_size(args.quota) if args.quota else None
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"--quota: {exc}")
     server = CacheServer(address, store=args.store, quota_bytes=quota,
                          verbose=args.verbose)
     # Handlers first, banner second: anyone scripting "wait for the

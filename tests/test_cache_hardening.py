@@ -285,6 +285,80 @@ class TestQuota:
         assert cache.get(KEY) is not None
 
 
+class ListEveryPut(ResultCache):
+    """The quota accounting before the running total: list and stat
+    every entry before each write."""
+
+    def _evict_for(self, incoming: int) -> bool:
+        self._quota_total = None
+        return super()._evict_for(incoming)
+
+
+def stored_bytes(directory: Path) -> int:
+    return sum(entry.stat().st_size for entry in directory.rglob("*.pkl"))
+
+
+def stored_names(directory: Path) -> list[str]:
+    return sorted(entry.name for entry in directory.rglob("*.pkl"))
+
+
+class TestQuotaAccounting:
+    """A quota keeps a running byte total instead of listing the cache
+    on every put (which made a campaign's puts O(n**2)); it lists again
+    before any eviction and after another writer's put."""
+
+    PAYLOAD = TestQuota.PAYLOAD
+
+    def test_a_campaign_that_fits_lists_the_cache_once(
+            self, tmp_path: Path, monkeypatch):
+        listings = []
+        rglob = Path.rglob
+
+        def counting_rglob(path, pattern):
+            listings.append(pattern)
+            return rglob(path, pattern)
+
+        monkeypatch.setattr(Path, "rglob", counting_rglob)
+        cache = make_cache(tmp_path, quota_bytes=1 << 30)
+        for index in range(300):
+            assert cache.put(f"{index:064x}", index) is True
+        assert listings == ["*.pkl"]
+        assert (cache.evictions, cache.quota_skips) == (0, 0)
+
+    def test_evictions_match_listing_before_every_put(self, tmp_path: Path):
+        size = TestQuota.entry_size(self.PAYLOAD)
+        quota = 5 * size + size // 2
+        caches = (make_cache(tmp_path / "total", quota_bytes=quota),
+                  ListEveryPut(tmp_path / "listed", quota_bytes=quota))
+        for step in range(40):
+            payload = self.PAYLOAD * (1 + step % 3)     # 1-3 entries' worth
+            key = f"{step:064x}"
+            for cache in caches:
+                assert cache.put(key, payload) is True
+                os.utime(cache.path_for(key), (1000.0 + step,) * 2)
+                if step % 4 == 3:
+                    # A read of an older entry moves it to the LRU's tail.
+                    older = cache.path_for(f"{step - 3:064x}")
+                    if older.exists():
+                        os.utime(older, (1000.5 + step,) * 2)
+            assert caches[0].evictions == caches[1].evictions
+            assert stored_names(tmp_path / "total") \
+                == stored_names(tmp_path / "listed")
+            assert stored_bytes(tmp_path / "total") <= quota
+        assert caches[0].evictions > 10
+
+    def test_two_writers_on_one_directory_respect_the_quota(
+            self, tmp_path: Path):
+        size = TestQuota.entry_size(self.PAYLOAD)
+        quota = 3 * size + size // 2
+        writers = (make_cache(tmp_path, quota_bytes=quota),
+                   make_cache(tmp_path, quota_bytes=quota))
+        for index in range(12):
+            assert writers[index % 2].put(f"{index:064x}", self.PAYLOAD)
+            assert stored_bytes(tmp_path) <= quota
+        assert sum(w.evictions for w in writers) == 12 - 3
+
+
 class TestWorkerTokenSpills:
     """Remote-worker spill files and the coordinator-restart sweep.
 

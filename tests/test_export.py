@@ -3,6 +3,7 @@
 import enum
 import io
 import json
+import math
 import os
 from types import SimpleNamespace
 
@@ -221,6 +222,11 @@ class TestNonFiniteValuesNameTheirLocation:
         with pytest.raises(ValueError, match="document root"):
             pretty_json(float("inf"))
 
+    def test_a_rebuilt_key_appears_once(self):
+        # The non-text key 2 prints as "2"; it once also showed as [2].
+        with pytest.raises(ValueError, match=r'inf at a\["2"\]\[0\]$'):
+            pretty_json({"a": {2: [math.inf]}})
+
     def test_run_report_and_plain_documents_too(self, tmp_path):
         class Report:
             def to_dict(self):
@@ -273,10 +279,25 @@ def nest(leaf, depth):
     return leaf
 
 
+class Shouting(str):
+    """A key type the writer must not treat as the plain ``str`` it
+    equals: ``jsonable`` keys by ``str(key)``, which this changes."""
+
+    def __str__(self) -> str:
+        return self.upper()
+
+
+#: A few key sets, so drawn documents repeat dict shapes.
+shared_keys = st.sampled_from(["a", "b", "c", "A", Shouting("a"), 1, "1"])
+
+
 class TestWriterMatchesNormaliseThenDump:
     """The single-walk writer is an optimisation, not a format: for any
     document it must print what ``jsonable()`` followed by the stdlib's
-    ``json.dumps(indent=2, allow_nan=False)`` printed, byte for byte."""
+    ``json.dumps(indent=2, allow_nan=False)`` printed, byte for byte.
+    That holds too for the key text it caches per dict shape, however
+    the next dict with equal keys differs from the one that filled the
+    cache."""
 
     @given(documents)
     @example(nest(np.float64("nan"), 6))
@@ -298,6 +319,49 @@ class TestWriterMatchesNormaliseThenDump:
         directory = tmp_path_factory.mktemp("drawn")
         assert write_result(result, directory).read_bytes() \
             == streamed_bytes(result)
+
+
+    @staticmethod
+    def assert_reference(document) -> None:
+        assert pretty_json(document) == json.dumps(
+            jsonable(document), indent=2, allow_nan=False)
+
+    def test_many_dicts_share_one_key_set(self):
+        self.assert_reference({"rows": [
+            {"name": f"p{i}", "n": i, "mean": i / 7, "tail": {"p99": i}}
+            for i in range(50)]})
+
+    def test_the_same_keys_in_another_order(self):
+        self.assert_reference([{"a": 1, "b": 2.5, "c": "x"},
+                               {"c": "y", "a": 3, "b": 4.5},
+                               {"a": 5, "b": 6.5, "c": "z"}])
+
+    def test_str_subclass_keys_after_their_plain_twins(self):
+        # Shouting("a") == "a" and hashes alike, so the second dict finds
+        # the first one's tokens; its key must still print as "A".
+        self.assert_reference([{"a": 1, "b": 2}, {Shouting("a"): 1, "b": 2},
+                               {"a": 3, "b": 4}])
+
+    def test_keys_that_collide_under_str(self):
+        self.assert_reference([{"1": "text"}, {1: "int", "1": "text"},
+                               {"A": 0, Shouting("a"): 1}, {"1": "again"}])
+
+    def test_more_shapes_than_the_table_holds(self):
+        shapes = export._KEY_TOKEN_SHAPES + 10
+        document = [{f"k{i}": i, "v": [i]} for i in range(shapes)]
+        self.assert_reference(document + document[:20])
+        assert len(export._key_tokens) <= export._KEY_TOKEN_SHAPES
+
+    def test_infinity_under_a_cached_shape_names_its_place(self):
+        with pytest.raises(ValueError, match=r"inf at \[1\]\.mean"):
+            pretty_json([{"n": 1, "mean": 1.0}, {"n": 2, "mean": math.inf}])
+
+    @given(st.lists(st.dictionaries(shared_keys,
+                                    plain_leaves | st.lists(plain_leaves,
+                                                            max_size=2),
+                                    max_size=3), max_size=8))
+    def test_any_run_of_repeated_shapes(self, document):
+        self.assert_reference(document)
 
 
 class _Report:

@@ -12,14 +12,17 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro import units
+from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.fct import (DEFAULT_MOUSE_MAX_BYTES, ELEPHANT, MOUSE,
-                                FctDigest, FctSet, FlowFct, extract_fcts,
-                                format_fct_table, merge_fct_sets,
-                                pool_fct_digests, pool_fct_sets)
+                                FctDigest, FctGrid, FctSet, FlowFct,
+                                extract_fcts, format_fct_table,
+                                merge_fct_sets, pool_fct_sets)
 from repro.analysis.tables import render_cdf_table
 from repro.telemetry.recorder import FlowEvent
 
@@ -109,9 +112,9 @@ class TestClassification:
         assert fcts.records[0].cls == MOUSE
         assert fcts.records[0].size_bytes is None
 
-    def test_split_cdfs_only_contain_present_classes(self):
+    def test_digest_only_holds_present_classes(self):
         fcts = extract_fcts(lifecycle(0, 0, 100), sizes={0: 10})
-        assert set(fcts.split_cdfs()) == {"mice"}
+        assert set(fcts.digest().cdfs) == {"mice"}
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError, match="mouse_max_bytes"):
@@ -274,8 +277,13 @@ def columns_of(drawn: list[tuple[int, int, int, str]],
                   unfinished=unfinished)
 
 
+def grid_of(sets) -> FctGrid:
+    """The :class:`FctGrid` of ``sets``, labelled by position."""
+    return FctGrid({f"point{i}": s for i, s in enumerate(sets)})
+
+
 class TestDigestPooling:
-    """``pool_fct_digests`` is ``pool_fct_sets(...).digest()`` without the
+    """``FctGrid.pooled`` is ``pool_fct_sets(...).digest()`` without the
     records: same counts, same CDFs to the bit, hence the same export and
     the same rendered table."""
 
@@ -300,14 +308,14 @@ class TestDigestPooling:
     @example([FctSet()])
     @example([FctSet(unfinished=2), FctSet(unfinished=1)])
     def test_matches_pooling_the_records(self, sets):
-        self.assert_same(pool_fct_digests([s.digest() for s in sets]),
+        self.assert_same(grid_of(sets).pooled(),
                          pool_fct_sets(sets).digest())
 
     def test_a_set_pooled_with_itself_collides_on_every_identity(self):
         a = extract_fcts(lifecycle(0, 0, 100) + lifecycle(1, 50, 60)
                          + [ev(10, "open", 9)],
                          sizes={0: 10, 1: 500_000, 9: 10})
-        self.assert_same(pool_fct_digests([a.digest()] * 3),
+        self.assert_same(grid_of([a] * 3).pooled(),
                          pool_fct_sets([a, a, a]).digest())
 
     def test_mixed_thresholds_are_refused_like_the_record_pool(self):
@@ -316,7 +324,7 @@ class TestDigestPooling:
         with pytest.raises(ValueError, match="different mouse thresholds"):
             pool_fct_sets([a, b])
         with pytest.raises(ValueError, match="different mouse thresholds"):
-            pool_fct_digests([a.digest(), b.digest()])
+            grid_of([a, b]).pooled()
 
 
 class TestReporting:
@@ -392,8 +400,8 @@ class TestPinnedReporting:
         fcts, cells, _summary = PINNED[name]
         row = format_fct_table({name: fcts}).splitlines()[-1]
         assert row.split() == cells
-        # A digest stands in for its set (how a sweep merge calls it).
-        assert format_fct_table({name: fcts.digest()}) \
+        # A grid stands in for its sets (how a sweep merge calls it).
+        assert format_fct_table(FctGrid({name: fcts})) \
             == format_fct_table({name: fcts})
 
     def test_summary_blocks(self, name):
@@ -407,10 +415,112 @@ class TestPinnedReporting:
         before = pickle.dumps(fcts)
         fcts.summary()
         fcts.digest()
-        fcts.split_cdfs()
+        FctGrid({name: fcts}).summaries()
         format_fct_table({name: fcts})
         assert pickle.dumps(fcts) == before
         assert vars(fcts).keys() == {"flow_ids", "srcs", "open_ns",
                                      "close_ns", "sizes", "first_byte_ns",
                                      "classes", "unfinished",
                                      "mouse_max_bytes"}
+
+
+def one_cdf_per_class(sets: list[FctSet]) -> list[dict]:
+    """The oracle: per set, ``{"mice": cdf, "elephants": cdf}`` built the
+    plain way — one :class:`EmpiricalCdf` per (set, class) of Python
+    ``int / int`` millisecond FCTs, absent classes left out."""
+    out = []
+    for s in sets:
+        fct_ms: dict = {MOUSE: [], ELEPHANT: []}
+        for cls, opened, closed in zip(s.classes, s.open_ns, s.close_ns):
+            if cls in fct_ms:
+                fct_ms[cls].append((closed - opened) / units.NS_PER_MS)
+        out.append({key: EmpiricalCdf(fct_ms[cls], name=key)
+                    for key, cls in (("mice", MOUSE),
+                                     ("elephants", ELEPHANT))
+                    if fct_ms[cls]})
+    return out
+
+
+#: FCTs in ns: anything, exact 3-decimal rounding ties in ms (k * 500
+#: ns: 0.0005, 0.0015, ...), and differences around 2**53, past which an
+#: int64 difference is no longer an exact float64.
+fcts_ns = (st.integers(0, 5 * 10**9)
+           | st.integers(0, 4_000).map(lambda k: 500 * k)
+           | st.integers(2**53 - 4, 2**53 + 4_000))
+
+
+@st.composite
+def grid_sets(draw) -> FctSet:
+    """A set whose classes range from empty through one flow to past
+    numpy's 8-element pairwise-sum block, with tied FCTs drawn from a
+    short pool, and the odd flow of no known class."""
+    pool = draw(st.lists(fcts_ns, min_size=1, max_size=4))
+    flows = draw(st.lists(
+        st.tuples(st.integers(0, 10**9),
+                  st.sampled_from(pool) | fcts_ns,
+                  st.sampled_from((MOUSE, MOUSE, ELEPHANT, "other"))),
+        max_size=40))
+    return columns_of([(flow_id, opened, fct, cls) for flow_id,
+                       (opened, fct, cls) in enumerate(flows)],
+                      draw(st.integers(0, 3)))
+
+
+#: Eleven tied mice and an elephant at 0.0025 ms, a 3-decimal tie in
+#: decimal but not in binary: ``round(0.0025, 3)`` is 0.003 and
+#: ``np.round(0.0025, 3)`` is 0.002.
+TIED = columns_of([(i, i, 1_500, MOUSE) for i in range(11)]
+                  + [(20, 0, 2_500, ELEPHANT)])
+
+
+class TestFctGrid:
+    """One columnar digest of N sets equals one :class:`EmpiricalCdf` per
+    (set, class), bit for bit: every per-set summary, every table row and
+    both pooled CDFs. Sets of varying sizes shift each segment's start,
+    so a segment's pairwise sum runs at every alignment."""
+
+    @given(st.lists(grid_sets(), max_size=12))
+    @example([])
+    @example([FctSet()])
+    @example([TIED, FctSet(unfinished=1), TIED])
+    @example([columns_of([(0, 0, 2**53 + 1, MOUSE)]), TIED])
+    def test_matches_one_cdf_per_set_and_class(self, sets):
+        labels = [f"point{i}" for i in range(len(sets))]
+        grid = FctGrid(dict(zip(labels, sets)))
+        oracle = one_cdf_per_class(sets)
+        percentiles = (50.0, 90.0, 99.0)
+
+        expected_summaries = {}
+        expected_rows = []
+        for label, s, cdfs in zip(labels, sets, oracle):
+            summary = {"n_flows": len(s), "unfinished": s.unfinished,
+                       "n_mice": len(cdfs.get("mice", ())),
+                       "n_elephants": len(cdfs.get("elephants", ()))}
+            row = [label, len(s), s.unfinished]
+            for key in ("mice", "elephants"):
+                if key in cdfs:
+                    summary[f"{key}_fct_ms"] = cdfs[key].export_dict()
+                    row += [round(cdfs[key].percentile(p), 3)
+                            for p in percentiles]
+                else:
+                    row += ["-"] * len(percentiles)
+            expected_summaries[label] = summary
+            expected_rows.append(row)
+        # JSON text carries a float's repr, which round-trips its bits.
+        assert json.dumps(grid.summaries()) == json.dumps(expected_summaries)
+        assert repr(grid.table_rows(percentiles)) == repr(expected_rows)
+        assert [s.summary() for s in sets] \
+            == list(expected_summaries.values())
+
+        pooled = grid.pooled()
+        for key in ("mice", "elephants"):
+            samples = [cdfs[key].values for cdfs in oracle if key in cdfs]
+            if not samples:
+                assert key not in pooled.cdfs
+                continue
+            expected = EmpiricalCdf(np.concatenate(samples), name=key)
+            assert pooled.cdfs[key].values.tobytes() \
+                == expected.values.tobytes()
+            assert json.dumps(pooled.cdfs[key].export_dict()) \
+                == json.dumps(expected.export_dict())
+        assert (pooled.n_flows, pooled.unfinished) \
+            == (sum(map(len, sets)), sum(s.unfinished for s in sets))

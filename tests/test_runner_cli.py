@@ -10,6 +10,7 @@ the crash-safety surface: ``--journal``/``--resume``/
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,27 @@ class TestParseSize:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_size(text)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "1e308G",
+                                      "nan", "0.4", "0.0001k"])
+    def test_rejects_sizes_it_cannot_honour(self, text):
+        # Non-finite or under one byte: once an OverflowError traceback,
+        # a NaN message naming no value, or a quota of 0 bytes.
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_size(text)
+
+    @pytest.mark.parametrize("text", ["inf", "1e400", "nan", "0.4"])
+    def test_both_clis_refuse_them_as_usage_errors(self, text, capsys):
+        from repro.tools import cacheserver
+        for cli, flag in ((main, "--cache-quota"),
+                          (cacheserver.main, "--quota")):
+            argv = [flag, text] if cli is cacheserver.main \
+                else ["-e", "fig1", flag, text]
+            with pytest.raises(SystemExit) as excinfo:
+                cli(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{flag}: " in err and repr(text) in err
 
 
 class TestScaleFlag:

@@ -100,21 +100,22 @@ class TestExecutionPathIdentity:
 
 class TestMergeCost:
     """The merge phase's cost model as counts, which repeat exactly where
-    a timing would not: one CDF per (point, class) plus the two merged
-    ones, shared by the FCT table and the export, and no call back into
-    ``numpy.percentile`` (a percentile is an index into the sorted
-    sample). A second build per point, or numpy on the query path, is
-    what made a fully cached sweep spend 90 % of its time here. The
-    merged CDFs pool the per-point digests, so no flow record is rebuilt,
-    and the export walks a document that is already plain JSON types, so
-    the normaliser is never entered."""
+    a timing would not: every point's FCT digest comes from one columnar
+    pass (:class:`~repro.analysis.fct.FctGrid`), so the only
+    :class:`EmpiricalCdf` s built are the two merged ones, whatever the
+    number of points, and nothing calls back into ``numpy.percentile`` (a
+    percentile is an index into the sorted sample). One CDF per (point,
+    class), or numpy on the query path, is what made a fully cached sweep
+    spend its time here. No flow record is rebuilt, and the export walks
+    a document that is already plain JSON types, so the normaliser is
+    never entered."""
 
-    def test_one_cdf_per_point_and_class_and_no_numpy_percentile(
+    def test_two_merged_cdfs_and_no_numpy_percentile(
             self, monkeypatch, tmp_path):
         spec = golden_sweep_specs()["sweep_ecn_k"]    # mice + elephants
         work = sweep.compile_units(spec, SCALE, SEED)
         payloads = [sweep.run_unit(unit) for unit in work]
-        assert all(p.fcts.split_cdfs().keys() == {"mice", "elephants"}
+        assert all(p.fcts.digest().cdfs.keys() == {"mice", "elephants"}
                    for p in payloads)
 
         counts = {"cdf": 0, "np.percentile": 0, "flow": 0, "jsonable": 0}
@@ -144,7 +145,7 @@ class TestMergeCost:
         result = sweep.merge(spec, work, payloads, scale=SCALE, seed=SEED)
 
         assert counts["np.percentile"] == 0
-        assert 0 < counts["cdf"] <= 2 * len(work) + 2
+        assert counts["cdf"] == 2
         assert counts["flow"] == 0
         assert set(result.data["points"]) == {u.unit_id for u in work}
 

@@ -20,6 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import (SweepAxis, SweepSpec, compile_units,
                                      load_sweep_file, parse_sweep_mapping,
                                      plan_document)
@@ -330,3 +331,50 @@ def test_leafspine_plans_are_pinned(path):
     digest = hashlib.sha256(
         plan_document(spec, 1.0, 0).encode("utf-8")).hexdigest()
     assert digest == PLAN_PINS[path]
+
+
+REPO = Path(__file__).resolve().parents[1]
+SPEC_FILES = [*sorted((REPO / "examples" / "sweeps").glob("*.yaml")),
+              REPO / "bench" / "specs" / "engine_grid.yaml"]
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader]
+                               if hasattr(yaml, "CSafeLoader") else [])
+
+
+class TestSpecLoader:
+    """Specs load with libyaml's ``CSafeLoader`` where ``yaml`` has it;
+    it must read every shipped spec as the pure-Python ``SafeLoader``
+    does, down to the unit cache keys."""
+
+    def test_libyaml_is_picked_when_present(self):
+        assert sweep_module._SPEC_LOADER is getattr(yaml, "CSafeLoader",
+                                                    yaml.SafeLoader)
+
+    @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.name)
+    def test_both_loaders_read_a_spec_alike(self, path, monkeypatch):
+        if len(LOADERS) < 2:
+            pytest.skip("yaml was built without libyaml")
+        text = path.read_text()
+        # repr, not ==: 8 and 8.0 are equal but key differently.
+        docs = {repr(yaml.load(text, Loader=loader)) for loader in LOADERS}
+        assert len(docs) == 1
+        specs, keys = [], []
+        for loader in LOADERS:
+            monkeypatch.setattr(sweep_module, "_SPEC_LOADER", loader)
+            specs.append(load_sweep_file(path))
+            keys.append([unit.cache_key()
+                         for unit in compile_units(specs[-1], 0.05, 3)])
+        assert specs[0] == specs[1]
+        assert keys[0] == keys[1]
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda l: l.__name__)
+    def test_malformed_yaml_is_a_usage_error(self, loader, tmp_path,
+                                             monkeypatch, capsys):
+        from repro.experiments.runner import main
+        monkeypatch.setattr(sweep_module, "_SPEC_LOADER", loader)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: x\nscenario: [leafspine_mix\naxes: {\n",
+                       encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "plan", str(bad)])
+        assert excinfo.value.code == 2
+        assert "invalid sweep spec" in capsys.readouterr().err
