@@ -35,7 +35,7 @@ def test_ablation_scheduler(once):
 
 
 def test_ablation_g_sweep(once):
-    result = once(ablations.run_g_sweep, scale=bench_scale(), seed=0)
+    result = once(ablations.run_table, "g", scale=bench_scale(), seed=0)
     print()
     print(result.render())
     assert len(result.data["rows"]) == 4
@@ -59,14 +59,15 @@ def test_ablation_predictability(once):
 
 
 def test_ablation_delayed_ack(once):
-    result = once(ablations.run_delayed_ack, scale=bench_scale(), seed=0)
+    result = once(ablations.run_table, "delayed_ack", scale=bench_scale(),
+                  seed=0)
     print()
     print(result.render())
     assert len(result.data["rows"]) == 2
 
 
 def test_ablation_sack(once):
-    result = once(ablations.run_sack, scale=bench_scale(), seed=0)
+    result = once(ablations.run_table, "sack", scale=bench_scale(), seed=0)
     print()
     print(result.render())
     rows = result.data["rows"]
@@ -98,11 +99,14 @@ def test_ablation_fanin_latency(once):
 
 
 def test_ablation_receiver_throttle(once):
-    result = once(ablations.run_receiver_throttle, scale=bench_scale(),
-                  seed=0)
+    # Ablation M is four engine units, one simulation per row.
+    plan = [unit for unit in ablations.work_units(bench_scale(), 0)
+            if unit.params["ablation"] == "receiver_throttle"]
+    rows = once(lambda: [ablations.run_unit(unit) for unit in plan])
     print()
-    print(result.render())
-    rows = {(r[0], r[1]): r for r in result.data["rows"]}
+    for row in rows:
+        print(row)
+    rows = {(r[0], r[1]): r for r in rows}
     # At 100 flows the throttle trims the burst-start spike...
     assert rows[(100, "ictcp-like rwnd")][3] \
         <= rows[(100, "dctcp alone")][3]
@@ -130,7 +134,8 @@ def test_ablation_service_latency(once):
 
 
 def test_ablation_ecn_threshold(once):
-    result = once(ablations.run_ecn_threshold, scale=bench_scale(), seed=0)
+    result = once(ablations.run_table, "ecn_threshold", scale=bench_scale(),
+                  seed=0)
     print()
     print(result.render())
     rows = result.data["rows"]
@@ -139,8 +144,7 @@ def test_ablation_ecn_threshold(once):
 
 
 def test_ablation_idle_restart(once):
-    result = once(ablations.run_window_validation, scale=bench_scale(),
-                  seed=0)
+    result = once(ablations.run_table, "idle", scale=bench_scale(), seed=0)
     print()
     print(result.render())
     assert len(result.data["rows"]) == 2

@@ -1,11 +1,13 @@
 """Benchmark: regenerate Figure 1 (example 2 s aggregator trace)."""
 
 from benchmarks.conftest import fleet_scale
-from repro.experiments import fig1
+from repro.experiments.engine import run_experiments
 
 
 def test_fig1(once):
-    result = once(fig1.run, scale=fleet_scale(), seed=17)
+    results, _report = once(run_experiments, ["fig1"],
+                            scale=fleet_scale(), seed=17, jobs=1)
+    result = results["fig1"]
     print()
     print(result.render())
     # Paper headline: low average utilization, line-rate bursts, most

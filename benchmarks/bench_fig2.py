@@ -1,11 +1,13 @@
 """Benchmark: regenerate Figure 2 (burst frequency/duration/flow CDFs)."""
 
 from benchmarks.conftest import fleet_scale
-from repro.experiments import fig2
+from repro.experiments.engine import run_experiments
 
 
 def test_fig2(once):
-    result = once(fig2.run, scale=fleet_scale(), seed=0)
+    results, _report = once(run_experiments, ["fig2"],
+                            scale=fleet_scale(), seed=0, jobs=1)
+    result = results["fig2"]
     print()
     print(result.render())
     flows = result.data["flow_cdfs"]

@@ -1,11 +1,13 @@
 """Benchmark: regenerate Figure 4 (queueing/ECN/retransmission CDFs)."""
 
 from benchmarks.conftest import fleet_scale
-from repro.experiments import fig4
+from repro.experiments.engine import run_experiments
 
 
 def test_fig4(once):
-    result = once(fig4.run, scale=fleet_scale(), seed=0)
+    results, _report = once(run_experiments, ["fig4"],
+                            scale=fleet_scale(), seed=0, jobs=1)
+    result = results["fig4"]
     print()
     print(result.render())
     marks = result.data["mark_cdfs"]

@@ -2,11 +2,13 @@
 
 from benchmarks.conftest import bench_scale
 from repro.core.modes import DctcpMode
-from repro.experiments import fig5
+from repro.experiments.engine import run_experiments
 
 
 def test_fig5(once):
-    result = once(fig5.run, scale=bench_scale(), seed=0)
+    results, _report = once(run_experiments, ["fig5"],
+                            scale=bench_scale(), seed=0, jobs=1)
+    result = results["fig5"]
     print()
     print(result.render())
     assert result.data["mode1_healthy"].steady_drops == 0

@@ -3,11 +3,13 @@
 import numpy as np
 
 from benchmarks.conftest import bench_scale
-from repro.experiments import fig6
+from repro.experiments.engine import run_experiments
 
 
 def test_fig6(once):
-    result = once(fig6.run, scale=bench_scale(), seed=0)
+    results, _report = once(run_experiments, ["fig6"],
+                            scale=bench_scale(), seed=0, jobs=1)
+    result = results["fig6"]
     print()
     print(result.render())
     peaks = []

@@ -1,11 +1,13 @@
 """Benchmark: regenerate Figure 7 (per-flow in-flight skew)."""
 
 from benchmarks.conftest import bench_scale
-from repro.experiments import fig7
+from repro.experiments.engine import run_experiments
 
 
 def test_fig7(once):
-    result = once(fig7.run, scale=bench_scale(), seed=0)
+    results, _report = once(run_experiments, ["fig7"],
+                            scale=bench_scale(), seed=0, jobs=1)
+    result = results["fig7"]
     print()
     print(result.render())
     report = result.data["report"]

@@ -353,13 +353,6 @@ def run_table(name: str, scale: float = 1.0,
     return result
 
 
-run_g_sweep = partial(run_table, "g")
-run_window_validation = partial(run_table, "idle")
-run_delayed_ack = partial(run_table, "delayed_ack")
-run_ecn_threshold = partial(run_table, "ecn_threshold")
-run_sack = partial(run_table, "sack")
-
-
 def run_rack_contention(scale: float = 1.0, seed: int = 0
                         ) -> ExperimentResult:
     """Ablation K: simultaneous incasts to two receivers on one ToR."""
@@ -489,6 +482,10 @@ def _throttle_case_row(n_flows: int, throttled: bool, scale: float,
                              net.receiver) for host in net.senders]
     throttle = None
     if throttled:
+        # Not scheme="ictcp": that runtime starts its throttle with no
+        # receivers, so each connection opens with the whole budget until
+        # the first tick (500 flows, scale 0.05, seed 3: peak queue 964
+        # packets that way, 929 this way).
         budget = ((net.config.ecn_threshold_packets or 0)
                   * (tcp_cfg.mss_bytes + TCP_IP_HEADER_BYTES)
                   + net.config.bdp_bytes)
@@ -544,14 +541,6 @@ def _throttle_result(rows: list[list]) -> ExperimentResult:
         rows,
         title="Ablation M: ICTCP-like receiver-window throttling"))
     return result
-
-
-def run_receiver_throttle(scale: float = 1.0, seed: int = 0
-                          ) -> ExperimentResult:
-    """Ablation M: ICTCP-like receiver-window throttling."""
-    return _throttle_result([
-        _throttle_case_row(n_flows, throttled, scale, seed)
-        for n_flows, throttled in THROTTLE_CASES])
 
 
 def run_topology_validation(scale: float = 1.0, seed: int = 0
@@ -688,20 +677,23 @@ def run_service_latency(scale: float = 1.0, seed: int = 0
     return result
 
 
+#: Name -> executor, in report order: ``run_unit``'s dispatch table. Each
+#: takes ``(scale, seed)`` and returns one sub-report, except
+#: ``receiver_throttle``, whose executor is one Ablation M case's row.
 ALL_ABLATIONS = {
     "buffer": run_buffer_sharing,
     "guardrail": run_guardrail,
     "scheduler": run_scheduler,
-    "g": run_g_sweep,
+    "g": partial(run_table, "g"),
     "pacing": run_pacing,
-    "idle": run_window_validation,
+    "idle": partial(run_table, "idle"),
     "predictability": run_predictability,
-    "delayed_ack": run_delayed_ack,
-    "ecn_threshold": run_ecn_threshold,
-    "sack": run_sack,
+    "delayed_ack": partial(run_table, "delayed_ack"),
+    "ecn_threshold": partial(run_table, "ecn_threshold"),
+    "sack": partial(run_table, "sack"),
     "rack": run_rack_contention,
     "fanin": run_fanin_latency,
-    "receiver_throttle": run_receiver_throttle,
+    "receiver_throttle": _throttle_case_row,
     "topology": run_topology_validation,
     "service_latency": run_service_latency,
 }
@@ -751,12 +743,12 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 def run_unit(unit: WorkUnit):
     """Run one ablation (or one receiver-throttle case)."""
-    name = unit.params["ablation"]
+    executor = ALL_ABLATIONS[unit.params["ablation"]]
     if "case" in unit.params:
         n_flows, throttled = unit.params["case"]
-        return _throttle_case_row(int(n_flows), bool(throttled),
-                                  unit.scale, unit.seed)
-    return ALL_ABLATIONS[name](scale=unit.scale, seed=unit.seed)
+        return executor(int(n_flows), bool(throttled), unit.scale,
+                        unit.seed)
+    return executor(scale=unit.scale, seed=unit.seed)
 
 
 def merge(work: list[WorkUnit], payloads: list, *, scale: float,
@@ -778,15 +770,4 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
     )
     for name in ALL_ABLATIONS:
         merged.merge_sub_result(name, sub_results[name])
-    return merged
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Run every ablation and merge the reports."""
-    merged = ExperimentResult(
-        name="ablations",
-        description="Design-choice ablations and Section 5 directions",
-    )
-    for name, runner in ALL_ABLATIONS.items():
-        merged.merge_sub_result(name, runner(scale=scale, seed=seed))
     return merged

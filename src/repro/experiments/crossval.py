@@ -143,14 +143,6 @@ def rank_correlation(a: list[float], b: list[float]) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Run the cross-validation sweep and report substrate agreement."""
-    burst_ns, n_bursts = sweep_params(scale)
-    packet = run_packet_side(FLOW_SWEEP, burst_ns, n_bursts, seed)
-    fluid = run_fluid_side(FLOW_SWEEP, burst_ns)
-    return _report(packet, fluid)
-
-
 #: Degrees the hybrid-agreement smoke sweep covers: one from each regime
 #: (below the degenerate region, around it, and deep inside it) — enough
 #: for a meaningful rank correlation at CI cost.
@@ -161,7 +153,7 @@ def hybrid_agreement(scale: float = 1.0, seed: int = 0) -> dict:
     """Cross-validate the ``hybrid`` backend against pure ``packet``.
 
     Runs the Figure 5 protocol on both substrates over a reduced degree
-    sweep and reports the same shape-agreement statistics ``run`` uses
+    sweep and reports the same shape-agreement statistics ``merge`` uses
     for fluid-vs-packet, plus the worst absolute divergence in the
     marked fraction. CI smokes this (``python -m repro.experiments.crossval
     --hybrid``): the hybrid substrate must order the regimes exactly as
@@ -220,13 +212,15 @@ def _main() -> int:
     import argparse
 
     from repro.analysis.export import pretty_json
+    from repro.experiments.engine import run_experiments
+    from repro.experiments.runner import scale_arg
 
     parser = argparse.ArgumentParser(
         description="Substrate cross-validation sweeps")
     parser.add_argument("--hybrid", action="store_true",
                         help="validate the hybrid backend against packet "
                              "(exit 1 if ordering disagrees)")
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=scale_arg, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.hybrid:
@@ -235,7 +229,9 @@ def _main() -> int:
         ok = (report["mark_rank_correlation"] >= 0.99
               and report["queue_rank_correlation"] >= 0.99)
         return 0 if ok else 1
-    print(run(scale=args.scale, seed=args.seed).render())
+    results, _report = run_experiments(["crossval"], scale=args.scale,
+                                       seed=args.seed, jobs=1)
+    print(results["crossval"].render())
     return 0
 
 

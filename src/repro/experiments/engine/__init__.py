@@ -7,8 +7,8 @@ point, one service's campaign slice, one figure panel, ...) via its module's
 engine:
 
 - fans units out across a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``jobs=1`` executes serially in-process, matching the classic
-  ``run()`` path bit for bit);
+  (``jobs=1`` executes serially in-process, bit for bit the same
+  results);
 - deduplicates identical units across experiments in one invocation (the
   fig2/fig4 daily campaign is generated once, not twice);
 - memoizes finished payloads in an on-disk content-addressed cache keyed by

@@ -6,7 +6,7 @@ The execution model:
 2. units are deduplicated across experiments by cache key (the fig2/fig4
    daily campaign is one set of units, not two);
 3. cached payloads are loaded; the rest run — serially in-process when
-   ``jobs == 1`` (the classic path, bit for bit), otherwise on a
+   ``jobs == 1`` (same bytes as any pool), otherwise on a
    :class:`~concurrent.futures.ProcessPoolExecutor`;
 4. fresh payloads are written back to the cache;
 5. each experiment's ``merge(units, payloads, scale=..., seed=...)``
@@ -125,7 +125,8 @@ class _ExperimentRegistry(Mapping):
 
 
 #: Registry of experiment modules, in canonical display/run order. Each
-#: module exposes ``run()``, ``work_units()`` and ``merge()``.
+#: module exposes ``work_units()`` and ``merge()``; its units name their
+#: executor (usually the module's ``run_unit()``).
 EXPERIMENT_MODULES = _ExperimentRegistry((
     "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
     "ablations", "crossval", "verdict"))
@@ -452,7 +453,7 @@ class ExecutorBackend:
 
 
 class SerialBackend(ExecutorBackend):
-    """The classic in-process path (``jobs == 1``), with retries.
+    """The in-process serial path (``jobs == 1``), with retries.
 
     Wall-clock timeouts are not enforceable here — a hung unit would hang
     the engine itself; ``unit_timeout_s`` therefore requires a pool or

@@ -33,20 +33,10 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 
 def run_unit(unit: WorkUnit) -> ExperimentResult:
-    """Execute the capture+analysis unit (the whole figure)."""
-    return run(scale=unit.scale, seed=unit.seed)
-
-
-def merge(units: list[WorkUnit], payloads: list[ExperimentResult], *,
-          scale: float, seed: int) -> ExperimentResult:
-    """Single-unit experiment: the payload *is* the result."""
-    return payloads[0]
-
-
-def run(scale: float = 1.0, seed: int = 17) -> ExperimentResult:
-    """Reproduce Figure 1 (a-d) from one synthetic aggregator capture."""
-    duration_ms = max(200, int(round(2000 * scale)))
-    rng = RngHub(seed).fresh("fig1")
+    """Reproduce Figure 1 (a-d) from one synthetic aggregator capture:
+    capture and analysis in one unit (the whole figure)."""
+    duration_ms = max(200, int(round(2000 * unit.scale)))
+    rng = RngHub(unit.seed).fresh("fig1")
     trace = generate_host_trace(
         SERVICE_PROFILES[SERVICE],
         TraceMeta(service=SERVICE, host_id=0), rng,
@@ -132,3 +122,9 @@ def run(scale: float = 1.0, seed: int = 17) -> ExperimentResult:
         ],
         title="Figure 1: headline observations"))
     return result
+
+
+def merge(units: list[WorkUnit], payloads: list[ExperimentResult], *,
+          scale: float, seed: int) -> ExperimentResult:
+    """Single-unit experiment: the payload *is* the result."""
+    return payloads[0]

@@ -18,16 +18,9 @@ from repro.core.incast import INCAST_FLOW_THRESHOLD
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import (FleetCampaign,
-                                          daily_campaign_config, run_campaign)
+from repro.measurement.collection import daily_campaign_config
 
 PERCENTILES = [10.0, 25.0, 50.0, 75.0, 90.0, 99.0]
-
-
-def campaign_for_scale(scale: float, seed: int) -> FleetCampaign:
-    """The daily campaign at a given scale (scale=1 is the paper's
-    20 hosts x 9 snapshots)."""
-    return run_campaign(daily_campaign_config(scale, seed))
 
 
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
@@ -42,15 +35,6 @@ def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
     """Reassemble the campaign from its tiles and analyze."""
     campaign = fleet.assemble_campaign(
         daily_campaign_config(scale, seed), units, payloads)
-    return run(scale=scale, seed=seed, campaign=campaign)
-
-
-def run(scale: float = 1.0, seed: int = 0,
-        campaign: FleetCampaign | None = None) -> ExperimentResult:
-    """Reproduce Figure 2 (a-c)."""
-    if campaign is None:
-        campaign = campaign_for_scale(scale, seed)
-
     freq_cdfs, dur_cdfs, flow_cdfs = {}, {}, {}
     per_service_rows = []
     for service in campaign.summaries:

@@ -19,8 +19,7 @@ from repro.core.stability import (cross_host_stability, regime_separation,
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import (FleetCampaign, run_campaign,
-                                          stability_campaign_config)
+from repro.measurement.collection import stability_campaign_config
 
 HOST_DETAIL_SERVICE = "aggregator"
 
@@ -37,15 +36,6 @@ def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
     """Reassemble the campaign from its tiles and analyze."""
     campaign = fleet.assemble_campaign(
         stability_campaign_config(scale, seed), units, payloads)
-    return run(scale=scale, seed=seed, campaign=campaign)
-
-
-def run(scale: float = 1.0, seed: int = 0,
-        campaign: FleetCampaign | None = None) -> ExperimentResult:
-    """Reproduce Figure 3 (a-b) from the 18-hour stability campaign."""
-    if campaign is None:
-        campaign = run_campaign(stability_campaign_config(scale, seed))
-
     result = ExperimentResult(
         name="fig3",
         description="Within a service, burst flow-count distributions are "

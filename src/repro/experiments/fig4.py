@@ -18,9 +18,8 @@ from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table, render_cdf_table
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.fig2 import campaign_for_scale
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import FleetCampaign, daily_campaign_config
+from repro.measurement.collection import daily_campaign_config
 
 QUEUE_PERCENTILES = [10.0, 25.0, 50.0, 75.0, 90.0]
 MARK_PERCENTILES = [50.0, 75.0, 90.0, 95.0, 99.0]
@@ -43,15 +42,6 @@ def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
     """Reassemble the campaign from its tiles and analyze."""
     campaign = fleet.assemble_campaign(
         daily_campaign_config(scale, seed), units, payloads)
-    return run(scale=scale, seed=seed, campaign=campaign)
-
-
-def run(scale: float = 1.0, seed: int = 0,
-        campaign: FleetCampaign | None = None) -> ExperimentResult:
-    """Reproduce Figure 4 (a-c)."""
-    if campaign is None:
-        campaign = campaign_for_scale(scale, seed)
-
     queue_cdfs, mark_cdfs, retx_cdfs = {}, {}, {}
     rows = []
     for service in campaign.summaries:

@@ -130,9 +130,3 @@ def series_rows(result: IncastSimResult,
             ys.append(round(float(v), 1))
             next_t += step_ms
     return xs, ys
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Reproduce Figure 5 (a-c)."""
-    plan = work_units(scale, seed)
-    return merge(plan, [run_unit(u) for u in plan], scale=scale, seed=seed)

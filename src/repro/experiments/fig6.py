@@ -83,9 +83,3 @@ def merge(work: list[WorkUnit], payloads: list[IncastSimResult], *,
         title="Figure 6 summary (paper: short bursts are dominated by the "
               "initial spike; deep queues for most of the burst)"))
     return result
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Reproduce Figure 6 for several incast degrees."""
-    plan = work_units(scale, seed)
-    return merge(plan, [run_unit(u) for u in plan], scale=scale, seed=seed)

@@ -31,22 +31,12 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 
 def run_unit(unit: WorkUnit) -> ExperimentResult:
-    """Run the full figure in one unit (analysis included, since the
-    per-flow sampler arrays dominate the payload otherwise)."""
-    return run(scale=unit.scale, seed=unit.seed)
-
-
-def merge(work: list[WorkUnit], payloads: list[ExperimentResult], *,
-          scale: float, seed: int) -> ExperimentResult:
-    """The single unit's payload is already the finished figure."""
-    return payloads[0]
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Reproduce Figure 7 (100-flow Mode 1 incast, per-flow in-flight)."""
+    """Reproduce Figure 7 (100-flow Mode 1 incast, per-flow in-flight):
+    the full figure in one unit, analysis included, since the per-flow
+    sampler arrays dominate the payload otherwise."""
     sim_result = run_incast_sim(scaled_incast_config(
-        {"n_flows": N_FLOWS, "seed": seed, "sample_flows": True,
-         "max_sim_time_ns": units.sec(60.0)}, scale))
+        {"n_flows": N_FLOWS, "seed": unit.seed, "sample_flows": True,
+         "max_sim_time_ns": units.sec(60.0)}, unit.scale))
     sampler = sim_result.flow_sampler
     assert sampler is not None
 
@@ -104,3 +94,9 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
               "times the average; stragglers ramp at burst end and spike "
               "the next burst's queue)"))
     return result
+
+
+def merge(work: list[WorkUnit], payloads: list[ExperimentResult], *,
+          scale: float, seed: int) -> ExperimentResult:
+    """The single unit's payload is already the finished figure."""
+    return payloads[0]

@@ -608,7 +608,7 @@ def verdict_main(argv: list[str]) -> int:
         }, indent=2, sort_keys=True))
         return 0
     return _run_campaign(parser, args, ["verdict"],
-                         {"verdict": verdict_mod.make_experiment(grid)},
+                         {"verdict": verdict_mod.VerdictExperiment(grid)},
                          "verdict --resume")
 
 

@@ -14,8 +14,7 @@ from repro.analysis.tables import format_table
 from repro.experiments.engine import fleet
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
-from repro.measurement.collection import (FleetCampaign, run_campaign,
-                                          sampling_campaign_config)
+from repro.measurement.collection import sampling_campaign_config
 from repro.workloads.services import SERVICE_PROFILES
 
 
@@ -28,22 +27,13 @@ def work_units(scale: float, seed: int) -> list[WorkUnit]:
 
 def merge(units: list[WorkUnit], payloads: list[dict], *, scale: float,
           seed: int) -> ExperimentResult:
-    """Reassemble the campaign from its tiles and tabulate."""
-    campaign = fleet.assemble_campaign(
-        sampling_campaign_config(scale, seed), units, payloads)
-    return run(scale=scale, seed=seed, campaign=campaign)
-
-
-def run(scale: float = 1.0, seed: int = 0,
-        campaign: FleetCampaign | None = None) -> ExperimentResult:
-    """Reproduce Table 1 (plus measured fleet summary columns).
+    """Reassemble the campaign from its tiles and tabulate.
 
     ``scale`` shrinks the sampling campaign used for the measured columns;
     the service inventory itself is scale-independent.
     """
-    if campaign is None:
-        campaign = run_campaign(sampling_campaign_config(scale, seed))
-
+    campaign = fleet.assemble_campaign(
+        sampling_campaign_config(scale, seed), units, payloads)
     rows = []
     for name, profile in SERVICE_PROFILES.items():
         flows = campaign.pooled(name, "flow_counts")

@@ -21,7 +21,7 @@ The campaign is an ordinary engine experiment — ``work_units`` /
 (:func:`repro.experiments.sweep.run_unit` on the ``dumbbell_incast`` and
 ``leafspine_mix`` scenarios), so it is cacheable, resumable, journaled,
 fault-tolerant and byte-identical under ``--jobs N`` for free, and a
-trimmed grid (:class:`VerdictGrid` + :func:`make_experiment`) drives the
+trimmed grid (:class:`VerdictGrid` + :class:`VerdictExperiment`) drives the
 ``verdict`` CLI subcommand::
 
     python -m repro.experiments.runner verdict
@@ -273,16 +273,3 @@ class VerdictExperiment:
         """Assemble the verdict report (the registry protocol's merge
         hook)."""
         return merge(work, payloads, scale=scale, seed=seed)
-
-
-def make_experiment(grid: VerdictGrid) -> VerdictExperiment:
-    """An engine-registrable experiment for ``grid`` (used by the
-    ``verdict`` CLI subcommand and the golden fixtures)."""
-    return VerdictExperiment(grid)
-
-
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Run the default verdict campaign serially in-process."""
-    from repro.experiments.sweep import run_unit
-    plan = work_units(scale, seed)
-    return merge(plan, [run_unit(u) for u in plan], scale=scale, seed=seed)

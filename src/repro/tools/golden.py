@@ -1,7 +1,8 @@
 """Golden-result fixtures for the regression suite.
 
-Each golden case runs one experiment (or one cheap ablation) at a small
-fixed scale and seed, flattens the JSON-exportable ``data`` of its
+Each golden case runs one experiment through the engine (or one cheap
+ablation's executor) at a small fixed scale and seed, flattens the
+JSON-exportable ``data`` of its
 :class:`~repro.experiments.result.ExperimentResult` into scalar leaves,
 and stores them as a committed fixture. ``tests/test_golden_results.py``
 recomputes the cases and compares leaf-by-leaf with tolerances, so a
@@ -31,22 +32,24 @@ from repro.experiments.result import ExperimentResult
 SCALE = 0.05
 SEED = 3
 
-#: Experiments cheap enough to run end-to-end in the suite. The full
+#: Experiments cheap enough to run end-to-end in the suite, each through
+#: the engine serially in-process (``jobs=1``, cache off). The full
 #: ``ablations`` experiment takes minutes even at this scale, so it is
 #: covered by representative sub-ablations below instead.
 GOLDEN_EXPERIMENTS = ["table1", "fig1", "fig2", "fig3", "fig4", "fig5",
                       "fig6", "fig7", "crossval"]
 
 #: Cheap, layer-diverse ablation representatives (fleet predictor, TCP
-#: idle-restart, receiver delayed ACKs).
+#: idle-restart, receiver delayed ACKs), each through its
+#: ``ablations.ALL_ABLATIONS`` executor, the one ``run_unit`` calls.
 GOLDEN_ABLATIONS = ["predictability", "idle", "delayed_ack"]
 
-#: Experiments additionally pinned through the *engine* path (plan →
-#: pool fan-out → merge, ``jobs=2``, cache off). The classic ``run()``
-#: cases above cannot see an engine regression — a scheduling, retry or
-#: merge bug that perturbs payload assembly only shows up here. These are
-#: also the fault-free anchors the chaos suite's recovered runs must
-#: reproduce byte for byte.
+#: Experiments additionally pinned through the engine's process pool
+#: (plan → pool fan-out → merge, ``jobs=2``, cache off). The serial cases
+#: above cannot see a pool regression — a scheduling, retry or pickling
+#: bug that perturbs payload assembly only shows up here. These are also
+#: the fault-free anchors the chaos suite's recovered runs must reproduce
+#: byte for byte.
 GOLDEN_ENGINE_EXPERIMENTS = ["fig5", "fig6"]
 
 #: Comparison tolerances for numeric leaves.
@@ -86,12 +89,13 @@ def golden_payload(result: ExperimentResult) -> dict:
     }
 
 
-def _run_through_engine(name: str) -> ExperimentResult:
-    """One experiment through the parallel engine path (no cache)."""
+def _run_through_engine(name: str, jobs: int) -> ExperimentResult:
+    """One experiment through the engine on ``jobs`` workers (no
+    cache)."""
     from repro.experiments.engine import run_experiments
 
     results, _report = run_experiments([name], scale=SCALE, seed=SEED,
-                                       jobs=2)
+                                       jobs=jobs)
     return results[name]
 
 
@@ -151,9 +155,9 @@ def golden_verdict_grid():
 def _run_verdict_case() -> ExperimentResult:
     """The golden verdict campaign (engine path, ``jobs=2``, no cache)."""
     from repro.experiments.engine import run_experiments
-    from repro.experiments.verdict import make_experiment
+    from repro.experiments.verdict import VerdictExperiment
 
-    adapter = make_experiment(golden_verdict_grid())
+    adapter = VerdictExperiment(golden_verdict_grid())
     results, _report = run_experiments(
         ["verdict"], scale=SCALE, seed=SEED, jobs=2,
         extra_modules={"verdict": adapter})
@@ -172,19 +176,17 @@ def _run_sweep_case(case: str) -> ExperimentResult:
 def golden_cases() -> dict[str, Callable[[], ExperimentResult]]:
     """Case name -> thunk computing its ExperimentResult."""
     from repro.experiments.ablations import ALL_ABLATIONS
-    from repro.experiments.engine import EXPERIMENT_MODULES
 
     cases: dict[str, Callable[[], ExperimentResult]] = {}
     for name in GOLDEN_EXPERIMENTS:
-        module = EXPERIMENT_MODULES[name]
-        cases[name] = (lambda m=module: m.run(scale=SCALE, seed=SEED))
+        cases[name] = (lambda n=name: _run_through_engine(n, jobs=1))
     for name in GOLDEN_ABLATIONS:
         runner = ALL_ABLATIONS[name]
         cases[f"ablation_{name}"] = (
             lambda r=runner: r(scale=SCALE, seed=SEED))
     for name in GOLDEN_ENGINE_EXPERIMENTS:
         cases[f"engine_{name}"] = (
-            lambda n=name: _run_through_engine(n))
+            lambda n=name: _run_through_engine(n, jobs=2))
     for name in golden_sweep_specs():
         cases[name] = (lambda n=name: _run_sweep_case(n))
     cases["verdict"] = _run_verdict_case
@@ -234,11 +236,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--case", action="append", default=None,
                         help="restrict to specific case name(s)")
     args = parser.parse_args(argv)
+    cases = golden_cases()
+    unknown = sorted(set(args.case or ()) - set(cases))
+    if unknown:
+        parser.error(f"unknown case(s) {', '.join(unknown)}; valid cases: "
+                     f"{', '.join(cases)}")
 
     directory = Path(args.dir) if args.dir else golden_dir()
     directory.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for name, thunk in golden_cases().items():
+    for name, thunk in cases.items():
         if args.case and name not in args.case:
             continue
         payload = golden_payload(thunk())

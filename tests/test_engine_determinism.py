@@ -1,4 +1,4 @@
-"""Engine equivalence: parallel == serial == classic, cache == cold.
+"""Engine equivalence: parallel == serial, cache == cold.
 
 The engine's contract is that ``--jobs N`` and the on-disk cache are pure
 optimizations: the merged ``ExperimentResult`` payloads (as JSON
@@ -36,18 +36,12 @@ def doc(result) -> str:
 
 
 class TestJobsEquivalence:
-    def test_serial_engine_matches_classic_run(self):
-        classic = fig6.run(scale=SCALE, seed=SEED)
-        results, report = run_experiments(["fig6"], scale=SCALE, seed=SEED,
-                                          jobs=1)
-        assert doc(results["fig6"]) == doc(classic)
-        assert report.jobs == 1
-        assert report.executed == len(fig6.FLOW_COUNTS)
-        assert report.total_events > 0  # packet sims fire kernel events
-
     def test_jobs4_matches_jobs1(self):
-        serial, _ = run_experiments(["fig6"], scale=SCALE, seed=SEED,
-                                    jobs=1)
+        serial, serial_report = run_experiments(["fig6"], scale=SCALE,
+                                                seed=SEED, jobs=1)
+        assert serial_report.jobs == 1
+        assert serial_report.executed == len(fig6.FLOW_COUNTS)
+        assert serial_report.total_events > 0  # packet sims fire events
         parallel, report = run_experiments(["fig6"], scale=SCALE,
                                            seed=SEED, jobs=4)
         assert doc(parallel["fig6"]) == doc(serial["fig6"])

@@ -6,7 +6,7 @@ import pytest
 
 from repro import units
 from repro.core.modes import DctcpMode
-from repro.experiments import fig1, fig2, fig3, fig4, fig5, fig6, fig7, table1
+from repro.experiments.engine import run_experiments
 from repro.experiments.environment import IncastSimConfig, run_incast_sim
 from repro.experiments.runner import EXPERIMENTS, build_parser, main
 
@@ -14,21 +14,38 @@ SCALE = 0.1
 SEED = 3
 
 
+def engine(names: list[str], scale: float) -> dict:
+    """``names`` through the engine, serially in-process, cache off."""
+    results, _report = run_experiments(names, scale=scale, seed=SEED,
+                                       jobs=1)
+    return results
+
+
 @pytest.fixture(scope="module")
 def fleet_results():
-    """Shared small fleet campaign for fig2/fig4."""
-    from repro.experiments.fig2 import campaign_for_scale
-    return campaign_for_scale(0.15, SEED)
+    """fig2 and fig4 from one call, so they share the daily campaign's
+    capture tiles."""
+    return engine(["fig2", "fig4"], 0.15)
+
+
+@pytest.fixture(scope="module")
+def fig3_result():
+    return engine(["fig3"], 0.12)["fig3"]
+
+
+@pytest.fixture(scope="module")
+def fig5_result():
+    return engine(["fig5"], SCALE)["fig5"]
 
 
 class TestFleetExperiments:
     def test_table1_lists_five_services(self):
-        result = table1.run(scale=0.2, seed=SEED)
+        result = engine(["table1"], 0.2)["table1"]
         assert len(result.data["rows"]) == 5
         assert "storage" in result.render()
 
     def test_fig1_trace_shape(self):
-        result = fig1.run(scale=0.25, seed=SEED)
+        result = engine(["fig1"], 0.25)["fig1"]
         trace = result.data["trace"]
         assert trace.meta.service == "aggregator"
         assert 0.02 < result.data["mean_utilization"] < 0.4
@@ -36,7 +53,7 @@ class TestFleetExperiments:
         assert result.data["burst_frequency_hz"] > 5
 
     def test_fig2_cdf_shapes(self, fleet_results):
-        result = fig2.run(campaign=fleet_results)
+        result = fleet_results["fig2"]
         flows = result.data["flow_cdfs"]
         # Video sees the largest incasts; messaging the smallest.
         assert flows["video"].median() > flows["messaging"].median()
@@ -46,29 +63,29 @@ class TestFleetExperiments:
             assert cdf.percentile(10) >= 1
 
     def test_fig2_incast_majority(self, fleet_results):
-        result = fig2.run(campaign=fleet_results)
+        result = fleet_results["fig2"]
         flows = result.data["flow_cdfs"]
         # Majority of aggregator/video/indexer bursts are incasts.
         for service in ("aggregator", "video", "indexer"):
             assert flows[service].evaluate(25) < 0.5
 
-    def test_fig3_stability(self):
-        result = fig3.run(scale=0.12, seed=SEED)
+    def test_fig3_stability(self, fig3_result):
+        result = fig3_result
         temporal = result.data["temporal"]
         for service in ("storage", "aggregator", "indexer", "messaging"):
             assert temporal[service].cov_of_means < 0.3, service
         cross = result.data["cross_host"]
         assert cross.cov_of_means < 0.3
 
-    def test_fig3_video_regimes(self):
-        result = fig3.run(scale=0.12, seed=SEED)
+    def test_fig3_video_regimes(self, fig3_result):
+        result = fig3_result
         regimes = result.data.get("video_regimes")
         assert regimes is not None
         if len(regimes) == 2:
             assert np.mean(regimes[1]) > np.mean(regimes[0])
 
     def test_fig4_shapes(self, fleet_results):
-        result = fig4.run(campaign=fleet_results)
+        result = fleet_results["fig4"]
         marks = result.data["mark_cdfs"]
         # Roughly half the bursts never mark (y-axis starts at p50).
         for service, cdf in marks.items():
@@ -82,8 +99,8 @@ class TestFleetExperiments:
 
 
 class TestSimExperiments:
-    def test_fig5_modes(self):
-        result = fig5.run(scale=SCALE, seed=SEED)
+    def test_fig5_modes(self, fig5_result):
+        result = fig5_result
         mode1 = result.data["mode1_healthy"]
         mode3 = result.data["mode3_timeouts"]
         assert mode1.steady_drops == 0
@@ -94,8 +111,8 @@ class TestSimExperiments:
         # Mode 3 BCT explodes by an order of magnitude (RTO-bound).
         assert mode3.mean_bct_ms > 10 * mode3.optimal_bct_ms
 
-    def test_fig5_mode2_queue_pinned(self):
-        result = fig5.run(scale=SCALE, seed=SEED)
+    def test_fig5_mode2_queue_pinned(self, fig5_result):
+        result = fig5_result
         mode2 = result.data["mode2_degenerate"]
         finite = mode2.aligned_queue_packets[
             np.isfinite(mode2.aligned_queue_packets)]
@@ -109,7 +126,7 @@ class TestSimExperiments:
         assert last.bct_ms < 10.0
 
     def test_fig6_spike_dominated(self):
-        result = fig6.run(scale=SCALE, seed=SEED)
+        result = engine(["fig6"], SCALE)["fig6"]
         peaks = []
         for n_flows in (50, 100, 200, 500):
             sim_result = result.data[f"flows_{n_flows}"]
@@ -120,7 +137,7 @@ class TestSimExperiments:
         assert peaks == sorted(peaks)
 
     def test_fig7_straggler_signatures(self):
-        result = fig7.run(scale=0.15, seed=SEED)
+        result = engine(["fig7"], 0.15)["fig7"]
         report = result.data["report"]
         assert report.tail_skew > 1.5
         assert report.p100_inflight.max() > 2 * 1460

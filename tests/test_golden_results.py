@@ -42,3 +42,13 @@ def test_golden(name: str):
         f"fixture:\n  " + "\n  ".join(problems[:20])
         + "\n(regenerate with `python -m repro.tools.golden` if the "
           "change is intentional)")
+
+
+def test_unknown_case_is_rejected(capsys):
+    """A misspelt ``--case`` must fail loudly, not check nothing."""
+    with pytest.raises(SystemExit) as exc:
+        golden.main(["--check", "--case", "no_such_case"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no_such_case" in err
+    assert "fig1" in err and "verdict" in err

@@ -21,8 +21,8 @@ from repro.experiments.engine import (CampaignInterrupted, FaultSpec,
                                       ResultCache, replay_journal,
                                       run_experiments)
 from repro.experiments.runner import build_verdict_parser, verdict_main
-from repro.experiments.verdict import (DEFAULT_GRID, VerdictGrid,
-                                       grid_units, make_experiment)
+from repro.experiments.verdict import (DEFAULT_GRID, VerdictExperiment,
+                                       VerdictGrid, grid_units)
 from repro.tools.golden import SCALE, SEED, golden_verdict_grid
 
 #: Immediate retries: these tests should not spend wall time backing off.
@@ -39,7 +39,7 @@ def run_verdict(grid: VerdictGrid, **engine_kwargs):
     """The golden grid through the engine, like the CLI does."""
     results, report = run_experiments(
         ["verdict"], scale=SCALE, seed=SEED,
-        extra_modules={"verdict": make_experiment(grid)}, **engine_kwargs)
+        extra_modules={"verdict": VerdictExperiment(grid)}, **engine_kwargs)
     return results.get("verdict"), report
 
 
