@@ -18,7 +18,8 @@ def test_ablation_buffer_sharing(once):
 
 
 def test_ablation_guardrail(once):
-    result = once(ablations.run_guardrail, scale=bench_scale(), seed=0)
+    result = once(ablations.run_table, "guardrail", scale=bench_scale(),
+                  seed=0)
     print()
     print(result.render())
     rows = result.data["rows"]
@@ -99,14 +100,11 @@ def test_ablation_fanin_latency(once):
 
 
 def test_ablation_receiver_throttle(once):
-    # Ablation M is four engine units, one simulation per row.
-    plan = [unit for unit in ablations.work_units(bench_scale(), 0)
-            if unit.params["ablation"] == "receiver_throttle"]
-    rows = once(lambda: [ablations.run_unit(unit) for unit in plan])
+    result = once(ablations.run_table, "receiver_throttle",
+                  scale=bench_scale(), seed=0)
     print()
-    for row in rows:
-        print(row)
-    rows = {(r[0], r[1]): r for r in rows}
+    print(result.render())
+    rows = {(r[0], r[1]): r for r in result.data["rows"]}
     # At 100 flows the throttle trims the burst-start spike...
     assert rows[(100, "ictcp-like rwnd")][3] \
         <= rows[(100, "dctcp alone")][3]

@@ -68,12 +68,15 @@ def main() -> None:
     # Phase 4: validate in simulation at the forecast degree.
     n_flows = max(int(round(forecast.p99)), 1)
     rows = []
-    for label, guard in (("DCTCP", None), ("DCTCP + guardrail", cap)):
+    # The guardrail scheme sizes its cap for the planned degree exactly as
+    # the advisor did for the forecast: the run enforces ``cap``.
+    for label, scheme in (("DCTCP", "dctcp"), ("DCTCP + guardrail",
+                                               "guardrail")):
         config = IncastSimConfig(
             n_flows=n_flows,
             burst_duration_ns=units.msec(5.0),
             n_bursts=4,
-            guardrail_cap_bytes=guard,
+            scheme=scheme,
         )
         result = run_incast_sim(config)
         finite = result.aligned_queue_packets[

@@ -22,6 +22,6 @@ The package is organized bottom-up:
 
 from repro import units
 
-__version__ = "1.2.3"
+__version__ = "1.2.4"
 
 __all__ = ["units", "__version__"]

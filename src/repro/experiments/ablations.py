@@ -9,7 +9,8 @@ future directions its text calls out:
   private-buffer flow-count sweep that locates the analytic overflow
   boundary K > capacity + BDP.
 - **B: guardrail** — capping CWND from the predicted incast degree
-  (Section 5.1) cuts the burst-start spike without hurting BCT.
+  (Section 5.1, the ``guardrail`` scheme) cuts the burst-start spike
+  without hurting BCT.
 - **C: scheduling** — splitting a 500-flow incast into admission groups of
   100 (Section 5.2) keeps each group in the healthy regime.
 - **D: g sweep** — DCTCP's estimation gain is a brittle knob (Section 5.1).
@@ -45,10 +46,11 @@ future directions its text calls out:
   query work divided across more workers improves nothing once responses
   congest the coordinator's downlink, and collapses (RTO-bound tail) once
   the aggregate first window overflows the queue.
-- **M: receiver-window throttling** — an ICTCP-like receiver that divides
-  a Mode 1 byte budget across active connections. It matches the sender
-  guardrail at moderate degrees and stops helping at the same 1-MSS floor,
-  quantifying why the paper groups ICTCP with the O(50)-flow designs.
+- **M: receiver-window throttling** — an ICTCP-like receiver (the
+  ``ictcp`` scheme) that divides a Mode 1 byte budget across active
+  connections. It matches the sender guardrail at moderate degrees and
+  stops helping at the same 1-MSS floor, quantifying why the paper groups
+  ICTCP with the O(50)-flow designs.
 - **N: topology abstraction** — the paper collapses its three-layer
   datacenter to a dumbbell for the Section 4 diagnosis. This ablation runs
   the same cross-rack incast on a full leaf-spine fabric and shows the
@@ -70,13 +72,13 @@ import numpy as np
 from repro import units
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (SUMMARY_COLUMNS, run_incast_sim,
+from repro.experiments.environment import (SUMMARY_COLUMNS, IncastSimResult,
+                                           run_incast_sim,
                                            scaled_incast_config)
 from repro.experiments.result import ExperimentResult
 from repro.netsim.topology import DumbbellConfig, build_dumbbell
 from repro.simcore.random import RngHub
 from repro.tcp.config import TcpConfig
-from repro.tcp.guardrail import guardrail_cap_bytes
 from repro.workloads.incast import demand_per_flow_bytes
 from repro.workloads.scheduler import IncastScheduler, SchedulerConfig
 from repro.simcore.kernel import Simulator
@@ -84,13 +86,18 @@ from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.connection import open_connection
 
 
-def _summary(scale: float, seed: int, overrides: dict) -> list:
+def _incast(scale: float, seed: int, overrides: dict) -> IncastSimResult:
     """One ablation row's dumbbell incast (the scale rule's burst shape,
-    a 120 s horizon, ``overrides`` with dotted keys allowed), run and
-    summarised under :data:`SUMMARY_COLUMNS`."""
+    a 120 s horizon, ``overrides`` with dotted keys allowed), run."""
     return run_incast_sim(scaled_incast_config(
         {"seed": seed, "max_sim_time_ns": units.sec(120.0), **overrides},
-        scale)).summary_row()
+        scale))
+
+
+def _summary(scale: float, seed: int, overrides: dict) -> list:
+    """One ablation row's incast summarised under
+    :data:`SUMMARY_COLUMNS`."""
+    return _incast(scale, seed, overrides).summary_row()
 
 
 def run_buffer_sharing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
@@ -121,29 +128,6 @@ def run_buffer_sharing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         ["flows"] + SUMMARY_COLUMNS, sweep_rows,
         title=f"Ablation A2: private-buffer overflow sweep (analytic "
               f"boundary K > capacity + BDP = {model.overflow_point})"))
-    return result
-
-
-def run_guardrail(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation B: CWND guardrail from predicted incast degree."""
-    result = ExperimentResult(
-        name="ablation_guardrail",
-        description="A CWND cap sized from the predicted incast degree "
-                    "removes the burst-start spike (Section 5.1)",
-    )
-    rows = []
-    net, tcp = DumbbellConfig(), TcpConfig()
-    for n_flows in (100, 150):
-        cap = guardrail_cap_bytes(n_flows, net.ecn_threshold_packets or 0,
-                                  net.bdp_bytes, tcp.mss_bytes)
-        rows.append([n_flows, "dctcp"]
-                    + _summary(scale, seed, {"n_flows": n_flows}))
-        rows.append([n_flows, f"dctcp+cap {cap}B"] + _summary(
-            scale, seed, {"n_flows": n_flows, "guardrail_cap_bytes": cap}))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["flows", "sender"] + SUMMARY_COLUMNS, rows,
-        title="Ablation B: guardrail on/off"))
     return result
 
 
@@ -277,10 +261,21 @@ def run_predictability(scale: float = 1.0, seed: int = 0
     return result
 
 
-#: Ablations D, F, H, I and J: one dumbbell incast per table row. Name
-#: -> (result name, description, label headers, table title, rows of
-#: ``(label cells, overrides)``); :func:`run_table` runs one.
+#: Ablations B, D, F, H, I, J and M: one dumbbell incast per table row.
+#: Name -> (result name, description, label headers, table title, rows
+#: of ``(label cells, overrides)``); :func:`run_table` runs one. A string
+#: label cell is formatted with the row's ``scheme_stats``, so B's label
+#: names the cap the run enforced.
 TABLES = {
+    "guardrail": (
+        "ablation_guardrail",
+        "A CWND cap sized from the predicted incast degree removes the "
+        "burst-start spike (Section 5.1)",
+        ["flows", "sender"], "Ablation B: guardrail on/off",
+        [row for n in (100, 150) for row in (
+            ([n, "dctcp"], {"n_flows": n}),
+            ([n, "dctcp+cap {cap_bytes}B"],
+             {"n_flows": n, "scheme": "guardrail"}))]),
     "g": (
         "ablation_g",
         "DCTCP g sweep at 100 flows (Section 5.1: tuning g is brittle and "
@@ -338,6 +333,16 @@ TABLES = {
              ("spike 500 flows/2ms",
               {"n_flows": 500, "burst_duration_ns": units.msec(2.0)}))
          for sack in (False, True)]),
+    "receiver_throttle": (
+        "ablation_receiver_throttle",
+        "Receiver-window (ICTCP-like) throttling helps at moderate degree "
+        "and hits the same 1-MSS floor as sender windows",
+        ["flows", "receiver"],
+        "Ablation M: ICTCP-like receiver-window throttling",
+        [([n, label], {"n_flows": n, **scheme})
+         for n in (100, 500)
+         for label, scheme in (("dctcp alone", {}),
+                               ("ictcp-like rwnd", {"scheme": "ictcp"}))]),
 }
 
 
@@ -346,8 +351,13 @@ def run_table(name: str, scale: float = 1.0,
     """Run one :data:`TABLES` ablation: each row's incast, summarised."""
     result_name, description, headers, title, rows = TABLES[name]
     result = ExperimentResult(name=result_name, description=description)
-    result.data["rows"] = [cells + _summary(scale, seed, overrides)
-                           for cells, overrides in rows]
+    result.data["rows"] = []
+    for cells, overrides in rows:
+        run = _incast(scale, seed, overrides)
+        stats = run.scheme_stats or {}
+        result.data["rows"].append(
+            [cell.format_map(stats) if isinstance(cell, str)
+             else cell for cell in cells] + run.summary_row())
     result.add_section(format_table(headers + SUMMARY_COLUMNS,
                                     result.data["rows"], title=title))
     return result
@@ -456,90 +466,6 @@ def run_fanin_latency(scale: float = 1.0, seed: int = 0
         rows,
         title=f"Ablation L: query latency vs fan-in "
               f"({total_bytes // 1000} KB of responses per query)"))
-    return result
-
-
-THROTTLE_CASES: list[tuple[int, bool]] = [
-    (100, False), (100, True), (500, False), (500, True)]
-"""Ablation M cases: ``(n_flows, throttled)``. Each is an independent
-simulation — and by far the slowest part of the suite — so the engine
-decomposes them into separate work units."""
-
-
-def _throttle_case_row(n_flows: int, throttled: bool, scale: float,
-                       seed: int) -> list:
-    """One row of the Ablation M table (one full simulation)."""
-    from repro.netsim.packet import TCP_IP_HEADER_BYTES
-    from repro.tcp.ictcp import ReceiverWindowThrottle
-    from repro.workloads.incast import IncastConfig, IncastWorkload
-
-    shape = scaled_incast_config({}, scale)
-    burst_ns, n_bursts = shape.burst_duration_ns, shape.n_bursts
-    sim = Simulator()
-    net = build_dumbbell(sim, DumbbellConfig(n_senders=n_flows))
-    tcp_cfg = TcpConfig()
-    conns = [open_connection(sim, tcp_cfg, Dctcp(tcp_cfg), host,
-                             net.receiver) for host in net.senders]
-    throttle = None
-    if throttled:
-        # Not scheme="ictcp": that runtime starts its throttle with no
-        # receivers, so each connection opens with the whole budget until
-        # the first tick (500 flows, scale 0.05, seed 3: peak queue 964
-        # packets that way, 929 this way).
-        budget = ((net.config.ecn_threshold_packets or 0)
-                  * (tcp_cfg.mss_bytes + TCP_IP_HEADER_BYTES)
-                  + net.config.bdp_bytes)
-        throttle = ReceiverWindowThrottle(
-            sim, [r for _, r in conns], budget,
-            mss_bytes=tcp_cfg.mss_bytes)
-        throttle.start()
-    demand = demand_per_flow_bytes(net.config.host_rate_bps,
-                                   burst_ns, n_flows)
-    workload = IncastWorkload(
-        sim, conns,
-        IncastConfig(n_bursts=n_bursts,
-                     burst_duration_ns=burst_ns),
-        RngHub(seed).stream("jitter"), queue=net.bottleneck_queue,
-        demand_bytes_per_flow=demand)
-    workload.start()
-    # The throttle's periodic timer keeps the event queue non-empty
-    # forever, so a plain run-to-horizon would grind through ~1.2M
-    # post-completion ticks (each scanning every receiver). Run in
-    # slices and stop as soon as the workload finishes; all reported
-    # metrics are fixed at burst completion, so this is behaviourally
-    # identical and an order of magnitude faster.
-    horizon = units.sec(120.0)
-    slice_ns = units.msec(100.0)
-    while not workload.done and sim.now < horizon:
-        sim.run(until_ns=min(horizon, sim.now + slice_ns))
-    if not workload.done:
-        raise RuntimeError("throttle workload incomplete")
-    if throttle is not None:
-        throttle.stop()
-    steady = workload.steady_results()
-    return [
-        n_flows,
-        "ictcp-like rwnd" if throttled else "dctcp alone",
-        round(workload.mean_bct_ms(), 2),
-        max(r.peak_queue_packets for r in steady),
-        sum(r.drops for r in steady),
-        sum(r.rto_events for r in steady),
-    ]
-
-
-def _throttle_result(rows: list[list]) -> ExperimentResult:
-    """Assemble Ablation M from its per-case rows."""
-    result = ExperimentResult(
-        name="ablation_receiver_throttle",
-        description="Receiver-window (ICTCP-like) throttling helps at "
-                    "moderate degree and hits the same 1-MSS floor as "
-                    "sender windows",
-    )
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["flows", "receiver", "BCT (ms)", "peak queue", "drops", "RTOs"],
-        rows,
-        title="Ablation M: ICTCP-like receiver-window throttling"))
     return result
 
 
@@ -678,11 +604,10 @@ def run_service_latency(scale: float = 1.0, seed: int = 0
 
 
 #: Name -> executor, in report order: ``run_unit``'s dispatch table. Each
-#: takes ``(scale, seed)`` and returns one sub-report, except
-#: ``receiver_throttle``, whose executor is one Ablation M case's row.
+#: takes ``(scale, seed)`` and returns one sub-report.
 ALL_ABLATIONS = {
     "buffer": run_buffer_sharing,
-    "guardrail": run_guardrail,
+    "guardrail": partial(run_table, "guardrail"),
     "scheduler": run_scheduler,
     "g": partial(run_table, "g"),
     "pacing": run_pacing,
@@ -693,7 +618,7 @@ ALL_ABLATIONS = {
     "sack": partial(run_table, "sack"),
     "rack": run_rack_contention,
     "fanin": run_fanin_latency,
-    "receiver_throttle": _throttle_case_row,
+    "receiver_throttle": partial(run_table, "receiver_throttle"),
     "topology": run_topology_validation,
     "service_latency": run_service_latency,
 }
@@ -712,58 +637,30 @@ _COST_HINTS = {
     "ecn_threshold": 2.0,
     "sack": 2.0,
     "rack": 2.0,
+    "receiver_throttle": 2.0,
 }
 
 
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per ablation, except receiver throttling (Ablation M),
-    whose four independent simulations dominate the suite's wall time and
-    therefore get a unit each."""
-    work = []
-    for name in ALL_ABLATIONS:
-        if name == "receiver_throttle":
-            for n_flows, throttled in THROTTLE_CASES:
-                suffix = "rwnd" if throttled else "base"
-                unit_id = f"{name}:{n_flows}:{suffix}"
-                work.append(WorkUnit(
-                    experiment="ablations",
-                    unit_id=unit_id,
-                    fn="repro.experiments.ablations:run_unit",
-                    params={"ablation": name, "case": [n_flows, throttled]},
-                    scale=scale, seed=seed,
-                    cost_hint=_COST_HINTS.get(unit_id, 1.0)))
-        else:
-            work.append(WorkUnit(
-                experiment="ablations", unit_id=name,
-                fn="repro.experiments.ablations:run_unit",
-                params={"ablation": name}, scale=scale, seed=seed,
-                cost_hint=_COST_HINTS.get(name, 1.0)))
-    return work
+    """One unit per ablation."""
+    return [WorkUnit(experiment="ablations", unit_id=name,
+                     fn="repro.experiments.ablations:run_unit",
+                     params={"ablation": name}, scale=scale, seed=seed,
+                     cost_hint=_COST_HINTS.get(name, 1.0))
+            for name in ALL_ABLATIONS]
 
 
-def run_unit(unit: WorkUnit):
-    """Run one ablation (or one receiver-throttle case)."""
-    executor = ALL_ABLATIONS[unit.params["ablation"]]
-    if "case" in unit.params:
-        n_flows, throttled = unit.params["case"]
-        return executor(int(n_flows), bool(throttled), unit.scale,
-                        unit.seed)
-    return executor(scale=unit.scale, seed=unit.seed)
+def run_unit(unit: WorkUnit) -> ExperimentResult:
+    """Run one ablation."""
+    return ALL_ABLATIONS[unit.params["ablation"]](scale=unit.scale,
+                                                  seed=unit.seed)
 
 
 def merge(work: list[WorkUnit], payloads: list, *, scale: float,
           seed: int) -> ExperimentResult:
     """Reassemble the per-ablation reports in canonical order."""
-    sub_results: dict[str, ExperimentResult] = {}
-    throttle_rows: list[list] = []
-    for unit, payload in zip(work, payloads):
-        if "case" in unit.params:
-            throttle_rows.append(payload)
-        else:
-            sub_results[unit.params["ablation"]] = payload
-    if throttle_rows:
-        sub_results["receiver_throttle"] = _throttle_result(throttle_rows)
-
+    sub_results = {unit.params["ablation"]: payload
+                   for unit, payload in zip(work, payloads)}
     merged = ExperimentResult(
         name="ablations",
         description="Design-choice ablations and Section 5 directions",

@@ -34,7 +34,6 @@ from repro.tcp.cca.reno import Reno
 from repro.tcp.cca.swiftlike import SwiftLike
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import open_connection
-from repro.tcp.guardrail import CwndGuardrail
 from repro.tcp.schemes import DEFAULT_SCHEME, SchemeContext, get_scheme
 from repro.telemetry.recorder import TelemetryCapture, TelemetryRecorder
 from repro.workloads.incast import (BurstResult, FlowStateSampler,
@@ -59,7 +58,6 @@ class IncastSimConfig:
     seed: int = 0
     cca: str = "dctcp"
     dctcp_g: float = 1.0 / 16.0
-    guardrail_cap_bytes: Optional[int] = None
     dumbbell: DumbbellConfig = field(default_factory=DumbbellConfig)
     tcp: TcpConfig = field(default_factory=TcpConfig)
     queue_probe_period_ns: int = units.usec(50.0)
@@ -232,13 +230,6 @@ def telemetry_from_params(cfg: IncastSimConfig,
                    telemetry_interval_ns=int(spec["interval_ns"]))
 
 
-def _make_cca(cfg: IncastSimConfig) -> CongestionControl:
-    cca = CCA_FACTORIES[cfg.cca](cfg.tcp, cfg.dctcp_g)
-    if cfg.guardrail_cap_bytes is not None:
-        cca = CwndGuardrail(cca, cfg.guardrail_cap_bytes)
-    return cca
-
-
 def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
     """Run one cyclic-incast simulation end to end.
 
@@ -286,7 +277,7 @@ def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
             cfg.scheme_params or {})
 
     def _conn_cca():
-        cca = _make_cca(cfg)
+        cca = CCA_FACTORIES[cfg.cca](cfg.tcp, cfg.dctcp_g)
         return runtime.wrap_cca(cca) if runtime is not None else cca
 
     connections = [

@@ -5,6 +5,8 @@ therefore predictable (Section 3.3), and its discussion proposes "simple
 guardrails that prevent TCP from ramping up excessively during incast".
 This module implements that design direction:
 
+- :func:`mode1_budget_bytes` is the healthy Mode-1 in-flight budget, the
+  one both the ``guardrail`` and ``ictcp`` schemes divide across flows;
 - :func:`guardrail_cap_bytes` computes the largest per-flow window that
   keeps the aggregate in-flight data of a K-flow incast at or below the ECN
   marking threshold plus the BDP (the healthy Mode-1 operating region).
@@ -12,6 +14,7 @@ This module implements that design direction:
   that cap, leaving the inner algorithm's dynamics (and its responsiveness
   to genuine bandwidth changes) untouched.
 
+The ``guardrail`` scheme (:mod:`repro.tcp.schemes.guardrail`) installs it;
 Ablation B in :mod:`repro.experiments.ablations` measures the effect.
 """
 
@@ -23,16 +26,24 @@ from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.tcp.cca.base import CongestionControl
 
 
+def mode1_budget_bytes(ecn_threshold_packets: int, bdp_bytes: int,
+                       mss_bytes: int) -> int:
+    """In-flight bytes the bottleneck holds before sustained marking:
+    ``ecn_threshold_packets`` full segments (with headers) of queue plus
+    the path BDP — the healthy Mode-1 region."""
+    return (ecn_threshold_packets * (mss_bytes + TCP_IP_HEADER_BYTES)
+            + bdp_bytes)
+
+
 def guardrail_cap_bytes(flow_count: int, ecn_threshold_packets: int,
                         bdp_bytes: int, mss_bytes: int,
                         headroom: float = 1.0) -> int:
     """Per-flow CWND cap that keeps a ``flow_count``-strong incast healthy.
 
-    The budget of in-flight bytes the bottleneck tolerates before sustained
-    marking is ``ecn_threshold_packets`` full segments of queue plus the
-    path BDP; dividing it across flows gives the fair per-flow window. The
-    result is floored at one MSS — below K* flows the floor binds and the
-    guardrail cannot help (the degenerate point, Section 4.1.2).
+    Dividing :func:`mode1_budget_bytes` across flows gives the fair
+    per-flow window. The result is floored at one MSS — below K* flows the
+    floor binds and the guardrail cannot help (the degenerate point,
+    Section 4.1.2).
 
     Args:
         flow_count: Predicted incast degree (e.g. a service's p99).
@@ -43,8 +54,7 @@ def guardrail_cap_bytes(flow_count: int, ecn_threshold_packets: int,
     """
     if flow_count <= 0:
         raise ValueError(f"flow_count must be positive, got {flow_count}")
-    wire_packet = mss_bytes + TCP_IP_HEADER_BYTES
-    budget = ecn_threshold_packets * wire_packet + bdp_bytes
+    budget = mode1_budget_bytes(ecn_threshold_packets, bdp_bytes, mss_bytes)
     return max(mss_bytes, int(headroom * budget / flow_count))
 
 

@@ -70,16 +70,22 @@ class ReceiverWindowThrottle:
     def add_connection(self, receiver: TcpReceiver) -> None:
         """Register a connection that opened after construction.
 
-        The newcomer immediately gets the current active share (it is
-        about to transfer, so parking it at one MSS would just delay the
-        inevitable re-division at the next tick).
+        Before :meth:`start`, the newcomer joins the receivers ``start``
+        divides the budget across. On a running throttle it gets an even
+        share over every registered receiver, itself included, until the
+        next tick re-divides the budget: it is about to transfer, so
+        parking it at one MSS would only delay it, while the current
+        active share could hand the whole budget to each of many
+        newcomers. The count is of every connection ever registered,
+        finished ones included, so once more than ``budget / MSS`` have
+        registered a newcomer opens at the one-MSS floor even when few
+        are active.
         """
         self._receivers.append(receiver)
         self._last_delivered.append(receiver.delivered_bytes)
         if self._running:
-            share = self.current_share_bytes()
-            receiver.advertised_window_bytes = (share if share is not None
-                                                else self.mss_bytes)
+            receiver.advertised_window_bytes = max(
+                self.mss_bytes, self.budget_bytes // len(self._receivers))
 
     def stop(self) -> None:
         """Stop updating and lift the advertised-window limits."""

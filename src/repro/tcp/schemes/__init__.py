@@ -2,15 +2,19 @@
 
 ``scheme`` is a config axis exactly like ``cca`` or ``backend``: a name
 looked up here, validated at config-construction time, installed into the
-live simulation by the experiment environments. The registry enforces the
-contract ``docs/MITIGATIONS.md`` documents — unique names, declared
-knobs, the :class:`~repro.tcp.schemes.base.MitigationScheme` lifecycle.
+live simulation by the experiment environments — the only way a run
+changes its senders or receivers. The registry enforces the contract
+``docs/MITIGATIONS.md`` documents — unique names, declared knobs, the
+:class:`~repro.tcp.schemes.base.MitigationScheme` lifecycle.
 
 Built-in zoo (each instantiated by its first :func:`get_scheme`):
 
 - ``dctcp`` — the baseline, no extra mechanism (default; elided from
   cache keys and exports so pre-zoo artifacts stay byte-identical);
-- ``ictcp`` — receiver-window throttling (Wu et al., CoNEXT 2010);
+- ``guardrail`` — the paper's Section 5.1 proposal: each sender's CWND
+  capped at its share of the Mode-1 budget (Ablation B);
+- ``ictcp`` — receiver-window throttling (Wu et al., CoNEXT 2010;
+  Ablation M);
 - ``pulser`` — explicit incast notifications piggybacked on ACKs, with
   sender multiplicative backoff;
 - ``fec`` — proactive redundancy so short-flow losses recover without
@@ -37,9 +41,9 @@ DEFAULT_SCHEME = "dctcp"
 #: The built-in zoo, name → class exported below. Validating a config's
 #: ``scheme`` axis needs the names; only a run that installs a scheme
 #: needs its module (and the packet stack behind it).
-_BUILTIN = {"dctcp": "BaselineScheme", "ictcp": "IctcpScheme",
-            "pulser": "PulserScheme", "fec": "FecScheme",
-            "detect": "DetectScheme"}
+_BUILTIN = {"dctcp": "BaselineScheme", "guardrail": "GuardrailScheme",
+            "ictcp": "IctcpScheme", "pulser": "PulserScheme",
+            "fec": "FecScheme", "detect": "DetectScheme"}
 
 _REGISTRY: dict[str, MitigationScheme] = {}
 
@@ -80,6 +84,7 @@ def scheme_names() -> list[str]:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "base": ("MitigationScheme", "SchemeContext", "SchemeRuntime",
              "BaselineScheme"),
+    "guardrail": ("GuardrailScheme",),
     "ictcp": ("IctcpScheme",),
     "pulser": ("PulserScheme",),
     "fec": ("FecScheme",),

@@ -1,37 +1,42 @@
 """Registry wiring for ICTCP-style receiver-window throttling.
 
-The mechanism lives in :mod:`repro.tcp.ictcp` (and predates the scheme
-registry — ablation M drives it directly); this module packages it as a
-pluggable scheme: one :class:`~repro.tcp.ictcp.ReceiverWindowThrottle`
-at the incast destination, budgeted to the healthy Mode-1 region (ECN
-threshold plus path BDP, the same budget the sender-side guardrail
-divides).
+The mechanism lives in :mod:`repro.tcp.ictcp`; this module packages it as
+a pluggable scheme (the one ablation M and the verdict campaign run): one
+:class:`~repro.tcp.ictcp.ReceiverWindowThrottle` at the incast
+destination, budgeted to the healthy Mode-1 region
+(:func:`~repro.tcp.guardrail.mode1_budget_bytes`, the same budget the
+``guardrail`` scheme divides).
+
+Admission: the throttle starts from a zero-delay event scheduled at
+install, so every connection registered before traffic opens at an even
+share of the budget; a connection that opens later gets at most
+``budget // registered receivers`` (floored at one MSS).
 """
 
 from __future__ import annotations
 
 from repro import units
-from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.tcp.connection import TcpReceiver, TcpSender
+from repro.tcp.guardrail import mode1_budget_bytes
 from repro.tcp.ictcp import ReceiverWindowThrottle
 from repro.tcp.schemes.base import (MitigationScheme, SchemeContext,
                                     SchemeRuntime)
 
 
 class _IctcpRuntime(SchemeRuntime):
-    """Live wiring: one throttle at the destination, fed lazily."""
+    """Live wiring: one throttle at the destination, started at time
+    zero over the connections opened before traffic."""
 
     def __init__(self, ctx: SchemeContext, params: dict):
         budget = params["budget_bytes"]
         if budget is None:
-            wire_packet = ctx.tcp.mss_bytes + TCP_IP_HEADER_BYTES
-            budget = (ctx.ecn_threshold_packets * wire_packet
-                      + ctx.bdp_bytes)
+            budget = mode1_budget_bytes(ctx.ecn_threshold_packets,
+                                        ctx.bdp_bytes, ctx.tcp.mss_bytes)
         self.throttle = ReceiverWindowThrottle(
             ctx.sim, [], budget_bytes=max(budget, ctx.tcp.mss_bytes),
             period_ns=params["period_ns"],
             mss_bytes=ctx.tcp.mss_bytes)
-        self.throttle.start()
+        ctx.sim.schedule(0, self.throttle.start)
 
     def on_connection(self, sender: TcpSender,
                       receiver: TcpReceiver) -> None:

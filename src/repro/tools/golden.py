@@ -40,9 +40,11 @@ GOLDEN_EXPERIMENTS = ["table1", "fig1", "fig2", "fig3", "fig4", "fig5",
                       "fig6", "fig7", "crossval"]
 
 #: Cheap, layer-diverse ablation representatives (fleet predictor, TCP
-#: idle-restart, receiver delayed ACKs), each through its
-#: ``ablations.ALL_ABLATIONS`` executor, the one ``run_unit`` calls.
-GOLDEN_ABLATIONS = ["predictability", "idle", "delayed_ack"]
+#: idle-restart, receiver delayed ACKs, the ``guardrail`` and ``ictcp``
+#: schemes), each through its ``ablations.ALL_ABLATIONS`` executor, the
+#: one ``run_unit`` calls.
+GOLDEN_ABLATIONS = ["predictability", "idle", "delayed_ack", "guardrail",
+                    "receiver_throttle"]
 
 #: Experiments additionally pinned through the engine's process pool
 #: (plan → pool fan-out → merge, ``jobs=2``, cache off). The serial cases

@@ -26,7 +26,7 @@ class TestRegistry:
 
 class TestGuardrail:
     def test_cap_reduces_peak_queue(self):
-        result = ablations.run_guardrail(scale=SCALE, seed=SEED)
+        result = ablations.run_table("guardrail", scale=SCALE, seed=SEED)
         rows = result.data["rows"]
         # Rows alternate base/capped per flow count.
         for base, capped in zip(rows[0::2], rows[1::2]):

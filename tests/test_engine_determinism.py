@@ -22,6 +22,7 @@ from repro.experiments.engine.core import DEFAULT_TELEMETRY_INTERVAL_NS
 from repro.experiments.engine.report import (SOURCE_CACHE, SOURCE_RUN,
                                              SOURCE_SHARED)
 from repro.experiments.sweep import compile_units, run_sweep
+from repro.experiments.verdict import VerdictExperiment, VerdictGrid
 from repro.tools.golden import golden_sweep_specs
 
 SCALE = 0.05
@@ -227,6 +228,50 @@ class TestVersionBumpRetiresTelemetryPayloads:
                                   cache=cache, telemetry=True)
         assert (warm.cache_hits, warm.executed) == (len(units), 0)
         assert warm.telemetry == fresh.telemetry
+
+
+class TestVersionBumpRetiresIctcpPayloads:
+    """1.2.4 changed what an ``ictcp`` run computes under the same params
+    (the throttle starts over every connection registered before
+    traffic); what 1.2.3 left in a cache directory for an ``ictcp`` unit
+    must be a miss that recomputes, never a pre-fix result served warm."""
+
+    GRID = VerdictGrid(schemes=("ictcp",), flow_counts=(40,),
+                       burst_ms=(2.0,), mix=False)
+
+    def run(self, **engine_kwargs):
+        results, report = run_experiments(
+            ["verdict"], scale=SCALE, seed=SEED, jobs=1,
+            extra_modules={"verdict": VerdictExperiment(self.GRID)},
+            **engine_kwargs)
+        return results["verdict"], report
+
+    def test_entry_sealed_under_1_2_3_is_a_miss(self, tmp_path: Path,
+                                                monkeypatch):
+        assert repro.__version__ != "1.2.3"
+        experiment = VerdictExperiment(self.GRID)
+        cache = ResultCache(directory=tmp_path / "cache")
+        with monkeypatch.context() as old:
+            old.setattr(repro, "__version__", "1.2.3")
+            old_keys = {unit.cache_key()
+                        for unit in experiment.work_units(SCALE, SEED)}
+            for key in old_keys:
+                assert cache.put(key, SealedUnderAnotherVersion())
+            old_dir = cache.version_dir
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 1
+
+        units = experiment.work_units(SCALE, SEED)
+        assert [unit.params["overrides"]["scheme"] for unit in units] == [
+            "ictcp"]
+        assert not {unit.cache_key() for unit in units} & old_keys
+        fresh, _ = self.run()
+        served, report = self.run(cache=cache)
+        assert (report.cache_hits, report.executed) == (0, len(units))
+        assert doc(served) == doc(fresh)
+        # The old entries were left alone, not read.
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys)
+        _, warm = self.run(cache=cache)
+        assert (warm.cache_hits, warm.executed) == (len(units), 0)
 
 
 class TestEngineValidation:

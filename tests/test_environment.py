@@ -40,12 +40,25 @@ class TestIncastSimConfig:
         assert set(CCA_NAMES) == set(CCA_FACTORIES)
 
     def test_guardrail_wrapping(self):
-        from repro.tcp.guardrail import CwndGuardrail
-        from repro.experiments.environment import _make_cca
-        cfg = IncastSimConfig(n_flows=4, guardrail_cap_bytes=3 * 1460)
-        cca = _make_cca(cfg)
+        """The ``guardrail`` scheme caps each CCA at the planned degree's
+        share of the Mode-1 budget; it takes no knob."""
+        from repro.tcp.cca.dctcp import Dctcp
+        from repro.tcp.guardrail import CwndGuardrail, guardrail_cap_bytes
+        from repro.tcp.schemes import SchemeContext, get_scheme
+        cfg = IncastSimConfig(n_flows=4, scheme="guardrail")
+        ctx = SchemeContext(
+            sim=None, tcp=cfg.tcp, n_flows=cfg.n_flows,
+            ecn_threshold_packets=cfg.dumbbell.ecn_threshold_packets,
+            queue_capacity_packets=cfg.dumbbell.queue_capacity_packets,
+            bdp_bytes=cfg.dumbbell.bdp_bytes, bottleneck_queue=None,
+            receiver_host=None)
+        scheme = get_scheme("guardrail")
+        cca = scheme.install(ctx, {}).wrap_cca(Dctcp(cfg.tcp))
         assert isinstance(cca, CwndGuardrail)
-        assert cca.cap_bytes == 3 * 1460
+        assert cca.cap_bytes == guardrail_cap_bytes(4, 65, 37_500, 1460)
+        with pytest.raises(ValueError, match="does not accept"):
+            IncastSimConfig(scheme="guardrail",
+                            scheme_params={"cap_bytes": 3 * 1460})
 
 
 class TestRunIncastSim:

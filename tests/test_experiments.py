@@ -9,6 +9,7 @@ from repro.core.modes import DctcpMode
 from repro.experiments.engine import run_experiments
 from repro.experiments.environment import IncastSimConfig, run_incast_sim
 from repro.experiments.runner import EXPERIMENTS, build_parser, main
+from repro.tcp.guardrail import guardrail_cap_bytes
 
 SCALE = 0.1
 SEED = 3
@@ -192,6 +193,8 @@ class TestSimEngine:
 
     def test_guardrail_config_applied(self):
         cfg = IncastSimConfig(n_flows=8, burst_duration_ns=units.msec(1.0),
-                              n_bursts=2, guardrail_cap_bytes=2 * 1460)
+                              n_bursts=2, scheme="guardrail")
         result = run_incast_sim(cfg)
         assert result.mean_bct_ms > 0
+        assert result.scheme_stats == {
+            "cap_bytes": guardrail_cap_bytes(8, 65, 37_500, 1460)}

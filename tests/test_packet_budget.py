@@ -98,14 +98,14 @@ def test_window_ccas_are_never_asked_to_pace_or_sample(monkeypatch, cca):
     assert paced == [] and sampled == []
 
 
-@pytest.mark.parametrize("guardrail", [None, 4380],
+@pytest.mark.parametrize("scheme", ["dctcp", "guardrail"],
                          ids=["bare", "guardrail"])
 def test_swiftlike_still_paces_and_gets_every_rtt_sample(monkeypatch,
-                                                         guardrail):
+                                                         scheme):
     paced = count_calls(monkeypatch, SwiftLike, "pacing_interval_ns")
     sampled = count_calls(monkeypatch, SwiftLike, "on_rtt_sample")
     senders = senders_of(monkeypatch)
     run_incast_sim(IncastSimConfig(cca="swiftlike", n_flows=40, n_bursts=2,
-                                   seed=3, guardrail_cap_bytes=guardrail))
+                                   seed=3, scheme=scheme))
     assert any(interval is not None for interval in paced)
     assert len(sampled) == sum(s.rtt.samples for s in senders) > 0

@@ -15,6 +15,8 @@ Deliberate diffs since: the second interval producers (``Millisampler``,
 (``FluidIncast``, ``FluidBurstTrace``) were deleted, so they left
 ``PARENT_ALL``, and the ``repro.simcore`` pickle pin moved from a
 ``Counter`` to a ``TimeSeries`` (its bytes taken before the deletion).
+The ``guardrail`` scheme joined the registry's built-ins, so
+``repro.tcp.schemes`` gained ``GuardrailScheme``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ PARENT_ALL = {
         "CongestionControl", "Dctcp", "Reno", "SwiftLike"),
     "repro.tcp.schemes": (
         "BaselineScheme", "DEFAULT_SCHEME", "DetectScheme",
-        "FecScheme", "IctcpScheme", "MitigationScheme",
+        "FecScheme", "GuardrailScheme", "IctcpScheme", "MitigationScheme",
         "PulserScheme", "SchemeContext", "SchemeRuntime",
         "get_scheme", "register_scheme", "scheme_names"),
     "repro.telemetry": (

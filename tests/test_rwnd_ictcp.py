@@ -3,11 +3,20 @@
 import pytest
 
 from repro import units
+from repro.experiments.environment import run_incast_sim, scaled_incast_config
+from repro.netsim.packet import TCP_IP_HEADER_BYTES
+from repro.netsim.topology import DumbbellConfig, build_dumbbell
+from repro.simcore.kernel import Simulator
+from repro.simcore.random import RngHub
 from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import open_connection
 from repro.tcp.ictcp import ReceiverWindowThrottle
+from repro.workloads.incast import (IncastConfig, IncastWorkload,
+                                    demand_per_flow_bytes)
 from tests.conftest import mini_dumbbell
+
+MSS = 1460
 
 
 class TestReceiverWindow:
@@ -146,3 +155,80 @@ class TestThrottle:
         # Steady-state peak stays near the 30-segment budget, far below
         # the unthrottled aggregate of 12 growing windows.
         assert net.bottleneck_queue.stats.max_len_packets < 60
+
+    def test_newcomers_to_an_empty_running_throttle_share_the_budget(
+            self, sim):
+        """Each connection registered on a running throttle that started
+        with no receivers opens at most at an even share of the budget
+        over every registered receiver, itself included."""
+        net = mini_dumbbell(sim, n_senders=4)
+        cfg = TcpConfig()
+        budget = 12 * MSS
+        throttle = ReceiverWindowThrottle(sim, [], budget_bytes=budget)
+        throttle.start()
+        for registered, host in enumerate(net.senders, start=1):
+            _, receiver = open_connection(sim, cfg, Dctcp(cfg), host,
+                                          net.receiver)
+            throttle.add_connection(receiver)
+            assert receiver.advertised_window_bytes <= max(
+                MSS, budget // registered)
+
+    def test_newcomer_to_a_running_throttle_gets_at_most_its_share(
+            self, sim):
+        net = mini_dumbbell(sim, n_senders=4)
+        cfg = TcpConfig()
+        conns = [open_connection(sim, cfg, Dctcp(cfg), host, net.receiver)
+                 for host in net.senders]
+        budget = 12 * MSS
+        throttle = ReceiverWindowThrottle(sim, [r for _, r in conns[:3]],
+                                          budget_bytes=budget)
+        throttle.start()
+        throttle.add_connection(conns[3][1])
+        assert conns[3][1].advertised_window_bytes <= max(MSS, budget // 4)
+
+
+def _hand_wired_burst_results(n_flows: int, scale: float, seed: int):
+    """Ablation M's former wiring, kept as the ``ictcp`` scheme's
+    reference: one throttle over every receiver, started before traffic,
+    run in slices until the workload completes."""
+    shape = scaled_incast_config({}, scale)
+    burst_ns, n_bursts = shape.burst_duration_ns, shape.n_bursts
+    sim = Simulator()
+    net = build_dumbbell(sim, DumbbellConfig(n_senders=n_flows))
+    tcp_cfg = TcpConfig()
+    conns = [open_connection(sim, tcp_cfg, Dctcp(tcp_cfg), host,
+                             net.receiver) for host in net.senders]
+    budget = ((net.config.ecn_threshold_packets or 0)
+              * (tcp_cfg.mss_bytes + TCP_IP_HEADER_BYTES)
+              + net.config.bdp_bytes)
+    throttle = ReceiverWindowThrottle(sim, [r for _, r in conns], budget,
+                                      mss_bytes=tcp_cfg.mss_bytes)
+    throttle.start()
+    demand = demand_per_flow_bytes(net.config.host_rate_bps, burst_ns,
+                                   n_flows)
+    workload = IncastWorkload(
+        sim, conns,
+        IncastConfig(n_bursts=n_bursts, burst_duration_ns=burst_ns),
+        RngHub(seed).stream("jitter"), queue=net.bottleneck_queue,
+        demand_bytes_per_flow=demand)
+    workload.start()
+    horizon = units.sec(120.0)
+    while not workload.done and sim.now < horizon:
+        sim.run(until_ns=min(horizon, sim.now + units.msec(100.0)))
+    assert workload.done
+    throttle.stop()
+    return workload.results
+
+
+@pytest.mark.parametrize("n_flows", [40, 500])
+def test_ictcp_scheme_matches_a_throttle_over_all_receivers(n_flows):
+    """``scheme="ictcp"`` admits every connection at its even share from
+    the first packet, exactly as a throttle built over all receivers
+    does (2 ms bursts at scale 0.05; at 500 flows a whole-budget first
+    window reads a per-burst peak of 964 packets against 929)."""
+    scale, seed = 0.05, 3
+    scheme = run_incast_sim(scaled_incast_config(
+        {"n_flows": n_flows, "seed": seed, "scheme": "ictcp",
+         "max_sim_time_ns": units.sec(120.0)}, scale))
+    assert scheme.burst_results == _hand_wired_burst_results(
+        n_flows, scale, seed)

@@ -20,6 +20,7 @@ from repro import units
 from repro.analysis.detection import evaluate_detections
 from repro.experiments.environment import (IncastSimConfig,
                                            run_incast_sim)
+from repro.experiments.runner import main as runner_main
 from repro.experiments.scenarios import (CrossRackIncastConfig,
                                          ElephantMiceGridConfig)
 from repro.experiments.sweep import SweepAxis, SweepSpec, compile_units
@@ -35,7 +36,7 @@ from repro.tcp.schemes import (DEFAULT_SCHEME, BaselineScheme,
 from repro.tcp.schemes.detect import BurstDetector
 from repro.tcp.schemes.pulser import PulserBackoff
 
-ZOO = ("dctcp", "ictcp", "pulser", "fec", "detect")
+ZOO = ("dctcp", "guardrail", "ictcp", "pulser", "fec", "detect")
 
 
 class TestRegistry:
@@ -107,6 +108,24 @@ class TestRegistry:
             IncastSimConfig(scheme="fec", backend=backend)
         with pytest.raises(ValueError, match="packet backend"):
             ElephantMiceGridConfig(scheme="ictcp", backend=backend)
+        # The fluid model has no per-flow window to cap and the hybrid
+        # only a packet head: a guardrail there must fail, not run
+        # uncapped.
+        with pytest.raises(ValueError, match="packet backend"):
+            IncastSimConfig(scheme="guardrail", backend=backend)
+
+    @pytest.mark.parametrize("backend", ["fluid", "hybrid"])
+    def test_guardrail_sweep_on_a_non_packet_backend_fails_loudly(
+            self, tmp_path, capsys, backend):
+        spec = tmp_path / "guard.yaml"
+        spec.write_text(
+            f"name: guard-{backend}\nscenario: dumbbell_incast\n"
+            f"fixed: {{backend: {backend}, scheme: guardrail, "
+            f"n_flows: 150}}\n", encoding="utf-8")
+        code = runner_main(["sweep", "run", str(spec), "--scale", "0.05",
+                            "--jobs", "1", "--no-cache"])
+        assert code != 0
+        assert "packet backend" in capsys.readouterr().out
 
 
 class TestCacheKeyAxis:
