@@ -1,13 +1,12 @@
 """Time-series helpers for the simulation figures.
 
 Figures 5 and 6 average queue-length traces across the ten steady bursts
-of an experiment; Figure 7 plots percentile bands across flows. These
-helpers do the resampling and banding.
+of an experiment. These helpers do the resampling and averaging.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,16 +61,3 @@ def align_and_average(segments: Sequence[tuple[np.ndarray, np.ndarray]],
         averaged = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     offsets = np.arange(n_bins) * bin_ns
     return offsets, averaged
-
-
-def percentile_bands(matrix: np.ndarray,
-                     percentiles: Iterable[float]) -> np.ndarray:
-    """Column-wise percentiles of a ``(entities, samples)`` matrix.
-
-    Returns an array of shape ``(len(percentiles), samples)`` — one band
-    per requested percentile.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-D (entities, samples) matrix")
-    return np.percentile(matrix, list(percentiles), axis=0)

@@ -115,11 +115,6 @@ class TraceSummary:
         flows = self.flow_counts
         return float(flows.mean()) if flows.size else 0.0
 
-    def p99_flow_count(self) -> float:
-        """99th-percentile per-burst flow count (Figure 3b)."""
-        flows = self.flow_counts
-        return float(np.percentile(flows, 99)) if flows.size else 0.0
-
 
 def summarize_trace(trace: HostTrace) -> TraceSummary:
     """Detect bursts in ``trace`` and aggregate their metrics.

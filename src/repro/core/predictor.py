@@ -44,11 +44,6 @@ class QuantileTracker:
         """Record one observation."""
         self._window.append(float(value))
 
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many observations."""
-        for value in values:
-            self.add(value)
-
     def quantile(self, q: float) -> float:
         """The ``q`` quantile of the retained window (0 when empty)."""
         if not 0.0 <= q <= 1.0:

@@ -341,7 +341,7 @@ def _fluid_cyclic_bursts(cfg, fluid_cfg: FluidConfig, first_index: int,
                          times: list[int], values: list[float]) -> None:
     """Append fluid bursts ``first_index .. n_bursts-1`` of the cyclic
     incast, chaining each start one inter-burst gap after the previous
-    completion (the workload's AFTER_COMPLETION scheduling)."""
+    completion (as the workload schedules them)."""
     from repro.workloads.incast import BurstResult
 
     constants = FluidConstants.of(fluid_cfg)

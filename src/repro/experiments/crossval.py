@@ -213,14 +213,14 @@ def _main() -> int:
 
     from repro.analysis.export import pretty_json
     from repro.experiments.engine import run_experiments
-    from repro.experiments.runner import scale_arg
+    from repro.experiments.engine.cache import finite_positive
 
     parser = argparse.ArgumentParser(
         description="Substrate cross-validation sweeps")
     parser.add_argument("--hybrid", action="store_true",
                         help="validate the hybrid backend against packet "
                              "(exit 1 if ordering disagrees)")
-    parser.add_argument("--scale", type=scale_arg, default=1.0)
+    parser.add_argument("--scale", type=finite_positive, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.hybrid:

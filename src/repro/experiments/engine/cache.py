@@ -667,6 +667,27 @@ def parse_size(text: str) -> int:
     return int(size)
 
 
+def finite_positive(text: str) -> float:
+    """Argparse type for a float flag: finite and positive.
+
+    Rejected at parse time, so argparse names the flag and exits 2: NaN
+    slips past every ``<= 0`` check (and silently disables a watchdog),
+    ``inf`` overflows the first conversion to integer nanoseconds, and
+    zero or a negative value has no meaning for a scale, interval or
+    timeout.
+    """
+    import argparse
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number, got {text!r}") from None
+    if not isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
 def parse_hostport(text: str,
                    default_host: str = "127.0.0.1") -> tuple[str, int]:
     """Parse ``host:port`` / ``:port`` / bare ``port`` CLI notation."""

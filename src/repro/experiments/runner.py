@@ -56,14 +56,13 @@ fsyncs, and ``--cache-quota`` bounds the result cache with LRU eviction.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.export import write_result, write_run_report
-from repro.experiments.engine.cache import (_tiered_cache, parse_hostport,
-                                            parse_size)
+from repro.experiments.engine.cache import (_tiered_cache, finite_positive,
+                                            parse_hostport, parse_size)
 from repro.experiments.engine.core import (EXPERIMENT_MODULES, CampaignError,
                                            CampaignInterrupted,
                                            run_experiments)
@@ -100,29 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def scale_arg(text: str) -> float:
-    """``--scale`` value type: a finite positive float.
-
-    Rejected at parse time (argparse names the flag): NaN and ±inf would
-    fail every unit after its retries, and zero or a negative scale
-    would silently run each experiment's floor shapes.
-    """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number, got {text!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive, got {text!r}")
-    return value
-
-
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Install the engine-execution flags shared by the main experiment
     runner and the ``sweep run`` / ``verdict`` subcommands, so every
     surface accepts the identical cache/journal/fan-out vocabulary."""
-    parser.add_argument("--scale", type=scale_arg, default=None,
+    parser.add_argument("--scale", type=finite_positive, default=None,
                         help="workload scale factor (default 1.0 = paper "
                              "scale; a --resume run defaults to the "
                              "journal's recorded scale)")
@@ -184,7 +165,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "plan must hash to the same campaign "
                              "identity (experiments, scale, seed, "
                              "telemetry, code version)")
-    parser.add_argument("--checkpoint-interval", type=float, default=None,
+    parser.add_argument("--checkpoint-interval", type=finite_positive,
+                        default=None,
                         metavar="SECONDS",
                         help="batch journal fsyncs to at most one per "
                              "this many seconds (default: fsync every "
@@ -193,7 +175,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="failed attempts retried per work unit, with "
                              "exponential backoff, before the unit fails "
                              "permanently (default: 1)")
-    parser.add_argument("--unit-timeout", type=float, default=None,
+    parser.add_argument("--unit-timeout", type=finite_positive, default=None,
                         metavar="SECONDS",
                         help="per-unit wall-clock budget; a unit past it "
                              "is charged a failed attempt and its worker "
@@ -217,7 +199,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "(per-ms host/queue series); captures land in "
                              "the run report's 'telemetry' section — "
                              "inspect with repro.tools.telemetry_view")
-    parser.add_argument("--telemetry-interval-us", type=float, default=None,
+    parser.add_argument("--telemetry-interval-us", type=finite_positive,
+                        default=None,
                         help="telemetry sampling interval in microseconds "
                              "(default 1000 = Millisampler's 1 ms)")
 
@@ -235,9 +218,6 @@ def _validate_engine_args(parser: argparse.ArgumentParser,
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.retries < 0:
         parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        parser.error(f"--unit-timeout must be positive, "
-                     f"got {args.unit_timeout}")
     if args.unit_timeout is not None and args.jobs == 1 \
             and args.backend == "local":
         parser.error("--unit-timeout requires --jobs >= 2 (a hung unit "
@@ -266,16 +246,10 @@ def _validate_engine_args(parser: argparse.ArgumentParser,
     if args.resume and args.no_cache:
         parser.error("--resume needs the result cache (it is the durable "
                      "store completed units reload from); drop --no-cache")
-    if args.checkpoint_interval is not None:
-        if args.checkpoint_interval <= 0:
-            parser.error(f"--checkpoint-interval must be positive, "
-                         f"got {args.checkpoint_interval}")
-        if not args.journal and not args.resume:
-            parser.error("--checkpoint-interval requires --journal or "
-                         "--resume (there is no journal to batch)")
-    if args.telemetry_interval_us is not None \
-            and args.telemetry_interval_us <= 0:
-        parser.error("--telemetry-interval-us must be positive")
+    if (args.checkpoint_interval is not None and not args.journal
+            and not args.resume):
+        parser.error("--checkpoint-interval requires --journal or "
+                     "--resume (there is no journal to batch)")
     quota_bytes = None
     if args.cache_quota is not None:
         try:
@@ -469,7 +443,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     plan = commands.add_parser(
         "plan", help="print the compiled unit plan without running")
     plan.add_argument("spec", help="YAML sweep spec file")
-    plan.add_argument("--scale", type=scale_arg, default=1.0,
+    plan.add_argument("--scale", type=finite_positive, default=1.0,
                       help="workload scale factor (default 1.0)")
     plan.add_argument("--seed", type=int, default=0,
                       help="root random seed (default 0)")
@@ -570,16 +544,18 @@ def _verdict_grid(parser: argparse.ArgumentParser,
     kwargs: dict = {}
     if args.schemes is not None:
         kwargs["schemes"] = tuple(split(args.schemes))
-    try:
-        if args.flows is not None:
-            kwargs["flow_counts"] = tuple(int(n) for n in
-                                          split(args.flows))
-        if args.burst_ms is not None:
-            kwargs["burst_ms"] = tuple(float(b) for b in
-                                       split(args.burst_ms))
-    except ValueError:
-        parser.error(f"--flows/--burst-ms must be comma-separated "
-                     f"numbers, got {args.flows!r} / {args.burst_ms!r}")
+    if args.flows is not None:
+        try:
+            kwargs["flow_counts"] = tuple(int(n) for n in split(args.flows))
+        except ValueError:
+            parser.error(f"--flows must be comma-separated integers, "
+                         f"got {args.flows!r}")
+    if args.burst_ms is not None:
+        try:
+            kwargs["burst_ms"] = tuple(finite_positive(b)
+                                       for b in split(args.burst_ms))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"argument --burst-ms: {exc}")
     if args.no_mix:
         kwargs["mix"] = False
     try:

@@ -32,6 +32,7 @@ trimmed grid (:class:`VerdictGrid` + :class:`VerdictExperiment`) drives the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro import units
@@ -87,8 +88,8 @@ class VerdictGrid:
         if any(n <= 0 for n in self.flow_counts):
             raise ValueError(f"flow counts must be positive, "
                              f"got {self.flow_counts}")
-        if any(b <= 0 for b in self.burst_ms):
-            raise ValueError(f"burst lengths must be positive, "
+        if not all(math.isfinite(b) and b > 0 for b in self.burst_ms):
+            raise ValueError(f"burst lengths must be finite and positive, "
                              f"got {self.burst_ms}")
 
 

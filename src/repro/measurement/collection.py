@@ -42,7 +42,8 @@ from repro.workloads.services import (SERVICE_PROFILES, generate_host_trace,
 
 @dataclass
 class CampaignConfig:
-    """Shape of a measurement campaign."""
+    """Shape of a measurement campaign (defaults: the Figures 1/2/4 daily
+    campaign, 20 hosts x 9 snapshots)."""
 
     services: tuple[str, ...] = tuple(SERVICE_PROFILES)
     hosts_per_service: int = 20
@@ -66,11 +67,6 @@ class CampaignConfig:
             raise ValueError(f"unknown services: {sorted(unknown)}")
 
     @classmethod
-    def daily(cls, **overrides) -> "CampaignConfig":
-        """The Figures 1/2/4 campaign: 20 hosts x 9 snapshots."""
-        return cls(**overrides)
-
-    @classmethod
     def stability(cls, **overrides) -> "CampaignConfig":
         """The Figure 3 campaign: every 10 minutes over 18 hours."""
         overrides.setdefault("n_snapshots", 108)
@@ -85,10 +81,6 @@ class FleetCampaign:
     summaries: dict[str, list[TraceSummary]] = field(default_factory=dict)
     traces: dict[str, list[HostTrace]] = field(default_factory=dict)
     regimes: dict[str, list[int]] = field(default_factory=dict)
-
-    def service_summaries(self, service: str) -> list[TraceSummary]:
-        """All trace summaries for ``service``."""
-        return self.summaries[service]
 
     def pooled(self, service: str, attribute: str) -> np.ndarray:
         """Pool a per-burst metric across every trace of ``service``.

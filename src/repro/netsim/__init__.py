@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "switch": ("EgressPort", "Switch"),
     "nic": ("HostNIC",),
     "host": ("Host",),
-    "impair": ("Impairment",),
     "topology": (
         "Dumbbell", "DumbbellConfig", "Rack", "RackConfig", "build_dumbbell",
         "build_rack"),

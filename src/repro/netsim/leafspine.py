@@ -21,7 +21,7 @@ history). Every port uses the paper's queue configuration.
 
 The incast bottleneck for a many-to-one pattern is the destination leaf's
 downlink to the receiving host — the same port the dumbbell isolates —
-which :func:`cross_rack_incast_queue` exposes.
+which :meth:`LeafSpine.downlink_queue` exposes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro import units
 from repro.simcore.random import RngHub
 
 if TYPE_CHECKING:
-    from repro.netsim.buffers import BufferPool
     from repro.netsim.host import Host
     from repro.netsim.queues import DropTailQueue
     from repro.netsim.switch import Switch
@@ -52,8 +51,6 @@ class LeafSpineConfig:
     link_prop_delay_ns: int = units.usec(5.0)
     queue_capacity_packets: int = 1333
     ecn_threshold_packets: Optional[int] = 65
-    shared_buffer_bytes: Optional[int] = None
-    shared_buffer_alpha: float = 1.0
     ecmp_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -72,7 +69,6 @@ class LeafSpine:
     leaves: list[Switch]
     spines: list[Switch]
     host_downlink_queues: dict[int, DropTailQueue]
-    leaf_pools: list[Optional[BufferPool]] = field(default_factory=list)
     ecmp_paths: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
@@ -92,24 +88,12 @@ class LeafSpine:
         when ``host`` is a many-to-one receiver."""
         return self.host_downlink_queues[host.address]
 
-    def host_rank(self, host: Host) -> int:
-        """Fabric build-order rank of ``host`` (``rack * hosts_per_rack +
-        position``) — the process-independent host coordinate."""
-        rack = self.rack_of(host)
-        return rack * self.config.hosts_per_rack + self.racks[rack].index(host)
-
-    def spine_for(self, src_leaf: int, dst: Host) -> int:
-        """Index of the spine carrying traffic from leaf ``src_leaf`` to
-        ``dst`` (the seeded ECMP choice installed at build time)."""
-        return self.ecmp_paths[(src_leaf, self.host_rank(dst))]
-
 
 def build_leaf_spine(sim: Simulator,
                      config: Optional[LeafSpineConfig] = None) -> LeafSpine:
     """Build the fabric and install deterministic destination routing."""
     # The fabric's parts load with the first fabric built: the fluid
     # backend reads LeafSpineConfig's rates and never builds one.
-    from repro.netsim.buffers import SharedBufferPool
     from repro.netsim.host import Host
     from repro.netsim.link import Link
     from repro.netsim.queues import DropTailQueue
@@ -117,24 +101,18 @@ def build_leaf_spine(sim: Simulator,
 
     cfg = config or LeafSpineConfig()
 
-    def make_queue(pool: Optional[BufferPool], name: str) -> DropTailQueue:
+    def make_queue(name: str) -> DropTailQueue:
         return DropTailQueue(
             capacity_packets=cfg.queue_capacity_packets,
-            ecn_threshold_packets=cfg.ecn_threshold_packets,
-            pool=pool, name=name)
+            ecn_threshold_packets=cfg.ecn_threshold_packets, name=name)
 
     spines = [Switch(sim, name=f"spine{s}") for s in range(cfg.n_spines)]
     leaves: list[Switch] = []
     racks: list[list[Host]] = []
-    leaf_pools: list[Optional[BufferPool]] = []
     downlink_queues: dict[int, DropTailQueue] = {}
 
     for rack_index in range(cfg.n_racks):
         leaf = Switch(sim, name=f"leaf{rack_index}")
-        pool: Optional[BufferPool] = None
-        if cfg.shared_buffer_bytes is not None:
-            pool = SharedBufferPool(cfg.shared_buffer_bytes,
-                                    cfg.shared_buffer_alpha)
         rack_hosts = []
         for host_index in range(cfg.hosts_per_rack):
             host = Host(sim, name=f"r{rack_index}h{host_index}")
@@ -145,14 +123,13 @@ def build_leaf_spine(sim: Simulator,
             downlink = Link(sim, cfg.host_rate_bps, cfg.link_prop_delay_ns,
                             name=f"{leaf.name}->{host.name}")
             downlink.connect(host.nic)
-            queue = make_queue(pool, f"{leaf.name}->{host.name}")
+            queue = make_queue(f"{leaf.name}->{host.name}")
             port = leaf.attach_port(downlink, queue)
             leaf.add_route(host.address, port)
             downlink_queues[host.address] = queue
             rack_hosts.append(host)
         leaves.append(leaf)
         racks.append(rack_hosts)
-        leaf_pools.append(pool)
 
     # Leaf <-> spine fabric links.
     spine_ports_by_leaf: list[list] = []
@@ -163,14 +140,14 @@ def build_leaf_spine(sim: Simulator,
                       name=f"{leaf.name}->{spine.name}")
             up.connect(spine)
             up_port = leaf.attach_port(
-                up, make_queue(None, f"{leaf.name}->{spine.name}"))
+                up, make_queue(f"{leaf.name}->{spine.name}"))
             ports.append(up_port)
 
             down = Link(sim, cfg.uplink_rate_bps, cfg.link_prop_delay_ns,
                         name=f"{spine.name}->{leaf.name}")
             down.connect(leaf)
             spine_port = spine.attach_port(
-                down, make_queue(None, f"{spine.name}->{leaf.name}"))
+                down, make_queue(f"{spine.name}->{leaf.name}"))
             # Spine routes every host of this rack via its leaf.
             for host in racks[rack_index]:
                 spine.add_route(host.address, spine_port)
@@ -197,4 +174,4 @@ def build_leaf_spine(sim: Simulator,
 
     return LeafSpine(sim=sim, config=cfg, racks=racks, leaves=leaves,
                      spines=spines, host_downlink_queues=downlink_queues,
-                     leaf_pools=leaf_pools, ecmp_paths=ecmp_paths)
+                     ecmp_paths=ecmp_paths)

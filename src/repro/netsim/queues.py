@@ -133,7 +133,7 @@ class DropTailQueue:
 
     def add_watcher(self, watcher: QueueWatcher) -> QueueWatcher:
         """Observe every enqueue/drop/dequeue (per-packet tap); returns
-        ``watcher`` for later :meth:`remove_watcher`.
+        ``watcher``.
 
         A watched queue is drained by the legacy per-packet pump, which is
         why a watcher must attach before the first packet: once the
@@ -147,10 +147,6 @@ class DropTailQueue:
                 f"first packet is enqueued")
         self._watchers.append(watcher)
         return watcher
-
-    def remove_watcher(self, watcher: QueueWatcher) -> None:
-        """Stop observing. Raises ValueError if not registered."""
-        self._watchers.remove(watcher)
 
     def start_interval_peaks(self, sim: Simulator,
                              interval_ns: int) -> None:

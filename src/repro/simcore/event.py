@@ -169,17 +169,6 @@ class EventQueue:
         heapq.heappush(self._heap, entry)
         self._live += 1
 
-    def recycle(self, entry: list) -> None:
-        """Return a consumed *handle-less* entry to the free-list pool.
-
-        Only the kernel calls this, and only for entries created by
-        :meth:`push_fire` (``type(entry) is list``) — :class:`Event`
-        handles must never be recycled, because user code may still hold
-        a reference and would silently alias an unrelated future event.
-        """
-        if len(self._free) < FREE_LIST_MAX:
-            self._free.append(entry)
-
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it has not fired or been cancelled already."""
         if event[FN] is not None:

@@ -15,8 +15,9 @@ The canonical channels emitted by the TCP layer are documented in
 Subscriber lists are copy-on-write tuples: (un)subscribing builds a new
 tuple, so an emit iterates the one it looked up — a snapshot — without
 copying it on every call. The channel map itself is never rebound, so a
-per-packet path may hold it and test it for truth instead of calling
-:attr:`HookRegistry.any_active` (the TCP sender does).
+per-packet path may hold it and test it for truth — whether *any*
+channel has subscribers, the cheapest possible gate (the TCP sender
+does).
 """
 
 from __future__ import annotations
@@ -70,18 +71,9 @@ class HookRegistry:
         return channel in self._channels
 
     @property
-    def any_active(self) -> bool:
-        """Whether *any* channel has subscribers (cheapest possible gate)."""
-        return bool(self._channels)
-
-    @property
     def n_subscriptions(self) -> int:
         """Total live subscriptions across all channels."""
         return sum(len(subs) for subs in self._channels.values())
-
-    def channels(self) -> list[str]:
-        """Names of channels that currently have subscribers, sorted."""
-        return sorted(self._channels)
 
     def emit(self, channel: str, *args: Any) -> None:
         """Call every subscriber of ``channel`` with ``*args``.
@@ -92,10 +84,6 @@ class HookRegistry:
         """
         for fn in self._channels.get(channel, ()):
             fn(*args)
-
-    def clear(self) -> None:
-        """Drop every subscription."""
-        self._channels.clear()
 
     def __repr__(self) -> str:
         return (f"HookRegistry({len(self._channels)} channels, "

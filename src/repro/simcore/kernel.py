@@ -152,26 +152,6 @@ class Simulator:
 
     # --- execution -----------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next event. Returns ``False`` when the queue is empty."""
-        global _total_events_processed
-        queue = self._queue
-        entry = queue.pop()
-        if entry is None:
-            return False
-        assert entry[TIME] >= self._now, "event queue went backwards"
-        self._now = entry[TIME]
-        fn, args = entry[FN], entry[ARGS]
-        entry[FN] = None  # mark consumed; keeps handles inert after firing
-        entry[ARGS] = ()
-        if type(entry) is list:
-            queue.recycle(entry)
-        self._events_processed += 1
-        _total_events_processed += 1
-        assert fn is not None
-        fn(*args)
-        return True
-
     def run(self, until_ns: Optional[int] = None,
             max_events: Optional[int] = None) -> StopReason:
         """Run until the queue drains, ``until_ns`` is reached, or
@@ -185,9 +165,9 @@ class Simulator:
         last fired event — advancing it would move those events into the
         past.
 
-        The loop body inlines :meth:`step` and the queue's pop (this is
-        the hottest loop in the repository); behaviour is identical,
-        including FIFO tie-breaking and the counters. Callbacks may
+        The loop body inlines the queue's pop and its free-list recycling
+        (this is the hottest loop in the repository), including FIFO
+        tie-breaking and the counters. Callbacks may
         schedule, cancel, and thereby trigger in-place heap compaction
         freely: the loop re-reads the (identity-stable) heap each
         iteration.

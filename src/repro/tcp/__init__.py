@@ -7,8 +7,9 @@ backoff and a 1-MSS minimum window) and a receiver that reflects ECN CE
 marks back via the TCP ECE bit (the DCTCP receiver rule).
 
 Congestion-control algorithms live in :mod:`repro.tcp.cca`:
-:class:`~repro.tcp.cca.reno.Reno` (classic ECN TCP baseline),
-:class:`~repro.tcp.cca.dctcp.Dctcp` (the paper's subject), and
+:class:`~repro.tcp.cca.dctcp.Dctcp` (the paper's subject),
+:class:`~repro.tcp.cca.reno.Reno` (the classic-ECN baseline no experiment
+selects; the packet pins and TCP property tests drive it), and
 :class:`~repro.tcp.cca.swiftlike.SwiftLike` (delay-based with sub-MSS pacing,
 the Section 5.2 alternative). :mod:`repro.tcp.guardrail` adds the Section 5.1
 "guardrail" CWND cap driven by predicted incast degree.

@@ -373,7 +373,7 @@ class TcpSender:
                     self._emit_segment(self.snd_una, payload,
                                        is_retransmit=True)
         self.cca.on_ack(bytes_acked, ece, self.snd_una, self.snd_nxt, now)
-        if self._hook_channels:  # hooks.any_active
+        if self._hook_channels:  # any channel subscribed
             hooks = self._hook_registry
             if self._alpha_cca is not None:
                 windows = self._alpha_cca.windows_completed

@@ -48,7 +48,8 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.engine.cache import ResultCache, _tiered_cache
+from repro.experiments.engine.cache import (ResultCache, _tiered_cache,
+                                            finite_positive)
 from repro.experiments.engine.core import (_describe_exception, execute_unit,
                                            jittered_backoff)
 from repro.experiments.engine.distributed import (MSG_ERROR, MSG_HEARTBEAT,
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "repro.tools.cacheserver) to read through "
                              "and write behind; requires --cache-dir, "
                              "degrades to local-only when unreachable")
-    parser.add_argument("--heartbeat-interval", type=float,
+    parser.add_argument("--heartbeat-interval", type=finite_positive,
                         default=DEFAULT_HEARTBEAT_INTERVAL_S,
                         metavar="SECONDS",
                         help="seconds between liveness heartbeats "
@@ -412,10 +413,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         address = parse_hostport(args.connect)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.heartbeat_interval <= 0:
-        print("error: --heartbeat-interval must be positive",
-              file=sys.stderr)
         return EXIT_USAGE
     if args.reconnect_attempts < 0:
         print("error: --reconnect-attempts must be >= 0", file=sys.stderr)

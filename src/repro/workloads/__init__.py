@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "incast": (
-        "BurstResult", "BurstScheduling", "FlowStateSampler", "IncastConfig",
+        "BurstResult", "FlowStateSampler", "IncastConfig",
         "IncastWorkload", "demand_per_flow_bytes"),
     "mix": (
         "ElephantMiceConfig", "FlowSpec", "flow_sizes", "plan_elephant_mice",
@@ -23,5 +23,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "PartitionAggregateConfig", "PartitionAggregateWorkload",
         "QueryResult"),
     "scheduler": ("IncastScheduler", "SchedulerConfig"),
-    "services": ("SERVICE_PROFILES", "ServiceProfile", "service_names"),
+    "services": ("SERVICE_PROFILES", "ServiceProfile"),
 })

@@ -10,9 +10,8 @@ through a configurable number of such bursts:
   to model variation in worker processing time;
 - connections persist across bursts, so congestion-window state carries
   over — the precondition for the straggler divergence of Section 4.3;
-- burst k+1 starts either a fixed gap after burst k *completes* (the
-  partition/aggregate pattern: the coordinator waits for all replies), or on
-  a fixed period regardless of completion.
+- burst k+1 starts a fixed gap after burst k *completes* (the
+  partition/aggregate pattern: the coordinator waits for all replies).
 
 Per burst, the workload records start/completion times, burst completion
 time (BCT), the bottleneck queue's peak occupancy, and drop/mark/retransmit
@@ -22,7 +21,6 @@ in-flight bytes on a fixed period (Figure 7).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,13 +30,6 @@ from repro import units
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.kernel import Simulator
 from repro.tcp.connection import TcpReceiver, TcpSender
-
-
-class BurstScheduling(enum.Enum):
-    """How successive bursts are launched."""
-
-    AFTER_COMPLETION = "after_completion"
-    FIXED_PERIOD = "fixed_period"
 
 
 def demand_per_flow_bytes(bottleneck_rate_bps: float, burst_duration_ns: int,
@@ -59,10 +50,6 @@ class IncastConfig:
     burst_duration_ns: int = units.msec(15.0)
     start_jitter_ns: int = units.usec(100.0)
     inter_burst_gap_ns: int = units.msec(5.0)
-    scheduling: BurstScheduling = BurstScheduling.AFTER_COMPLETION
-    period_ns: Optional[int] = None
-    demand_bytes_per_flow: Optional[int] = None
-    discard_first_burst: bool = True
 
     def __post_init__(self) -> None:
         if self.n_bursts <= 0:
@@ -71,9 +58,6 @@ class IncastConfig:
             raise ValueError("burst_duration_ns must be positive")
         if self.start_jitter_ns < 0:
             raise ValueError("start_jitter_ns must be >= 0")
-        if (self.scheduling is BurstScheduling.FIXED_PERIOD
-                and self.period_ns is None):
-            raise ValueError("fixed-period scheduling requires period_ns")
 
 
 @dataclass
@@ -163,23 +147,6 @@ class FlowStateSampler:
         state["_running"] = False
         return state
 
-    def active_percentiles(self, percentiles: list[float]
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-sample percentiles of in-flight bytes across *active* flows.
-
-        Returns ``(times_ns, mean, pct)`` where ``pct`` has one row per
-        requested percentile. Samples with no active flow yield zeros.
-        """
-        times = np.asarray(self.times_ns, dtype=np.int64)
-        means = np.zeros(len(times))
-        pcts = np.zeros((len(percentiles), len(times)))
-        for i, (vals, act) in enumerate(zip(self.inflight, self.active)):
-            live = vals[act]
-            if live.size:
-                means[i] = live.mean()
-                pcts[:, i] = np.percentile(live, percentiles)
-        return times, means, pcts
-
 
 class IncastWorkload:
     """Drives N persistent connections through cyclic incast bursts.
@@ -209,13 +176,9 @@ class IncastWorkload:
         self.config = config
         self._rng = rng
         self._queue = queue
-        demand = (demand_bytes_per_flow
-                  if demand_bytes_per_flow is not None
-                  else config.demand_bytes_per_flow)
-        if demand is None:
-            raise ValueError("demand_bytes_per_flow must be given either in "
-                             "the config or as an argument")
-        self.demand_bytes_per_flow = demand
+        if demand_bytes_per_flow is None:
+            raise ValueError("demand_bytes_per_flow must be given")
+        self.demand_bytes_per_flow = demand_bytes_per_flow
         self.results: list[BurstResult] = []
         self.burst_starts_ns: list[int] = []
         self._done_callbacks: list = []
@@ -225,8 +188,8 @@ class IncastWorkload:
         self._stats_marks = self._snapshot_stats()
         # Completion is tracked with O(1) per-delivery counters: receiver i
         # has "level" floor(delivered / demand) — burst k is complete once
-        # every receiver's level is > k (delivered >= demand * (k+1), the
-        # same integer comparison _burst_target expressed). Scanning all N
+        # every receiver's level is > k (delivered >= demand * (k+1)).
+        # Scanning all N
         # receivers on every delivered segment is quadratic in flow count.
         self._levels = [0] * len(self._receivers)
         self._level_done: dict[int, int] = {}
@@ -254,16 +217,10 @@ class IncastWorkload:
         """Schedule the workload's bursts, starting at ``at_ns`` (now by
         default)."""
         first = self._sim.now if at_ns is None else at_ns
-        if self.config.scheduling is BurstScheduling.FIXED_PERIOD:
-            assert self.config.period_ns is not None
-            for index in range(self.config.n_bursts):
-                self._sim.schedule_at(first + index * self.config.period_ns,
-                                      self._launch_burst, (index,))
-        else:
-            self._sim.schedule_at(first, self._launch_burst, (0,))
+        self._sim.schedule_at(first, self._launch_burst, (0,))
 
     def _launch_burst(self, index: int) -> None:
-        self._burst_index = max(self._burst_index, index)
+        self._burst_index = index
         self.burst_starts_ns.append(self._sim.now)
         self._queue.stats.reset_watermark()
         for sender in self._senders:
@@ -273,9 +230,6 @@ class IncastWorkload:
                                (self.demand_bytes_per_flow,))
 
     # --- completion tracking ----------------------------------------------------
-
-    def _burst_target(self, index: int) -> int:
-        return self.demand_bytes_per_flow * (index + 1)
 
     def _make_delivery_hook(self, index: int):
         demand = self.demand_bytes_per_flow
@@ -331,16 +285,15 @@ class IncastWorkload:
             for callback in self._done_callbacks:
                 callback()
             return
-        if self.config.scheduling is BurstScheduling.AFTER_COMPLETION:
-            self._sim.schedule(self.config.inter_burst_gap_ns,
-                               self._launch_burst, (index + 1,))
+        self._sim.schedule(self.config.inter_burst_gap_ns,
+                           self._launch_burst, (index + 1,))
 
     # --- analysis helpers ---------------------------------------------------------
 
     def steady_results(self) -> list[BurstResult]:
         """Results with the first burst discarded (slow-start transient),
         per the paper's methodology."""
-        if self.config.discard_first_burst and len(self.results) > 1:
+        if len(self.results) > 1:
             return self.results[1:]
         return list(self.results)
 

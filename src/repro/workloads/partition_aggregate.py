@@ -45,7 +45,6 @@ class PartitionAggregateConfig:
     service_time_mean_ns: int = units.usec(30.0)
     service_time_jitter_ns: int = units.usec(70.0)
     think_time_ns: int = units.msec(5.0)
-    discard_first_query: bool = True
 
     def __post_init__(self) -> None:
         if self.n_queries <= 0:
@@ -225,7 +224,7 @@ class PartitionAggregateWorkload:
 
     def steady_results(self) -> list[QueryResult]:
         """Results with the first query discarded (slow-start transient)."""
-        if self.config.discard_first_query and len(self.results) > 1:
+        if len(self.results) > 1:
             return self.results[1:]
         return list(self.results)
 

@@ -38,7 +38,6 @@ class SchedulerConfig:
     start_jitter_ns: int = units.usec(100.0)
     inter_burst_gap_ns: int = units.msec(5.0)
     inter_group_gap_ns: int = 0
-    discard_first_burst: bool = True
 
     def __post_init__(self) -> None:
         if self.group_size <= 0:
@@ -189,7 +188,7 @@ class IncastScheduler:
 
     def steady_results(self) -> list[ScheduledBurstResult]:
         """Results with the first burst discarded (slow-start transient)."""
-        if self.config.discard_first_burst and len(self.results) > 1:
+        if len(self.results) > 1:
             return self.results[1:]
         return list(self.results)
 

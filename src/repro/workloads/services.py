@@ -185,11 +185,6 @@ SERVICE_PROFILES: dict[str, ServiceProfile] = {
 """The paper's Table 1 services, with calibrated burst parameters."""
 
 
-def service_names() -> list[str]:
-    """Names of the five profiled services, in Table 1 order."""
-    return list(SERVICE_PROFILES)
-
-
 def regime_sequence(profile: ServiceProfile, n_snapshots: int,
                     rng: np.random.Generator) -> list[int]:
     """Operating-regime index per snapshot (Markov switching). Services

@@ -1,4 +1,4 @@
-"""Network impairment injection for robustness testing.
+"""Network impairment injection for the TCP robustness tests.
 
 An :class:`Impairment` sits between a link and its sink and applies
 seeded, reproducible faults to the packet stream:
@@ -11,9 +11,10 @@ seeded, reproducible faults to the packet stream:
 - deterministic drop patterns ("kill the nth packets") for reproducing
   specific loss scenarios in tests.
 
-The test suite uses this to verify TCP reliability under conditions the
-queue-overflow path cannot produce: ACK loss, tail loss without successor
-packets, reordering-induced duplicate ACKs.
+``tests/test_impair.py`` uses this to verify TCP reliability under
+conditions the queue-overflow path cannot produce: ACK loss, tail loss
+without successor packets, reordering-induced duplicate ACKs. No shipped
+surface impairs a wire, so it lives beside its one consumer.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from repro.workloads.services import SERVICE_PROFILES
 
 class TestConfig:
     def test_daily_defaults(self):
-        cfg = CampaignConfig.daily()
+        cfg = CampaignConfig()
         assert cfg.hosts_per_service == 20
         assert cfg.n_snapshots == 9
 

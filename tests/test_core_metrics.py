@@ -108,16 +108,10 @@ class TestTraceSummary:
         assert s.marked_fractions[0] == pytest.approx(0.5, abs=0.01)
         assert s.retransmit_fractions[1] == 0.0
 
-    def test_p99_flow_count(self):
-        s = self.summary()
-        assert s.p99_flow_count() == pytest.approx(
-            np.percentile([60, 10], 99))
-
     def test_empty_trace_summary(self):
         s = summarize_trace(make_trace([0.0, 0.0]))
         assert s.n_bursts == 0
         assert s.mean_flow_count() == 0.0
-        assert s.p99_flow_count() == 0.0
         assert s.bursts == ()
 
     @pytest.mark.parametrize("utils", [[0.0, 0.0], [1.0, 0.0, 1.0]])

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.netsim.impair import Impairment
 from repro.netsim.packet import data_packet
 from repro.simcore.kernel import Simulator
 from repro.tcp.cca.reno import Reno
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import open_connection
 from tests.conftest import mini_dumbbell
+from tests.impair import Impairment
 
 
 class Collector:

@@ -75,9 +75,6 @@ class TestRunControl:
         sim.run(max_events=2)
         assert fired == [0, 1]
 
-    def test_step_returns_false_when_empty(self, sim):
-        assert sim.step() is False
-
     def test_events_processed_counter(self, sim):
         for i in range(3):
             sim.schedule(i, lambda: None)

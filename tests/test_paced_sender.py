@@ -46,7 +46,8 @@ class TestPacedSending:
         sender.send(10 * 1460)
         peak_inflight = 0
 
-        while sim.step():
+        while sim.pending_events:
+            sim.run(max_events=1)
             peak_inflight = max(peak_inflight, sender.inflight_bytes)
             if sender.done:
                 break

@@ -11,14 +11,15 @@ from repro.tcp.guardrail import guardrail_cap_bytes
 class TestQuantileTracker:
     def test_exact_on_small_windows(self):
         tracker = QuantileTracker()
-        tracker.extend(range(1, 101))
+        for value in range(1, 101):
+            tracker.add(value)
         assert tracker.quantile(0.5) == pytest.approx(50.5)
         assert tracker.quantile(1.0) == 100
 
     def test_sliding_window_evicts(self):
         tracker = QuantileTracker(window=10)
-        tracker.extend([1000.0] * 10)
-        tracker.extend([1.0] * 10)
+        for value in [1000.0] * 10 + [1.0] * 10:
+            tracker.add(value)
         assert tracker.quantile(1.0) == 1.0
 
     def test_empty(self):

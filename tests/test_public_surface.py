@@ -16,7 +16,11 @@ Deliberate diffs since: the second interval producers (``Millisampler``,
 ``PARENT_ALL``, and the ``repro.simcore`` pickle pin moved from a
 ``Counter`` to a ``TimeSeries`` (its bytes taken before the deletion).
 The ``guardrail`` scheme joined the registry's built-ins, so
-``repro.tcp.schemes`` gained ``GuardrailScheme``.
+``repro.tcp.schemes`` gained ``GuardrailScheme``. The reachability audit
+(``tests/reachability.py``) found four exports no shipped surface runs:
+``percentile_bands``, ``service_names`` and ``BurstScheduling`` (whose
+fixed-period member nothing selected) were deleted, and ``Impairment`` moved under
+``tests/`` beside its one consumer, so all four left ``PARENT_ALL``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PARENT_ALL = {
     "repro.analysis": (
         "EmpiricalCdf", "format_figure_series", "format_table",
-        "percentile_bands", "render_cdf_table", "resample_mean"),
+        "render_cdf_table", "resample_mean"),
     "repro.core": (
         "Burst", "BurstMetrics", "DctcpMode", "DivergenceReport",
         "GuardrailAdvisor", "INCAST_FLOW_THRESHOLD",
@@ -66,8 +70,7 @@ PARENT_ALL = {
     "repro.measurement": ("HostTrace", "TraceMeta"),
     "repro.netsim": (
         "BufferPool", "DropTailQueue", "Dumbbell", "DumbbellConfig",
-        "ECN", "EgressPort", "FluidConfig", "Host", "HostNIC",
-        "Impairment", "LeafSpine",
+        "ECN", "EgressPort", "FluidConfig", "Host", "HostNIC", "LeafSpine",
         "LeafSpineConfig", "Link", "Packet", "QueueStats", "Rack",
         "RackConfig", "SharedBufferPool", "StaticBufferPool",
         "Switch", "build_dumbbell", "build_leaf_spine", "build_rack",
@@ -91,13 +94,13 @@ PARENT_ALL = {
         "FLOW_CHANNELS", "FlowEvent", "HostSeries", "QueueSeries",
         "TelemetryCapture", "TelemetryRecorder"),
     "repro.workloads": (
-        "BurstResult", "BurstScheduling", "ElephantMiceConfig",
+        "BurstResult", "ElephantMiceConfig",
         "FlowSpec", "FlowStateSampler", "IncastConfig",
         "IncastScheduler", "IncastWorkload",
         "PartitionAggregateConfig", "PartitionAggregateWorkload",
         "QueryResult", "SERVICE_PROFILES", "SchedulerConfig",
         "ServiceProfile", "demand_per_flow_bytes", "flow_sizes",
-        "plan_elephant_mice", "remote_ranks", "service_names"),
+        "plan_elephant_mice", "remote_ranks"),
 }
 
 PARENT_PICKLES = {

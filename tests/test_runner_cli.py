@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.engine.cache import finite_positive
 from repro.experiments.runner import (EXPERIMENTS, build_parser, main,
-                                      parse_size, scale_arg)
+                                      parse_size)
 
 
 class TestParser:
@@ -87,7 +88,7 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["-e", "fig1", "--jobs", "2", "--unit-timeout", "0"])
         assert excinfo.value.code == 2
-        assert "--unit-timeout must be positive" in capsys.readouterr().err
+        assert "argument --unit-timeout" in capsys.readouterr().err
 
     def test_unit_timeout_requires_parallel_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -272,13 +273,42 @@ class TestScaleFlag:
     @pytest.mark.parametrize("text,expected", [
         ("0.05", 0.05), ("1", 1.0), ("2.5", 2.5), ("1e-3", 1e-3)])
     def test_accepts_finite_positive(self, text, expected):
-        assert scale_arg(text) == expected
+        assert finite_positive(text) == expected
         assert build_parser().parse_args(
             ["--scale", text]).scale == expected
 
     def test_omitted_scale_stays_unset_for_resume(self):
         # None lets a --resume run take the journal's recorded scale.
         assert build_parser().parse_args([]).scale is None
+
+
+class TestFloatFlags:
+    """Every float flag takes the ``--scale`` type: NaN, ±inf, zero and
+    negatives exit 2 at parse time naming the flag, on the main runner,
+    ``verdict`` and ``tools.worker`` alike."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["-e", "fig1", "--jobs", "2", "--unit-timeout"],
+        ["-e", "fig1", "--journal", "j.jsonl", "--checkpoint-interval"],
+        ["-e", "fig1", "--telemetry", "--telemetry-interval-us"],
+        ["verdict", "--plan", "--burst-ms"],
+        ["worker", "--connect", "127.0.0.1:1", "--heartbeat-interval"],
+    ], ids=lambda argv: argv[-1])
+    def test_rejected_naming_the_flag(self, argv, bad, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "worker":
+            from repro.tools.worker import main as entry
+            argv = argv[1:]
+        else:
+            entry = main
+        with pytest.raises(SystemExit) as excinfo:
+            entry([*argv, bad])
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-1]}: must be finite and positive" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "j.jsonl").exists()
 
 
 class TestMain:

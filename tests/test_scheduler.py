@@ -59,7 +59,8 @@ class TestExecution:
         # Step until the first data packet of any group-1 flow appears.
         group1_senders = [conns[i][0] for i in range(4, 8)]
         group0_receivers = [conns[i][1] for i in range(4)]
-        while sim.step():
+        while sim.pending_events:
+            sim.run(max_events=1)
             started = [s for s in group1_senders if s.demand_end > 0]
             if started:
                 # Group 0 must already be fully delivered.

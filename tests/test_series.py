@@ -1,10 +1,9 @@
-"""Tests for time-series resampling and banding helpers."""
+"""Tests for time-series resampling and averaging helpers."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.series import (align_and_average, percentile_bands,
-                                   resample_mean)
+from repro.analysis.series import align_and_average, resample_mean
 
 
 class TestResampleMean:
@@ -59,18 +58,3 @@ class TestAlignAndAverage:
     def test_all_empty(self):
         _, avg = align_and_average([], bin_ns=10, span_ns=30)
         assert np.isnan(avg).all()
-
-
-class TestPercentileBands:
-    def test_column_percentiles(self):
-        matrix = np.asarray([[0.0, 10.0],
-                             [5.0, 20.0],
-                             [10.0, 30.0]])
-        bands = percentile_bands(matrix, [0, 50, 100])
-        assert list(bands[0]) == [0.0, 10.0]
-        assert list(bands[1]) == [5.0, 20.0]
-        assert list(bands[2]) == [10.0, 30.0]
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            percentile_bands(np.zeros(3), [50])

@@ -12,8 +12,7 @@ from repro.netsim.fluid import FluidConfig, burst_start
 from repro.workloads import services
 from repro.workloads.services import (SERVICE_PROFILES, ServiceProfile,
                                       generate_host_trace,
-                                      host_rate_multiplier, regime_sequence,
-                                      service_names)
+                                      host_rate_multiplier, regime_sequence)
 
 
 def rng(seed=0):
@@ -38,8 +37,8 @@ def column(rows, position):
 
 class TestProfiles:
     def test_table1_services_present(self):
-        assert service_names() == ["storage", "aggregator", "indexer",
-                                   "messaging", "video"]
+        assert list(SERVICE_PROFILES) == ["storage", "aggregator",
+                                          "indexer", "messaging", "video"]
 
     def test_descriptions_match_table1(self):
         assert SERVICE_PROFILES["storage"].description \

@@ -87,6 +87,8 @@ class TestPlanShape:
         ({"flow_counts": (50, 50)}, "repeats"),
         ({"flow_counts": (0,)}, "positive"),
         ({"burst_ms": (-2.0,)}, "positive"),
+        ({"burst_ms": (float("nan"),)}, "finite"),
+        ({"burst_ms": (2.0, float("inf"))}, "finite"),
     ])
     def test_grid_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
