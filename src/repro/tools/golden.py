@@ -44,7 +44,7 @@ GOLDEN_EXPERIMENTS = ["table1", "fig1", "fig2", "fig3", "fig4", "fig5",
 #: schemes), each through its ``ablations.ALL_ABLATIONS`` executor, the
 #: one ``run_unit`` calls.
 GOLDEN_ABLATIONS = ["predictability", "idle", "delayed_ack", "guardrail",
-                    "receiver_throttle"]
+                    "receiver_throttle", "buffer", "pacing"]
 
 #: Experiments additionally pinned through the engine's process pool
 #: (plan → pool fan-out → merge, ``jobs=2``, cache off). The serial cases
