@@ -7,7 +7,8 @@ from repro.experiments import ablations
 
 
 def test_ablation_buffer_sharing(once):
-    result = once(ablations.run_buffer_sharing, scale=bench_scale(), seed=0)
+    result = once(ablations.run_ablation, "buffer", scale=bench_scale(),
+                  seed=0)
     print()
     print(result.render())
     rows = {(r[0], r[1]): r for r in result.data["sharing_rows"]}
@@ -18,7 +19,7 @@ def test_ablation_buffer_sharing(once):
 
 
 def test_ablation_guardrail(once):
-    result = once(ablations.run_table, "guardrail", scale=bench_scale(),
+    result = once(ablations.run_ablation, "guardrail", scale=bench_scale(),
                   seed=0)
     print()
     print(result.render())
@@ -36,14 +37,15 @@ def test_ablation_scheduler(once):
 
 
 def test_ablation_g_sweep(once):
-    result = once(ablations.run_table, "g", scale=bench_scale(), seed=0)
+    result = once(ablations.run_ablation, "g", scale=bench_scale(), seed=0)
     print()
     print(result.render())
     assert len(result.data["rows"]) == 4
 
 
 def test_ablation_pacing(once):
-    result = once(ablations.run_pacing, scale=bench_scale(), seed=0)
+    result = once(ablations.run_ablation, "pacing", scale=bench_scale(),
+                  seed=0)
     print()
     print(result.render())
     assert len(result.data["rows"]) == 4
@@ -60,7 +62,7 @@ def test_ablation_predictability(once):
 
 
 def test_ablation_delayed_ack(once):
-    result = once(ablations.run_table, "delayed_ack", scale=bench_scale(),
+    result = once(ablations.run_ablation, "delayed_ack", scale=bench_scale(),
                   seed=0)
     print()
     print(result.render())
@@ -68,7 +70,7 @@ def test_ablation_delayed_ack(once):
 
 
 def test_ablation_sack(once):
-    result = once(ablations.run_table, "sack", scale=bench_scale(), seed=0)
+    result = once(ablations.run_ablation, "sack", scale=bench_scale(), seed=0)
     print()
     print(result.render())
     rows = result.data["rows"]
@@ -100,7 +102,7 @@ def test_ablation_fanin_latency(once):
 
 
 def test_ablation_receiver_throttle(once):
-    result = once(ablations.run_table, "receiver_throttle",
+    result = once(ablations.run_ablation, "receiver_throttle",
                   scale=bench_scale(), seed=0)
     print()
     print(result.render())
@@ -132,7 +134,7 @@ def test_ablation_service_latency(once):
 
 
 def test_ablation_ecn_threshold(once):
-    result = once(ablations.run_table, "ecn_threshold", scale=bench_scale(),
+    result = once(ablations.run_ablation, "ecn_threshold", scale=bench_scale(),
                   seed=0)
     print()
     print(result.render())
@@ -142,7 +144,7 @@ def test_ablation_ecn_threshold(once):
 
 
 def test_ablation_idle_restart(once):
-    result = once(ablations.run_table, "idle", scale=bench_scale(), seed=0)
+    result = once(ablations.run_ablation, "idle", scale=bench_scale(), seed=0)
     print()
     print(result.render())
     assert len(result.data["rows"]) == 2

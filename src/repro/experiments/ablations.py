@@ -65,17 +65,15 @@ future directions its text calls out:
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro import units
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (SUMMARY_COLUMNS, IncastSimResult,
-                                           run_incast_sim,
+from repro.experiments.environment import (SUMMARY_COLUMNS, run_incast_sim,
                                            scaled_incast_config)
 from repro.experiments.result import ExperimentResult
+from repro.experiments.sweep import point_unit
 from repro.netsim.topology import DumbbellConfig, build_dumbbell
 from repro.simcore.random import RngHub
 from repro.tcp.config import TcpConfig
@@ -85,50 +83,16 @@ from repro.simcore.kernel import Simulator
 from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.connection import open_connection
 
-
-def _incast(scale: float, seed: int, overrides: dict) -> IncastSimResult:
-    """One ablation row's dumbbell incast (the scale rule's burst shape,
-    a 120 s horizon, ``overrides`` with dotted keys allowed), run."""
-    return run_incast_sim(scaled_incast_config(
-        {"seed": seed, "max_sim_time_ns": units.sec(120.0), **overrides},
-        scale))
+#: The horizon of every ablation's dumbbell incast.
+HORIZON_NS = units.sec(120.0)
 
 
 def _summary(scale: float, seed: int, overrides: dict) -> list:
-    """One ablation row's incast summarised under
-    :data:`SUMMARY_COLUMNS`."""
-    return _incast(scale, seed, overrides).summary_row()
-
-
-def run_buffer_sharing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation A: private vs shared buffers; private overflow sweep."""
-    result = ExperimentResult(
-        name="ablation_buffer",
-        description="Shared switch buffers move the loss point to lower "
-                    "flow counts (Section 4.1.1)",
-    )
-    rows = []
-    for n_flows in (500, 1000):
-        for shared in (None, 2_000_000):
-            label = "shared 2MB" if shared else "private 1333p"
-            rows.append([n_flows, label] + _summary(scale, seed, {
-                "n_flows": n_flows,
-                "dumbbell.shared_buffer_bytes": shared}))
-    result.data["sharing_rows"] = rows
-    result.add_section(format_table(
-        ["flows", "buffer"] + SUMMARY_COLUMNS, rows,
-        title="Ablation A1: buffer sharing at fixed flow count"))
-
-    sweep_rows = [[n_flows] + _summary(scale, seed, {"n_flows": n_flows})
-                  for n_flows in (1000, 1200, 1400)]
-    model = scaled_incast_config({}, scale).mode_model()
-    result.data["sweep_rows"] = sweep_rows
-    result.data["overflow_point"] = model.overflow_point
-    result.add_section(format_table(
-        ["flows"] + SUMMARY_COLUMNS, sweep_rows,
-        title=f"Ablation A2: private-buffer overflow sweep (analytic "
-              f"boundary K > capacity + BDP = {model.overflow_point})"))
-    return result
+    """A dumbbell incast beside a non-dumbbell run (ablations C and N),
+    summarised under :data:`SUMMARY_COLUMNS`."""
+    return run_incast_sim(scaled_incast_config(
+        {"seed": seed, "max_sim_time_ns": HORIZON_NS, **overrides},
+        scale)).summary_row()
 
 
 def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
@@ -176,32 +140,6 @@ def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         ["variant"] + SUMMARY_COLUMNS, rows,
         title="Ablation C: 500 flows, monolithic vs scheduled admission "
               "(healthy queue at the cost of serialized groups)"))
-    return result
-
-
-def run_pacing(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation E: Swift-like sub-MSS pacing vs DCTCP at high flow count."""
-    result = ExperimentResult(
-        name="ablation_pacing",
-        description="Sub-MSS pacing escapes the 1-MSS degenerate point "
-                    "(Section 5.2), at the cost of slower bursts",
-    )
-    rows = []
-    base_burst = scaled_incast_config({}, scale).burst_duration_ns
-    for duration_label, burst_ns in (("short", base_burst),
-                                     ("long 4x", 4 * base_burst)):
-        for cca in ("dctcp", "swiftlike"):
-            rows.append([duration_label,
-                         round(units.ns_to_ms(burst_ns), 1), cca]
-                        + _summary(scale, seed, {
-                            "n_flows": 500, "cca": cca,
-                            "burst_duration_ns": burst_ns}))
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["burst", "dur (ms)", "CCA"] + SUMMARY_COLUMNS, rows,
-        title="Ablation E: window floor vs fractional pacing at 500 flows "
-              "(paper Section 5.2: pacing suits long incasts; short bursts "
-              "defeat it)"))
     return result
 
 
@@ -261,106 +199,129 @@ def run_predictability(scale: float = 1.0, seed: int = 0
     return result
 
 
-#: Ablations B, D, F, H, I, J and M: one dumbbell incast per table row.
-#: Name -> (result name, description, label headers, table title, rows
-#: of ``(label cells, overrides)``); :func:`run_table` runs one. A string
-#: label cell is formatted with the row's ``scheme_stats``, so B's label
-#: names the cap the run enforced.
-TABLES = {
-    "guardrail": (
-        "ablation_guardrail",
-        "A CWND cap sized from the predicted incast degree removes the "
-        "burst-start spike (Section 5.1)",
-        ["flows", "sender"], "Ablation B: guardrail on/off",
-        [row for n in (100, 150) for row in (
-            ([n, "dctcp"], {"n_flows": n}),
-            ([n, "dctcp+cap {cap_bytes}B"],
-             {"n_flows": n, "scheme": "guardrail"}))]),
-    "g": (
-        "ablation_g",
-        "DCTCP g sweep at 100 flows (Section 5.1: tuning g is brittle and "
-        "does not address the root cause)",
-        ["g"], "Ablation D: DCTCP gain sweep",
-        [([label], {"n_flows": 100, "dctcp_g": g}) for label, g in
-         (("1/64", 1.0 / 64.0), ("1/16", 1.0 / 16.0), ("1/4", 1.0 / 4.0),
-          ("1", 1.0))]),
-    "idle": (
-        "ablation_idle_restart",
-        "CWND restart after idle (RFC 2861) vs persistent windows: restart "
-        "is a no-op during incast because converged windows sit below the "
-        "initial window (min(init, cwnd) semantics) — motivating "
-        "guardrails over forgetting (Section 5.1)",
-        ["idle policy"],
-        "Ablation F: window validation vs burst-boundary divergence",
-        # The restart threshold (1 ms) is below the inter-burst gap, so
-        # validation fires at every burst boundary; the RFC 2861 default
-        # threshold (one RTO = 200 ms) would never trigger here.
-        [([label], {"n_flows": 100, "inter_burst_gap_ns": units.msec(5.0),
-                    "tcp.cwnd_restart_after_idle": restart,
-                    "tcp.idle_restart_threshold_ns": units.msec(1.0)})
-         for label, restart in (("persistent (default)", False),
-                                ("restart after idle", True))]),
-    "delayed_ack": (
-        "ablation_delayed_ack",
-        "Delayed ACKs exacerbate burstiness and mask DCTCP's control (the "
-        "paper's reason for disabling them)",
-        ["receiver"], "Ablation H: ACK aggregation at 100 flows",
-        [([label], {"n_flows": 100, "tcp.delayed_ack": delayed})
-         for label, delayed in (("per-packet ACKs (paper)", False),
-                                ("delayed ACKs", True))]),
-    "ecn_threshold": (
-        "ablation_ecn_threshold",
-        "ECN threshold trades queueing delay against feedback timeliness "
-        "(the paper's production threshold sits above the DCTCP "
-        "recommendation)",
-        ["ECN threshold (pkts)"],
-        "Ablation I: marking threshold sweep at 100 flows",
-        [([k], {"n_flows": 100, "dumbbell.ecn_threshold_packets": k})
-         for k in (20, 65, 200, 600)]),
-    "sack": (
-        "ablation_sack",
-        "SACK recovery helps at moderate windows but cannot rescue Mode 3: "
-        "1-MSS windows generate no SACK blocks",
-        ["case", "recovery"],
-        "Ablation J: SACK vs NewReno recovery under incast",
-        # Mode 3: 1000 flows on a shared buffer (the Figure 5c panel);
-        # the Figure 6 spike regime: 500 flows, 2 ms bursts, private.
-        [([case, "sack" if sack else "newreno"],
-          {**overrides, "tcp.sack_enabled": sack})
-         for case, overrides in (
-             ("mode3 1000 flows",
-              {"n_flows": 1000, "dumbbell.shared_buffer_bytes": 2_000_000}),
-             ("spike 500 flows/2ms",
-              {"n_flows": 500, "burst_duration_ns": units.msec(2.0)}))
-         for sack in (False, True)]),
-    "receiver_throttle": (
-        "ablation_receiver_throttle",
-        "Receiver-window (ICTCP-like) throttling helps at moderate degree "
-        "and hits the same 1-MSS floor as sender windows",
-        ["flows", "receiver"],
-        "Ablation M: ICTCP-like receiver-window throttling",
-        [([n, label], {"n_flows": n, **scheme})
-         for n in (100, 500)
-         for label, scheme in (("dctcp alone", {}),
-                               ("ictcp-like rwnd", {"scheme": "ictcp"}))]),
-}
+def tables(scale: float) -> dict:
+    """Ablations A, B, D, E, F, H, I, J and M: one dumbbell incast per
+    table row, each row its own ``dumbbell_incast`` unit.
 
-
-def run_table(name: str, scale: float = 1.0,
-              seed: int = 0) -> ExperimentResult:
-    """Run one :data:`TABLES` ablation: each row's incast, summarised."""
-    result_name, description, headers, title, rows = TABLES[name]
-    result = ExperimentResult(name=result_name, description=description)
-    result.data["rows"] = []
-    for cells, overrides in rows:
-        run = _incast(scale, seed, overrides)
-        stats = run.scheme_stats or {}
-        result.data["rows"].append(
-            [cell.format_map(stats) if isinstance(cell, str)
-             else cell for cell in cells] + run.summary_row())
-    result.add_section(format_table(headers + SUMMARY_COLUMNS,
-                                    result.data["rows"], title=title))
-    return result
+    Name -> (result name, description, tables, extra data); a table is
+    (data key, label headers, title, rows of ``(label cells,
+    overrides)``). A string label cell is formatted with the row's
+    ``scheme_stats``, so B's label names the cap the run enforced. Rows
+    and titles follow ``scale``: E's bursts are the scaled burst and four
+    times it, and A2's title names the analytic overflow point.
+    """
+    shape = scaled_incast_config({}, scale)
+    burst_ns = shape.burst_duration_ns
+    overflow = shape.mode_model().overflow_point
+    return {
+        "buffer": (
+            "ablation_buffer",
+            "Shared switch buffers move the loss point to lower flow counts "
+            "(Section 4.1.1)",
+            [("sharing_rows", ["flows", "buffer"],
+              "Ablation A1: buffer sharing at fixed flow count",
+              [([n, "shared 2MB" if shared else "private 1333p"],
+                {"n_flows": n, "dumbbell.shared_buffer_bytes": shared})
+               for n in (500, 1000) for shared in (None, 2_000_000)]),
+             ("sweep_rows", ["flows"],
+              f"Ablation A2: private-buffer overflow sweep (analytic "
+              f"boundary K > capacity + BDP = {overflow})",
+              [([n], {"n_flows": n}) for n in (1000, 1200, 1400)])],
+            {"overflow_point": overflow}),
+        "guardrail": (
+            "ablation_guardrail",
+            "A CWND cap sized from the predicted incast degree removes the "
+            "burst-start spike (Section 5.1)",
+            [("rows", ["flows", "sender"], "Ablation B: guardrail on/off",
+              [row for n in (100, 150) for row in (
+                  ([n, "dctcp"], {"n_flows": n}),
+                  ([n, "dctcp+cap {cap_bytes}B"],
+                   {"n_flows": n, "scheme": "guardrail"}))])], {}),
+        "g": (
+            "ablation_g",
+            "DCTCP g sweep at 100 flows (Section 5.1: tuning g is brittle "
+            "and does not address the root cause)",
+            [("rows", ["g"], "Ablation D: DCTCP gain sweep",
+              [([label], {"n_flows": 100, "dctcp_g": g}) for label, g in
+               (("1/64", 1.0 / 64.0), ("1/16", 1.0 / 16.0),
+                ("1/4", 1.0 / 4.0), ("1", 1.0))])], {}),
+        "pacing": (
+            "ablation_pacing",
+            "Sub-MSS pacing escapes the 1-MSS degenerate point (Section "
+            "5.2), at the cost of slower bursts",
+            [("rows", ["burst", "dur (ms)", "CCA"],
+              "Ablation E: window floor vs fractional pacing at 500 flows "
+              "(paper Section 5.2: pacing suits long incasts; short bursts "
+              "defeat it)",
+              [([label, round(units.ns_to_ms(burst), 1), cca],
+                {"n_flows": 500, "cca": cca, "burst_duration_ns": burst})
+               for label, burst in (("short", burst_ns),
+                                    ("long 4x", 4 * burst_ns))
+               for cca in ("dctcp", "swiftlike")])], {}),
+        "idle": (
+            "ablation_idle_restart",
+            "CWND restart after idle (RFC 2861) vs persistent windows: "
+            "restart is a no-op during incast because converged windows sit "
+            "below the initial window (min(init, cwnd) semantics) — "
+            "motivating guardrails over forgetting (Section 5.1)",
+            [("rows", ["idle policy"],
+              "Ablation F: window validation vs burst-boundary divergence",
+              # The restart threshold (1 ms) is below the inter-burst gap,
+              # so validation fires at every burst boundary; the RFC 2861
+              # default threshold (one RTO = 200 ms) would never trigger.
+              [([label], {"n_flows": 100,
+                          "inter_burst_gap_ns": units.msec(5.0),
+                          "tcp.cwnd_restart_after_idle": restart,
+                          "tcp.idle_restart_threshold_ns": units.msec(1.0)})
+               for label, restart in (("persistent (default)", False),
+                                      ("restart after idle", True))])], {}),
+        "delayed_ack": (
+            "ablation_delayed_ack",
+            "Delayed ACKs exacerbate burstiness and mask DCTCP's control "
+            "(the paper's reason for disabling them)",
+            [("rows", ["receiver"], "Ablation H: ACK aggregation at 100 flows",
+              [([label], {"n_flows": 100, "tcp.delayed_ack": delayed})
+               for label, delayed in (("per-packet ACKs (paper)", False),
+                                      ("delayed ACKs", True))])], {}),
+        "ecn_threshold": (
+            "ablation_ecn_threshold",
+            "ECN threshold trades queueing delay against feedback "
+            "timeliness (the paper's production threshold sits above the "
+            "DCTCP recommendation)",
+            [("rows", ["ECN threshold (pkts)"],
+              "Ablation I: marking threshold sweep at 100 flows",
+              [([k], {"n_flows": 100, "dumbbell.ecn_threshold_packets": k})
+               for k in (20, 65, 200, 600)])], {}),
+        "sack": (
+            "ablation_sack",
+            "SACK recovery helps at moderate windows but cannot rescue Mode "
+            "3: 1-MSS windows generate no SACK blocks",
+            [("rows", ["case", "recovery"],
+              "Ablation J: SACK vs NewReno recovery under incast",
+              # Mode 3: 1000 flows on a shared buffer (the Figure 5c
+              # panel); the Figure 6 spike regime: 500 flows, 2 ms bursts,
+              # private.
+              [([case, "sack" if sack else "newreno"],
+                {**overrides, "tcp.sack_enabled": sack})
+               for case, overrides in (
+                   ("mode3 1000 flows",
+                    {"n_flows": 1000,
+                     "dumbbell.shared_buffer_bytes": 2_000_000}),
+                   ("spike 500 flows/2ms",
+                    {"n_flows": 500, "burst_duration_ns": units.msec(2.0)}))
+               for sack in (False, True)])], {}),
+        "receiver_throttle": (
+            "ablation_receiver_throttle",
+            "Receiver-window (ICTCP-like) throttling helps at moderate "
+            "degree and hits the same 1-MSS floor as sender windows",
+            [("rows", ["flows", "receiver"],
+              "Ablation M: ICTCP-like receiver-window throttling",
+              [([n, label], {"n_flows": n, **scheme})
+               for n in (100, 500)
+               for label, scheme in (("dctcp alone", {}),
+                                     ("ictcp-like rwnd",
+                                      {"scheme": "ictcp"}))])], {}),
+    }
 
 
 def run_rack_contention(scale: float = 1.0, seed: int = 0
@@ -603,25 +564,23 @@ def run_service_latency(scale: float = 1.0, seed: int = 0
     return result
 
 
-#: Name -> executor, in report order: ``run_unit``'s dispatch table. Each
-#: takes ``(scale, seed)`` and returns one sub-report.
-ALL_ABLATIONS = {
-    "buffer": run_buffer_sharing,
-    "guardrail": partial(run_table, "guardrail"),
+#: The ablations that are not single dumbbell runs, each one unit:
+#: name -> executor taking ``(scale, seed)``, returning its sub-report.
+WHOLE = {
     "scheduler": run_scheduler,
-    "g": partial(run_table, "g"),
-    "pacing": run_pacing,
-    "idle": partial(run_table, "idle"),
     "predictability": run_predictability,
-    "delayed_ack": partial(run_table, "delayed_ack"),
-    "ecn_threshold": partial(run_table, "ecn_threshold"),
-    "sack": partial(run_table, "sack"),
     "rack": run_rack_contention,
     "fanin": run_fanin_latency,
-    "receiver_throttle": partial(run_table, "receiver_throttle"),
     "topology": run_topology_validation,
     "service_latency": run_service_latency,
 }
+
+#: Every ablation, in report order: a :func:`tables` entry or a
+#: :data:`WHOLE` executor.
+ALL_ABLATIONS = ("buffer", "guardrail", "scheduler", "g", "pacing", "idle",
+                 "predictability", "delayed_ack", "ecn_threshold", "sack",
+                 "rack", "fanin", "receiver_throttle", "topology",
+                 "service_latency")
 
 
 #: Relative expected unit runtimes (1.0 = a typical engine unit), from
@@ -629,42 +588,93 @@ ALL_ABLATIONS = {
 #: starting the longest units first stops a dominant unit submitted late
 #: from serializing the end of a ``--jobs N`` run.
 _COST_HINTS = {
-    "buffer": 4.0,
-    "pacing": 4.0,
     "service_latency": 3.0,
-    "guardrail": 2.0,
-    "g": 2.0,
-    "ecn_threshold": 2.0,
-    "sack": 2.0,
     "rack": 2.0,
-    "receiver_throttle": 2.0,
 }
 
 
+def _elided(overrides: dict, default) -> dict:
+    """``overrides`` without the entries ``default`` (the scale rule's
+    config) already holds, so rows that configure the same run compile
+    to one cache key. Sweep specs keep every key they write."""
+    def held(key: str):
+        head, dot, leaf = key.partition(".")
+        value = getattr(default, head)
+        return getattr(value, leaf) if dot else value
+
+    # Types too: 8.0 equals a default of 8 but exports as a float.
+    return {key: value for key, value in overrides.items()
+            if not (type(value) is type(held(key)) and value == held(key))}
+
+
+def _plan(name: str, scale: float, seed: int) -> list[WorkUnit]:
+    """One ablation's units: a :data:`WHOLE` ablation is one unit, a
+    :func:`tables` ablation one ``dumbbell_incast`` point per row."""
+    if name in WHOLE:
+        return [WorkUnit(experiment="ablations", unit_id=name,
+                         fn="repro.experiments.ablations:run_unit",
+                         params={"ablation": name}, scale=scale, seed=seed,
+                         cost_hint=_COST_HINTS.get(name, 1.0))]
+    default = scaled_incast_config({}, scale)
+    rows = [row for table in tables(scale)[name][2] for row in table[3]]
+    return [point_unit("ablations", f"{name}/row:{index}", "dumbbell_incast",
+                       _elided({"max_sim_time_ns": HORIZON_NS, **overrides},
+                               default), scale, seed)
+            for index, (_, overrides) in enumerate(rows)]
+
+
+def _assemble(name: str, payloads: list, scale: float) -> ExperimentResult:
+    """One ablation's sub-report from its units' payloads, in plan
+    order: a :data:`WHOLE` ablation's own report, or a :func:`tables`
+    ablation's rows, each run summarised under :data:`SUMMARY_COLUMNS`."""
+    if name in WHOLE:
+        return payloads[0]
+    result_name, description, table_specs, extra = tables(scale)[name]
+    result = ExperimentResult(name=result_name, description=description)
+    runs = iter(payloads)
+    for key, headers, title, rows in table_specs:
+        result.data[key] = []
+        for cells, _ in rows:
+            run = next(runs)
+            stats = run.scheme_stats or {}
+            result.data[key].append(
+                [cell.format_map(stats) if isinstance(cell, str)
+                 else cell for cell in cells] + run.summary_row())
+        result.add_section(format_table(headers + SUMMARY_COLUMNS,
+                                        result.data[key], title=title))
+    result.data.update(extra)
+    return result
+
+
+def run_ablation(name: str, scale: float = 1.0,
+                 seed: int = 0) -> ExperimentResult:
+    """Run one ablation in-process: its units, each through its
+    executor, assembled as :func:`merge` assembles them."""
+    return _assemble(name, [unit.resolve_fn()(unit)
+                            for unit in _plan(name, scale, seed)], scale)
+
+
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per ablation."""
-    return [WorkUnit(experiment="ablations", unit_id=name,
-                     fn="repro.experiments.ablations:run_unit",
-                     params={"ablation": name}, scale=scale, seed=seed,
-                     cost_hint=_COST_HINTS.get(name, 1.0))
-            for name in ALL_ABLATIONS]
+    """Every ablation's units, in report order."""
+    return [unit for name in ALL_ABLATIONS
+            for unit in _plan(name, scale, seed)]
 
 
 def run_unit(unit: WorkUnit) -> ExperimentResult:
-    """Run one ablation."""
-    return ALL_ABLATIONS[unit.params["ablation"]](scale=unit.scale,
-                                                  seed=unit.seed)
+    """Run one :data:`WHOLE` ablation."""
+    return WHOLE[unit.params["ablation"]](scale=unit.scale, seed=unit.seed)
 
 
 def merge(work: list[WorkUnit], payloads: list, *, scale: float,
           seed: int) -> ExperimentResult:
     """Reassemble the per-ablation reports in canonical order."""
-    sub_results = {unit.params["ablation"]: payload
-                   for unit, payload in zip(work, payloads)}
+    by_name: dict = {}
+    for unit, payload in zip(work, payloads):
+        by_name.setdefault(unit.unit_id.partition("/")[0], []).append(payload)
     merged = ExperimentResult(
         name="ablations",
         description="Design-choice ablations and Section 5 directions",
     )
     for name in ALL_ABLATIONS:
-        merged.merge_sub_result(name, sub_results[name])
+        merged.merge_sub_result(name, _assemble(name, by_name[name], scale))
     return merged

@@ -215,21 +215,6 @@ class IncastSimResult:
         return out
 
 
-def telemetry_from_params(cfg: IncastSimConfig,
-                          params: dict) -> IncastSimConfig:
-    """Enable telemetry on ``cfg`` when a work unit's params request it.
-
-    The engine injects ``params["telemetry"] = {"interval_ns": ...}`` under
-    ``--telemetry``; packet-level executors funnel their config through
-    here. Returns ``cfg`` unchanged when the spec is absent.
-    """
-    spec = params.get("telemetry")
-    if not spec:
-        return cfg
-    return replace(cfg, telemetry=True,
-                   telemetry_interval_ns=int(spec["interval_ns"]))
-
-
 def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
     """Run one cyclic-incast simulation end to end.
 

@@ -33,10 +33,9 @@ from repro import units
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.tables import format_figure_series, format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (IncastSimResult, run_incast_sim,
-                                           scaled_incast_config,
-                                           telemetry_from_params)
+from repro.experiments.environment import IncastSimResult
 from repro.experiments.result import ExperimentResult
+from repro.experiments.sweep import point_unit
 
 PANELS: list[tuple[str, int, Optional[int]]] = [
     ("mode1_healthy", 100, None),
@@ -47,24 +46,14 @@ PANELS: list[tuple[str, int, Optional[int]]] = [
 
 
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per operating-mode panel (independent simulations)."""
+    """One ``dumbbell_incast`` point per operating-mode panel
+    (independent simulations)."""
     return [
-        WorkUnit(experiment="fig5", unit_id=f"panel:{name}",
-                 fn="repro.experiments.fig5:run_unit",
-                 params={"panel": name, "n_flows": n_flows,
-                         "shared_buffer_bytes": shared},
-                 scale=scale, seed=seed)
+        point_unit("fig5", f"panel:{name}", "dumbbell_incast",
+                   {"n_flows": n_flows, "max_sim_time_ns": units.sec(60.0),
+                    "dumbbell.shared_buffer_bytes": shared}, scale, seed)
         for name, n_flows, shared in PANELS
     ]
-
-
-def run_unit(unit: WorkUnit) -> IncastSimResult:
-    """Simulate one panel."""
-    cfg = scaled_incast_config({
-        "n_flows": unit.params["n_flows"], "seed": unit.seed,
-        "dumbbell.shared_buffer_bytes": unit.params["shared_buffer_bytes"],
-        "max_sim_time_ns": units.sec(60.0)}, unit.scale)
-    return run_incast_sim(telemetry_from_params(cfg, unit.params))
 
 
 def merge(work: list[WorkUnit], payloads: list[IncastSimResult], *,
@@ -77,10 +66,10 @@ def merge(work: list[WorkUnit], payloads: list[IncastSimResult], *,
     )
     summary_rows = []
     for unit, sim_result in zip(work, payloads):
-        panel = unit.params["panel"]
-        n_flows = unit.params["n_flows"]
-        shared = unit.params["shared_buffer_bytes"]
+        panel = unit.unit_id.removeprefix("panel:")
         cfg = sim_result.config
+        n_flows = cfg.n_flows
+        shared = cfg.dumbbell.shared_buffer_bytes
         result.data[panel] = sim_result
         finite = sim_result.aligned_queue_packets[
             np.isfinite(sim_result.aligned_queue_packets)]

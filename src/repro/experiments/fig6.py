@@ -14,32 +14,24 @@ from repro import units
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.tables import format_figure_series, format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (IncastSimResult, run_incast_sim,
-                                           scaled_incast_config,
-                                           telemetry_from_params)
+from repro.experiments.environment import IncastSimResult
 from repro.experiments.fig5 import series_rows
 from repro.experiments.result import ExperimentResult
+from repro.experiments.sweep import point_unit
 
 FLOW_COUNTS = [50, 100, 200, 500]
 
 
 def work_units(scale: float, seed: int) -> list[WorkUnit]:
-    """One unit per incast degree (independent simulations)."""
+    """One ``dumbbell_incast`` point of 2 ms bursts per incast degree:
+    the verdict grid's ``dctcp/flows:N/burst:2ms`` point, so a joint run
+    simulates a shared degree once."""
     return [
-        WorkUnit(experiment="fig6", unit_id=f"flows:{n_flows}",
-                 fn="repro.experiments.fig6:run_unit",
-                 params={"n_flows": n_flows}, scale=scale, seed=seed)
+        point_unit("fig6", f"flows:{n_flows}", "dumbbell_incast",
+                   {"n_flows": n_flows, "burst_duration_ns": units.msec(2.0),
+                    "max_sim_time_ns": units.sec(60.0)}, scale, seed)
         for n_flows in FLOW_COUNTS
     ]
-
-
-def run_unit(unit: WorkUnit) -> IncastSimResult:
-    """Simulate 2 ms bursts at one incast degree."""
-    cfg = scaled_incast_config({
-        "n_flows": unit.params["n_flows"], "seed": unit.seed,
-        "burst_duration_ns": units.msec(2.0),
-        "max_sim_time_ns": units.sec(60.0)}, unit.scale)
-    return run_incast_sim(telemetry_from_params(cfg, unit.params))
 
 
 def merge(work: list[WorkUnit], payloads: list[IncastSimResult], *,
@@ -50,8 +42,8 @@ def merge(work: list[WorkUnit], payloads: list[IncastSimResult], *,
         description="Queue behaviour during 2 ms incast bursts",
     )
     rows = []
-    for unit, sim_result in zip(work, payloads):
-        n_flows = unit.params["n_flows"]
+    for sim_result in payloads:
+        n_flows = sim_result.config.n_flows
         result.data[f"flows_{n_flows}"] = sim_result
         finite = sim_result.aligned_queue_packets[
             np.isfinite(sim_result.aligned_queue_packets)]

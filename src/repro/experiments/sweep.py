@@ -45,9 +45,6 @@ from importlib import import_module
 from pathlib import Path
 from typing import Union
 
-import yaml
-
-from repro.analysis.fct import FctGrid, format_fct_table
 from repro.analysis.tables import format_table, render_cdf_table
 from repro.experiments.engine import run_experiments
 from repro.experiments.engine.spec import WorkUnit
@@ -76,10 +73,6 @@ SCALED_BYTE_FIELDS = ("flow_bytes", "elephant_bytes", "mouse_bytes",
 """Per-flow demand fields the engine ``scale`` factor multiplies. The
 mice/elephant classification threshold scales with the demands — a scaled-
 down elephant must still classify as an elephant."""
-
-_SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-"""``yaml.safe_load``'s loader, on libyaml when ``yaml`` was built with
-it (a spec then parses several times faster)."""
 
 _VALUE_JSON = json.JSONEncoder(sort_keys=True)
 """``json.dumps(v, sort_keys=True)`` for point ids, built once."""
@@ -196,27 +189,32 @@ class SweepSpec:
                         for k in sorted(point))
 
 
+def point_unit(experiment: str, unit_id: str, scenario: str,
+               overrides: dict, scale: float, seed: int) -> WorkUnit:
+    """One grid point of ``scenario`` as an engine work unit: the one
+    constructor of every unit :func:`run_unit` executes.
+
+    The unit's ``params`` carry the scenario name plus the overrides
+    with sorted keys; everything identity-relevant lives there, so equal
+    points share one cache key whichever experiment plans them, and the
+    cache key machinery needs no sweep awareness at all.
+    """
+    return WorkUnit(experiment=experiment, unit_id=unit_id,
+                    fn="repro.experiments.sweep:run_unit",
+                    params={"scenario": scenario,
+                            "overrides": {k: overrides[k]
+                                          for k in sorted(overrides)}},
+                    scale=scale, seed=seed)
+
+
 def compile_units(spec: SweepSpec, scale: float = 1.0,
                   seed: int = 0) -> list[WorkUnit]:
-    """Compile a spec to engine work units, one per grid point.
-
-    The unit's ``params`` carry the scenario name plus the merged
-    (fixed + point) overrides with sorted keys; everything identity-
-    relevant lives there, so the cache key machinery needs no sweep
-    awareness at all.
-    """
-    units = []
-    for point in spec.grid_points():
-        overrides = {**spec.fixed, **point}
-        units.append(WorkUnit(
-            experiment=spec.experiment_name,
-            unit_id=spec.point_id(point),
-            fn="repro.experiments.sweep:run_unit",
-            params={"scenario": spec.scenario,
-                    "overrides": {k: overrides[k]
-                                  for k in sorted(overrides)}},
-            scale=scale, seed=seed))
-    return units
+    """Compile a spec to engine work units, one per grid point: the
+    merged (fixed + point) overrides of each, through
+    :func:`point_unit`."""
+    return [point_unit(spec.experiment_name, spec.point_id(point),
+                       spec.scenario, {**spec.fixed, **point}, scale, seed)
+            for point in spec.grid_points()]
 
 
 def plan_document(spec: SweepSpec, scale: float = 1.0,
@@ -329,6 +327,8 @@ def _report_fcts(result: ExperimentResult, by_point: dict, scale: float,
     the bottleneck-queue occupancy table, and the merged mice/elephant
     FCT CDFs across every grid point. Returns the points' exports and
     the merged FCT summary."""
+    from repro.analysis.fct import FctGrid, format_fct_table
+
     # One columnar digest of every point's flows feeds the table rows
     # here, the points' exports and the CDFs pooled across the grid.
     grid = FctGrid({uid: p.fcts for uid, p in by_point.items()})
@@ -435,8 +435,19 @@ def parse_sweep_mapping(doc: dict, *, source: str = "<sweep>") -> SweepSpec:
                      description=str(doc.get("description") or ""))
 
 
+def _spec_loader():
+    """``yaml.safe_load``'s loader, on libyaml when ``yaml`` was built
+    with it (a spec then parses several times faster). ``yaml`` loads
+    here, not with this module: a grid point never parses a spec."""
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_sweep_file(path: Union[str, Path]) -> SweepSpec:
     """Load and validate a YAML sweep spec from disk."""
+    import yaml
+
     path = Path(path)
-    doc = yaml.load(path.read_text(), Loader=_SPEC_LOADER)
+    doc = yaml.load(path.read_text(), Loader=_spec_loader())
     return parse_sweep_mapping(doc, source=str(path))

@@ -40,6 +40,7 @@ from repro.analysis.fct import FctGrid, format_fct_table
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
 from repro.experiments.result import ExperimentResult
+from repro.experiments.sweep import point_unit
 from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme
 
 SCHEMES = ("dctcp", "ictcp", "pulser", "fec", "detect")
@@ -104,17 +105,6 @@ def _scheme_params(scheme: str) -> dict:
     return {} if scheme == DEFAULT_SCHEME else {"scheme": scheme}
 
 
-def _point(unit_id: str, scenario: str, overrides: dict, scale: float,
-           seed: int) -> WorkUnit:
-    """One campaign unit, shaped like a compiled sweep grid point."""
-    return WorkUnit(experiment="verdict", unit_id=unit_id,
-                    fn="repro.experiments.sweep:run_unit",
-                    params={"scenario": scenario,
-                            "overrides": {k: overrides[k]
-                                          for k in sorted(overrides)}},
-                    scale=scale, seed=seed)
-
-
 def grid_units(grid: VerdictGrid, scale: float, seed: int
                ) -> list[WorkUnit]:
     """Compile a grid into engine work units, one per simulation.
@@ -128,16 +118,16 @@ def grid_units(grid: VerdictGrid, scale: float, seed: int
     for scheme in grid.schemes:
         for burst in grid.burst_ms:
             for n_flows in grid.flow_counts:
-                work.append(_point(
-                    f"{scheme}/flows:{n_flows}/burst:{burst:g}ms",
+                work.append(point_unit(
+                    "verdict", f"{scheme}/flows:{n_flows}/burst:{burst:g}ms",
                     "dumbbell_incast",
                     {"n_flows": n_flows,
                      "burst_duration_ns": units.msec(burst),
                      "max_sim_time_ns": units.sec(60.0),
                      **_scheme_params(scheme)}, scale, seed))
         if grid.mix:
-            work.append(_point(
-                f"{scheme}/mix", "leafspine_mix",
+            work.append(point_unit(
+                "verdict", f"{scheme}/mix", "leafspine_mix",
                 {"n_racks": 2, "hosts_per_rack": 4, "n_elephants": 2,
                  "n_mice": 12, **_scheme_params(scheme)}, scale, seed))
     return work

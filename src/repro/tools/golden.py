@@ -41,8 +41,9 @@ GOLDEN_EXPERIMENTS = ["table1", "fig1", "fig2", "fig3", "fig4", "fig5",
 
 #: Cheap, layer-diverse ablation representatives (fleet predictor, TCP
 #: idle-restart, receiver delayed ACKs, the ``guardrail`` and ``ictcp``
-#: schemes), each through its ``ablations.ALL_ABLATIONS`` executor, the
-#: one ``run_unit`` calls.
+#: schemes, shared buffers, sub-MSS pacing), each through
+#: ``ablations.run_ablation``: the ablation's own units, run in-process,
+#: assembled as the experiment's merge assembles them.
 GOLDEN_ABLATIONS = ["predictability", "idle", "delayed_ack", "guardrail",
                     "receiver_throttle", "buffer", "pacing"]
 
@@ -177,15 +178,14 @@ def _run_sweep_case(case: str) -> ExperimentResult:
 
 def golden_cases() -> dict[str, Callable[[], ExperimentResult]]:
     """Case name -> thunk computing its ExperimentResult."""
-    from repro.experiments.ablations import ALL_ABLATIONS
+    from repro.experiments.ablations import run_ablation
 
     cases: dict[str, Callable[[], ExperimentResult]] = {}
     for name in GOLDEN_EXPERIMENTS:
         cases[name] = (lambda n=name: _run_through_engine(n, jobs=1))
     for name in GOLDEN_ABLATIONS:
-        runner = ALL_ABLATIONS[name]
         cases[f"ablation_{name}"] = (
-            lambda r=runner: r(scale=SCALE, seed=SEED))
+            lambda n=name: run_ablation(n, scale=SCALE, seed=SEED))
     for name in GOLDEN_ENGINE_EXPERIMENTS:
         cases[f"engine_{name}"] = (
             lambda n=name: _run_through_engine(n, jobs=2))

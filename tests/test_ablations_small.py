@@ -26,7 +26,7 @@ class TestRegistry:
 
 class TestGuardrail:
     def test_cap_reduces_peak_queue(self):
-        result = ablations.run_table("guardrail", scale=SCALE, seed=SEED)
+        result = ablations.run_ablation("guardrail", scale=SCALE, seed=SEED)
         rows = result.data["rows"]
         # Rows alternate base/capped per flow count.
         for base, capped in zip(rows[0::2], rows[1::2]):
@@ -37,7 +37,7 @@ class TestGuardrail:
 
 class TestGSweep:
     def test_g_is_not_the_lever(self):
-        result = ablations.run_table("g", scale=SCALE, seed=SEED)
+        result = ablations.run_ablation("g", scale=SCALE, seed=SEED)
         rows = result.data["rows"]
         bcts = [row[1] for row in rows]
         # Across a 64x range of g, BCT stays within 20%.
@@ -46,7 +46,7 @@ class TestGSweep:
 
 class TestIdleRestart:
     def test_restart_is_a_noop_for_converged_windows(self):
-        result = ablations.run_table("idle", scale=SCALE, seed=SEED)
+        result = ablations.run_ablation("idle", scale=SCALE, seed=SEED)
         persistent, restarting = result.data["rows"]
         assert restarting[2] == pytest.approx(persistent[2], rel=0.1)
 
@@ -62,7 +62,7 @@ class TestTopologyValidation:
 
 class TestDelayedAck:
     def test_delayed_acks_slow_the_burst(self):
-        result = ablations.run_table("delayed_ack", scale=SCALE,
+        result = ablations.run_ablation("delayed_ack", scale=SCALE,
                                      seed=SEED)
         per_packet, delayed = result.data["rows"]
         # Coarser ACK clocking stretches the burst (queueing effects vary

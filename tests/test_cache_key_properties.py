@@ -70,7 +70,7 @@ def point_key(point: dict) -> str:
 
 def unit(**overrides) -> WorkUnit:
     fields = dict(experiment="fig6", unit_id="flows:50",
-                  fn="repro.experiments.fig6:run_unit",
+                  fn="repro.experiments.sweep:run_unit",
                   params={"n_flows": 50}, scale=0.1, seed=3)
     fields.update(overrides)
     return WorkUnit(**fields)
@@ -176,7 +176,7 @@ class TestCrossProcessStability:
         code = (
             "from repro.experiments.engine.spec import WorkUnit\n"
             "print(WorkUnit(experiment='fig6', unit_id='flows:50',\n"
-            "      fn='repro.experiments.fig6:run_unit',\n"
+            "      fn='repro.experiments.sweep:run_unit',\n"
             "      params={'tag': 'x', 'nested': {'a': [1.5], 'b': 2},\n"
             "              'n_flows': 50},\n"
             "      scale=0.1, seed=3).cache_key())\n")

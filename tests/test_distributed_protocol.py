@@ -215,7 +215,7 @@ class TestUnitAndFaultWire:
                            allow_nan=False))
     def test_unit_round_trip_preserves_identity(self, params, seed, scale):
         unit = WorkUnit(experiment="fig6", unit_id="flows:50",
-                        fn="repro.experiments.fig6:run_unit",
+                        fn="repro.experiments.sweep:run_unit",
                         params=params, scale=scale, seed=seed)
         back = unit_from_wire(unit_to_wire(unit))
         assert back == unit
@@ -224,7 +224,7 @@ class TestUnitAndFaultWire:
     def test_unit_from_wire_rejects_malformed(self):
         good = unit_to_wire(WorkUnit(
             experiment="fig6", unit_id="flows:50",
-            fn="repro.experiments.fig6:run_unit"))
+            fn="repro.experiments.sweep:run_unit"))
         with pytest.raises(ProtocolError, match="object"):
             unit_from_wire(["nope"])
         with pytest.raises(ProtocolError, match="unknown fields"):

@@ -239,7 +239,7 @@ class TestSharedUnits:
 
 class TestFaultLayer:
     UNIT = WorkUnit(experiment="fig6", unit_id="flows:50",
-                    fn="repro.experiments.fig6:run_unit",
+                    fn="repro.experiments.sweep:run_unit",
                     params={"n_flows": 50}, scale=SCALE, seed=SEED)
 
     def test_should_fire_scopes_by_glob_and_attempt(self):
@@ -248,7 +248,7 @@ class TestFaultLayer:
         assert spec.should_fire(self.UNIT, 1)
         assert not spec.should_fire(self.UNIT, 2)
         other = WorkUnit(experiment="fig5", unit_id="panel:x",
-                         fn="repro.experiments.fig5:run_unit")
+                         fn="repro.experiments.sweep:run_unit")
         assert not spec.should_fire(other, 0)
         forever = FaultSpec(unit="fig6/flows:50", times=-1)
         assert forever.should_fire(self.UNIT, 10_000)

@@ -24,7 +24,7 @@ from repro.experiments.engine.spec import WorkUnit
 
 def unit(**overrides) -> WorkUnit:
     fields = dict(experiment="fig6", unit_id="flows:50",
-                  fn="repro.experiments.fig6:run_unit",
+                  fn="repro.experiments.sweep:run_unit",
                   params={"n_flows": 50}, scale=0.1, seed=3)
     fields.update(overrides)
     return WorkUnit(**fields)
@@ -41,7 +41,7 @@ class TestWorkUnit:
                 == unit(experiment="b").cache_key())
 
     @pytest.mark.parametrize("override", [
-        {"fn": "repro.experiments.fig5:run_unit"},
+        {"fn": "repro.experiments.ablations:run_unit"},
         {"params": {"n_flows": 100}},
         {"scale": 0.2},
         {"seed": 4},
@@ -62,15 +62,15 @@ class TestWorkUnit:
 
     def test_rejects_fn_without_colon(self):
         with pytest.raises(ValueError, match="module:function"):
-            unit(fn="repro.experiments.fig6.run_unit")
+            unit(fn="repro.experiments.sweep.run_unit")
 
     def test_rejects_unjsonable_params(self):
         with pytest.raises(TypeError):
             unit(params={"bad": object()})
 
     def test_resolve_fn(self):
-        from repro.experiments import fig6
-        assert unit().resolve_fn() is fig6.run_unit
+        from repro.experiments import sweep
+        assert unit().resolve_fn() is sweep.run_unit
 
     def test_label(self):
         assert unit().label == "fig6/flows:50"

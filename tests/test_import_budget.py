@@ -131,6 +131,19 @@ def test_a_packet_level_incast():
     assert len(repro_modules(modules)) <= 45, repro_modules(modules)
 
 
+def test_a_dumbbell_figure(tmp_path):
+    """fig6's units are ``dumbbell_incast`` grid points: running them
+    costs the sweep module itself, not the YAML spec reader, the FCT
+    digests or the fluid substrates the module's other paths use."""
+    modules = modules_after(run_main([
+        "-e", "fig6", "--scale", "0.05", "--jobs", "1", "--no-cache",
+        "--json-dir", str(tmp_path / "json")]))
+    assert (tmp_path / "json" / "fig6.json").exists()
+    assert_absent(modules, ("yaml", "repro.analysis.fct",
+                            "repro.experiments.backends"))
+    assert len(repro_modules(modules)) <= 58, repro_modules(modules)
+
+
 def test_importing_the_cache_server():
     modules = modules_after("import repro.tools.cacheserver")
     assert_absent(modules, ("numpy",))

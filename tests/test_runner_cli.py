@@ -3,14 +3,17 @@
 ``--list``, unknown-experiment rejection, the ``--jobs``/cache flags,
 the ``--json-dir`` round trip (results plus the engine run report), and
 the crash-safety surface: ``--journal``/``--resume``/
-``--checkpoint-interval`` validation, ``--cache-quota`` parsing and the
-``--scale`` type every surface shares.
+``--checkpoint-interval`` validation, ``--cache-quota`` parsing, the
+``--scale`` type every surface shares, and a reader that closes the pipe
+early.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -593,3 +596,30 @@ class TestFailFastRunReport:
         assert "see the failures table above" in capsys.readouterr().err
         report = json.loads((json_dir / "run_report.json").read_text())
         assert report["failures"]
+
+
+class TestClosedPipe:
+    """``python -m repro.experiments ... | head`` ends like a process
+    SIGPIPE killed: exit 128 + 13, no traceback, whether the write that
+    finds the pipe closed is a ``print`` (unbuffered) or the final
+    flush."""
+
+    REPO = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["--list"], ["sweep", "plan", "examples/sweeps/ecn_k.yaml"]],
+        ids=["list", "sweep-plan"])
+    def test_exits_141_without_a_traceback(self, argv, unbuffered):
+        env = {"PYTHONPATH": str(self.REPO / "src"), "PATH": "/usr/bin:/bin"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=self.REPO,
+            env=env)
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err

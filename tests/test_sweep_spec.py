@@ -352,8 +352,8 @@ class TestSpecLoader:
     does, down to the unit cache keys."""
 
     def test_libyaml_is_picked_when_present(self):
-        assert sweep_module._SPEC_LOADER is getattr(yaml, "CSafeLoader",
-                                                    yaml.SafeLoader)
+        assert sweep_module._spec_loader() is getattr(yaml, "CSafeLoader",
+                                                      yaml.SafeLoader)
 
     @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.name)
     def test_both_loaders_read_a_spec_alike(self, path, monkeypatch):
@@ -365,7 +365,7 @@ class TestSpecLoader:
         assert len(docs) == 1
         specs, keys = [], []
         for loader in LOADERS:
-            monkeypatch.setattr(sweep_module, "_SPEC_LOADER", loader)
+            monkeypatch.setattr(sweep_module, "_spec_loader", lambda: loader)
             specs.append(load_sweep_file(path))
             keys.append([unit.cache_key()
                          for unit in compile_units(specs[-1], 0.05, 3)])
@@ -376,7 +376,7 @@ class TestSpecLoader:
     def test_malformed_yaml_is_a_usage_error(self, loader, tmp_path,
                                              monkeypatch, capsys):
         from repro.experiments.runner import main
-        monkeypatch.setattr(sweep_module, "_SPEC_LOADER", loader)
+        monkeypatch.setattr(sweep_module, "_spec_loader", lambda: loader)
         bad = tmp_path / "bad.yaml"
         bad.write_text("name: x\nscenario: [leafspine_mix\naxes: {\n",
                        encoding="utf-8")

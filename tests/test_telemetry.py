@@ -9,8 +9,7 @@ import pytest
 
 from repro import units
 from repro.experiments.engine import run_experiments
-from repro.experiments.environment import (IncastSimConfig, run_incast_sim,
-                                           telemetry_from_params)
+from repro.experiments.environment import IncastSimConfig, run_incast_sim
 from repro.netsim.packet import Packet, data_packet
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.hooks import HookRegistry
@@ -251,11 +250,21 @@ class TestEngineTelemetry:
         assert tele.cache_key() != unit.cache_key()
 
     def test_telemetry_from_params_passthrough(self):
-        cfg = IncastSimConfig(n_flows=4)
-        assert telemetry_from_params(cfg, {}) is cfg
-        enabled = telemetry_from_params(
-            cfg, {"telemetry": {"interval_ns": 250_000}})
-        assert enabled.telemetry and enabled.telemetry_interval_ns == 250_000
+        """A dumbbell point runs telemetry-off unless the engine injected
+        its ``telemetry`` param, and then at the injected interval."""
+        import dataclasses
+        from repro.experiments.sweep import point_unit, run_unit
+        point = point_unit("t", "p", "dumbbell_incast",
+                           {"n_flows": 4, "n_bursts": 1}, self.SCALE,
+                           self.SEED)
+        plain = run_unit(point)
+        assert not plain.config.telemetry and plain.telemetry is None
+        enabled = run_unit(dataclasses.replace(
+            point, params={**point.params,
+                           "telemetry": {"interval_ns": 250_000}}))
+        assert enabled.config.telemetry
+        assert enabled.config.telemetry_interval_ns == 250_000
+        assert enabled.telemetry is not None
 
     def test_jobs4_telemetry_matches_jobs1(self):
         """--telemetry is deterministic across worker fan-out: the full
