@@ -304,6 +304,9 @@ def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
     probe.stop()
     if sampler is not None:
         sampler.stop()
+    # At the horizon every booked record is in the past: fold them all, so
+    # the result (which holds the network) keeps counters, not records.
+    net.settle()
 
     steady = workload.steady_results()
     analysis = steady_analysis(cfg, steady, probe.series.times_ns,

@@ -589,4 +589,5 @@ def verdict_main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro._cli import exit_after
+    exit_after(main)

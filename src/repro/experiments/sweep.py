@@ -271,7 +271,14 @@ def run_unit(unit: WorkUnit):
     if tele:
         cfg = replace(cfg, telemetry=True,
                       telemetry_interval_ns=int(tele["interval_ns"]))
-    return executor(cfg)
+    payload = executor(cfg)
+    if scenario == "dumbbell_incast":
+        # A payload is what the unit measured, not the simulated network
+        # behind it: a pooled unit's result drops it when it is pickled
+        # (IncastSimResult.__getstate__), and a serial campaign, which
+        # holds every payload until the merge, drops it here.
+        payload.network = None
+    return payload
 
 
 def merge(spec: SweepSpec, work: list[WorkUnit], payloads: list, *,

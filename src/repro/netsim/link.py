@@ -15,6 +15,10 @@ from repro.netsim.packet import Packet
 from repro.simcore.kernel import Simulator
 
 
+_TX_TIMES: dict[float, dict[int, int]] = {}
+"""Serialization time in ns by link rate, then by packet size."""
+
+
 class PacketSink(Protocol):
     """Anything that can accept a delivered packet."""
 
@@ -52,7 +56,9 @@ class Link:
         # Serialization times memoized by packet size: traffic uses only a
         # handful of distinct sizes (full MSS, pure ACK, one tail
         # segment), so a dict hit replaces the ceil-division arithmetic.
-        self._tx_time_cache: dict[int, int] = {}
+        # The times depend on the rate alone, so links of one rate share
+        # one memo.
+        self._tx_time_cache = _TX_TIMES.setdefault(rate_bps, {})
 
     def connect(self, sink: PacketSink) -> None:
         """Attach the receiving endpoint."""

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Optional, Protocol
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Protocol
 
 from repro.netsim.link import Link
 from repro.netsim.packet import ECN, Packet
@@ -83,20 +84,41 @@ class HostNIC:
         egress_link: Access link toward the ToR (set via :meth:`connect`).
     """
 
+    # What only an observed NIC or the fully-virtual one writes is a class
+    # default, which that NIC replaces when its path runs; what every NIC
+    # of some role writes is set in __init__ (DESIGN.md § *Per-flow
+    # footprint*). Observation (start_interval_counts, add_*_hook): hooks
+    # are copy-on-write tuples, and interval 0 = not counting.
+    _ingress_hooks: tuple[IngressHook, ...] = ()
+    _egress_hooks: tuple[EgressHook, ...] = ()
+    _count_interval_ns = 0
+    _counts: Mapping[int, IntervalCounts] = MappingProxyType({})
+    # Fully-virtual egress: engaged when the topology builder promises
+    # (via compose_into) that this NIC's traffic is the sole feeder of one
+    # switch egress queue. The NIC's own drain schedule is then
+    # closed-form and feeds the port's composed path directly, so a send
+    # costs no heap event at all on this hop.
+    _compose_port = None
+    _vbusy_until = -1
+    # Queued-but-not-yet-started sends, as (start, size): the packet
+    # itself is already booked into the composed port, so the backlog is
+    # counted from these and nothing retains the packet. Like the FIFO, a
+    # deque only while it holds something.
+    _vrecords: deque[tuple[int, int]] | tuple = ()
+
     def __init__(self, sim: Simulator, address: int, name: str = "nic"):
         self._sim = sim
         self.address = address
         self.name = name
         self.egress_link: Optional[Link] = None
-        self._egress_fifo: deque[Packet] = deque()
+        # Packets waiting behind a busy transmitter: a deque from the first
+        # one that waits to the end of the busy spell, the shared empty
+        # tuple otherwise (a chain-mode sender NIC is idle most of a run,
+        # and a fully-virtual NIC never queues here at all).
+        self._egress_fifo: deque[Packet] | tuple = ()
         self._handlers: dict[int, PacketHandler] = {}
-        # Observation (see start_interval_counts and add_*_hook): hooks
-        # are copy-on-write tuples; the two flags are what the hot paths
-        # check. Interval 0 = not counting.
-        self._ingress_hooks: tuple[IngressHook, ...] = ()
-        self._egress_hooks: tuple[EgressHook, ...] = ()
-        self._count_interval_ns = 0
-        self._counts: dict[int, IntervalCounts] = {}
+        # What the per-packet paths check: whether anyone observes each
+        # direction, and which egress drain this NIC took.
         self._ingress_observed = False
         self._egress_observed = False
         self.bytes_received = 0
@@ -107,18 +129,7 @@ class HostNIC:
         self._chained: Optional[bool] = None
         self._chain_on = False  # a chain event is in flight
         self._egress_sink = None
-        # Fully-virtual egress: engaged when the topology builder promises
-        # (via compose_into) that this NIC's traffic is the sole feeder of
-        # one switch egress queue. The NIC's own drain schedule is then
-        # closed-form and feeds the port's composed path directly, so a
-        # send costs no heap event at all on this hop.
-        self._compose_port = None
         self._virtual: Optional[bool] = None
-        self._vbusy_until = -1
-        # Queued-but-not-yet-started sends, as (start, size): the packet
-        # itself is already booked into the composed port, so the backlog
-        # is counted from these and nothing retains the packet.
-        self._vrecords: deque[tuple[int, int]] = deque()
         # Chain-handoff: chain events stay (their heap order *is* the
         # multi-feeder arrival order at the downstream switch), but each
         # chain hands the packet straight into the composed downstream
@@ -199,19 +210,21 @@ class HostNIC:
             raise RuntimeError(
                 f"{self.name}: interval counts are already being recorded")
         self._count_interval_ns = int(interval_ns)
+        self._counts = {}
         self._reobserve()
 
-    def interval_counts(self) -> dict[int, IntervalCounts]:
+    def interval_counts(self) -> Mapping[int, IntervalCounts]:
         """Counts by interval index; intervals without a packet are
-        absent. This is the live mapping the NIC keeps writing."""
+        absent. This is the live mapping the NIC keeps writing (an empty
+        read-only one while not counting)."""
         return self._counts
 
-    def stop_interval_counts(self) -> dict[int, IntervalCounts]:
+    def stop_interval_counts(self) -> Mapping[int, IntervalCounts]:
         """Stop booking and return what was booked; the NIC keeps no
         trace of it."""
         counts = self._counts
         self._count_interval_ns = 0
-        self._counts = {}
+        self._counts = HostNIC._counts
         self._reobserve()
         return counts
 
@@ -238,9 +251,15 @@ class HostNIC:
     @property
     def egress_backlog_packets(self) -> int:
         """Packets waiting in the host's egress FIFO."""
+        self.settle()
+        return len(self._egress_fifo) + len(self._vrecords)
+
+    def settle(self) -> None:
+        """Book the virtual egress drains virtual time has passed: what a
+        read of the backlog or the link counters folds first, done now, so
+        the records are freed."""
         if self._vrecords:
             self._settle_egress()
-        return len(self._egress_fifo) + len(self._vrecords)
 
     def send(self, packet: Packet) -> None:
         """Queue ``packet`` for transmission on the access link."""
@@ -261,13 +280,15 @@ class HostNIC:
         if chained is None:
             chained = self._chained = (type(link) is Link
                                        and link.sink is not None)
-        if not chained:
-            self._egress_fifo.append(packet)
-            self._pump()
-            return
-        if self._chain_on:
-            # Transmitter busy: queue behind it; the chain pops it later.
-            self._egress_fifo.append(packet)
+        if not chained or self._chain_on:
+            # Legacy path, or the transmitter is busy: queue behind it;
+            # the pump or the chain pops it later.
+            fifo = self._egress_fifo
+            if not fifo:
+                fifo = self._egress_fifo = deque()
+            fifo.append(packet)
+            if not chained:
+                self._pump()
             return
         # Idle transmitter: start serializing now, exactly as the legacy
         # pump called Link.transmit from within send().
@@ -350,7 +371,9 @@ class HostNIC:
             heappush(eq._heap, entry)
             eq._live += 1
         else:
+            # The busy spell is over, and its FIFO with it.
             self._chain_on = False
+            self._egress_fifo = ()
 
     def _decide_handoff(self) -> bool:
         """Engage chain-handoff if the builder declared a downstream port
@@ -402,6 +425,7 @@ class HostNIC:
         records = self._vrecords
         if records and records[0][0] < now:
             self._settle_egress()
+            records = self._vrecords
         size = packet.size_bytes
         tx = link._tx_time_cache.get(size)
         if tx is None:
@@ -413,6 +437,8 @@ class HostNIC:
             # later than the send that got us here, so it fires after it):
             # the packet queues; its foregone chain event is credited now
             # and its bookkeeping settles on observation.
+            if not records:
+                records = self._vrecords = deque()
             records.append((busy_until, size))
             end = busy_until + tx
         else:
@@ -433,6 +459,8 @@ class HostNIC:
         while records and records[0][0] < now:
             sent_bytes += records.popleft()[1]
             sent += 1
+        if not records:
+            self._vrecords = ()
         link = self.egress_link
         link.bytes_sent += sent_bytes
         link.packets_sent += sent

@@ -15,7 +15,8 @@ paper's configuration of the NS3 model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from repro.netsim.buffers import BufferPool
 from repro.netsim.packet import Packet
@@ -32,6 +33,10 @@ watched queue is served by the switch's legacy per-packet pump (see
 :mod:`repro.netsim.switch`). Mitigation schemes that read packets at the
 bottleneck pay that; per-interval peak occupancy does not need a watcher —
 see :meth:`DropTailQueue.start_interval_peaks`."""
+
+
+_NO_FIFO = ()
+"""A queue's FIFO before its first offer."""
 
 
 class QueueStats:
@@ -73,6 +78,9 @@ class DropTailQueue:
     """
 
     _next_queue_id = 0
+    # Per-interval peak occupancy while recording (start_interval_peaks).
+    _peak_clock: Optional[Simulator] = None
+    _peaks: Mapping[int, int] = MappingProxyType({})
 
     def __init__(self, capacity_packets: Optional[int] = None,
                  capacity_bytes: Optional[int] = None,
@@ -92,11 +100,15 @@ class DropTailQueue:
         self.name = name
         self.queue_id = DropTailQueue._next_queue_id
         DropTailQueue._next_queue_id += 1
-        # The queued packets — or, when a composed egress port books this
-        # queue's arrivals itself, one ``None`` per queued packet.
-        self._fifo: deque[Optional[Packet]] = deque()
+        # The queued packets: a deque from the first offer on, the shared
+        # empty tuple before it and for good on a queue a composed egress
+        # port books (which counts its depth in _composed_len instead).
+        self._fifo: deque[Packet] | tuple = ()
         self._len_bytes = 0
-        self._watchers: list[QueueWatcher] = []
+        # Depth of a queue a composed egress port books, whose FIFO stays
+        # empty (see len_packets).
+        self._composed_len = 0
+        self._watchers: tuple[QueueWatcher, ...] = ()  # copy-on-write
         # Installed by a composed egress port (netsim.switch): a callable
         # that folds in every arrival and drain it has booked that virtual
         # time has passed, so every observation below sees the same state
@@ -107,8 +119,6 @@ class DropTailQueue:
         # the two drain implementations serves this queue (see
         # start_interval_peaks). Interval 0 = not recording.
         self._peak_interval_ns = 0
-        self._peak_clock: Optional[Simulator] = None
-        self._peaks: dict[int, int] = {}
 
     @property
     def stats(self) -> QueueStats:
@@ -125,9 +135,7 @@ class DropTailQueue:
         return self._stats
 
     def __len__(self) -> int:
-        if self._settle is not None:
-            self._settle()
-        return len(self._fifo)
+        return self.len_packets
 
     # --- observation -----------------------------------------------------
 
@@ -145,7 +153,7 @@ class DropTailQueue:
                 f"{self.name}: cannot attach a watcher after the composed "
                 f"egress path has engaged; attach watchers before the "
                 f"first packet is enqueued")
-        self._watchers.append(watcher)
+        self._watchers += (watcher,)
         return watcher
 
     def start_interval_peaks(self, sim: Simulator,
@@ -169,22 +177,24 @@ class DropTailQueue:
             self._settle()
         self._peak_clock = sim
         self._peak_interval_ns = int(interval_ns)
+        self._peaks = {}
 
-    def interval_peaks(self) -> dict[int, int]:
+    def interval_peaks(self) -> Mapping[int, int]:
         """Peak occupancy by interval index, settled up to the current
         virtual time; intervals with no enqueue are absent. This is the
-        live mapping the queue keeps writing: copy it to keep a snapshot."""
+        live mapping the queue keeps writing (an empty read-only one while
+        not recording): copy it to keep a snapshot."""
         if self._settle is not None:
             self._settle()
         return self._peaks
 
-    def stop_interval_peaks(self) -> dict[int, int]:
+    def stop_interval_peaks(self) -> Mapping[int, int]:
         """Stop recording and return what was recorded (settled up to the
         current virtual time); the queue keeps no trace of it."""
         peaks = self.interval_peaks()
         self._peak_interval_ns = 0
         self._peak_clock = None
-        self._peaks = {}
+        self._peaks = DropTailQueue._peaks
         return peaks
 
     @property
@@ -192,6 +202,7 @@ class DropTailQueue:
         """Current queue length in packets."""
         if self._settle is not None:
             self._settle()
+            return self._composed_len
         return len(self._fifo)
 
     @property
@@ -220,13 +231,15 @@ class DropTailQueue:
         if self._settle is not None:
             self._settle()
         fifo = self._fifo
+        if fifo is _NO_FIFO:
+            fifo = self._fifo = deque()
         stats = self._stats
         size = packet.size_bytes
         if self._would_overflow(packet) or not self._pool_admit(packet):
             stats.dropped_packets += 1
             stats.dropped_bytes += size
             if self._watchers:
-                for watcher in tuple(self._watchers):
+                for watcher in self._watchers:
                     watcher("drop", self, packet)
             return False
         threshold = self.ecn_threshold_packets
@@ -251,7 +264,7 @@ class DropTailQueue:
             if depth > self._peaks.get(idx, 0):
                 self._peaks[idx] = depth
         if self._watchers:
-            for watcher in tuple(self._watchers):
+            for watcher in self._watchers:
                 watcher("enqueue", self, packet)
         return True
 
@@ -274,7 +287,7 @@ class DropTailQueue:
         if self.pool is not None:
             self.pool.release(self.queue_id, size)
         if self._watchers:
-            for watcher in tuple(self._watchers):
+            for watcher in self._watchers:
                 watcher("dequeue", self, packet)
         return packet
 

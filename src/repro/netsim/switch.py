@@ -126,7 +126,7 @@ class EgressPort:
         self._vfeeder_prop: Optional[int] = None
         # Admission and link constants, cached by _engage_composed:
         self._vcap_pk = self._vcap_by = self._vthresh = _UNBOUNDED
-        self._vtx: dict[int, int] = {}
+        self._vtx: Optional[dict[int, int]] = None
         self._vprop = 0
         self._vbusy_until = -1
         # Occupancy at the latest admitted arrival (or fold) instant:
@@ -322,8 +322,7 @@ class EgressPort:
         number), so high-watermarks and interval peaks need no replay,
         and a drain start older than now implies its arrival is too. Each
         fold is one bisection and column sums over the passed records.
-        The queue's FIFO holds one ``None`` per queued packet, which keeps
-        ``len()`` the depth without retaining anything.
+        The queue keeps its depth as a count, so it retains no packet.
         """
         now = self._sim._now
         queue = self.queue
@@ -387,13 +386,8 @@ class EgressPort:
             link.bytes_sent += deq_by
             link.packets_sent += deq_pk
         queue._len_bytes += enq_by - deq_by
-        grown = enq_pk - deq_pk
-        if grown > 0:
-            queue._fifo.extend((None,) * grown)
-        elif grown < 0:
-            fifo = queue._fifo
-            for _ in range(-grown):
-                fifo.popleft()
+        if enq_pk != deq_pk:
+            queue._composed_len += enq_pk - deq_pk
 
     # --- legacy pump ----------------------------------------------------
 
@@ -427,10 +421,16 @@ class Switch:
     def forwarded_packets(self) -> int:
         """Packets forwarded so far. Composed ports count theirs when they
         fold, so the read folds first, as ``DropTailQueue.stats`` does."""
+        self.settle()
+        return self._forwarded
+
+    def settle(self) -> None:
+        """Fold into the counters whatever every composed port has booked
+        that virtual time has passed: what any read of them folds first,
+        done now, so the records are freed."""
         for port in self._ports:
             if port._composed:
                 port._settle_composed()
-        return self._forwarded
 
     @property
     def ports(self) -> list[EgressPort]:

@@ -78,6 +78,17 @@ class Dumbbell:
     trunk_queue: DropTailQueue
     pools: list[BufferPool] = field(default_factory=list)
 
+    def settle(self) -> None:
+        """Fold every record a composed port or a fully-virtual NIC has
+        booked that virtual time has passed. Any read of their counters
+        folds the same records first, so the counters read the same; a
+        run settles once it is over, and keeps none of its records."""
+        self.tor_senders.settle()
+        self.tor_receiver.settle()
+        for host in self.senders:
+            host.nic.settle()
+        self.receiver.nic.settle()
+
 
 def _make_queue(cfg: DumbbellConfig, pool: Optional[BufferPool],
                 name: str) -> DropTailQueue:
@@ -234,11 +245,13 @@ def build_dumbbell(sim: Simulator,
         uplink.connect(tor_a)
         sender.nic.connect(uplink)
 
+        # The downlink and its queue share one name (one string).
+        down_name = f"torA->{sender.name}"
         downlink = Link(sim, cfg.host_rate_bps, cfg.link_prop_delay_ns,
-                        name=f"torA->{sender.name}")
+                        name=down_name)
         downlink.connect(sender.nic)
         port = tor_a.attach_port(
-            downlink, _make_queue(cfg, pool_a, f"torA->{sender.name}"))
+            downlink, _make_queue(cfg, pool_a, down_name))
         tor_a.add_route(sender.address, port)
         sender_downlink_ports.append(port)
 

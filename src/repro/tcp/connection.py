@@ -77,6 +77,25 @@ class TcpSender:
         snd_nxt: Next byte to send.
     """
 
+    # Fields only a rarely-taken path writes live here as class defaults,
+    # and an instance gets its own copy only when that path runs: CPython
+    # keeps an instance's attributes inline only while its class has met
+    # fewer than 30 names, so a sender with more carries a full dict
+    # (DESIGN.md § *Per-flow footprint*). What every sender writes, or
+    # every ACK reads, is set in __init__.
+    _paced_event = None
+    # Last receiver-advertised window; None until an ACK reports one.
+    peer_rwnd_bytes: Optional[int] = None
+    # Optional FEC encoder (see repro.tcp.fec); attached by a mitigation
+    # scheme, None on the default path.
+    fec = None
+    # Highest sequence hole-filled during the current SACK recovery, so
+    # each hole is retransmitted once per recovery episode.
+    _sack_rtx_above = 0
+    # Pulser-style explicit incast notification (the CCA's
+    # on_incast_signal), set only for a CCA that has one.
+    _incast_signal = None
+
     def __init__(self, sim: Simulator, config: TcpConfig,
                  cca: CongestionControl, host: Host, dst_address: int,
                  flow_id: int):
@@ -84,7 +103,6 @@ class TcpSender:
         # Hoisted observer-gate: the hook registry is consulted on every
         # ACK, so skip the sim attribute chain in the per-packet path;
         # its channel map (never rebound) is non-empty iff anyone listens.
-        self._hook_registry = sim.hooks
         self._hook_channels = sim.hooks._channels
         self.config = config
         self.cca = cca
@@ -108,20 +126,14 @@ class TcpSender:
         self._demand_end = 0
         self._highest_sent = 0
         self._dupacks = 0
-        self._in_recovery = False
-        self._recovery_point = 0
+        # snd_nxt when loss recovery began; None while not recovering.
+        self._recovery_point: Optional[int] = None
         self._rto_backoff = 1
         self._last_send_ns: Optional[int] = None
         # One RTT probe at a time (Karn's algorithm): (end_seq, send_time).
         self._rtt_probe: Optional[tuple[int, int]] = None
-        self._paced_event = None
 
         self.sack = SackScoreboard() if config.sack_enabled else None
-        # Last receiver-advertised window; None until an ACK reports one.
-        self.peer_rwnd_bytes: Optional[int] = None
-        # Highest sequence hole-filled during the current SACK recovery,
-        # so each hole is retransmitted once per recovery episode.
-        self._sack_rtx_above = 0
 
         self.rtt = RttEstimator(config.initial_rto_ns, config.min_rto_ns,
                                 config.max_rto_ns)
@@ -131,13 +143,9 @@ class TcpSender:
         self._timer = Timer(sim, self._on_rto)
         self.stats = SenderStats()
 
-        # Optional FEC encoder (see repro.tcp.fec); attached by a
-        # mitigation scheme, None on the default path.
-        self.fec = None
-        # Pulser-style explicit incast notification: resolved once here so
-        # the per-ACK dispatch is a cached attribute, not a getattr.
-        self._incast_signal = getattr(cca, "on_incast_signal", None)
-
+        signal = getattr(cca, "on_incast_signal", None)
+        if signal is not None:
+            self._incast_signal = signal
         # Telemetry: locate the innermost CCA carrying DCTCP's alpha state
         # (unwrapping guardrail-style decorators) so window-completion
         # alpha updates can be emitted as flow.alpha events.
@@ -359,10 +367,12 @@ class TcpSender:
                     self.cca.on_rtt_sample(rtt_sample, now)
         if self.sack is not None:
             self.sack.advance(ack_seq)
-        if self._in_recovery:
-            if ack_seq >= self._recovery_point:
-                self._in_recovery = False
-                self._sack_rtx_above = 0
+        recovery_point = self._recovery_point
+        if recovery_point is not None:
+            if ack_seq >= recovery_point:
+                self._recovery_point = None
+                if self._sack_rtx_above:
+                    self._sack_rtx_above = 0
             elif self.sack is not None:
                 self._fill_sack_holes()
             else:
@@ -374,7 +384,7 @@ class TcpSender:
                                        is_retransmit=True)
         self.cca.on_ack(bytes_acked, ece, self.snd_una, self.snd_nxt, now)
         if self._hook_channels:  # any channel subscribed
-            hooks = self._hook_registry
+            hooks = self._sim.hooks
             if self._alpha_cca is not None:
                 windows = self._alpha_cca.windows_completed
                 if windows != self._alpha_windows_seen:
@@ -395,8 +405,7 @@ class TcpSender:
             self._maybe_sack_recovery(now)
             return
         if (self._dupacks == self.config.dupack_threshold
-                and not self._in_recovery):
-            self._in_recovery = True
+                and self._recovery_point is None):
             self._recovery_point = self.snd_nxt
             self.stats.fast_retransmits += 1
             self.cca.on_loss(now)
@@ -409,14 +418,14 @@ class TcpSender:
 
     def _maybe_sack_recovery(self, now: int) -> None:
         assert self.sack is not None
-        if self._in_recovery:
+        if self._recovery_point is not None:
             self._fill_sack_holes()
             return
         if self.sack.is_lost(self.snd_una, self.config.mss_bytes,
                              self.config.dupack_threshold):
-            self._in_recovery = True
             self._recovery_point = self.snd_nxt
-            self._sack_rtx_above = 0
+            if self._sack_rtx_above:
+                self._sack_rtx_above = 0
             self.stats.fast_retransmits += 1
             self.cca.on_loss(now)
             self._fill_sack_holes()
@@ -445,8 +454,11 @@ class TcpSender:
             return
         self.stats.rto_events += 1
         self.cca.on_rto(self._sim.now)
-        self._in_recovery = False
-        self._sack_rtx_above = 0
+        self._recovery_point = None
+        # Reset only what is set: an unconditional write would give every
+        # sender that ever times out its own copy of a class default.
+        if self._sack_rtx_above:
+            self._sack_rtx_above = 0
         if self.sack is not None:
             self.sack.clear()
         self._dupacks = 0
@@ -455,9 +467,8 @@ class TcpSender:
         self.snd_nxt = self.snd_una
         self._rto_backoff = min(self._rto_backoff * 2, _MAX_RTO_BACKOFF)
         self._rto_ns = self.current_rto_ns()
-        self._hook_registry.emit("flow.rto", self.flow_id,
-                                 self._host.address, self._rto_backoff,
-                                 self._sim.now)
+        self._sim.hooks.emit("flow.rto", self.flow_id, self._host.address,
+                             self._rto_backoff, self._sim.now)
         self._timer.start(self._rto_ns)
         self._retransmit_after_rto()
 
@@ -512,7 +523,7 @@ class TcpReceiver:
 
         self.rcv_nxt = 0
         self._ooo: list[tuple[int, int]] = []  # sorted disjoint [start, end)
-        self._hooks: list[DeliveryHook] = []
+        self._hooks: tuple[DeliveryHook, ...] = ()
         # Flow control: advertised on every ACK; None = unlimited.
         # Controllers (e.g. the ICTCP-like throttle) mutate this at runtime.
         self.advertised_window_bytes = config.receiver_window_bytes
@@ -522,10 +533,12 @@ class TcpReceiver:
         # mitigation scheme, None on the default path.
         self.fec = None
 
-        # Delayed-ACK state (DCTCP receiver state machine).
+        # Delayed-ACK state (DCTCP receiver state machine); the flush
+        # timer exists only on a connection that delays ACKs.
         self._pending_acks = 0
         self._last_ce = False
-        self._ack_timer = Timer(sim, self._flush_delayed_ack)
+        self._ack_timer = (Timer(sim, self._flush_delayed_ack)
+                           if config.delayed_ack else None)
 
     @property
     def delivered_bytes(self) -> int:
@@ -534,7 +547,7 @@ class TcpReceiver:
 
     def add_delivery_hook(self, hook: DeliveryHook) -> None:
         """Invoke ``hook(delivered_bytes)`` whenever delivery advances."""
-        self._hooks.append(hook)
+        self._hooks += (hook,)
 
     # --- packet input ----------------------------------------------------
 

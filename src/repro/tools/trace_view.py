@@ -90,4 +90,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro._cli import exit_after
+    exit_after(main)

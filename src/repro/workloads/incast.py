@@ -22,6 +22,7 @@ in-flight bytes on a fixed period (Figure 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -193,8 +194,12 @@ class IncastWorkload:
         # receivers on every delivered segment is quadratic in flow count.
         self._levels = [0] * len(self._receivers)
         self._level_done: dict[int, int] = {}
+        # One bound method for every receiver, each hook a partial that
+        # adds the receiver's index (a closure per receiver costs three
+        # times the bytes).
+        on_delivery = self._on_delivery
         for index, receiver in enumerate(self._receivers):
-            receiver.add_delivery_hook(self._make_delivery_hook(index))
+            receiver.add_delivery_hook(partial(on_delivery, index))
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -231,21 +236,16 @@ class IncastWorkload:
 
     # --- completion tracking ----------------------------------------------------
 
-    def _make_delivery_hook(self, index: int):
-        demand = self.demand_bytes_per_flow
+    def _on_delivery(self, index: int, delivered: int) -> None:
+        level = delivered // self.demand_bytes_per_flow
         levels = self._levels
-        level_done = self._level_done
-
-        def hook(delivered: int, _index: int = index) -> None:
-            level = delivered // demand
-            prev = levels[_index]
-            if level > prev:
-                levels[_index] = level
-                for k in range(prev + 1, level + 1):
-                    level_done[k] = level_done.get(k, 0) + 1
-                self._on_level_crossed()
-
-        return hook
+        prev = levels[index]
+        if level > prev:
+            levels[index] = level
+            level_done = self._level_done
+            for k in range(prev + 1, level + 1):
+                level_done[k] = level_done.get(k, 0) + 1
+            self._on_level_crossed()
 
     def _on_level_crossed(self) -> None:
         n = len(self._receivers)

@@ -72,3 +72,23 @@ def test_fig6_shares_its_point_with_the_verdict_grid(tmp_path: Path):
     joint_file = write_result(joint["fig6"], tmp_path / "joint")
     solo_file = write_result(solo["fig6"], tmp_path / "solo")
     assert joint_file.read_bytes() == solo_file.read_bytes()
+
+
+def test_a_serial_campaign_holds_no_network(monkeypatch):
+    """A serial campaign holds every payload until the merge. Like a
+    pooled one, whose payloads were pickled, it holds what each unit
+    measured and not the simulated network behind it."""
+    from repro.experiments import fig6
+
+    monkeypatch.setattr(fig6, "FLOW_COUNTS", [8])
+    held = []
+    merge = fig6.merge
+
+    def recording(work, payloads, **kwargs):
+        held.extend(payloads)
+        return merge(work, payloads, **kwargs)
+
+    monkeypatch.setattr(fig6, "merge", recording)
+    run_experiments(["fig6"], scale=0.05, seed=3, jobs=1)
+    assert len(held) == 1
+    assert held[0].network is None and held[0].steady_results

@@ -1,4 +1,5 @@
-"""A data segment pays only for its own work.
+"""A data segment pays only for its own work, and a flow only for what
+its run measured.
 
 Like ``tests/test_import_budget.py`` for start-up, this budgets the packet
 fast path per data segment: the Python calls ``repro.simcore``,
@@ -7,6 +8,11 @@ crosses the dumbbell, counted by cProfile (the same run makes the same
 calls, so the count is exact, unlike a timing). A change that goes back to
 re-deciding per packet what is fixed per connection or per port fails
 here instead of showing up as a slower benchmark.
+
+The byte budget does the same for per-flow state: the bytes a lossy
+1000-flow incast still holds per flow when ``run_incast_sim`` returns,
+measured by ``tests.footprint`` in a fresh interpreter (tracemalloc
+counts allocations, so the same run holds the same bytes).
 
 The other two cases pin the per-connection decisions themselves: a CCA
 that does not override ``CongestionControl.pacing_interval_ns`` /
@@ -26,6 +32,7 @@ from repro.experiments import environment
 from repro.experiments.environment import IncastSimConfig, run_incast_sim
 from repro.tcp.cca.base import CongestionControl
 from repro.tcp.cca.swiftlike import SwiftLike
+from tests.footprint import measure_fresh
 
 PACKAGE = Path(environment.__file__).resolve().parents[1]
 HOT_LAYERS = ("simcore", "netsim", "tcp")
@@ -36,6 +43,13 @@ HOT_LAYERS = ("simcore", "netsim", "tcp")
 CALLS_PER_SEGMENT = 23.0
 
 BURST = dict(n_flows=20, n_bursts=1, seed=0)
+
+#: Bytes per flow a 1000-flow, one-burst incast (drops and RTOs) holds
+#: when run_incast_sim returns (``python -m tests.footprint``): 11,488
+#: when each sender had a dict for its attributes, each NIC and queue
+#: its empty deques and each reverse port its booked records; 4,808
+#: since, on Python 3.11. The budget leaves about 15 % slack over that.
+BYTES_PER_FLOW = 5_500
 
 
 def calls_per_segment(config: dict) -> float:
@@ -57,6 +71,15 @@ def calls_per_segment(config: dict) -> float:
 
 def test_a_segment_stays_within_its_call_budget():
     assert calls_per_segment(BURST) <= CALLS_PER_SEGMENT
+
+
+def test_a_flow_stays_within_its_byte_budget():
+    footprint = measure_fresh()
+    assert footprint["drops"] > 0 and footprint["rtos"] > 0
+    # Folded at the horizon: no composed port or virtual NIC keeps a
+    # record of work virtual time has passed.
+    assert footprint["unfolded_records"] == 0
+    assert footprint["bytes_per_flow"] <= BYTES_PER_FLOW
 
 
 def count_calls(monkeypatch, owner: type, name: str) -> list:

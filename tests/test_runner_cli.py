@@ -602,20 +602,23 @@ class TestClosedPipe:
     """``python -m repro.experiments ... | head`` ends like a process
     SIGPIPE killed: exit 128 + 13, no traceback, whether the write that
     finds the pipe closed is a ``print`` (unbuffered) or the final
-    flush."""
+    flush. So do the runner module run directly and the trace viewer."""
 
     REPO = Path(__file__).resolve().parents[1]
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("argv", [
-        ["--list"], ["sweep", "plan", "examples/sweeps/ecn_k.yaml"]],
-        ids=["list", "sweep-plan"])
+        ["repro.experiments", "--list"],
+        ["repro.experiments", "sweep", "plan", "examples/sweeps/ecn_k.yaml"],
+        ["repro.experiments.runner", "--list"],
+        ["repro.tools.trace_view", "--service", "video"]],
+        ids=["list", "sweep-plan", "runner-list", "trace-view"])
     def test_exits_141_without_a_traceback(self, argv, unbuffered):
         env = {"PYTHONPATH": str(self.REPO / "src"), "PATH": "/usr/bin:/bin"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments", *argv],
+            [sys.executable, "-m", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=self.REPO,
             env=env)
         proc.stdout.close()  # the reader is gone before the first write
