@@ -3,9 +3,8 @@
 
 Run from the repository root (about 10 seconds)::
 
-    python -m tests.footprint              # 1000 flows x one burst
-    python -m tests.footprint --flows 100  # incast_steady's size
-    python -m tests.footprint --json       # one JSON object, for scripts
+    python -m tests.footprint         # 1000 flows x one burst
+    python -m tests.footprint --json  # one JSON object, for scripts
 
 The result of a run holds the whole simulated network (``network``), and
 ``bench``'s timed loop keeps one result while the next pass builds its
@@ -91,14 +90,14 @@ def unfolded_records(net) -> int:
     return held + sum(len(host.nic._vrecords) for host in hosts)
 
 
-def measure(flows: int = FLOWS, seed: int = SEED) -> dict:
-    """Footprint of one ``flows``-flow, one-burst dumbbell incast, in this
+def measure() -> dict:
+    """Footprint of one ``FLOWS``-flow, one-burst dumbbell incast, in this
     interpreter (see the module docstring for what is counted)."""
     import repro
     from repro.experiments.environment import IncastSimConfig, run_incast_sim
 
     package = Path(repro.__file__).resolve().parent
-    config = IncastSimConfig(n_flows=flows, n_bursts=1, seed=seed)
+    config = IncastSimConfig(n_flows=FLOWS, n_bursts=1, seed=SEED)
     run_incast_sim(config)
     gc.collect()
     tracemalloc.start(1)
@@ -119,26 +118,25 @@ def measure(flows: int = FLOWS, seed: int = SEED) -> dict:
     total = sum(layers.values())
     return {
         "python": sys.version.split()[0],
-        "flows": flows, "seed": seed,
+        "flows": FLOWS, "seed": SEED,
         "drops": sum(b.drops for b in result.burst_results),
         "rtos": sum(b.rto_events for b in result.burst_results),
         "total_bytes": total,
-        "bytes_per_flow": total / flows,
+        "bytes_per_flow": total / FLOWS,
         "layers": dict(sorted(layers.items(), key=lambda kv: -kv[1])),
         "families": dict(sorted(families.items(), key=lambda kv: -kv[1])),
         "unfolded_records": unfolded_records(result.network),
     }
 
 
-def measure_fresh(flows: int = FLOWS, seed: int = SEED) -> dict:
+def measure_fresh() -> dict:
     """:func:`measure` in a new interpreter, so no earlier run in this one
     shapes the objects the measured run builds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (
         str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-m", "tests.footprint", "--json",
-         "--flows", str(flows), "--seed", str(seed)],
+        [sys.executable, "-m", "tests.footprint", "--json"],
         cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -173,12 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.footprint",
         description=__doc__.split("\n\n")[0])
-    parser.add_argument("--flows", type=int, default=FLOWS)
-    parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of the table")
     args = parser.parse_args(argv)
-    doc = measure(args.flows, args.seed)
+    doc = measure()
     print(json.dumps(doc) if args.json else render(doc))
     return 0
 

@@ -45,10 +45,12 @@ CALLS_PER_SEGMENT = 23.0
 BURST = dict(n_flows=20, n_bursts=1, seed=0)
 
 #: Bytes per flow a 1000-flow, one-burst incast (drops and RTOs) holds
-#: when run_incast_sim returns (``python -m tests.footprint``): 11,488
-#: when each sender had a dict for its attributes, each NIC and queue
-#: its empty deques and each reverse port its booked records; 4,808
-#: since, on Python 3.11. The budget leaves about 15 % slack over that.
+#: when run_incast_sim returns (``python -m tests.footprint``, Python
+#: 3.11.7): 11,508 when each sender had a dict for its attributes, each
+#: NIC and queue its empty deques and each reverse port its booked
+#: records; 4,860 since. The budget leaves about 13 % slack over that.
+#: The netsim and tcp layers, where attribute layout matters, hold a
+#: little less on Python 3.12.1 than on 3.11.7 (see DESIGN.md).
 BYTES_PER_FLOW = 5_500
 
 
