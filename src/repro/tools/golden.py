@@ -41,11 +41,11 @@ GOLDEN_EXPERIMENTS = ["table1", "fig1", "fig2", "fig3", "fig4", "fig5",
 
 #: Cheap, layer-diverse ablation representatives (fleet predictor, TCP
 #: idle-restart, receiver delayed ACKs, the ``guardrail`` and ``ictcp``
-#: schemes, shared buffers, sub-MSS pacing), each through
-#: ``ablations.run_ablation``: the ablation's own units, run in-process,
-#: assembled as the experiment's merge assembles them.
+#: schemes, shared buffers, sub-MSS pacing, scheduled admission), each
+#: through ``ablations.run_ablation``: the ablation's own units, run
+#: in-process, assembled as the experiment's merge assembles them.
 GOLDEN_ABLATIONS = ["predictability", "idle", "delayed_ack", "guardrail",
-                    "receiver_throttle", "buffer", "pacing"]
+                    "receiver_throttle", "buffer", "pacing", "scheduler"]
 
 #: Experiments additionally pinned through the engine's process pool
 #: (plan → pool fan-out → merge, ``jobs=2``, cache off). The serial cases
