@@ -84,27 +84,15 @@ class HostNIC:
         egress_link: Access link toward the ToR (set via :meth:`connect`).
     """
 
-    # What only an observed NIC or the fully-virtual one writes is a class
-    # default, which that NIC replaces when its path runs; what every NIC
-    # of some role writes is set in __init__ (DESIGN.md § *Per-flow
-    # footprint*). Observation (start_interval_counts, add_*_hook): hooks
-    # are copy-on-write tuples, and interval 0 = not counting.
+    # What only an observed NIC writes is a class default, which that
+    # NIC replaces when it is observed; what every NIC of some role writes
+    # is set in __init__ (DESIGN.md § *Per-flow footprint*). Observation
+    # (start_interval_counts, add_*_hook): hooks are copy-on-write tuples,
+    # and interval 0 = not counting.
     _ingress_hooks: tuple[IngressHook, ...] = ()
     _egress_hooks: tuple[EgressHook, ...] = ()
     _count_interval_ns = 0
     _counts: Mapping[int, IntervalCounts] = MappingProxyType({})
-    # Fully-virtual egress: engaged when the topology builder promises
-    # (via compose_into) that this NIC's traffic is the sole feeder of one
-    # switch egress queue. The NIC's own drain schedule is then
-    # closed-form and feeds the port's composed path directly, so a send
-    # costs no heap event at all on this hop.
-    _compose_port = None
-    _vbusy_until = -1
-    # Queued-but-not-yet-started sends, as (start, size): the packet
-    # itself is already booked into the composed port, so the backlog is
-    # counted from these and nothing retains the packet. Like the FIFO, a
-    # deque only while it holds something.
-    _vrecords: deque[tuple[int, int]] | tuple = ()
 
     def __init__(self, sim: Simulator, address: int, name: str = "nic"):
         self._sim = sim
@@ -113,8 +101,7 @@ class HostNIC:
         self.egress_link: Optional[Link] = None
         # Packets waiting behind a busy transmitter: a deque from the first
         # one that waits to the end of the busy spell, the shared empty
-        # tuple otherwise (a chain-mode sender NIC is idle most of a run,
-        # and a fully-virtual NIC never queues here at all).
+        # tuple otherwise (a chain-mode NIC is idle most of a run).
         self._egress_fifo: deque[Packet] | tuple = ()
         self._handlers: dict[int, PacketHandler] = {}
         # What the per-packet paths check: whether anyone observes each
@@ -129,7 +116,6 @@ class HostNIC:
         self._chained: Optional[bool] = None
         self._chain_on = False  # a chain event is in flight
         self._egress_sink = None
-        self._virtual: Optional[bool] = None
         # Chain-handoff: chain events stay (their heap order *is* the
         # multi-feeder arrival order at the downstream switch), but each
         # chain hands the packet straight into the composed downstream
@@ -145,14 +131,6 @@ class HostNIC:
     def connect(self, link: Link) -> None:
         """Attach the outgoing access link."""
         self.egress_link = link
-
-    def compose_into(self, port) -> None:
-        """Declare that every packet this NIC sends lands in ``port``'s
-        queue (topology-builder sole-feeder promise; see
-        :mod:`repro.netsim.switch`). Routing is still checked per packet —
-        a destination the switch would route elsewhere raises rather than
-        silently taking the wrong path."""
-        self._compose_port = port
 
     def compose_chain_into(self, port) -> None:
         """Declare that this NIC's access link feeds ``port``'s switch and
@@ -251,15 +229,7 @@ class HostNIC:
     @property
     def egress_backlog_packets(self) -> int:
         """Packets waiting in the host's egress FIFO."""
-        self.settle()
-        return len(self._egress_fifo) + len(self._vrecords)
-
-    def settle(self) -> None:
-        """Book the virtual egress drains virtual time has passed: what a
-        read of the backlog or the link counters folds first, done now, so
-        the records are freed."""
-        if self._vrecords:
-            self._settle_egress()
+        return len(self._egress_fifo)
 
     def send(self, packet: Packet) -> None:
         """Queue ``packet`` for transmission on the access link."""
@@ -273,9 +243,6 @@ class HostNIC:
                 self._book(packet, now).egress_bytes += packet.size_bytes
             for hook in self._egress_hooks:
                 hook(packet, now)
-        if self._virtual or (self._virtual is None and self._decide_virtual()):
-            self._send_virtual(packet, link)
-            return
         chained = self._chained
         if chained is None:
             chained = self._chained = (type(link) is Link
@@ -399,71 +366,6 @@ class HostNIC:
                     f"{prop} ns)")
         self._handoff = handoff
         return handoff
-
-    def _decide_virtual(self) -> bool:
-        """Engage the fully-virtual egress if the builder declared a sole
-        downstream port and that port can run composed."""
-        link = self.egress_link
-        port = self._compose_port
-        virtual = (port is not None and type(link) is Link
-                   and link.prop_delay_ns > 0
-                   and link.sink is port._switch
-                   and port._engage_composed())
-        self._virtual = virtual
-        return virtual
-
-    def _send_virtual(self, packet: Packet, link: Link) -> None:
-        port = self._compose_port
-        switch = port._switch
-        if switch._routes.get(packet.dst, switch._default_port) is not port:
-            raise RuntimeError(
-                f"{self.name}: destination {packet.dst} does not route to "
-                f"the composed port {port.name} — the sole-feeder promise "
-                f"was violated")
-        sim = self._sim
-        now = sim._now
-        records = self._vrecords
-        if records and records[0][0] < now:
-            self._settle_egress()
-            records = self._vrecords
-        size = packet.size_bytes
-        tx = link._tx_time_cache.get(size)
-        if tx is None:
-            tx = link.tx_time_ns(packet)
-        busy_until = self._vbusy_until
-        if records or busy_until >= now:
-            # Busy (>=, as in EgressPort._virtual_enqueue: the legacy event
-            # that ends a transmission at this very instant was scheduled
-            # later than the send that got us here, so it fires after it):
-            # the packet queues; its foregone chain event is credited now
-            # and its bookkeeping settles on observation.
-            if not records:
-                records = self._vrecords = deque()
-            records.append((busy_until, size))
-            end = busy_until + tx
-        else:
-            # Idle: the legacy path starts serializing within send().
-            link.bytes_sent += size
-            link.packets_sent += 1
-            end = now + tx
-        sim.count_batched(1)
-        self._vbusy_until = end
-        port._virtual_enqueue(packet, end + link.prop_delay_ns)
-
-    def _settle_egress(self) -> None:
-        """Book virtual egress drains strictly older than now (strict ``<``
-        for the same observation-order reason as the switch port settle)."""
-        records = self._vrecords
-        now = self._sim._now
-        sent_bytes = sent = 0
-        while records and records[0][0] < now:
-            sent_bytes += records.popleft()[1]
-            sent += 1
-        if not records:
-            self._vrecords = ()
-        link = self.egress_link
-        link.bytes_sent += sent_bytes
-        link.packets_sent += sent
 
     def _pump(self) -> None:
         if self.egress_link is None or self.egress_link.busy:

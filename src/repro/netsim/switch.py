@@ -16,11 +16,12 @@ Ports have two drain implementations, chosen per port at first traffic:
   has a drain schedule that is closed-form once arrivals are known in
   order (``start = max(arrival, busy_until)``, ``end = start + tx``,
   ``delivery = end + prop``). When the topology builder promises who feeds
-  a port's queue — one upstream port (:meth:`EgressPort.compose_route`),
-  one NIC (``HostNIC.compose_into``) or equal-delay NIC chain events
-  (``HostNIC.compose_chain_into``) — the feeder hands each packet over
-  with its arrival time and the whole switch-fabric traversal collapses
-  into a single delivery event at the far endpoint; the queue's arrivals,
+  a port's queue — one upstream port (:meth:`EgressPort.compose_route`)
+  or NIC chain events over links of one propagation delay
+  (``HostNIC.compose_chain_into``, the one way a NIC feeds a composed
+  port) — the feeder hands each packet over with its arrival time and
+  the whole switch-fabric traversal collapses into a single delivery
+  event at the far endpoint; the queue's arrivals,
   marks, drops, and drains are recorded as plain numbers (size, flags, the
   depth the packet produced — never the packet), credited to the
   simulator's event count at once so accounting matches the legacy path

@@ -79,15 +79,12 @@ class Dumbbell:
     pools: list[BufferPool] = field(default_factory=list)
 
     def settle(self) -> None:
-        """Fold every record a composed port or a fully-virtual NIC has
-        booked that virtual time has passed. Any read of their counters
-        folds the same records first, so the counters read the same; a
-        run settles once it is over, and keeps none of its records."""
+        """Fold every record a composed port has booked that virtual time
+        has passed. Any read of its counters folds the same records
+        first, so the counters read the same; a run settles once it is
+        over, and keeps none of its records."""
         self.tor_senders.settle()
         self.tor_receiver.settle()
-        for host in self.senders:
-            host.nic.settle()
-        self.receiver.nic.settle()
 
 
 def _make_queue(cfg: DumbbellConfig, pool: Optional[BufferPool],
@@ -295,14 +292,13 @@ def build_dumbbell(sim: Simulator,
     # which their NIC chain events fire *is* the order their packets reach
     # ToR-A: each chain may hand its packet straight into the trunk port's
     # composed virtual queue instead of scheduling the switch-delivery
-    # event.
+    # event. The receiver only ever emits ACKs toward the senders, all of
+    # which take ToR-B's default route, so its chain hands each ACK to the
+    # reverse trunk the same way, and the rest of the ACK path (trunk ->
+    # sender downlink) composes into a single delivery event.
     for sender in senders:
         sender.nic.compose_chain_into(trunk_port_a)
-    # The receiver only ever emits ACKs toward the senders, all of which
-    # take ToR-B's default route: its NIC is the sole feeder of the
-    # reverse-trunk queue, so the whole ACK path (receiver NIC -> trunk ->
-    # sender downlink) composes into a single delivery event.
-    receiver.nic.compose_into(trunk_port_b)
+    receiver.nic.compose_chain_into(trunk_port_b)
 
     return Dumbbell(sim=sim, config=cfg, senders=senders, receiver=receiver,
                     tor_senders=tor_a, tor_receiver=tor_b,

@@ -138,13 +138,11 @@ class Simulator:
     def count_batched(self, n: int) -> None:
         """Credit ``n`` logical events retired by a closed-form fast path.
 
-        The NIC's virtual egress (see :mod:`repro.netsim.nic`) collapses
-        per-packet serialization events into closed-form arithmetic: the
-        transmissions still *happen* in simulation terms, they just never
-        touch the heap. Crediting them here keeps ``events_processed``
-        meaning "per-packet simulation operations performed" whichever
-        path ran, so engine reports and bench events/sec stay comparable
-        across fast-path and legacy runs.
+        Crediting keeps ``events_processed`` meaning "per-packet
+        simulation operations performed" whichever path ran. No fast path
+        in the package calls it any more (composed switch ports add their
+        credits to the counters directly); ``bench/trace.py``'s
+        ``EventCounters`` still wraps it, and ROADMAP item 1 retires both.
         """
         global _total_events_processed
         self._events_processed += n

@@ -18,9 +18,8 @@ and, through it, the network. A *layer* is the package under
 ``src/repro`` of the line that allocated the bytes (``netsim``,
 ``tcp``, ...); a *family* is the function or method around that line (an
 object counts where it was constructed, its containers where they were
-made). ``unfolded_records`` counts the arrival, drain and egress records
-composed ports and fully-virtual NICs still hold, each one booked work a
-read would still have to fold.
+made). ``unfolded_records`` counts the arrival and drain records composed
+ports still hold, each one booked work a read would still have to fold.
 
 Measure in a fresh interpreter (:func:`measure_fresh`): CPython shares
 one attribute-key table per class across a process, so the runs that
@@ -83,11 +82,9 @@ def _family(package: Path, filename: str, lineno: int) -> tuple[str, str]:
 
 
 def unfolded_records(net) -> int:
-    """Records the dumbbell's composed ports and virtual NICs still hold."""
+    """Records the dumbbell's composed ports still hold."""
     ports = net.tor_senders.ports + net.tor_receiver.ports
-    held = sum(len(port._varrivals) + len(port._vdrains) for port in ports)
-    hosts = net.senders + [net.receiver]
-    return held + sum(len(host.nic._vrecords) for host in hosts)
+    return sum(len(port._varrivals) + len(port._vdrains) for port in ports)
 
 
 def measure() -> dict:

@@ -3,7 +3,7 @@
 ``netsim.switch.BATCHED_EGRESS_ENABLED = False`` forces every port onto the
 per-packet pump — two kernel events per packet, no closed forms, nothing
 credited — which makes it the reference the fast paths (composed switch
-ports, chain-handoff and fully-virtual NICs) must reproduce. Golden
+ports and chain-handoff NICs) must reproduce. Golden
 fixtures pin only what the experiments happened to record; here Hypothesis
 draws small dumbbell scenarios aimed at the places the closed forms can go
 wrong (same-instant arrivals, arrivals at the exact instant a transmission

@@ -35,6 +35,14 @@ def dumbbell_ports(**config) -> list:
     return net.tor_senders.ports + net.tor_receiver.ports
 
 
+def dumbbell_ports_handing_off() -> list:
+    """The plain dumbbell's ports, once every NIC (the receiver's too)
+    is seen to feed its trunk by chain-handoff, not delivery events."""
+    net = run_incast_sim(IncastSimConfig(**SMALL)).network
+    assert all(host.nic._handoff for host in net.senders + [net.receiver])
+    return net.tor_senders.ports + net.tor_receiver.ports
+
+
 def exchange(sim: Simulator, pairs) -> None:
     """One segment each way between every ``(a, b)`` host pair."""
     for i, (a, b) in enumerate(pairs):
@@ -65,7 +73,7 @@ def leaf_spine_ports() -> list:
 
 # (case, ports after traffic has crossed every one, is this port composed?)
 PATH_TABLE = [
-    ("dumbbell", dumbbell_ports, lambda name: True),
+    ("dumbbell", dumbbell_ports_handing_off, lambda name: True),
     ("dumbbell+shared_buffer_bytes",
      lambda: dumbbell_ports(
          dumbbell=DumbbellConfig(n_senders=6, shared_buffer_bytes=2_000_000)),
@@ -155,14 +163,17 @@ class TestSafetyRails:
             sim.run(until_ns=units.msec(1.0))
 
     def test_fully_virtual_nic_checks_the_route(self):
+        # The receiver NIC feeds the reverse trunk by chain-handoff, as
+        # every sender feeds the forward one, so it takes the same rail.
         sim = Simulator()
         receiver = mini_dumbbell(sim, n_senders=1).receiver
         # ToR-B routes the receiver's own address to its downlink, not to
-        # the reverse trunk its NIC promised to be the sole feeder of.
+        # the reverse trunk its NIC hands off to.
+        receiver.nic.send(data_packet(0, receiver.address,
+                                      receiver.address, 0, 1000))
         with pytest.raises(RuntimeError,
-                           match="does not route to the composed port"):
-            receiver.nic.send(data_packet(0, receiver.address,
-                                          receiver.address, 0, 1000))
+                           match="does not route to the chain-handoff port"):
+            sim.run(until_ns=units.msec(1.0))
 
     def test_chain_handoff_needs_one_feeder_propagation_delay(self):
         sim = Simulator()
@@ -199,7 +210,7 @@ class TestComposeOfferedAfterPumpedTraffic:
             uplink = Link(sim, units.gbps(10.0), units.usec(5.0))
             uplink.connect(switch)
             host.nic.connect(uplink)
-            host.nic.compose_into(port)  # a promise the traffic breaks
+            host.nic.compose_chain_into(port)  # a promise traffic breaks
             seen: list = []
 
             def direct(seq: int) -> None:
@@ -222,7 +233,7 @@ class TestComposeOfferedAfterPumpedTraffic:
             sim.run(until_ns=units.msec(1.0))
             assert seen == [(True, 0)]
             assert port._pumped and not port._composed
-            assert not host.nic._virtual
+            assert not host.nic._handoff
             return {"delivered": delivered,
                     "stats": dict(zip(QueueStats.__slots__,
                                       stats_tuple(queue.stats))),

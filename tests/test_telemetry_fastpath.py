@@ -143,9 +143,9 @@ class TestAttachDetach:
 
 
 class TestRetention:
-    """Composed ports and the virtual NIC fold their bookkeeping as they
-    go: what they hold is proportional to the packets in flight, not to
-    the packets ever sent, and never a ``Packet``. Counted just before
+    """Composed ports fold their bookkeeping as they go: what they and
+    the NICs' egress FIFOs hold is proportional to the packets in flight,
+    not to the packets ever sent, and never a booked ``Packet``. Counted just before
     ``run_incast_sim`` folds everything at the horizon, so the amortised
     fold during the run is what is measured; the empty state after the
     horizon fold is ``tests/test_packet_budget.py``'s."""
@@ -156,7 +156,7 @@ class TestRetention:
         for port in all_ports(net):
             held += [port._varrivals, port._vdrains, port.queue._fifo]
         for host in net.senders + [net.receiver]:
-            held += [host.nic._vrecords, host.nic._egress_fifo]
+            held.append(host.nic._egress_fifo)
         return held
 
     def test_pending_records_do_not_grow_with_bursts(self, monkeypatch):
