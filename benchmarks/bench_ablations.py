@@ -29,7 +29,8 @@ def test_ablation_guardrail(once):
 
 
 def test_ablation_scheduler(once):
-    result = once(ablations.run_scheduler, scale=bench_scale(), seed=0)
+    result = once(ablations.run_ablation, "scheduler", scale=bench_scale(),
+                  seed=0)
     print()
     print(result.render())
     mono, sched = result.data["rows"]

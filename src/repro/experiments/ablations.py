@@ -88,43 +88,39 @@ HORIZON_NS = units.sec(120.0)
 
 
 def _summary(scale: float, seed: int, overrides: dict) -> list:
-    """A dumbbell incast beside a non-dumbbell run (ablations C and N),
+    """A dumbbell incast beside a non-dumbbell run (ablation N),
     summarised under :data:`SUMMARY_COLUMNS`."""
     return run_incast_sim(scaled_incast_config(
         {"seed": seed, "max_sim_time_ns": HORIZON_NS, **overrides},
         scale)).summary_row()
 
 
-def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Ablation C: monolithic 500-flow incast vs 5 scheduled groups of 100."""
-    result = ExperimentResult(
-        name="ablation_scheduler",
-        description="Scheduling a large incast as sub-incasts keeps each "
-                    "group in the healthy regime (Section 5.2)",
-    )
-    n_flows = 500
-    shape = scaled_incast_config({}, scale)
-    mono_row = ["monolithic x500"] + _summary(scale, seed,
-                                              {"n_flows": n_flows})
+#: Ablation C's monolithic row: the default 500-flow dumbbell, the same
+#: point as ``buffer/row:0``, so the engine runs it once for both.
+SCHEDULER_FLOWS = 500
 
-    # Scheduled variant: same demand, groups of 100 admitted sequentially.
+
+def run_scheduled(unit: WorkUnit) -> list:
+    """Ablation C's own run: the :data:`SCHEDULER_FLOWS` flows admitted
+    as groups of 100, summarised as its table row."""
+    shape = scaled_incast_config({}, unit.scale)
     sim = Simulator()
-    net = build_dumbbell(sim, DumbbellConfig(n_senders=n_flows))
+    net = build_dumbbell(sim, DumbbellConfig(n_senders=SCHEDULER_FLOWS))
     tcp_cfg = TcpConfig()
     conns = [open_connection(sim, tcp_cfg, Dctcp(tcp_cfg), host,
                              net.receiver) for host in net.senders]
     demand = demand_per_flow_bytes(net.config.host_rate_bps,
-                                   shape.burst_duration_ns, n_flows)
+                                   shape.burst_duration_ns, SCHEDULER_FLOWS)
     scheduler = IncastScheduler(
         sim, conns,
         SchedulerConfig(group_size=100, n_bursts=shape.n_bursts),
-        RngHub(seed).stream("jitter"), net.bottleneck_queue, demand)
+        RngHub(unit.seed).stream("jitter"), net.bottleneck_queue, demand)
     scheduler.start()
-    sim.run(until_ns=units.sec(120.0))
+    sim.run(until_ns=HORIZON_NS)
     if not scheduler.done:
         raise RuntimeError("scheduled incast did not complete")
     steady = scheduler.steady_results()
-    sched_row = [
+    return [
         "scheduled 5x100",
         round(scheduler.mean_bct_ms(), 2),
         max(r.peak_queue_packets for r in steady),
@@ -133,9 +129,18 @@ def run_scheduler(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         sum(r.rto_events for r in steady),
         "-",
     ]
-    rows = [mono_row, sched_row]
-    result.data["rows"] = rows
-    result.data["monolithic_mean_queue"] = mono_row[3]
+
+
+def _scheduler_result(monolithic, scheduled: list) -> ExperimentResult:
+    """Ablation C: the monolithic point's run beside the scheduled row."""
+    mono_row = ["monolithic x500"] + monolithic.summary_row()
+    rows = [mono_row, scheduled]
+    result = ExperimentResult(
+        name="ablation_scheduler",
+        description="Scheduling a large incast as sub-incasts keeps each "
+                    "group in the healthy regime (Section 5.2)",
+        data={"rows": rows, "monolithic_mean_queue": mono_row[3]},
+    )
     result.add_section(format_table(
         ["variant"] + SUMMARY_COLUMNS, rows,
         title="Ablation C: 500 flows, monolithic vs scheduled admission "
@@ -567,7 +572,6 @@ def run_service_latency(scale: float = 1.0, seed: int = 0
 #: The ablations that are not single dumbbell runs, each one unit:
 #: name -> executor taking ``(scale, seed)``, returning its sub-report.
 WHOLE = {
-    "scheduler": run_scheduler,
     "predictability": run_predictability,
     "rack": run_rack_contention,
     "fanin": run_fanin_latency,
@@ -575,8 +579,8 @@ WHOLE = {
     "service_latency": run_service_latency,
 }
 
-#: Every ablation, in report order: a :func:`tables` entry or a
-#: :data:`WHOLE` executor.
+#: Every ablation, in report order: a :func:`tables` entry, a
+#: :data:`WHOLE` executor, or C (a point and :func:`run_scheduled`).
 ALL_ABLATIONS = ("buffer", "guardrail", "scheduler", "g", "pacing", "idle",
                  "predictability", "delayed_ack", "ecn_threshold", "sack",
                  "rack", "fanin", "receiver_throttle", "topology",
@@ -609,18 +613,27 @@ def _elided(overrides: dict, default) -> dict:
 
 def _plan(name: str, scale: float, seed: int) -> list[WorkUnit]:
     """One ablation's units: a :data:`WHOLE` ablation is one unit, a
-    :func:`tables` ablation one ``dumbbell_incast`` point per row."""
+    :func:`tables` ablation one ``dumbbell_incast`` point per row, and C
+    its monolithic point and then its scheduled run."""
     if name in WHOLE:
         return [WorkUnit(experiment="ablations", unit_id=name,
                          fn="repro.experiments.ablations:run_unit",
                          params={"ablation": name}, scale=scale, seed=seed,
                          cost_hint=_COST_HINTS.get(name, 1.0))]
+    if name == "scheduler":
+        rows = [{"n_flows": SCHEDULER_FLOWS}]
+        own = [WorkUnit(experiment="ablations", unit_id=name,
+                        fn="repro.experiments.ablations:run_scheduled",
+                        params={}, scale=scale, seed=seed)]
+    else:
+        rows = [overrides for table in tables(scale)[name][2]
+                for _, overrides in table[3]]
+        own = []
     default = scaled_incast_config({}, scale)
-    rows = [row for table in tables(scale)[name][2] for row in table[3]]
     return [point_unit("ablations", f"{name}/row:{index}", "dumbbell_incast",
                        _elided({"max_sim_time_ns": HORIZON_NS, **overrides},
                                default), scale, seed)
-            for index, (_, overrides) in enumerate(rows)]
+            for index, overrides in enumerate(rows)] + own
 
 
 def _assemble(name: str, payloads: list, scale: float) -> ExperimentResult:
@@ -629,6 +642,8 @@ def _assemble(name: str, payloads: list, scale: float) -> ExperimentResult:
     ablation's rows, each run summarised under :data:`SUMMARY_COLUMNS`."""
     if name in WHOLE:
         return payloads[0]
+    if name == "scheduler":
+        return _scheduler_result(*payloads)
     result_name, description, table_specs, extra = tables(scale)[name]
     result = ExperimentResult(name=result_name, description=description)
     runs = iter(payloads)

@@ -23,13 +23,13 @@ from repro.experiments.verdict import VerdictExperiment, VerdictGrid
 
 #: Rows that configure one incast at scales up to 2/15, where the scaled
 #: burst is the 2 ms floor: the default 100-flow dumbbell (B, D, H, I,
-#: M), the default 500-flow one (A1, E, J, M), A1's private 1000-flow row
-#: and A2's first sweep point, and A1's shared 1000-flow row and J's
-#: Mode 3 NewReno row.
+#: M), the default 500-flow one (A1, C's monolithic row, E, J, M), A1's
+#: private 1000-flow row and A2's first sweep point, and A1's shared
+#: 1000-flow row and J's Mode 3 NewReno row.
 SHARED_ROWS = [
     {"guardrail/row:0", "g/row:1", "delayed_ack/row:0",
      "ecn_threshold/row:1", "receiver_throttle/row:0"},
-    {"buffer/row:0", "pacing/row:0", "sack/row:2",
+    {"buffer/row:0", "scheduler/row:0", "pacing/row:0", "sack/row:2",
      "receiver_throttle/row:2"},
     {"buffer/row:2", "buffer/row:4"},
     {"buffer/row:3", "sack/row:0"},
@@ -40,7 +40,7 @@ SHARED_ROWS = [
 def test_ablation_rows_share_their_keys(scale, seed):
     units = ablations.work_units(scale, seed)
     rows = [u for u in units if "/" in u.unit_id]
-    assert len(units) == 41 and len(rows) == 35
+    assert len(units) == 42 and len(rows) == 36
     by_key = defaultdict(set)
     for unit in rows:
         assert unit.fn == "repro.experiments.sweep:run_unit"
