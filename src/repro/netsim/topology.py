@@ -292,10 +292,11 @@ def build_dumbbell(sim: Simulator,
     # which their NIC chain events fire *is* the order their packets reach
     # ToR-A: each chain may hand its packet straight into the trunk port's
     # composed virtual queue instead of scheduling the switch-delivery
-    # event. The receiver only ever emits ACKs toward the senders, all of
-    # which take ToR-B's default route, so its chain hands each ACK to the
-    # reverse trunk the same way, and the rest of the ACK path (trunk ->
-    # sender downlink) composes into a single delivery event.
+    # event. The receiver only ever sends toward the senders (ACKs, and a
+    # coordinator's requests), all of which take ToR-B's default route, so
+    # its chain hands each packet to the reverse trunk the same way, and
+    # the rest of the path (trunk -> sender downlink) composes into a
+    # single delivery event.
     for sender in senders:
         sender.nic.compose_chain_into(trunk_port_a)
     receiver.nic.compose_chain_into(trunk_port_b)

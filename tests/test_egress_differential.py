@@ -3,9 +3,9 @@
 ``netsim.switch.BATCHED_EGRESS_ENABLED = False`` forces every port onto the
 per-packet pump — two kernel events per packet, no closed forms, nothing
 credited — which makes it the reference the fast paths (composed switch
-ports and chain-handoff NICs) must reproduce. Golden
-fixtures pin only what the experiments happened to record; here Hypothesis
-draws small dumbbell scenarios aimed at the places the closed forms can go
+ports and chain-handoff NICs) must reproduce. Golden fixtures pin only
+what the experiments happened to record; here Hypothesis draws small
+dumbbell scenarios aimed at the places the closed forms can go
 wrong (same-instant arrivals, arrivals at the exact instant a transmission
 ends, marking thresholds and capacities of a few packets, observers
 reading mid-run) and everything observable is compared:
@@ -21,7 +21,9 @@ reading mid-run) and everything observable is compared:
 The rack and the leaf-spine fabric mix the two drains differently (rack:
 composed trunks feeding pumped downlinks; leaf-spine: the NIC fast path
 only, see ``tests/test_egress_paths.py``), so each gets one fixed TCP
-incast compared the same way, plus ``events_processed``.
+incast compared the same way, plus ``events_processed``; so does one
+partition/aggregate run, whose dumbbell receiver sends requests as well
+as ACKs.
 
 CI runs this module a second time with ``--hypothesis-seed=0
 --hypothesis-profile=thorough`` (see ``conftest.py``).

@@ -163,12 +163,11 @@ class TestSafetyRails:
             sim.run(until_ns=units.msec(1.0))
 
     def test_fully_virtual_nic_checks_the_route(self):
-        # The receiver NIC feeds the reverse trunk by chain-handoff, as
-        # every sender feeds the forward one, so it takes the same rail.
         sim = Simulator()
         receiver = mini_dumbbell(sim, n_senders=1).receiver
         # ToR-B routes the receiver's own address to its downlink, not to
-        # the reverse trunk its NIC hands off to.
+        # the reverse trunk its NIC hands off to, as every sender's does
+        # to the forward one.
         receiver.nic.send(data_packet(0, receiver.address,
                                       receiver.address, 0, 1000))
         with pytest.raises(RuntimeError,
