@@ -1,7 +1,6 @@
 """``python -m repro.experiments`` dispatches to the CLI runner."""
 
-from repro._cli import exit_after
-from repro.experiments.runner import main
+from repro.experiments.runner import cli
 
 if __name__ == "__main__":
-    exit_after(main)
+    cli()

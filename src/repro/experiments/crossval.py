@@ -236,4 +236,5 @@ def _main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(_main())
+    from repro._cli import exit_after
+    exit_after(_main)

@@ -58,7 +58,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 from repro.analysis.export import write_result, write_run_report
 from repro.experiments.engine.cache import (_tiered_cache, finite_positive,
@@ -588,6 +588,12 @@ def verdict_main(argv: list[str]) -> int:
                          "verdict --resume")
 
 
-if __name__ == "__main__":
+def cli() -> NoReturn:
+    """The ``repro-experiments`` console script and ``python -m``: exit
+    as :func:`repro._cli.exit_after` does around :func:`main`."""
     from repro._cli import exit_after
     exit_after(main)
+
+
+if __name__ == "__main__":
+    cli()

@@ -322,4 +322,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI shim
-    sys.exit(main())
+    from repro._cli import exit_after
+    exit_after(main)

@@ -178,4 +178,5 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro._cli import exit_after
+    exit_after(main)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import sys
 from pathlib import Path
 from typing import Optional
 
@@ -159,4 +158,5 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro._cli import exit_after
+    exit_after(main)

@@ -452,4 +452,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    sys.exit(main())
+    from repro._cli import exit_after
+    exit_after(main)

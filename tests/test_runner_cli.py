@@ -602,7 +602,8 @@ class TestClosedPipe:
     """``python -m repro.experiments ... | head`` ends like a process
     SIGPIPE killed: exit 128 + 13, no traceback, whether the write that
     finds the pipe closed is a ``print`` (unbuffered) or the final
-    flush. So do the runner module run directly and the trace viewer."""
+    flush. So do the runner module run directly, the installed console
+    script and every tool that prints."""
 
     REPO = Path(__file__).resolve().parents[1]
 
@@ -611,14 +612,28 @@ class TestClosedPipe:
         ["repro.experiments", "--list"],
         ["repro.experiments", "sweep", "plan", "examples/sweeps/ecn_k.yaml"],
         ["repro.experiments.runner", "--list"],
-        ["repro.tools.trace_view", "--service", "video"]],
-        ids=["list", "sweep-plan", "runner-list", "trace-view"])
+        ["repro.tools.trace_view", "--service", "video"],
+        ["repro.tools.docstrings", "src/repro", "-v"]],
+        ids=["list", "sweep-plan", "runner-list", "trace-view", "docstrings"])
     def test_exits_141_without_a_traceback(self, argv, unbuffered):
+        self.assert_exits_141([sys.executable, "-m", *argv], unbuffered)
+
+    def test_the_console_script_too(self):
+        """``repro-experiments`` runs what ``pyproject.toml`` names."""
+        pyproject = (self.REPO / "pyproject.toml").read_text()
+        target = re.search(r'^repro-experiments = "(.+)"$', pyproject,
+                           re.MULTILINE).group(1)
+        module, _, function = target.partition(":")
+        self.assert_exits_141(
+            [sys.executable, "-c", f"import {module}; {module}.{function}()",
+             "--list"], "")
+
+    def assert_exits_141(self, command: list, unbuffered: str) -> None:
         env = {"PYTHONPATH": str(self.REPO / "src"), "PATH": "/usr/bin:/bin"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
         proc = subprocess.Popen(
-            [sys.executable, "-m", *argv],
+            command,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=self.REPO,
             env=env)
         proc.stdout.close()  # the reader is gone before the first write
