@@ -116,7 +116,7 @@ def test_ablation_receiver_throttle(once):
 
 
 def test_ablation_topology_validation(once):
-    result = once(ablations.run_topology_validation, scale=bench_scale(),
+    result = once(ablations.run_ablation, "topology", scale=bench_scale(),
                   seed=0)
     print()
     print(result.render())

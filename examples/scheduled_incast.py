@@ -21,8 +21,8 @@ from repro.simcore.random import RngHub
 from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import open_connection
-from repro.workloads.incast import demand_per_flow_bytes
-from repro.workloads.scheduler import IncastScheduler, SchedulerConfig
+from repro.workloads.incast import (IncastConfig, IncastWorkload,
+                                    demand_per_flow_bytes)
 
 N_FLOWS = 500
 BURST_MS = 5.0
@@ -49,14 +49,13 @@ def run_scheduled(group_size: int):
              for host in net.senders]
     demand = demand_per_flow_bytes(net.config.host_rate_bps,
                                    units.msec(BURST_MS), N_FLOWS)
-    scheduler = IncastScheduler(
-        sim, conns, SchedulerConfig(group_size=group_size,
-                                    n_bursts=N_BURSTS),
+    workload = IncastWorkload(
+        sim, conns, IncastConfig(n_bursts=N_BURSTS, group_size=group_size),
         RngHub(0).stream("jitter"), net.bottleneck_queue, demand)
-    scheduler.start()
+    workload.start()
     sim.run(until_ns=units.sec(60.0))
-    steady = scheduler.steady_results()
-    return (round(scheduler.mean_bct_ms(), 2),
+    steady = workload.steady_results()
+    return (round(workload.mean_bct_ms(), 2),
             max(r.peak_queue_packets for r in steady),
             sum(r.drops for r in steady),
             sum(r.rto_events for r in steady))

@@ -9,8 +9,9 @@ The package is organized bottom-up:
   bottleneck used by the production fleet model.
 - :mod:`repro.tcp` — TCP with pluggable congestion control: Reno, DCTCP
   (the paper's subject), a Swift-like paced CCA, and the guardrail wrapper.
-- :mod:`repro.workloads` — the Section 4 cyclic incast application, the
-  Section 3 five-service synthetic fleet, and the sub-incast scheduler.
+- :mod:`repro.workloads` — the Section 4 cyclic incast application (with
+  Section 5.2's sub-incast admission groups) and the Section 3
+  five-service synthetic fleet.
 - :mod:`repro.measurement` — the Millisampler record, the switch
   watermark channel, and fleet campaign orchestration.
 - :mod:`repro.core` — the paper's analyses: burst detection, incast

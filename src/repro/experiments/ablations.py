@@ -70,15 +70,15 @@ import numpy as np
 from repro import units
 from repro.analysis.tables import format_table
 from repro.experiments.engine.spec import WorkUnit
-from repro.experiments.environment import (SUMMARY_COLUMNS, run_incast_sim,
+from repro.experiments.environment import (SUMMARY_COLUMNS,
                                            scaled_incast_config)
 from repro.experiments.result import ExperimentResult
 from repro.experiments.sweep import point_unit
 from repro.netsim.topology import DumbbellConfig, build_dumbbell
 from repro.simcore.random import RngHub
 from repro.tcp.config import TcpConfig
-from repro.workloads.incast import demand_per_flow_bytes
-from repro.workloads.scheduler import IncastScheduler, SchedulerConfig
+from repro.workloads.incast import (IncastConfig, IncastWorkload,
+                                    demand_per_flow_bytes)
 from repro.simcore.kernel import Simulator
 from repro.tcp.cca.dctcp import Dctcp
 from repro.tcp.connection import open_connection
@@ -87,17 +87,33 @@ from repro.tcp.connection import open_connection
 HORIZON_NS = units.sec(120.0)
 
 
-def _summary(scale: float, seed: int, overrides: dict) -> list:
-    """A dumbbell incast beside a non-dumbbell run (ablation N),
-    summarised under :data:`SUMMARY_COLUMNS`."""
-    return run_incast_sim(scaled_incast_config(
-        {"seed": seed, "max_sim_time_ns": HORIZON_NS, **overrides},
-        scale)).summary_row()
-
-
 #: Ablation C's monolithic row: the default 500-flow dumbbell, the same
 #: point as ``buffer/row:0``, so the engine runs it once for both.
 SCHEDULER_FLOWS = 500
+
+#: Ablation N's incast degree, on the dumbbell and on the fabric.
+TOPOLOGY_FLOWS = 96
+
+
+def _steady_row(label: str, sim: Simulator,
+                workload: IncastWorkload) -> list:
+    """Run ``workload`` to the horizon; its steady bursts as a table row
+    under :data:`SUMMARY_COLUMNS` (no queue probe ran: no mean queue, no
+    mode)."""
+    workload.start()
+    sim.run(until_ns=HORIZON_NS)
+    if not workload.done:
+        raise RuntimeError(f"{label}: workload incomplete")
+    steady = workload.steady_results()
+    return [
+        label,
+        round(workload.mean_bct_ms(), 2),
+        max(r.peak_queue_packets for r in steady),
+        "-",
+        sum(r.drops for r in steady),
+        sum(r.rto_events for r in steady),
+        "-",
+    ]
 
 
 def run_scheduled(unit: WorkUnit) -> list:
@@ -111,41 +127,66 @@ def run_scheduled(unit: WorkUnit) -> list:
                              net.receiver) for host in net.senders]
     demand = demand_per_flow_bytes(net.config.host_rate_bps,
                                    shape.burst_duration_ns, SCHEDULER_FLOWS)
-    scheduler = IncastScheduler(
-        sim, conns,
-        SchedulerConfig(group_size=100, n_bursts=shape.n_bursts),
+    workload = IncastWorkload(
+        sim, conns, IncastConfig(n_bursts=shape.n_bursts, group_size=100),
         RngHub(unit.seed).stream("jitter"), net.bottleneck_queue, demand)
-    scheduler.start()
-    sim.run(until_ns=HORIZON_NS)
-    if not scheduler.done:
-        raise RuntimeError("scheduled incast did not complete")
-    steady = scheduler.steady_results()
-    return [
-        "scheduled 5x100",
-        round(scheduler.mean_bct_ms(), 2),
-        max(r.peak_queue_packets for r in steady),
-        "-",
-        sum(r.drops for r in steady),
-        sum(r.rto_events for r in steady),
-        "-",
-    ]
+    return _steady_row("scheduled 5x100", sim, workload)
 
 
-def _scheduler_result(monolithic, scheduled: list) -> ExperimentResult:
-    """Ablation C: the monolithic point's run beside the scheduled row."""
-    mono_row = ["monolithic x500"] + monolithic.summary_row()
-    rows = [mono_row, scheduled]
-    result = ExperimentResult(
-        name="ablation_scheduler",
-        description="Scheduling a large incast as sub-incasts keeps each "
-                    "group in the healthy regime (Section 5.2)",
-        data={"rows": rows, "monolithic_mean_queue": mono_row[3]},
-    )
-    result.add_section(format_table(
-        ["variant"] + SUMMARY_COLUMNS, rows,
-        title="Ablation C: 500 flows, monolithic vs scheduled admission "
-              "(healthy queue at the cost of serialized groups)"))
-    return result
+def run_leaf_spine(unit: WorkUnit) -> list:
+    """Ablation N's own run: :data:`TOPOLOGY_FLOWS` flows from three
+    source racks of a leaf-spine fabric into one host, summarised as its
+    table row."""
+    from repro.netsim.leafspine import LeafSpineConfig, build_leaf_spine
+
+    shape = scaled_incast_config({}, unit.scale)
+    sim = Simulator()
+    fabric = build_leaf_spine(sim, LeafSpineConfig(
+        n_racks=4, hosts_per_rack=TOPOLOGY_FLOWS // 3))
+    tcp_cfg = TcpConfig()
+    receiver_host = fabric.racks[0][0]
+    senders = [host for rack in fabric.racks[1:] for host in rack]
+    conns = [open_connection(sim, tcp_cfg, Dctcp(tcp_cfg), host,
+                             receiver_host) for host in senders]
+    demand = demand_per_flow_bytes(fabric.config.host_rate_bps,
+                                   shape.burst_duration_ns, len(senders))
+    workload = IncastWorkload(
+        sim, conns,
+        IncastConfig(n_bursts=shape.n_bursts,
+                     burst_duration_ns=shape.burst_duration_ns),
+        RngHub(unit.seed).stream("jitter"),
+        queue=fabric.downlink_queue(receiver_host),
+        demand_bytes_per_flow=demand)
+    return _steady_row("leaf-spine (3 source racks)", sim, workload)
+
+
+#: Ablations C and N: a dumbbell row that is a ``dumbbell_incast`` point,
+#: beside one run of their own whose executor returns its table row.
+#: Name -> (result name, description, label header, title, the point's
+#: ``(label, overrides)``, the own executor, data keys copied from the
+#: point's row as ``key -> column``).
+BESIDE = {
+    "scheduler": (
+        "ablation_scheduler",
+        "Scheduling a large incast as sub-incasts keeps each group in the "
+        "healthy regime (Section 5.2)",
+        "variant",
+        "Ablation C: 500 flows, monolithic vs scheduled admission "
+        "(healthy queue at the cost of serialized groups)",
+        ("monolithic x500", {"n_flows": SCHEDULER_FLOWS}),
+        "run_scheduled",
+        {"monolithic_mean_queue": 3}),
+    "topology": (
+        "ablation_topology",
+        "The dumbbell abstraction holds: a cross-rack incast on a "
+        "leaf-spine fabric bottlenecks identically at the destination "
+        "downlink",
+        "topology",
+        f"Ablation N: {TOPOLOGY_FLOWS}-flow incast, dumbbell vs leaf-spine",
+        ("dumbbell", {"n_flows": TOPOLOGY_FLOWS}),
+        "run_leaf_spine",
+        {}),
+}
 
 
 def run_predictability(scale: float = 1.0, seed: int = 0
@@ -333,7 +374,6 @@ def run_rack_contention(scale: float = 1.0, seed: int = 0
                         ) -> ExperimentResult:
     """Ablation K: simultaneous incasts to two receivers on one ToR."""
     from repro.netsim.topology import RackConfig, build_rack
-    from repro.workloads.incast import IncastConfig, IncastWorkload
 
     result = ExperimentResult(
         name="ablation_rack",
@@ -435,69 +475,10 @@ def run_fanin_latency(scale: float = 1.0, seed: int = 0
     return result
 
 
-def run_topology_validation(scale: float = 1.0, seed: int = 0
-                            ) -> ExperimentResult:
-    """Ablation N: dumbbell vs full leaf-spine for the same incast."""
-    from repro.netsim.leafspine import LeafSpineConfig, build_leaf_spine
-    from repro.workloads.incast import IncastConfig, IncastWorkload
-
-    result = ExperimentResult(
-        name="ablation_topology",
-        description="The dumbbell abstraction holds: a cross-rack incast "
-                    "on a leaf-spine fabric bottlenecks identically at the "
-                    "destination downlink",
-    )
-    shape = scaled_incast_config({}, scale)
-    burst_ns, n_bursts = shape.burst_duration_ns, shape.n_bursts
-    n_flows = 96
-    rows = []
-
-    # Dumbbell run.
-    rows.append(["dumbbell"] + _summary(scale, seed, {"n_flows": n_flows}))
-
-    # Leaf-spine run: the same flow count spread over three source racks.
-    sim = Simulator()
-    fabric = build_leaf_spine(sim, LeafSpineConfig(
-        n_racks=4, hosts_per_rack=n_flows // 3))
-    tcp_cfg = TcpConfig()
-    receiver_host = fabric.racks[0][0]
-    senders = [host for rack in fabric.racks[1:] for host in rack]
-    conns = [open_connection(sim, tcp_cfg, Dctcp(tcp_cfg), host,
-                             receiver_host) for host in senders]
-    demand = demand_per_flow_bytes(fabric.config.host_rate_bps, burst_ns,
-                                   len(senders))
-    bottleneck = fabric.downlink_queue(receiver_host)
-    workload = IncastWorkload(
-        sim, conns,
-        IncastConfig(n_bursts=n_bursts, burst_duration_ns=burst_ns),
-        RngHub(seed).stream("jitter"), queue=bottleneck,
-        demand_bytes_per_flow=demand)
-    workload.start()
-    sim.run(until_ns=units.sec(120.0))
-    if not workload.done:
-        raise RuntimeError("leaf-spine workload incomplete")
-    steady = workload.steady_results()
-    rows.append([
-        "leaf-spine (3 source racks)",
-        round(workload.mean_bct_ms(), 2),
-        max(r.peak_queue_packets for r in steady),
-        "-",
-        sum(r.drops for r in steady),
-        sum(r.rto_events for r in steady),
-        "-",
-    ])
-    result.data["rows"] = rows
-    result.add_section(format_table(
-        ["topology"] + SUMMARY_COLUMNS, rows,
-        title=f"Ablation N: {n_flows}-flow incast, dumbbell vs leaf-spine"))
-    return result
-
-
 def run_service_latency(scale: float = 1.0, seed: int = 0
                         ) -> ExperimentResult:
     """Ablation O: QCT impact of a bursty rack neighbour."""
     from repro.netsim.topology import RackConfig, build_rack
-    from repro.workloads.incast import IncastConfig, IncastWorkload
     from repro.workloads.partition_aggregate import (
         PartitionAggregateConfig, PartitionAggregateWorkload)
 
@@ -575,12 +556,11 @@ WHOLE = {
     "predictability": run_predictability,
     "rack": run_rack_contention,
     "fanin": run_fanin_latency,
-    "topology": run_topology_validation,
     "service_latency": run_service_latency,
 }
 
 #: Every ablation, in report order: a :func:`tables` entry, a
-#: :data:`WHOLE` executor, or C (a point and :func:`run_scheduled`).
+#: :data:`WHOLE` executor, or a :data:`BESIDE` point and run.
 ALL_ABLATIONS = ("buffer", "guardrail", "scheduler", "g", "pacing", "idle",
                  "predictability", "delayed_ack", "ecn_threshold", "sack",
                  "rack", "fanin", "receiver_throttle", "topology",
@@ -613,17 +593,18 @@ def _elided(overrides: dict, default) -> dict:
 
 def _plan(name: str, scale: float, seed: int) -> list[WorkUnit]:
     """One ablation's units: a :data:`WHOLE` ablation is one unit, a
-    :func:`tables` ablation one ``dumbbell_incast`` point per row, and C
-    its monolithic point and then its scheduled run."""
+    :func:`tables` ablation one ``dumbbell_incast`` point per row, and a
+    :data:`BESIDE` ablation its point and then its own run."""
     if name in WHOLE:
         return [WorkUnit(experiment="ablations", unit_id=name,
                          fn="repro.experiments.ablations:run_unit",
                          params={"ablation": name}, scale=scale, seed=seed,
                          cost_hint=_COST_HINTS.get(name, 1.0))]
-    if name == "scheduler":
-        rows = [{"n_flows": SCHEDULER_FLOWS}]
+    if name in BESIDE:
+        (_, overrides), executor = BESIDE[name][4:6]
+        rows = [overrides]
         own = [WorkUnit(experiment="ablations", unit_id=name,
-                        fn="repro.experiments.ablations:run_scheduled",
+                        fn=f"repro.experiments.ablations:{executor}",
                         params={}, scale=scale, seed=seed)]
     else:
         rows = [overrides for table in tables(scale)[name][2]
@@ -638,12 +619,23 @@ def _plan(name: str, scale: float, seed: int) -> list[WorkUnit]:
 
 def _assemble(name: str, payloads: list, scale: float) -> ExperimentResult:
     """One ablation's sub-report from its units' payloads, in plan
-    order: a :data:`WHOLE` ablation's own report, or a :func:`tables`
-    ablation's rows, each run summarised under :data:`SUMMARY_COLUMNS`."""
+    order: a :data:`WHOLE` ablation's own report, or a :func:`tables` or
+    :data:`BESIDE` ablation's rows, each run summarised under
+    :data:`SUMMARY_COLUMNS`."""
     if name in WHOLE:
         return payloads[0]
-    if name == "scheduler":
-        return _scheduler_result(*payloads)
+    if name in BESIDE:
+        (result_name, description, header, title, (label, _), _,
+         copied) = BESIDE[name]
+        point, own = payloads
+        rows = [[label] + point.summary_row(), own]
+        result = ExperimentResult(
+            name=result_name, description=description,
+            data={"rows": rows,
+                  **{key: rows[0][column] for key, column in copied.items()}})
+        result.add_section(format_table([header] + SUMMARY_COLUMNS, rows,
+                                        title=title))
+        return result
     result_name, description, table_specs, extra = tables(scale)[name]
     result = ExperimentResult(name=result_name, description=description)
     runs = iter(payloads)

@@ -1,11 +1,10 @@
 """Workload generators.
 
 - :mod:`repro.workloads.incast` — the Section 4 cyclic incast burst
-  application driving the packet-level simulator.
+  application driving the packet-level simulator, with the Section 5.2
+  sub-incast admission groups as an option (``IncastConfig.group_size``).
 - :mod:`repro.workloads.services` — the Section 3 production-service fleet
   model (five services, partition/aggregate burst arrival processes).
-- :mod:`repro.workloads.scheduler` — the Section 5.2 sub-incast admission
-  scheduler extension.
 - :mod:`repro.workloads.mix` — deterministic elephant/mice flow plans for
   the leaf-spine sweep scenarios.
 """
@@ -22,6 +21,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "partition_aggregate": (
         "PartitionAggregateConfig", "PartitionAggregateWorkload",
         "QueryResult"),
-    "scheduler": ("IncastScheduler", "SchedulerConfig"),
     "services": ("SERVICE_PROFILES", "ServiceProfile"),
 })

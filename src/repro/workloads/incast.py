@@ -11,7 +11,13 @@ through a configurable number of such bursts:
 - connections persist across bursts, so congestion-window state carries
   over — the precondition for the straggler divergence of Section 4.3;
 - burst k+1 starts a fixed gap after burst k *completes* (the
-  partition/aggregate pattern: the coordinator waits for all replies).
+  partition/aggregate pattern: the coordinator waits for all replies);
+- optionally, a burst asks for its flows' demand in *admission groups*
+  (Section 5.2's "series of smaller incasts where only a manageable
+  number of flows are active at once"): group g+1 is asked once every
+  flow of groups 0..g has delivered. Flows keep their normal CCA; only
+  the time each worker is asked for its response changes, exactly the
+  lever a partition/aggregate coordinator controls.
 
 Per burst, the workload records start/completion times, burst completion
 time (BCT), the bottleneck queue's peak occupancy, and drop/mark/retransmit
@@ -51,6 +57,8 @@ class IncastConfig:
     burst_duration_ns: int = units.msec(15.0)
     start_jitter_ns: int = units.usec(100.0)
     inter_burst_gap_ns: int = units.msec(5.0)
+    #: Flows asked at once per admission group; ``None`` asks every flow.
+    group_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_bursts <= 0:
@@ -59,6 +67,8 @@ class IncastConfig:
             raise ValueError("burst_duration_ns must be positive")
         if self.start_jitter_ns < 0:
             raise ValueError("start_jitter_ns must be >= 0")
+        if self.group_size is not None and self.group_size <= 0:
+            raise ValueError("group_size must be positive")
 
 
 @dataclass
@@ -185,13 +195,16 @@ class IncastWorkload:
         self._done_callbacks: list = []
         self._burst_index = -1
         self._completing_index = 0
+        self._group_size = config.group_size or len(self._senders)
+        self._admitted = 0  # flows asked so far in the current burst
         self._done = False
         self._stats_marks = self._snapshot_stats()
         # Completion is tracked with O(1) per-delivery counters: receiver i
-        # has "level" floor(delivered / demand) — burst k is complete once
-        # every receiver's level is > k (delivered >= demand * (k+1)).
-        # Scanning all N
-        # receivers on every delivered segment is quadratic in flow count.
+        # has "level" floor(delivered / demand) — an admission group of
+        # burst k is complete once as many receivers are at a level > k
+        # (delivered >= demand * (k+1)) as the burst has admitted, and the
+        # burst once that is every receiver. Scanning all N receivers on
+        # every delivered segment is quadratic in flow count.
         self._levels = [0] * len(self._receivers)
         self._level_done: dict[int, int] = {}
         # One bound method for every receiver, each hook a partial that
@@ -228,7 +241,17 @@ class IncastWorkload:
         self._burst_index = index
         self.burst_starts_ns.append(self._sim.now)
         self._queue.stats.reset_watermark()
-        for sender in self._senders:
+        self._admitted = 0
+        self._launch_group(*self._admit())
+
+    def _admit(self) -> tuple[int, int]:
+        """Count the next admission group as asked: its flow range."""
+        first = self._admitted
+        self._admitted = min(first + self._group_size, len(self._senders))
+        return first, self._admitted
+
+    def _launch_group(self, first: int, end: int) -> None:
+        for sender in self._senders[first:end]:
             jitter = (int(self._rng.uniform(0, self.config.start_jitter_ns))
                       if self.config.start_jitter_ns > 0 else 0)
             self._sim.schedule(jitter, sender.send,
@@ -252,7 +275,12 @@ class IncastWorkload:
         level_done = self._level_done
         while (self._completing_index <= self._burst_index
                and not self._done
-               and level_done.get(self._completing_index + 1, 0) >= n):
+               and level_done.get(self._completing_index + 1, 0)
+               >= self._admitted):
+            if self._admitted < n:
+                # Admitted now, so a later delivery cannot ask it again.
+                self._sim.schedule(0, self._launch_group, self._admit())
+                return
             self._finish_burst(self._completing_index)
             self._completing_index += 1
 

@@ -228,7 +228,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.units:bps_to_gbps": _FLOOR.format("test_units tests"),
     "repro.units:rate_bps_from": _FLOOR.format("test_units tests"),
     "repro.workloads.incast:BurstResult.total_bytes": _ACCESSOR,
-    "repro.workloads.scheduler:IncastScheduler.n_groups": _ACCESSOR,
     # branch-selecting knobs
     "repro.experiments.environment:IncastSimConfig.scheme_params":
         _SWEEP.format("dumbbell_incast; docs/MITIGATIONS.md lists each "

@@ -53,7 +53,7 @@ class TestIdleRestart:
 
 class TestTopologyValidation:
     def test_leafspine_matches_dumbbell(self):
-        result = ablations.run_topology_validation(scale=SCALE, seed=SEED)
+        result = ablations.run_ablation("topology", scale=SCALE, seed=SEED)
         dumbbell, leafspine = result.data["rows"]
         assert leafspine[1] == pytest.approx(dumbbell[1], rel=0.25)
         assert leafspine[4] == 0  # no drops either way at 96 flows

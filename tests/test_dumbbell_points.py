@@ -40,12 +40,12 @@ SHARED_ROWS = [
 def test_ablation_rows_share_their_keys(scale, seed):
     units = ablations.work_units(scale, seed)
     rows = [u for u in units if "/" in u.unit_id]
-    assert len(units) == 42 and len(rows) == 36
+    assert len(units) == 43 and len(rows) == 37
     by_key = defaultdict(set)
     for unit in rows:
         assert unit.fn == "repro.experiments.sweep:run_unit"
         by_key[unit.cache_key()].add(unit.unit_id)
-    assert len(by_key) == 26
+    assert len(by_key) == 27
     shared = sorted((ids for ids in by_key.values() if len(ids) > 1),
                     key=sorted)
     assert shared == sorted(SHARED_ROWS, key=sorted)

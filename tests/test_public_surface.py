@@ -21,6 +21,9 @@ The ``guardrail`` scheme joined the registry's built-ins, so
 ``percentile_bands``, ``service_names`` and ``BurstScheduling`` (whose
 fixed-period member nothing selected) were deleted, and ``Impairment`` moved under
 ``tests/`` beside its one consumer, so all four left ``PARENT_ALL``.
+The sub-incast admission scheduler became ``IncastConfig.group_size``
+of the one cyclic-incast driver, so ``IncastScheduler`` and
+``SchedulerConfig`` left ``repro.workloads``.
 """
 
 from __future__ import annotations
@@ -95,11 +98,9 @@ PARENT_ALL = {
         "TelemetryCapture", "TelemetryRecorder"),
     "repro.workloads": (
         "BurstResult", "ElephantMiceConfig",
-        "FlowSpec", "FlowStateSampler", "IncastConfig",
-        "IncastScheduler", "IncastWorkload",
+        "FlowSpec", "FlowStateSampler", "IncastConfig", "IncastWorkload",
         "PartitionAggregateConfig", "PartitionAggregateWorkload",
-        "QueryResult", "SERVICE_PROFILES", "SchedulerConfig",
-        "ServiceProfile", "demand_per_flow_bytes", "flow_sizes",
+        "QueryResult", "SERVICE_PROFILES", "ServiceProfile", "demand_per_flow_bytes", "flow_sizes",
         "plan_elephant_mice", "remote_ranks"),
 }
 
