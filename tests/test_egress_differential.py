@@ -23,7 +23,10 @@ composed trunks feeding pumped downlinks; leaf-spine: the NIC fast path
 only, see ``tests/test_egress_paths.py``), so each gets one fixed TCP
 incast compared the same way, plus ``events_processed``; so does one
 partition/aggregate run, whose dumbbell receiver sends requests as well
-as ACKs.
+as ACKs. Hypothesis also draws partition/aggregate queries (fan-in,
+response bytes, query count, queue capacity), so NIC sends that an
+application timer or a TCP event causes — requests after a think time,
+responses after a service time, retransmissions — are diffed too.
 
 CI runs this module a second time with ``--hypothesis-seed=0
 --hypothesis-profile=thorough`` (see ``conftest.py``).
@@ -301,23 +304,41 @@ class TestFabricDifferential:
         assert sum(s["dropped_packets"] for s in stats) > 0
 
 
-def run_partition_aggregate(fast: bool) -> dict:
-    """Ablation L's 256-worker point: the dumbbell receiver coordinates
-    three queries, so its NIC sends requests as well as ACKs."""
+@dataclass(frozen=True)
+class Queries:
+    fan_in: int
+    response_bytes: int
+    n_queries: int
+    capacity: int
+    seed: int = 0
+
+
+def run_partition_aggregate(q: Queries, fast: bool) -> dict:
+    """The dumbbell receiver coordinates ``q``'s queries, so its NIC
+    sends requests as well as ACKs."""
     with egress_mode(fast):
         sim = Simulator()
-        net = build_dumbbell(sim, DumbbellConfig(n_senders=256))
+        net = build_dumbbell(sim, DumbbellConfig(
+            n_senders=q.fan_in, queue_capacity_packets=q.capacity))
+        deliveries = tap_deliveries(net.senders + [net.receiver])
         tcp = TcpConfig()
         workload = PartitionAggregateWorkload(
             sim, net, PartitionAggregateConfig(
-                n_queries=3, response_bytes=2_000_000 // 256),
-            tcp, lambda: Dctcp(tcp), RngHub(0).stream("pa"))
+                n_queries=q.n_queries, response_bytes=q.response_bytes),
+            tcp, lambda: Dctcp(tcp), RngHub(q.seed).stream("pa"))
         workload.start()
-        sim.run(until_ns=units.sec(1.0))
+        sim.run(until_ns=units.sec(30.0))
         assert workload.done
         ports = net.tor_senders.ports + net.tor_receiver.ports
+        # Flow ids come from a process-wide counter: count from the run's
+        # first, the request flow to worker 0.
+        first = min(flow for log in deliveries.values()
+                    for _, flow, _, _ in log)
         return {
-            "qct": workload.qct_percentiles((50.0, 99.0)),
+            "qct": [r.qct_ns for r in workload.results],
+            "deliveries": {host: [(now, flow - first, seq, ecn)
+                                  for now, flow, seq, ecn in log]
+                           for host, log in deliveries.items()},
             "ports": {port.name: (stats_tuple(port.queue.stats),
                                   port.link.bytes_sent,
                                   port.link.packets_sent)
@@ -326,13 +347,40 @@ def run_partition_aggregate(fast: bool) -> dict:
         }
 
 
+#: Ablation L's 256-worker point, three queries.
+FAN_IN_256 = Queries(fan_in=256, response_bytes=2_000_000 // 256,
+                     n_queries=3, capacity=1333)
+
+query_sets = st.builds(
+    Queries,
+    # Small, or around ablation L's 256 workers, where the coordinator's
+    # requests and ACKs crowd its NIC (the deleted fully-virtual egress
+    # diverged from the pump at 248, 252 and 256, and not at 24 or 200).
+    fan_in=st.one_of(st.integers(min_value=1, max_value=24),
+                     st.integers(min_value=200, max_value=320)),
+    # One byte, a segment and a bit, and enough to overflow 8 packets.
+    response_bytes=st.sampled_from((1, 1_500, 6_500, 20_000)),
+    n_queries=st.integers(min_value=1, max_value=3),
+    capacity=st.sampled_from((8, 1333)),
+    seed=st.integers(min_value=0, max_value=3))
+
+
 class TestCoordinatorDifferential:
     def test_requests_and_acks_equal_legacy_pump(self):
         # The receiver NIC's fully-virtual egress, since deleted, put
         # this run's median QCT 57 ns off the pump's.
-        fast = run_partition_aggregate(fast=True)
-        legacy = run_partition_aggregate(fast=False)
+        fast = run_partition_aggregate(FAN_IN_256, fast=True)
+        legacy = run_partition_aggregate(FAN_IN_256, fast=False)
         assert_same(fast, legacy)
         stats = dict(zip(QueueStats.__slots__,
                          legacy["ports"]["torB.p1"][0]))
         assert stats["dropped_packets"] > 0
+
+    @given(query_sets)
+    # A tenth of the profile's budget: 10 by default, 150 under
+    # ``thorough``.
+    @settings(max_examples=settings.default.max_examples // 10,
+              deadline=None)
+    def test_drawn_queries_equal_legacy_pump(self, q: Queries):
+        assert_same(run_partition_aggregate(q, fast=True),
+                    run_partition_aggregate(q, fast=False))
