@@ -270,18 +270,8 @@ class HostNIC:
         sim = self._sim
         eq = sim._queue
         seq = eq._next_seq
-        free = eq._free
-        if free:
-            entry = free.pop()
-            entry[0] = sim._now + tx
-            entry[1] = seq
-            entry[2] = self._chain
-            entry[3] = (packet,)
-        else:
-            entry = [sim._now + tx, seq, self._chain, (packet,)]
         eq._next_seq = seq + 1
-        heappush(eq._heap, entry)
-        eq._live += 1
+        heappush(eq._heap, [sim._now + tx, seq, self._chain, (packet,)])
 
     def _chain(self, packet: Packet) -> None:
         """End-of-serialization for ``packet``: deliver it after propagation
@@ -325,18 +315,8 @@ class HostNIC:
             # Inline EventQueue.push_fire (chain times are always positive).
             eq = sim._queue
             seq = eq._next_seq
-            free = eq._free
-            if free:
-                entry = free.pop()
-                entry[0] = now + tx
-                entry[1] = seq
-                entry[2] = self._chain
-                entry[3] = (nxt,)
-            else:
-                entry = [now + tx, seq, self._chain, (nxt,)]
             eq._next_seq = seq + 1
-            heappush(eq._heap, entry)
-            eq._live += 1
+            heappush(eq._heap, [now + tx, seq, self._chain, (nxt,)])
         else:
             # The busy spell is over, and its FIFO with it.
             self._chain_on = False

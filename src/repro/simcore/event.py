@@ -24,9 +24,11 @@ Performance notes (this module is the hottest code in the repository):
   ``seq`` is unique per queue, so comparison always resolves on the first two
   integer elements and never reaches ``fn``/``args``.
 - Fire-and-forget scheduling (:meth:`EventQueue.push_fire`) skips the
-  :class:`Event` wrapper entirely and recycles popped entries through a
-  free list. Pooling is only safe because no handle to such an entry ever
-  escapes the queue: nothing can cancel it or observe its reuse.
+  :class:`Event` wrapper: the entry is a fresh bare list that nothing
+  outside the heap ever references.
+- The queue counts only its *dead* entries (cancelled, still in the heap),
+  so a push or a live pop touches no counter; ``len`` is the heap's length
+  minus that count.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ TIME = 0
 SEQ = 1
 FN = 2
 ARGS = 3
-
-#: Maximum recycled entries kept by a queue's free list. Bounds worst-case
-#: retention; in practice the pool tracks the number of concurrently
-#: scheduled fire-and-forget events, which is far smaller.
-FREE_LIST_MAX = 1024
 
 #: Compaction triggers when dead entries exceed this floor *and* outnumber
 #: live entries. The floor keeps tiny queues from compacting constantly.
@@ -111,28 +108,26 @@ class EventQueue:
     - :meth:`push` returns an :class:`Event` handle that supports
       :meth:`cancel` — used for timers and anything else that may be
       disarmed.
-    - :meth:`push_fire` returns nothing and pools its entries — used by
-      hot paths (link serialization/propagation events) that never cancel.
+    - :meth:`push_fire` returns nothing — used by hot paths (link
+      serialization/propagation events) that never cancel.
 
     Invariants: pops are globally ordered by ``(time_ns, seq)``; ``seq``
     increases monotonically with insertion, giving FIFO order among equal
-    timestamps regardless of the insertion path or entry reuse.
+    timestamps regardless of the insertion path; ``_dead`` is the number of
+    cancelled entries still in the heap.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._next_seq = 0
-        self._live = 0
-        # Recycled fire-and-forget entries. The kernel's run loop returns
-        # consumed handle-less entries here; push_fire reuses them.
-        self._free: list = []
+        self._dead = 0
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events."""
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._dead
 
     def push(self, time_ns: int, fn: Callable[..., Any],
              args: tuple = ()) -> Event:
@@ -142,42 +137,30 @@ class EventQueue:
         event = Event(time_ns, self._next_seq, fn, args)
         self._next_seq += 1
         heapq.heappush(self._heap, event)
-        self._live += 1
         return event
 
     def push_fire(self, time_ns: int, fn: Callable[..., Any],
                   args: tuple = ()) -> None:
         """Insert a fire-and-forget callback (no handle, not cancellable).
 
-        Entries flow through the queue's free-list pool, so the hot path
-        performs zero allocations once the pool is warm. Ordering is
-        identical to :meth:`push`: the entry takes the next sequence
-        number exactly as a handled event would.
+        Ordering is identical to :meth:`push`: the entry takes the next
+        sequence number exactly as a handled event would.
         """
         if time_ns < 0:
             raise ValueError(f"event time must be non-negative, got {time_ns}")
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[TIME] = time_ns
-            entry[SEQ] = self._next_seq
-            entry[FN] = fn
-            entry[ARGS] = args
-        else:
-            entry = [time_ns, self._next_seq, fn, args]
+        heapq.heappush(self._heap, [time_ns, self._next_seq, fn, args])
         self._next_seq += 1
-        heapq.heappush(self._heap, entry)
-        self._live += 1
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it has not fired or been cancelled already."""
         if event[FN] is not None:
             event[FN] = None
             event[ARGS] = ()
-            self._live -= 1
-            dead = len(self._heap) - self._live
-            if dead > COMPACT_MIN_DEAD and dead > self._live:
+            dead = self._dead + 1
+            if dead > COMPACT_MIN_DEAD and 2 * dead > len(self._heap):
                 self._compact()
+            else:
+                self._dead = dead
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place.
@@ -190,32 +173,21 @@ class EventQueue:
         heap = self._heap
         heap[:] = [entry for entry in heap if entry[FN] is not None]
         heapq.heapify(heap)
+        self._dead = 0
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty.
 
         Cancelled events encountered along the way are discarded. The
         returned object is the raw heap entry: an :class:`Event` for
-        handled pushes, a plain list for :meth:`push_fire` entries.
+        handled pushes, a plain list for :meth:`push_fire` entries. It
+        belongs to the caller from then on: the queue no longer counts
+        it, so it must not be cancelled through the queue.
         """
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             if entry[FN] is not None:
-                self._live -= 1
                 return entry
+            self._dead -= 1
         return None
-
-    def peek_time(self) -> Optional[int]:
-        """The firing time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][FN] is None:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][TIME]
-
-    def clear(self) -> None:
-        """Drop every pending event (the free-list pool is kept)."""
-        self._heap.clear()
-        self._live = 0

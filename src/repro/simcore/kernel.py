@@ -13,8 +13,7 @@ import enum
 import heapq
 from typing import Any, Callable, Optional
 
-from repro.simcore.event import (ARGS, FN, FREE_LIST_MAX, TIME, Event,
-                                 EventQueue)
+from repro.simcore.event import ARGS, FN, TIME, Event, EventQueue
 from repro.simcore.hooks import HookRegistry
 
 _total_events_processed = 0
@@ -120,10 +119,10 @@ class Simulator:
         cancellation handle.
 
         The fast path for fire-and-forget events (link serialization
-        completions, packet deliveries): entries are pooled through the
-        event queue's free list, so steady-state scheduling allocates
-        nothing. Ordering semantics are identical to :meth:`schedule`.
-        Use :meth:`schedule` whenever the caller might need to cancel.
+        completions, packet deliveries): the heap entry is a bare list,
+        with no :class:`Event` handle to build. Ordering semantics are
+        identical to :meth:`schedule`. Use :meth:`schedule` whenever the
+        caller might need to cancel.
         """
         if delay_ns < 0:
             raise SimulationError(
@@ -141,12 +140,14 @@ class Simulator:
         Crediting keeps ``events_processed`` meaning "per-packet
         simulation operations performed" whichever path ran. No fast path
         in the package calls it any more (composed switch ports add their
-        credits to the counters directly); ``bench/trace.py``'s
+        credits to ``_events_processed`` directly, and :meth:`run` passes
+        them on to the process-wide total); ``bench/trace.py``'s
         ``EventCounters`` still wraps it, and ROADMAP item 1 retires both.
         """
         global _total_events_processed
         self._events_processed += n
-        _total_events_processed += n
+        if not self._running:  # a run passes its credits on when it ends
+            _total_events_processed += n
 
     # --- execution -----------------------------------------------------
 
@@ -163,12 +164,14 @@ class Simulator:
         last fired event — advancing it would move those events into the
         past.
 
-        The loop body inlines the queue's pop and its free-list recycling
-        (this is the hottest loop in the repository), including FIFO
-        tie-breaking and the counters. Callbacks may
-        schedule, cancel, and thereby trigger in-place heap compaction
-        freely: the loop re-reads the (identity-stable) heap each
-        iteration.
+        The loop body inlines the queue's pop (this is the hottest loop in
+        the repository), including FIFO tie-breaking and the dead-entry
+        count. Callbacks may schedule, cancel, and thereby trigger
+        in-place heap compaction freely: the loop re-reads the
+        (identity-stable) heap each iteration. Fired events are counted
+        once, when the run returns, together with whatever the run's
+        callbacks credited to ``_events_processed``; until then
+        :attr:`events_processed` lags the events fired in this run.
         """
         if self._running:
             raise SimulationError("run() re-entered from within an event")
@@ -176,23 +179,21 @@ class Simulator:
         global _total_events_processed
         queue = self._queue
         heap = queue._heap
-        free = queue._free
         heappop = heapq.heappop
         # An absent limit is an unreachable one: the loop tests no None.
         last_ns = until_ns if until_ns is not None else _NEVER
         budget = max_events if max_events is not None else _NEVER
+        counted = self._events_processed
         fired = 0
         try:
-            while True:
+            while heap:
                 # Pop first, discarding dead entries; an entry that must
                 # stay queued goes back (the (time, seq) order is strict,
                 # so the heap's layout cannot change what pops next).
-                if not heap:
-                    reason = StopReason.DRAINED
-                    break
                 entry = heappop(heap)
                 fn = entry[FN]
                 if fn is None:
+                    queue._dead -= 1
                     continue
                 time_ns = entry[TIME]
                 if time_ns > last_ns:
@@ -203,22 +204,19 @@ class Simulator:
                     heapq.heappush(heap, entry)
                     reason = StopReason.MAX_EVENTS
                     break
-                queue._live -= 1
                 self._now = time_ns
-                args = entry[ARGS]
                 entry[FN] = None  # mark consumed (handles stay inert)
-                entry[ARGS] = ()
-                if type(entry) is list and len(free) < FREE_LIST_MAX:
-                    free.append(entry)
                 fired += 1
-                self._events_processed += 1
-                fn(*args)
+                fn(*entry[ARGS])
+            else:
+                reason = StopReason.DRAINED
             if (reason is not StopReason.MAX_EVENTS
                     and until_ns is not None and until_ns > self._now):
                 self._now = until_ns
             return reason
         finally:
-            _total_events_processed += fired
+            self._events_processed += fired
+            _total_events_processed += self._events_processed - counted
             self._running = False
 
 

@@ -166,10 +166,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.simcore.event:Event.cancel":
         "the handle's documented cancel; the kernel cancels through the "
         "queue on the hot path",
-    "repro.simcore.event:EventQueue.peek_time":
-        _FLOOR.format("two test_event_queue peek_time tests"),
-    "repro.simcore.event:EventQueue.clear":
-        _FLOOR.format("test_event_queue::test_clear"),
     "repro.simcore.hooks:HookRegistry.active": _ACCESSOR,
     "repro.simcore.hooks:HookRegistry.n_subscriptions": _ACCESSOR,
     "repro.simcore.kernel:Simulator.count_batched":

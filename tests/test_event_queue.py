@@ -86,23 +86,6 @@ class TestCancellation:
         assert event.cancelled
         assert event.fn is None
 
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        first = q.push(1, lambda: None)
-        q.push(7, lambda: None)
-        q.cancel(first)
-        assert q.peek_time() == 7
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
-
-    def test_clear(self):
-        q = EventQueue()
-        q.push(1, lambda: None)
-        q.clear()
-        assert not q
-        assert q.pop() is None
-
     def test_bool(self):
         q = EventQueue()
         assert not q

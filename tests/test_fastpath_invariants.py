@@ -1,13 +1,13 @@
 """Invariants the kernel fast path must preserve.
 
-The profile-guided hot path (list-backed heap entries, free-list pooling
-via ``push_fire``/``schedule_fire``, in-place heap compaction, and the
-inlined run loop) is only admissible because it is behaviour-preserving.
+The profile-guided hot path (list-backed heap entries, handle-less
+``push_fire``/``schedule_fire`` entries, a dead-entry count, in-place heap
+compaction, and the inlined run loop) is only admissible because it is behaviour-preserving.
 These tests pin the load-bearing guarantees:
 
-- FIFO among equal timestamps survives entry pooling and recycling, for
-  arbitrary interleavings of ``schedule`` and ``schedule_fire``;
-- handles returned by ``push`` never enter the free-list pool, and stay
+- FIFO among equal timestamps holds for arbitrary interleavings of
+  ``schedule`` and ``schedule_fire``, over several runs of one simulator;
+- no heap entry is ever reused, and handles returned by ``push`` stay
   inert (cancel is a no-op) after firing;
 - in-place compaction never reorders or drops live events;
 - enabling the telemetry observer layer changes *observations only* —
@@ -31,10 +31,8 @@ class TestFifoSurvivesPooling:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_mixed_schedule_paths_fire_in_fifo_order(self, seed: int):
         """Equal-timestamp events fire in scheduling order regardless of
-        which insertion path (handled vs pooled) each one used.
-
-        Runs several batches through one simulator so later batches are
-        served from recycled free-list entries, not fresh allocations.
+        which insertion path (handled vs fire-and-forget) each one used,
+        over several batches run through one simulator.
         """
         rng = random.Random(seed)
         sim = Simulator()
@@ -86,18 +84,42 @@ class TestFifoSurvivesPooling:
         assert fired == [lbl for _, lbl in sorted(survivors)]
 
     def test_push_handles_never_enter_free_list(self):
-        """Only bare-list ``push_fire`` entries may be pooled: a recycled
-        Event handle could alias an unrelated future event for anyone
-        still holding the reference."""
+        """A consumed entry is never reused: no entry object re-enters the
+        heap once it has left it, and every fired handle stays inert
+        (cancelling it changes nothing). A pool of recycled entries once
+        endangered both: a reused handle would alias an unrelated future
+        event for anyone still holding the reference."""
         sim = Simulator()
-        for i in range(50):
-            sim.schedule(i, lambda: None)
-            sim.schedule_fire(i, lambda: None)
+        heap = sim._queue._heap
+        seen: dict[int, list] = {}  # held, so that ids stay unique
+        left: set[int] = set()
+        handles: list[Event] = []
+
+        def probe(step: int) -> None:
+            inside = {id(entry): entry for entry in heap}
+            assert left.isdisjoint(inside)
+            left.update(key for key in seen if key not in inside)
+            seen.update(inside)
+            if step < 30:
+                delay = step % 4
+                if step % 2:
+                    handles.append(sim.schedule(delay, probe, (step + 1,)))
+                else:
+                    sim.schedule_fire(delay, probe, (step + 1,))
+
+        for chain in range(20):
+            handles.append(sim.schedule(chain % 3, probe, (chain,)))
+        for until_ns in (5, 20, 60):
+            sim.run(until_ns=until_ns)
         sim.run()
-        free = sim._queue._free
-        assert len(free) > 0  # pooling actually happened
-        assert all(type(entry) is list for entry in free)
-        assert not any(isinstance(entry, Event) for entry in free)
+        assert len(left) > 300  # entries did come and go
+        fired = [event for event in handles if event.cancelled]
+        assert len(fired) == len(handles)
+        for event in fired:
+            pending = sim.pending_events
+            sim.cancel(event)
+            assert sim.pending_events == pending
+        assert sim.pending_events == 0 and not sim._queue._heap
 
     def test_fired_handle_is_inert(self):
         """Cancelling a handle after it fired must be a no-op and must not
@@ -107,7 +129,7 @@ class TestFifoSurvivesPooling:
         later = sim.schedule(20, lambda: None)
         sim.run(until_ns=15)
         assert event.cancelled  # consumed by firing
-        sim.cancel(event)  # no-op; must not decrement _live
+        sim.cancel(event)  # no-op; must not count a dead entry
         assert sim.pending_events == 1
         sim.cancel(later)
         assert sim.pending_events == 0
