@@ -128,6 +128,8 @@ class PartitionAggregateWorkload:
         self.results: list[QueryResult] = []
         self._query_index = -1
         self._issued_ns = 0
+        # Channels whose response to the current query is not all in yet.
+        self._awaiting = 0
         self._done = False
 
     @classmethod
@@ -159,6 +161,7 @@ class PartitionAggregateWorkload:
     def _issue_query(self) -> None:
         self._query_index += 1
         self._issued_ns = self._sim.now
+        self._awaiting = len(self._channels)
         for channel in self._channels:
             channel.request_tx.send(self.config.request_bytes)
 
@@ -194,19 +197,16 @@ class PartitionAggregateWorkload:
     # --- coordinator side ---------------------------------------------------------
 
     def _response_hook(self, channel: _WorkerChannel):
-        def on_response_bytes(_delivered: int) -> None:
-            if not self._done and self._query_complete():
-                self._finish_query()
+        def on_response_bytes(delivered: int) -> None:
+            # Delivery advances only on new bytes, so a channel's response
+            # to the current query completes here exactly once.
+            if (delivered >= channel.response_bytes_expected
+                    and channel.responses_sent > self._query_index
+                    and not self._done):
+                self._awaiting -= 1
+                if not self._awaiting:
+                    self._finish_query()
         return on_response_bytes
-
-    def _query_complete(self) -> bool:
-        for channel in self._channels:
-            if channel.responses_sent <= self._query_index:
-                return False
-            if (channel.response_rx.delivered_bytes
-                    < channel.response_bytes_expected):
-                return False
-        return True
 
     def _finish_query(self) -> None:
         self.results.append(QueryResult(
