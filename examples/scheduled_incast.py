@@ -76,7 +76,7 @@ def main() -> None:
         ["variant", "BCT (ms)", "peak queue (pkts)", "drops", "RTOs"],
         [
             [f"monolithic x{N_FLOWS}", *mono],
-            [f"scheduled {N_FLOWS // args.group_size} "
+            [f"scheduled {-(-N_FLOWS // args.group_size)} "
              f"x {args.group_size}", *sched],
         ],
         title="Monolithic vs scheduled admission "
