@@ -160,7 +160,7 @@ class FctSet:
     def __post_init__(self) -> None:
         columns = (self.flow_ids, self.srcs, self.open_ns, self.close_ns,
                    self.sizes, self.first_byte_ns, self.classes)
-        if any(len(column) != len(self.flow_ids) for column in columns):
+        if len(set(map(len, columns))) > 1:
             raise ValueError(f"FctSet columns need one entry per flow; got "
                              f"lengths {[len(c) for c in columns]}")
         if any(map(lt, self.close_ns, self.open_ns)):

@@ -6,13 +6,18 @@ Every experiment and sweep config carries a ``backend`` field drawn from
 - ``packet`` — the discrete-event packet core, unchanged. The default;
   every golden fixture is pinned against it.
 - ``fluid`` — the whole run approximated on the :mod:`repro.netsim.fluid`
-  bottleneck model with matched parameters. Flows are grouped into
-  *waves* (start times quantized to the fluid interval); each wave runs
-  as one aggregate fluid burst and per-flow completions come from
+  bottleneck model with matched parameters. The plan's columns
+  (:class:`~repro.workloads.mix.FlowPlan`) are gathered once into
+  ``(start, flow_id)`` order (:class:`_StartOrder`), and a *wave* is a
+  run of those rows whose starts share a fluid interval. Each wave runs
+  as one aggregate fluid burst (:func:`_fluid_wave`, shared with
+  ``hybrid``'s steady window); per-flow completions come from
   interval-granular processor sharing of the wave's delivered bytes,
-  written straight into the :class:`~repro.analysis.fct.FctSet` columns
-  (:func:`_fluid_wave`, shared with ``hybrid``'s steady window). Waves do
-  not interact — exactly the fidelity loss ``hybrid`` repairs and
+  which walks only the flows admitted and still open, and the finished
+  flows are gathered into the :class:`~repro.analysis.fct.FctSet`
+  columns in one pass per point (:func:`_fct_set`). A point builds no
+  per-flow object: no ``FlowSpec``, no ``FlowFct``. Waves do not
+  interact — exactly the fidelity loss ``hybrid`` repairs and
   ``crossval`` quantifies.
 - ``hybrid`` — fluid for the *steady-state windows*, the packet core for
   the *burst windows*. For the leaf-spine mix scenario the steady-state
@@ -36,8 +41,12 @@ Figure 5 protocol (:func:`repro.experiments.crossval.hybrid_agreement`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import replace
-from typing import Callable, Optional
+from functools import cache
+from itertools import compress
+from operator import add, itemgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
                                 burst_start, run_burst)
 from repro.netsim.leafspine import LeafSpineConfig
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
-from repro.workloads.mix import KIND_MOUSE, FlowSpec
+from repro.workloads.mix import KIND_MOUSE, FlowPlan
 
 #: Aggregate-window carryover applied to steady (non-first) fluid bursts,
 #: modelling CWND state carried over from the previous burst — the same
@@ -70,9 +79,22 @@ def _wire_bytes(size_bytes: int, mss_bytes: int) -> int:
     return size_bytes + segments * TCP_IP_HEADER_BYTES
 
 
+@cache
 def _tcp_mss_bytes() -> int:
+    """The default TCP MSS every scenario config runs with (one
+    ``TcpConfig`` per process)."""
     from repro.tcp.config import TcpConfig
     return TcpConfig().mss_bytes
+
+
+@cache
+def _scenario_api() -> tuple:
+    """``(ScenarioResult, _config_params)`` from
+    :mod:`repro.experiments.scenarios`, imported on the first call: that
+    module imports this one lazily, and a cyclic dumbbell run loads this
+    one without it."""
+    from repro.experiments.scenarios import ScenarioResult, _config_params
+    return ScenarioResult, _config_params
 
 
 def _min_fct_ns(wire_bytes: int, cfg: FluidConfig) -> int:
@@ -83,10 +105,28 @@ def _min_fct_ns(wire_bytes: int, cfg: FluidConfig) -> int:
     return cfg.base_rtt_ns + int(serial)
 
 
-def _processor_sharing(specs: list[FlowSpec], wires: list[int],
-                       delivered_bytes: list[float],
+def _byte_totals(trace: FluidColumns) -> tuple[float, float, float]:
+    """A fluid trace's delivered, marked and dropped byte totals, each
+    ``float(numpy.add.reduce(column))`` bit for bit: below eight values
+    numpy's pairwise summation is the plain left-to-right sum from 0.0,
+    so a wave's two or three intervals are summed here; a longer trace
+    goes to numpy itself."""
+    columns = (trace.delivered_bytes, trace.marked_bytes,
+               trace.dropped_bytes)
+    if len(trace.delivered_bytes) >= 8:
+        return tuple(np.array(columns).sum(axis=1).tolist())
+    delivered = marked = dropped = 0.0
+    for wave_delivered, wave_marked, wave_dropped in zip(*columns):
+        delivered += wave_delivered
+        marked += wave_marked
+        dropped += wave_dropped
+    return delivered, marked, dropped
+
+
+def _processor_sharing(starts: list[int], wires: list[int],
+                       floors: list[int], delivered_bytes: list[float],
                        interval_ns: int) -> list[Optional[int]]:
-    """Per-flow completion times from a wave's aggregate fluid deliveries.
+    """Per-flow close instants from a wave's aggregate fluid deliveries.
 
     Equal-share processor sharing at interval granularity: every active
     flow receives an equal slice of the interval's delivered bytes, a
@@ -94,17 +134,29 @@ def _processor_sharing(specs: list[FlowSpec], wires: list[int],
     completion instants interpolate linearly within the interval — the
     flows finishing in one round in order of what they had left, so a
     smaller flow is never credited after a larger one that entered with
-    it. Returns each spec's close instant, ``None`` where the flow did
-    not finish within the trace (unfinished, horizon-truncated).
+    it. A flow closes at the later of that instant and its ``floors``
+    entry. A flow is active from the interval its start falls in
+    (counted from the wave's first start) until it finishes; ``starts``
+    is nondecreasing, so the admitted flows are a prefix, and each
+    interval walks only the flows that are admitted and still open.
+    Returns each flow's close instant, ``None`` where the flow did not
+    finish within the trace (unfinished, horizon-truncated).
     """
-    ref_ns = min(s.start_ns for s in specs)
-    remaining = [float(wire) for wire in wires]
-    entry = [max(0, (s.start_ns - ref_ns) // interval_ns) for s in specs]
-    close: list[Optional[int]] = [None] * len(specs)
+    n = len(wires)
+    ref_ns = starts[0]
+    remaining = list(map(float, wires))
+    close: list[Optional[int]] = [None] * n
+    active: list[int] = []
+    admitted = 0
     for i, total in enumerate(delivered_bytes):
+        if admitted < n:
+            upto = bisect_left(starts, ref_ns + (i + 1) * interval_ns,
+                               admitted)
+            active.extend(range(admitted, upto))
+            admitted = upto
+        elif not active:
+            break
         budget = total
-        active = [k for k, first in enumerate(entry)
-                  if first <= i and close[k] is None]
         while budget > 1e-9 and active:
             share = budget / len(active)
             limit = share + 1e-9
@@ -116,74 +168,104 @@ def _processor_sharing(specs: list[FlowSpec], wires: list[int],
             finishing.sort(key=remaining.__getitem__)
             for k in finishing:
                 budget -= remaining[k]
-                remaining[k] = 0.0
-                frac = (total - budget) / total if total > 0 else 1.0
-                close[k] = ref_ns + int((i + min(frac, 1.0)) * interval_ns)
-            active = [k for k in active if close[k] is None]
+                # total > 0 here, as budget started at total > 1e-9.
+                frac = (total - budget) / total
+                closed = ref_ns + int(
+                    (i + (frac if frac < 1.0 else 1.0)) * interval_ns)
+                floor = floors[k]
+                close[k] = closed if closed > floor else floor
+            if len(finishing) == len(active):
+                active = []
+            else:
+                active = [k for k in active if close[k] is None]
     return close
 
 
-def _wave_groups(flows: list[FlowSpec],
-                 interval_ns: int) -> list[list[FlowSpec]]:
-    """Group flows into fluid waves by start time quantized to the fluid
-    interval (synchronized-burst members land in one wave)."""
-    groups: dict[int, list[FlowSpec]] = {}
-    for spec in sorted(flows, key=lambda f: (f.start_ns, f.flow_id)):
-        groups.setdefault(spec.start_ns // interval_ns, []).append(spec)
-    return [groups[key] for key in sorted(groups)]
+def _gatherer(indices: list[int]) -> Callable[[tuple], tuple]:
+    """A function that gathers a column's entries at ``indices`` into a
+    tuple (``itemgetter`` in C, except that one index would give the bare
+    entry)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda column: tuple([column[k] for k in indices])
 
 
-def _fluid_wave(specs: list[FlowSpec], fluid_cfg: FluidConfig,
-                constants: FluidConstants, mss_bytes: int,
-                mouse_max_bytes: int, columns: tuple[list, ...]
-                ) -> tuple[int, list[float], float, float, float]:
-    """Run one wave of flows as one aggregate fluid burst and append its
-    finished flows, in ``specs`` order, to ``columns`` — seven lists in
-    :class:`~repro.analysis.fct.FctSet` field order.
+class _StartOrder(NamedTuple):
+    """A plan's rows in ``(start, flow_id)`` order, as columns in that
+    order: a fluid wave is a run ``[first, last)`` of them."""
+
+    pick: Callable[[tuple], tuple]
+    starts: tuple[int, ...]
+    sizes: tuple[int, ...]
+    wires: list[int]
+    floors: list[int]
+
+    @classmethod
+    def of(cls, plan: FlowPlan, fluid_cfg: FluidConfig,
+           mss_bytes: int) -> "_StartOrder":
+        """``plan`` in start order, with each flow's wire bytes and its
+        FCT floor instant (start plus :func:`_min_fct_ns`)."""
+        by_id = sorted(range(len(plan)), key=plan.flow_ids.__getitem__)
+        pick = _gatherer(sorted(by_id, key=plan.starts.__getitem__))
+        # A plan holds one or two flow sizes: work out each size's wire
+        # bytes and FCT floor once.
+        wire_of = {size: _wire_bytes(size, mss_bytes)
+                   for size in set(plan.sizes)}
+        floor_of = {size: _min_fct_ns(wire, fluid_cfg)
+                    for size, wire in wire_of.items()}
+        starts, sizes = pick(plan.starts), pick(plan.sizes)
+        return cls(pick, starts, sizes, list(map(wire_of.__getitem__, sizes)),
+                   list(map(add, starts, map(floor_of.__getitem__, sizes))))
+
+
+def _fluid_wave(rows: _StartOrder, first: int, last: int,
+                fluid_cfg: FluidConfig, constants: FluidConstants,
+                closes: list) -> tuple[list[float], float, float, float]:
+    """Run rows ``[first, last)`` as one aggregate fluid burst and append
+    their close instants (``None`` for a flow that did not finish), in
+    row order, to ``closes``.
 
     The one wave kernel of the fluid and hybrid leaf-spine backends:
     :func:`~repro.netsim.fluid.burst_start` and
     :func:`~repro.netsim.fluid.run_burst` fill plain per-interval lists,
-    and a flow's close is the later of its processor-sharing completion
-    and its :func:`_min_fct_ns` floor.
+    and :func:`_processor_sharing` shares each interval's deliveries.
 
     Returns:
-        ``(unfinished, queue_frac, delivered, marked, dropped)``: the
-        wave's flows that did not finish, its per-interval queue
-        occupancy (fraction of capacity) and its byte totals.
+        ``(queue_frac, delivered, marked, dropped)``: the wave's
+        per-interval queue occupancy (fraction of capacity) and its byte
+        totals.
     """
-    # A wave holds one or two flow sizes: work out each size's wire bytes
-    # and FCT floor once.
-    wire_of = {size: _wire_bytes(size, mss_bytes)
-               for size in {s.size_bytes for s in specs}}
-    floor_of = {size: _min_fct_ns(wire, fluid_cfg)
-                for size, wire in wire_of.items()}
-    wires = [wire_of[s.size_bytes] for s in specs]
+    wires = rows.wires[first:last]
     demand = sum(wires)
     trace = FluidColumns([], [], [], [], [])
-    capacity, window, alpha = burst_start(fluid_cfg, len(specs), demand,
+    capacity, window, alpha = burst_start(fluid_cfg, last - first, demand,
                                           fluid_cfg.capacity_bytes)
-    run_burst(constants, len(specs), demand, capacity, window, alpha,
+    run_burst(constants, last - first, demand, capacity, window, alpha,
               float("inf"), trace)
-    done = [(spec, closed) for spec, closed in zip(
-        specs, _processor_sharing(specs, wires, trace.delivered_bytes,
-                                  fluid_cfg.interval_ns))
-        if closed is not None]
-    flow_ids, srcs, open_ns, close_ns, sizes, first_bytes, classes = columns
-    flow_ids.extend([spec.flow_id for spec, _ in done])
-    srcs.extend([spec.src_rank for spec, _ in done])
-    open_ns.extend([spec.start_ns for spec, _ in done])
-    close_ns.extend([max(closed, spec.start_ns + floor_of[spec.size_bytes])
-                     for spec, closed in done])
-    sizes.extend([spec.size_bytes for spec, _ in done])
-    first_bytes.extend([None] * len(done))
-    classes.extend([MOUSE if spec.size_bytes <= mouse_max_bytes else ELEPHANT
-                    for spec, _ in done])
-    delivered, marked, dropped = np.array(
-        (trace.delivered_bytes, trace.marked_bytes, trace.dropped_bytes)
-    ).sum(axis=1).tolist()
-    return len(specs) - len(done), trace.queue_frac, delivered, marked, \
-        dropped
+    closes += _processor_sharing(rows.starts[first:last], wires,
+                                 rows.floors[first:last],
+                                 trace.delivered_bytes,
+                                 fluid_cfg.interval_ns)
+    return (trace.queue_frac, *_byte_totals(trace))
+
+
+def _fct_set(plan: FlowPlan, rows: _StartOrder, closes: list,
+             mouse_max_bytes: int) -> FctSet:
+    """The finished flows of ``rows`` (those with a close in ``closes``)
+    as :class:`~repro.analysis.fct.FctSet` columns, still in start order;
+    a flow is a mouse when its size is at most ``mouse_max_bytes``."""
+    columns = [rows.pick(plan.flow_ids), rows.pick(plan.src_ranks),
+               rows.starts, closes, rows.sizes]
+    unfinished = closes.count(None)
+    if unfinished:
+        finished = [closed is not None for closed in closes]
+        columns = [compress(column, finished) for column in columns]
+    flow_ids, srcs, open_ns, close_ns, sizes = map(tuple, columns)
+    class_of = {size: MOUSE if size <= mouse_max_bytes else ELEPHANT
+                for size in set(sizes)}
+    return FctSet(flow_ids, srcs, open_ns, close_ns, sizes,
+                  (None,) * len(sizes), tuple(map(class_of.__getitem__, sizes)),
+                  unfinished, mouse_max_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -193,18 +275,16 @@ def _fluid_wave(specs: list[FlowSpec], fluid_cfg: FluidConfig,
 def _leafspine_fluid_config(cfg, mss_bytes: int) -> FluidConfig:
     """Fluid bottleneck matched to the scenario's receiver downlink.
 
-    Rates and propagation delays come from the fabric defaults the
-    scenario configs pin (:class:`LeafSpineConfig`); queue capacity and
-    ECN threshold come from the config's own fields. The base RTT is the
-    four-hop cross-rack path (host-leaf-spine-leaf-host), both ways.
+    Rates and propagation delays are the fabric defaults the scenario
+    configs pin (:class:`LeafSpineConfig`'s class defaults; no fabric
+    config is built); queue capacity and ECN threshold come from the
+    config's own fields. The base RTT is the four-hop cross-rack path
+    (host-leaf-spine-leaf-host), both ways.
     """
-    fabric = LeafSpineConfig(n_racks=cfg.n_racks,
-                             hosts_per_rack=cfg.hosts_per_rack,
-                             n_spines=cfg.n_spines)
     wire = mss_bytes + TCP_IP_HEADER_BYTES
     return FluidConfig(
-        line_rate_bps=fabric.host_rate_bps,
-        base_rtt_ns=8 * fabric.link_prop_delay_ns,
+        line_rate_bps=LeafSpineConfig.host_rate_bps,
+        base_rtt_ns=8 * LeafSpineConfig.link_prop_delay_ns,
         capacity_bytes=cfg.queue_capacity_packets * wire,
         ecn_threshold_frac=(cfg.ecn_threshold_packets
                             / cfg.queue_capacity_packets),
@@ -212,35 +292,42 @@ def _leafspine_fluid_config(cfg, mss_bytes: int) -> FluidConfig:
         dctcp_g=cfg.dctcp_g)
 
 
-def run_fluid_plan(name: str, cfg, flows: list[FlowSpec]):
-    """Execute one scenario grid point entirely on the fluid substrate."""
-    from repro.experiments.scenarios import ScenarioResult, _config_params
+def run_fluid_plan(name: str, cfg, plan: FlowPlan):
+    """Execute one scenario grid point entirely on the fluid substrate.
 
+    A wave is a run of the plan's rows, in ``(start, flow_id)`` order,
+    whose starts share a fluid interval (synchronized-burst members land
+    in one wave). Waves run in start order and emit in row order, so the
+    FCT columns come out in the canonical ``(open_ns, flow_id)`` order.
+    """
+    ScenarioResult, config_params = _scenario_api()
     mss = _tcp_mss_bytes()
     fluid_cfg = _leafspine_fluid_config(cfg, mss)
     constants = FluidConstants.of(fluid_cfg)
     wire = fluid_cfg.mss_bytes
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    unfinished = 0
-    max_len = 0
+    capacity_packets = cfg.queue_capacity_packets
+    rows = _StartOrder.of(plan, fluid_cfg, mss)
+    starts = rows.starts
+    interval = fluid_cfg.interval_ns
+    closes: list = []
+    max_len = first = 0
     marked = dropped = enqueued = 0.0
-    # Waves run in start order and emit in spec order, so the columns
-    # come out in the canonical (open_ns, flow_id) order as they fill.
-    for specs in _wave_groups(flows, fluid_cfg.interval_ns):
-        wave_unfinished, queue_frac, wave_delivered, wave_marked, \
-            wave_dropped = _fluid_wave(specs, fluid_cfg, constants, mss,
-                                       cfg.mouse_max_bytes, columns)
-        unfinished += wave_unfinished
+    while first < len(starts):
+        # The wave: the rows whose start falls in the first one's interval.
+        last = bisect_left(starts, (starts[first] // interval + 1) * interval,
+                           first)
+        queue_frac, wave_delivered, wave_marked, wave_dropped = _fluid_wave(
+            rows, first, last, fluid_cfg, constants, closes)
         max_len = max(max_len, int(round(max(queue_frac, default=0.0)
-                                         * cfg.queue_capacity_packets)))
+                                         * capacity_packets)))
         marked += wave_marked
         dropped += wave_dropped
         enqueued += wave_delivered + wave_dropped
+        first = last
     return ScenarioResult(
         scenario=name,
-        params=_config_params(cfg),
-        fcts=FctSet(*map(tuple, columns), unfinished=unfinished,
-                    mouse_max_bytes=cfg.mouse_max_bytes),
+        params=config_params(cfg),
+        fcts=_fct_set(plan, rows, closes, cfg.mouse_max_bytes),
         bottleneck={
             "max_len_packets": max_len,
             "marked_packets": int(round(marked / wire)),
@@ -251,7 +338,7 @@ def run_fluid_plan(name: str, cfg, flows: list[FlowSpec]):
     )
 
 
-def run_hybrid_plan(name: str, cfg, flows: list[FlowSpec],
+def run_hybrid_plan(name: str, cfg, plan: FlowPlan,
                     packet_executor: Callable):
     """Fluid for the steady-state window, packets for the burst window.
 
@@ -259,32 +346,34 @@ def run_hybrid_plan(name: str, cfg, flows: list[FlowSpec],
     flows sit at DCTCP steady state, which the fluid model reproduces,
     and their standing queue at the moment the burst window opens is
     folded into the packet run as reduced queue capacity and ECN
-    headroom. The burst window — the synchronized mice incast whose
-    transient dynamics are the whole point of per-packet fidelity — runs
-    on the packet core. A plan with no steady-state flows (the pure
-    cross-rack incast) is all burst window and runs entirely on packets.
+    headroom. The steady flows run as one fluid wave. The burst window —
+    the synchronized mice incast whose transient dynamics are the whole
+    point of per-packet fidelity — runs on the packet core. A plan with
+    no steady-state flows (the pure cross-rack incast) is all burst
+    window and runs entirely on packets.
     """
-    from repro.experiments.scenarios import _config_params
-
-    burst = [f for f in flows if f.kind == KIND_MOUSE]
-    steady = [f for f in flows if f.kind != KIND_MOUSE]
-    if not steady or not burst:
+    config_params = _scenario_api()[1]
+    is_burst = [kind == KIND_MOUSE for kind in plan.kinds]
+    if all(is_burst) or not any(is_burst):
         # Single-window plans: one substrate covers the whole run.
-        result = packet_executor(name, cfg, flows)
-        result.params = _config_params(cfg)
+        result = packet_executor(name, cfg, plan)
+        result.params = config_params(cfg)
         return result
+    burst = plan.take(is_burst)
+    steady = plan.take([not flag for flag in is_burst])
 
     mss = _tcp_mss_bytes()
     fluid_cfg = _leafspine_fluid_config(cfg, mss)
     wire = fluid_cfg.mss_bytes
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    steady_unfinished, queue_frac, delivered, marked, dropped = _fluid_wave(
-        steady, fluid_cfg, FluidConstants.of(fluid_cfg), mss,
-        cfg.mouse_max_bytes, columns)
+    rows = _StartOrder.of(steady, fluid_cfg, mss)
+    closes: list = []
+    queue_frac, delivered, marked, dropped = _fluid_wave(
+        rows, 0, len(steady), fluid_cfg, FluidConstants.of(fluid_cfg),
+        closes)
 
     # Standing queue the fluid model predicts at the instant the burst
     # window opens (zero if the steady flows drained first).
-    burst_open_ns = min(f.start_ns for f in burst)
+    burst_open_ns = min(burst.starts)
     index = burst_open_ns // fluid_cfg.interval_ns
     standing_frac = queue_frac[index] if index < len(queue_frac) else 0.0
     standing = int(round(standing_frac * cfg.queue_capacity_packets))
@@ -299,12 +388,9 @@ def run_hybrid_plan(name: str, cfg, flows: list[FlowSpec],
                          ecn_threshold_packets=eff_threshold)
     result = packet_executor(name, packet_cfg, burst)
 
-    result.params = _config_params(cfg)
+    result.params = config_params(cfg)
     result.fcts = merge_fct_sets([
-        result.fcts,
-        FctSet(*map(tuple, columns), unfinished=steady_unfinished,
-               mouse_max_bytes=cfg.mouse_max_bytes),
-    ])
+        result.fcts, _fct_set(steady, rows, closes, cfg.mouse_max_bytes)])
     bottleneck = dict(result.bottleneck)
     bottleneck["max_len_packets"] = (bottleneck["max_len_packets"]
                                      + standing)

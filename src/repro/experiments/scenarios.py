@@ -33,6 +33,8 @@ grid axis and the engine cache keys the choice like any other parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro import units
@@ -41,8 +43,8 @@ from repro.experiments.backend_names import check_backend
 from repro.simcore.random import RngHub
 from repro.tcp.cca import CCA_NAMES
 from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme
-from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowSpec,
-                                 flow_sizes, plan_elephant_mice)
+from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowPlan,
+                                 check_mix, flow_sizes, plan_elephant_mice)
 
 if TYPE_CHECKING:
     from repro.telemetry.recorder import TelemetryCapture
@@ -86,6 +88,14 @@ class ScenarioResult:
         return out
 
 
+@cache
+def _field_reader(config_cls: type) -> tuple[tuple[str, ...], attrgetter]:
+    """A config class's field names, in declaration order, and the one
+    getter that reads them all (worked out once per class)."""
+    names = tuple(f.name for f in fields(config_cls))
+    return names, attrgetter(*names)
+
+
 def _config_params(cfg) -> dict:
     """A scenario config's fields as a plain JSON-able dict.
 
@@ -94,7 +104,8 @@ def _config_params(cfg) -> dict:
     existed stay byte-identical, while any non-default choice is always
     visible in provenance.
     """
-    params = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    names, read = _field_reader(type(cfg))
+    params = dict(zip(names, read(cfg)))
     if params.get("backend") == "packet":
         del params["backend"]
     if params.get("scheme") == DEFAULT_SCHEME:
@@ -103,9 +114,13 @@ def _config_params(cfg) -> dict:
 
 
 def _check_config(cfg) -> None:
-    """Validate a leaf-spine config's CCA, scheme and backend axes. The
-    backend rules are the dumbbell config's own (one helper), so a fluid
-    run refuses telemetry here as it does there."""
+    """Validate a leaf-spine config's spine count and its CCA, scheme and
+    backend axes. The backend rules are the dumbbell config's own (one
+    helper), so a fluid run refuses telemetry here as it does there; the
+    spine count is the fabric's own rule, checked here because a fluid
+    run builds no fabric."""
+    if cfg.n_spines <= 0:
+        raise ValueError("rack/host/spine counts must be positive")
     if cfg.cca not in CCA_NAMES:
         raise ValueError(f"unknown CCA {cfg.cca!r}; "
                          f"choose from {sorted(CCA_NAMES)}")
@@ -149,7 +164,7 @@ class CrossRackIncastConfig:
             raise ValueError("sender count and flow size must be positive")
         _check_config(self)
 
-    def plan(self, hub: RngHub) -> list[FlowSpec]:
+    def plan(self, hub: RngHub) -> FlowPlan:
         """The deterministic flow plan: one mouse-class flow per sender,
         jittered around t=0 like the Section 4 burst workload."""
         mix = ElephantMiceConfig(
@@ -192,23 +207,16 @@ class ElephantMiceGridConfig:
 
     def __post_init__(self) -> None:
         _check_config(self)
-        self.workload()  # validate the mix shape eagerly
+        check_mix(self)  # the mix shape, eagerly
 
-    def workload(self) -> ElephantMiceConfig:
-        """The mix-generator view of this config."""
-        return ElephantMiceConfig(
-            n_racks=self.n_racks, hosts_per_rack=self.hosts_per_rack,
-            n_elephants=self.n_elephants, n_mice=self.n_mice,
-            elephant_bytes=self.elephant_bytes,
-            mouse_bytes=self.mouse_bytes, warmup_ns=self.warmup_ns,
-            mouse_jitter_ns=self.mouse_jitter_ns)
-
-    def plan(self, hub: RngHub) -> list[FlowSpec]:
-        """The deterministic elephant/mice flow plan."""
-        return plan_elephant_mice(self.workload(), hub)
+    def plan(self, hub: RngHub) -> FlowPlan:
+        """The deterministic elephant/mice flow plan (the planner reads
+        the mix fields off this config; no ``ElephantMiceConfig`` view is
+        built)."""
+        return plan_elephant_mice(self, hub)
 
 
-def _execute_plan(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
+def _execute_plan(name: str, cfg, plan: FlowPlan) -> ScenarioResult:
     """Run a planned flow set on a fresh leaf-spine fabric.
 
     Connections open *at each flow's start time* (scheduled, not
@@ -259,27 +267,31 @@ def _execute_plan(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
                         * (8 * fab_cfg.link_prop_delay_ns) / 8e9)
         runtime = get_scheme(cfg.scheme).install(
             SchemeContext(
-                sim=sim, tcp=tcp, n_flows=len(flows),
+                sim=sim, tcp=tcp, n_flows=len(plan),
                 ecn_threshold_packets=cfg.ecn_threshold_packets,
                 queue_capacity_packets=cfg.queue_capacity_packets,
                 bdp_bytes=bdp_bytes, bottleneck_queue=bottleneck,
                 receiver_host=receiver),
             {})
 
-    def open_flow(spec: FlowSpec) -> None:
+    def open_flow(flow_id: int, src_rank: int, dst_rank: int,
+                  size_bytes: int) -> None:
         cca = CCA_FACTORIES[cfg.cca](tcp, cfg.dctcp_g)
         if runtime is not None:
             cca = runtime.wrap_cca(cca)
         sender, flow_receiver = open_connection(sim, tcp, cca,
-                                                hosts[spec.src_rank],
-                                                hosts[spec.dst_rank],
-                                                flow_id=spec.flow_id)
+                                                hosts[src_rank],
+                                                hosts[dst_rank],
+                                                flow_id=flow_id)
         if runtime is not None:
             runtime.on_connection(sender, flow_receiver)
-        sender.send(spec.size_bytes)
+        sender.send(size_bytes)
 
-    for spec in flows:
-        sim.schedule_at(spec.start_ns, open_flow, (spec,))
+    for flow_id, src_rank, dst_rank, size_bytes, start_ns in zip(
+            plan.flow_ids, plan.src_ranks, plan.dst_ranks, plan.sizes,
+            plan.starts):
+        sim.schedule_at(start_ns, open_flow,
+                        (flow_id, src_rank, dst_rank, size_bytes))
     sim.run(until_ns=cfg.max_sim_time_ns)
     scheme_stats = None
     if runtime is not None:
@@ -293,7 +305,7 @@ def _execute_plan(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
     addr_map = {host.address: rank for rank, host in enumerate(hosts)}
     capture = capture.renumbered(addr_map, {})
 
-    fcts = extract_fcts(capture.events, sizes=flow_sizes(flows),
+    fcts = extract_fcts(capture.events, sizes=flow_sizes(plan),
                         mouse_max_bytes=cfg.mouse_max_bytes)
     stats = bottleneck.stats
     result = ScenarioResult(
@@ -312,30 +324,39 @@ def _execute_plan(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
     return result
 
 
-def _run_backend(name: str, cfg, flows: list[FlowSpec]) -> ScenarioResult:
+@cache
+def _fluid_executors() -> tuple:
+    """``(run_fluid_plan, run_hybrid_plan)``, imported on the first call:
+    the mirror image of :func:`_execute_plan`'s imports, so the packet
+    path does not pay for (or depend on) the fluid machinery, and a grid
+    point does not pay an ``import`` statement."""
+    from repro.experiments.backends import run_fluid_plan, run_hybrid_plan
+    return run_fluid_plan, run_hybrid_plan
+
+
+def _run_backend(name: str, cfg, plan: FlowPlan) -> ScenarioResult:
     """Dispatch one planned run to the configured simulation substrate."""
     if cfg.backend == "packet":
-        return _execute_plan(name, cfg, flows)
-    # The mirror image of _execute_plan's imports: the packet path must
-    # not pay for (or depend on) the fluid machinery.
-    from repro.experiments.backends import run_fluid_plan, run_hybrid_plan
+        return _execute_plan(name, cfg, plan)
+    run_fluid_plan, run_hybrid_plan = _fluid_executors()
     if cfg.backend == "fluid":
-        return run_fluid_plan(name, cfg, flows)
-    return run_hybrid_plan(name, cfg, flows, _execute_plan)
+        return run_fluid_plan(name, cfg, plan)
+    return run_hybrid_plan(name, cfg, plan, _execute_plan)
 
 
 def run_cross_rack_incast(cfg: CrossRackIncastConfig) -> ScenarioResult:
     """Execute one cross-rack incast grid point."""
-    flows = cfg.plan(RngHub(cfg.seed))
+    plan = cfg.plan(RngHub(cfg.seed))
     # Input validation, not a debug check: a plan with non-mouse flows
     # would silently change what this scenario measures, and an assert
     # disappears under ``python -O``.
-    rogue = [f.flow_id for f in flows if f.kind != KIND_MOUSE]
-    if rogue:
+    if plan.kinds.count(KIND_MOUSE) != len(plan):
+        rogue = [flow_id for flow_id, kind in zip(plan.flow_ids, plan.kinds)
+                 if kind != KIND_MOUSE]
         raise ValueError(
             f"cross-rack incast plans must contain only mouse-class "
             f"flows; flows {rogue} are not (corrupt plan for {cfg!r})")
-    return _run_backend("leafspine_incast", cfg, flows)
+    return _run_backend("leafspine_incast", cfg, plan)
 
 
 def run_elephant_mice(cfg: ElephantMiceGridConfig) -> ScenarioResult:

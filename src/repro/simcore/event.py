@@ -22,7 +22,10 @@ Performance notes (this module is the hottest code in the repository):
   *is* its heap entry (a ``list`` subclass), so ``heapq`` orders entries with
   CPython's C-level list comparison instead of a Python ``__lt__`` call.
   ``seq`` is unique per queue, so comparison always resolves on the first two
-  integer elements and never reaches ``fn``/``args``.
+  integer elements and never reaches ``fn``/``args``. A handle carries a
+  fifth element, the queue whose heap holds it (``None`` once
+  :meth:`EventQueue.pop` has handed it out), so a cancel through the handle
+  or the queue counts a dead entry exactly when one stays in the heap.
 - Fire-and-forget scheduling (:meth:`EventQueue.push_fire`) skips the
   :class:`Event` wrapper: the entry is a fresh bare list that nothing
   outside the heap ever references.
@@ -36,11 +39,13 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
-#: Heap-entry field indices (an entry is ``[time_ns, seq, fn, args]``).
+#: Heap-entry field indices (an entry is ``[time_ns, seq, fn, args]``;
+#: an :class:`Event` adds its queue).
 TIME = 0
 SEQ = 1
 FN = 2
 ARGS = 3
+QUEUE = 4
 
 #: Compaction triggers when dead entries exceed this floor *and* outnumber
 #: live entries. The floor keeps tiny queues from compacting constantly.
@@ -48,8 +53,8 @@ COMPACT_MIN_DEAD = 64
 
 
 class Event(list):
-    """A single scheduled callback; also its own ``(time, seq, fn, args)``
-    heap entry.
+    """A single scheduled callback; also its own ``(time, seq, fn, args,
+    queue)`` heap entry.
 
     Being a ``list`` subclass (with the fields exposed as read-only
     properties) lets ``heapq`` compare entries at C speed — see the module
@@ -61,8 +66,9 @@ class Event(list):
     __slots__ = ()
 
     def __init__(self, time_ns: int, seq: int,
-                 fn: Optional[Callable[..., Any]], args: tuple):
-        super().__init__((time_ns, seq, fn, args))
+                 fn: Optional[Callable[..., Any]], args: tuple,
+                 queue: Optional[EventQueue] = None):
+        super().__init__((time_ns, seq, fn, args, queue))
 
     @property
     def time_ns(self) -> int:
@@ -90,9 +96,14 @@ class Event(list):
         return self[FN] is None
 
     def cancel(self) -> None:
-        """Prevent this event from firing. Idempotent."""
-        self[FN] = None
-        self[ARGS] = ()
+        """Prevent this event from firing. Idempotent; the same as
+        :meth:`EventQueue.cancel` on the queue that holds it."""
+        queue = self[QUEUE]
+        if queue is not None:
+            queue.cancel(self)
+        else:
+            self[FN] = None
+            self[ARGS] = ()
 
     def __repr__(self) -> str:
         name = getattr(self[FN], "__qualname__", repr(self[FN]))
@@ -134,7 +145,7 @@ class EventQueue:
         """Insert a callback to fire at ``time_ns``; returns its handle."""
         if time_ns < 0:
             raise ValueError(f"event time must be non-negative, got {time_ns}")
-        event = Event(time_ns, self._next_seq, fn, args)
+        event = Event(time_ns, self._next_seq, fn, args, self)
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         return event
@@ -152,10 +163,13 @@ class EventQueue:
         self._next_seq += 1
 
     def cancel(self, event: Event) -> None:
-        """Cancel ``event`` if it has not fired or been cancelled already."""
+        """Cancel ``event`` if it has not fired or been cancelled already.
+        It counts as a dead entry only while it is still in this heap."""
         if event[FN] is not None:
             event[FN] = None
             event[ARGS] = ()
+            if event[QUEUE] is not self:
+                return
             dead = self._dead + 1
             if dead > COMPACT_MIN_DEAD and 2 * dead > len(self._heap):
                 self._compact()
@@ -181,13 +195,16 @@ class EventQueue:
         Cancelled events encountered along the way are discarded. The
         returned object is the raw heap entry: an :class:`Event` for
         handled pushes, a plain list for :meth:`push_fire` entries. It
-        belongs to the caller from then on: the queue no longer counts
-        it, so it must not be cancelled through the queue.
+        belongs to the caller from then on: a returned :class:`Event` no
+        longer names this queue, so cancelling it afterwards (through the
+        handle or the queue) counts nothing.
         """
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             if entry[FN] is not None:
+                if type(entry) is Event:
+                    entry[QUEUE] = None
                 return entry
             self._dead -= 1
         return None

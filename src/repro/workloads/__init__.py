@@ -16,8 +16,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "BurstResult", "FlowStateSampler", "IncastConfig",
         "IncastWorkload", "demand_per_flow_bytes"),
     "mix": (
-        "ElephantMiceConfig", "FlowSpec", "flow_sizes", "plan_elephant_mice",
-        "remote_ranks"),
+        "ElephantMiceConfig", "FlowPlan", "FlowSpec", "flow_sizes",
+        "plan_elephant_mice", "remote_ranks"),
     "partition_aggregate": (
         "PartitionAggregateConfig", "PartitionAggregateWorkload",
         "QueryResult"),

@@ -7,21 +7,29 @@ the related ECN-tuning studies use to expose the threshold trade-off
 (deep thresholds keep elephants fast, shallow thresholds keep mice fast).
 
 This module is pure planning: it turns a config plus an
-:class:`~repro.simcore.random.RngHub` into a deterministic list of
-:class:`FlowSpec` s (who sends, to whom, how much, starting when). The
-scenario executors wire the specs onto a built fabric; tests exercise the
+:class:`~repro.simcore.random.RngHub` into a deterministic
+:class:`FlowPlan` — who sends, to whom, how much, starting when — held
+as columns, one tuple per field, because that is what every executor
+reads (a fluid wave gathers sizes and starts, the packet executor zips
+the columns into scheduled opens). :class:`FlowSpec` is the one-flow row
+view, built on demand (:attr:`FlowPlan.rows`). Tests exercise the
 generator without any simulator at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, cycle, islice
+from typing import Sequence
 
 from repro import units
 from repro.simcore.random import RngHub
 
 KIND_ELEPHANT = "elephant"
 KIND_MOUSE = "mouse"
+
+#: Every plan's one receiver: host rank 0 (rack 0, host 0).
+RECEIVER_RANK = 0
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,61 @@ class FlowSpec:
 
 
 @dataclass(frozen=True)
+class FlowPlan:
+    """A deterministic flow plan, held as columns.
+
+    Entry ``i`` of every column describes the same planned flow, in the
+    order the planner emitted them (ascending ``flow_id``); :attr:`rows`
+    builds the :class:`FlowSpec` rows. The constructor checks once what
+    each row would check (positive sizes, non-negative starts, with the
+    row's message) and that the columns have equal lengths.
+
+    Attributes:
+        flow_ids: Sim-local flow id per flow.
+        kinds: :data:`KIND_ELEPHANT` or :data:`KIND_MOUSE` per flow.
+        src_ranks: Sending host rank per flow.
+        dst_ranks: Receiving host rank per flow.
+        sizes: Demand in bytes per flow.
+        starts: Start instant (ns) per flow.
+    """
+
+    flow_ids: tuple[int, ...] = ()
+    kinds: tuple[str, ...] = ()
+    src_ranks: tuple[int, ...] = ()
+    dst_ranks: tuple[int, ...] = ()
+    sizes: tuple[int, ...] = ()
+    starts: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        columns = (self.flow_ids, self.kinds, self.src_ranks,
+                   self.dst_ranks, self.sizes, self.starts)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"FlowPlan columns need one entry per flow; "
+                             f"got lengths {[len(c) for c in columns]}")
+        if self.flow_ids and (min(self.sizes) <= 0 or min(self.starts) < 0):
+            # Building the rows raises the first bad row's own message.
+            self.rows
+
+    def __len__(self) -> int:
+        return len(self.flow_ids)
+
+    @property
+    def rows(self) -> tuple[FlowSpec, ...]:
+        """The flows as :class:`FlowSpec` rows, in plan order (built on
+        each access; a fluid point never reads them)."""
+        return tuple(map(FlowSpec, self.flow_ids, self.kinds,
+                         self.src_ranks, self.dst_ranks, self.sizes,
+                         self.starts))
+
+    def take(self, keep: Sequence[bool]) -> "FlowPlan":
+        """The sub-plan of the flows whose ``keep`` entry is true, in
+        plan order."""
+        return FlowPlan(*(tuple(compress(column, keep)) for column in (
+            self.flow_ids, self.kinds, self.src_ranks, self.dst_ranks,
+            self.sizes, self.starts)))
+
+
+@dataclass(frozen=True)
 class ElephantMiceConfig:
     """Parameters of one elephant/mice coexistence plan.
 
@@ -69,25 +132,32 @@ class ElephantMiceConfig:
     mouse_jitter_ns: int = units.usec(100.0)
 
     def __post_init__(self) -> None:
-        if self.n_racks < 2 or self.hosts_per_rack < 1:
-            raise ValueError("need at least two racks of hosts")
-        if self.n_elephants < 0 or self.n_mice <= 0:
-            raise ValueError("need a positive mouse count and a "
-                             "non-negative elephant count")
-        if self.elephant_bytes <= 0 or self.mouse_bytes <= 0:
-            raise ValueError("flow sizes must be positive")
-        if self.warmup_ns < 0 or self.mouse_jitter_ns < 0:
-            raise ValueError("warmup and jitter must be >= 0")
-        remote = (self.n_racks - 1) * self.hosts_per_rack
-        if self.n_elephants > remote:
-            raise ValueError(
-                f"{self.n_elephants} elephants need distinct remote "
-                f"hosts but only {remote} exist")
+        check_mix(self)
 
     @property
     def receiver_rank(self) -> int:
         """Fabric-local rank of the single incast receiver."""
-        return 0
+        return RECEIVER_RANK
+
+
+def check_mix(cfg) -> None:
+    """Validate a mix shape: the eight :class:`ElephantMiceConfig` fields
+    of ``cfg``, which may be any config that carries them
+    (``ElephantMiceGridConfig`` checks itself here, building no view)."""
+    if cfg.n_racks < 2 or cfg.hosts_per_rack < 1:
+        raise ValueError("need at least two racks of hosts")
+    if cfg.n_elephants < 0 or cfg.n_mice <= 0:
+        raise ValueError("need a positive mouse count and a "
+                         "non-negative elephant count")
+    if cfg.elephant_bytes <= 0 or cfg.mouse_bytes <= 0:
+        raise ValueError("flow sizes must be positive")
+    if cfg.warmup_ns < 0 or cfg.mouse_jitter_ns < 0:
+        raise ValueError("warmup and jitter must be >= 0")
+    remote = (cfg.n_racks - 1) * cfg.hosts_per_rack
+    if cfg.n_elephants > remote:
+        raise ValueError(
+            f"{cfg.n_elephants} elephants need distinct remote "
+            f"hosts but only {remote} exist")
 
 
 def remote_ranks(cfg: ElephantMiceConfig) -> list[int]:
@@ -97,40 +167,42 @@ def remote_ranks(cfg: ElephantMiceConfig) -> list[int]:
 
 
 def plan_elephant_mice(cfg: ElephantMiceConfig, rng_hub: RngHub
-                       ) -> list[FlowSpec]:
+                       ) -> FlowPlan:
     """Compile the deterministic flow plan for one scenario run.
 
-    Elephants take the first remote hosts (one host each, so no sender
-    is both elephant and mouse source unless the mice wrap); mice
-    round-robin over the remaining remote hosts. All randomness (mouse
-    start jitter) draws from named ``rng_hub`` streams, so the plan is a
-    pure function of ``(config, hub seed)`` — independent of process
-    history, worker placement, and call order.
+    ``cfg`` is an :class:`ElephantMiceConfig`, or any config
+    :func:`check_mix` accepted that carries its eight fields. Elephants
+    (flow ids ``0 .. n_elephants-1``) take the first remote hosts (one
+    host each, so no sender is both elephant and mouse source unless the
+    mice wrap) and start at t=0; mice round-robin over the remaining
+    remote hosts. All randomness (mouse start jitter) draws from named
+    ``rng_hub`` streams, so the plan is a pure function of ``(config,
+    hub seed)`` — independent of process history, worker placement, and
+    call order. Every column is built whole; no per-flow object is.
     """
+    n_elephants, n_mice = cfg.n_elephants, cfg.n_mice
     ranks = remote_ranks(cfg)
-    flows: list[FlowSpec] = []
-    for i in range(cfg.n_elephants):
-        flows.append(FlowSpec(
-            flow_id=i, kind=KIND_ELEPHANT, src_rank=ranks[i],
-            dst_rank=cfg.receiver_rank, size_bytes=cfg.elephant_bytes,
-            start_ns=0))
-    mouse_hosts = ranks[cfg.n_elephants:] or ranks
-    jitter_rng = rng_hub.stream("mix/mouse_jitter")
-    # One draw of n_mice doubles: PCG64 spends one double per element, so
-    # this is bit for bit the n scalar draws, generator state included.
-    jitters = (jitter_rng.uniform(0, cfg.mouse_jitter_ns,
-                                  size=cfg.n_mice).tolist()
-               if cfg.mouse_jitter_ns > 0 else [0] * cfg.n_mice)
-    for j, jitter in enumerate(jitters):
-        flows.append(FlowSpec(
-            flow_id=cfg.n_elephants + j, kind=KIND_MOUSE,
-            src_rank=mouse_hosts[j % len(mouse_hosts)],
-            dst_rank=cfg.receiver_rank, size_bytes=cfg.mouse_bytes,
-            start_ns=cfg.warmup_ns + int(jitter)))
-    return flows
+    mouse_hosts = ranks[n_elephants:] or ranks
+    if cfg.mouse_jitter_ns > 0:
+        # One draw of n_mice doubles: PCG64 spends one double per
+        # element, so this is bit for bit the n scalar draws, generator
+        # state included.
+        jitters = rng_hub.stream("mix/mouse_jitter").uniform(
+            0, cfg.mouse_jitter_ns, size=n_mice).tolist()
+        warmup_ns = cfg.warmup_ns
+        mouse_starts = tuple([warmup_ns + int(jitter) for jitter in jitters])
+    else:
+        mouse_starts = (cfg.warmup_ns,) * n_mice
+    return FlowPlan(
+        tuple(range(n_elephants + n_mice)),
+        (KIND_ELEPHANT,) * n_elephants + (KIND_MOUSE,) * n_mice,
+        (*ranks[:n_elephants], *islice(cycle(mouse_hosts), n_mice)),
+        (RECEIVER_RANK,) * (n_elephants + n_mice),
+        (cfg.elephant_bytes,) * n_elephants + (cfg.mouse_bytes,) * n_mice,
+        (0,) * n_elephants + mouse_starts)
 
 
-def flow_sizes(flows: list[FlowSpec]) -> dict[int, int]:
+def flow_sizes(plan: FlowPlan) -> dict[int, int]:
     """``{flow_id: size_bytes}`` — the classification input FCT
     extraction wants (:func:`repro.analysis.fct.extract_fcts`)."""
-    return {flow.flow_id: flow.size_bytes for flow in flows}
+    return dict(zip(plan.flow_ids, plan.sizes))

@@ -1,10 +1,11 @@
-"""Exact bytecode counts of the packet fast path: bytecodes per data
-segment by layer, and ``Simulator.run``'s bytecodes per heap pop.
+"""Exact bytecode counts of the packet fast path and of a fluid grid
+point: bytecodes per data segment by layer and ``Simulator.run``'s
+bytecodes per heap pop, or bytecodes per ``sweep.run_unit``.
 
 Run from the repository root (about a minute; tracing every bytecode
 makes a run some 40 times slower)::
 
-    python -m tests.opcounts                        # the three incast_* shapes
+    python -m tests.opcounts                        # every shape
     python -m tests.opcounts --shape incast_steady  # one of them
     python -m tests.opcounts --json                 # one JSON object per shape
 
@@ -26,6 +27,14 @@ a timing; they do depend on the interpreter (CPython 3.11 and 3.12
 compile the same source differently). ``tests/test_packet_budget.py``
 budgets the per-pop figure on a small burst with only the run frame
 traced.
+
+The ``fluid_point`` shape counts every Python bytecode (any module,
+``numpy``'s and the standard library's included) that ``sweep.run_unit``
+executes per unit over the 392 units of ``bench/specs/engine_grid.yaml``
+(seed 0, scale 1.0), by layer: the ``repro`` subpackage a frame's code
+belongs to, or ``other``. The grid runs once untraced first, so imports
+and first-call caches are not counted; ``tests/test_fluid_budget.py``
+budgets the figure on every eighth unit.
 """
 
 from __future__ import annotations
@@ -47,6 +56,11 @@ SHAPES = {
 
 LAYERS = ("simcore", "netsim", "tcp")
 RUN = "Simulator.run"
+
+#: The fluid grid shape: ``sweep.run_unit`` over ``bench``'s engine grid.
+FLUID_POINT = "fluid_point"
+GRID = Path(__file__).resolve().parents[1] / "bench" / "specs" \
+    / "engine_grid.yaml"
 
 
 def count(config: dict, run_only: bool = False) -> dict:
@@ -101,13 +115,15 @@ def _settrace(layer, run_code, pop_line, tally):
             return tracer
         return tracer
 
-    tracers = {name: tracer_for(name) for name in (*LAYERS, RUN)}
+    tracers: dict = {}
 
     def dispatch(frame, event, arg):
         name = layer(frame.f_code)
         if name is None:
             return None
         frame.f_trace_opcodes = True
+        if name not in tracers:
+            tracers[name] = tracer_for(name)
         return tracers[name]
 
     sys.settrace(dispatch)
@@ -151,6 +167,57 @@ def _monitor(layer, run_code, pop_line, tally):
         mon.free_tool_id(tool)
 
 
+def count_fluid_point(seed: int = 0, scale: float = 1.0,
+                      step: int = 1) -> dict:
+    """Bytecodes ``sweep.run_unit`` executes per unit, by layer, over
+    every ``step``-th unit of the engine grid, after one untraced pass
+    over the same units."""
+    from repro.experiments import sweep
+
+    units = sweep.compile_units(sweep.load_sweep_file(GRID), scale,
+                                seed)[::step]
+    for unit in units:
+        sweep.run_unit(unit)
+    root = str(Path(sweep.__file__).resolve().parents[1]) + "/"
+    layer_of: dict = {}
+    tally = {"pops": 0}
+
+    def layer(code):
+        """``code``'s ``repro`` subpackage (``repro`` for a top-level
+        module), or ``other``."""
+        if code not in layer_of:
+            name = code.co_filename
+            if name.startswith(root):
+                head, _, rest = name[len(root):].partition("/")
+                layer_of[code] = head if rest else "repro"
+            else:
+                layer_of[code] = "other"
+            tally.setdefault(layer_of[code], 0)
+        return layer_of[code]
+
+    trace = _monitor if hasattr(sys, "monitoring") else _settrace
+    with trace(layer, None, None, tally):
+        for unit in units:
+            sweep.run_unit(unit)
+    tally.pop("pops")
+    ops = {name: n for name, n in tally.items() if n}
+    return {"python": sys.version.split()[0], "seed": seed, "scale": scale,
+            "units": len(units), "bytecodes": ops,
+            "per_unit": sum(ops.values()) / len(units)}
+
+
+def render_fluid(doc: dict) -> str:
+    """The fluid shape's counts as a table: bytecodes per unit by layer."""
+    rows = [f"{FLUID_POINT}: {doc['units']} units of the engine grid "
+            f"(seed {doc['seed']}, scale {doc['scale']}), Python "
+            f"{doc['python']}",
+            f"  {'layer':<16}{'bytecodes/unit':>20}"]
+    for name, n in sorted(doc["bytecodes"].items(), key=lambda kv: -kv[1]):
+        rows.append(f"  {name:<16}{n / doc['units']:>20,.1f}")
+    rows.append(f"  {'whole unit':<16}{doc['per_unit']:>20,.1f}")
+    return "\n".join(rows)
+
+
 def render(name: str, doc: dict) -> str:
     """One shape's counts as a table: bytecodes per data segment by
     layer, and the run loop's per heap pop."""
@@ -171,17 +238,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.opcounts",
         description=__doc__.split("\n\n")[0])
-    parser.add_argument("--shape", action="append", choices=sorted(SHAPES),
+    parser.add_argument("--shape", action="append",
+                        choices=sorted((*SHAPES, FLUID_POINT)),
                         help="count this shape only (repeatable; default: "
-                             "all three)")
+                             "all four)")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object per shape instead of "
                              "the tables")
     args = parser.parse_args(argv)
-    for name in args.shape or SHAPES:
-        doc = count(SHAPES[name])
-        print(json.dumps({"shape": name, **doc}) if args.json
-              else render(name, doc), flush=True)
+    for name in args.shape or (*SHAPES, FLUID_POINT):
+        if name == FLUID_POINT:
+            doc = count_fluid_point()
+            text = render_fluid(doc)
+        else:
+            doc = count(SHAPES[name])
+            text = render(name, doc)
+        print(json.dumps({"shape": name, **doc}) if args.json else text,
+              flush=True)
     return 0
 
 

@@ -224,6 +224,8 @@ ALLOWLIST: dict[str, str] = {
     "repro.units:bps_to_gbps": _FLOOR.format("test_units tests"),
     "repro.units:rate_bps_from": _FLOOR.format("test_units tests"),
     "repro.workloads.incast:BurstResult.total_bytes": _ACCESSOR,
+    "repro.workloads.mix:ElephantMiceConfig.receiver_rank": _ACCESSOR,
+    "repro.workloads.mix:FlowPlan.rows": _REFERENCE.format("flow row"),
     # branch-selecting knobs
     "repro.experiments.environment:IncastSimConfig.scheme_params":
         _SWEEP.format("dumbbell_incast; docs/MITIGATIONS.md lists each "

@@ -133,7 +133,7 @@ class TestDispatchAndValidation:
     def test_fluid_mix_covers_every_planned_flow(self):
         cfg = ElephantMiceGridConfig(n_mice=6, backend="fluid")
         result = run_elephant_mice(cfg)
-        planned = {f.flow_id for f in cfg.plan(RngHub(cfg.seed))}
+        planned = set(cfg.plan(RngHub(cfg.seed)).flow_ids)
         reported = {r.flow_id for r in result.fcts.records}
         assert reported <= planned
         assert len(reported) + result.fcts.unfinished == len(planned)
@@ -174,8 +174,8 @@ class TestOpenTimeInvariant:
     """Satellite: every FCT record's ``open_ns`` is the planned start."""
 
     def assert_open_times_match_plan(self, cfg, result):
-        starts = {f.flow_id: f.start_ns
-                  for f in cfg.plan(RngHub(cfg.seed))}
+        plan = cfg.plan(RngHub(cfg.seed))
+        starts = dict(zip(plan.flow_ids, plan.starts))
         assert result.fcts.records, "invariant is vacuous without records"
         for record in result.fcts.records:
             assert record.open_ns == starts[record.flow_id]

@@ -105,9 +105,10 @@ class TestDeadEntryCounter:
         equal to the list's, a dead-entry count equal to the cancelled
         entries still in the heap, and after every cancel no more dead
         than ``max(COMPACT_MIN_DEAD, live)``. Cancels pick any handle ever
-        made — live, cancelled or fired — in runs of up to 128, so
-        compaction triggers; a handle taken by ``pop`` belongs to its
-        caller and is not cancelled again."""
+        made — live, cancelled, fired or taken by ``pop`` — in runs of up
+        to 128, so compaction triggers, and go through the simulator or
+        through the handle's own ``Event.cancel``; cancelling a handle
+        ``pop`` returned changes nothing."""
         sim = Simulator()
         queue = sim._queue
         heap = queue._heap
@@ -128,9 +129,13 @@ class TestDeadEntryCounter:
                     seq += 1
             elif op == "cancel" and handles:
                 first = arg % len(handles)
+                through_handle = arg >> 15
                 for handle, label in handles[first:
                                              first + (arg >> 8) % 128 + 1]:
-                    sim.cancel(handle)
+                    if through_handle:
+                        handle.cancel()
+                    else:
+                        sim.cancel(handle)
                     model = [item for item in model if item[1] != label]
                 dead = len(heap) - len(model)
                 assert dead <= max(COMPACT_MIN_DEAD, len(model))
@@ -142,7 +147,6 @@ class TestDeadEntryCounter:
                 head = min(model)
                 model.remove(head)
                 assert entry[2] == fired.append and entry[3] == (head[1],)
-                handles = [pair for pair in handles if pair[0] is not entry]
             elif op == "run":
                 until_ns = sim.now + arg % 60
                 due = sorted(item for item in model if item[0] <= until_ns)

@@ -1,11 +1,14 @@
 """A fluid grid point, end to end: flow plan → fluid waves → FCT columns.
 
-Four kinds of check:
+Five kinds of check:
 
 - **pins** — sha256s of every unit's export and FCT rows for the
   benchmark's 392-point grid (``bench/specs/engine_grid.yaml``), recorded
   at the commit before the per-flow columns, so the columnar path is held
   to the row-object path's bytes;
+- a **differential** against the point as it ran before its plan became
+  columns (``tests/fluid_point_reference.py``): drawn fluid and hybrid
+  points must give pickle-equal results;
 - **oracles** that share no arithmetic with the wave kernel (Hypothesis
   where the input is drawn): every FCT clears its physical floor, a
   wave's flows are all accounted for and never credited more bytes than
@@ -19,17 +22,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import units
 from repro.analysis import fct
 from repro.experiments import backends, sweep
 from repro.experiments.engine import seal_payload, unseal_payload
-from repro.experiments.scenarios import (ElephantMiceGridConfig,
+from repro.experiments.scenarios import (CrossRackIncastConfig,
+                                         ElephantMiceGridConfig,
+                                         ScenarioResult,
+                                         run_cross_rack_incast,
                                          run_elephant_mice)
 from repro.netsim import fluid
 from repro.netsim.fluid import FluidConstants
@@ -37,8 +45,9 @@ from repro.netsim.leafspine import LeafSpineConfig
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.simcore.random import RngHub
 from repro.tcp.config import TcpConfig
-from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowSpec,
-                                 plan_elephant_mice)
+from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowPlan,
+                                 FlowSpec, plan_elephant_mice)
+from tests import fluid_point_reference as reference
 
 GRID = Path(__file__).resolve().parents[1] / "bench" / "specs" \
     / "engine_grid.yaml"
@@ -71,6 +80,104 @@ def test_engine_grid_units_match_the_row_object_path(seed, scale):
         exports.update(json.dumps(payload.export_dict()).encode())
         records.update(repr(payload.fcts.records).encode())
     assert (exports.hexdigest(), records.hexdigest()) == PINS[seed, scale]
+
+
+# --------------------------------------------------------------------------
+# Differential: the columnar point against the frozen row-object point
+# --------------------------------------------------------------------------
+
+#: Flow sizes on both sides of every drawn ``mouse_max_bytes``.
+SIZES = st.integers(1_000, 300_000)
+#: No jitter, or jitter spreading the mice over several fluid intervals.
+JITTERS = st.one_of(st.just(0), st.integers(1, units.msec(4.0)))
+
+
+@st.composite
+def fluid_points(draw):
+    """A ``leafspine_mix`` point with 0–4 elephants and 1–64 mice, or a
+    ``leafspine_incast`` point with 1–64 senders, on the fluid or hybrid
+    backend, with drawn thresholds and capacities."""
+    capacity = draw(st.integers(2, 2_000))
+    common = dict(
+        seed=draw(st.integers(0, 2**32)),
+        queue_capacity_packets=capacity,
+        ecn_threshold_packets=draw(st.integers(1, capacity)),
+        dctcp_g=draw(st.sampled_from((1.0 / 16.0, 0.25, 1.0))),
+        mouse_max_bytes=draw(st.sampled_from((20_000, 100_000, 150_000))),
+        backend=draw(st.sampled_from(("fluid", "hybrid"))))
+    if draw(st.booleans()):
+        return CrossRackIncastConfig(
+            n_senders=draw(st.integers(1, 64)), flow_bytes=draw(SIZES),
+            start_jitter_ns=draw(JITTERS), **common)
+    return ElephantMiceGridConfig(
+        n_elephants=draw(st.integers(0, 4)), n_mice=draw(st.integers(1, 64)),
+        elephant_bytes=draw(SIZES), mouse_bytes=draw(SIZES),
+        warmup_ns=draw(st.integers(0, units.msec(5.0))),
+        mouse_jitter_ns=draw(JITTERS), **common)
+
+
+def stub_packet_run(name, cfg, flows):
+    """A stand-in packet executor for the hybrid burst window: every flow
+    closes after its size in ns plus the window's threshold, and the
+    bottleneck echoes the window's capacity, so the result depends on
+    everything the steady window hands over. Takes a ``FlowPlan`` or the
+    reference's list of rows."""
+    rows = flows.rows if isinstance(flows, FlowPlan) else flows
+    rows = sorted(rows, key=lambda f: (f.start_ns, f.flow_id))
+    return ScenarioResult(
+        scenario=name, params={}, bottleneck={
+            "max_len_packets": cfg.queue_capacity_packets,
+            "marked_packets": cfg.ecn_threshold_packets,
+            "dropped_packets": len(rows), "enqueued_packets": 7},
+        fcts=fct.FctSet(
+            tuple(f.flow_id for f in rows), tuple(f.src_rank for f in rows),
+            tuple(f.start_ns for f in rows),
+            tuple(f.start_ns + f.size_bytes + cfg.ecn_threshold_packets
+                  for f in rows),
+            tuple(f.size_bytes for f in rows), (None,) * len(rows),
+            tuple(fct.MOUSE if f.size_bytes <= cfg.mouse_max_bytes
+                  else fct.ELEPHANT for f in rows),
+            mouse_max_bytes=cfg.mouse_max_bytes))
+
+
+def columnar_point(cfg):
+    """The production path's result for ``cfg``."""
+    if cfg.backend == "hybrid":
+        name = ("leafspine_incast" if isinstance(cfg, CrossRackIncastConfig)
+                else "leafspine_mix")
+        return backends.run_hybrid_plan(name, cfg, cfg.plan(RngHub(cfg.seed)),
+                                        stub_packet_run)
+    if isinstance(cfg, CrossRackIncastConfig):
+        return run_cross_rack_incast(cfg)
+    return run_elephant_mice(cfg)
+
+
+@settings(deadline=None)
+@given(fluid_points())
+@example(ElephantMiceGridConfig(n_mice=5, mouse_jitter_ns=0, backend="fluid"))
+@example(CrossRackIncastConfig(n_senders=20, start_jitter_ns=0,
+                               backend="fluid"))
+def test_the_columnar_point_is_the_row_object_point(cfg):
+    """Pickle-equal results, so equal sealed payload bytes: the plan, the
+    waves, processor sharing, the FCT columns and the bottleneck totals,
+    and on ``hybrid`` the steady window and what it hands the burst
+    window. A close instant is a float truncated to whole ns, so a float
+    operation done in another order shows only where the exact instant is
+    a whole ns: the two explicit examples are such points, an equal-size
+    synchronized wave of 5 or 20 flows delivered in one interval, whose
+    closes fall on fifths of it."""
+    expected = reference.reference_point(cfg, stub_packet_run)
+    assert pickle.dumps(columnar_point(cfg)) == pickle.dumps(expected)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(0.0, 2e6), max_size=24))
+def test_byte_totals_are_numpys_sums(column):
+    """The wave's byte totals are ``numpy``'s pairwise sums, bit for bit,
+    whether summed here (under eight intervals) or by numpy."""
+    trace = fluid.FluidColumns(column, column[::-1], [], column, [])
+    expected = np.array((column, column[::-1], column)).sum(axis=1)
+    assert backends._byte_totals(trace) == tuple(expected.tolist())
 
 
 # --------------------------------------------------------------------------
@@ -113,13 +220,19 @@ def waves(draw):
 
 
 def run_wave(specs, cfg):
-    """The wave kernel's columns and return values for one wave."""
+    """The wave kernel's FCT set and ``(unfinished, queue_frac,
+    delivered, marked, dropped)`` for one wave of ``specs``."""
     fluid_cfg = backends._leafspine_fluid_config(cfg, MSS)
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    out = backends._fluid_wave(specs, fluid_cfg,
-                               FluidConstants.of(fluid_cfg), MSS,
-                               cfg.mouse_max_bytes, columns)
-    return fct.FctSet(*map(tuple, columns), unfinished=out[0]), out
+    rows = sorted(specs, key=lambda s: s.flow_id)
+    plan = FlowPlan(*(tuple(column) for column in zip(*(
+        (s.flow_id, s.kind, s.src_rank, s.dst_rank, s.size_bytes,
+         s.start_ns) for s in rows))))
+    order = backends._StartOrder.of(plan, fluid_cfg, MSS)
+    closes: list = []
+    out = backends._fluid_wave(order, 0, len(plan), fluid_cfg,
+                               FluidConstants.of(fluid_cfg), closes)
+    fcts = backends._fct_set(plan, order, closes, cfg.mouse_max_bytes)
+    return fcts, (fcts.unfinished, *out)
 
 
 class TestWaveOracles:
@@ -173,7 +286,8 @@ class TestWaveOracles:
                                      mouse_bytes=mouse_bytes,
                                      backend="fluid")
         result = run_elephant_mice(cfg)
-        size = {f.flow_id: f.size_bytes for f in cfg.plan(RngHub(seed))}
+        plan = cfg.plan(RngHub(seed))
+        size = dict(zip(plan.flow_ids, plan.sizes))
         assert len(result.fcts) + result.fcts.unfinished == len(size)
         for record in result.fcts.records:
             assert record.fct_ns >= floor_ns(size[record.flow_id]) - 1
@@ -200,7 +314,7 @@ def test_plan_keeps_the_jitter_streams_position():
     replay = RngHub(3).stream("mix/mouse_jitter")
     starts = [cfg.warmup_ns + int(replay.uniform(0, cfg.mouse_jitter_ns))
               for _ in range(cfg.n_mice)]
-    assert [f.start_ns for f in plan if f.kind == KIND_MOUSE] == starts
+    assert [f.start_ns for f in plan.rows if f.kind == KIND_MOUSE] == starts
     assert hub.stream("mix/mouse_jitter").bit_generator.state \
         == replay.bit_generator.state
 

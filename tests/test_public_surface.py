@@ -23,7 +23,9 @@ fixed-period member nothing selected) were deleted, and ``Impairment`` moved und
 ``tests/`` beside its one consumer, so all four left ``PARENT_ALL``.
 The sub-incast admission scheduler became ``IncastConfig.group_size``
 of the one cyclic-incast driver, so ``IncastScheduler`` and
-``SchedulerConfig`` left ``repro.workloads``.
+``SchedulerConfig`` left ``repro.workloads``. The flow plan became
+columns, so ``repro.workloads`` gained ``FlowPlan`` (``FlowSpec`` stays
+as its row view, with the pinned pickle).
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ PARENT_ALL = {
         "FLOW_CHANNELS", "FlowEvent", "HostSeries", "QueueSeries",
         "TelemetryCapture", "TelemetryRecorder"),
     "repro.workloads": (
-        "BurstResult", "ElephantMiceConfig",
+        "BurstResult", "ElephantMiceConfig", "FlowPlan",
         "FlowSpec", "FlowStateSampler", "IncastConfig", "IncastWorkload",
         "PartitionAggregateConfig", "PartitionAggregateWorkload",
         "QueryResult", "SERVICE_PROFILES", "ServiceProfile", "demand_per_flow_bytes", "flow_sizes",

@@ -240,7 +240,8 @@ class TestLifecycleLog:
     def test_leafspine_mix_point(self, opened):
         cfg = ElephantMiceGridConfig(telemetry=True)
         result = run_elephant_mice(cfg)
-        plan = {spec.flow_id: spec for spec in cfg.plan(RngHub(cfg.seed))}
+        plan = {spec.flow_id: spec
+                for spec in cfg.plan(RngHub(cfg.seed)).rows}
         # Fabric-local addresses are host ranks; flow ids are the plan's.
         assert_log_matches_protocol_state(result.telemetry, {
             sender.flow_id: (
