@@ -134,19 +134,6 @@ class EmpiricalCdf:
         set."""
         return sample_mean(self._sorted) if len(self._sorted) else 0.0
 
-    def fraction_at_or_below(self, x: float) -> float:
-        """Alias of :meth:`evaluate`, reading like the figure captions
-        ("~50% of bursts do not experience any marking")."""
-        return self.evaluate(x)
-
-    def tail_summary(self, percentiles: Iterable[float] | None = None
-                     ) -> dict[float, float]:
-        """Values at a tail-focused set of percentiles (default: the points
-        the paper quotes)."""
-        points = list(percentiles) if percentiles is not None \
-            else [50.0, 90.0, 95.0, 99.0, 99.9, 100.0]
-        return {p: self.percentile(p) for p in points}  # raises when empty
-
     def curve(self, n_points: int = 200
               ) -> tuple[np.ndarray, np.ndarray]:
         """``(x, F(x))`` arrays for plotting the full CDF curve."""

@@ -5,8 +5,8 @@ congestion-control diagnosis.
   paper's definition: contiguous 1 ms intervals above 50% of line rate).
 - :mod:`repro.core.metrics` — per-burst metrics (duration, flows, marking,
   retransmissions, queueing) and per-trace summaries.
-- :mod:`repro.core.incast` — incast classification (>= 25 flows), degree
-  distributions, bimodality.
+- :mod:`repro.core.incast` — incast classification (>= 25 flows) and
+  bimodality.
 - :mod:`repro.core.stability` — temporal and cross-host stability of
   incast-degree distributions (Section 3.3).
 - :mod:`repro.core.modes` — DCTCP operating-mode model: the degenerate
@@ -31,7 +31,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "GuardrailAdvisor", "IncastDegreePredictor", "QuantileTracker"),
     "stability": (
         "StabilityReport", "temporal_stability", "cross_host_stability"),
-    "trains": (
-        "TrainStats", "analyze_trains", "burstiness_coefficient",
-        "group_trains", "inter_burst_gaps_ms"),
 })

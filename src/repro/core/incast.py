@@ -8,8 +8,6 @@ only when it involves at least 25 active flows.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.bursts import Burst
 
 INCAST_FLOW_THRESHOLD = 25
@@ -33,12 +31,6 @@ def incast_fraction(bursts: list[Burst],
     if not bursts:
         return 0.0
     return sum(is_incast(b, flow_threshold) for b in bursts) / len(bursts)
-
-
-def degree_distribution(bursts: list[Burst]) -> np.ndarray:
-    """Per-burst incast degrees (peak active flows), as an array suitable
-    for CDF plotting (Figure 2c)."""
-    return np.asarray([b.max_active_flows for b in bursts], dtype=np.int64)
 
 
 def low_mode_fraction(bursts: list[Burst],

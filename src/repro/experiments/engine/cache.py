@@ -554,21 +554,6 @@ class ResultCache:
             self.remote.put_blob(key, blob)
         return persisted
 
-    def clear(self) -> int:
-        """Delete every entry for the current version — including stale
-        ``.tmp`` spill files from interrupted writes; returns the count."""
-        removed = 0
-        if not self.version_dir.exists():
-            return removed
-        for pattern in ("*.pkl", ".*.tmp"):
-            for entry in sorted(self.version_dir.rglob(pattern)):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def sweep_stale(self, pids: Optional[Iterable[int]] = None,
                     tokens: Optional[Iterable[str]] = None) -> int:
         """Remove leftover ``.<key>.pkl.<writer>.tmp`` spill files from

@@ -93,7 +93,7 @@ def run_service_unit(unit: WorkUnit) -> dict:
         snapshot_spacing_s=params["spacing_s"],
         trace_duration_ms=params["duration_ms"],
         seed=unit.seed)
-    summaries, regimes, _ = run_capture_tile(
+    summaries, regimes = run_capture_tile(
         cfg, params["service"], range(h0, h1), range(s0, s1))
     return {"summaries": summaries, "regimes": regimes}
 

@@ -22,7 +22,7 @@ whichever campaign — and whichever tile of it (:func:`run_capture_tile`)
 
 :func:`run_campaign` generates any shape from the synthetic fleet and
 returns per-trace burst summaries, keeping memory bounded by discarding the
-raw traces unless asked to retain them.
+raw traces.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.metrics import TraceSummary, summarize_trace
-from repro.measurement.records import HostTrace, TraceMeta
+from repro.measurement.records import TraceMeta
 from repro.netsim.fluid import FluidConfig
 from repro.simcore.random import RngHub
 from repro.workloads.services import (SERVICE_PROFILES, generate_host_trace,
@@ -51,7 +51,6 @@ class CampaignConfig:
     snapshot_spacing_s: float = 600.0
     trace_duration_ms: int = 2000
     seed: int = 0
-    keep_traces: bool = False
 
     def __post_init__(self) -> None:
         if self.hosts_per_service <= 0:
@@ -79,7 +78,6 @@ class FleetCampaign:
 
     config: CampaignConfig
     summaries: dict[str, list[TraceSummary]] = field(default_factory=dict)
-    traces: dict[str, list[HostTrace]] = field(default_factory=dict)
     regimes: dict[str, list[int]] = field(default_factory=dict)
 
     def pooled(self, service: str, attribute: str) -> np.ndarray:
@@ -137,17 +135,15 @@ CAMPAIGN_SHAPES = (sampling_campaign_config, daily_campaign_config,
 def run_capture_tile(
         cfg: CampaignConfig, service: str, hosts: range, snapshots: range,
         fluid_config: Optional[FluidConfig] = None
-) -> tuple[list[TraceSummary], list[int], list[HostTrace]]:
+) -> tuple[list[TraceSummary], list[int]]:
     """Generate and summarize the captures ``hosts x snapshots`` of one
     service, host-major.
 
-    Reads ``cfg``'s seed, snapshot spacing, trace duration and
-    ``keep_traces``, not its host or snapshot counts: a capture depends on
-    its ``(seed, service, host, snapshot)`` name only, so any rectangle of
-    a campaign is generated here on its own. Returns ``(summaries,
-    regimes, kept_traces)``, where ``regimes`` covers snapshots ``[0,
-    snapshots.stop)`` and ``kept_traces`` is empty unless
-    ``cfg.keep_traces`` is set.
+    Reads ``cfg``'s seed, snapshot spacing and trace duration, not its host
+    or snapshot counts: a capture depends on its ``(seed, service, host,
+    snapshot)`` name only, so any rectangle of a campaign is generated here
+    on its own. Returns ``(summaries, regimes)``, where ``regimes`` covers
+    snapshots ``[0, snapshots.stop)``.
     """
     fluid = fluid_config or FluidConfig()
     hub = RngHub(cfg.seed)
@@ -155,7 +151,6 @@ def run_capture_tile(
     regime_rng = hub.fresh(f"{service}/regimes")
     regimes = regime_sequence(profile, snapshots.stop, regime_rng)
     summaries: list[TraceSummary] = []
-    kept: list[HostTrace] = []
     for host_id in hosts:
         host_rng = hub.fresh(f"{service}/host{host_id}")
         rate_mult = host_rate_multiplier(profile, host_rng)
@@ -173,15 +168,13 @@ def run_capture_tile(
                 regime_index=regimes[snapshot],
                 rate_multiplier=rate_mult)
             summaries.append(summarize_trace(trace))
-            if cfg.keep_traces:
-                kept.append(trace)
-    return summaries, regimes, kept
+    return summaries, regimes
 
 
 def run_service_campaign(
         cfg: CampaignConfig, service: str,
         fluid_config: Optional[FluidConfig] = None
-) -> tuple[list[TraceSummary], list[int], list[HostTrace]]:
+) -> tuple[list[TraceSummary], list[int]]:
     """Generate and summarize one service's slice of a campaign: the
     whole ``hosts_per_service x n_snapshots`` tile (see
     :func:`run_capture_tile`)."""
@@ -196,10 +189,7 @@ def run_campaign(config: Optional[CampaignConfig] = None,
     cfg = config or CampaignConfig()
     campaign = FleetCampaign(config=cfg)
     for service in cfg.services:
-        summaries, regimes, kept = run_service_campaign(
-            cfg, service, fluid_config)
+        summaries, regimes = run_service_campaign(cfg, service, fluid_config)
         campaign.regimes[service] = regimes
         campaign.summaries[service] = summaries
-        if cfg.keep_traces:
-            campaign.traces[service] = kept
     return campaign

@@ -20,7 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "packet": ("ECN", "Packet"),
     "link": ("Link",),
     "queues": ("DropTailQueue", "QueueStats"),
-    "buffers": ("BufferPool", "SharedBufferPool", "StaticBufferPool"),
+    "buffers": ("SharedBufferPool",),
     "switch": ("EgressPort", "Switch"),
     "nic": ("HostNIC",),
     "host": ("Host",),

@@ -76,13 +76,6 @@ class LeafSpine:
         """All hosts, rack by rack."""
         return [host for rack in self.racks for host in rack]
 
-    def rack_of(self, host: Host) -> int:
-        """Index of the rack containing ``host``."""
-        for index, rack in enumerate(self.racks):
-            if host in rack:
-                return index
-        raise ValueError(f"{host} is not part of this fabric")
-
     def downlink_queue(self, host: Host) -> DropTailQueue:
         """The leaf egress queue feeding ``host`` — the incast bottleneck
         when ``host`` is a many-to-one receiver."""

@@ -113,5 +113,5 @@ class Link:
             on_done()
 
     def __repr__(self) -> str:
-        return (f"Link({self.name}, {units.bps_to_gbps(self.rate_bps):g} Gbps, "
+        return (f"Link({self.name}, {self.rate_bps / units.GBPS:g} Gbps, "
                 f"prop={self.prop_delay_ns} ns)")

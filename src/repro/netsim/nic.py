@@ -157,25 +157,11 @@ class HostNIC:
         self._reobserve()
         return hook
 
-    def remove_ingress_hook(self, hook: IngressHook) -> None:
-        """Stop observing ingress. Raises ValueError if not registered."""
-        i = self._ingress_hooks.index(hook)
-        self._ingress_hooks = (self._ingress_hooks[:i]
-                               + self._ingress_hooks[i + 1:])
-        self._reobserve()
-
     def add_egress_hook(self, hook: EgressHook) -> EgressHook:
         """Observe every packet queued for transmission (measurement tap)."""
         self._egress_hooks += (hook,)
         self._reobserve()
         return hook
-
-    def remove_egress_hook(self, hook: EgressHook) -> None:
-        """Stop observing egress. Raises ValueError if not registered."""
-        i = self._egress_hooks.index(hook)
-        self._egress_hooks = (self._egress_hooks[:i]
-                              + self._egress_hooks[i + 1:])
-        self._reobserve()
 
     def start_interval_counts(self, interval_ns: int) -> None:
         """Start booking, per ``interval_ns``-long interval of the

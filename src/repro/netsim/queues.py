@@ -8,8 +8,9 @@ paper's configuration of the NS3 model:
 - instantaneous ECN marking: a packet that arrives while the queue holds at
   least ``ecn_threshold_packets`` packets is CE-marked at enqueue (DCTCP-style
   marking with K packets);
-- optional admission through a :class:`~repro.netsim.buffers.BufferPool`, so
-  shared-buffer contention can shrink the effective capacity.
+- optional admission through a
+  :class:`~repro.netsim.buffers.SharedBufferPool`, so shared-buffer
+  contention can shrink the effective capacity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import deque
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from repro.netsim.buffers import BufferPool
+from repro.netsim.buffers import SharedBufferPool
 from repro.netsim.packet import Packet
 from repro.simcore.kernel import Simulator
 
@@ -85,7 +86,7 @@ class DropTailQueue:
     def __init__(self, capacity_packets: Optional[int] = None,
                  capacity_bytes: Optional[int] = None,
                  ecn_threshold_packets: Optional[int] = None,
-                 pool: Optional[BufferPool] = None,
+                 pool: Optional[SharedBufferPool] = None,
                  name: str = "queue"):
         if capacity_packets is not None and capacity_packets <= 0:
             raise ValueError("capacity_packets must be positive")

@@ -31,7 +31,7 @@ Ports have two drain implementations, chosen per port at first traffic:
 The composed path engages only when behaviour is provably identical to the
 legacy pump: a feeder promise, a plain :class:`~repro.netsim.link.Link`
 with a positive propagation delay (so delivery is a separate event, as in
-the legacy path), no shared :class:`~repro.netsim.buffers.BufferPool`
+the legacy path), no :class:`~repro.netsim.buffers.SharedBufferPool`
 (admission timing couples queues), no queue watchers (a watcher needs a
 callback at every exact enqueue and drain instant), and no real
 :meth:`EgressPort.enqueue` taken yet. Per-interval peak occupancy

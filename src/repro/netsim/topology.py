@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import units
-from repro.netsim.buffers import BufferPool, SharedBufferPool
+from repro.netsim.buffers import SharedBufferPool
 from repro.netsim.host import Host
 from repro.netsim.link import Link
 from repro.netsim.queues import DropTailQueue
@@ -76,7 +76,7 @@ class Dumbbell:
     tor_receiver: Switch
     bottleneck_queue: DropTailQueue
     trunk_queue: DropTailQueue
-    pools: list[BufferPool] = field(default_factory=list)
+    pools: list[SharedBufferPool] = field(default_factory=list)
 
     def settle(self) -> None:
         """Fold every record a composed port has booked that virtual time
@@ -87,7 +87,7 @@ class Dumbbell:
         self.tor_receiver.settle()
 
 
-def _make_queue(cfg: DumbbellConfig, pool: Optional[BufferPool],
+def _make_queue(cfg: DumbbellConfig, pool: Optional[SharedBufferPool],
                 name: str) -> DropTailQueue:
     return DropTailQueue(capacity_packets=cfg.queue_capacity_packets,
                          ecn_threshold_packets=cfg.ecn_threshold_packets,
@@ -124,7 +124,7 @@ class Rack:
     tor_senders: Switch
     tor_receivers: Switch
     receiver_queues: list[DropTailQueue]
-    pool: Optional[BufferPool]
+    pool: Optional[SharedBufferPool]
 
 
 def build_rack(sim: Simulator, config: Optional[RackConfig] = None) -> Rack:
@@ -133,7 +133,7 @@ def build_rack(sim: Simulator, config: Optional[RackConfig] = None) -> Rack:
     cfg = config or RackConfig()
     tor_a = Switch(sim, name="rack.torA")
     tor_b = Switch(sim, name="rack.torB")
-    pool: Optional[BufferPool] = None
+    pool: Optional[SharedBufferPool] = None
     if cfg.shared_buffer_bytes is not None:
         pool = SharedBufferPool(cfg.shared_buffer_bytes,
                                 cfg.shared_buffer_alpha)
@@ -221,9 +221,9 @@ def build_dumbbell(sim: Simulator,
     tor_a = Switch(sim, name="torA")
     tor_b = Switch(sim, name="torB")
 
-    pools: list[BufferPool] = []
-    pool_a: Optional[BufferPool] = None
-    pool_b: Optional[BufferPool] = None
+    pools: list[SharedBufferPool] = []
+    pool_a: Optional[SharedBufferPool] = None
+    pool_b: Optional[SharedBufferPool] = None
     if cfg.shared_buffer_bytes is not None:
         pool_a = SharedBufferPool(cfg.shared_buffer_bytes,
                                   cfg.shared_buffer_alpha)

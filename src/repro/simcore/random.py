@@ -48,10 +48,6 @@ class RngHub:
         seed (unlike :meth:`stream`, which memoizes)."""
         return np.random.default_rng(self._derive_seed(name))
 
-    def child(self, name: str) -> "RngHub":
-        """Derive a sub-hub, e.g. one per simulated host."""
-        return RngHub(self._derive_seed(name))
-
     def _derive_seed(self, name: str) -> int:
         digest = hashlib.sha256(
             f"{self._seed}/{name}".encode("utf-8")).digest()

@@ -32,19 +32,9 @@ def sec(value: float) -> int:
     return round(value * NS_PER_S)
 
 
-def ns_to_us(time_ns: int) -> float:
-    """Convert integer nanoseconds to microseconds (float)."""
-    return time_ns / NS_PER_US
-
-
 def ns_to_ms(time_ns: int) -> float:
     """Convert integer nanoseconds to milliseconds (float)."""
     return time_ns / NS_PER_MS
-
-
-def ns_to_s(time_ns: int) -> float:
-    """Convert integer nanoseconds to seconds (float)."""
-    return time_ns / NS_PER_S
 
 
 # --- Data size --------------------------------------------------------------
@@ -71,16 +61,6 @@ def gbps(value: float) -> float:
     return value * GBPS
 
 
-def mbps(value: float) -> float:
-    """Convert megabits/second to bits/second."""
-    return value * MBPS
-
-
-def bps_to_gbps(rate_bps: float) -> float:
-    """Convert bits/second to gigabits/second."""
-    return rate_bps / GBPS
-
-
 def tx_time_ns(size_bytes: int, rate_bps: float) -> int:
     """Serialization delay, in integer nanoseconds, of ``size_bytes`` at
     ``rate_bps``.
@@ -98,13 +78,6 @@ def tx_time_ns(size_bytes: int, rate_bps: float) -> int:
 def bytes_in_interval(rate_bps: float, interval_ns: int) -> int:
     """How many whole bytes a rate of ``rate_bps`` moves in ``interval_ns``."""
     return int(rate_bps * interval_ns / (BITS_PER_BYTE * NS_PER_S))
-
-
-def rate_bps_from(size_bytes: int, interval_ns: int) -> float:
-    """Average rate in bits/second of ``size_bytes`` over ``interval_ns``."""
-    if interval_ns <= 0:
-        raise ValueError(f"interval must be positive, got {interval_ns}")
-    return size_bytes * BITS_PER_BYTE * NS_PER_S / interval_ns
 
 
 def bdp_bytes(rate_bps: float, rtt_ns: int) -> int:

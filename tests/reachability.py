@@ -50,8 +50,6 @@ _SCALE = ("reached only at larger scale: loss, RTO or idle restart under "
           "these wrappers, or SACK holes, needs more flows than --scale 0.05")
 _SAFETY = "safety code: runs only when a cache, journal or unit fails"
 _ITEM = "ROADMAP item {} owns it (out of scope for this audit's deletions)"
-_FLOOR = ("deferred: deleting it deletes {} on the regression floor; "
-          "listed in ROADMAP for a change that may delete tests")
 _REFERENCE = ("a reference tests compare against: the per-{} form the "
               "columnar fast path is checked against")
 _SWEEP = ("named shipped consumer: `sweep list` advertises it as a "
@@ -68,10 +66,6 @@ ALLOWLIST: dict[str, str] = {
         "a reference tests compare against: F(x), the inverse "
         "percentile() is documented and tested to agree with",
     "repro.analysis.cdf:EmpiricalCdf.median": "called by __repr__",
-    "repro.analysis.cdf:EmpiricalCdf.fraction_at_or_below":
-        _FLOOR.format("test_cdf::test_fraction_alias"),
-    "repro.analysis.cdf:EmpiricalCdf.tail_summary":
-        _FLOOR.format("two test_cdf tests"),
     "repro.analysis.export:_emit_text_keyed":
         "safety code: the writer's path for non-str dict keys, pinned by "
         "test_export's writer-vs-json.dumps property",
@@ -87,24 +81,15 @@ ALLOWLIST: dict[str, str] = {
     "repro.core.bursts:Burst.mean_active_flows": _ACCESSOR,
     "repro.core.incast:incast_fraction": _REFERENCE.format("burst"),
     "repro.core.incast:low_mode_fraction": _REFERENCE.format("burst"),
-    "repro.core.incast:degree_distribution":
-        _FLOOR.format("test_core_metrics::test_degree_distribution"),
     "repro.core.metrics:BurstMetrics.from_burst": _REFERENCE.format("burst"),
     "repro.core.metrics:TraceSummary.bursts": _REFERENCE.format("burst"),
     "repro.core.predictor:IncastDegreePredictor.samples": _ACCESSOR,
-    "repro.core.trains:inter_burst_gaps_ms": _FLOOR.format("test_trains"),
-    "repro.core.trains:burstiness_coefficient": _FLOOR.format("test_trains"),
-    "repro.core.trains:group_trains": _FLOOR.format("test_trains"),
-    "repro.core.trains:TrainStats.trainy": _FLOOR.format("test_trains"),
-    "repro.core.trains:analyze_trains": _FLOOR.format("test_trains"),
     # experiments and engine
-    "repro.experiments.backends:run_incast_fluid": _ITEM.format(10),
+    "repro.experiments.backends:run_incast_fluid": _ITEM.format(5),
     "repro.experiments.engine.cache:ResultCache.path_for": _ACCESSOR,
     "repro.experiments.engine.cache:ResultCache._drop_corrupt": _SAFETY,
     "repro.experiments.engine.cache:ResultCache._note_put_failure": _SAFETY,
-    "repro.experiments.engine.cache:ResultCache.clear":
-        _FLOOR.format("test_engine_units' TestResultCache clear tests"),
-    "repro.experiments.engine.core:_describe_exception": _ITEM.format(5),
+    "repro.experiments.engine.core:_describe_exception": _ITEM.format(10),
     "repro.experiments.engine.core:_Campaign._put_fault": _SAFETY,
     "repro.experiments.engine.core:LocalPoolBackend.execute."
     "requeue_uncharged":
@@ -112,12 +97,12 @@ ALLOWLIST: dict[str, str] = {
         "flight when the CI chaos step's crash lands is timing)",
     "repro.experiments.engine.core:_Campaign.on_permanent_failure": _SAFETY,
     "repro.experiments.engine.distributed:FrameDecoder.pending_bytes":
-        _ITEM.format(5),
+        _ITEM.format(10),
     "repro.experiments.engine.journal:CampaignJournal.record_failed":
         _SAFETY,
-    "repro.experiments.engine.remote_cache:_flip_last_bit": _ITEM.format(5),
+    "repro.experiments.engine.remote_cache:_flip_last_bit": _ITEM.format(10),
     "repro.experiments.engine.remote_cache:RemoteCacheTier.state":
-        _ITEM.format(5),
+        _ITEM.format(10),
     "repro.experiments.engine.remote_cache:RemoteCacheTier._record_failure":
         _SAFETY,
     "repro.experiments.engine.remote_cache:RemoteCacheTier._degrade":
@@ -128,23 +113,11 @@ ALLOWLIST: dict[str, str] = {
         _REFERENCE.format("result"),
     "repro.measurement.records:HostTrace.times_ms": _ACCESSOR,
     # netsim
-    "repro.netsim.buffers:StaticBufferPool.try_reserve":
-        _FLOOR.format("three test_buffers TestStaticPool tests"),
-    "repro.netsim.buffers:StaticBufferPool.release":
-        _FLOOR.format("three test_buffers TestStaticPool tests"),
-    "repro.netsim.buffers:SharedBufferPool.occupy":
-        _FLOOR.format("two test_buffers TestSharedPool tests"),
     "repro.netsim.fluid:degenerate_point_flows":
         "a reference tests compare against: the analytic K* the fluid "
         "and cross-validation tests check the substrates against",
-    "repro.netsim.leafspine:LeafSpine.rack_of":
-        _FLOOR.format("test_leafspine::test_rack_of"),
     "repro.netsim.nic:HostNIC.add_ingress_hook":
         "the measurement tap tests observe delivered packets through",
-    "repro.netsim.nic:HostNIC.remove_ingress_hook":
-        _FLOOR.format("three test_telemetry hook tests"),
-    "repro.netsim.nic:HostNIC.remove_egress_hook":
-        _FLOOR.format("three test_telemetry hook tests"),
     "repro.netsim.nic:HostNIC.egress_backlog_packets": _ACCESSOR,
     "repro.netsim.nic:HostNIC._pump":
         "a reference tests compare against: the per-packet drain the "
@@ -179,8 +152,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.simcore.kernel:Timer.armed": _ACCESSOR,
     "repro.simcore.kernel:Timer.expiry_ns": _ACCESSOR,
     "repro.simcore.random:RngHub.seed": _ACCESSOR,
-    "repro.simcore.random:RngHub.child":
-        _FLOOR.format("test_rng's sub-hub tests"),
     # tcp
     "repro.tcp.cca.base:CongestionControl.in_slow_start": _ACCESSOR,
     "repro.tcp.cca.reno:Reno.on_ack":
@@ -215,14 +186,9 @@ ALLOWLIST: dict[str, str] = {
     "repro.telemetry.recorder:TelemetryCapture.host_trace":
         "a reference tests compare against: the Section 3 reading of a "
         "packet capture that the Section-3-over-Section-4 tests run",
-    "repro.tools.cacheserver:_BlobServer.stats_document": _ITEM.format(5),
-    "repro.tools.cacheserver:CacheServer.stats_document": _ITEM.format(5),
+    "repro.tools.cacheserver:_BlobServer.stats_document": _ITEM.format(10),
+    "repro.tools.cacheserver:CacheServer.stats_document": _ITEM.format(10),
     "repro.tools.docstrings:FileReport.percent": _ACCESSOR,
-    "repro.units:ns_to_us": _FLOOR.format("test_units tests"),
-    "repro.units:ns_to_s": _FLOOR.format("test_units tests"),
-    "repro.units:mbps": _FLOOR.format("test_units tests"),
-    "repro.units:bps_to_gbps": _FLOOR.format("test_units tests"),
-    "repro.units:rate_bps_from": _FLOOR.format("test_units tests"),
     "repro.workloads.incast:BurstResult.total_bytes": _ACCESSOR,
     "repro.workloads.mix:ElephantMiceConfig.receiver_rank": _ACCESSOR,
     "repro.workloads.mix:FlowPlan.rows": _REFERENCE.format("flow row"),
@@ -237,8 +203,6 @@ ALLOWLIST: dict[str, str] = {
         "dumbbell_incast (see TcpConfig.ecn_enabled)"),
     "repro.tcp.config:TcpConfig.receiver_window_bytes": _SWEEP.format(
         "dumbbell_incast (see TcpConfig.ecn_enabled)"),
-    "repro.measurement.collection:CampaignConfig.keep_traces":
-        _FLOOR.format("test_collection::test_keep_traces"),
 }
 
 

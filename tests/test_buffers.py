@@ -2,24 +2,7 @@
 
 import pytest
 
-from repro.netsim.buffers import SharedBufferPool, StaticBufferPool
-
-
-class TestStaticPool:
-    def test_always_admits(self):
-        pool = StaticBufferPool()
-        assert pool.try_reserve(0, 10_000_000, 1500)
-        assert pool.used_bytes == 1500
-
-    def test_release(self):
-        pool = StaticBufferPool()
-        pool.try_reserve(0, 0, 1500)
-        pool.release(0, 1500)
-        assert pool.used_bytes == 0
-
-    def test_over_release_raises(self):
-        with pytest.raises(RuntimeError):
-            StaticBufferPool().release(0, 1)
+from repro.netsim.buffers import SharedBufferPool
 
 
 class TestSharedPool:
@@ -64,19 +47,6 @@ class TestSharedPool:
         pool = SharedBufferPool(total_bytes=1000)
         with pytest.raises(RuntimeError):
             pool.release(0, 1)
-
-    def test_external_occupancy(self):
-        pool = SharedBufferPool(total_bytes=10_000, alpha=1.0)
-        pool.occupy(8000)
-        assert pool.threshold_bytes() == 2000
-        assert not pool.try_reserve(0, 1900, 200)
-
-    def test_occupy_validation(self):
-        pool = SharedBufferPool(total_bytes=1000)
-        with pytest.raises(ValueError):
-            pool.occupy(2000)
-        with pytest.raises(ValueError):
-            pool.occupy(-1)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -26,10 +26,6 @@ class TestEvaluate:
         assert len(cdf) == 0
         # percentile() of an empty set raises — see TestPercentiles.
 
-    def test_fraction_alias(self):
-        cdf = EmpiricalCdf([0.0, 0.0, 1.0, 1.0])
-        assert cdf.fraction_at_or_below(0.0) == 0.5
-
     def test_nan_samples_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             EmpiricalCdf([1.0, float("nan"), 3.0], name="bct")
@@ -121,10 +117,6 @@ class TestPercentiles:
         with pytest.raises(ValueError, match="mice"):
             EmpiricalCdf([], name="mice").percentile(99)
 
-    def test_tail_summary_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            EmpiricalCdf([]).tail_summary()
-
     def test_empty_export_is_honest(self):
         out = EmpiricalCdf([], name="mice").export_dict()
         assert out["n"] == 0
@@ -145,11 +137,6 @@ class TestPercentiles:
                 assert type(value) is float
                 assert np.float64(value).tobytes() \
                     == np.float64(cdf.percentile(p)).tobytes()
-
-    def test_tail_summary_default_points(self):
-        summary = EmpiricalCdf(range(1000)).tail_summary()
-        assert set(summary) == {50.0, 90.0, 95.0, 99.0, 99.9, 100.0}
-        assert summary[100.0] == 999
 
     def test_mean(self):
         assert EmpiricalCdf([1, 2, 3]).mean() == 2.0

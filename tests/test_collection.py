@@ -74,9 +74,6 @@ class TestRun:
         assert len(campaign.regimes["video"]) == 2
         assert campaign.regimes["storage"] == [0, 0]
 
-    def test_traces_not_kept_by_default(self, campaign):
-        assert campaign.traces == {}
-
     def test_deterministic_given_seed(self):
         cfg = CampaignConfig(services=("messaging",), hosts_per_service=2,
                              n_snapshots=1, trace_duration_ms=300, seed=9)
@@ -84,12 +81,6 @@ class TestRun:
         b = run_campaign(cfg)
         assert (a.pooled("messaging", "flow_counts")
                 == b.pooled("messaging", "flow_counts")).all()
-
-    def test_keep_traces(self):
-        campaign = run_campaign(CampaignConfig(
-            services=("messaging",), hosts_per_service=1, n_snapshots=2,
-            trace_duration_ms=200, keep_traces=True))
-        assert len(campaign.traces["messaging"]) == 2
 
     def test_pooled_empty_metric(self):
         campaign = run_campaign(CampaignConfig(
@@ -140,7 +131,7 @@ class TestNoPerBurstObjects:
 
         cfg = CampaignConfig(services=("aggregator",), hosts_per_service=2,
                              n_snapshots=2, seed=4)
-        summaries, _, _ = run_service_campaign(cfg, "aggregator")
+        summaries, _ = run_service_campaign(cfg, "aggregator")
         monkeypatch.undo()
 
         n_traces, n_bursts = len(summaries), sum(s.n_bursts
@@ -175,9 +166,8 @@ class TestSamplingIsADailyPrefix:
         assert sampling == replace(daily, hosts_per_service=4,
                                    n_snapshots=2)
         for service in SERVICE_PROFILES:
-            small, small_regimes, _ = run_service_campaign(sampling,
-                                                           service)
-            big, big_regimes, _ = run_service_campaign(daily, service)
+            small, small_regimes = run_service_campaign(sampling, service)
+            big, big_regimes = run_service_campaign(daily, service)
             assert small_regimes == big_regimes[:2]
             for host in range(4):
                 for snap in range(2):

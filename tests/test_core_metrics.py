@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro import units
 from repro.core.bursts import burst_frequency_hz, detect_bursts
 from repro.core.incast import (INCAST_FLOW_THRESHOLD, LOW_MODE_CUTOFF_FLOWS,
-                               degree_distribution, incast_fraction,
-                               is_incast, low_mode_fraction)
+                               incast_fraction, is_incast, low_mode_fraction)
 from repro.core.metrics import BurstMetrics, summarize_trace
 from repro.measurement.records import HostTrace, TraceMeta
 from tests.conftest import make_trace
@@ -53,10 +52,6 @@ class TestIncastClassification:
     def test_low_mode_fraction(self):
         bursts = detect_bursts(trace_with_flows([5, 15, 100, 200]))
         assert low_mode_fraction(bursts) == 0.5
-
-    def test_degree_distribution(self):
-        bursts = detect_bursts(trace_with_flows([5, 100]))
-        assert list(degree_distribution(bursts)) == [5, 100]
 
 
 class TestTraceSummary:

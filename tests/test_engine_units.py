@@ -111,13 +111,6 @@ class TestResultCache:
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         assert ResultCache(directory=tmp_path).get(key) is None
 
-    def test_clear(self, tmp_path: Path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put("aa" + "0" * 62, 1)
-        cache.put("bb" + "0" * 62, 2)
-        assert cache.clear() == 2
-        assert cache.get("aa" + "0" * 62) is None
-
     def test_default_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
         assert default_cache_dir() == tmp_path / "alt"
@@ -131,13 +124,6 @@ class TestResultCache:
         tmp = cache.spill_dir / f".{key}.pkl.{pid}.tmp"
         tmp.write_bytes(b"interrupted write")
         return tmp
-
-    def test_clear_removes_stale_tmp_files(self, tmp_path: Path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put("aa" + "0" * 62, 1)
-        tmp = self._plant_stale_tmp(cache, "bb" + "0" * 62)
-        assert cache.clear() == 2
-        assert not tmp.exists()
 
     def test_sweep_stale_removes_dead_writers_tmp(self, tmp_path: Path):
         cache = ResultCache(directory=tmp_path)

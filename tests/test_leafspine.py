@@ -33,13 +33,6 @@ class TestShape:
         with pytest.raises(ValueError):
             LeafSpineConfig(n_spines=0)
 
-    def test_rack_of(self, sim):
-        fab = fabric(sim, n_racks=2, hosts_per_rack=3)
-        assert fab.rack_of(fab.racks[1][2]) == 1
-        foreign = fabric(Simulator(), n_racks=1, hosts_per_rack=1)
-        with pytest.raises(ValueError):
-            fab.rack_of(foreign.hosts[0])
-
     def test_downlink_queue_lookup(self, sim):
         fab = fabric(sim)
         host = fab.racks[0][0]

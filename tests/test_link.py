@@ -91,6 +91,12 @@ class TestLinkDiscipline:
         with pytest.raises(ValueError):
             Link(sim, 1.0, -1)
 
+    def test_repr_gives_rate_in_gbps_and_delay_in_ns(self, sim):
+        assert repr(Link(sim, units.gbps(10.0), 5000, name="tor")) \
+            == "Link(tor, 10 Gbps, prop=5000 ns)"
+        assert repr(Link(sim, units.gbps(2.5), 0, name="a")) \
+            == "Link(a, 2.5 Gbps, prop=0 ns)"
+
     def test_back_to_back_via_on_done(self, sim):
         """Chaining transmissions through on_done keeps the link saturated."""
         link, sink = make_link(sim, prop_ns=0)

@@ -25,7 +25,10 @@ The sub-incast admission scheduler became ``IncastConfig.group_size``
 of the one cyclic-incast driver, so ``IncastScheduler`` and
 ``SchedulerConfig`` left ``repro.workloads``. The flow plan became
 columns, so ``repro.workloads`` gained ``FlowPlan`` (``FlowSpec`` stays
-as its row view, with the pinned pickle).
+as its row view, with the pinned pickle). The audit's test-only code went
+next: ``repro.core`` lost its five burst-train exports, and
+``repro.netsim`` its private-buffer pool and the abstract pool base, so
+``SharedBufferPool`` is the one pool left.
 """
 
 from __future__ import annotations
@@ -49,12 +52,10 @@ PARENT_ALL = {
         "Burst", "BurstMetrics", "DctcpMode", "DivergenceReport",
         "GuardrailAdvisor", "INCAST_FLOW_THRESHOLD",
         "IncastDegreePredictor", "ModeModel", "QuantileTracker",
-        "StabilityReport", "TraceSummary", "TrainStats",
-        "analyze_divergence", "analyze_trains", "burst_frequency_hz",
-        "burstiness_coefficient", "classify_queue_trace",
+        "StabilityReport", "TraceSummary", "analyze_divergence",
+        "burst_frequency_hz", "classify_queue_trace",
         "cross_host_stability", "degenerate_flow_count",
-        "detect_bursts", "group_trains", "incast_fraction",
-        "inter_burst_gaps_ms", "is_incast", "jains_index",
+        "detect_bursts", "incast_fraction", "is_incast", "jains_index",
         "summarize_trace", "temporal_stability"),
     "repro.experiments": (
         "ExperimentResult", "IncastSimConfig", "IncastSimResult",
@@ -74,12 +75,11 @@ PARENT_ALL = {
         "verify_sealed"),
     "repro.measurement": ("HostTrace", "TraceMeta"),
     "repro.netsim": (
-        "BufferPool", "DropTailQueue", "Dumbbell", "DumbbellConfig",
-        "ECN", "EgressPort", "FluidConfig", "Host", "HostNIC", "LeafSpine",
+        "DropTailQueue", "Dumbbell", "DumbbellConfig", "ECN",
+        "EgressPort", "FluidConfig", "Host", "HostNIC", "LeafSpine",
         "LeafSpineConfig", "Link", "Packet", "QueueStats", "Rack",
-        "RackConfig", "SharedBufferPool", "StaticBufferPool",
-        "Switch", "build_dumbbell", "build_leaf_spine", "build_rack",
-        "degenerate_point_flows"),
+        "RackConfig", "SharedBufferPool", "Switch", "build_dumbbell",
+        "build_leaf_spine", "build_rack", "degenerate_point_flows"),
     "repro.simcore": (
         "Event", "EventQueue", "HookRegistry", "PeriodicProbe",
         "RngHub", "Simulator", "StopReason", "TimeSeries", "Timer"),

@@ -39,16 +39,6 @@ class TestRngHub:
         b = RngHub(7).fresh("s").random(5)
         assert (a == b).all()
 
-    def test_child_hub_deterministic(self):
-        a = RngHub(3).child("host0").stream("x").random(4)
-        b = RngHub(3).child("host0").stream("x").random(4)
-        assert (a == b).all()
-
-    def test_child_hub_differs_from_parent(self):
-        parent = RngHub(3)
-        child = parent.child("host0")
-        assert parent.stream("x").random() != child.stream("x").random()
-
     def test_adding_consumer_does_not_perturb_existing(self):
         hub1 = RngHub(9)
         a_only = hub1.stream("a").random(5)

@@ -75,42 +75,6 @@ class TestHookRegistry:
 
 
 class TestObserverTaps:
-    def test_nic_hooks_register_and_unregister(self, sim):
-        net = mini_dumbbell(sim, n_senders=1)
-        seen = []
-        hook = net.receiver.nic.add_ingress_hook(
-            lambda pkt, now: seen.append(pkt))
-        net.receiver.nic.receive(data_packet(0, 0, net.receiver.address,
-                                             0, 100))
-        assert len(seen) == 1
-        net.receiver.nic.remove_ingress_hook(hook)
-        net.receiver.nic.receive(data_packet(0, 0, net.receiver.address,
-                                             100, 100))
-        assert len(seen) == 1
-        with pytest.raises(ValueError):
-            net.receiver.nic.remove_ingress_hook(hook)
-
-    @pytest.mark.parametrize("direction", ["ingress", "egress"])
-    def test_nic_hook_may_remove_itself_mid_packet(self, sim, direction):
-        net = mini_dumbbell(sim, n_senders=1)
-        nic = net.receiver.nic if direction == "ingress" \
-            else net.senders[0].nic
-        add = getattr(nic, f"add_{direction}_hook")
-        remove = getattr(nic, f"remove_{direction}_hook")
-        seen = []
-
-        def once(pkt, now):
-            seen.append("once")
-            remove(once)
-
-        add(once)
-        add(lambda pkt, now: seen.append("after"))
-        packet = data_packet(0, net.senders[0].address,
-                             net.receiver.address, 0, 100)
-        for _ in range(2):
-            (nic.receive if direction == "ingress" else nic.send)(packet)
-        assert seen == ["once", "after", "after"]
-
     def test_queue_watcher_sees_all_three_events(self):
         queue = DropTailQueue(capacity_packets=1)
         events = []
