@@ -23,6 +23,6 @@ The package is organized bottom-up:
 
 from repro import units
 
-__version__ = "1.2.4"
+__version__ = "1.2.5"
 
 __all__ = ["units", "__version__"]

@@ -1,48 +1,34 @@
-"""Simulation substrates behind the ``backend`` config axis.
+"""The ``fluid`` substrate behind the leaf-spine scenarios' ``backend`` axis.
 
-Every experiment and sweep config carries a ``backend`` field drawn from
-:data:`~repro.experiments.backend_names.BACKENDS`:
-
-- ``packet`` — the discrete-event packet core, unchanged. The default;
-  every golden fixture is pinned against it.
-- ``fluid`` — the whole run approximated on the :mod:`repro.netsim.fluid`
-  bottleneck model with matched parameters. The plan's columns
-  (:class:`~repro.workloads.mix.FlowPlan`) are gathered once into
-  ``(start, flow_id)`` order (:class:`_StartOrder`), and a *wave* is a
-  run of those rows whose starts share a fluid interval. Each wave runs
-  as one aggregate fluid burst (:func:`_fluid_wave`, shared with
-  ``hybrid``'s steady window); per-flow completions come from
-  interval-granular processor sharing of the wave's delivered bytes,
-  which walks only the flows admitted and still open, and the finished
-  flows are gathered into the :class:`~repro.analysis.fct.FctSet`
-  columns in one pass per point (:func:`_fct_set`). A point builds no
-  per-flow object: no ``FlowSpec``, no ``FlowFct``. Waves do not
-  interact — exactly the fidelity loss ``hybrid`` repairs and
-  ``crossval`` quantifies.
-- ``hybrid`` — fluid for the *steady-state windows*, the packet core for
-  the *burst windows*. For the leaf-spine mix scenario the steady-state
-  window is the elephant warmup (long flows at DCTCP steady state,
-  which the fluid model captures); the mice incast is the burst window
-  and runs on packets against the fluid-predicted standing queue
-  (folded in as reduced queue headroom). For the cyclic dumbbell
-  incast, the slow-start transient (and the first steady burst) is the
-  packet window; the remaining bursts repeat a steady cycle the fluid
-  model carries forward.
+A leaf-spine scenario config carries a ``backend`` field,
+``packet`` (the default: the discrete-event packet core in
+:mod:`repro.experiments.scenarios`, against which every golden fixture
+is pinned) or ``fluid``, which this module runs: the whole point
+approximated on the :mod:`repro.netsim.fluid` bottleneck model with
+matched parameters. The plan's columns
+(:class:`~repro.workloads.mix.FlowPlan`) are gathered once into
+``(start, flow_id)`` order (:class:`_StartOrder`), and a *wave* is a run
+of those rows whose starts share a fluid interval. Each wave runs as one
+aggregate fluid burst (:func:`_fluid_wave`); per-flow completions come
+from interval-granular processor sharing of the wave's delivered bytes,
+which walks only the flows admitted and still open, and the finished
+flows are gathered into the :class:`~repro.analysis.fct.FctSet` columns
+in one pass per point (:func:`_fct_set`). A point builds no per-flow
+object: no ``FlowSpec``, no ``FlowFct``. Waves do not interact; the
+cost and error that buys against ``packet`` is tabled in DESIGN.md §
+*Backend selection*.
 
 Because ``backend`` is an ordinary config field, the sweep DSL can put
 the substrate on a grid axis and the engine cache keys it like any other
-parameter: ``hybrid`` units can never collide with ``packet`` units
+parameter: a ``fluid`` unit can never collide with a ``packet`` unit
 (``tests/test_backend_axis.py`` pins this as a Hypothesis property), and
 a mid-sweep resume re-dispatches each unit to its recorded substrate.
-:mod:`repro.experiments.crossval` cross-validates the substrates on the
-Figure 5 protocol (:func:`repro.experiments.crossval.hybrid_agreement`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import replace
 from functools import cache
 from itertools import compress
 from operator import add, itemgetter
@@ -51,27 +37,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from repro import units
-from repro.analysis.fct import ELEPHANT, MOUSE, FctSet, merge_fct_sets
+from repro.analysis.fct import ELEPHANT, MOUSE, FctSet
+from repro.experiments.scenarios import ScenarioResult, _config_params
 from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
                                 burst_start, run_burst)
 from repro.netsim.leafspine import LeafSpineConfig
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
-from repro.workloads.mix import KIND_MOUSE, FlowPlan
+from repro.workloads.mix import FlowPlan
 
-#: Aggregate-window carryover applied to steady (non-first) fluid bursts,
-#: modelling CWND state carried over from the previous burst — the same
-#: choice ``crossval``'s fluid side uses (Section 4.3 straggler ramp-up).
-STEADY_WINDOW_START_FACTOR = 1.5
-
-#: How many leading bursts of a cyclic incast the hybrid backend runs on
-#: the packet core: the slow-start transient the paper discards plus one
-#: measured steady burst; the rest repeat a steady cycle fluid carries.
-HYBRID_PACKET_BURSTS = 2
-
-
-# --------------------------------------------------------------------------
-# Shared plumbing
-# --------------------------------------------------------------------------
 
 def _wire_bytes(size_bytes: int, mss_bytes: int) -> int:
     """Application bytes -> on-the-wire bytes (per-MSS TCP/IP headers)."""
@@ -85,16 +58,6 @@ def _tcp_mss_bytes() -> int:
     ``TcpConfig`` per process)."""
     from repro.tcp.config import TcpConfig
     return TcpConfig().mss_bytes
-
-
-@cache
-def _scenario_api() -> tuple:
-    """``(ScenarioResult, _config_params)`` from
-    :mod:`repro.experiments.scenarios`, imported on the first call: that
-    module imports this one lazily, and a cyclic dumbbell run loads this
-    one without it."""
-    from repro.experiments.scenarios import ScenarioResult, _config_params
-    return ScenarioResult, _config_params
 
 
 def _min_fct_ns(wire_bytes: int, cfg: FluidConfig) -> int:
@@ -225,7 +188,7 @@ def _fluid_wave(rows: _StartOrder, first: int, last: int,
     their close instants (``None`` for a flow that did not finish), in
     row order, to ``closes``.
 
-    The one wave kernel of the fluid and hybrid leaf-spine backends:
+    The wave kernel of the fluid leaf-spine backend:
     :func:`~repro.netsim.fluid.burst_start` and
     :func:`~repro.netsim.fluid.run_burst` fill plain per-interval lists,
     and :func:`_processor_sharing` shares each interval's deliveries.
@@ -268,10 +231,6 @@ def _fct_set(plan: FlowPlan, rows: _StartOrder, closes: list,
                   unfinished, mouse_max_bytes)
 
 
-# --------------------------------------------------------------------------
-# Leaf-spine scenario backends
-# --------------------------------------------------------------------------
-
 def _leafspine_fluid_config(cfg, mss_bytes: int) -> FluidConfig:
     """Fluid bottleneck matched to the scenario's receiver downlink.
 
@@ -300,7 +259,6 @@ def run_fluid_plan(name: str, cfg, plan: FlowPlan):
     in one wave). Waves run in start order and emit in row order, so the
     FCT columns come out in the canonical ``(open_ns, flow_id)`` order.
     """
-    ScenarioResult, config_params = _scenario_api()
     mss = _tcp_mss_bytes()
     fluid_cfg = _leafspine_fluid_config(cfg, mss)
     constants = FluidConstants.of(fluid_cfg)
@@ -326,7 +284,7 @@ def run_fluid_plan(name: str, cfg, plan: FlowPlan):
         first = last
     return ScenarioResult(
         scenario=name,
-        params=config_params(cfg),
+        params=_config_params(cfg),
         fcts=_fct_set(plan, rows, closes, cfg.mouse_max_bytes),
         bottleneck={
             "max_len_packets": max_len,
@@ -336,190 +294,3 @@ def run_fluid_plan(name: str, cfg, plan: FlowPlan):
         },
         telemetry=None,
     )
-
-
-def run_hybrid_plan(name: str, cfg, plan: FlowPlan,
-                    packet_executor: Callable):
-    """Fluid for the steady-state window, packets for the burst window.
-
-    The steady-state window is the long-flow (elephant) warmup: those
-    flows sit at DCTCP steady state, which the fluid model reproduces,
-    and their standing queue at the moment the burst window opens is
-    folded into the packet run as reduced queue capacity and ECN
-    headroom. The steady flows run as one fluid wave. The burst window —
-    the synchronized mice incast whose transient dynamics are the whole
-    point of per-packet fidelity — runs on the packet core. A plan with
-    no steady-state flows (the pure cross-rack incast) is all burst
-    window and runs entirely on packets.
-    """
-    config_params = _scenario_api()[1]
-    is_burst = [kind == KIND_MOUSE for kind in plan.kinds]
-    if all(is_burst) or not any(is_burst):
-        # Single-window plans: one substrate covers the whole run.
-        result = packet_executor(name, cfg, plan)
-        result.params = config_params(cfg)
-        return result
-    burst = plan.take(is_burst)
-    steady = plan.take([not flag for flag in is_burst])
-
-    mss = _tcp_mss_bytes()
-    fluid_cfg = _leafspine_fluid_config(cfg, mss)
-    wire = fluid_cfg.mss_bytes
-    rows = _StartOrder.of(steady, fluid_cfg, mss)
-    closes: list = []
-    queue_frac, delivered, marked, dropped = _fluid_wave(
-        rows, 0, len(steady), fluid_cfg, FluidConstants.of(fluid_cfg),
-        closes)
-
-    # Standing queue the fluid model predicts at the instant the burst
-    # window opens (zero if the steady flows drained first).
-    burst_open_ns = min(burst.starts)
-    index = burst_open_ns // fluid_cfg.interval_ns
-    standing_frac = queue_frac[index] if index < len(queue_frac) else 0.0
-    standing = int(round(standing_frac * cfg.queue_capacity_packets))
-
-    # The burst window sees the leftover headroom: capacity and marking
-    # threshold both shrink by the standing occupancy.
-    eff_threshold = max(1, cfg.ecn_threshold_packets - standing)
-    eff_capacity = max(eff_threshold + 1,
-                       cfg.queue_capacity_packets - standing)
-    packet_cfg = replace(cfg, backend="packet",
-                         queue_capacity_packets=eff_capacity,
-                         ecn_threshold_packets=eff_threshold)
-    result = packet_executor(name, packet_cfg, burst)
-
-    result.params = config_params(cfg)
-    result.fcts = merge_fct_sets([
-        result.fcts, _fct_set(steady, rows, closes, cfg.mouse_max_bytes)])
-    bottleneck = dict(result.bottleneck)
-    bottleneck["max_len_packets"] = (bottleneck["max_len_packets"]
-                                     + standing)
-    bottleneck["marked_packets"] += int(round(marked / wire))
-    bottleneck["dropped_packets"] += int(round(dropped / wire))
-    bottleneck["enqueued_packets"] += int(round((delivered + dropped)
-                                                / wire))
-    result.bottleneck = bottleneck
-    return result
-
-
-# --------------------------------------------------------------------------
-# Dumbbell (cyclic incast) backends
-# --------------------------------------------------------------------------
-
-def _dumbbell_fluid_config(cfg) -> FluidConfig:
-    """Fluid bottleneck matched to the dumbbell's receiver downlink."""
-    wire = cfg.tcp.mss_bytes + TCP_IP_HEADER_BYTES
-    db = cfg.dumbbell
-    cap = db.queue_capacity_packets
-    threshold = (db.ecn_threshold_packets
-                 if db.ecn_threshold_packets is not None else cap)
-    return FluidConfig(
-        line_rate_bps=db.host_rate_bps,
-        base_rtt_ns=db.base_rtt_ns,
-        capacity_bytes=cap * wire,
-        ecn_threshold_frac=threshold / cap,
-        mss_bytes=wire,
-        dctcp_g=cfg.dctcp_g)
-
-
-def _fluid_cyclic_bursts(cfg, fluid_cfg: FluidConfig, first_index: int,
-                         start_ns: int, burst_results: list,
-                         times: list[int], values: list[float]) -> None:
-    """Append fluid bursts ``first_index .. n_bursts-1`` of the cyclic
-    incast, chaining each start one inter-burst gap after the previous
-    completion (as the workload schedules them)."""
-    from repro.workloads.incast import BurstResult
-
-    constants = FluidConstants.of(fluid_cfg)
-    wire = fluid_cfg.mss_bytes
-    cap_pk = cfg.dumbbell.queue_capacity_packets
-    demand = _wire_bytes(cfg.demand_bytes_per_flow,
-                         cfg.tcp.mss_bytes) * cfg.n_flows
-    for index in range(first_index, cfg.n_bursts):
-        factor = 1.0 if index == 0 else STEADY_WINDOW_START_FACTOR
-        trace = FluidColumns([], [], [], [], [])
-        capacity, window, alpha = burst_start(
-            fluid_cfg, cfg.n_flows, demand, fluid_cfg.capacity_bytes,
-            window_start_factor=factor)
-        n_intervals = run_burst(constants, cfg.n_flows, demand, capacity,
-                                window, alpha, float("inf"), trace)[0]
-        for j, frac in enumerate(trace.queue_frac):
-            times.append(start_ns + j * fluid_cfg.interval_ns)
-            values.append(frac * cap_pk)
-        # numpy's pairwise sums: the packet counts are pinned.
-        drops, marked, retransmitted = (
-            float(np.asarray(column).sum()) for column in (
-                trace.dropped_bytes, trace.marked_bytes,
-                trace.retransmit_bytes))
-        complete = start_ns + n_intervals * fluid_cfg.interval_ns
-        burst_results.append(BurstResult(
-            index=index, start_ns=start_ns, complete_ns=complete,
-            demand_bytes_per_flow=cfg.demand_bytes_per_flow,
-            n_flows=cfg.n_flows,
-            peak_queue_packets=int(round(max(trace.queue_frac, default=0.0)
-                                         * cap_pk)),
-            drops=int(round(drops / wire)),
-            marked_packets=int(round(marked / wire)),
-            retransmitted_packets=int(round(retransmitted / wire)),
-            rto_events=0, fast_retransmits=0))
-        start_ns = complete + cfg.inter_burst_gap_ns
-
-
-def _assemble_cyclic_result(cfg, burst_results: list, times: list[int],
-                            values: list[float]):
-    """Build an :class:`IncastSimResult` from synthesized burst results
-    and a queue-occupancy trace, through the packet path's own steady
-    analysis (:func:`~repro.experiments.environment.steady_analysis`)."""
-    from repro.experiments.environment import IncastSimResult, steady_analysis
-
-    steady = (burst_results[1:] if len(burst_results) > 1
-              else list(burst_results))
-    mean_bct = (float(np.mean([r.bct_ms for r in steady]))
-                if steady else 0.0)
-    return IncastSimResult(
-        config=cfg,
-        burst_results=list(burst_results),
-        steady_results=steady,
-        mean_bct_ms=mean_bct,
-        burst_starts_ns=[r.start_ns for r in burst_results],
-        flow_sampler=None,
-        network=None,
-        telemetry=None,
-        **steady_analysis(cfg, steady, np.asarray(times, dtype=np.int64),
-                          np.asarray(values, dtype=np.float64)),
-    )
-
-
-def run_incast_fluid(cfg):
-    """The cyclic dumbbell incast entirely on the fluid substrate."""
-    fluid_cfg = _dumbbell_fluid_config(cfg)
-    burst_results: list = []
-    times: list[int] = []
-    values: list[float] = []
-    _fluid_cyclic_bursts(cfg, fluid_cfg, 0, 0, burst_results, times,
-                         values)
-    return _assemble_cyclic_result(cfg, burst_results, times, values)
-
-
-def run_incast_hybrid(cfg):
-    """Packet core for the transient window, fluid for the steady cycle.
-
-    The first :data:`HYBRID_PACKET_BURSTS` bursts (the slow-start
-    transient the paper's methodology discards, plus one measured steady
-    burst) run on the packet core; the remaining bursts repeat a steady
-    cycle the fluid model carries forward with window carryover.
-    """
-    from repro.experiments.environment import run_incast_sim
-
-    head = min(HYBRID_PACKET_BURSTS, cfg.n_bursts)
-    packet_cfg = replace(cfg, backend="packet", n_bursts=head)
-    packet = run_incast_sim(packet_cfg)
-
-    burst_results = list(packet.burst_results)
-    times = [int(t) for t in packet.queue_times_ns]
-    values = [float(v) for v in packet.queue_packets]
-    if head < cfg.n_bursts:
-        start = burst_results[-1].complete_ns + cfg.inter_burst_gap_ns
-        _fluid_cyclic_bursts(cfg, _dumbbell_fluid_config(cfg), head,
-                             start, burst_results, times, values)
-    return _assemble_cyclic_result(cfg, burst_results, times, values)

@@ -77,20 +77,16 @@ def merge(work: list[WorkUnit], payloads: list, *, scale: float,
 
 
 def run_packet_side(flow_sweep: list[int], burst_ns: int, n_bursts: int,
-                    seed: int,
-                    backend: str = "packet") -> list[tuple[float, float]]:
+                    seed: int) -> list[tuple[float, float]]:
     """Steady-state ``(marked_fraction, peak_queue_frac)`` per degree,
-    using the Figure 5 protocol. ``backend`` selects the simulation
-    substrate — the default reproduces the historical packet sweep, while
-    ``hybrid`` lets :func:`hybrid_agreement` reuse this exact protocol."""
+    using the Figure 5 protocol."""
     from repro.experiments.environment import (IncastSimConfig,
                                                run_incast_sim)
     results = []
     for flows in flow_sweep:
         sim_result = run_incast_sim(IncastSimConfig(
             n_flows=flows, burst_duration_ns=burst_ns, n_bursts=n_bursts,
-            seed=seed, max_sim_time_ns=units.sec(120.0),
-            backend=backend))
+            seed=seed, max_sim_time_ns=units.sec(120.0)))
         enqueued = sum(r.demand_bytes_per_flow * r.n_flows // 1460
                        for r in sim_result.steady_results)
         marked = sim_result.steady_marked_packets
@@ -143,39 +139,6 @@ def rank_correlation(a: list[float], b: list[float]) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-#: Degrees the hybrid-agreement smoke sweep covers: one from each regime
-#: (below the degenerate region, around it, and deep inside it) — enough
-#: for a meaningful rank correlation at CI cost.
-HYBRID_SWEEP = [25, 100, 250]
-
-
-def hybrid_agreement(scale: float = 1.0, seed: int = 0) -> dict:
-    """Cross-validate the ``hybrid`` backend against pure ``packet``.
-
-    Runs the Figure 5 protocol on both substrates over a reduced degree
-    sweep and reports the same shape-agreement statistics ``merge`` uses
-    for fluid-vs-packet, plus the worst absolute divergence in the
-    marked fraction. CI smokes this (``python -m repro.experiments.crossval
-    --hybrid``): the hybrid substrate must order the regimes exactly as
-    the packet substrate does.
-    """
-    burst_ns, n_bursts = sweep_params(scale)
-    packet = run_packet_side(HYBRID_SWEEP, burst_ns, n_bursts, seed)
-    hybrid = run_packet_side(HYBRID_SWEEP, burst_ns, n_bursts, seed,
-                             backend="hybrid")
-    return {
-        "flow_sweep": HYBRID_SWEEP,
-        "packet": packet,
-        "hybrid": hybrid,
-        "mark_rank_correlation": rank_correlation(
-            [p for p, _ in packet], [h for h, _ in hybrid]),
-        "queue_rank_correlation": rank_correlation(
-            [q for _, q in packet], [q for _, q in hybrid]),
-        "max_mark_divergence": max(
-            abs(p - h) for (p, _), (h, _) in zip(packet, hybrid)),
-    }
-
-
 def _report(packet: list[tuple[float, float]],
             fluid: list[tuple[float, float]]) -> ExperimentResult:
     rows = []
@@ -206,35 +169,3 @@ def _report(packet: list[tuple[float, float]],
          ["peak queue occupancy", round(queue_corr, 3)]],
         title="Substrate agreement (1.0 = identical ordering)"))
     return result
-
-
-def _main() -> int:
-    import argparse
-
-    from repro.analysis.export import pretty_json
-    from repro.experiments.engine import run_experiments
-    from repro.experiments.engine.cache import finite_positive
-
-    parser = argparse.ArgumentParser(
-        description="Substrate cross-validation sweeps")
-    parser.add_argument("--hybrid", action="store_true",
-                        help="validate the hybrid backend against packet "
-                             "(exit 1 if ordering disagrees)")
-    parser.add_argument("--scale", type=finite_positive, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    if args.hybrid:
-        report = hybrid_agreement(scale=args.scale, seed=args.seed)
-        print(pretty_json(report))
-        ok = (report["mark_rank_correlation"] >= 0.99
-              and report["queue_rank_correlation"] >= 0.99)
-        return 0 if ok else 1
-    results, _report = run_experiments(["crossval"], scale=args.scale,
-                                       seed=args.seed, jobs=1)
-    print(results["crossval"].render())
-    return 0
-
-
-if __name__ == "__main__":
-    from repro._cli import exit_after
-    exit_after(_main)

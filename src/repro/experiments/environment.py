@@ -21,7 +21,6 @@ import numpy as np
 from repro import units
 from repro.analysis.series import align_and_average
 from repro.core.modes import DctcpMode, ModeModel, classify_queue_trace
-from repro.experiments.backend_names import check_backend
 from repro.netsim.fluid import production_fluid_config  # re-exported
 from repro.netsim.packet import TCP_IP_HEADER_BYTES
 from repro.netsim.topology import Dumbbell, DumbbellConfig, build_dumbbell
@@ -66,7 +65,6 @@ class IncastSimConfig:
     max_sim_time_ns: int = units.sec(20.0)
     telemetry: bool = False
     telemetry_interval_ns: int = units.msec(1.0)
-    backend: str = "packet"
     scheme: str = DEFAULT_SCHEME
     scheme_params: Optional[dict] = None
 
@@ -78,9 +76,6 @@ class IncastSimConfig:
             raise ValueError("n_flows must be positive")
         # Fails fast on an unknown scheme or a knob it does not declare.
         get_scheme(self.scheme).validate_params(self.scheme_params or {})
-        check_backend(self.backend,
-                      packet_window=self.telemetry or self.sample_flows,
-                      packet_state=self.scheme != DEFAULT_SCHEME)
         self.dumbbell = replace(self.dumbbell, n_senders=self.n_flows)
 
     @property
@@ -207,7 +202,7 @@ class IncastSimResult:
             "n_bursts": len(self.burst_results),
         }
         # Elided for the default so every pre-zoo export and golden
-        # fixture stays byte-identical (the same rule as ``backend``).
+        # fixture stays byte-identical.
         scheme = getattr(self.config, "scheme", DEFAULT_SCHEME)
         if scheme != DEFAULT_SCHEME:
             out["scheme"] = scheme
@@ -216,19 +211,7 @@ class IncastSimResult:
 
 
 def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
-    """Run one cyclic-incast simulation end to end.
-
-    Dispatches on ``cfg.backend``: the default ``packet`` substrate runs
-    the discrete-event simulation below; ``fluid`` and ``hybrid`` hand
-    off to :mod:`repro.experiments.backends` (imported lazily so the
-    packet path never pays for the fluid machinery).
-    """
-    if cfg.backend != "packet":
-        from repro.experiments.backends import (run_incast_fluid,
-                                                run_incast_hybrid)
-        if cfg.backend == "fluid":
-            return run_incast_fluid(cfg)
-        return run_incast_hybrid(cfg)
+    """Run one cyclic-incast simulation end to end."""
     sim = Simulator()
     net = build_dumbbell(sim, cfg.dumbbell)
     recorder = None
@@ -309,31 +292,7 @@ def run_incast_sim(cfg: IncastSimConfig) -> IncastSimResult:
     net.settle()
 
     steady = workload.steady_results()
-    analysis = steady_analysis(cfg, steady, probe.series.times_ns,
-                               probe.series.values)
-    return IncastSimResult(
-        config=cfg,
-        burst_results=workload.results,
-        steady_results=steady,
-        mean_bct_ms=workload.mean_bct_ms(),
-        burst_starts_ns=workload.burst_starts_ns,
-        flow_sampler=sampler,
-        network=net,
-        telemetry=_finish_telemetry(recorder, net, connections),
-        scheme_stats=(runtime.finish(
-            burst_starts_ns=workload.burst_starts_ns,
-            burst_duration_ns=cfg.burst_duration_ns)
-            if runtime is not None else None),
-        **analysis,
-    )
-
-
-def steady_analysis(cfg: IncastSimConfig, steady: list[BurstResult],
-                    times: np.ndarray, values: np.ndarray) -> dict:
-    """The :class:`IncastSimResult` fields every substrate derives alike
-    from its steady bursts and its bottleneck queue trace (``times`` in
-    ns, ``values`` in packets): the trace itself, its burst-aligned
-    average, the steady totals and the operating mode."""
+    times, values = probe.series.times_ns, probe.series.values
     # Align each steady burst's queue trace to its own start and average,
     # as the paper does across the final 10 bursts.
     span_ns = cfg.burst_duration_ns + cfg.inter_burst_gap_ns
@@ -360,7 +319,19 @@ def steady_analysis(cfg: IncastSimConfig, steady: list[BurstResult],
     mode = classify_queue_trace(
         burst_portion if burst_portion.size else np.zeros(1),
         cfg.mode_model(), drops=steady_drops)
-    return dict(
+    return IncastSimResult(
+        config=cfg,
+        burst_results=workload.results,
+        steady_results=steady,
+        mean_bct_ms=workload.mean_bct_ms(),
+        burst_starts_ns=workload.burst_starts_ns,
+        flow_sampler=sampler,
+        network=net,
+        telemetry=_finish_telemetry(recorder, net, connections),
+        scheme_stats=(runtime.finish(
+            burst_starts_ns=workload.burst_starts_ns,
+            burst_duration_ns=cfg.burst_duration_ns)
+            if runtime is not None else None),
         queue_times_ns=times,
         queue_packets=values,
         aligned_offsets_ns=offsets,
@@ -369,7 +340,8 @@ def steady_analysis(cfg: IncastSimConfig, steady: list[BurstResult],
         steady_rtos=sum(r.rto_events for r in steady),
         steady_marked_packets=sum(r.marked_packets for r in steady),
         steady_retransmits=sum(r.retransmitted_packets for r in steady),
-        mode=mode)
+        mode=mode,
+    )
 
 
 def _finish_telemetry(recorder: Optional[TelemetryRecorder], net: Dumbbell,

@@ -22,12 +22,12 @@ FCT = close - open only measures the flow if construction happens at the
 start), run, then renumber the telemetry capture to fabric-local ranks and
 sim-local flow ids so output is independent of process history.
 
-Every config also carries a ``backend`` axis (``packet`` / ``fluid`` /
-``hybrid``, :data:`repro.experiments.backend_names.BACKENDS`): because it is
-an ordinary config field, a sweep can put the simulation substrate on a
-grid axis and the engine cache keys the choice like any other parameter.
-``packet`` is the default and runs the executors below unchanged;
-``fluid`` and ``hybrid`` dispatch to :mod:`repro.experiments.backends`.
+Every config also carries a ``backend`` axis (``packet`` / ``fluid``,
+:data:`BACKENDS`): because it is an ordinary config field, a sweep can
+put the simulation substrate on a grid axis and the engine cache keys the
+choice like any other parameter. ``packet`` is the default and runs the
+executors below; ``fluid`` dispatches to
+:mod:`repro.experiments.backends`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro import units
 from repro.analysis.fct import DEFAULT_MOUSE_MAX_BYTES, FctSet, extract_fcts
-from repro.experiments.backend_names import check_backend
 from repro.simcore.random import RngHub
 from repro.tcp.cca import CCA_NAMES
 from repro.tcp.schemes import DEFAULT_SCHEME, get_scheme
@@ -48,6 +47,9 @@ from repro.workloads.mix import (KIND_MOUSE, ElephantMiceConfig, FlowPlan,
 
 if TYPE_CHECKING:
     from repro.telemetry.recorder import TelemetryCapture
+
+BACKENDS = ("packet", "fluid")
+"""The simulation substrates a scenario config's ``backend`` may name."""
 
 
 @dataclass
@@ -115,18 +117,25 @@ def _config_params(cfg) -> dict:
 
 def _check_config(cfg) -> None:
     """Validate a leaf-spine config's spine count and its CCA, scheme and
-    backend axes. The backend rules are the dumbbell config's own (one
-    helper), so a fluid run refuses telemetry here as it does there; the
-    spine count is the fabric's own rule, checked here because a fluid
-    run builds no fabric."""
+    backend axes: the fluid backend has neither the per-packet vantage
+    points telemetry taps nor the per-packet state a mitigation scheme
+    wires into. The spine count is the fabric's own rule, checked here
+    because a fluid run builds no fabric."""
     if cfg.n_spines <= 0:
         raise ValueError("rack/host/spine counts must be positive")
     if cfg.cca not in CCA_NAMES:
         raise ValueError(f"unknown CCA {cfg.cca!r}; "
                          f"choose from {sorted(CCA_NAMES)}")
     get_scheme(cfg.scheme)
-    check_backend(cfg.backend, packet_window=cfg.telemetry,
-                  packet_state=cfg.scheme != DEFAULT_SCHEME)
+    if cfg.backend not in BACKENDS:
+        raise ValueError(f"unknown backend {cfg.backend!r}; "
+                         f"choose from {sorted(BACKENDS)}")
+    if cfg.backend == "fluid" and cfg.telemetry:
+        raise ValueError("telemetry requires a backend with a packet "
+                         "window (packet), not fluid")
+    if cfg.backend == "fluid" and cfg.scheme != DEFAULT_SCHEME:
+        raise ValueError("mitigation schemes wire into per-packet "
+                         "state; they require the packet backend")
 
 
 @dataclass(frozen=True)
@@ -325,23 +334,20 @@ def _execute_plan(name: str, cfg, plan: FlowPlan) -> ScenarioResult:
 
 
 @cache
-def _fluid_executors() -> tuple:
-    """``(run_fluid_plan, run_hybrid_plan)``, imported on the first call:
-    the mirror image of :func:`_execute_plan`'s imports, so the packet
-    path does not pay for (or depend on) the fluid machinery, and a grid
-    point does not pay an ``import`` statement."""
-    from repro.experiments.backends import run_fluid_plan, run_hybrid_plan
-    return run_fluid_plan, run_hybrid_plan
+def _fluid_executor():
+    """``run_fluid_plan``, imported on the first call: the mirror image
+    of :func:`_execute_plan`'s imports, so the packet path does not pay
+    for (or depend on) the fluid machinery, and a grid point does not pay
+    an ``import`` statement."""
+    from repro.experiments.backends import run_fluid_plan
+    return run_fluid_plan
 
 
 def _run_backend(name: str, cfg, plan: FlowPlan) -> ScenarioResult:
     """Dispatch one planned run to the configured simulation substrate."""
     if cfg.backend == "packet":
         return _execute_plan(name, cfg, plan)
-    run_fluid_plan, run_hybrid_plan = _fluid_executors()
-    if cfg.backend == "fluid":
-        return run_fluid_plan(name, cfg, plan)
-    return run_hybrid_plan(name, cfg, plan, _execute_plan)
+    return _fluid_executor()(name, cfg, plan)
 
 
 def run_cross_rack_incast(cfg: CrossRackIncastConfig) -> ScenarioResult:

@@ -131,12 +131,12 @@ def golden_sweep_specs() -> dict:
             description="golden: tiny cross-rack incast under ECMP"),
         "sweep_backends": SweepSpec(
             name="golden-backends", scenario="leafspine_mix",
-            axes=(SweepAxis("backend", ("fluid", "hybrid")),
+            axes=(SweepAxis("backend", ("fluid",)),
                   SweepAxis("ecn_threshold_packets", (8, 65))),
             fixed={"n_racks": 2, "hosts_per_rack": 4, "n_elephants": 1,
                    "n_mice": 6, "max_sim_time_ns": horizon},
-            description="golden: fluid and hybrid substrates on a tiny "
-                        "ECN-K grid"),
+            description="golden: the fluid substrate on a tiny ECN-K "
+                        "grid"),
     }
 
 

@@ -19,8 +19,7 @@ generator without any simulator at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, cycle, islice
-from typing import Sequence
+from itertools import cycle, islice
 
 from repro import units
 from repro.simcore.random import RngHub
@@ -102,13 +101,6 @@ class FlowPlan:
         return tuple(map(FlowSpec, self.flow_ids, self.kinds,
                          self.src_ranks, self.dst_ranks, self.sizes,
                          self.starts))
-
-    def take(self, keep: Sequence[bool]) -> "FlowPlan":
-        """The sub-plan of the flows whose ``keep`` entry is true, in
-        plan order."""
-        return FlowPlan(*(tuple(compress(column, keep)) for column in (
-            self.flow_ids, self.kinds, self.src_ranks, self.dst_ranks,
-            self.sizes, self.starts)))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ plan-to-payload path.
 This is the fluid point from before its flow plan became columns: the
 plan as a list of frozen :class:`~repro.workloads.mix.FlowSpec` rows,
 waves as lists of rows, processor sharing that rescans every flow each
-interval, the ``FctSet`` columns filled by seven list comprehensions per
-wave, and the hybrid backend's steady (elephant) window. The functions
-are kept verbatim, with only the imports they need, and
+interval, and the ``FctSet`` columns filled by seven list comprehensions
+per wave. The functions are kept verbatim, with only the imports they need, and
 :func:`reference_point` dispatches a config to them the way the
 scenario executors did, so that ``tests/test_fluid_plan.py`` can require
 the production path to produce pickle-equal :class:`ScenarioResult` s.
@@ -18,13 +17,13 @@ shared, not part of what this file freezes. Do not optimise this file.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
-from typing import Callable, Optional
+from dataclasses import fields
+from typing import Optional
 
 import numpy as np
 
 from repro import units
-from repro.analysis.fct import ELEPHANT, MOUSE, FctSet, merge_fct_sets
+from repro.analysis.fct import ELEPHANT, MOUSE, FctSet
 from repro.experiments.scenarios import (CrossRackIncastConfig,
                                          ScenarioResult)
 from repro.netsim.fluid import (FluidColumns, FluidConfig, FluidConstants,
@@ -37,11 +36,9 @@ from repro.workloads.mix import (KIND_ELEPHANT, KIND_MOUSE,
                                  ElephantMiceConfig, FlowSpec)
 
 
-def reference_point(cfg, packet_executor: Optional[Callable] = None):
+def reference_point(cfg):
     """One ``leafspine_incast`` / ``leafspine_mix`` point on the ``fluid``
-    or ``hybrid`` backend, as the reference path runs it; a ``hybrid``
-    point hands its burst window to ``packet_executor(name, cfg,
-    flows)``."""
+    backend, as the reference path runs it."""
     if isinstance(cfg, CrossRackIncastConfig):
         name = "leafspine_incast"
         mix = ElephantMiceConfig(
@@ -58,9 +55,7 @@ def reference_point(cfg, packet_executor: Optional[Callable] = None):
             mouse_bytes=cfg.mouse_bytes, warmup_ns=cfg.warmup_ns,
             mouse_jitter_ns=cfg.mouse_jitter_ns)
     flows = plan_elephant_mice(mix, RngHub(cfg.seed))
-    if cfg.backend == "fluid":
-        return run_fluid_plan(name, cfg, flows)
-    return run_hybrid_plan(name, cfg, flows, packet_executor)
+    return run_fluid_plan(name, cfg, flows)
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def _config_params(cfg) -> dict:
 
 
 # --------------------------------------------------------------------------
-# The fluid and hybrid backends (experiments/backends.py)
+# The fluid backend (experiments/backends.py)
 # --------------------------------------------------------------------------
 
 def _wire_bytes(size_bytes: int, mss_bytes: int) -> int:
@@ -208,7 +203,7 @@ def _fluid_wave(specs: list[FlowSpec], fluid_cfg: FluidConfig,
     finished flows, in ``specs`` order, to ``columns`` — seven lists in
     :class:`~repro.analysis.fct.FctSet` field order.
 
-    The one wave kernel of the fluid and hybrid leaf-spine backends:
+    The one wave kernel of the fluid leaf-spine backend:
     :func:`~repro.netsim.fluid.burst_start` and
     :func:`~repro.netsim.fluid.run_burst` fill plain per-interval lists,
     and a flow's close is the later of its processor-sharing completion
@@ -310,66 +305,3 @@ def run_fluid_plan(name: str, cfg, flows: list[FlowSpec]):
         },
         telemetry=None,
     )
-
-
-def run_hybrid_plan(name: str, cfg, flows: list[FlowSpec],
-                    packet_executor: Callable):
-    """Fluid for the steady-state window, packets for the burst window.
-
-    The steady-state window is the long-flow (elephant) warmup: those
-    flows sit at DCTCP steady state, which the fluid model reproduces,
-    and their standing queue at the moment the burst window opens is
-    folded into the packet run as reduced queue capacity and ECN
-    headroom. The burst window — the synchronized mice incast whose
-    transient dynamics are the whole point of per-packet fidelity — runs
-    on the packet core. A plan with no steady-state flows (the pure
-    cross-rack incast) is all burst window and runs entirely on packets.
-    """
-    burst = [f for f in flows if f.kind == KIND_MOUSE]
-    steady = [f for f in flows if f.kind != KIND_MOUSE]
-    if not steady or not burst:
-        # Single-window plans: one substrate covers the whole run.
-        result = packet_executor(name, cfg, flows)
-        result.params = _config_params(cfg)
-        return result
-
-    mss = _tcp_mss_bytes()
-    fluid_cfg = _leafspine_fluid_config(cfg, mss)
-    wire = fluid_cfg.mss_bytes
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    steady_unfinished, queue_frac, delivered, marked, dropped = _fluid_wave(
-        steady, fluid_cfg, FluidConstants.of(fluid_cfg), mss,
-        cfg.mouse_max_bytes, columns)
-
-    # Standing queue the fluid model predicts at the instant the burst
-    # window opens (zero if the steady flows drained first).
-    burst_open_ns = min(f.start_ns for f in burst)
-    index = burst_open_ns // fluid_cfg.interval_ns
-    standing_frac = queue_frac[index] if index < len(queue_frac) else 0.0
-    standing = int(round(standing_frac * cfg.queue_capacity_packets))
-
-    # The burst window sees the leftover headroom: capacity and marking
-    # threshold both shrink by the standing occupancy.
-    eff_threshold = max(1, cfg.ecn_threshold_packets - standing)
-    eff_capacity = max(eff_threshold + 1,
-                       cfg.queue_capacity_packets - standing)
-    packet_cfg = replace(cfg, backend="packet",
-                         queue_capacity_packets=eff_capacity,
-                         ecn_threshold_packets=eff_threshold)
-    result = packet_executor(name, packet_cfg, burst)
-
-    result.params = _config_params(cfg)
-    result.fcts = merge_fct_sets([
-        result.fcts,
-        FctSet(*map(tuple, columns), unfinished=steady_unfinished,
-               mouse_max_bytes=cfg.mouse_max_bytes),
-    ])
-    bottleneck = dict(result.bottleneck)
-    bottleneck["max_len_packets"] = (bottleneck["max_len_packets"]
-                                     + standing)
-    bottleneck["marked_packets"] += int(round(marked / wire))
-    bottleneck["dropped_packets"] += int(round(dropped / wire))
-    bottleneck["enqueued_packets"] += int(round((delivered + dropped)
-                                                / wire))
-    result.bottleneck = bottleneck
-    return result

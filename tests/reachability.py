@@ -85,7 +85,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.core.metrics:TraceSummary.bursts": _REFERENCE.format("burst"),
     "repro.core.predictor:IncastDegreePredictor.samples": _ACCESSOR,
     # experiments and engine
-    "repro.experiments.backends:run_incast_fluid": _ITEM.format(5),
     "repro.experiments.engine.cache:ResultCache.path_for": _ACCESSOR,
     "repro.experiments.engine.cache:ResultCache._drop_corrupt": _SAFETY,
     "repro.experiments.engine.cache:ResultCache._note_put_failure": _SAFETY,
@@ -386,8 +385,8 @@ EXP = f"{PY} -m repro.experiments"
 CLIS = ("repro.experiments", "repro.experiments sweep",
         "repro.experiments sweep list", "repro.experiments sweep plan",
         "repro.experiments sweep run", "repro.experiments verdict",
-        "repro.experiments.crossval", "repro.tools.golden",
-        "repro.tools.trace_view", "repro.tools.telemetry_view",
+        "repro.tools.golden", "repro.tools.trace_view",
+        "repro.tools.telemetry_view",
         "repro.tools.docstrings", "repro.tools.worker",
         "repro.tools.cacheserver")
 

@@ -156,7 +156,7 @@ class TestVersionBumpRetiresSweepPayloads:
 
     def test_entry_sealed_under_1_2_1_is_a_miss(self, tmp_path: Path,
                                                 monkeypatch):
-        spec = golden_sweep_specs()["sweep_backends"]  # fluid + hybrid
+        spec = golden_sweep_specs()["sweep_backends"]  # fluid
         assert repro.__version__ != "1.2.1"
         cache = ResultCache(directory=tmp_path / "cache")
         with monkeypatch.context() as old:
@@ -166,7 +166,7 @@ class TestVersionBumpRetiresSweepPayloads:
             for key in old_keys:
                 assert cache.put(key, SealedUnderAnotherVersion())
             old_dir = cache.version_dir
-        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 4
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 2
 
         units = compile_units(spec, SCALE, SEED)
         assert not {unit.cache_key() for unit in units} & old_keys

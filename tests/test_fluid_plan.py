@@ -7,8 +7,8 @@ Five kinds of check:
   at the commit before the per-flow columns, so the columnar path is held
   to the row-object path's bytes;
 - a **differential** against the point as it ran before its plan became
-  columns (``tests/fluid_point_reference.py``): drawn fluid and hybrid
-  points must give pickle-equal results;
+  columns (``tests/fluid_point_reference.py``): drawn fluid points must
+  give pickle-equal results;
 - **oracles** that share no arithmetic with the wave kernel (Hypothesis
   where the input is drawn): every FCT clears its physical floor, a
   wave's flows are all accounted for and never credited more bytes than
@@ -36,7 +36,6 @@ from repro.experiments import backends, sweep
 from repro.experiments.engine import seal_payload, unseal_payload
 from repro.experiments.scenarios import (CrossRackIncastConfig,
                                          ElephantMiceGridConfig,
-                                         ScenarioResult,
                                          run_cross_rack_incast,
                                          run_elephant_mice)
 from repro.netsim import fluid
@@ -95,8 +94,8 @@ JITTERS = st.one_of(st.just(0), st.integers(1, units.msec(4.0)))
 @st.composite
 def fluid_points(draw):
     """A ``leafspine_mix`` point with 0–4 elephants and 1–64 mice, or a
-    ``leafspine_incast`` point with 1–64 senders, on the fluid or hybrid
-    backend, with drawn thresholds and capacities."""
+    ``leafspine_incast`` point with 1–64 senders, on the fluid backend,
+    with drawn thresholds and capacities."""
     capacity = draw(st.integers(2, 2_000))
     common = dict(
         seed=draw(st.integers(0, 2**32)),
@@ -104,7 +103,7 @@ def fluid_points(draw):
         ecn_threshold_packets=draw(st.integers(1, capacity)),
         dctcp_g=draw(st.sampled_from((1.0 / 16.0, 0.25, 1.0))),
         mouse_max_bytes=draw(st.sampled_from((20_000, 100_000, 150_000))),
-        backend=draw(st.sampled_from(("fluid", "hybrid"))))
+        backend="fluid")
     if draw(st.booleans()):
         return CrossRackIncastConfig(
             n_senders=draw(st.integers(1, 64)), flow_bytes=draw(SIZES),
@@ -116,42 +115,6 @@ def fluid_points(draw):
         mouse_jitter_ns=draw(JITTERS), **common)
 
 
-def stub_packet_run(name, cfg, flows):
-    """A stand-in packet executor for the hybrid burst window: every flow
-    closes after its size in ns plus the window's threshold, and the
-    bottleneck echoes the window's capacity, so the result depends on
-    everything the steady window hands over. Takes a ``FlowPlan`` or the
-    reference's list of rows."""
-    rows = flows.rows if isinstance(flows, FlowPlan) else flows
-    rows = sorted(rows, key=lambda f: (f.start_ns, f.flow_id))
-    return ScenarioResult(
-        scenario=name, params={}, bottleneck={
-            "max_len_packets": cfg.queue_capacity_packets,
-            "marked_packets": cfg.ecn_threshold_packets,
-            "dropped_packets": len(rows), "enqueued_packets": 7},
-        fcts=fct.FctSet(
-            tuple(f.flow_id for f in rows), tuple(f.src_rank for f in rows),
-            tuple(f.start_ns for f in rows),
-            tuple(f.start_ns + f.size_bytes + cfg.ecn_threshold_packets
-                  for f in rows),
-            tuple(f.size_bytes for f in rows), (None,) * len(rows),
-            tuple(fct.MOUSE if f.size_bytes <= cfg.mouse_max_bytes
-                  else fct.ELEPHANT for f in rows),
-            mouse_max_bytes=cfg.mouse_max_bytes))
-
-
-def columnar_point(cfg):
-    """The production path's result for ``cfg``."""
-    if cfg.backend == "hybrid":
-        name = ("leafspine_incast" if isinstance(cfg, CrossRackIncastConfig)
-                else "leafspine_mix")
-        return backends.run_hybrid_plan(name, cfg, cfg.plan(RngHub(cfg.seed)),
-                                        stub_packet_run)
-    if isinstance(cfg, CrossRackIncastConfig):
-        return run_cross_rack_incast(cfg)
-    return run_elephant_mice(cfg)
-
-
 @settings(deadline=None)
 @given(fluid_points())
 @example(ElephantMiceGridConfig(n_mice=5, mouse_jitter_ns=0, backend="fluid"))
@@ -159,15 +122,16 @@ def columnar_point(cfg):
                                backend="fluid"))
 def test_the_columnar_point_is_the_row_object_point(cfg):
     """Pickle-equal results, so equal sealed payload bytes: the plan, the
-    waves, processor sharing, the FCT columns and the bottleneck totals,
-    and on ``hybrid`` the steady window and what it hands the burst
-    window. A close instant is a float truncated to whole ns, so a float
+    waves, processor sharing, the FCT columns and the bottleneck totals.
+    A close instant is a float truncated to whole ns, so a float
     operation done in another order shows only where the exact instant is
     a whole ns: the two explicit examples are such points, an equal-size
     synchronized wave of 5 or 20 flows delivered in one interval, whose
     closes fall on fifths of it."""
-    expected = reference.reference_point(cfg, stub_packet_run)
-    assert pickle.dumps(columnar_point(cfg)) == pickle.dumps(expected)
+    run = (run_cross_rack_incast if isinstance(cfg, CrossRackIncastConfig)
+           else run_elephant_mice)
+    expected = reference.reference_point(cfg)
+    assert pickle.dumps(run(cfg)) == pickle.dumps(expected)
 
 
 @settings(deadline=None, max_examples=300)

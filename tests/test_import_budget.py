@@ -113,7 +113,7 @@ def test_the_section_3_experiments(tmp_path):
                             "repro.experiments.fig5"))
 
 
-#: What only the fluid / hybrid substrates and the FCT sweeps use.
+#: What only the fluid substrate and the FCT sweeps use.
 FLUID_SUBSTRATE = (
     "repro.experiments.backends", "repro.analysis.fct",
     "repro.analysis.cdf", "repro.analysis.tables",
@@ -121,8 +121,8 @@ FLUID_SUBSTRATE = (
 
 
 def test_a_packet_level_incast():
-    """The Section 4 entry point checks ``backend`` against the names
-    alone, without loading the substrates behind them."""
+    """The Section 4 entry point runs on the packet core alone: it loads
+    neither the fluid substrate nor the FCT / leaf-spine stack."""
     modules = modules_after(
         "from repro.experiments.environment import (IncastSimConfig,\n"
         "                                           run_incast_sim)\n"

@@ -262,17 +262,6 @@ class TestScaleFlag:
         err = capsys.readouterr().err
         assert "argument --scale" in err and repr(bad) in err
 
-    @pytest.mark.parametrize("bad", BAD)
-    def test_crossval_cli_rejects_it_too(self, bad, monkeypatch, capsys):
-        # ``python -m repro.experiments.crossval`` parses its own argv.
-        from repro.experiments import crossval
-        monkeypatch.setattr("sys.argv", ["crossval", f"--scale={bad}"])
-        with pytest.raises(SystemExit) as excinfo:
-            crossval._main()
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --scale" in err and repr(bad) in err
-
     @pytest.mark.parametrize("text,expected", [
         ("0.05", 0.05), ("1", 1.0), ("2.5", 2.5), ("1e-3", 1e-3)])
     def test_accepts_finite_positive(self, text, expected):

@@ -102,26 +102,23 @@ class TestRegistry:
         assert merged["degree_threshold"] == 16
         assert given_params == {"beta": 0.25}
 
-    @pytest.mark.parametrize("backend", ["fluid", "hybrid"])
+    @pytest.mark.parametrize("backend", ["fluid"])
     def test_non_packet_backends_refuse_schemes(self, backend):
         with pytest.raises(ValueError, match="packet backend"):
-            IncastSimConfig(scheme="fec", backend=backend)
-        with pytest.raises(ValueError, match="packet backend"):
             ElephantMiceGridConfig(scheme="ictcp", backend=backend)
-        # The fluid model has no per-flow window to cap and the hybrid
-        # only a packet head: a guardrail there must fail, not run
-        # uncapped.
+        # The fluid model has no per-flow window to cap: a guardrail
+        # there must fail, not run uncapped.
         with pytest.raises(ValueError, match="packet backend"):
-            IncastSimConfig(scheme="guardrail", backend=backend)
+            CrossRackIncastConfig(scheme="guardrail", backend=backend)
 
-    @pytest.mark.parametrize("backend", ["fluid", "hybrid"])
+    @pytest.mark.parametrize("backend", ["fluid"])
     def test_guardrail_sweep_on_a_non_packet_backend_fails_loudly(
             self, tmp_path, capsys, backend):
         spec = tmp_path / "guard.yaml"
         spec.write_text(
-            f"name: guard-{backend}\nscenario: dumbbell_incast\n"
-            f"fixed: {{backend: {backend}, scheme: guardrail, "
-            f"n_flows: 150}}\n", encoding="utf-8")
+            f"name: guard-{backend}\nscenario: leafspine_mix\n"
+            f"fixed: {{backend: {backend}, scheme: guardrail}}\n",
+            encoding="utf-8")
         code = runner_main(["sweep", "run", str(spec), "--scale", "0.05",
                             "--jobs", "1", "--no-cache"])
         assert code != 0

@@ -10,7 +10,7 @@ import pytest
 from repro import units
 from repro.experiments.engine import run_experiments
 from repro.experiments.environment import IncastSimConfig, run_incast_sim
-from repro.netsim.packet import Packet, data_packet
+from repro.netsim.packet import data_packet
 from repro.netsim.queues import DropTailQueue
 from repro.simcore.hooks import HookRegistry
 from repro.telemetry import FLOW_CHANNELS, TelemetryRecorder
