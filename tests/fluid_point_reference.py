@@ -5,8 +5,8 @@ This is the fluid point from before its flow plan became columns: the
 plan as a list of frozen :class:`~repro.workloads.mix.FlowSpec` rows,
 waves as lists of rows, processor sharing that rescans every flow each
 interval, and the ``FctSet`` columns filled by seven list comprehensions
-per wave. The functions are kept verbatim, with only the imports they need, and
-:func:`reference_point` dispatches a config to them the way the
+per wave. The functions are kept verbatim, with only the imports they
+need, and :func:`reference_point` dispatches a config to them the way the
 scenario executors did, so that ``tests/test_fluid_plan.py`` can require
 the production path to produce pickle-equal :class:`ScenarioResult` s.
 The netsim kernels (``burst_start``, ``run_burst``), the row class
