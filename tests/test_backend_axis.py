@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.analysis.export import result_to_dict
 from repro.experiments.engine import (CampaignInterrupted, FaultSpec,
                                       ResultCache, replay_journal)
+from repro.experiments.environment import IncastSimConfig
 from repro.experiments.runner import main as runner_main
 from repro.experiments.scenarios import (BACKENDS, CrossRackIncastConfig,
                                          ElephantMiceGridConfig,
@@ -98,6 +99,56 @@ class TestDispatchAndValidation:
         reported = {r.flow_id for r in result.fcts.records}
         assert reported <= planned
         assert len(reported) + result.fcts.unfinished == len(planned)
+
+
+class TestRetiredBackends:
+    """``hybrid`` and the dumbbell's backend field are gone: a config, a
+    spec or a command line that still names them must fail loudly, never
+    run on some other substrate."""
+
+    @pytest.mark.parametrize("config_cls", [
+        CrossRackIncastConfig, ElephantMiceGridConfig])
+    def test_hybrid_is_an_unknown_backend(self, config_cls):
+        assert BACKENDS == ("packet", "fluid")
+        with pytest.raises(ValueError, match=r"unknown backend 'hybrid'; "
+                           r"choose from \['fluid', 'packet'\]"):
+            config_cls(backend="hybrid")
+
+    @pytest.mark.parametrize("scenario", ["leafspine_incast",
+                                          "leafspine_mix"])
+    def test_hybrid_sweep_fails_loudly(self, scenario, tmp_path, capsys):
+        spec = tmp_path / "hybrid.yaml"
+        spec.write_text(f"name: hybrid\nscenario: {scenario}\n"
+                        "fixed: {backend: hybrid}\n", encoding="utf-8")
+        code = runner_main(["sweep", "run", str(spec), "--scale", "0.05",
+                            "--jobs", "1", "--no-cache"])
+        assert code != 0
+        assert "unknown backend 'hybrid'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid", "hybrid"])
+    def test_dumbbell_spec_naming_a_backend_is_a_usage_error(
+            self, backend, tmp_path, capsys):
+        """Even ``packet``, the one substrate the dumbbell runs on: the
+        field is gone, so a spec that sets it is stale."""
+        spec = tmp_path / "dumbbell.yaml"
+        spec.write_text("name: dumbbell\nscenario: dumbbell_incast\n"
+                        f"fixed: {{backend: {backend}, n_flows: 20}}\n",
+                        encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["sweep", "run", str(spec), "--scale", "0.05",
+                         "--jobs", "1", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert ("'backend' is not a sweepable field of 'dumbbell_incast'"
+                in capsys.readouterr().err)
+        with pytest.raises(TypeError, match="backend"):
+            IncastSimConfig(n_flows=20, backend=backend)
+
+    def test_crossval_takes_no_hybrid_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["-e", "crossval", "--hybrid"])
+        assert excinfo.value.code == 2
+        assert ("unrecognized arguments: --hybrid"
+                in capsys.readouterr().err)
 
 
 class TestOpenTimeInvariant:

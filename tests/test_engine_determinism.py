@@ -274,6 +274,42 @@ class TestVersionBumpRetiresIctcpPayloads:
         assert (warm.cache_hits, warm.executed) == (len(units), 0)
 
 
+class TestVersionBumpRetiresDumbbellPayloads:
+    """1.2.5 removed ``IncastSimConfig.backend``, but a ``dumbbell_incast``
+    unit's params never held the default backend, so its cache key moves
+    only with the version: what 1.2.4 left in a cache directory must be a
+    miss that recomputes, never an unpickle of a config carrying a stale
+    ``backend`` attribute."""
+
+    def test_entry_sealed_under_1_2_4_is_a_miss(self, tmp_path: Path,
+                                                monkeypatch):
+        assert repro.__version__ != "1.2.4"
+        cache = ResultCache(directory=tmp_path / "cache")
+        with monkeypatch.context() as old:
+            old.setattr(repro, "__version__", "1.2.4")
+            old_keys = {unit.cache_key()
+                        for unit in fig6.work_units(SCALE, SEED)}
+            for key in old_keys:
+                assert cache.put(key, SealedUnderAnotherVersion())
+            old_dir = cache.version_dir
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys) == 4
+
+        units = fig6.work_units(SCALE, SEED)
+        assert all("backend" not in unit.params["overrides"]
+                   for unit in units)
+        assert not {unit.cache_key() for unit in units} & old_keys
+        fresh, _ = run_experiments(["fig6"], scale=SCALE, seed=SEED, jobs=1)
+        served, report = run_experiments(["fig6"], scale=SCALE, seed=SEED,
+                                         jobs=1, cache=cache)
+        assert (report.cache_hits, report.executed) == (0, len(units))
+        assert doc(served["fig6"]) == doc(fresh["fig6"])
+        # The old entries were left alone, not read.
+        assert len(list(old_dir.rglob("*.pkl"))) == len(old_keys)
+        _, warm = run_experiments(["fig6"], scale=SCALE, seed=SEED, jobs=1,
+                                  cache=cache)
+        assert (warm.cache_hits, warm.executed) == (len(units), 0)
+
+
 class TestEngineValidation:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError, match="unknown experiments"):

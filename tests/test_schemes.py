@@ -111,6 +111,18 @@ class TestRegistry:
         with pytest.raises(ValueError, match="packet backend"):
             CrossRackIncastConfig(scheme="guardrail", backend=backend)
 
+    @pytest.mark.parametrize("scheme", [
+        name for name in ZOO if name != DEFAULT_SCHEME])
+    @pytest.mark.parametrize("config_cls", [
+        CrossRackIncastConfig, ElephantMiceGridConfig])
+    def test_fluid_refuses_every_mitigation_scheme(self, config_cls,
+                                                   scheme):
+        # The same scheme is a valid packet config, so the refusal is
+        # the backend's, not the scheme's.
+        assert config_cls(scheme=scheme).scheme == scheme
+        with pytest.raises(ValueError, match="packet backend"):
+            config_cls(scheme=scheme, backend="fluid")
+
     @pytest.mark.parametrize("backend", ["fluid"])
     def test_guardrail_sweep_on_a_non_packet_backend_fails_loudly(
             self, tmp_path, capsys, backend):
